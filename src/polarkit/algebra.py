@@ -288,15 +288,20 @@ class FunctionCertificate:
     ``table`` maps representative eigenvalues of a to the (approximately
     constant) value b takes on the corresponding eigenspace; it is the
     finite-dimensional stand-in for the function itself.
+    ``worst_eigenvalue`` is the representative eigenvalue of a whose
+    eigenspace rows carry the largest defect when b is not a function of
+    a, and None when it is.
     """
 
     exists: bool
     residual: float
     table: tuple[tuple[float, complex], ...] = field(default=())
+    worst_eigenvalue: float | None = None
 
 
 def _block_constant_defect(b_rot: np.ndarray, blocks: list[np.ndarray]):
-    """Defect of b (already rotated) from being scalar on each block."""
+    """Defect matrix of b (already rotated) from being scalar on each
+    block, with the block values."""
     model = np.zeros_like(b_rot)
     values = []
     for idx in blocks:
@@ -304,7 +309,7 @@ def _block_constant_defect(b_rot: np.ndarray, blocks: list[np.ndarray]):
         val = complex(np.trace(sub)) / len(idx)
         model[np.ix_(idx, idx)] = val * np.eye(len(idx))
         values.append(val)
-    return operator_norm(b_rot - model), values
+    return b_rot - model, values
 
 
 def is_function_of(b, a, tol: float = DEFAULT_TOL) -> FunctionCertificate:
@@ -329,11 +334,19 @@ def is_function_of(b, a, tol: float = DEFAULT_TOL) -> FunctionCertificate:
     scale_a = 1.0 + (abs(float(w[-1])) if w.size else 0.0)
     groups = eig_groups(w, tol * scale_a)
     b_rot = dagger(v) @ bm @ v
-    defect, values = _block_constant_defect(b_rot, groups)
+    resid, values = _block_constant_defect(b_rot, groups)
+    defect = operator_norm(resid)
+    exists = defect <= tol * scale_b
     table = tuple(
         (float(np.mean(w[idx])), complex(val)) for idx, val in zip(groups, values)
     )
-    return FunctionCertificate(exists=defect <= tol * scale_b, residual=defect, table=table)
+    worst = None
+    if not exists:
+        rows = [float(np.linalg.norm(resid[idx, :])) for idx in groups]
+        worst = float(np.mean(w[groups[int(np.argmax(rows))]]))
+    return FunctionCertificate(
+        exists=exists, residual=defect, table=table, worst_eigenvalue=worst
+    )
 
 
 def joint_eigenbasis(mats, tol: float = DEFAULT_TOL):
@@ -375,7 +388,7 @@ def is_function_of_family(b, mats, tol: float = DEFAULT_TOL) -> FunctionCertific
     bm = as_matrix(b)
     v, blocks = joint_eigenbasis(mats, tol=tol)
     b_rot = dagger(v) @ bm @ v
-    defect, _ = _block_constant_defect(b_rot, blocks)
+    defect = operator_norm(_block_constant_defect(b_rot, blocks)[0])
     scale_b = 1.0 + operator_norm(bm)
     return FunctionCertificate(exists=defect <= tol * scale_b, residual=defect)
 

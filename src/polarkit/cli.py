@@ -14,6 +14,7 @@ and per call by --tol.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .isometry import partial_isometry_report
 from .linalg import DEFAULT_TOL, operator_norm, polar_decompose
 from .models import build
 from .relation import (
+    Analysis,
     build_calB,
     coefficient_algebra,
     graded_model_for,
@@ -118,30 +120,34 @@ def _emit(args, payload: dict, text: str) -> None:
             fh.write(dumps_canonical(payload))
 
 
+def _check_list(checks) -> tuple[list[dict], list[str]]:
+    """JSON rows and [PASS]/[FAIL] text lines for (name, passed, residual)
+    triples."""
+    checks = list(checks)
+    rows = [{"name": name, "residual": res, "pass": ok} for name, ok, res in checks]
+    lines = [
+        f"[{'PASS' if ok else 'FAIL'}] {name} (residual {res:.3e})"
+        for name, ok, res in checks
+    ]
+    return rows, lines
+
+
 def _cmd_polar_decompose(args) -> int:
     tol = _resolve_tol(args)
     a = _load_operator(args)
     pd = polar_decompose(a, tol=tol)
     rep = partial_isometry_report(pd.u, tol=tol)
     ok = pd.residual <= tol * (1.0 + operator_norm(a)) and rep.passed and rep.consistent
+    rows, check_lines = _check_list((c.name, c.passed, c.residual) for c in rep.conditions)
     payload = {
         "u": matrix_to_json(pd.u),
         "pos": matrix_to_json(pd.pos),
         "rank": pd.rank,
         "residual": pd.residual,
-        "conditions": [
-            {"name": c.name, "residual": c.residual, "pass": c.passed}
-            for c in rep.conditions
-        ],
+        "conditions": rows,
         "pass": bool(ok),
     }
-    lines = [
-        f"factorization residual {pd.residual:.3e} (rank {pd.rank})",
-    ]
-    for c in rep.conditions:
-        lines.append(
-            f"[{'PASS' if c.passed else 'FAIL'}] {c.name} (residual {c.residual:.3e})"
-        )
+    lines = [f"factorization residual {pd.residual:.3e} (rank {pd.rank})", *check_lines]
     lines.append("polar decomposition verified" if ok else "POLAR CHECK FAILED")
     _emit(args, payload, "\n".join(lines) + "\n")
     return 0 if ok else 1
@@ -178,9 +184,8 @@ def _cmd_verify_relation(args) -> int:
 
 
 def _cmd_verify_theorems(args) -> int:
-    tol = _resolve_tol(args)
-    a = _load_operator(args)
-    cert = verify_I1(a, tol=tol)
+    an = Analysis(_load_operator(args), _resolve_tol(args))
+    cert = an.certificate
     if not cert.holds:
         payload = {
             "pass": False,
@@ -193,19 +198,9 @@ def _cmd_verify_theorems(args) -> int:
             f"defining relation fails (residual {cert.membership_residual:.3e})\n",
         )
         return 1
-    rep = theorem22_report(a, tol=tol)
-    payload = {
-        "kmax": rep.kmax,
-        "checks": [
-            {"name": c.name, "residual": c.residual, "pass": c.passed}
-            for c in rep.checks
-        ],
-        "pass": rep.passed,
-    }
-    lines = [
-        f"[{'PASS' if c.passed else 'FAIL'}] {c.name} (residual {c.residual:.3e})"
-        for c in rep.checks
-    ]
+    rep = theorem22_report(an)
+    rows, lines = _check_list((c.name, c.passed, c.residual) for c in rep.checks)
+    payload = {"kmax": rep.kmax, "checks": rows, "pass": rep.passed}
     lines.append("all structure checks passed" if rep.passed else "SOME CHECKS FAILED")
     _emit(args, payload, "\n".join(lines) + "\n")
     return 0 if rep.passed else 1
@@ -216,10 +211,14 @@ def _cmd_tower(args) -> int:
     a = _load_operator(args)
     rep = coefficient_algebra(a, tol=tol)
     t = rep.tower
-    checks = {}
-    checks.update({f"tower.{k}": v for k, v in sorted(t.checks.items())})
-    checks.update({f"theorem.{k}": v for k, v in sorted(rep.theorems.checks.items())})
-    checks.update({f"structure.{k}": v for k, v in sorted(rep.structure.items())})
+    families = (
+        ("tower", t.checks), ("theorem", rep.theorems.checks), ("structure", rep.structure)
+    )
+    rows, check_lines = _check_list(
+        (f"{prefix}.{k}", ok, res)
+        for prefix, family in families
+        for k, (ok, res) in sorted(family.items())
+    )
     payload = {
         "seed_dimension": t.a0.dimension,
         "forward_limit_dimension": t.a_inf.dimension,
@@ -228,9 +227,7 @@ def _cmd_tower(args) -> int:
         "stabilization": dict(sorted(t.stabilization.items())),
         "weak_hypotheses": t.hypotheses.weak_holds,
         "strong_hypotheses": t.hypotheses.strong_holds,
-        "checks": [
-            {"name": k, "pass": ok, "residual": res} for k, (ok, res) in checks.items()
-        ],
+        "checks": rows,
         "pass": rep.passed,
     }
     lines = [
@@ -242,9 +239,8 @@ def _cmd_tower(args) -> int:
         f"double closure dimension {t.inf_a_inf.dimension}",
         f"hypotheses: weak={'yes' if t.hypotheses.weak_holds else 'no'}"
         f" strong={'yes' if t.hypotheses.strong_holds else 'no'}",
+        *check_lines,
     ]
-    for k, (ok, res) in checks.items():
-        lines.append(f"[{'PASS' if ok else 'FAIL'}] {k} (residual {res:.3e})")
     lines.append("tower verified" if rep.passed else "SOME CHECKS FAILED")
     _emit(args, payload, "\n".join(lines) + "\n")
     return 0 if rep.passed else 1
@@ -314,13 +310,12 @@ def _cmd_normal_order(args) -> int:
 
 
 def _cmd_algebra_info(args) -> int:
-    tol = _resolve_tol(args)
-    a = _load_operator(args)
-    rep = coefficient_algebra(a, tol=tol)
-    algebra_b, graded_basis = build_calB(a, tol=tol)
+    an = Analysis(_load_operator(args), _resolve_tol(args))
+    rep = coefficient_algebra(an)
+    algebra_b, graded_basis = build_calB(an)
     bandwidth = max((g.bandwidth for g in graded_basis), default=0)
     payload = {
-        "dim": int(a.shape[0]),
+        "dim": int(an.matrix.shape[0]),
         "seed_dimension": rep.tower.a0.dimension,
         "coefficient_dimension": rep.algebra.dimension,
         "full_algebra_dimension": algebra_b.dimension,
@@ -342,23 +337,10 @@ def _cmd_run_suite(args) -> int:
     obj = load_json(args.config)
     config = config_from_json(obj)
     if args.tol is not None or os.environ.get("POLARKIT_TOL"):
-        config = type(config)(
-            models=config.models,
-            suites=config.suites,
-            tol=_resolve_tol(args),
-            kmax=config.kmax,
-            seed=config.seed,
-            output=config.output,
-        )
+        config = dataclasses.replace(config, tol=_resolve_tol(args))
     report = run_suite(config)
-    out_path = args.out or config.output
-    if args.report == "json":
-        sys.stdout.write(dumps_canonical(report))
-    else:
-        sys.stdout.write(report_to_text(report))
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(report))
+    args.out = args.out or config.output
+    _emit(args, report, report_to_text(report))
     return 0 if report["all_pass"] else 1
 
 

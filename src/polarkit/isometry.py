@@ -123,6 +123,17 @@ def power_projections(u, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
+def projection_chain_defect(x, kmax: int) -> float:
+    """Worst defect of x[1..kmax] from a decreasing chain of projections:
+    x_k x_l = x_l x_k = x_k for l <= k (l = k is idempotency)."""
+    worst = 0.0
+    for k in range(1, kmax + 1):
+        for l in range(1, k + 1):
+            worst = max(worst, operator_norm(x[k] @ x[l] - x[k]))
+            worst = max(worst, operator_norm(x[l] @ x[k] - x[k]))
+    return worst
+
+
 def power_partial_isometry_residuals(
     u, kmax: int, tol: float = DEFAULT_TOL
 ) -> tuple[bool, list[tuple[int, float]]]:
@@ -174,13 +185,10 @@ def power_isometry_check(v, kmax: int, tol: float = DEFAULT_TOL) -> PowerIsometr
     worst_power = max(res for _, res in per_power)
 
     _, q = power_projections(vm, kmax)
-    worst_family = 0.0
-    for k in range(1, kmax + 1):
-        worst_family = max(worst_family, operator_norm(q[k] @ q[k] - q[k]))
-        worst_family = max(worst_family, operator_norm(q[k] - dagger(q[k])))
-        for l in range(1, k + 1):
-            worst_family = max(worst_family, operator_norm(q[k] @ q[l] - q[k]))
-            worst_family = max(worst_family, operator_norm(q[l] @ q[k] - q[k]))
+    worst_family = max(
+        projection_chain_defect(q, kmax),
+        max(operator_norm(q[k] - dagger(q[k])) for k in range(1, kmax + 1)),
+    )
     return PowerIsometryReport(
         kmax=kmax,
         powers_ok=ok_powers,
@@ -245,12 +253,7 @@ def commuting_projection_properties(
             rhs = powers[k - 1] @ dagger(powers[l])
             reduction_residual = max(reduction_residual, operator_norm(lhs - rhs))
 
-    family_residual = 0.0
-    for k in range(1, kmax + 1):
-        family_residual = max(family_residual, operator_norm(p[k] @ p[k] - p[k]))
-        for l in range(1, k + 1):
-            family_residual = max(family_residual, operator_norm(p[k] @ p[l] - p[k]))
-            family_residual = max(family_residual, operator_norm(p[l] @ p[k] - p[k]))
+    family_residual = projection_chain_defect(p, kmax)
 
     worst = max(commutant_residual, reduction_residual, family_residual)
     return CommutingProjectionReport(

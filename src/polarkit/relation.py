@@ -20,6 +20,10 @@ Membership tests here go through eigenspace characterizations
 span bases of matrix powers: powers of a matrix with crowded eigenvalues
 span the same algebra but make the membership test numerically useless,
 while the eigenspace route is exact up to rounding.
+
+The functions here are views on one :class:`Analysis` per operator and
+accept one in place of the matrix (its own tol then governs), so callers
+that need several views of an operator share every derivation.
 """
 
 from __future__ import annotations
@@ -39,9 +43,9 @@ from .algebra import (
     linear_span,
     spectral_algebra,
 )
-from .errors import ModelNotGraded, RelationViolated
+from .errors import ModelNotGraded, PolarkitError, RelationViolated
 from .graded import GradedElement, GradedModel, realize, regrade
-from .isometry import ConditionCheck, morphism_check
+from .isometry import ConditionCheck, morphism_check, projection_chain_defect
 from .linalg import (
     DEFAULT_TOL,
     as_matrix,
@@ -75,26 +79,49 @@ class RelationCertificate:
     offending_eigenvalue: float | None = None
 
 
-def _worst_group(b, a, tol: float) -> float | None:
-    """Eigenvalue of a whose eigenspace carries the largest defect of b
-    from the function shape (block diagonal, scalar blocks)."""
-    w, v = hermitian_eig(a, tol=tol)
-    scale = 1.0 + (abs(float(w[-1])) if w.size else 0.0)
-    groups = eig_groups(w, tol * scale)
-    b_rot = dagger(v) @ as_matrix(b) @ v
-    model = np.zeros_like(b_rot)
-    for idx in groups:
-        sub = b_rot[np.ix_(idx, idx)]
-        model[np.ix_(idx, idx)] = (complex(np.trace(sub)) / len(idx)) * np.eye(len(idx))
-    resid = b_rot - model
-    worst_val = None
-    worst = -1.0
-    for idx in groups:
-        rows = float(np.linalg.norm(resid[idx, :]))
-        if rows > worst:
-            worst = rows
-            worst_val = float(np.mean(w[idx]))
-    return worst_val
+def _once(derive):
+    """A field of :class:`Analysis`: derived on first read, then cached
+    together with the PolarkitError the derivation may raise."""
+
+    def get(self):
+        if derive not in self._memo:
+            try:
+                self._memo[derive] = derive(self)
+            except PolarkitError as exc:
+                self._memo[derive] = exc
+        if isinstance(self._memo[derive], PolarkitError):
+            raise self._memo[derive]
+        return self._memo[derive]
+
+    return property(get)
+
+
+class Analysis:
+    """One operator and everything derived from it, each piece once.
+
+    Each field is derived on first read from the ones before it: ``pd``
+    (the polar parts), ``certificate`` (the defining-relation test),
+    ``seed`` (C*(1, |a|)), ``pair`` (U validated as a partial isometry),
+    ``tower`` (both towers over the seed) and ``model`` (U over the
+    tower's double closure).  A failed derivation is not repeated either:
+    its PolarkitError is raised again on every later read.
+    """
+
+    def __init__(self, a, tol: float = DEFAULT_TOL):
+        self.matrix = as_matrix(a)
+        self.tol = tol
+        self._memo: dict = {}
+
+    pd = _once(lambda an: polar_decompose(an.matrix, tol=an.tol))
+    certificate = _once(lambda an: verify_I1(an))
+    seed = _once(lambda an: spectral_algebra(an.pd.pos, tol=an.tol))
+    pair = _once(lambda an: endo_pair(an.pd.u, tol=an.tol))
+    tower = _once(lambda an: build_tower(an.seed, an.pair, tol=an.tol))
+    model = _once(lambda an: GradedModel(an.pair, an.tower.inf_a_inf, tol=an.tol))
+
+
+def _analysis(a, tol: float) -> Analysis:
+    return a if isinstance(a, Analysis) else Analysis(a, tol)
 
 
 def verify_I1(a, tol: float = DEFAULT_TOL) -> RelationCertificate:
@@ -105,14 +132,12 @@ def verify_I1(a, tol: float = DEFAULT_TOL) -> RelationCertificate:
     equivalent statements, so the two booleans are expected to agree;
     both residuals are reported.
     """
-    am = as_matrix(a)
-    x = dagger(am) @ am
-    y = am @ dagger(am)
-    cert = is_function_of(y, x, tol=tol)
-    pd = polar_decompose(am, tol=tol)
+    an = _analysis(a, tol)
+    am = an.matrix
+    cert = is_function_of(am @ dagger(am), dagger(am) @ am, tol=an.tol)
+    pd = an.pd
     mid = pd.u @ pd.pos @ dagger(pd.u)
-    cert2 = is_function_of(mid, pd.pos, tol=tol)
-    offending = None if cert.exists else _worst_group(y, x, tol)
+    cert2 = is_function_of(mid, pd.pos, tol=an.tol)
     table = tuple((float(ev), float(val.real)) for ev, val in cert.table)
     return RelationCertificate(
         holds=cert.exists,
@@ -120,12 +145,12 @@ def verify_I1(a, tol: float = DEFAULT_TOL) -> RelationCertificate:
         conjugate_holds=cert2.exists,
         conjugate_residual=cert2.residual,
         gamma_table=table,
-        offending_eigenvalue=offending,
+        offending_eigenvalue=cert.worst_eigenvalue,
     )
 
 
-def _require_relation(a, tol: float) -> RelationCertificate:
-    cert = verify_I1(a, tol=tol)
+def _require_relation(an: Analysis) -> RelationCertificate:
+    cert = an.certificate
     if not cert.holds:
         extra = (
             f"; eigenspace of a*a at {cert.offending_eigenvalue:.6g} carries "
@@ -196,12 +221,13 @@ def theorem22_report(a, tol: float = DEFAULT_TOL, kmax: int | None = None) -> Th
     ranges run to ``kmax`` (default: the matrix dimension, by which
     point the projection chain has stabilized or died).
     """
-    _require_relation(a, tol)
-    am = as_matrix(a)
-    n = am.shape[0]
+    an = _analysis(a, tol)
+    tol = an.tol
+    _require_relation(an)
+    n = an.matrix.shape[0]
     if kmax is None:
         kmax = n
-    pd = polar_decompose(am, tol=tol)
+    pd = an.pd
     u = pd.u
     us = dagger(u)
     upow = {0: np.eye(n, dtype=np.complex128)}
@@ -210,8 +236,8 @@ def theorem22_report(a, tol: float = DEFAULT_TOL, kmax: int | None = None) -> Th
     p_of = {k: upow[k] @ dagger(upow[k]) for k in range(kmax + 1)}
     q_of = {k: dagger(upow[k]) @ upow[k] for k in range(kmax + 1)}
 
-    thr = tol * (1.0 + operator_norm(am)) ** 2
-    seed_unital = spectral_algebra(pd.pos, tol=tol)
+    thr = tol * (1.0 + operator_norm(an.matrix)) ** 2
+    seed_unital = an.seed
     seed_plain = nonunital_seed(pd.pos, tol=tol)
     bicom = bicommutant(seed_unital, tol=tol)
 
@@ -250,13 +276,7 @@ def theorem22_report(a, tol: float = DEFAULT_TOL, kmax: int | None = None) -> Th
         max(operator_norm(p_of[k] @ p_of[k] - p_of[k]) for k in range(1, kmax + 1)),
     )
 
-    nest = 0.0
-    for k in range(1, kmax + 1):
-        for l in range(1, k + 1):
-            nest = max(nest, operator_norm(q_of[k] @ q_of[l] - q_of[k]))
-            nest = max(nest, operator_norm(q_of[l] @ q_of[k] - q_of[k]))
-            nest = max(nest, operator_norm(p_of[k] @ p_of[l] - p_of[k]))
-            nest = max(nest, operator_norm(p_of[l] @ p_of[k] - p_of[k]))
+    nest = max(projection_chain_defect(q_of, kmax), projection_chain_defect(p_of, kmax))
     add("ordered_products_nest", nest)
 
     morph = morphism_check(u, seed_plain, tol=tol)
@@ -269,19 +289,15 @@ def theorem22_report(a, tol: float = DEFAULT_TOL, kmax: int | None = None) -> Th
     )
 
     image_res = 0.0
+    absorb = 0.0
     for k in range(1, kmax + 1):
         family = [pd.pos] + [p_of[j] for j in range(1, k)]
         for b in seed_plain.basis:
             img = upow[k] @ b @ dagger(upow[k])
             image_res = max(image_res, is_function_of_family(img, family, tol=tol).residual)
-    add("delta_powers_in_extended_algebra", image_res)
-
-    absorb = 0.0
-    for k in range(1, kmax + 1):
-        for b in seed_plain.basis:
-            img = upow[k] @ b @ dagger(upow[k])
             absorb = max(absorb, operator_norm(p_of[k] @ img - img))
             absorb = max(absorb, operator_norm(img @ p_of[k] - img))
+    add("delta_powers_in_extended_algebra", image_res)
     add("range_projection_absorbs_image", absorb)
 
     round_trip = 0.0
@@ -354,14 +370,13 @@ def coefficient_algebra(a, tol: float = DEFAULT_TOL) -> CoefficientAlgebraReport
     (every tower level is a linear span of layer images, so sums of the
     form alpha_0 + delta_*(alpha_1) + ... exhaust each level).
     """
-    cert = _require_relation(a, tol)
-    pd = polar_decompose(as_matrix(a), tol=tol)
-    a0 = spectral_algebra(pd.pos, tol=tol)
-    pair = endo_pair(pd.u, tol=tol)
-    tower = build_tower(a0, pair, tol=tol)
+    an = _analysis(a, tol)
+    tol = an.tol
+    cert = _require_relation(an)
+    tower, pair = an.tower, an.pair
     theorems = verify_tower_theorems(tower, pair, tol=tol)
 
-    scale = 1.0 + operator_norm(as_matrix(a))
+    scale = 1.0 + operator_norm(an.matrix)
     star_levels = _sum_form_residual(tower.a_inf, pair, "star", tower.n_a_inf_list, tol)
     fwd_stab = tower.stabilization.get("forward_from_star_limit", 0)
     fwd_levels = _sum_form_residual(
@@ -389,11 +404,7 @@ def graded_model_for(a, tol: float = DEFAULT_TOL) -> GradedModel:
     also covers negative-control models (unit-weight shifts, Jordan
     blocks) on which :func:`verify_I1` fails.
     """
-    pd = polar_decompose(as_matrix(a), tol=tol)
-    a0 = spectral_algebra(pd.pos, tol=tol)
-    pair = endo_pair(pd.u, tol=tol)
-    tower = build_tower(a0, pair, tol=tol)
-    return GradedModel(pd.u, tower.inf_a_inf, tol=tol)
+    return _analysis(a, tol).model
 
 
 def build_calB(a, tol: float = DEFAULT_TOL) -> tuple[MatrixAlgebra, list[GradedElement]]:
@@ -406,17 +417,13 @@ def build_calB(a, tol: float = DEFAULT_TOL) -> tuple[MatrixAlgebra, list[GradedE
     not banded are handled only in the commutative case (everything in
     degree zero), and ModelNotGraded is raised otherwise.
     """
-    _require_relation(a, tol)
-    am = as_matrix(a)
-    pd = polar_decompose(am, tol=tol)
-    pieces, _ = _spectral_projections(pd.pos, tol)
-    gens = [p for _, p in pieces] + [pd.u]
+    an = _analysis(a, tol)
+    tol = an.tol
+    _require_relation(an)
+    pieces, _ = _spectral_projections(an.pd.pos, tol)
+    gens = [p for _, p in pieces] + [an.pd.u]
     algebra_b = generate(gens, unital=True, tol=tol)
-
-    a0 = spectral_algebra(pd.pos, tol=tol)
-    pair = endo_pair(pd.u, tol=tol)
-    tower = build_tower(a0, pair, tol=tol)
-    model = GradedModel(pd.u, tower.inf_a_inf, tol=tol)
+    model = an.model
 
     graded_basis = []
     for m in algebra_b.basis:

@@ -32,14 +32,9 @@ from .isometry import (
     partial_isometry_report,
     power_isometry_check,
 )
-from .linalg import DEFAULT_TOL, operator_norm, polar_decompose
+from .linalg import DEFAULT_TOL, operator_norm
 from .models import ModelSpec, build, phi_for
-from .relation import (
-    coefficient_algebra,
-    graded_model_for,
-    theorem22_report,
-    verify_I1,
-)
+from .relation import Analysis, coefficient_algebra, theorem22_report
 from .serialize import dumps_canonical, model_spec_to_json
 from .words import GEN, GEN_STAR, evaluate, interior_projection, nf_mul, normal_order
 
@@ -113,10 +108,36 @@ def _precondition_failure(exc: PolarkitError, anchor: str) -> list[dict]:
     ]
 
 
-def _suite_polar(a, config: SuiteConfig, rng) -> list[dict]:
+def _relation_failure(an: Analysis) -> list[dict] | None:
+    """The failed gate check when the defining relation fails, else None."""
+    cert = an.certificate
+    if cert.holds:
+        return None
+    return [
+        _check("defining_relation", "relation.membership", False, cert.membership_residual)
+    ]
+
+
+def _nilpotent_model(an: Analysis):
+    """(model, None) when the graded suites apply, else (None, checks).
+
+    The graded calculus truncates at degree dim, which realizes to zero
+    only when u is nilpotent (finite shift truncations); the suites do
+    not apply to unitary-type models and report no checks for them.
+    """
+    try:
+        model = an.model
+    except PolarkitError as exc:
+        return None, _precondition_failure(exc, "graded.model")
+    if operator_norm(model.power(model.dim)) > an.tol:
+        return None, []
+    return model, None
+
+
+def _suite_polar(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> list[dict]:
     tol = config.tol
-    pd = polar_decompose(a, tol=tol)
-    scale = 1.0 + operator_norm(a)
+    pd = an.pd
+    scale = 1.0 + operator_norm(an.matrix)
     checks = [
         _check("factor_residual", "polar.residual", pd.residual <= tol * scale, pd.residual)
     ]
@@ -131,11 +152,11 @@ def _suite_polar(a, config: SuiteConfig, rng) -> list[dict]:
     return checks
 
 
-def _suite_isometry(a, config: SuiteConfig, rng) -> list[dict]:
+def _suite_isometry(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> list[dict]:
     tol = config.tol
-    pd = polar_decompose(a, tol=tol)
-    n = a.shape[0]
-    rep = power_isometry_check(pd.u, kmax=n, tol=tol)
+    u = an.pd.u
+    n = u.shape[0]
+    rep = power_isometry_check(u, kmax=n, tol=tol)
     checks = [
         _check(
             "powers_vs_projections",
@@ -145,7 +166,7 @@ def _suite_isometry(a, config: SuiteConfig, rng) -> list[dict]:
         )
     ]
     try:
-        crep = commuting_projection_properties(pd.u, kmax=n, tol=tol)
+        crep = commuting_projection_properties(u, kmax=n, tol=tol)
         checks.append(
             _check(
                 "commuting_projection_family",
@@ -163,59 +184,42 @@ def _suite_isometry(a, config: SuiteConfig, rng) -> list[dict]:
     return checks
 
 
-def _suite_tower(a, config: SuiteConfig, rng) -> list[dict]:
-    tol = config.tol
-    cert = verify_I1(a, tol=tol)
-    if not cert.holds:
-        return [
-            _check(
-                "defining_relation", "relation.membership", False, cert.membership_residual
-            )
-        ]
+def _suite_tower(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> list[dict]:
+    failed = _relation_failure(an)
+    if failed:
+        return failed
     try:
-        rep = coefficient_algebra(a, tol=tol)
+        rep = coefficient_algebra(an)
     except PolarkitError as exc:
         return _precondition_failure(exc, "tower.hypotheses")
-    checks = []
-    for name in sorted(rep.tower.checks):
-        ok, res = rep.tower.checks[name]
-        checks.append(_check(name, f"tower.{name}", ok, res))
-    for name in sorted(rep.theorems.checks):
-        ok, res = rep.theorems.checks[name]
-        checks.append(_check(name, f"tower.theorem.{name}", ok, res))
-    for name in sorted(rep.structure):
-        ok, res = rep.structure[name]
-        checks.append(_check(name, f"tower.structure.{name}", ok, res))
-    return checks
+    families = (
+        ("tower", rep.tower.checks),
+        ("tower.theorem", rep.theorems.checks),
+        ("tower.structure", rep.structure),
+    )
+    return [
+        _check(name, f"{anchor}.{name}", ok, res)
+        for anchor, family in families
+        for name, (ok, res) in sorted(family.items())
+    ]
 
 
-def _suite_theorem22(a, config: SuiteConfig, rng) -> list[dict]:
-    tol = config.tol
-    cert = verify_I1(a, tol=tol)
-    if not cert.holds:
-        return [
-            _check(
-                "defining_relation", "relation.membership", False, cert.membership_residual
-            )
-        ]
-    rep = theorem22_report(a, tol=tol)
+def _suite_theorem22(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> list[dict]:
+    failed = _relation_failure(an)
+    if failed:
+        return failed
+    rep = theorem22_report(an)
     return [
         _check(c.name, f"relation.structure.{c.name}", c.passed, c.residual)
         for c in rep.checks
     ]
 
 
-def _suite_graded(a, config: SuiteConfig, rng) -> list[dict]:
+def _suite_graded(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> list[dict]:
     tol = config.tol
-    try:
-        model = graded_model_for(a, tol=tol)
-    except PolarkitError as exc:
-        return _precondition_failure(exc, "graded.model")
-    if operator_norm(model.power(model.dim)) > tol:
-        # the graded calculus truncates at degree dim, which realizes to
-        # zero only when u is nilpotent (finite shift truncations); the
-        # suite does not apply to unitary-type models
-        return []
+    model, skipped = _nilpotent_model(an)
+    if model is None:
+        return skipped
     bandwidth = min(3, model.dim - 1)
     worst = 0.0
     for _ in range(10):
@@ -253,14 +257,11 @@ def _suite_graded(a, config: SuiteConfig, rng) -> list[dict]:
     return checks
 
 
-def _suite_norm_formula(a, config: SuiteConfig, rng) -> list[dict]:
+def _suite_norm_formula(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> list[dict]:
     tol = config.tol
-    try:
-        model = graded_model_for(a, tol=tol)
-    except PolarkitError as exc:
-        return _precondition_failure(exc, "graded.model")
-    if operator_norm(model.power(model.dim)) > tol:
-        return []
+    model, skipped = _nilpotent_model(an)
+    if model is None:
+        return skipped
     p1 = model.range_projection(1)
     try:
         g = model.element({-1: p1, 1: p1}, enforce_support=True)
@@ -303,10 +304,10 @@ def _random_word(rng, max_len: int = 6) -> tuple:
     return tuple(GEN if rng.integers(2) else GEN_STAR for _ in range(length))
 
 
-def _suite_words(spec: ModelSpec, a, config: SuiteConfig, rng) -> list[dict]:
+def _suite_words(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> list[dict]:
     if spec.kind != "q_oscillator":
         return []
-    tol = config.tol
+    a = an.matrix
     phi = phi_for(spec)
     n = spec.dim
     worst = 0.0
@@ -337,6 +338,7 @@ _RUNNERS = {
     "theorem22": _suite_theorem22,
     "graded": _suite_graded,
     "norm_formula": _suite_norm_formula,
+    "words": _suite_words,
 }
 
 
@@ -345,39 +347,33 @@ def run_suite(config: SuiteConfig) -> dict:
 
     Returns the report dict; precondition failures (a model violating
     the defining relation, say) are recorded as failed checks rather
-    than raised, so one bad model never hides the others.
+    than raised, so one bad model never hides the others.  Every suite
+    of a model reads one shared :class:`Analysis`, so the polar parts,
+    the relation gate and the tower are derived once per model.
     """
     suites = [s for s in SUITE_ORDER if s in config.suites]
     models_out = []
     all_pass = True
     for mi, spec in enumerate(config.models):
         suites_out = []
+        models_out.append({"index": mi, "model": model_spec_to_json(spec), "suites": suites_out})
         try:
-            a = build(spec)
+            an = Analysis(build(spec), config.tol)
         except PolarkitError as exc:
-            suites_out = [
+            suites_out.extend(
                 {"name": s, "checks": _precondition_failure(exc, "models.build")}
                 for s in suites
-            ]
-            all_pass = False
-            models_out.append(
-                {"index": mi, "model": model_spec_to_json(spec), "suites": suites_out}
             )
+            all_pass = False
             continue
         for si, sname in enumerate(suites):
             rng = np.random.default_rng([config.seed, mi, si])
             try:
-                if sname == "words":
-                    checks = _suite_words(spec, a, config, rng)
-                else:
-                    checks = _RUNNERS[sname](a, config, rng)
+                checks = _RUNNERS[sname](spec, an, config, rng)
             except PolarkitError as exc:
                 checks = _precondition_failure(exc, f"{sname}.run")
             all_pass = all_pass and all(c["pass"] for c in checks)
             suites_out.append({"name": sname, "checks": checks})
-        models_out.append(
-            {"index": mi, "model": model_spec_to_json(spec), "suites": suites_out}
-        )
     return {
         "tol": config.tol,
         "kmax": config.kmax,

@@ -347,16 +347,12 @@ def verify_tower_theorems(
     depth_seed = max(len(t.na_list), len(t.an_list))
     star_layers = _layer_stacks(pair, t.a0.basis, "star", depth_seed)
     fwd_layers = _layer_stacks(pair, t.a0.basis, "forward", depth_seed)
-    worst = 0.0
-    for i in range(len(star_layers)):
-        for j in range(i + 1, len(star_layers)):
-            worst = max(worst, _max_commutator(star_layers[i], star_layers[j]))
-    record("star_layers_commute", worst)
-    worst = 0.0
-    for i in range(len(fwd_layers)):
-        for j in range(i + 1, len(fwd_layers)):
-            worst = max(worst, _max_commutator(fwd_layers[i], fwd_layers[j]))
-    record("forward_layers_commute", worst)
+    for direction, layers in (("star", star_layers), ("forward", fwd_layers)):
+        worst = 0.0
+        for i in range(len(layers)):
+            for j in range(i + 1, len(layers)):
+                worst = max(worst, _max_commutator(layers[i], layers[j]))
+        record(f"{direction}_layers_commute", worst)
 
     depth_inf = len(t.n_a_inf_list)
     inf_star_layers = _layer_stacks(pair, t.a_inf.basis, "star", depth_inf)

@@ -1,5 +1,9 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polarkit as pk
@@ -128,3 +132,94 @@ def test_graded_suite_skips_non_nilpotent_models():
     assert report["all_pass"]
     for suite in report["models"][0]["suites"]:
         assert suite["checks"] == []
+
+
+def _zoo_specs():
+    """The canonical zoo of scripts/run_zoo.py, negative controls last."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_zoo.py"
+    loader = importlib.util.spec_from_file_location("run_zoo", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module.ZOO + module.NEGATIVE
+
+
+COUNTED = ("polar_decompose", "verify_I1", "endo_pair", "build_tower")
+
+
+@pytest.fixture(scope="module")
+def counted_zoo_run():
+    """All seven suites over the zoo, counting calls of the per-operator
+    derivations in every polarkit module namespace that binds them."""
+    counts = dict.fromkeys(COUNTED, 0)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "polarkit"]
+    with pytest.MonkeyPatch.context() as mp:
+        for fname in COUNTED:
+            orig = getattr(pk, fname)
+
+            def counting(*args, _orig=orig, _fname=fname, **kwargs):
+                counts[_fname] += 1
+                return _orig(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, fname, None) is orig:
+                    mp.setattr(module, fname, counting)
+        specs = _zoo_specs()
+        config = pk.config_from_json({"models": specs, "suites": list(SUITE_ORDER), "seed": 0})
+        report = pk.run_suite(config)
+    return specs, report, counts
+
+
+def test_run_suite_derives_each_fact_once_per_model(counted_zoo_run):
+    specs, _, counts = counted_zoo_run
+    assert counts == dict.fromkeys(COUNTED, len(specs))
+
+
+def test_shared_analysis_matches_standalone_views(counted_zoo_run):
+    specs, report, _ = counted_zoo_run
+    checked = 0
+    for spec, entry in zip(specs, report["models"]):
+        a = pk.build(pk.model_spec_from_json(spec))
+        suites = {s["name"]: s["checks"] for s in entry["suites"]}
+        if not pk.verify_I1(a).holds:
+            continue
+        rep = pk.theorem22_report(a)
+        assert [c["residual"] for c in suites["theorem22"]] == [c.residual for c in rep.checks]
+        crep = pk.coefficient_algebra(a)
+        families = (crep.tower.checks, crep.theorems.checks, crep.structure)
+        expected = [res for fam in families for _, (_, res) in sorted(fam.items())]
+        assert [c["residual"] for c in suites["tower"]] == expected
+        checked += 1
+    assert checked == 5
+
+
+def test_failed_derivation_is_not_repeated(monkeypatch, rng):
+    import polarkit.relation as relation
+
+    calls = []
+
+    def counting(*args, _orig=relation.build_tower, **kwargs):
+        calls.append(args)
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(relation, "build_tower", counting)
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    config = pk.SuiteConfig(models=(pk.custom(m),), suites=("graded", "norm_formula"))
+    graded, norm = pk.run_suite(config)["models"][0]["suites"]
+    assert graded["checks"] == norm["checks"]
+    assert graded["checks"][0]["error"].startswith("HypothesisViolated")
+    assert len(calls) == 1
+
+
+def test_build_failure_is_recorded_per_suite():
+    bad = pk.ModelSpec(kind="custom", dim=3, matrix=np.eye(2, dtype=complex))
+    good = pk.weighted_shift((1.0, 1.4142135623730951))
+    config = pk.SuiteConfig(models=(bad, good), suites=("polar", "words"))
+    report = pk.run_suite(config)
+    assert not report["all_pass"]
+    first, second = report["models"]
+    assert [s["name"] for s in first["suites"]] == ["polar", "words"]
+    for suite in first["suites"]:
+        (check,) = suite["checks"]
+        assert check["anchor"] == "models.build"
+        assert check["error"].startswith("InvalidSpec")
+    assert all(c["pass"] for s in second["suites"] for c in s["checks"])
