@@ -12,6 +12,11 @@ closure, ``spectral_algebra`` builds C*(1, h) for Hermitian h directly from
 eigenprojections and should be preferred for that case.  ``is_function_of``
 is the membership test for algebras of the form C*(1, h); it needs no basis
 at all.
+
+Every residual is an operator norm; one over many matrices is one
+``operator_norm`` call on their stack (``MatrixAlgebra.residual`` and
+``is_function_of_family`` take stacks too), built one row at a time,
+never as one stack of all pairs.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 from .errors import CommutantViolation, DimensionOverflow, NotHermitian, NotSubalgebra
 from .linalg import (
     DEFAULT_TOL,
+    _operator_norms,
     as_matrix,
     dagger,
     eig_groups,
@@ -69,8 +75,11 @@ class MatrixAlgebra:
         return (coeffs @ flat).reshape(self.dim, self.dim)
 
     def residual(self, m) -> float:
-        """Operator norm of m minus its projection onto the span."""
-        return operator_norm(as_matrix(m) - self.project(m))
+        """Operator norm of m minus its projection onto the span; for a
+        (k, n, n) stack, the largest over the stack.  Only the SVD is
+        batched: a batched projection would round differently."""
+        ms = np.asarray(m, dtype=np.complex128)
+        return operator_norm([x - self.project(x) for x in ms.reshape(-1, *ms.shape[-2:])])
 
 
 def contains(algebra: MatrixAlgebra, m, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
@@ -254,11 +263,11 @@ def bicommutant(a, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
 
 def is_commutative(algebra: MatrixAlgebra, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Largest commutator norm over basis pairs; boolean is <= tol."""
-    worst = 0.0
     b = algebra.basis
-    for i in range(algebra.dimension):
-        for j in range(i + 1, algebra.dimension):
-            worst = max(worst, operator_norm(b[i] @ b[j] - b[j] @ b[i]))
+    worst = max(
+        (operator_norm(b[i] @ b[i + 1 :] - b[i + 1 :] @ b[i]) for i in range(algebra.dimension)),
+        default=0.0,
+    )
     return worst <= tol, worst
 
 
@@ -274,10 +283,10 @@ def is_ideal_in(j: MatrixAlgebra, a: MatrixAlgebra, tol: float = DEFAULT_TOL) ->
         member, res = contains(a, m, tol)
         if not member:
             raise NotSubalgebra(f"basis element {i} of the candidate ideal is outside the algebra (residual {res:.3e})")
-    worst = 0.0
-    for x in j.basis:
-        for y in a.basis:
-            worst = max(worst, j.residual(x @ y), j.residual(y @ x))
+    worst = max(
+        (j.residual(np.concatenate((x @ a.basis, a.basis @ x))) for x in j.basis),
+        default=0.0,
+    )
     return worst <= tol, worst
 
 
@@ -357,20 +366,21 @@ def joint_eigenbasis(mats, tol: float = DEFAULT_TOL):
     :class:`CommutantViolation` when two inputs fail to commute within
     tol and :class:`NotHermitian` for non-Hermitian input.
     """
-    ms = [as_matrix(m) for m in mats]
-    if not ms:
+    ms = np.array([as_matrix(m) for m in mats])
+    if not len(ms):
         raise ValueError("need at least one matrix")
-    n = ms[0].shape[0]
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            c = operator_norm(ms[i] @ ms[j] - ms[j] @ ms[i])
-            scale = (1.0 + operator_norm(ms[i])) * (1.0 + operator_norm(ms[j]))
-            if c > tol * scale:
-                raise CommutantViolation(f"family members {i} and {j} do not commute (norm {c:.3e})")
+    n = ms.shape[-1]
+    norms = _operator_norms(ms)
+    for i in range(len(ms) - 1):
+        comm = _operator_norms(ms[i] @ ms[i + 1 :] - ms[i + 1 :] @ ms[i])
+        bad = np.flatnonzero(comm > tol * ((1.0 + norms[i]) * (1.0 + norms[i + 1 :])))
+        if bad.size:
+            j = i + 1 + int(bad[0])
+            raise CommutantViolation(f"family members {i} and {j} do not commute (norm {comm[bad[0]]:.3e})")
     v = np.eye(n, dtype=np.complex128)
     blocks = [np.arange(n)]
-    for h in ms:
-        scale_h = 1.0 + operator_norm(h)
+    for h, norm_h in zip(ms, norms):
+        scale_h = 1.0 + norm_h
         refined: list[np.ndarray] = []
         for idx in blocks:
             sub = dagger(v[:, idx]) @ h @ v[:, idx]
@@ -384,20 +394,25 @@ def joint_eigenbasis(mats, tol: float = DEFAULT_TOL):
 
 def is_function_of_family(b, mats, tol: float = DEFAULT_TOL) -> FunctionCertificate:
     """Membership of b in the C*-algebra generated by 1 and a commuting
-    Hermitian family, via the joint eigenblock characterization."""
-    bm = as_matrix(b)
+    Hermitian family, via the joint eigenblock characterization.
+
+    A (k, n, n) stack b is read as the direct sum of its matrices: the
+    residual is the largest defect, the scale the largest norm, and the
+    joint eigenbasis is computed once for the whole stack.
+    """
+    bm = np.asarray(b, dtype=np.complex128)
     v, blocks = joint_eigenbasis(mats, tol=tol)
+    if bm.ndim < 2 or bm.shape[-2:] != v.shape:
+        raise ValueError(f"expected {v.shape} matrices to match the family, got shape {bm.shape}")
     b_rot = dagger(v) @ bm @ v
-    defect = operator_norm(_block_constant_defect(b_rot, blocks)[0])
+    defect = operator_norm(
+        [_block_constant_defect(x, blocks)[0] for x in b_rot.reshape(-1, *bm.shape[-2:])]
+    )
     scale_b = 1.0 + operator_norm(bm)
     return FunctionCertificate(exists=defect <= tol * scale_b, residual=defect)
 
 
 def algebras_equal(a: MatrixAlgebra, b: MatrixAlgebra, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Mutual containment of spans; residual is the worst projection defect."""
-    worst = 0.0
-    for m in a.basis:
-        worst = max(worst, b.residual(m))
-    for m in b.basis:
-        worst = max(worst, a.residual(m))
+    worst = max(b.residual(a.basis), a.residual(b.basis))
     return worst <= tol, worst

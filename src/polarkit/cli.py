@@ -311,16 +311,16 @@ def _cmd_normal_order(args) -> int:
 
 def _cmd_algebra_info(args) -> int:
     an = Analysis(_load_operator(args), _resolve_tol(args))
-    rep = coefficient_algebra(an)
     algebra_b, graded_basis = build_calB(an)
+    tower = an.tower
     bandwidth = max((g.bandwidth for g in graded_basis), default=0)
     payload = {
         "dim": int(an.matrix.shape[0]),
-        "seed_dimension": rep.tower.a0.dimension,
-        "coefficient_dimension": rep.algebra.dimension,
+        "seed_dimension": tower.a0.dimension,
+        "coefficient_dimension": tower.inf_a_inf.dimension,
         "full_algebra_dimension": algebra_b.dimension,
         "graded_bandwidth": bandwidth,
-        "stabilization": dict(sorted(rep.tower.stabilization.items())),
+        "stabilization": dict(sorted(tower.stabilization.items())),
     }
     text = (
         f"ambient dimension {payload['dim']}\n"

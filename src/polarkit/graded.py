@@ -40,6 +40,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    _operator_norms,
     as_matrix,
     dagger,
     hermitian_sqrt,
@@ -190,16 +191,19 @@ class GradedElement:
 
 
 def _check_support(g: GradedElement, tol: float):
-    for d, c in g.coefficients.items():
-        if d == 0:
-            continue
-        p = g.model.range_projection(abs(d))
-        defect = max(operator_norm(p @ c - c), operator_norm(c @ p - c))
-        if defect > tol * (1.0 + operator_norm(c)):
-            raise SupportViolation(
-                f"degree-{d} coefficient leaks outside its range projection "
-                f"(defect {defect:.3e})"
-            )
+    terms = [(d, c) for d, c in g.coefficients.items() if d != 0]
+    if not terms:
+        return
+    cs = np.array([c for _, c in terms])
+    ps = np.array([g.model.range_projection(abs(d)) for d, _ in terms])
+    defects = np.maximum(_operator_norms(ps @ cs - cs), _operator_norms(cs @ ps - cs))
+    bad = np.flatnonzero(defects > tol * (1.0 + _operator_norms(cs)))
+    if bad.size:
+        i = int(bad[0])
+        raise SupportViolation(
+            f"degree-{terms[i][0]} coefficient leaks outside its range projection "
+            f"(defect {defects[i]:.3e})"
+        )
 
 
 def realize(g: GradedElement) -> np.ndarray:
@@ -258,10 +262,7 @@ def graded_mul(g1: GradedElement, g2: GradedElement) -> GradedElement:
     if g1.model is not g2.model:
         raise ModelMismatch("graded elements belong to different models")
     model = g1.model
-    scale = 1.0
-    for g in (g1, g2):
-        for c in g.coefficients.values():
-            scale = max(scale, operator_norm(c))
+    scale = max(1.0, operator_norm([*g1.coefficients.values(), *g2.coefficients.values()]))
     acc: dict[int, np.ndarray] = {}
     for m, beta in g1.coefficients.items():
         for n, gamma in g2.coefficients.items():
@@ -381,9 +382,7 @@ def check_property_star(
         g = random_element(model, rng, bandwidth=bandwidth)
         nb = operator_norm(realize(g))
         center = nb - operator_norm(g.coefficient(0))
-        biggest = max(
-            (operator_norm(c) for c in g.coefficients.values()), default=0.0
-        )
+        biggest = operator_norm(list(g.coefficients.values()))
         any_margin = nb - biggest
         worst_center = min(worst_center, center)
         worst_any = min(worst_any, any_margin)
@@ -436,7 +435,7 @@ def sum_norm_inequalities(ds, tol: float = DEFAULT_TOL) -> SumNormReport:
         "abs_sum_vs_right_gram": operator_norm(abs_right) ** 2
         - operator_norm(gram_right) / m,
     }
-    scale = 1.0 + max(operator_norm(d) for d in mats) ** 2
+    scale = 1.0 + operator_norm(mats) ** 2
     passed = all(v >= -tol * m * scale for v in margins.values())
     return SumNormReport(count=m, margins=margins, passed=passed)
 
@@ -478,9 +477,7 @@ def norm_estimate(
             f"4*kmax*bandwidth = {4 * kmax * band} exceeds the cap {cap}"
         )
     dense = realize(g)
-    coeff_scale = max(
-        (operator_norm(c) for c in g.coefficients.values()), default=0.0
-    )
+    coeff_scale = operator_norm(list(g.coefficients.values()))
     if operator_norm(dense) <= 1e-14 * coeff_scale or coeff_scale == 0.0:
         raise ZeroElement("norm estimate of the zero element is undefined")
     t = rough_norm(dense)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CommutantViolation, HypothesisViolated
-from .linalg import DEFAULT_TOL, as_matrix, dagger, hermitian_eig, operator_norm
+from .linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger, hermitian_eig, operator_norm
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,12 @@ class PartialIsometryReport:
         a False here flags a tolerance straddle, not a counterexample."""
         flags = [c.passed for c in self.conditions]
         return all(flags) or not any(flags)
+
+
+def _isometry_scale(u) -> float:
+    """(1 + ||u||^2)^2, the scale of every threshold on a partial isometry
+    u: quartic because the idempotency checks are degree four in u."""
+    return (1.0 + operator_norm(u) ** 2) ** 2
 
 
 def _spectral_distance_from_01(h, tol: float) -> float:
@@ -70,9 +76,8 @@ def partial_isometry_report(u, tol: float = DEFAULT_TOL) -> PartialIsometryRepor
         ("idempotent_final", operator_norm(p @ p - p)),
         (
             "triple_product",
-            max(
-                operator_norm(um @ dagger(um) @ um - um),
-                operator_norm(dagger(um) @ um @ dagger(um) - dagger(um)),
+            operator_norm(
+                [um @ dagger(um) @ um - um, dagger(um) @ um @ dagger(um) - dagger(um)]
             ),
         ),
     )
@@ -104,34 +109,59 @@ def final_projection(u) -> np.ndarray:
     return um @ dagger(um)
 
 
+def _power_table(u, kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacks (powers, p, q) with powers[k] = u^k, p[k] = u^k u*^k and
+    q[k] = u*^k u^k, k = 0..kmax."""
+    um = as_matrix(u)
+    powers = np.empty((kmax + 1, *um.shape), dtype=np.complex128)
+    powers[0] = np.eye(um.shape[0], dtype=np.complex128)
+    for k in range(1, kmax + 1):
+        powers[k] = powers[k - 1] @ um
+    return powers, powers @ dagger(powers), dagger(powers) @ powers
+
+
 def power_projections(u, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Stacks (p, q) with p[k] = u^k u*^k and q[k] = u*^k u^k, k = 0..kmax.
 
     For a shift-like partial isometry these are the projections onto the
     range and support of the k-step shift; p[0] = q[0] = 1.
     """
-    um = as_matrix(u)
-    n = um.shape[0]
-    p = np.empty((kmax + 1, n, n), dtype=np.complex128)
-    q = np.empty((kmax + 1, n, n), dtype=np.complex128)
-    uk = np.eye(n, dtype=np.complex128)
-    for k in range(kmax + 1):
-        p[k] = uk @ dagger(uk)
-        q[k] = dagger(uk) @ uk
-        if k < kmax:
-            uk = uk @ um
-    return p, q
+    return _power_table(u, kmax)[1:]
 
 
 def projection_chain_defect(x, kmax: int) -> float:
     """Worst defect of x[1..kmax] from a decreasing chain of projections:
     x_k x_l = x_l x_k = x_k for l <= k (l = k is idempotency)."""
-    worst = 0.0
-    for k in range(1, kmax + 1):
-        for l in range(1, k + 1):
-            worst = max(worst, operator_norm(x[k] @ x[l] - x[k]))
-            worst = max(worst, operator_norm(x[l] @ x[k] - x[k]))
-    return worst
+    return max(
+        (
+            max(
+                operator_norm(x[k] @ x[1 : k + 1] - x[k]),
+                operator_norm(x[1 : k + 1] @ x[k] - x[k]),
+            )
+            for k in range(1, kmax + 1)
+        ),
+        default=0.0,
+    )
+
+
+def _lattice_residuals(u, powers: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
+    """(commutant, reduction) residuals of the power table of u from
+    :func:`_power_table`: the largest ||[q_l, p_k]|| over 1 <= k, l <= kmax,
+    and the largest defect of u* u^k u*^l = u^(k-1) u*^l over
+    1 <= k <= l <= kmax."""
+    kmax = len(powers) - 1
+    commutant = max(
+        (operator_norm(q[l] @ p[1:] - p[1:] @ q[l]) for l in range(1, kmax + 1)), default=0.0
+    )
+    lifted = dagger(u) @ powers[1:]
+    reduction = max(
+        (
+            operator_norm(lifted[:l] @ dagger(powers[l]) - powers[:l] @ dagger(powers[l]))
+            for l in range(1, kmax + 1)
+        ),
+        default=0.0,
+    )
+    return commutant, reduction
 
 
 def power_partial_isometry_residuals(
@@ -180,15 +210,12 @@ def power_isometry_check(v, kmax: int, tol: float = DEFAULT_TOL) -> PowerIsometr
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     vm = as_matrix(v)
-    scale = (1.0 + operator_norm(vm) ** 2) ** 2
+    scale = _isometry_scale(vm)
     ok_powers, per_power = power_partial_isometry_residuals(vm, kmax, tol=tol)
     worst_power = max(res for _, res in per_power)
 
     _, q = power_projections(vm, kmax)
-    worst_family = max(
-        projection_chain_defect(q, kmax),
-        max(operator_norm(q[k] - dagger(q[k])) for k in range(1, kmax + 1)),
-    )
+    worst_family = max(projection_chain_defect(q, kmax), operator_norm(q[1:] - dagger(q[1:])))
     return PowerIsometryReport(
         kmax=kmax,
         powers_ok=ok_powers,
@@ -227,32 +254,17 @@ def commuting_projection_properties(
         raise HypothesisViolated(
             f"v is not a partial isometry (worst residual {rep.worst:.3e})"
         )
-    scale = (1.0 + operator_norm(vm) ** 2) ** 2
-    p, q = power_projections(vm, kmax)
-    for k in range(1, kmax + 1):
-        c = operator_norm(q[1] @ p[k] - p[k] @ q[1])
-        if c > tol * scale:
-            raise HypothesisViolated(
-                f"[v*v, v^{k} v*^{k}] has norm {c:.3e}, beyond tolerance"
-            )
+    scale = _isometry_scale(vm)
+    powers, p, q = _power_table(vm, kmax)
+    hypothesis = _operator_norms(q[1] @ p[1:] - p[1:] @ q[1])
+    bad = np.flatnonzero(hypothesis > tol * scale)
+    if bad.size:
+        k = int(bad[0]) + 1
+        raise HypothesisViolated(
+            f"[v*v, v^{k} v*^{k}] has norm {hypothesis[bad[0]]:.3e}, beyond tolerance"
+        )
 
-    commutant_residual = 0.0
-    for l in range(1, kmax + 1):
-        for k in range(1, kmax + 1):
-            commutant_residual = max(
-                commutant_residual, operator_norm(q[l] @ p[k] - p[k] @ q[l])
-            )
-
-    powers = [np.eye(vm.shape[0], dtype=np.complex128)]
-    for _ in range(kmax):
-        powers.append(powers[-1] @ vm)
-    reduction_residual = 0.0
-    for k in range(1, kmax + 1):
-        for l in range(k, kmax + 1):
-            lhs = dagger(vm) @ powers[k] @ dagger(powers[l])
-            rhs = powers[k - 1] @ dagger(powers[l])
-            reduction_residual = max(reduction_residual, operator_norm(lhs - rhs))
-
+    commutant_residual, reduction_residual = _lattice_residuals(vm, powers, p, q)
     family_residual = projection_chain_defect(p, kmax)
 
     worst = max(commutant_residual, reduction_residual, family_residual)
@@ -291,40 +303,34 @@ def morphism_check(v, algebra, tol: float = DEFAULT_TOL) -> MorphismReport:
     vs = dagger(vm)
     q = vs @ vm
     p = vm @ vs
-    scale = (1.0 + operator_norm(vm) ** 2) ** 2
+    scale = _isometry_scale(vm)
     basis = algebra.basis
-    for i, m in enumerate(basis):
-        c = operator_norm(q @ m - m @ q)
-        if c > tol * scale:
-            raise CommutantViolation(
-                f"v*v does not commute with basis element {i} (norm {c:.3e})"
-            )
+    comm = _operator_norms(q @ basis - basis @ q)
+    bad = np.flatnonzero(comm > tol * scale)
+    if bad.size:
+        i = int(bad[0])
+        raise CommutantViolation(f"v*v does not commute with basis element {i} (norm {comm[i]:.3e})")
 
     def _mult_defect(w):
         ws = dagger(w)
-        worst = 0.0
-        for x in basis:
-            for y in basis:
-                worst = max(
-                    worst,
-                    operator_norm(w @ (x @ y) @ ws - (w @ x @ ws) @ (w @ y @ ws)),
-                )
-        return worst
+        images = w @ basis @ ws
+        return max(
+            (
+                operator_norm(w @ (x @ basis) @ ws - images[i] @ images)
+                for i, x in enumerate(basis)
+            ),
+            default=0.0,
+        )
 
     mult = _mult_defect(vm)
-    inter = 0.0
-    for x in basis:
-        dx = vm @ x @ vs
-        inter = max(inter, operator_norm(vm @ x - dx @ vm))
-        inter = max(inter, operator_norm(x @ vs - vs @ dx))
+    images = vm @ basis @ vs
+    inter = max(operator_norm(vm @ basis - images @ vm), operator_norm(basis @ vs - vs @ images))
 
     flags = None
     consistent = None
     eye = np.eye(vm.shape[0], dtype=np.complex128)
     has_unit = algebra.residual(eye) <= tol * (1.0 + 1.0)
-    p_commutes = all(
-        operator_norm(p @ m - m @ p) <= tol * scale for m in basis
-    )
+    p_commutes = operator_norm(p @ basis - basis @ p) <= tol * scale
     if has_unit and p_commutes:
         proj_q = operator_norm(q @ q - q) <= tol * scale
         proj_p = operator_norm(p @ p - p) <= tol * scale

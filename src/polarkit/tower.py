@@ -41,7 +41,7 @@ from .algebra import (
     linear_span,
 )
 from .errors import DimensionOverflow, HypothesisViolated
-from .isometry import partial_isometry_report
+from .isometry import _isometry_scale, partial_isometry_report
 from .linalg import DEFAULT_TOL, as_matrix, dagger, operator_norm
 
 
@@ -115,11 +115,7 @@ class HypothesesReport:
 
 
 def _max_commutator(stack_a, stack_b) -> float:
-    worst = 0.0
-    for x in stack_a:
-        for y in stack_b:
-            worst = max(worst, operator_norm(x @ y - y @ x))
-    return worst
+    return max((operator_norm(x @ stack_b - stack_b @ x) for x in stack_a), default=0.0)
 
 
 def hypotheses_check(
@@ -136,26 +132,21 @@ def hypotheses_check(
         raise ValueError(f"seed algebra is not commutative (residual {comm_res:.3e})")
     if kmax is None:
         kmax = pair.ambient_dim
-    n = pair.ambient_dim
-    scale = (1.0 + operator_norm(pair.u) ** 2) ** 2
-    eye = np.eye(n, dtype=np.complex128)
+    scale = _isometry_scale(pair.u)
 
-    ds1 = [eye]
+    ds1 = [np.eye(pair.ambient_dim, dtype=np.complex128)]
     for _ in range(kmax):
         ds1.append(pair.delta_star(ds1[-1]))
-    proj_res = max(
-        max(operator_norm(x @ x - x), operator_norm(x - dagger(x))) for x in ds1
-    )
-    ds1_in_comm = _max_commutator(np.array(ds1), a0.basis)
+    ds1 = np.array(ds1)
+    proj_res = max(operator_norm(ds1 @ ds1 - ds1), operator_norm(ds1 - dagger(ds1)))
+    ds1_in_comm = _max_commutator(ds1, a0.basis)
 
     fwd_layers = _layer_stacks(pair, a0.basis, "forward", kmax)
     fwd_in_comm = max(_max_commutator(layer, a0.basis) for layer in fwd_layers)
-    ds1_vs_fwd = max(_max_commutator(np.array([ds1[1]]), layer) for layer in fwd_layers)
+    ds1_vs_fwd = max(_max_commutator(ds1[1:2], layer) for layer in fwd_layers)
 
-    strong_image = 0.0
-    for m in a0.basis:
-        strong_image = max(strong_image, a0.residual(pair.delta(m)))
-    ds1_vs_a0 = _max_commutator(np.array([ds1[1]]), a0.basis)
+    strong_image = a0.residual(fwd_layers[1])
+    ds1_vs_a0 = _max_commutator(ds1[1:2], a0.basis)
 
     details = {
         "delta_star_powers_of_1_projections": proj_res,
@@ -261,7 +252,7 @@ def build_tower(
 
     eye = np.eye(pair.ambient_dim, dtype=np.complex128)
     checks: dict[str, tuple[bool, float]] = {}
-    scale = (1.0 + operator_norm(pair.u) ** 2) ** 2
+    scale = _isometry_scale(pair.u)
     for name, m in (
         ("final_projection_member", pair.delta(eye)),
         ("initial_projection_member", pair.delta_star(eye)),
@@ -269,10 +260,7 @@ def build_tower(
         res = inf_a_inf.residual(m)
         checks[name] = (res <= tol * scale, res)
     for name, seq in (("monotone_forward", an_list), ("monotone_star", na_list)):
-        worst = 0.0
-        for lo, hi in zip(seq, seq[1:]):
-            for m in lo.basis:
-                worst = max(worst, hi.residual(m))
+        worst = max((hi.residual(lo.basis) for lo, hi in zip(seq, seq[1:])), default=0.0)
         checks[name] = (worst <= tol * scale, worst)
 
     return TowerReport(
@@ -313,15 +301,16 @@ class TheoremReport:
 
 def _layer_product_defect(layers: list[np.ndarray]) -> float:
     """Worst residual of layer_k . layer_l against span(layer_k), l <= k."""
-    worst = 0.0
     spans = [linear_span(list(st)) for st in layers]
-    for k in range(len(layers)):
-        for l in range(k + 1):
-            for x in layers[k]:
-                for y in layers[l]:
-                    worst = max(worst, spans[k].residual(x @ y))
-                    worst = max(worst, spans[k].residual(y @ x))
-    return worst
+    return max(
+        (
+            spans[k].residual(np.concatenate((x @ layers[l], layers[l] @ x)))
+            for k in range(len(layers))
+            for l in range(k + 1)
+            for x in layers[k]
+        ),
+        default=0.0,
+    )
 
 
 def verify_tower_theorems(
@@ -333,7 +322,7 @@ def verify_tower_theorems(
     level; when the strong hypothesis set holds they are additionally
     checked at the seed level, where the theory makes the same claims.
     """
-    scale = (1.0 + operator_norm(pair.u) ** 2) ** 2
+    scale = _isometry_scale(pair.u)
     checks: dict[str, tuple[bool, float]] = {}
 
     def record(name: str, residual: float):
@@ -348,10 +337,14 @@ def verify_tower_theorems(
     star_layers = _layer_stacks(pair, t.a0.basis, "star", depth_seed)
     fwd_layers = _layer_stacks(pair, t.a0.basis, "forward", depth_seed)
     for direction, layers in (("star", star_layers), ("forward", fwd_layers)):
-        worst = 0.0
-        for i in range(len(layers)):
-            for j in range(i + 1, len(layers)):
-                worst = max(worst, _max_commutator(layers[i], layers[j]))
+        worst = max(
+            (
+                _max_commutator(layers[i], layers[j])
+                for i in range(len(layers))
+                for j in range(i + 1, len(layers))
+            ),
+            default=0.0,
+        )
         record(f"{direction}_layers_commute", worst)
 
     depth_inf = len(t.n_a_inf_list)
@@ -373,45 +366,38 @@ def verify_tower_theorems(
         _, ideal_seed = is_ideal_in(top_seed, t.na_list[-1], tol=tol)
         record("top_layer_ideal_seed", ideal_seed)
 
-    worst_down = 0.0
-    worst_up = 0.0
     seq = t.n_a_inf_list
-    for n, alg in enumerate(seq):
-        down_target = seq[n - 1] if n >= 1 else None
-        up_target = seq[n + 1] if n + 1 < len(seq) else t.inf_a_inf
-        for m in alg.basis:
-            if down_target is not None:
-                worst_down = max(worst_down, down_target.residual(pair.delta(m)))
-            worst_up = max(worst_up, up_target.residual(pair.delta_star(m)))
-    record("delta_lowers_level", worst_down)
-    record("delta_star_raises_level", worst_up)
+    record(
+        "delta_lowers_level",
+        max(
+            (lo.residual(_apply_stack(pair, hi.basis, "forward")) for lo, hi in zip(seq, seq[1:])),
+            default=0.0,
+        ),
+    )
+    record(
+        "delta_star_raises_level",
+        max(
+            hi.residual(_apply_stack(pair, lo.basis, "star"))
+            for lo, hi in zip(seq, seq[1:] + [t.inf_a_inf])
+        ),
+    )
 
     big = t.inf_a_inf
-    worst_d = 0.0
-    worst_ds = 0.0
-    for x in big.basis:
-        worst_d = max(worst_d, big.residual(pair.delta(x)))
-        worst_ds = max(worst_ds, big.residual(pair.delta_star(x)))
-        for y in big.basis:
-            worst_d = max(
-                worst_d, operator_norm(pair.delta(x @ y) - pair.delta(x) @ pair.delta(y))
-            )
-            worst_ds = max(
-                worst_ds,
-                operator_norm(
-                    pair.delta_star(x @ y) - pair.delta_star(x) @ pair.delta_star(y)
-                ),
-            )
-    record("endomorphism_delta", worst_d)
-    record("endomorphism_delta_star", worst_ds)
-
-    worst = 0.0
-    for x in big.basis:
-        worst = max(worst, operator_norm(pair.u @ x - pair.delta(x) @ pair.u))
-        worst = max(
-            worst, operator_norm(dagger(pair.u) @ x - pair.delta_star(x) @ dagger(pair.u))
+    images = {d: _apply_stack(pair, big.basis, d) for d in ("forward", "star")}
+    for name, direction in (("endomorphism_delta", "forward"), ("endomorphism_delta_star", "star")):
+        img = images[direction]
+        products = max(
+            operator_norm(_apply_stack(pair, x @ big.basis, direction) - img[i] @ img)
+            for i, x in enumerate(big.basis)
         )
-    record("intertwining", worst)
+        record(name, max(big.residual(img), products))
+    record(
+        "intertwining",
+        max(
+            operator_norm(pair.u @ big.basis - images["forward"] @ pair.u),
+            operator_norm(dagger(pair.u) @ big.basis - images["star"] @ dagger(pair.u)),
+        ),
+    )
 
     _, eq_res = algebras_equal(t.inf_a_inf, t.a_inf_of_inf_a, tol=tol)
     record("double_closure_equality", eq_res)

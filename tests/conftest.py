@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,3 +32,12 @@ def rng():
 
 def random_matrix(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def zoo_specs():
+    """The canonical zoo of scripts/run_zoo.py, negative controls last."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_zoo.py"
+    loader = importlib.util.spec_from_file_location("run_zoo", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module.ZOO + module.NEGATIVE

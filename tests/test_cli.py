@@ -102,6 +102,44 @@ def test_algebra_info(shift_file, capsys):
     assert "graded bandwidth 3" in out
 
 
+def test_algebra_info_reads_the_tower_without_its_theorems(
+    shift_file, jordan_file, monkeypatch, capsys
+):
+    import polarkit.relation as relation
+
+    def unused(*args, **kwargs):
+        raise AssertionError("algebra-info prints no tower theorem")
+
+    monkeypatch.setattr(relation, "verify_tower_theorems", unused)
+    assert main(["algebra-info", "--in", shift_file]) == 0
+    assert capsys.readouterr().out == (
+        "ambient dimension 4\n"
+        "seed algebra C*(1,|a|) dimension 4\n"
+        "coefficient algebra dimension 4\n"
+        "full algebra C*(1,|a|,U) dimension 16\n"
+        "graded bandwidth 3\n"
+    )
+    assert main(["algebra-info", "--model", Q_MODEL, "--report", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "coefficient_dimension": 6,
+        "dim": 6,
+        "full_algebra_dimension": 36,
+        "graded_bandwidth": 5,
+        "seed_dimension": 6,
+        "stabilization": {
+            "forward": 0,
+            "forward_from_star_limit": 0,
+            "star": 0,
+            "star_from_forward_limit": 0,
+        },
+    }
+    assert main(["algebra-info", "--in", jordan_file]) == 1
+    assert capsys.readouterr().err == (
+        "check failed: RelationViolated: aa* is not a function of a*a (residual 5.000e-01);"
+        " eigenspace of a*a at 1 carries inconsistent aa* values\n"
+    )
+
+
 def test_missing_input_is_config_error(capsys):
     assert main(["verify-relation"]) == 2
     assert main(["verify-relation", "--in", "/nonexistent/x.json"]) == 2

@@ -45,7 +45,14 @@ def test_polar_zero_matrix():
 
 def test_operator_norm_matches_svd(rng):
     a = random_matrix(rng, 7)
-    assert pk.operator_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0])
+    assert pk.operator_norm(a) == float(np.linalg.svd(a, compute_uv=False)[0])
+    # a stack gives the largest norm, bit for bit the max of per-matrix calls
+    for k, n in ((1, 2), (3, 4), (7, 9), (16, 16)):
+        stack = np.array([random_matrix(rng, n) for _ in range(k)])
+        assert pk.operator_norm(stack) == max(pk.operator_norm(m) for m in stack)
+        assert pk.operator_norm(list(stack)) == pk.operator_norm(stack)
+    assert pk.operator_norm(np.zeros((0, 5, 5))) == 0.0
+    assert pk.operator_norm([]) == 0.0
 
 
 def test_hermitian_sqrt_squares_back(rng):

@@ -1,13 +1,13 @@
-import importlib.util
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import polarkit as pk
 from polarkit.report import SUITE_ORDER
+
+from conftest import zoo_specs
 
 
 def small_config(**overrides):
@@ -134,15 +134,6 @@ def test_graded_suite_skips_non_nilpotent_models():
         assert suite["checks"] == []
 
 
-def _zoo_specs():
-    """The canonical zoo of scripts/run_zoo.py, negative controls last."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_zoo.py"
-    loader = importlib.util.spec_from_file_location("run_zoo", path)
-    module = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(module)
-    return module.ZOO + module.NEGATIVE
-
-
 COUNTED = ("polar_decompose", "verify_I1", "endo_pair", "build_tower")
 
 
@@ -163,7 +154,7 @@ def counted_zoo_run():
             for module in modules:
                 if getattr(module, fname, None) is orig:
                     mp.setattr(module, fname, counting)
-        specs = _zoo_specs()
+        specs = zoo_specs()
         config = pk.config_from_json({"models": specs, "suites": list(SUITE_ORDER), "seed": 0})
         report = pk.run_suite(config)
     return specs, report, counts

@@ -1,0 +1,380 @@
+"""Batched residuals against the per-pair loops they replaced.
+
+Every residual in the package is one ``operator_norm`` call on a stack of
+defect matrices.  The reference implementations below are the per-matrix
+loops the package used before: each takes one SVD per matrix and keeps the
+running maximum.  The batched SVD and the stacked products run the same
+LAPACK and BLAS routines on each matrix, so the two must agree exactly.
+"""
+
+import numpy as np
+import pytest
+
+import polarkit as pk
+from polarkit.algebra import _block_constant_defect
+from polarkit.linalg import dagger
+from polarkit.relation import Analysis
+
+from conftest import zoo_specs
+
+JORDAN = {"kind": "jordan_block", "dim": 3}
+
+
+def ref_norm(m) -> float:
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def ref_residual(alg, m) -> float:
+    return ref_norm(m - alg.project(m))
+
+
+def ref_chain(x, kmax):
+    worst = 0.0
+    for k in range(1, kmax + 1):
+        for l in range(1, k + 1):
+            worst = max(worst, ref_norm(x[k] @ x[l] - x[k]))
+            worst = max(worst, ref_norm(x[l] @ x[k] - x[k]))
+    return worst
+
+
+def ref_max_commutator(xs, ys):
+    worst = 0.0
+    for x in xs:
+        for y in ys:
+            worst = max(worst, ref_norm(x @ y - y @ x))
+    return worst
+
+
+def ref_is_commutative(alg):
+    b = alg.basis
+    worst = 0.0
+    for i in range(alg.dimension):
+        for j in range(i + 1, alg.dimension):
+            worst = max(worst, ref_norm(b[i] @ b[j] - b[j] @ b[i]))
+    return worst
+
+
+def ref_algebras_equal(a, b):
+    worst = 0.0
+    for m in a.basis:
+        worst = max(worst, ref_residual(b, m))
+    for m in b.basis:
+        worst = max(worst, ref_residual(a, m))
+    return worst
+
+
+def ref_is_ideal_in(j, a):
+    worst = 0.0
+    for x in j.basis:
+        for y in a.basis:
+            worst = max(worst, ref_residual(j, x @ y), ref_residual(j, y @ x))
+    return worst
+
+
+def ref_powers(u, kmax):
+    upow = {0: np.eye(u.shape[0], dtype=np.complex128)}
+    for k in range(1, kmax + 1):
+        upow[k] = upow[k - 1] @ u
+    p_of = {k: upow[k] @ dagger(upow[k]) for k in range(kmax + 1)}
+    q_of = {k: dagger(upow[k]) @ upow[k] for k in range(kmax + 1)}
+    return upow, p_of, q_of
+
+
+def ref_lattice(u, kmax):
+    """(commutant, reduction, range-projection chain) of the power table."""
+    upow, p_of, q_of = ref_powers(u, kmax)
+    us = dagger(u)
+    commutant = max(
+        ref_norm(q_of[l] @ p_of[k] - p_of[k] @ q_of[l])
+        for k in range(1, kmax + 1)
+        for l in range(1, kmax + 1)
+    )
+    reduction = max(
+        ref_norm(us @ upow[k] @ dagger(upow[l]) - upow[k - 1] @ dagger(upow[l]))
+        for l in range(1, kmax + 1)
+        for k in range(1, l + 1)
+    )
+    return commutant, reduction, ref_chain(p_of, kmax)
+
+
+def ref_morphism(v, basis):
+    vs = dagger(v)
+
+    def mult_defect(w):
+        ws = dagger(w)
+        worst = 0.0
+        for x in basis:
+            for y in basis:
+                worst = max(worst, ref_norm(w @ (x @ y) @ ws - (w @ x @ ws) @ (w @ y @ ws)))
+        return worst
+
+    inter = 0.0
+    for x in basis:
+        dx = v @ x @ vs
+        inter = max(inter, ref_norm(v @ x - dx @ v), ref_norm(x @ vs - vs @ dx))
+    return mult_defect(v), inter
+
+
+def ref_family_defect(img, family, tol):
+    v, blocks = pk.joint_eigenbasis(family, tol=tol)
+    return ref_norm(_block_constant_defect(dagger(v) @ img @ v, blocks)[0])
+
+
+def ref_theorem22(an):
+    """Residuals of the ten checks, in report order."""
+    tol, pd = an.tol, an.pd
+    kmax = an.matrix.shape[0]
+    u, us = pd.u, dagger(pd.u)
+    upow, p_of, q_of = ref_powers(u, kmax)
+    seed_plain = pk.nonunital_seed(pd.pos, tol=tol)
+    bicom = pk.bicommutant(an.seed, tol=tol)
+    commutant, reduction, _ = ref_lattice(u, kmax)
+    ks = range(1, kmax + 1)
+    out = [
+        ref_residual(bicom, q_of[1]),
+        max(ref_residual(bicom, p_of[k]) for k in ks),
+        commutant,
+        reduction,
+        max(ref_norm(p_of[k] @ p_of[k] - p_of[k]) for k in ks),
+        max(ref_chain(q_of, kmax), ref_chain(p_of, kmax)),
+    ]
+    mult, inter = ref_morphism(u, seed_plain.basis)
+    range_res = max((ref_residual(an.seed, u @ b @ us) for b in seed_plain.basis), default=0.0)
+    out.append(max(mult, inter, range_res))
+    image_res = absorb = 0.0
+    for k in ks:
+        family = [pd.pos] + [p_of[j] for j in range(1, k)]
+        for b in seed_plain.basis:
+            img = upow[k] @ b @ dagger(upow[k])
+            image_res = max(image_res, ref_family_defect(img, family, tol))
+            absorb = max(absorb, ref_norm(p_of[k] @ img - img), ref_norm(img @ p_of[k] - img))
+    out += [image_res, absorb]
+    round_trip = 0.0
+    for b in seed_plain.basis:
+        round_trip = max(
+            round_trip,
+            ref_norm(us @ (u @ b @ us) @ u - b),
+            ref_norm(q_of[1] @ b - b),
+            ref_norm(b @ q_of[1] - b),
+        )
+    out.append(round_trip)
+    return out
+
+
+def ref_hypotheses(a0, pair, kmax):
+    ds1 = [np.eye(pair.ambient_dim, dtype=np.complex128)]
+    for _ in range(kmax):
+        ds1.append(pair.delta_star(ds1[-1]))
+    fwd = [a0.basis]
+    for _ in range(kmax):
+        fwd.append(np.array([pair.delta(m) for m in fwd[-1]]))
+    return {
+        "delta_star_powers_of_1_projections": max(
+            max(ref_norm(x @ x - x), ref_norm(x - dagger(x))) for x in ds1
+        ),
+        "delta_star_powers_of_1_commute_with_seed": ref_max_commutator(ds1, a0.basis),
+        "delta_powers_of_seed_commute_with_seed": max(
+            ref_max_commutator(layer, a0.basis) for layer in fwd
+        ),
+        "delta_star_of_1_commutes_with_delta_powers": max(
+            ref_max_commutator([ds1[1]], layer) for layer in fwd
+        ),
+        "delta_of_seed_inside_seed": max(ref_residual(a0, pair.delta(m)) for m in a0.basis),
+        "delta_star_of_1_commutes_with_seed": ref_max_commutator([ds1[1]], a0.basis),
+    }
+
+
+def ref_monotone(seq):
+    worst = 0.0
+    for lo, hi in zip(seq, seq[1:]):
+        for m in lo.basis:
+            worst = max(worst, ref_residual(hi, m))
+    return worst
+
+
+def ref_layers(pair, basis, direction, depth):
+    out = [basis.astype(np.complex128)]
+    for _ in range(depth):
+        out.append(np.array([pair.apply(m, direction) for m in out[-1]]))
+    return out
+
+
+def ref_layer_products(layers):
+    spans = [pk.linear_span(list(st)) for st in layers]
+    worst = 0.0
+    for k in range(len(layers)):
+        for l in range(k + 1):
+            for x in layers[k]:
+                for y in layers[l]:
+                    worst = max(worst, ref_residual(spans[k], x @ y), ref_residual(spans[k], y @ x))
+    return worst
+
+
+def ref_tower_theorems(t, pair, tol):
+    """Residuals of every check verify_tower_theorems records, by name."""
+    out = {}
+    every = t.an_list + t.na_list + t.n_a_inf_list + [t.a_inf_of_inf_a, t.inf_a_inf]
+    out["commutative"] = max(ref_is_commutative(alg) for alg in every)
+    depth_seed = max(len(t.na_list), len(t.an_list))
+    star_layers = ref_layers(pair, t.a0.basis, "star", depth_seed)
+    for direction in ("star", "forward"):
+        layers = ref_layers(pair, t.a0.basis, direction, depth_seed)
+        worst = 0.0
+        for i in range(len(layers)):
+            for j in range(i + 1, len(layers)):
+                worst = max(worst, ref_max_commutator(layers[i], layers[j]))
+        out[f"{direction}_layers_commute"] = worst
+    inf_star = ref_layers(pair, t.a_inf.basis, "star", len(t.n_a_inf_list))
+    out["layer_products"] = ref_layer_products(inf_star)
+    level = pk.generate(
+        list(t.a_inf.basis) + [m for st in inf_star for m in st], unital=True, tol=tol
+    )
+    out["top_layer_ideal"] = ref_is_ideal_in(pk.linear_span(list(inf_star[-1])), level)
+    if t.hypotheses.strong_holds:
+        out["layer_products_seed"] = ref_layer_products(star_layers)
+        top_seed = pk.linear_span(list(star_layers[len(t.na_list) - 1]))
+        out["top_layer_ideal_seed"] = ref_is_ideal_in(top_seed, t.na_list[-1])
+    seq = t.n_a_inf_list
+    down = up = 0.0
+    for n, alg in enumerate(seq):
+        up_target = seq[n + 1] if n + 1 < len(seq) else t.inf_a_inf
+        for m in alg.basis:
+            if n >= 1:
+                down = max(down, ref_residual(seq[n - 1], pair.delta(m)))
+            up = max(up, ref_residual(up_target, pair.delta_star(m)))
+    out["delta_lowers_level"] = down
+    out["delta_star_raises_level"] = up
+    big = t.inf_a_inf
+    worst_d = worst_ds = inter = 0.0
+    for x in big.basis:
+        worst_d = max(worst_d, ref_residual(big, pair.delta(x)))
+        worst_ds = max(worst_ds, ref_residual(big, pair.delta_star(x)))
+        for y in big.basis:
+            worst_d = max(worst_d, ref_norm(pair.delta(x @ y) - pair.delta(x) @ pair.delta(y)))
+            worst_ds = max(
+                worst_ds,
+                ref_norm(pair.delta_star(x @ y) - pair.delta_star(x) @ pair.delta_star(y)),
+            )
+        inter = max(
+            inter,
+            ref_norm(pair.u @ x - pair.delta(x) @ pair.u),
+            ref_norm(dagger(pair.u) @ x - pair.delta_star(x) @ dagger(pair.u)),
+        )
+    out["endomorphism_delta"] = worst_d
+    out["endomorphism_delta_star"] = worst_ds
+    out["intertwining"] = inter
+    out["double_closure_equality"] = ref_algebras_equal(t.inf_a_inf, t.a_inf_of_inf_a)
+    return out
+
+
+def _analysis(spec):
+    return Analysis(pk.build(pk.model_spec_from_json(spec)))
+
+
+POSITIVE = zoo_specs()[:5]
+CASES = POSITIVE + [JORDAN]
+
+
+def _id(spec):
+    return spec["kind"] + str(spec.get("dim", ""))
+
+
+@pytest.mark.parametrize("spec", CASES, ids=_id)
+def test_isometry_residuals_match_per_pair_loops(spec):
+    u = _analysis(spec).pd.u
+    n = u.shape[0]
+    commutant, reduction, family = ref_lattice(u, n)
+    crep = pk.commuting_projection_properties(u, kmax=n)
+    assert (crep.commutant_residual, crep.reduction_residual, crep.family_residual) == (
+        commutant,
+        reduction,
+        family,
+    )
+    prep = pk.power_isometry_check(u, kmax=n)
+    _, q_of = ref_powers(u, n)[1:]
+    worst_family = max(
+        ref_chain(q_of, n), max(ref_norm(q_of[k] - dagger(q_of[k])) for k in range(1, n + 1))
+    )
+    assert prep.worst_family == worst_family
+
+
+@pytest.mark.parametrize("spec", CASES, ids=_id)
+def test_theorem22_matches_per_pair_loops(spec):
+    an = _analysis(spec)
+    if not an.certificate.holds:
+        with pytest.raises(pk.RelationViolated):
+            pk.theorem22_report(an)
+        return
+    rep = pk.theorem22_report(an)
+    assert [c.residual for c in rep.checks] == ref_theorem22(an)
+
+
+@pytest.mark.parametrize("spec", CASES, ids=_id)
+def test_tower_residuals_match_per_pair_loops(spec):
+    an = _analysis(spec)
+    t, pair = an.tower, an.pair
+    assert t.hypotheses.details == ref_hypotheses(t.a0, pair, pair.ambient_dim)
+    assert t.checks["monotone_forward"][1] == ref_monotone(t.an_list)
+    assert t.checks["monotone_star"][1] == ref_monotone(t.na_list)
+    rep = pk.verify_tower_theorems(t, pair, tol=an.tol)
+    got = {name: res for name, (_, res) in rep.checks.items()}
+    want = ref_tower_theorems(t, pair, an.tol)
+    assert {name: got[name] for name in want} == want
+
+
+def test_tower_residuals_without_strong_hypotheses(shift4):
+    pair = pk.endo_pair(pk.polar_decompose(shift4).u)
+    seed = pk.generate([np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)], unital=True)
+    t = pk.build_tower(seed, pair)
+    assert not t.hypotheses.strong_holds
+    assert t.hypotheses.details == ref_hypotheses(seed, pair, pair.ambient_dim)
+    rep = pk.verify_tower_theorems(t, pair)
+    want = ref_tower_theorems(t, pair, 1e-9)
+    assert {name: rep.checks[name][1] for name in want} == want
+
+
+def test_theorem22_computes_one_joint_eigenbasis_per_power(monkeypatch, q_half_8):
+    import polarkit.algebra as algebra
+
+    calls = []
+
+    def counting(*args, _orig=algebra.joint_eigenbasis, **kwargs):
+        calls.append(len(args[0]))
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "joint_eigenbasis", counting)
+    rep = pk.theorem22_report(q_half_8)
+    assert rep.passed
+    assert len(calls) <= rep.kmax
+    assert calls == list(range(1, rep.kmax + 1))  # family [|a|, P_1..P_{k-1}]
+
+
+def test_raising_checks_name_the_first_offender():
+    m0 = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    h = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+    zero = np.zeros((3, 3), dtype=complex)
+    with pytest.raises(pk.CommutantViolation, match="members 0 and 2 "):
+        pk.joint_eigenbasis([m0, zero, m0 + h, m0 + 2 * h])
+    model = pk.graded_model_for(pk.build(pk.weighted_shift((1.0, np.sqrt(2.0), np.sqrt(3.0)))))
+    e1 = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
+    # e1 lies under P_1 = u u* but not under P_2 = u^2 u*^2
+    with pytest.raises(pk.SupportViolation, match="degree-2 "):
+        model.element({1: e1, 2: e1, 3: e1})
+
+
+def test_is_function_of_family_rejects_malformed_input():
+    family = [np.diag([1.0, 2.0, 3.0]).astype(complex)]
+    for bad in (np.ones(3), np.ones((3, 2)), np.ones((2, 4, 3)), np.eye(4)):
+        with pytest.raises(ValueError):
+            pk.is_function_of_family(bad, family)
+
+
+def test_is_function_of_family_reads_a_stack_as_a_direct_sum(q_half_8):
+    pd = pk.polar_decompose(q_half_8)
+    p, _ = pk.power_projections(pd.u, 3)
+    family = [pd.pos, p[1], p[2]]
+    stack = np.array([p[3], pd.pos @ p[3], p[1] - p[2]])
+    cert = pk.is_function_of_family(stack, family)
+    singles = [pk.is_function_of_family(m, family) for m in stack]
+    assert cert.residual == max(c.residual for c in singles)
+    assert cert.exists
