@@ -4,14 +4,18 @@ At desk scale a C*-algebra of n x n matrices is just a linear subspace of
 M_n closed under products and adjoints, so norm closure never enters.  An
 algebra is stored as an orthonormal basis under the trace inner product
 <X, Y> = tr(X* Y); generation is span closure, membership is projection
-defect, commutants come from the null space of a stacked commutator map.
+defect.
 
 Two routines exist because Krylov-style generation is badly conditioned
 when a generator has crowded eigenvalues: ``generate`` is the literal span
 closure, ``spectral_algebra`` builds C*(1, h) for Hermitian h directly from
 eigenprojections and should be preferred for that case.  ``is_function_of``
 is the membership test for algebras of the form C*(1, h); it needs no basis
-at all.
+at all.  Both group the eigenvalues of h by one rule, ``_eigenspaces``.
+
+``commutant`` and ``bicommutant`` (a Kronecker null space, O(n^5) memory)
+are the reference oracle only: a finite-dimensional *-algebra with 1 is
+its own bicommutant, so no check of the package needs them.
 
 Every residual is an operator norm; one over many matrices is one
 ``operator_norm`` call on their stack (``MatrixAlgebra.residual`` and
@@ -201,6 +205,23 @@ def linear_span(mats, unital: bool = False) -> MatrixAlgebra:
     return MatrixAlgebra(dim=n, basis=basis, unital=unital)
 
 
+def _eigenspaces(h, tol: float):
+    """The one eigenvalue-grouping rule: ``(w, v, groups, scale)``, with
+    eigenvalues of Hermitian h grouped at ``tol * scale``, scale 1 + |w_max|."""
+    w, v = hermitian_eig(h, tol=tol)
+    scale = 1.0 + (abs(float(w[-1])) if w.size else 0.0)
+    return w, v, eig_groups(w, tol * scale), scale
+
+
+def _projection_algebra(v: np.ndarray, groups, unital: bool) -> MatrixAlgebra:
+    """Span of the projections P_i onto column groups of unitary v, with
+    basis P_i / sqrt(rank P_i)."""
+    n = v.shape[0]
+    rows = [v[:, idx] @ dagger(v[:, idx]) / np.sqrt(len(idx)) for idx in groups]
+    basis = np.array(rows) if rows else np.zeros((0, n, n), dtype=np.complex128)
+    return MatrixAlgebra(dim=n, basis=basis, unital=unital)
+
+
 def spectral_algebra(h, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     """C*(1, h) for Hermitian h, built from eigenprojections.
 
@@ -209,20 +230,8 @@ def spectral_algebra(h, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     eigenvalues closer than ``tol * (1 + ||h||)`` are merged into one
     projection.
     """
-    w, v = hermitian_eig(h, tol=tol)
-    scale = 1.0 + (abs(float(w[-1])) if w.size else 0.0)
-    groups = eig_groups(w, tol * scale)
-    rows = []
-    for idx in groups:
-        block = v[:, idx]
-        rows.append((block @ dagger(block)) / np.sqrt(len(idx)))
-    return MatrixAlgebra(dim=v.shape[0], basis=np.array(rows), unital=True)
-
-
-def _gen_list(a) -> list[np.ndarray]:
-    if isinstance(a, MatrixAlgebra):
-        return list(a.basis)
-    return [as_matrix(g) for g in a]
+    _, v, groups, _ = _eigenspaces(h, tol)
+    return _projection_algebra(v, groups, unital=True)
 
 
 def commutant(a, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
@@ -235,7 +244,7 @@ def commutant(a, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     sits at machine precision, far below any honest tolerance.  The input
     list is closed under adjoints first so the result is a *-algebra.
     """
-    mats = _gen_list(a)
+    mats = list(a.basis) if isinstance(a, MatrixAlgebra) else [as_matrix(g) for g in a]
     if not mats:
         raise ValueError("commutant needs at least one matrix")
     n = mats[0].shape[0]
@@ -257,7 +266,8 @@ def commutant(a, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
 
 def bicommutant(a, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     """Double commutant; at finite dimension this is the generated von
-    Neumann algebra, and it is far better conditioned than span closure."""
+    Neumann algebra, so for an algebra with 1 it equals the algebra (the
+    tests check this against :func:`spectral_algebra`)."""
     return commutant(commutant(a, tol=tol), tol=tol)
 
 
@@ -339,9 +349,7 @@ def is_function_of(b, a, tol: float = DEFAULT_TOL) -> FunctionCertificate:
     scale_b = 1.0 + operator_norm(bm)
     if comm > tol * scale_b * scale_b:
         raise NotHermitian(f"b is neither Hermitian nor normal (self-commutator {comm:.3e})")
-    w, v = hermitian_eig(a, tol=tol)
-    scale_a = 1.0 + (abs(float(w[-1])) if w.size else 0.0)
-    groups = eig_groups(w, tol * scale_a)
+    w, v, groups, _ = _eigenspaces(a, tol)
     b_rot = dagger(v) @ bm @ v
     resid, values = _block_constant_defect(b_rot, groups)
     defect = operator_norm(resid)

@@ -435,7 +435,8 @@ def sum_norm_inequalities(ds, tol: float = DEFAULT_TOL) -> SumNormReport:
         "abs_sum_vs_right_gram": operator_norm(abs_right) ** 2
         - operator_norm(gram_right) / m,
     }
-    scale = 1.0 + operator_norm(mats) ** 2
+    norm = operator_norm(mats)
+    scale = 1.0 + norm * norm
     passed = all(v >= -tol * m * scale for v in margins.values())
     return SumNormReport(count=m, margins=margins, passed=passed)
 

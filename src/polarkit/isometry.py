@@ -48,8 +48,11 @@ class PartialIsometryReport:
 
 def _isometry_scale(u) -> float:
     """(1 + ||u||^2)^2, the scale of every threshold on a partial isometry
-    u: quartic because the idempotency checks are degree four in u."""
-    return (1.0 + operator_norm(u) ** 2) ** 2
+    u: quartic because the idempotency checks are degree four in u.
+    Squared by multiplication, which rounds the same under every libm."""
+    nu = operator_norm(u)
+    s = 1.0 + nu * nu
+    return s * s
 
 
 def _spectral_distance_from_01(h, tol: float) -> float:
@@ -67,8 +70,7 @@ def partial_isometry_report(u, tol: float = DEFAULT_TOL) -> PartialIsometryRepor
     um = as_matrix(u)
     q = dagger(um) @ um
     p = um @ dagger(um)
-    nu = operator_norm(um)
-    scale = (1.0 + nu * nu) ** 2
+    scale = _isometry_scale(um)
     residuals = (
         ("spec_initial", _spectral_distance_from_01(q, tol)),
         ("spec_final", _spectral_distance_from_01(p, tol)),

@@ -98,7 +98,11 @@ def _raising_shift(weights) -> np.ndarray:
 
 
 def build(spec: ModelSpec) -> np.ndarray:
-    """Materialize the model's matrix a."""
+    """Materialize the model's matrix a; InvalidSpec for an inconsistent
+    spec or a non-finite weight, q, h, diagonal or matrix entry."""
+    for name in ("weights", "q", "h", "diag") + (("matrix",) if spec.kind == "custom" else ()):
+        if not np.isfinite(np.asarray(getattr(spec, name), dtype=np.complex128)).all():
+            raise InvalidSpec(f"model field {name!r} has a non-finite entry")
     if spec.kind == "weighted_shift" or spec.kind == "jordan_block":
         weights = spec.weights if spec.kind == "weighted_shift" else (1.0,) * (spec.dim - 1)
         if len(weights) == 0:

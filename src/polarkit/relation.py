@@ -7,7 +7,10 @@ passing operator: bicommutant membership of the power projections, the
 commuting projection lattice, the reduction identities, and the
 morphism/intertwining behaviour of b -> U b U* on the algebra generated
 by |a| alone (no identity adjoined; the unital and non-unital algebras
-are deliberately kept distinct).
+are deliberately kept distinct).  Bicommutant membership is tested
+against the seed C*(1, |a|) itself: at finite dimension a *-algebra with
+1 is its own bicommutant (von Neumann's double commutant theorem), so
+no commutant is ever built.
 
 ``coefficient_algebra`` assembles the commutative algebra every graded
 coefficient lives in, by running the endomorphism tower over the seed
@@ -34,8 +37,9 @@ import numpy as np
 
 from .algebra import (
     MatrixAlgebra,
+    _eigenspaces,
+    _projection_algebra,
     algebras_equal,
-    bicommutant,
     contains,
     is_function_of,
     is_function_of_family,
@@ -52,15 +56,7 @@ from .isometry import (
     morphism_check,
     projection_chain_defect,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    as_matrix,
-    dagger,
-    eig_groups,
-    hermitian_eig,
-    operator_norm,
-    polar_decompose,
-)
+from .linalg import DEFAULT_TOL, as_matrix, dagger, operator_norm, polar_decompose
 from .tower import TheoremReport, TowerReport, build_tower, endo_pair, verify_tower_theorems
 
 
@@ -170,32 +166,17 @@ def _require_relation(an: Analysis) -> RelationCertificate:
     return cert
 
 
-def _spectral_projections(h, tol: float):
-    """Eigenprojections of a Hermitian matrix, grouped, with mean values."""
-    w, v = hermitian_eig(h, tol=tol)
-    scale = 1.0 + (abs(float(w[-1])) if w.size else 0.0)
-    out = []
-    for idx in eig_groups(w, tol * scale):
-        cols = v[:, idx]
-        out.append((float(np.mean(w[idx])), cols @ dagger(cols)))
-    return out, scale
-
-
 def nonunital_seed(pos, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     """The algebra generated by |a| without adjoining the identity.
 
     Spanned by the eigenprojections of |a| away from its kernel: any
     polynomial with zero constant term takes arbitrary values on the
-    nonzero spectrum but is forced to vanish on the kernel.
+    nonzero spectrum but is forced to vanish on the kernel.  Its basis is
+    the seed's own rows P_i / sqrt(rank P_i) for those eigenprojections.
     """
-    pieces, scale = _spectral_projections(pos, tol)
-    projs = [p for mu, p in pieces if abs(mu) > tol * scale]
-    n = as_matrix(pos).shape[0]
-    if not projs:
-        return MatrixAlgebra(
-            dim=n, basis=np.zeros((0, n, n), dtype=np.complex128), unital=False
-        )
-    return linear_span(projs, unital=False)
+    w, v, groups, scale = _eigenspaces(pos, tol)
+    kept = [idx for idx in groups if abs(float(np.mean(w[idx]))) > tol * scale]
+    return _projection_algebra(v, kept, unital=False)
 
 
 @dataclass(frozen=True)
@@ -238,18 +219,19 @@ def theorem22_report(a, tol: float = DEFAULT_TOL, kmax: int | None = None) -> Th
     us = dagger(u)
     powers, p, q = _power_table(u, kmax)
 
-    thr = tol * (1.0 + operator_norm(an.matrix)) ** 2
+    scale = 1.0 + operator_norm(an.matrix)
+    thr = tol * (scale * scale)
     seed_unital = an.seed
     seed_plain = nonunital_seed(pd.pos, tol=tol)
-    bicom = bicommutant(seed_unital, tol=tol)
 
     checks = []
 
     def add(name: str, residual: float):
         checks.append(ConditionCheck(name=name, residual=float(residual), passed=residual <= thr))
 
-    add("initial_projection_in_bicommutant", bicom.residual(q[1]))
-    add("range_projections_in_bicommutant", bicom.residual(p[1:]))
+    # C*(1, |a|) is its own bicommutant
+    add("initial_projection_in_bicommutant", seed_unital.residual(q[1]))
+    add("range_projections_in_bicommutant", seed_unital.residual(p[1:]))
     commutant, reduction = _lattice_residuals(u, powers, p, q)
     add("projection_families_commute", commutant)
     add("power_reduction", reduction)
@@ -402,9 +384,7 @@ def build_calB(a, tol: float = DEFAULT_TOL) -> tuple[MatrixAlgebra, list[GradedE
     tol = an.tol
     _require_relation(an)
     model = an.model  # the tower before B, so its failure is the one reported
-    pieces, _ = _spectral_projections(an.pd.pos, tol)
-    gens = [p for _, p in pieces] + [an.pd.u]
-    algebra_b = generate(gens, unital=True, tol=tol)
+    algebra_b = generate([*an.seed.basis, an.pd.u], unital=True, tol=tol)
 
     graded_basis = []
     for m in algebra_b.basis:

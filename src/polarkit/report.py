@@ -292,7 +292,7 @@ def _suite_norm_formula(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng)
         _check(
             "sandwich",
             "norm.center_sandwich",
-            overshoot <= tol * (1.0 + nb) ** 2,
+            overshoot <= tol * ((1.0 + nb) * (1.0 + nb)),
             max(0.0, overshoot),
         )
     )

@@ -44,6 +44,9 @@ def matrix_from_json(obj) -> np.ndarray:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ParseError(f"entries[{i}] must be a [re, im] pair")
         flat[i] = complex(float(pair[0]), float(pair[1]))
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise ParseError(f"entries[{bad[0]}] is not finite: {flat[bad[0]]}")
     return flat.reshape(n, n)
 
 

@@ -145,6 +145,24 @@ def test_missing_input_is_config_error(capsys):
     assert main(["verify-relation", "--in", "/nonexistent/x.json"]) == 2
 
 
+def test_non_finite_input_exits_two(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    nan = float("nan")
+    path.write_text(json.dumps({"dim": 2, "entries": [[nan, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}))
+    assert main(["verify-relation", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == "error: entries[0] is not finite: (nan+0j)\n"
+    assert main(["verify-relation", "--model", '{"kind": "weighted_shift", "weights": [1.0, NaN]}']) == 2
+    assert capsys.readouterr().err.startswith("error: model field 'weights'")
+    # in a batch, a non-finite model is one failed precondition, not an abort
+    models = [{"kind": "normal", "diag": [[1.0, float("inf")]]}, {"kind": "normal", "diag": [[2.0, 0.0]]}]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"models": models, "suites": ["polar"]}))
+    assert main(["run-suite", "--config", str(cfg)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("[InvalidSpec: model field 'diag' has a non-finite entry]")
+    assert len(lines) == 6 and all(line.startswith("[PASS] model 1") for line in lines[1:5])
+
+
 def test_out_flag_writes_json(shift_file, tmp_path, capsys):
     out_file = tmp_path / "report.json"
     assert main(["verify-relation", "--in", shift_file, "--out", str(out_file)]) == 0

@@ -118,3 +118,30 @@ def test_report_consistency_property(seed, n, kind):
     assert rep.consistent
     prep = pk.power_isometry_check(v, kmax=n)
     assert prep.equivalent
+
+
+def test_threshold_squares_by_multiplication():
+    """At a norm where libm's pow and a product round (1 + nu^2)^2
+    differently, every verdict follows the product: the scale is squared
+    by multiplication in partial_isometry_report and _isometry_scale alike."""
+    from polarkit.isometry import _isometry_scale
+
+    rng = np.random.default_rng(0)
+    for x in rng.uniform(0.5, 2.0, 200_000):
+        u = x * np.eye(2, dtype=complex)
+        nu = pk.operator_norm(u)
+        s = 1.0 + nu * nu
+        if s**2 == s * s:
+            continue
+        assert _isometry_scale(u) == s * s
+        residuals = [c.residual for c in pk.partial_isometry_report(u).conditions]
+        for r in residuals:
+            mid = r / (s * s)
+            for tol in (np.nextafter(mid, 0.0), mid, np.nextafter(mid, 1.0)):
+                if (r <= tol * (s * s)) != (r <= tol * s**2):
+                    rep = pk.partial_isometry_report(u, tol=float(tol))
+                    assert [c.passed for c in rep.conditions] == [
+                        res <= tol * (s * s) for res in residuals
+                    ]
+                    return
+    pytest.skip("no sampled norm separates pow from a product under this libm")

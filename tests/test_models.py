@@ -18,6 +18,22 @@ def test_weighted_shift_rejects_bad_weights():
         pk.build(pk.weighted_shift((1.0, -2.0)))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pk.weighted_shift((1.0, float("nan"))),
+        pk.q_oscillator(4, float("inf"), 1.0),
+        pk.q_oscillator(4, 0.5, float("nan")),
+        pk.normal((1.0, complex(0.0, float("inf")))),
+        pk.custom(np.array([[float("inf"), 0.0], [0.0, 1.0]])),
+    ],
+    ids=["weights", "q", "h", "diag", "custom"],
+)
+def test_build_rejects_non_finite_numbers(spec):
+    with pytest.raises(pk.InvalidSpec, match="non-finite"):
+        pk.build(spec)
+
+
 def test_q_lambda_ladder():
     lam = pk.q_lambda(5, 0.5, 1.0)
     assert lam[0] == 0.0

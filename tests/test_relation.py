@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarkit as pk
+from polarkit.relation import Analysis
 
 
 def test_verify_I1_shift_table(shift4):
@@ -67,6 +70,61 @@ def test_theorem22_q_models():
         a = pk.build(pk.q_oscillator(dim, q, 1.0))
         rep = pk.theorem22_report(a)
         assert rep.passed, rep.by_name
+
+
+def _haar_unitary(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    moduli=st.sampled_from([(1.0,), (0.5, 2.0), (0.0, 1.0, 3.0)]),
+    conjugate=st.booleans(),
+)
+def test_seed_is_its_own_bicommutant(seed, n, moduli, conjugate):
+    """Normal operators with repeated moduli (unitary ones when the only
+    modulus is 1), optionally in a random unitary basis: C*(1, |a|) equals
+    the Kronecker bicommutant, and the two bicommutant checks of
+    theorem22_report, which read the seed, give the bicommutant's verdicts."""
+    rng = np.random.default_rng(seed)
+    diag = rng.choice(moduli, size=n) * np.exp(2j * np.pi * rng.random(n))
+    a = np.diag(diag)
+    if conjugate:
+        w = _haar_unitary(rng, n)
+        a = w @ a @ w.conj().T
+    an = Analysis(a)
+    bicom = pk.bicommutant(an.seed)
+    assert pk.algebras_equal(bicom, an.seed)[0]
+    rep = pk.theorem22_report(an)
+    p, q = pk.power_projections(an.pd.u, n)
+    scale = 1.0 + pk.operator_norm(a)
+    thr = an.tol * (scale * scale)
+    oracle = {
+        "initial_projection_in_bicommutant": bicom.residual(q[1]) <= thr,
+        "range_projections_in_bicommutant": bicom.residual(p[1:]) <= thr,
+    }
+    assert {name: rep.by_name(name).passed for name in oracle} == oracle
+    assert all(oracle.values())
+
+
+def test_theorem22_builds_no_commutant(monkeypatch, q_half_8):
+    import polarkit.algebra as algebra
+
+    calls = []
+
+    def counting(*args, _orig=algebra.commutant, **kwargs):
+        calls.append(args)
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "commutant", counting)
+    unitary = pk.build(pk.normal([1.0, 1j, -1.0, 2.0]))  # |a| = diag(1, 1, 1, 2)
+    for a in (q_half_8, unitary):
+        assert pk.theorem22_report(a).passed
+    assert calls == []
 
 
 def test_coefficient_algebra_reference_shift(shift4):

@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +184,35 @@ def test_shared_analysis_matches_standalone_views(counted_zoo_run):
     assert checked == 5
 
 
+GOLDEN = Path(__file__).resolve().parent / "data" / "zoo_report_seed0.json"
+
+
+def _residuals_apart(node, residuals):
+    """The report with every residual replaced by None, appended to
+    ``residuals`` in report order."""
+    if isinstance(node, dict):
+        return {
+            k: residuals.append(v) if k == "residual" else _residuals_apart(v, residuals)
+            for k, v in node.items()
+        }
+    if isinstance(node, list):
+        return [_residuals_apart(x, residuals) for x in node]
+    return node
+
+
+def test_zoo_report_matches_golden(counted_zoo_run):
+    """The fixture's run is the canonical one of scripts/run_zoo.py --seed 0,
+    whose report tests/data keeps: names, anchors, verdicts and errors must
+    match exactly, residuals to 1e-10 absolute (room for another BLAS)."""
+    _, report, _ = counted_zoo_run
+    want, got = [], []
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert _residuals_apart(json.loads(pk.report_to_json(report)), got) == _residuals_apart(
+        golden, want
+    )
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
 def test_failed_derivation_is_not_repeated(monkeypatch, rng):
     import polarkit.relation as relation
 
@@ -213,4 +243,20 @@ def test_build_failure_is_recorded_per_suite():
         (check,) = suite["checks"]
         assert check["anchor"] == "models.build"
         assert check["error"].startswith("InvalidSpec")
+    assert all(c["pass"] for s in second["suites"] for c in s["checks"])
+
+
+def test_non_finite_model_is_a_build_precondition():
+    bad = pk.custom(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    good = pk.weighted_shift((1.0, 1.4142135623730951))
+    suites = ("polar", "isometry", "theorem22")
+    report = pk.run_suite(pk.SuiteConfig(models=(bad, good), suites=suites))
+    first, second = report["models"]
+    for suite in first["suites"]:
+        (check,) = suite["checks"]
+        assert check["anchor"] == "models.build"
+        assert check["error"] == "InvalidSpec: model field 'matrix' has a non-finite entry"
+    alone = pk.run_suite(pk.SuiteConfig(models=(good,), suites=suites))["models"][0]
+    assert second["suites"] == alone["suites"]
+    assert [s["name"] for s in second["suites"]] == list(suites)
     assert all(c["pass"] for s in second["suites"] for c in s["checks"])

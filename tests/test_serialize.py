@@ -46,6 +46,13 @@ def test_matrix_from_json_rejects_bad_entry():
         pk.matrix_from_json([1, 2, 3])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_matrix_from_json_rejects_non_finite_entry(bad):
+    obj = json.loads(json.dumps({"dim": 2, "entries": [[0.0, 0.0], [1.0, bad], [0.0, 0.0], [1.0, 0.0]]}))
+    with pytest.raises(pk.ParseError, match=r"entries\[1\] is not finite"):
+        pk.matrix_from_json(obj)
+
+
 def test_load_json_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"dim": 2,\n  "entries": [[1,]]}\n')
