@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MatrixAlgebra, contains
+from .algebra import MatrixAlgebra
 from .errors import (
     BandwidthOverflow,
     ModelMismatch,
@@ -59,12 +59,19 @@ COEFF_DROP = 1e-14
 BANDWIDTH_CAP = 4096
 
 
+def _frozen(m: np.ndarray) -> np.ndarray:
+    """m, made read-only: a cached matrix the caller cannot change."""
+    m.flags.writeable = False
+    return m
+
+
 class GradedModel:
     """A partial isometry with a coefficient algebra, plus power caches.
 
     ``algebra`` is the commutative algebra the coefficients live in
     (typically the double-closure coefficient algebra of a seed, or simply
-    the diagonal algebra for shift models).
+    the diagonal algebra for shift models).  u^k, u*^k and P_k = u^k u*^k
+    are each computed once per k; the cached u*^k and P_k are read-only.
     """
 
     def __init__(self, u, algebra: MatrixAlgebra, tol: float = DEFAULT_TOL):
@@ -75,6 +82,8 @@ class GradedModel:
         self.tol = tol
         self.dim = self.pair.ambient_dim
         self._pow: dict[int, np.ndarray] = {0: np.eye(self.dim, dtype=np.complex128)}
+        self._pow_star: dict[int, np.ndarray] = {}
+        self._proj: dict[int, np.ndarray] = {}
 
     def power(self, k: int) -> np.ndarray:
         """u^k with memoization (k >= 0)."""
@@ -82,24 +91,28 @@ class GradedModel:
             self._pow[k] = self.power(k - 1) @ self.pair.u
         return self._pow[k]
 
+    def _power_star(self, k: int) -> np.ndarray:
+        """u*^k = dagger(u^k) with memoization (k >= 0)."""
+        if k not in self._pow_star:
+            self._pow_star[k] = _frozen(dagger(self.power(k)))
+        return self._pow_star[k]
+
     def range_projection(self, k: int) -> np.ndarray:
-        """P_k = u^k u*^k."""
-        uk = self.power(k)
-        return uk @ dagger(uk)
+        """P_k = u^k u*^k with memoization."""
+        if k not in self._proj:
+            self._proj[k] = _frozen(self.power(k) @ self._power_star(k))
+        return self._proj[k]
 
     def initial_projection(self, k: int) -> np.ndarray:
         """Q_k = u*^k u^k."""
-        uk = self.power(k)
-        return dagger(uk) @ uk
+        return self._power_star(k) @ self.power(k)
 
     def delta_k(self, m, k: int) -> np.ndarray:
         """u^k m u*^k, the k-fold forward conjugation in one product."""
-        uk = self.power(k)
-        return uk @ as_matrix(m) @ dagger(uk)
+        return self.power(k) @ as_matrix(m) @ self._power_star(k)
 
     def delta_star_k(self, m, k: int) -> np.ndarray:
-        uk = self.power(k)
-        return dagger(uk) @ as_matrix(m) @ uk
+        return self._power_star(k) @ as_matrix(m) @ self.power(k)
 
     @property
     def band_orientation(self) -> int | None:
@@ -131,25 +144,39 @@ class GradedModel:
         matching range projection (:class:`SupportViolation`), unless
         ``enforce_support`` projects them onto that support first.
         """
-        coeffs = {}
+        degrees, mats = [], []
+        unreadable = None
         for d, c in coefficients.items():
-            cm = as_matrix(c)
+            # an unreadable coefficient is reported once every earlier one passes
+            try:
+                deg, cm = int(d), as_matrix(c)
+            except (TypeError, ValueError) as exc:
+                unreadable = exc
+                break
             if cm.shape[0] != self.dim:
-                raise ModelMismatch("coefficient dimension does not match the model")
+                unreadable = ModelMismatch("coefficient dimension does not match the model")
+                break
             if d != 0 and enforce_support:
-                p = self.range_projection(abs(int(d)))
+                p = self.range_projection(abs(deg))
                 cm = p @ cm @ p
-            if operator_norm(cm) <= COEFF_DROP:
-                continue
-            member, res = contains(self.algebra, cm, tol=self.tol)
-            if not member:
-                raise ModelMismatch(
-                    f"degree-{d} coefficient is not in the coefficient algebra "
-                    f"(residual {res:.3e})"
-                )
-            coeffs[int(d)] = cm
-        g = GradedElement(self, coeffs)
-        _check_support(g, self.tol)
+            degrees.append(deg)
+            mats.append(cm)
+        norms = _operator_norms(mats)
+        keep = np.flatnonzero(~(norms <= COEFF_DROP))
+        kept = [mats[i] for i in keep]
+        norms = norms[keep]
+        res = _operator_norms([cm - self.algebra.project(cm) for cm in kept])
+        bad = np.flatnonzero(~(res <= self.tol * (1.0 + norms)))
+        if bad.size:
+            i = int(bad[0])
+            raise ModelMismatch(
+                f"degree-{degrees[keep[i]]} coefficient is not in the coefficient algebra "
+                f"(residual {res[i]:.3e})"
+            )
+        if unreadable is not None:
+            raise unreadable
+        g = GradedElement(self, {degrees[i]: cm for i, cm in zip(keep, kept)})
+        _check_support(g, self.tol, norms)
         return g
 
     def element_from_right_coefficients(self, coefficients: dict) -> "GradedElement":
@@ -190,18 +217,24 @@ class GradedElement:
         )
 
 
-def _check_support(g: GradedElement, tol: float):
-    terms = [(d, c) for d, c in g.coefficients.items() if d != 0]
-    if not terms:
+def _check_support(g: GradedElement, tol: float, norms=None):
+    """Raise SupportViolation for the first nonzero degree whose coefficient
+    leaks outside P_|d|.  ``norms``, when given, are the operator norms of
+    g's coefficients in order."""
+    terms = list(g.coefficients.items())
+    nonzero = [i for i, (d, _) in enumerate(terms) if d != 0]
+    if not nonzero:
         return
-    cs = np.array([c for _, c in terms])
-    ps = np.array([g.model.range_projection(abs(d)) for d, _ in terms])
-    defects = np.maximum(_operator_norms(ps @ cs - cs), _operator_norms(cs @ ps - cs))
-    bad = np.flatnonzero(defects > tol * (1.0 + _operator_norms(cs)))
+    cs = np.array([terms[i][1] for i in nonzero])
+    ps = np.array([g.model.range_projection(abs(terms[i][0])) for i in nonzero])
+    both = _operator_norms(np.concatenate([ps @ cs - cs, cs @ ps - cs]))
+    defects = np.maximum(both[: len(nonzero)], both[len(nonzero) :])
+    scale = _operator_norms(cs) if norms is None else np.asarray(norms)[nonzero]
+    bad = np.flatnonzero(defects > tol * (1.0 + scale))
     if bad.size:
         i = int(bad[0])
         raise SupportViolation(
-            f"degree-{terms[i][0]} coefficient leaks outside its range projection "
+            f"degree-{terms[nonzero[i]][0]} coefficient leaks outside its range projection "
             f"(defect {defects[i]:.3e})"
         )
 
@@ -216,7 +249,7 @@ def realize(g: GradedElement) -> np.ndarray:
         elif d > 0:
             out += c @ g.model.power(d)
         else:
-            out += dagger(g.model.power(-d)) @ c
+            out += g.model._power_star(-d) @ c
     return out
 
 
@@ -229,7 +262,8 @@ def graded_adjoint(g: GradedElement) -> GradedElement:
 
 
 def _term_product(model: GradedModel, m: int, beta: np.ndarray, n: int, gamma: np.ndarray):
-    """Degree and raw coefficient of (term at degree m) * (term at degree n).
+    """Raw coefficient of (term at degree m) * (term at degree n), which
+    lands in degree m + n.
 
     Derived by moving coefficients through powers of u with the
     push-through identities and absorbing u^k u*^k into range projections;
@@ -237,19 +271,16 @@ def _term_product(model: GradedModel, m: int, beta: np.ndarray, n: int, gamma: n
     with the power projections.
     """
     if m >= 0 and n >= 0:
-        return m + n, beta @ model.delta_k(gamma, m)
+        return beta @ model.delta_k(gamma, m)
     if m <= 0 and n <= 0:
-        return m + n, model.delta_k(beta, -n) @ gamma
+        return model.delta_k(beta, -n) @ gamma
     if m > 0 and n < 0:
         r = -n
         if m >= r:
-            return m - r, beta @ model.delta_k(model.range_projection(r) @ gamma, m - r)
-        return -(r - m), model.delta_k(beta @ model.range_projection(m), r - m) @ gamma
+            return beta @ model.delta_k(model.range_projection(r) @ gamma, m - r)
+        return model.delta_k(beta @ model.range_projection(m), r - m) @ gamma
     # m < 0 < n: exact in all cases by associativity alone
-    s = -m
-    if n >= s:
-        return n - s, model.delta_star_k(beta @ gamma, s)
-    return -(s - n), model.delta_star_k(beta @ gamma, n)
+    return model.delta_star_k(beta @ gamma, min(-m, n))
 
 
 def graded_mul(g1: GradedElement, g2: GradedElement) -> GradedElement:
@@ -259,16 +290,31 @@ def graded_mul(g1: GradedElement, g2: GradedElement) -> GradedElement:
     support; degrees whose u-power vanishes (nilpotent truncation) and
     coefficients that come out at round-off scale are dropped.
     """
+    return _product(g1, g2)
+
+
+def _product(g1: GradedElement, g2: GradedElement, degree: int | None = None) -> GradedElement:
+    """graded_mul, or with ``degree`` only its degree-``degree`` coefficient.
+
+    The term at degrees (m, n) lands in degree m + n, so a term that would
+    be truncated or not asked for is skipped before it is formed; the rest
+    are formed, projected, summed and dropped in the same order as the full
+    product, which keeps every bit of the coefficients that remain.
+    """
     if g1.model is not g2.model:
         raise ModelMismatch("graded elements belong to different models")
     model = g1.model
-    scale = max(1.0, operator_norm([*g1.coefficients.values(), *g2.coefficients.values()]))
+    factors = list(g1.coefficients.values())
+    if g2 is not g1:
+        factors += g2.coefficients.values()
+    scale = max(1.0, operator_norm(factors))
     acc: dict[int, np.ndarray] = {}
     for m, beta in g1.coefficients.items():
         for n, gamma in g2.coefficients.items():
-            d, raw = _term_product(model, m, beta, n, gamma)
-            if abs(d) >= model.dim:
+            d = m + n
+            if abs(d) >= model.dim or (degree is not None and d != degree):
                 continue
+            raw = _term_product(model, m, beta, n, gamma)
             if d != 0:
                 p = model.range_projection(abs(d))
                 raw = p @ raw @ p
@@ -276,8 +322,9 @@ def graded_mul(g1: GradedElement, g2: GradedElement) -> GradedElement:
                 acc[d] = acc[d] + raw
             else:
                 acc[d] = raw
+    norms = _operator_norms(list(acc.values()))
     out = {
-        d: c for d, c in acc.items() if operator_norm(c) > COEFF_DROP * scale * scale
+        d: c for (d, c), nc in zip(acc.items(), norms) if nc > COEFF_DROP * scale * scale
     }
     return GradedElement(model, out)
 
@@ -488,13 +535,14 @@ def norm_estimate(
     c = graded_mul(h, graded_adjoint(h))
     estimates = []
     k = 1
-    power = graded_mul(c, c)  # (h h*)^2, exponent 2k with k = 1
+    power = c
     while True:
+        # (h h*)^{2k}; the last square is read only at degree 0
+        power = _product(power, power, degree=0 if 2 * k > kmax else None)
         s = t * operator_norm(extract_N(power, 0)) ** (1.0 / (4 * k))
         estimates.append((k, float(s)))
         if 2 * k > kmax:
             break
-        power = graded_mul(power, power)
         k *= 2
     return NormEstimate(
         estimates=tuple(estimates),

@@ -26,6 +26,16 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    m = _matrix_entries(obj)
+    bad = np.flatnonzero(~np.isfinite(m))
+    if bad.size:
+        raise ParseError(f"entries[{bad[0]}] is not finite: {m.flat[bad[0]]}")
+    return m
+
+
+def _matrix_entries(obj) -> np.ndarray:
+    """The matrix of a JSON matrix object, checked for shape and entry
+    types only: its entries may be non-finite."""
     if not isinstance(obj, dict):
         raise ParseError(f"matrix object must be a dict, got {type(obj).__name__}")
     try:
@@ -44,9 +54,6 @@ def matrix_from_json(obj) -> np.ndarray:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ParseError(f"entries[{i}] must be a [re, im] pair")
         flat[i] = complex(float(pair[0]), float(pair[1]))
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise ParseError(f"entries[{bad[0]}] is not finite: {flat[bad[0]]}")
     return flat.reshape(n, n)
 
 
@@ -141,7 +148,8 @@ def model_spec_from_json(obj) -> ModelSpec:
         if kind == "jordan_block":
             return ModelSpec(kind=kind, dim=int(obj["dim"]))
         if kind == "custom":
-            m = matrix_from_json(obj["matrix"])
+            # a non-finite entry fails models.build, as in the other kinds
+            m = _matrix_entries(obj["matrix"])
             return ModelSpec(kind=kind, dim=m.shape[0], matrix=m)
     except KeyError as exc:
         raise ParseError(f"model spec of kind {kind!r} is missing field {exc.args[0]!r}") from exc

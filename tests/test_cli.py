@@ -163,6 +163,30 @@ def test_non_finite_input_exits_two(tmp_path, capsys):
     assert len(lines) == 6 and all(line.startswith("[PASS] model 1") for line in lines[1:5])
 
 
+
+def test_run_suite_infinite_custom_matrix_is_one_failed_model(tmp_path, capsys):
+    inf = float("inf")
+    entries = [[inf, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    bad = {"kind": "custom", "matrix": {"dim": 2, "entries": entries}}
+    good = {"kind": "weighted_shift", "weights": [1.0, 1.4142135623730951]}
+    suites = ["polar", "isometry", "theorem22"]
+    reports = {}
+    for name, models, code in (("batch", [bad, good], 1), ("alone", [good], 0)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"models": models, "suites": suites}))  # writes Infinity
+        out = tmp_path / f"{name}-report.json"
+        assert main(["run-suite", "--config", str(cfg), "--out", str(out)]) == code
+        reports[name] = json.loads(out.read_text())
+    capsys.readouterr()
+    first, second = reports["batch"]["models"]
+    for suite in first["suites"]:
+        (check,) = suite["checks"]
+        assert check["anchor"] == "models.build"
+        assert check["error"] == "InvalidSpec: model field 'matrix' has a non-finite entry"
+    assert second["suites"] == reports["alone"]["models"][0]["suites"]
+    assert [s["name"] for s in second["suites"]] == suites
+    assert all(c["pass"] for s in second["suites"] for c in s["checks"])
+
 def test_out_flag_writes_json(shift_file, tmp_path, capsys):
     out_file = tmp_path / "report.json"
     assert main(["verify-relation", "--in", shift_file, "--out", str(out_file)]) == 0
