@@ -9,6 +9,7 @@ normal-ordering calculus for words over {a, a*} under aa* = q a*a + h.
 from .algebra import (
     FunctionCertificate,
     MatrixAlgebra,
+    SpectralAlgebra,
     algebras_equal,
     bicommutant,
     commutant,

@@ -1,17 +1,28 @@
-"""Finite-dimensional *-algebras of matrices as explicit linear spans.
+"""Finite-dimensional *-algebras of matrices: explicit linear spans, and
+commutative algebras stored by their atoms.
 
 At desk scale a C*-algebra of n x n matrices is just a linear subspace of
 M_n closed under products and adjoints, so norm closure never enters.  An
 algebra is stored as an orthonormal basis under the trace inner product
-<X, Y> = tr(X* Y); generation is span closure, membership is projection
-defect.
+<X, Y> = tr(X* Y); membership is projection defect.  ``generate`` builds
+an algebra by span closure.
+
+A commutative *-algebra with 1 is C(X) for the finite set X of its minimal
+projections ("atoms"), so :class:`SpectralAlgebra` stores a unitary v and
+one atom label per column of v.  Its members are the matrices that are
+scalar on every atom in that basis, so membership is a block-constant
+defect and needs no basis at all; the basis P_x / sqrt(rank P_x) is kept
+for callers that read one.  ``spectral_algebra`` builds C*(1, h) for
+Hermitian h from eigenprojections, and ``joint_eigenbasis`` the atoms of
+a commuting Hermitian family, one member at a time; ``_refine`` is the one
+step that splits atoms by a Hermitian matrix, and the towers of
+``tower.py`` use it too.  ``is_function_of`` is the membership test for
+algebras of the form C*(1, h).  Eigenvalues of h are grouped by one rule,
+``_eigenspaces``.
 
 Two routines exist because Krylov-style generation is badly conditioned
 when a generator has crowded eigenvalues: ``generate`` is the literal span
-closure, ``spectral_algebra`` builds C*(1, h) for Hermitian h directly from
-eigenprojections and should be preferred for that case.  ``is_function_of``
-is the membership test for algebras of the form C*(1, h); it needs no basis
-at all.  Both group the eigenvalues of h by one rule, ``_eigenspaces``.
+closure, while the eigenspace routes are conditioned by the eigenvalue gaps.
 
 ``commutant`` and ``bicommutant`` (a Kronecker null space, O(n^5) memory)
 are the reference oracle only: a finite-dimensional *-algebra with 1 is
@@ -26,6 +37,7 @@ never as one stack of all pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,10 +92,56 @@ class MatrixAlgebra:
 
     def residual(self, m) -> float:
         """Operator norm of m minus its projection onto the span; for a
-        (k, n, n) stack, the largest over the stack.  Only the SVD is
-        batched: a batched projection would round differently."""
-        ms = np.asarray(m, dtype=np.complex128)
-        return operator_norm([x - self.project(x) for x in ms.reshape(-1, *ms.shape[-2:])])
+        (k, n, n) stack, the largest over the stack.  The whole stack is
+        projected with one product, which rounds differently from
+        :meth:`project` on each matrix."""
+        ms = np.asarray(m, dtype=np.complex128).reshape(-1, self.dim * self.dim)
+        if self.dimension:
+            flat = self._flat()
+            ms = ms - (ms @ flat.conj().T) @ flat
+        return operator_norm(ms.reshape(-1, self.dim, self.dim))
+
+
+@dataclass(frozen=True)
+class SpectralAlgebra(MatrixAlgebra):
+    """A commutative *-algebra with 1, stored by its atoms.
+
+    ``v`` is unitary and ``labels[i]`` names the atom of column i; each
+    atom is a consecutive range of columns, so ``labels`` runs 0, 0, .., 1,
+    .. upward.  The algebra is every matrix that is scalar on each atom in
+    the basis v, and ``basis`` holds P_x / sqrt(rank P_x) per atom x.
+    """
+
+    v: np.ndarray = None
+    labels: np.ndarray = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.v.setflags(write=False)
+        self.labels.setflags(write=False)
+
+    @cached_property
+    def _ranges(self) -> tuple[np.ndarray, np.ndarray]:
+        return _atom_ranges(self.labels)
+
+    @cached_property
+    def _vh(self) -> np.ndarray:
+        return np.ascontiguousarray(dagger(self.v))
+
+    @property
+    def blocks(self) -> list[np.ndarray]:
+        """The column ranges of v, one per atom."""
+        return np.split(np.arange(self.dim), self._ranges[0][1:])
+
+    def project(self, m) -> np.ndarray:
+        """v diag(atom means of v* m v) v*: the trace-orthogonal projection."""
+        means = _atom_means(self._vh @ as_matrix(m) @ self.v, self._ranges)
+        return (self.v * means[self.labels]) @ self._vh
+
+    def residual(self, m) -> float:
+        """Block-constant defect of m in the atom basis; for a (k, n, n)
+        stack, the largest over the stack."""
+        return _atom_residual(self.v, self.labels, np.asarray(m, dtype=np.complex128))
 
 
 def contains(algebra: MatrixAlgebra, m, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
@@ -213,25 +271,43 @@ def _eigenspaces(h, tol: float):
     return w, v, eig_groups(w, tol * scale), scale
 
 
-def _projection_algebra(v: np.ndarray, groups, unital: bool) -> MatrixAlgebra:
-    """Span of the projections P_i onto column groups of unitary v, with
-    basis P_i / sqrt(rank P_i)."""
+def _projection_basis(v: np.ndarray, groups) -> np.ndarray:
+    """The projections P_i onto column groups of unitary v, as the
+    orthonormal rows P_i / sqrt(rank P_i)."""
     n = v.shape[0]
     rows = [v[:, idx] @ dagger(v[:, idx]) / np.sqrt(len(idx)) for idx in groups]
-    basis = np.array(rows) if rows else np.zeros((0, n, n), dtype=np.complex128)
-    return MatrixAlgebra(dim=n, basis=basis, unital=unital)
+    return np.array(rows) if rows else np.zeros((0, n, n), dtype=np.complex128)
 
 
-def spectral_algebra(h, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
+def _labels(groups) -> np.ndarray:
+    """One atom label per column, for consecutive column groups."""
+    return np.repeat(np.arange(len(groups)), [len(idx) for idx in groups])
+
+
+def _atom_ranges(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First column and column count of each atom."""
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    return starts, np.diff(starts, append=labels.size)
+
+
+def _atom_algebra(v: np.ndarray, groups) -> SpectralAlgebra:
+    """The commutative algebra whose atoms are the consecutive column
+    groups of unitary v."""
+    return SpectralAlgebra(
+        dim=v.shape[0], basis=_projection_basis(v, groups), v=v, labels=_labels(groups)
+    )
+
+
+def spectral_algebra(h, tol: float = DEFAULT_TOL) -> SpectralAlgebra:
     """C*(1, h) for Hermitian h, built from eigenprojections.
 
     Equivalent to ``generate([h], unital=True)`` in exact arithmetic but
     conditioned by the eigenvalue gaps instead of a Vandermonde system:
     eigenvalues closer than ``tol * (1 + ||h||)`` are merged into one
-    projection.
+    atom.
     """
     _, v, groups, _ = _eigenspaces(h, tol)
-    return _projection_algebra(v, groups, unital=True)
+    return _atom_algebra(v, groups)
 
 
 def commutant(a, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
@@ -318,17 +394,29 @@ class FunctionCertificate:
     worst_eigenvalue: float | None = None
 
 
-def _block_constant_defect(b_rot: np.ndarray, blocks: list[np.ndarray]):
-    """Defect matrix of b (already rotated) from being scalar on each
-    block, with the block values."""
-    model = np.zeros_like(b_rot)
-    values = []
-    for idx in blocks:
-        sub = b_rot[np.ix_(idx, idx)]
-        val = complex(np.trace(sub)) / len(idx)
-        model[np.ix_(idx, idx)] = val * np.eye(len(idx))
-        values.append(val)
-    return b_rot - model, values
+def _atom_means(rot: np.ndarray, ranges) -> np.ndarray:
+    """Mean of each atom's diagonal entries, per matrix of a rotated
+    (..., n, n) stack.  Atoms are consecutive column ranges, so this is
+    one ``np.add.reduceat``, which sums each matrix on its own."""
+    starts, sizes = ranges
+    return np.add.reduceat(np.diagonal(rot, axis1=-2, axis2=-1), starts, axis=-1) / sizes
+
+
+def _block_constant_defect(rot: np.ndarray, labels: np.ndarray):
+    """Defect of each matrix of a rotated (..., n, n) stack from being
+    scalar on every atom, with the atom values (..., atoms): each diagonal
+    entry loses the mean of its atom's diagonal."""
+    means = _atom_means(rot, _atom_ranges(labels))
+    defect = np.array(rot, dtype=np.complex128)
+    cols = np.arange(labels.size)
+    defect[..., cols, cols] -= means[..., labels]
+    return defect, means
+
+
+def _atom_residual(v: np.ndarray, labels: np.ndarray, stack: np.ndarray) -> float:
+    """Largest block-constant defect of a (..., n, n) stack in the atoms
+    (v, labels)."""
+    return operator_norm(_block_constant_defect(dagger(v) @ stack @ v, labels)[0])
 
 
 def is_function_of(b, a, tol: float = DEFAULT_TOL) -> FunctionCertificate:
@@ -350,8 +438,7 @@ def is_function_of(b, a, tol: float = DEFAULT_TOL) -> FunctionCertificate:
     if comm > tol * scale_b * scale_b:
         raise NotHermitian(f"b is neither Hermitian nor normal (self-commutator {comm:.3e})")
     w, v, groups, _ = _eigenspaces(a, tol)
-    b_rot = dagger(v) @ bm @ v
-    resid, values = _block_constant_defect(b_rot, groups)
+    resid, values = _block_constant_defect(dagger(v) @ bm @ v, _labels(groups))
     defect = operator_norm(resid)
     exists = defect <= tol * scale_b
     table = tuple(
@@ -366,37 +453,62 @@ def is_function_of(b, a, tol: float = DEFAULT_TOL) -> FunctionCertificate:
     )
 
 
+def _refine(v: np.ndarray, blocks, h: np.ndarray, gap: float) -> list[np.ndarray]:
+    """Split each block of columns of v by the eigenvalues of Hermitian h
+    compressed to it, grouped at ``gap``; v is rotated within each block
+    in place.  Refinement only splits, so every block stays a consecutive
+    column range.  This is the one step behind every set of atoms built
+    from a family: a joint eigenbasis and each tower level."""
+    refined: list[np.ndarray] = []
+    for idx in blocks:
+        if idx.size == 1:
+            refined.append(idx)
+            continue
+        sub = dagger(v[:, idx]) @ h @ v[:, idx]
+        w, u = np.linalg.eigh((sub + dagger(sub)) / 2.0)
+        v[:, idx] = v[:, idx] @ u
+        for g in eig_groups(w, gap):
+            refined.append(idx[g])
+    return refined
+
+
+def _joint_eigenbases(mats, tol: float = DEFAULT_TOL):
+    """Joint eigenbases of the growing prefixes of a commuting Hermitian
+    family: yields ``(v, blocks)`` for mats[:1], mats[:2], ...
+
+    Step j checks member j's commutators with the members before it,
+    within ``tol * (1 + ||m_i||) * (1 + ||m_j||)``, then splits the blocks
+    by member j at ``tol * (1 + ||m_j||)``.  The yielded v is updated in
+    place by the next step.
+    """
+    ms = np.array([as_matrix(m) for m in mats])
+    n = ms.shape[-1]
+    v = np.eye(n, dtype=np.complex128)
+    blocks = [np.arange(n)]
+    norms = np.zeros(len(ms))
+    for j, h in enumerate(ms):
+        both = _operator_norms(np.concatenate((h[None], ms[:j] @ h - h @ ms[:j])))
+        norms[j], comm = both[0], both[1:]
+        bad = np.flatnonzero(comm > tol * ((1.0 + norms[:j]) * (1.0 + norms[j])))
+        if bad.size:
+            i = int(bad[0])
+            raise CommutantViolation(f"family members {i} and {j} do not commute (norm {comm[i]:.3e})")
+        blocks = _refine(v, blocks, h, tol * (1.0 + norms[j]))
+        yield v, blocks
+
+
 def joint_eigenbasis(mats, tol: float = DEFAULT_TOL):
     """Simultaneous eigenbasis of a commuting Hermitian family.
 
     Returns ``(v, blocks)``: a unitary and index groups such that every
     input is (approximately) scalar on each block in that basis.  Raises
-    :class:`CommutantViolation` when two inputs fail to commute within
-    tol and :class:`NotHermitian` for non-Hermitian input.
+    :class:`CommutantViolation` naming the first member, and then the
+    first earlier member, that fail to commute within tol.
     """
-    ms = np.array([as_matrix(m) for m in mats])
-    if not len(ms):
+    if not len(mats):
         raise ValueError("need at least one matrix")
-    n = ms.shape[-1]
-    norms = _operator_norms(ms)
-    for i in range(len(ms) - 1):
-        comm = _operator_norms(ms[i] @ ms[i + 1 :] - ms[i + 1 :] @ ms[i])
-        bad = np.flatnonzero(comm > tol * ((1.0 + norms[i]) * (1.0 + norms[i + 1 :])))
-        if bad.size:
-            j = i + 1 + int(bad[0])
-            raise CommutantViolation(f"family members {i} and {j} do not commute (norm {comm[bad[0]]:.3e})")
-    v = np.eye(n, dtype=np.complex128)
-    blocks = [np.arange(n)]
-    for h, norm_h in zip(ms, norms):
-        scale_h = 1.0 + norm_h
-        refined: list[np.ndarray] = []
-        for idx in blocks:
-            sub = dagger(v[:, idx]) @ h @ v[:, idx]
-            w, u = np.linalg.eigh((sub + dagger(sub)) / 2.0)
-            v[:, idx] = v[:, idx] @ u
-            for g in eig_groups(w, tol * scale_h):
-                refined.append(idx[g])
-        blocks = refined
+    for v, blocks in _joint_eigenbases(mats, tol=tol):
+        pass
     return v, blocks
 
 
@@ -412,10 +524,7 @@ def is_function_of_family(b, mats, tol: float = DEFAULT_TOL) -> FunctionCertific
     v, blocks = joint_eigenbasis(mats, tol=tol)
     if bm.ndim < 2 or bm.shape[-2:] != v.shape:
         raise ValueError(f"expected {v.shape} matrices to match the family, got shape {bm.shape}")
-    b_rot = dagger(v) @ bm @ v
-    defect = operator_norm(
-        [_block_constant_defect(x, blocks)[0] for x in b_rot.reshape(-1, *bm.shape[-2:])]
-    )
+    defect = _atom_residual(v, _labels(blocks), bm)
     scale_b = 1.0 + operator_norm(bm)
     return FunctionCertificate(exists=defect <= tol * scale_b, residual=defect)
 

@@ -86,9 +86,10 @@ class GradedModel:
         self._proj: dict[int, np.ndarray] = {}
 
     def power(self, k: int) -> np.ndarray:
-        """u^k with memoization (k >= 0)."""
-        if k not in self._pow:
-            self._pow[k] = self.power(k - 1) @ self.pair.u
+        """u^k with memoization (k >= 0); the cache holds u^0 .. u^K and
+        grows one product u^j = u^(j-1) u at a time."""
+        for j in range(len(self._pow), k + 1):
+            self._pow[j] = self._pow[j - 1] @ self.pair.u
         return self._pow[k]
 
     def _power_star(self, k: int) -> np.ndarray:
@@ -139,7 +140,7 @@ class GradedModel:
     def element(self, coefficients: dict, enforce_support: bool = False) -> "GradedElement":
         """Build a graded element, validating the invariants.
 
-        Coefficients must belong to the coefficient algebra
+        Coefficients must be finite and belong to the coefficient algebra
         (:class:`ModelMismatch` otherwise) and be supported under the
         matching range projection (:class:`SupportViolation`), unless
         ``enforce_support`` projects them onto that support first.
@@ -155,6 +156,9 @@ class GradedModel:
                 break
             if cm.shape[0] != self.dim:
                 unreadable = ModelMismatch("coefficient dimension does not match the model")
+                break
+            if not np.isfinite(cm).all():
+                unreadable = ModelMismatch(f"degree-{deg} coefficient has a non-finite entry")
                 break
             if d != 0 and enforce_support:
                 p = self.range_projection(abs(deg))

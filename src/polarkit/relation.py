@@ -37,12 +37,14 @@ import numpy as np
 
 from .algebra import (
     MatrixAlgebra,
+    _atom_residual,
     _eigenspaces,
-    _projection_algebra,
+    _joint_eigenbases,
+    _labels,
+    _projection_basis,
     algebras_equal,
     contains,
     is_function_of,
-    is_function_of_family,
     generate,
     linear_span,
     spectral_algebra,
@@ -176,7 +178,7 @@ def nonunital_seed(pos, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     """
     w, v, groups, scale = _eigenspaces(pos, tol)
     kept = [idx for idx in groups if abs(float(np.mean(w[idx]))) > tol * scale]
-    return _projection_algebra(v, kept, unital=False)
+    return MatrixAlgebra(dim=v.shape[0], basis=_projection_basis(v, kept), unital=False)
 
 
 @dataclass(frozen=True)
@@ -250,13 +252,14 @@ def theorem22_report(a, tol: float = DEFAULT_TOL, kmax: int | None = None) -> Th
     )
 
     # the images of all seed elements share one joint eigenbasis of
-    # [|a|, P_1..P_{k-1}] per k; an empty non-unital seed needs none
+    # [|a|, P_1..P_{k-1}] per k, the one for k - 1 split by P_{k-1}; an
+    # empty non-unital seed needs none
     image_res = 0.0
     absorb = 0.0
-    for k in range(1, kmax + 1 if seed_plain.dimension else 1):
+    bases = _joint_eigenbases([pd.pos, *p[1:kmax]], tol=tol)
+    for k, (v, blocks) in zip(range(1, kmax + 1 if seed_plain.dimension else 1), bases):
         imgs = powers[k] @ plain @ dagger(powers[k])
-        family = [pd.pos, *p[1:k]]
-        image_res = max(image_res, is_function_of_family(imgs, family, tol=tol).residual)
+        image_res = max(image_res, _atom_residual(v, _labels(blocks), imgs))
         absorb = max(
             absorb, operator_norm(p[k] @ imgs - imgs), operator_norm(imgs @ p[k] - imgs)
         )

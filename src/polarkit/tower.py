@@ -8,10 +8,13 @@ tower adjoins delta images, the star tower adjoins delta_* images:
     T_n(star)    = alg{A_0, delta_*(A_0), ..., delta_*^n(A_0)}
 
 Dimensions are nondecreasing and bounded, so each sequence stabilizes; the
-limits are written a_inf and inf_a.  Applying the star construction to
-a_inf (or the forward one to inf_a) gives the double closures, which agree
-and form the smallest commutative algebra containing A_0 on which both
-conjugations act as endomorphisms, provided the hypotheses below hold.
+limits are written a_inf and inf_a.  Every level is commutative, so it is
+built by its atoms (minimal projections): T_n splits the atoms of T_{n-1}
+by the images delta^n(A_0), with no span closure.  Applying the star
+construction to a_inf (or the forward one to inf_a) gives the double
+closures, which agree and form the smallest commutative algebra
+containing A_0 on which both conjugations act as endomorphisms, provided
+the hypotheses below hold.
 
 Two hypothesis sets appear in the theory and the source statements do not
 single one out, so both are checked and reported:
@@ -34,15 +37,26 @@ import numpy as np
 
 from .algebra import (
     MatrixAlgebra,
+    SpectralAlgebra,
+    _atom_algebra,
+    _block_constant_defect,
+    _labels,
+    _refine,
     algebras_equal,
     generate,
     is_commutative,
     is_ideal_in,
     linear_span,
 )
-from .errors import DimensionOverflow, HypothesisViolated
+from .errors import HypothesisViolated
 from .isometry import _isometry_scale, partial_isometry_report
-from .linalg import DEFAULT_TOL, as_matrix, dagger, operator_norm
+from .linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger, operator_norm
+
+# Seed of the fixed weights that mix a refinement step's images into one
+# Hermitian matrix: generic real weights in [1, 2), so that two atoms the
+# images tell apart almost never get equal mixed values, and the same
+# weights on every run.
+MIX_SEED = 20020
 
 
 @dataclass(frozen=True)
@@ -193,31 +207,78 @@ class TowerReport:
     checks: dict[str, tuple[bool, float]]
 
 
+def _mix_weights(count: int) -> np.ndarray:
+    return np.random.default_rng(MIX_SEED).uniform(1.0, 2.0, count)
+
+
+def _image_defects(v: np.ndarray, blocks, images: np.ndarray) -> np.ndarray:
+    """Block-constant defects of each image in the atoms (v, blocks)."""
+    return _block_constant_defect(dagger(v) @ images @ v, _labels(blocks))[0]
+
+
+def _refine_atoms(v: np.ndarray, blocks, images: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Split the atoms (v, blocks) until every image is scalar on each.
+
+    One fixed real combination h of the images' Hermitian parts splits
+    the blocks at ``tol * (1 + ||h||)``.  One batched SVD then checks that
+    every image is block-scalar within ``tol * (1 + ||image||)``; when h
+    merged values that some image tells apart, the blocks are split by
+    each Hermitian part in turn.  v is rotated in place.  Raises
+    :class:`HypothesisViolated` when an image is still not block-scalar:
+    it does not commute with the atoms, so the algebra it generates with
+    them is not commutative.
+    """
+    parts = np.concatenate(((images + dagger(images)) / 2.0, (images - dagger(images)) / 2.0j))
+    h = np.tensordot(_mix_weights(len(parts)), parts, axes=1)
+    blocks = _refine(v, blocks, h, tol * (1.0 + operator_norm(h)))
+    k = len(images)
+    norms = _operator_norms(np.concatenate((images, _image_defects(v, blocks, images))))
+    bound = tol * (1.0 + norms[:k])
+    if np.all(norms[k:] <= bound):
+        return blocks
+    for x, norm_x in zip(parts, _operator_norms(parts)):
+        blocks = _refine(v, blocks, x, tol * (1.0 + norm_x))
+    excess = _operator_norms(_image_defects(v, blocks, images)) - bound
+    if np.any(excess > 0):
+        raise HypothesisViolated(
+            "a delta image is not scalar on the atoms of the level below "
+            f"(defect exceeds its bound by {excess.max():.3e}); the tower is not commutative"
+        )
+    return blocks
+
+
 def _tower_sequence(
     seed: MatrixAlgebra, pair: EndoPair, direction: str, tol: float
 ) -> tuple[list[MatrixAlgebra], int]:
     """Iterate T_n = alg{T_{n-1}, d^n(seed)} until it repeats twice.
 
-    Stabilization needs two consecutive equalities (equal dimension AND
-    mutual membership within tol); the returned index is the first n whose
-    algebra already equals the limit.
+    T_n splits the atoms of T_{n-1} by the images d^n(seed); a seed
+    without atoms gets them from the Hermitian parts of its basis.
+    Refinement only splits atoms, so T_n equals T_{n-1} exactly when the
+    atom count is unchanged.  Stabilization needs two such steps in a
+    row; the returned index is the first n whose algebra already equals
+    the limit.
     """
+    dim = pair.ambient_dim
+    if isinstance(seed, SpectralAlgebra):
+        v, blocks, level = seed.v.copy(), seed.blocks, seed
+    else:
+        v = np.eye(dim, dtype=np.complex128)
+        blocks = _refine_atoms(v, [np.arange(dim)], seed.basis, tol)
+        level = _atom_algebra(v.copy(), blocks)
     algs = [seed]
     images = seed.basis.astype(np.complex128)
     equal_run = 0
-    n = 0
-    cap = pair.ambient_dim**2 + 2
     while equal_run < 2:
-        n += 1
-        if n > cap:
-            raise DimensionOverflow(
-                f"tower failed to stabilize within {cap} steps; spans are drifting"
-            )
         images = _apply_stack(pair, images, direction)
-        nxt = generate(list(algs[-1].basis) + list(images), unital=True, tol=tol)
-        eq, _ = algebras_equal(nxt, algs[-1], tol=tol)
-        equal_run = equal_run + 1 if eq else 0
-        algs.append(nxt)
+        count = len(blocks)
+        blocks = _refine_atoms(v, blocks, images, tol)
+        if len(blocks) == count:
+            equal_run += 1
+        else:
+            equal_run = 0
+            level = _atom_algebra(v.copy(), blocks)
+        algs.append(level)
     stab = len(algs) - 3  # last two entries only confirmed the one before them
     return algs, stab
 

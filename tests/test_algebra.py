@@ -166,3 +166,43 @@ def test_bicommutant_contains_algebra(seed, n):
         _, res = pk.contains(bc, b)
         worst = max(worst, res)
     assert worst <= 1e-9
+
+
+def _conjugated_hermitian(rng, eigenvalues):
+    q, _ = np.linalg.qr(random_matrix(rng, len(eigenvalues)))
+    return q @ np.diag(np.asarray(eigenvalues, dtype=complex)) @ q.conj().T
+
+
+def test_atom_algebra_agrees_with_its_span(rng):
+    h = _conjugated_hermitian(rng, [1.0, 1.0, 2.0, 3.0, 3.0, 3.0])
+    alg = pk.spectral_algebra(h)
+    assert isinstance(alg, pk.SpectralAlgebra)
+    assert [len(b) for b in alg.blocks] == [2, 1, 3]
+    assert list(alg.labels) == [0, 0, 1, 2, 2, 2]
+    span = pk.MatrixAlgebra(dim=6, basis=np.array(alg.basis))
+    stack = np.array([random_matrix(rng, 6) for _ in range(3)])
+    for m in stack:
+        assert np.allclose(alg.project(m), span.project(m), atol=1e-12)
+    assert abs(alg.residual(stack) - span.residual(stack)) <= 1e-12
+    member = h @ h - 2.0 * h + np.eye(6)
+    assert alg.residual(member) <= 1e-12
+    assert alg.residual(np.array([member, h])) <= 1e-12
+
+
+def test_span_residual_of_a_stack_is_the_largest_single_residual(rng):
+    alg = pk.generate([diag(1, 2, 2)], unital=True)
+    stack = np.array([random_matrix(rng, 3) for _ in range(4)])
+    singles = [np.linalg.svd(m - alg.project(m), compute_uv=False)[0] for m in stack]
+    assert alg.residual(stack) == pytest.approx(max(singles), rel=1e-13)
+
+
+def test_joint_eigenbasis_grows_one_member_at_a_time():
+    from polarkit.algebra import _joint_eigenbases
+
+    family = [diag(1, 1, 1, 2), diag(0, 1, 1, 1), diag(5, 5, 6, 5)]
+    prefixes = [(v.copy(), [list(b) for b in blocks]) for v, blocks in _joint_eigenbases(family)]
+    assert [len(blocks) for _, blocks in prefixes] == [2, 3, 4]
+    for j, (v, blocks) in enumerate(prefixes):
+        v_ref, blocks_ref = pk.joint_eigenbasis(family[: j + 1])
+        assert np.array_equal(v, v_ref)
+        assert blocks == [list(b) for b in blocks_ref]

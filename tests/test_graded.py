@@ -37,6 +37,33 @@ def test_element_validates_support(model):
     assert g.degrees == ()
 
 
+def test_high_degree_is_a_support_violation_not_a_recursion_error(unit_model):
+    # U^k = 0 from k = 4 on, so the identity leaks outside P_k at any high k
+    for k in (5, 1500):
+        with pytest.raises(pk.SupportViolation, match=f"degree-{k} "):
+            unit_model.element({k: np.eye(4)})
+
+
+def test_unitary_model_reaches_high_powers():
+    # on a cyclic permutation P_k never vanishes, so no power can be skipped
+    u = np.roll(np.eye(4), 1, axis=0).astype(complex)
+    m = pk.GradedModel(u, pk.spectral_algebra(np.diag([1.0, 2.0, 3.0, 4.0])))
+    assert np.array_equal(m.range_projection(1500), np.eye(4))
+    assert np.array_equal(m.power(1501), u)
+    # each power is the one below times u, the product order of a recursion
+    assert np.array_equal(m.power(7), ((((((u @ u) @ u) @ u) @ u) @ u) @ u))
+
+
+def test_non_finite_coefficient_is_a_model_mismatch(unit_model):
+    p1 = unit_model.range_projection(1)
+    nan = np.diag([1.0, np.nan, 0.0, 0.0]).astype(complex)
+    with pytest.raises(pk.ModelMismatch, match="degree-1 coefficient has a non-finite entry"):
+        unit_model.element({0: np.eye(4), 1: nan, -1: p1})
+    # an earlier offender is still the one named
+    with pytest.raises(pk.ModelMismatch, match="degree-0 coefficient is not in"):
+        unit_model.element({0: np.ones((4, 4)), -2: np.diag([np.inf, 0.0, 0.0, 0.0])})
+
+
 def test_realize_u_plus_ustar(model):
     g = u_plus_ustar(model)
     u = model.pair.u

@@ -150,6 +150,14 @@ def test_coefficient_algebra_is_commutative_and_invariant(q_half_8):
     assert worst <= 1e-9
 
 
+def test_q_half_oscillator_at_32_builds_its_graded_model():
+    # the level gaps of |a| (about 9e-10) merge atoms of the seed; the delta
+    # images split them again, and the tower needs no span closure to do it
+    an = Analysis(pk.build(pk.q_oscillator(32, 0.5, 1.0)))
+    assert an.seed.dimension < 32
+    assert pk.graded_model_for(an).algebra.dimension == 32
+
+
 def test_graded_model_for_skips_relation_gate(unit_shift4):
     # verify_I1 fails for the unit-weight shift, yet the graded model exists
     assert not pk.verify_I1(unit_shift4).holds

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import polarkit as pk
-from polarkit.algebra import _block_constant_defect
 from polarkit.linalg import dagger
 from polarkit.relation import Analysis
 
@@ -115,9 +114,18 @@ def ref_morphism(v, basis):
     return mult_defect(v), inter
 
 
+def ref_block_defect(rot, blocks):
+    """Defect of rot from being scalar on each block, one block at a time."""
+    model = np.zeros_like(rot)
+    for idx in blocks:
+        sub = rot[np.ix_(idx, idx)]
+        model[np.ix_(idx, idx)] = complex(np.trace(sub)) / len(idx) * np.eye(len(idx))
+    return rot - model
+
+
 def ref_family_defect(img, family, tol):
     v, blocks = pk.joint_eigenbasis(family, tol=tol)
-    return ref_norm(_block_constant_defect(dagger(v) @ img @ v, blocks)[0])
+    return ref_norm(ref_block_defect(dagger(v) @ img @ v, blocks))
 
 
 def ref_theorem22(an):
@@ -333,20 +341,23 @@ def test_tower_residuals_without_strong_hypotheses(shift4):
     assert {name: rep.checks[name][1] for name in want} == want
 
 
-def test_theorem22_computes_one_joint_eigenbasis_per_power(monkeypatch, q_half_8):
+def test_theorem22_refines_one_member_per_power(monkeypatch, q_half_8):
     import polarkit.algebra as algebra
 
-    calls = []
+    members = []
 
-    def counting(*args, _orig=algebra.joint_eigenbasis, **kwargs):
-        calls.append(len(args[0]))
-        return _orig(*args, **kwargs)
+    def counting(v, blocks, h, gap, _orig=algebra._refine):
+        members.append(h)
+        return _orig(v, blocks, h, gap)
 
-    monkeypatch.setattr(algebra, "joint_eigenbasis", counting)
+    monkeypatch.setattr(algebra, "_refine", counting)
     rep = pk.theorem22_report(q_half_8)
     assert rep.passed
-    assert len(calls) <= rep.kmax
-    assert calls == list(range(1, rep.kmax + 1))  # family [|a|, P_1..P_{k-1}]
+    # the family for k + 1 is the one for k plus P_k: [|a|, P_1..P_{kmax-1}]
+    pd = pk.polar_decompose(q_half_8)
+    p, _ = pk.power_projections(pd.u, rep.kmax)
+    assert len(members) == rep.kmax
+    assert all(np.array_equal(m, want) for m, want in zip(members, [pd.pos, *p[1 : rep.kmax]]))
 
 
 def test_raising_checks_name_the_first_offender():

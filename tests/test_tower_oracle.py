@@ -1,0 +1,179 @@
+"""The atom tower against the span-closure tower it replaced.
+
+``span_sequence`` is the tower construction by Krylov span closure: each
+level is ``generate`` of the level below and the new delta images, and the
+sequence has stabilized after two equalities in a row by mutual
+containment.  ``build_tower`` builds the same levels by splitting atoms.
+The two must give the same dimensions, the same stabilization indices,
+and levels that contain each other within tol.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import polarkit as pk
+import polarkit.algebra as algebra
+import polarkit.tower as tower
+from polarkit.relation import Analysis
+from polarkit.tower import _apply_stack
+
+from conftest import zoo_specs
+
+TOL = 1e-9
+
+
+def span_sequence(seed, pair, direction, tol=TOL):
+    algs = [seed]
+    images = seed.basis.astype(np.complex128)
+    equal_run = 0
+    while equal_run < 2:
+        assert len(algs) <= pair.ambient_dim**2 + 2, "span tower failed to stabilize"
+        images = _apply_stack(pair, images, direction)
+        nxt = pk.generate(list(algs[-1].basis) + list(images), unital=True, tol=tol)
+        eq, _ = pk.algebras_equal(nxt, algs[-1], tol=tol)
+        equal_run = equal_run + 1 if eq else 0
+        algs.append(nxt)
+    return algs, len(algs) - 3
+
+
+def span_tower(a0, pair, tol=TOL):
+    """The four sequences of build_tower, by span closure."""
+    fwd, stab_fwd = span_sequence(a0, pair, "forward", tol)
+    star, stab_star = span_sequence(a0, pair, "star", tol)
+    dbl, stab_dbl = span_sequence(fwd[-1], pair, "star", tol)
+    dbl2, stab_dbl2 = span_sequence(star[-1], pair, "forward", tol)
+    seqs = {"forward": fwd, "star": star, "star_from_forward_limit": dbl,
+            "forward_from_star_limit": dbl2}
+    stab = {"forward": stab_fwd, "star": stab_star, "star_from_forward_limit": stab_dbl,
+            "forward_from_star_limit": stab_dbl2}
+    return seqs, stab
+
+
+def assert_matches_span_closure(a0, pair, tol=TOL):
+    t = pk.build_tower(a0, pair, tol=tol)
+    want, want_stab = span_tower(a0, pair, tol)
+    got = {"forward": t.an_list, "star": t.na_list, "star_from_forward_limit": t.n_a_inf_list,
+           "forward_from_star_limit": [t.a_inf_of_inf_a]}
+    assert t.stabilization == want_stab
+    for name, seq in got.items():
+        if name == "forward_from_star_limit":
+            pairs = [(seq[0], want[name][-1])]
+        else:
+            assert [alg.dimension for alg in seq] == [alg.dimension for alg in want[name]], name
+            pairs = list(zip(seq, want[name]))
+        for mine, ref in pairs:
+            eq, res = pk.algebras_equal(mine, ref, tol=tol)
+            assert eq, f"{name}: levels differ (residual {res:.3e})"
+    return t
+
+
+def haar(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def shift(weights):
+    return pk.build(pk.weighted_shift(weights))
+
+
+def analysis_parts(a):
+    an = Analysis(a)
+    return an.seed, an.pair
+
+
+def _id(spec):
+    return spec["kind"] + str(spec.get("dim", ""))
+
+
+@pytest.mark.parametrize("spec", zoo_specs(), ids=_id)
+def test_zoo_towers_match_span_closure(spec):
+    assert_matches_span_closure(*analysis_parts(pk.build(pk.model_spec_from_json(spec))))
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 10, 12))
+@pytest.mark.parametrize("family", ("osc", "shift"))
+def test_ladder_towers_match_span_closure(family, n):
+    spec = pk.q_oscillator(n, 1.0, 1.0) if family == "osc" else pk.weighted_shift(np.sqrt(np.arange(1, n)))
+    phase = np.exp(2j * np.pi * np.random.default_rng([n, 1]).random(n))
+    a = pk.build(spec)
+    assert_matches_span_closure(*analysis_parts(phase[:, None] * a * phase.conj()[None, :]))
+
+
+def test_coarse_seed_tower_matches_span_closure(shift4):
+    seed = pk.generate([np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)], unital=True)
+    t = assert_matches_span_closure(seed, pk.endo_pair(pk.polar_decompose(shift4).u))
+    assert t.a0 is seed
+
+
+def test_conjugated_shift_matches_span_closure(rng):
+    w = haar(rng, 5)
+    a = shift((1.0, 2.0, 0.5, 3.0))
+    assert_matches_span_closure(*analysis_parts(w @ a @ w.conj().T))
+
+
+def test_shift_tensor_identity_has_rank_two_atoms(rng):
+    w = haar(rng, 8)
+    a = np.kron(shift((1.0, np.sqrt(2.0), np.sqrt(3.0))), np.eye(2))
+    t = assert_matches_span_closure(*analysis_parts(w @ a @ w.conj().T))
+    assert t.inf_a_inf.dimension == 4
+    assert sorted(np.bincount(t.inf_a_inf.labels)) == [2, 2, 2, 2]
+
+
+def test_direct_sum_of_two_shifts_matches_span_closure(rng):
+    w = haar(rng, 7)
+    a = np.zeros((7, 7), dtype=complex)
+    a[:4, :4] = shift((1.0, np.sqrt(2.0), np.sqrt(3.0)))
+    a[4:, 4:] = shift((0.5, 2.5))
+    assert_matches_span_closure(*analysis_parts(w @ a @ w.conj().T))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    weights=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), min_size=1, max_size=7),
+    conjugate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weighted_shift_towers_match_span_closure(weights, conjugate, seed):
+    a = shift(weights)
+    if conjugate:
+        w = haar(np.random.default_rng(seed), a.shape[0])
+        a = w @ a @ w.conj().T
+    assert_matches_span_closure(*analysis_parts(a))
+
+
+def test_build_tower_makes_no_span_closure(monkeypatch, shift4):
+    calls = []
+
+    def counting(*args, _orig=algebra.generate, **kwargs):
+        calls.append(args)
+        return _orig(*args, **kwargs)
+
+    coarse = pk.generate([np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)], unital=True)
+    monkeypatch.setattr(algebra, "generate", counting)
+    monkeypatch.setattr(tower, "generate", counting)
+    seed, pair = analysis_parts(shift4)
+    for a0 in (seed, coarse):
+        pk.build_tower(a0, pair)
+    assert calls == []
+
+
+def test_per_image_split_when_the_mix_merges_atoms():
+    # two images whose fixed mix takes one value on both columns, while
+    # each image alone tells the columns apart
+    c = tower._mix_weights(4)
+    images = np.array([np.diag([c[1], 0.0]), np.diag([0.0, c[0]])]).astype(complex)
+    mixed = np.tensordot(c[:2], images, axes=1)
+    assert mixed[0, 0] == mixed[1, 1]
+    v = np.eye(2, dtype=complex)
+    blocks = tower._refine_atoms(v, [np.arange(2)], images, TOL)
+    assert [list(b) for b in blocks] == [[0], [1]]
+
+
+def test_image_off_the_atoms_is_rejected():
+    v = np.eye(2, dtype=complex)
+    flip = np.array([[[0.0, 1.0], [1.0, 0.0]]], dtype=complex)
+    with pytest.raises(pk.HypothesisViolated, match="not scalar on the atoms"):
+        tower._refine_atoms(v, [np.array([0]), np.array([1])], flip, TOL)
