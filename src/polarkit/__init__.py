@@ -125,10 +125,12 @@ from .serialize import (
     write_matrix,
 )
 from .tower import (
+    AtomOrbits,
     EndoPair,
     HypothesesReport,
     TheoremReport,
     TowerReport,
+    atom_orbits,
     build_tower,
     delta_apply,
     endo_pair,

@@ -51,6 +51,7 @@ from .serialize import (
     normal_form_to_json,
     read_matrix,
 )
+from .tower import atom_orbits
 from .words import PhiMap, deg, normal_order, parse_word
 
 CONFIG_ERRORS = (ConfigError, ParseError, InvalidSpec, UnsupportedPhi, DimensionTooSmall)
@@ -206,11 +207,30 @@ def _cmd_verify_theorems(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _orbits(an: Analysis) -> tuple[dict, str]:
+    """JSON entry and text line for the orbits of delta on the atoms of
+    the coefficient algebra (counts only)."""
+    orb = atom_orbits(an.tower.inf_a_inf, an.pair)
+    lengths = ", ".join(str(n) for n in orb.chains)
+    line = (
+        f"atom orbits under delta: atoms {orb.atoms}, orbits {orb.orbits},"
+        f" cycles {orb.cycles}, chains {len(orb.chains)}"
+        + (f" (lengths {lengths})" if orb.chains else "")
+    )
+    entry = {
+        "atoms": orb.atoms,
+        "orbits": orb.orbits,
+        "cycles": orb.cycles,
+        "chain_lengths": list(orb.chains),
+    }
+    return entry, line
+
+
 def _cmd_tower(args) -> int:
-    tol = _resolve_tol(args)
-    a = _load_operator(args)
-    rep = coefficient_algebra(a, tol=tol)
+    an = Analysis(_load_operator(args), _resolve_tol(args))
+    rep = coefficient_algebra(an)
     t = rep.tower
+    orbits, orbit_line = _orbits(an)
     families = (
         ("tower", t.checks), ("theorem", rep.theorems.checks), ("structure", rep.structure)
     )
@@ -225,6 +245,7 @@ def _cmd_tower(args) -> int:
         "star_limit_dimension": t.inf_a.dimension,
         "double_closure_dimension": t.inf_a_inf.dimension,
         "stabilization": dict(sorted(t.stabilization.items())),
+        "atom_orbits": orbits,
         "weak_hypotheses": t.hypotheses.weak_holds,
         "strong_hypotheses": t.hypotheses.strong_holds,
         "checks": rows,
@@ -237,6 +258,7 @@ def _cmd_tower(args) -> int:
         f"star limit dimension {t.inf_a.dimension}"
         f" (stabilizes at {t.stabilization.get('star')})",
         f"double closure dimension {t.inf_a_inf.dimension}",
+        orbit_line,
         f"hypotheses: weak={'yes' if t.hypotheses.weak_holds else 'no'}"
         f" strong={'yes' if t.hypotheses.strong_holds else 'no'}",
         *check_lines,
@@ -313,6 +335,7 @@ def _cmd_algebra_info(args) -> int:
     an = Analysis(_load_operator(args), _resolve_tol(args))
     algebra_b, graded_basis = build_calB(an)
     tower = an.tower
+    orbits, orbit_line = _orbits(an)
     bandwidth = max((g.bandwidth for g in graded_basis), default=0)
     payload = {
         "dim": int(an.matrix.shape[0]),
@@ -321,11 +344,13 @@ def _cmd_algebra_info(args) -> int:
         "full_algebra_dimension": algebra_b.dimension,
         "graded_bandwidth": bandwidth,
         "stabilization": dict(sorted(tower.stabilization.items())),
+        "atom_orbits": orbits,
     }
     text = (
         f"ambient dimension {payload['dim']}\n"
         f"seed algebra C*(1,|a|) dimension {payload['seed_dimension']}\n"
         f"coefficient algebra dimension {payload['coefficient_dimension']}\n"
+        f"{orbit_line}\n"
         f"full algebra C*(1,|a|,U) dimension {payload['full_algebra_dimension']}\n"
         f"graded bandwidth {payload['graded_bandwidth']}\n"
     )

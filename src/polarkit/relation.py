@@ -42,11 +42,9 @@ from .algebra import (
     _joint_eigenbases,
     _labels,
     _projection_basis,
-    algebras_equal,
     contains,
     is_function_of,
     generate,
-    linear_span,
     spectral_algebra,
 )
 from .errors import ModelNotGraded, PolarkitError, RelationViolated
@@ -59,7 +57,14 @@ from .isometry import (
     projection_chain_defect,
 )
 from .linalg import DEFAULT_TOL, as_matrix, dagger, operator_norm, polar_decompose
-from .tower import TheoremReport, TowerReport, build_tower, endo_pair, verify_tower_theorems
+from .tower import (
+    TheoremReport,
+    TowerReport,
+    _AtomFrame,
+    build_tower,
+    endo_pair,
+    verify_tower_theorems,
+)
 
 
 @dataclass(frozen=True)
@@ -305,26 +310,29 @@ class CoefficientAlgebraReport:
 
 
 def _sum_form_residual(
-    base: MatrixAlgebra, pair, direction: str, levels: list, tol: float
+    frame: _AtomFrame, base: MatrixAlgebra, direction: str, levels: list
 ) -> float:
     """Defect of tower levels from the plain span of layer images.
 
     ``levels[n]`` is the algebra expected to equal the span of the
     layers d^0(base) .. d^n(base); None entries only extend the layer
-    accumulation without a comparison.
+    accumulation without a comparison.  Layers, spans and levels are read
+    on the atoms of ``frame``; each comparison adds the ties of the span
+    and of the level.
     """
+    layers = frame.layers(frame.rotate(base.basis), direction, len(levels) - 1)
     worst = 0.0
-    layer = base.basis
-    acc = [layer]
     for n, alg in enumerate(levels):
-        if n > 0:
-            layer = np.stack([pair.apply(m, direction) for m in layer])
-            acc.append(layer)
         if alg is None:
             continue
-        span = linear_span(list(np.concatenate(acc, axis=0)), unital=True)
-        _, res = algebras_equal(span, alg, tol=tol)
-        worst = max(worst, res)
+        values = np.concatenate([v for v, _, _ in layers[: n + 1]])
+        ties = np.concatenate([e for _, e, _ in layers[: n + 1]])
+        span, span_ties = frame.span_basis(values, ties)
+        cls, eps = frame.classes(alg)
+        res = max(
+            frame.class_residual(span, cls), frame.span_residual(frame.class_basis(cls), span)
+        )
+        worst = max(worst, float(res + span_ties.max(initial=0.0) + eps))
     return worst
 
 
@@ -343,14 +351,11 @@ def coefficient_algebra(a, tol: float = DEFAULT_TOL) -> CoefficientAlgebraReport
     theorems = verify_tower_theorems(tower, pair, tol=tol)
 
     scale = 1.0 + operator_norm(an.matrix)
-    star_levels = _sum_form_residual(tower.a_inf, pair, "star", tower.n_a_inf_list, tol)
+    frame = _AtomFrame(tower.inf_a_inf, pair)
+    star_levels = _sum_form_residual(frame, tower.a_inf, "star", tower.n_a_inf_list)
     fwd_stab = tower.stabilization.get("forward_from_star_limit", 0)
     fwd_levels = _sum_form_residual(
-        tower.inf_a,
-        pair,
-        "forward",
-        [None] * fwd_stab + [tower.a_inf_of_inf_a],
-        tol,
+        frame, tower.inf_a, "forward", [None] * fwd_stab + [tower.a_inf_of_inf_a]
     )
     structure = {
         "sum_form_star_levels": (star_levels <= tol * scale, star_levels),

@@ -41,3 +41,12 @@ def zoo_specs():
     module = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(module)
     return module.ZOO + module.NEGATIVE
+
+
+@pytest.fixture(scope="session")
+def q_half_32():
+    """q_oscillator(32, 0.5, 1), whose |a| has eigenvalues about 9e-10
+    apart that the seed merges into one atom."""
+    from polarkit.relation import Analysis
+
+    return Analysis(pk.build(pk.q_oscillator(32, 0.5, 1.0)))

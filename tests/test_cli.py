@@ -8,6 +8,8 @@ import pytest
 import polarkit as pk
 from polarkit.cli import main
 
+from conftest import zoo_specs
+
 
 @pytest.fixture()
 def shift_file(tmp_path, shift4):
@@ -59,6 +61,34 @@ def test_tower_reports_dimensions(shift_file, capsys):
     assert main(["tower", "--in", shift_file]) == 0
     out = capsys.readouterr().out
     assert "double closure dimension 4" in out
+
+
+@pytest.mark.parametrize(
+    "spec", zoo_specs()[:5], ids=lambda spec: spec["kind"] + str(spec.get("dim", ""))
+)
+def test_tower_orbit_counts_cover_the_double_closure(spec, capsys):
+    assert main(["tower", "--model", json.dumps(spec), "--report", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    orbits = obj["atom_orbits"]
+    assert orbits["atoms"] == obj["double_closure_dimension"]
+    assert orbits["orbits"] == orbits["cycles"] + len(orbits["chain_lengths"])
+
+
+def test_orbit_counts_tell_chains_from_cycles(capsys):
+    # a shift is one chain; a normal operator's U is diagonal, so every
+    # atom is a cycle of length 1; a direct sum of two shifts is two chains
+    a = np.zeros((7, 7), dtype=complex)
+    a[:4, :4] = pk.build(pk.weighted_shift((1.0, np.sqrt(2.0), np.sqrt(3.0))))
+    a[4:, 4:] = pk.build(pk.weighted_shift((0.5, 2.5)))
+    normal = pk.build(pk.model_spec_from_json(zoo_specs()[4]))
+    want = {7: (0, (4, 3)), 3: (3, ())}
+    for m in (a, normal):
+        an = pk.relation.Analysis(m)
+        orb = pk.atom_orbits(an.tower.inf_a_inf, an.pair)
+        assert (orb.atoms, orb.cycles, orb.chains) == (m.shape[0], *want[m.shape[0]])
+    assert main(["tower", "--model", json.dumps(zoo_specs()[4])]) == 0
+    out = capsys.readouterr().out
+    assert "atom orbits under delta: atoms 3, orbits 3, cycles 3, chains 0\n" in out
 
 
 def test_norm_estimate_unit_shift(capsys):
@@ -116,11 +146,13 @@ def test_algebra_info_reads_the_tower_without_its_theorems(
         "ambient dimension 4\n"
         "seed algebra C*(1,|a|) dimension 4\n"
         "coefficient algebra dimension 4\n"
+        "atom orbits under delta: atoms 4, orbits 1, cycles 0, chains 1 (lengths 4)\n"
         "full algebra C*(1,|a|,U) dimension 16\n"
         "graded bandwidth 3\n"
     )
     assert main(["algebra-info", "--model", Q_MODEL, "--report", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {
+        "atom_orbits": {"atoms": 6, "chain_lengths": [6], "cycles": 0, "orbits": 1},
         "coefficient_dimension": 6,
         "dim": 6,
         "full_algebra_dimension": 36,

@@ -102,3 +102,20 @@ def test_stationary_tower_stabilizes_at_zero(shift_pair):
     t = pk.build_tower(pk.spectral_algebra(pd.pos), pair)
     assert t.stabilization["forward"] == 0
     assert t.stabilization["star"] == 0
+
+
+def test_non_commutative_seed_is_a_hypothesis_violation():
+    seed = pk.generate([[[0.0, 1.0], [0.0, 0.0]]])
+    pair = pk.endo_pair(np.eye(2))
+    for call in (pk.build_tower, pk.hypotheses_check):
+        with pytest.raises(pk.HypothesisViolated, match="seed algebra is not commutative"):
+            call(seed, pair)
+
+
+def test_q_oscillator_32_tower_theorems_and_graded_model(q_half_32):
+    # the span closure behind top_layer_ideal overflowed here, and the
+    # pairwise hypothesis commutators took most of graded_model_for
+    rep = pk.verify_tower_theorems(q_half_32.tower, q_half_32.pair)
+    assert rep.passed
+    model = pk.graded_model_for(pk.build(pk.q_oscillator(32, 0.5, 1.0)))
+    assert model.algebra.dimension == q_half_32.tower.inf_a_inf.dimension == 32

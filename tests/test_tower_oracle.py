@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import polarkit as pk
 import polarkit.algebra as algebra
+import polarkit.relation as relation
 import polarkit.tower as tower
 from polarkit.relation import Analysis
 from polarkit.tower import _apply_stack
@@ -147,17 +148,59 @@ def test_weighted_shift_towers_match_span_closure(weights, conjugate, seed):
 def test_build_tower_makes_no_span_closure(monkeypatch, shift4):
     calls = []
 
-    def counting(*args, _orig=algebra.generate, **kwargs):
-        calls.append(args)
-        return _orig(*args, **kwargs)
+    def counting(self, stack, _orig=algebra._SpanBuilder.absorb):
+        calls.append(stack)
+        return _orig(self, stack)
 
     coarse = pk.generate([np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)], unital=True)
-    monkeypatch.setattr(algebra, "generate", counting)
-    monkeypatch.setattr(tower, "generate", counting)
+    monkeypatch.setattr(algebra._SpanBuilder, "absorb", counting)
     seed, pair = analysis_parts(shift4)
     for a0 in (seed, coarse):
         pk.build_tower(a0, pair)
     assert calls == []
+
+
+def _no_span_closure(monkeypatch):
+    """Make every span closure raise, wherever it is imported."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("span closure called")
+
+    for module in (algebra, tower, relation):
+        for name in ("generate", "linear_span"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(algebra._SpanBuilder, "absorb", forbidden)
+
+
+@pytest.mark.parametrize("spec", zoo_specs(), ids=_id)
+def test_zoo_tower_and_coefficient_algebra_run_no_span_closure(monkeypatch, spec):
+    an = Analysis(pk.build(pk.model_spec_from_json(spec)))
+    _no_span_closure(monkeypatch)
+    pk.build_tower(an.seed, an.pair)
+    if an.certificate.holds:
+        assert pk.coefficient_algebra(an).passed
+
+
+def test_tower_checks_svd_counts(monkeypatch):
+    # counts of SVD'd matrices on q_oscillator(16, 0.5, 1): 5,083 in
+    # hypotheses_check and 16,271 in verify_tower_theorems with pairwise
+    # commutators and span closures
+    an = Analysis(pk.build(pk.q_oscillator(16, 0.5, 1.0)))
+    t = an.tower
+    count = [0]
+
+    def counting(a, *args, _orig=np.linalg.svd, **kwargs):
+        a = np.asarray(a)
+        count[0] += int(np.prod(a.shape[:-2]))
+        return _orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    pk.hypotheses_check(an.seed, an.pair)
+    assert count[0] <= 1500
+    count[0] = 0
+    assert pk.verify_tower_theorems(t, an.pair).passed
+    assert count[0] <= 1000
 
 
 def test_per_image_split_when_the_mix_merges_atoms():
