@@ -14,20 +14,17 @@ from .algebra import (
     bicommutant,
     commutant,
     contains,
-    generate,
     is_commutative,
     is_function_of,
     is_function_of_family,
     is_ideal_in,
     joint_eigenbasis,
-    linear_span,
     spectral_algebra,
 )
 from .errors import (
     BandwidthOverflow,
     CommutantViolation,
     ConfigError,
-    DimensionOverflow,
     DimensionTooSmall,
     HypothesisViolated,
     InvalidSpec,

@@ -4,8 +4,7 @@ commutative algebras stored by their atoms.
 At desk scale a C*-algebra of n x n matrices is just a linear subspace of
 M_n closed under products and adjoints, so norm closure never enters.  An
 algebra is stored as an orthonormal basis under the trace inner product
-<X, Y> = tr(X* Y); membership is projection defect.  ``generate`` builds
-an algebra by span closure.
+<X, Y> = tr(X* Y); membership is projection defect.
 
 A commutative *-algebra with 1 is C(X) for the finite set X of its minimal
 projections ("atoms"), so :class:`SpectralAlgebra` stores a unitary v and
@@ -19,10 +18,6 @@ step that splits atoms by a Hermitian matrix, and the towers of
 ``tower.py`` use it too.  ``is_function_of`` is the membership test for
 algebras of the form C*(1, h).  Eigenvalues of h are grouped by one rule,
 ``_eigenspaces``.
-
-Two routines exist because Krylov-style generation is badly conditioned
-when a generator has crowded eigenvalues: ``generate`` is the literal span
-closure, while the eigenspace routes are conditioned by the eigenvalue gaps.
 
 ``commutant`` and ``bicommutant`` (a Kronecker null space, O(n^5) memory)
 are the reference oracle only: a finite-dimensional *-algebra with 1 is
@@ -41,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CommutantViolation, DimensionOverflow, NotHermitian, NotSubalgebra
+from .errors import CommutantViolation, NotHermitian, NotSubalgebra
 from .linalg import (
     DEFAULT_TOL,
     _operator_norms,
@@ -52,9 +47,9 @@ from .linalg import (
     operator_norm,
 )
 
-# Residual below which a candidate direction is considered already in the
-# span.  Absolute, because candidates are products of Frobenius-normalized
-# basis elements and therefore have norm at most 1.
+# Size below which a direction of a spanning set counts as already in its
+# span: a singular value of the set, relative to the largest one when that
+# exceeds 1.
 DROP_THRESHOLD = 1e-10
 
 
@@ -155,114 +150,6 @@ def contains(algebra: MatrixAlgebra, m, tol: float = DEFAULT_TOL) -> tuple[bool,
     return res <= tol * (1.0 + operator_norm(mat)), res
 
 
-class _SpanBuilder:
-    """Incremental orthonormal span with modified Gram-Schmidt absorption."""
-
-    def __init__(self, n: int, maxdim: int):
-        self.n = n
-        self.maxdim = maxdim
-        self.rows: list[np.ndarray] = []
-
-    def _matrix(self) -> np.ndarray:
-        return np.array(self.rows) if self.rows else np.zeros((0, self.n * self.n), dtype=np.complex128)
-
-    def absorb(self, stack: np.ndarray) -> list[np.ndarray]:
-        """Add the directions of ``stack`` (m, n, n) not already in the span.
-
-        Returns the new orthonormal directions, reshaped to matrices.
-        Projection runs twice against the existing span (classical
-        re-orthogonalization), then candidates are folded in one at a time
-        so later candidates see the directions added by earlier ones.
-        """
-        if stack.size == 0:
-            return []
-        cands = stack.reshape(stack.shape[0], -1).astype(np.complex128)
-        orig = np.linalg.norm(cands, axis=1)
-        base = self._matrix()
-        for _ in range(2):
-            if base.shape[0]:
-                cands = cands - (cands @ base.conj().T) @ base
-        added: list[np.ndarray] = []
-        for i in range(cands.shape[0]):
-            v = cands[i]
-            for _ in range(2):
-                for row in added:
-                    v = v - np.vdot(row, v) * row
-            nv = float(np.linalg.norm(v))
-            if nv > DROP_THRESHOLD * max(1.0, float(orig[i])):
-                if len(self.rows) + len(added) + 1 > self.maxdim:
-                    raise DimensionOverflow(
-                        f"span closure exceeded maxdim={self.maxdim}; "
-                        "tol is probably too small for the conditioning of the generators"
-                    )
-                added.append(v / nv)
-        self.rows.extend(added)
-        return [row.reshape(self.n, self.n) for row in added]
-
-
-def generate(
-    generators,
-    unital: bool = True,
-    tol: float = DEFAULT_TOL,
-    maxdim: int | None = None,
-) -> MatrixAlgebra:
-    """Smallest *-closed span containing the generators (and 1 if unital).
-
-    Span closure: repeatedly absorb products of new directions with the
-    current basis (both orders) and adjoints of new directions, until
-    nothing new appears.  Terminates because the dimension is bounded by
-    n^2; raises :class:`DimensionOverflow` past ``maxdim`` (default n^2),
-    which can only happen through round-off.
-
-    Note: this is Krylov-style and will stall below the true dimension when
-    a generator has eigenvalue clusters tighter than the drop threshold
-    relative to its spread.  For C*(1, h) with h Hermitian, prefer
-    :func:`spectral_algebra` or the basis-free :func:`is_function_of`.
-    """
-    mats = [as_matrix(g) for g in generators]
-    if not mats:
-        raise ValueError("generate needs at least one generator")
-    n = mats[0].shape[0]
-    for g in mats:
-        if g.shape[0] != n:
-            raise ValueError("generators must share one ambient dimension")
-    if maxdim is None:
-        maxdim = n * n
-    if maxdim < n * n:
-        raise ValueError(f"maxdim={maxdim} is below the ambient bound {n * n}")
-
-    builder = _SpanBuilder(n, maxdim)
-    seed = ([np.eye(n, dtype=np.complex128)] if unital else []) + mats
-    frontier = builder.absorb(np.array(seed))
-    while frontier:
-        fresh: list[np.ndarray] = []
-        for x in frontier:
-            basis3 = np.array([row.reshape(n, n) for row in builder.rows])
-            fresh += builder.absorb(x[None, :, :] @ basis3)
-            fresh += builder.absorb(basis3 @ x[None, :, :])
-            fresh += builder.absorb(dagger(x)[None, :, :])
-        frontier = fresh
-    basis = np.array([row.reshape(n, n) for row in builder.rows])
-    return MatrixAlgebra(dim=n, basis=basis, unital=unital)
-
-
-def linear_span(mats, unital: bool = False) -> MatrixAlgebra:
-    """Orthonormal span of a matrix list with no product closure.
-
-    Needed for layer subspaces like the image of an algebra under a linear
-    map, which are spans but not algebras; projection and residual work the
-    same way.
-    """
-    ms = [as_matrix(m) for m in mats]
-    if not ms:
-        raise ValueError("linear_span needs at least one matrix")
-    n = ms[0].shape[0]
-    builder = _SpanBuilder(n, n * n)
-    builder.absorb(np.array(ms))
-    basis = np.array([row.reshape(n, n) for row in builder.rows])
-    return MatrixAlgebra(dim=n, basis=basis, unital=unital)
-
-
 def _eigenspaces(h, tol: float):
     """The one eigenvalue-grouping rule: ``(w, v, groups, scale)``, with
     eigenvalues of Hermitian h grouped at ``tol * scale``, scale 1 + |w_max|."""
@@ -301,8 +188,7 @@ def _atom_algebra(v: np.ndarray, groups) -> SpectralAlgebra:
 def spectral_algebra(h, tol: float = DEFAULT_TOL) -> SpectralAlgebra:
     """C*(1, h) for Hermitian h, built from eigenprojections.
 
-    Equivalent to ``generate([h], unital=True)`` in exact arithmetic but
-    conditioned by the eigenvalue gaps instead of a Vandermonde system:
+    Conditioned by the eigenvalue gaps instead of a Vandermonde system:
     eigenvalues closer than ``tol * (1 + ||h||)`` are merged into one
     atom.
     """

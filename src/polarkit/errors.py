@@ -14,14 +14,6 @@ class NotHermitian(PolarkitError):
     """A matrix expected to be Hermitian (within tolerance) is not."""
 
 
-class DimensionOverflow(PolarkitError):
-    """Span closure exceeded the configured dimension cap.
-
-    Usually a sign that the tolerance is too small for the conditioning of
-    the generators, so round-off keeps producing "new" directions.
-    """
-
-
 class HypothesisViolated(PolarkitError):
     """A stated precondition of a theorem-level check does not hold."""
 

@@ -15,8 +15,9 @@ no commutant is ever built.
 ``coefficient_algebra`` assembles the commutative algebra every graded
 coefficient lives in, by running the endomorphism tower over the seed
 C*(1, |a|), and checks the structure statements that come with it.
-``build_calB`` produces the full algebra generated by {1, |a|, U}
-together with a graded decomposition of a spanning set.
+``build_calB`` builds the full algebra generated by {1, |a|, U} from
+the graded atoms of the coefficient algebra, each basis element with its
+graded decomposition.
 
 Membership tests here go through eigenspace characterizations
 (functions of a matrix, or of a commuting family) rather than through
@@ -36,19 +37,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    DROP_THRESHOLD,
     MatrixAlgebra,
+    _atom_means,
     _atom_residual,
     _eigenspaces,
     _joint_eigenbases,
     _labels,
     _projection_basis,
-    contains,
     is_function_of,
-    generate,
     spectral_algebra,
 )
 from .errors import ModelNotGraded, PolarkitError, RelationViolated
-from .graded import GradedElement, GradedModel, realize, regrade
+from .graded import GradedElement, GradedModel, realize
 from .isometry import (
     ConditionCheck,
     _lattice_residuals,
@@ -56,14 +57,14 @@ from .isometry import (
     morphism_check,
     projection_chain_defect,
 )
-from .linalg import DEFAULT_TOL, as_matrix, dagger, operator_norm, polar_decompose
+from .linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger, operator_norm, polar_decompose
 from .tower import (
     TheoremReport,
     TowerReport,
     _AtomFrame,
+    _tower_theorems,
     build_tower,
     endo_pair,
-    verify_tower_theorems,
 )
 
 
@@ -309,18 +310,15 @@ class CoefficientAlgebraReport:
         )
 
 
-def _sum_form_residual(
-    frame: _AtomFrame, base: MatrixAlgebra, direction: str, levels: list
-) -> float:
+def _sum_form_residual(frame: _AtomFrame, layers: list, levels: list) -> float:
     """Defect of tower levels from the plain span of layer images.
 
-    ``levels[n]`` is the algebra expected to equal the span of the
-    layers d^0(base) .. d^n(base); None entries only extend the layer
-    accumulation without a comparison.  Layers, spans and levels are read
-    on the atoms of ``frame``; each comparison adds the ties of the span
-    and of the level.
+    ``layers`` are the coordinates on the atoms of ``frame`` of the
+    layers d^0(base), d^1(base), ..., and ``levels[n]`` is the algebra
+    expected to equal the span of the first n + 1 of them; None entries
+    are skipped.  Each comparison adds the ties of the span and of the
+    level.
     """
-    layers = frame.layers(frame.rotate(base.basis), direction, len(levels) - 1)
     worst = 0.0
     for n, alg in enumerate(levels):
         if alg is None:
@@ -348,14 +346,15 @@ def coefficient_algebra(a, tol: float = DEFAULT_TOL) -> CoefficientAlgebraReport
     tol = an.tol
     cert = _require_relation(an)
     tower, pair = an.tower, an.pair
-    theorems = verify_tower_theorems(tower, pair, tol=tol)
+    frame = _AtomFrame(tower.inf_a_inf, pair)
+    theorems, inf_star = _tower_theorems(tower, pair, frame, tol)
 
     scale = 1.0 + operator_norm(an.matrix)
-    frame = _AtomFrame(tower.inf_a_inf, pair)
-    star_levels = _sum_form_residual(frame, tower.a_inf, "star", tower.n_a_inf_list)
+    star_levels = _sum_form_residual(frame, inf_star, tower.n_a_inf_list)
     fwd_stab = tower.stabilization.get("forward_from_star_limit", 0)
+    fwd_layers = frame.layers(frame.rotate(tower.inf_a.basis), "forward", fwd_stab)
     fwd_levels = _sum_form_residual(
-        frame, tower.inf_a, "forward", [None] * fwd_stab + [tower.a_inf_of_inf_a]
+        frame, fwd_layers, [None] * fwd_stab + [tower.a_inf_of_inf_a]
     )
     structure = {
         "sum_form_star_levels": (star_levels <= tol * scale, star_levels),
@@ -379,35 +378,52 @@ def graded_model_for(a, tol: float = DEFAULT_TOL) -> GradedModel:
 
 
 def build_calB(a, tol: float = DEFAULT_TOL) -> tuple[MatrixAlgebra, list[GradedElement]]:
-    """The algebra generated by {1, |a|, U} with a graded spanning set.
+    """The algebra B generated by {1, |a|, U} with a graded basis.
 
-    Returns the algebra and one graded element per basis matrix, with
-    coefficients in the coefficient algebra and canonical supports; each
-    round trip realize(element) reproduces its basis matrix.  Band
-    extraction needs U to be a standard-basis shift; models whose U is
-    not banded are handled only in the commutative case (everything in
-    degree zero), and ModelNotGraded is raised otherwise.
+    B is spanned by the graded elements b_x, b_x U^k and U*^k b_x, with
+    b_x = P_x / sqrt(rank P_x) for the atoms x of the coefficient algebra
+    and 1 <= k < n with P_x under P_k = U^k U*^k.  These are orthonormal
+    under the trace inner product unless delta has a cycle on the atoms,
+    that is unless P_n is not 0; only then does one thin SVD pick an
+    orthonormal basis of their span.  Returns the algebra and one graded
+    element per basis matrix, with coefficients in the coefficient algebra
+    and canonical supports; ModelNotGraded is raised when a round trip
+    realize(element) misses its basis matrix.
     """
     an = _analysis(a, tol)
     tol = an.tol
     _require_relation(an)
-    model = an.model  # the tower before B, so its failure is the one reported
-    algebra_b = generate([*an.seed.basis, an.pd.u], unital=True, tol=tol)
+    model = an.model
+    alg, n = model.algebra, model.dim
+    # the atom values of P_1 .. P_n: 1 on the atoms under P_k, 0 elsewhere
+    projs = np.array([model.range_projection(k) for k in range(1, n + 1)])
+    under = _atom_means(alg._vh @ projs @ alg.v, alg._ranges).real > 0.5
+    b = alg.basis
+    degrees, atoms, mats = [np.zeros(len(b), dtype=int)], [np.arange(len(b))], [b]
+    for k in range(1, n):
+        xs = np.flatnonzero(under[k - 1])
+        degrees += [np.full(len(xs), k), np.full(len(xs), -k)]
+        atoms += [xs, xs]
+        mats += [b[xs] @ model.power(k), model._power_star(k) @ b[xs]]
+    degrees, atoms, span = np.concatenate(degrees), np.concatenate(atoms), np.concatenate(mats)
 
-    graded_basis = []
-    for m in algebra_b.basis:
-        if model.is_shift_banded:
-            g = regrade(model, m)
-        else:
-            member, res = contains(model.algebra, m, tol=tol)
-            if not member:
-                raise ModelNotGraded(
-                    "U is not a standard-basis shift and the element leaves "
-                    f"the coefficient algebra (residual {res:.3e})"
-                )
-            g = model.element({0: m})
-        back = operator_norm(realize(g) - m)
-        if back > tol * (1.0 + operator_norm(m)):
-            raise ModelNotGraded(f"graded round trip failed (residual {back:.3e})")
-        graded_basis.append(g)
-    return algebra_b, graded_basis
+    if under[n - 1].any():
+        left, s, vh = np.linalg.svd(span.reshape(len(span), -1), full_matrices=False)
+        keep = s > DROP_THRESHOLD * max(1.0, float(s[0]))
+        basis = vh[keep].reshape(-1, n, n)
+        coef = dagger(left[:, keep]) / s[keep][:, None]
+        graded = [
+            model.element(
+                {int(d): np.tensordot(row[degrees == d], b[atoms[degrees == d]], axes=1)
+                 for d in np.unique(degrees)}
+            )
+            for row in coef
+        ]
+    else:
+        basis = span
+        graded = [model.element({int(d): b[x]}) for d, x in zip(degrees, atoms)]
+    back = _operator_norms(np.array([realize(g) for g in graded]) - basis)
+    bad = np.flatnonzero(back > tol * (1.0 + _operator_norms(basis)))
+    if bad.size:
+        raise ModelNotGraded(f"graded round trip failed (residual {back[bad[0]]:.3e})")
+    return MatrixAlgebra(dim=n, basis=basis, unital=True), graded

@@ -656,6 +656,15 @@ def verify_tower_theorems(
     action on X, and each residual is a coordinate residual plus a bound
     from the ties of the elements it reads.
     """
+    return _tower_theorems(t, pair, _AtomFrame(t.inf_a_inf, pair), tol)[0]
+
+
+def _tower_theorems(
+    t: TowerReport, pair: EndoPair, frame: _AtomFrame, tol: float
+) -> tuple[TheoremReport, list]:
+    """:func:`verify_tower_theorems` on the atoms of ``frame``, with the
+    coordinates of the star layers of a_inf it reads, so that the sum-form
+    checks on the same frame need not recompute them."""
     scale = _isometry_scale(pair.u)
     checks: dict[str, tuple[bool, float]] = {}
 
@@ -664,7 +673,6 @@ def verify_tower_theorems(
         checks[name] = (residual <= tol * scale, residual)
 
     big = t.inf_a_inf
-    frame = _AtomFrame(big, pair)
     maps = {d: frame.atom_map(d) for d in ("forward", "star")}
 
     every_algebra = (
@@ -750,4 +758,4 @@ def verify_tower_theorems(
     minimal = _value_classes(np.concatenate([g for g, _ in gens]), tol)
     record("minimality", frame.class_residual(own, minimal) + max(e.max() for _, e in gens))
 
-    return TheoremReport(checks=checks, seed_layers_checked=seed_layers_checked)
+    return TheoremReport(checks=checks, seed_layers_checked=seed_layers_checked), inf_star

@@ -1,0 +1,116 @@
+"""Span closure: the reference way to build a matrix algebra.
+
+``generate`` is the literal Krylov-style construction of the smallest
+*-closed span containing some matrices, and ``linear_span`` their plain
+orthonormal span.  The package builds every algebra from atoms or graded
+atoms instead; these stay as the independent oracle the tests compare
+against.  They are badly conditioned when a generator has crowded
+eigenvalues, which is why no runtime path uses them.
+"""
+
+import numpy as np
+
+from polarkit.algebra import DROP_THRESHOLD, MatrixAlgebra
+from polarkit.linalg import as_matrix, dagger
+
+
+class DimensionOverflow(Exception):
+    """Span closure exceeded its dimension cap.
+
+    Usually a sign that the tolerance is too small for the conditioning of
+    the generators, so round-off keeps producing "new" directions.
+    """
+
+
+class _SpanBuilder:
+    """Incremental orthonormal span with modified Gram-Schmidt absorption."""
+
+    def __init__(self, n: int, maxdim: int):
+        self.n = n
+        self.maxdim = maxdim
+        self.rows: list[np.ndarray] = []
+
+    def _matrix(self) -> np.ndarray:
+        return np.array(self.rows) if self.rows else np.zeros((0, self.n * self.n), dtype=np.complex128)
+
+    def absorb(self, stack: np.ndarray) -> list[np.ndarray]:
+        """Add the directions of ``stack`` (m, n, n) not already in the span.
+
+        Returns the new orthonormal directions, reshaped to matrices.
+        Projection runs twice against the existing span (classical
+        re-orthogonalization), then candidates are folded in one at a time
+        so later candidates see the directions added by earlier ones.
+        """
+        if stack.size == 0:
+            return []
+        cands = stack.reshape(stack.shape[0], -1).astype(np.complex128)
+        orig = np.linalg.norm(cands, axis=1)
+        base = self._matrix()
+        for _ in range(2):
+            if base.shape[0]:
+                cands = cands - (cands @ base.conj().T) @ base
+        added: list[np.ndarray] = []
+        for i in range(cands.shape[0]):
+            v = cands[i]
+            for _ in range(2):
+                for row in added:
+                    v = v - np.vdot(row, v) * row
+            nv = float(np.linalg.norm(v))
+            if nv > DROP_THRESHOLD * max(1.0, float(orig[i])):
+                if len(self.rows) + len(added) + 1 > self.maxdim:
+                    raise DimensionOverflow(
+                        f"span closure exceeded maxdim={self.maxdim}; "
+                        "tol is probably too small for the conditioning of the generators"
+                    )
+                added.append(v / nv)
+        self.rows.extend(added)
+        return [row.reshape(self.n, self.n) for row in added]
+
+
+def generate(generators, unital: bool = True, maxdim: int | None = None) -> MatrixAlgebra:
+    """Smallest *-closed span containing the generators (and 1 if unital).
+
+    Span closure: repeatedly absorb products of new directions with the
+    current basis (both orders) and adjoints of new directions, until
+    nothing new appears.  Terminates because the dimension is bounded by
+    n^2; raises :class:`DimensionOverflow` past ``maxdim`` (default n^2),
+    which can only happen through round-off.
+    """
+    mats = [as_matrix(g) for g in generators]
+    if not mats:
+        raise ValueError("generate needs at least one generator")
+    n = mats[0].shape[0]
+    for g in mats:
+        if g.shape[0] != n:
+            raise ValueError("generators must share one ambient dimension")
+    if maxdim is None:
+        maxdim = n * n
+    if maxdim < n * n:
+        raise ValueError(f"maxdim={maxdim} is below the ambient bound {n * n}")
+
+    builder = _SpanBuilder(n, maxdim)
+    seed = ([np.eye(n, dtype=np.complex128)] if unital else []) + mats
+    frontier = builder.absorb(np.array(seed))
+    while frontier:
+        fresh: list[np.ndarray] = []
+        for x in frontier:
+            basis3 = np.array([row.reshape(n, n) for row in builder.rows])
+            fresh += builder.absorb(x[None, :, :] @ basis3)
+            fresh += builder.absorb(basis3 @ x[None, :, :])
+            fresh += builder.absorb(dagger(x)[None, :, :])
+        frontier = fresh
+    basis = np.array([row.reshape(n, n) for row in builder.rows])
+    return MatrixAlgebra(dim=n, basis=basis, unital=unital)
+
+
+def linear_span(mats, unital: bool = False) -> MatrixAlgebra:
+    """Orthonormal span of a matrix list with no product closure, for
+    layer subspaces like the image of an algebra under a linear map."""
+    ms = [as_matrix(m) for m in mats]
+    if not ms:
+        raise ValueError("linear_span needs at least one matrix")
+    n = ms[0].shape[0]
+    builder = _SpanBuilder(n, n * n)
+    builder.absorb(np.array(ms))
+    basis = np.array([row.reshape(n, n) for row in builder.rows])
+    return MatrixAlgebra(dim=n, basis=basis, unital=unital)

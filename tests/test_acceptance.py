@@ -14,6 +14,7 @@ import polarkit as pk
 from polarkit.words import GEN, GEN_STAR
 
 from conftest import random_matrix
+from span_closure import generate
 
 TOL = 1e-9
 
@@ -103,7 +104,7 @@ def test_criterion_04_tower_suite():
     a = pk.build(pk.weighted_shift((1.0, np.sqrt(2.0), np.sqrt(3.0))))
     pd = pk.polar_decompose(a, tol=TOL)
     pair = pk.endo_pair(pd.u, tol=TOL)
-    seed = pk.generate([np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)], unital=True)
+    seed = generate([np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)], unital=True)
     tower = pk.build_tower(seed, pair, tol=TOL)
     rep = pk.verify_tower_theorems(tower, pair, tol=TOL)
     elapsed = time.perf_counter() - t0

@@ -7,6 +7,7 @@ import polarkit as pk
 
 
 from conftest import random_matrix
+from span_closure import generate, linear_span
 
 
 def diag(*entries):
@@ -14,14 +15,14 @@ def diag(*entries):
 
 
 def test_generate_projection_gives_two_dims():
-    alg = pk.generate([diag(1, 1, 0, 0)], unital=True)
+    alg = generate([diag(1, 1, 0, 0)], unital=True)
     assert alg.dimension == 2
     ok, res = pk.contains(alg, diag(1, 1, 0, 0))
     assert ok and res <= 1e-12
 
 
 def test_generate_distinct_diagonal_gives_full_diagonal():
-    alg = pk.generate([diag(1, 2, 3)], unital=True)
+    alg = generate([diag(1, 2, 3)], unital=True)
     assert alg.dimension == 3
     for k in range(3):
         e = np.zeros((3, 3), dtype=complex)
@@ -33,12 +34,12 @@ def test_generate_distinct_diagonal_gives_full_diagonal():
 def test_generate_full_matrix_algebra(rng):
     a = random_matrix(rng, 3)
     b = random_matrix(rng, 3)
-    alg = pk.generate([a, b], unital=True)
+    alg = generate([a, b], unital=True)
     assert alg.dimension == 9
 
 
 def test_contains_rejects_outsider():
-    alg = pk.generate([diag(1, 1, 0)], unital=True)
+    alg = generate([diag(1, 1, 0)], unital=True)
     off = np.zeros((3, 3), dtype=complex)
     off[0, 2] = 1.0
     ok, res = pk.contains(alg, off)
@@ -47,7 +48,7 @@ def test_contains_rejects_outsider():
 
 def test_linear_span_is_not_closed_under_products():
     p = diag(1, 2, 0)
-    span = pk.linear_span([p, np.eye(3, dtype=complex)], unital=True)
+    span = linear_span([p, np.eye(3, dtype=complex)], unital=True)
     assert span.dimension == 2
     ok, _ = pk.contains(span, p @ p)
     assert not ok  # spans do not multiply; generate() does
@@ -56,27 +57,27 @@ def test_linear_span_is_not_closed_under_products():
 def test_spectral_algebra_matches_generate(shift4):
     pos = pk.polar_decompose(shift4).pos
     alg = pk.spectral_algebra(pos)
-    gen = pk.generate([pos], unital=True)
+    gen = generate([pos], unital=True)
     same, res = pk.algebras_equal(alg, gen)
     assert same and res <= 1e-9
     assert alg.dimension == 4  # eigenvalues 1, sqrt2, sqrt3, 0 all distinct
 
 
 def test_commutant_of_diagonal_is_diagonal():
-    alg = pk.generate([diag(1, 2, 3)], unital=True)
+    alg = generate([diag(1, 2, 3)], unital=True)
     com = pk.commutant(alg)
     assert com.dimension == 3
     assert pk.is_commutative(com)[0]
 
 
 def test_commutant_of_full_algebra_is_scalars(rng):
-    alg = pk.generate([random_matrix(rng, 3), random_matrix(rng, 3)], unital=True)
+    alg = generate([random_matrix(rng, 3), random_matrix(rng, 3)], unital=True)
     com = pk.commutant(alg)
     assert com.dimension == 1
 
 
 def test_bicommutant_of_projection_algebra():
-    alg = pk.generate([diag(1, 1, 0)], unital=True)
+    alg = generate([diag(1, 1, 0)], unital=True)
     bc = pk.bicommutant(alg)
     # blocks C·I_2 + C·I_1 -> the bicommutant recovers exactly the algebra
     same, _ = pk.algebras_equal(alg, bc)
@@ -136,7 +137,7 @@ def test_is_function_of_family():
 
 
 def test_algebra_project_is_idempotent(rng):
-    alg = pk.generate([diag(1, 2, 2)], unital=True)
+    alg = generate([diag(1, 2, 2)], unital=True)
     m = random_matrix(rng, 3)
     p1 = alg.project(m)
     assert np.allclose(alg.project(p1), p1, atol=1e-12)
@@ -144,22 +145,22 @@ def test_algebra_project_is_idempotent(rng):
 
 def test_ideal_detection():
     # the corner at the third slot is an ideal of the diagonal algebra
-    full = pk.generate([diag(1, 2, 3)], unital=True)
-    corner = pk.linear_span([diag(0, 0, 1)])
+    full = generate([diag(1, 2, 3)], unital=True)
+    corner = linear_span([diag(0, 0, 1)])
     ok, _ = pk.is_ideal_in(corner, full)
     assert ok
     # a span outside the algebra is rejected before the ideal test runs
     skew = np.zeros((3, 3), dtype=complex)
     skew[0, 1] = 1.0
     with pytest.raises(pk.NotSubalgebra):
-        pk.is_ideal_in(pk.linear_span([skew]), full)
+        pk.is_ideal_in(linear_span([skew]), full)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5))
 def test_bicommutant_contains_algebra(seed, n):
     rng = np.random.default_rng(seed)
-    alg = pk.generate([random_matrix(rng, n)], unital=True)
+    alg = generate([random_matrix(rng, n)], unital=True)
     bc = pk.bicommutant(alg)
     worst = 0.0
     for b in alg.basis:
@@ -190,7 +191,7 @@ def test_atom_algebra_agrees_with_its_span(rng):
 
 
 def test_span_residual_of_a_stack_is_the_largest_single_residual(rng):
-    alg = pk.generate([diag(1, 2, 2)], unital=True)
+    alg = generate([diag(1, 2, 2)], unital=True)
     stack = np.array([random_matrix(rng, 3) for _ in range(4)])
     singles = [np.linalg.svd(m - alg.project(m), compute_uv=False)[0] for m in stack]
     assert alg.residual(stack) == pytest.approx(max(singles), rel=1e-13)

@@ -140,7 +140,7 @@ def test_algebra_info_reads_the_tower_without_its_theorems(
     def unused(*args, **kwargs):
         raise AssertionError("algebra-info prints no tower theorem")
 
-    monkeypatch.setattr(relation, "verify_tower_theorems", unused)
+    monkeypatch.setattr(relation, "_tower_theorems", unused)
     assert main(["algebra-info", "--in", shift_file]) == 0
     assert capsys.readouterr().out == (
         "ambient dimension 4\n"
@@ -281,3 +281,34 @@ def test_console_script_entry_point(shift_file):
     )
     assert proc.returncode == 0
     assert "yes" in proc.stdout
+
+
+def test_algebra_info_on_q_oscillator_16(capsys):
+    model = '{"kind": "q_oscillator", "dim": 16, "q": 0.5, "h": 1.0}'
+    assert main(["algebra-info", "--model", model, "--report", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "atom_orbits": {"atoms": 16, "chain_lengths": [16], "cycles": 0, "orbits": 1},
+        "coefficient_dimension": 16,
+        "dim": 16,
+        "full_algebra_dimension": 256,
+        "graded_bandwidth": 15,
+        "seed_dimension": 16,
+        "stabilization": {
+            "forward": 0,
+            "forward_from_star_limit": 0,
+            "star": 0,
+            "star_from_forward_limit": 0,
+        },
+    }
+
+
+def test_algebra_info_on_a_conjugated_shift(shift_file, shift4, tmp_path, capsys):
+    rng = np.random.default_rng(7)
+    w, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    path = tmp_path / "shift4_conj.json"
+    pk.write_matrix(str(path), w @ shift4 @ w.conj().T)
+    assert main(["algebra-info", "--in", shift_file]) == 0
+    plain = capsys.readouterr().out
+    assert main(["algebra-info", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == plain
+    assert "full algebra C*(1,|a|,U) dimension 16\n" in plain

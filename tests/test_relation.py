@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 import polarkit as pk
 from polarkit.relation import Analysis
 
+from conftest import zoo_specs
+from span_closure import generate
+
 
 def test_verify_I1_shift_table(shift4):
     cert = pk.verify_I1(shift4)
@@ -185,3 +188,65 @@ def test_build_calB_coefficients_live_in_coefficient_algebra(shift4):
             _, res = pk.contains(rep.algebra, c)
             worst = max(worst, res)
     assert worst <= 1e-9
+
+
+CALB_TOL = 1e-9
+
+
+def _calB_operator(name):
+    """Operator and its unconjugated copy for the build_calB cases; the
+    Haar-conjugated ones take their unitary from rng seed 7."""
+    plain = {
+        "shift4": pk.weighted_shift((1.0, np.sqrt(2.0), np.sqrt(3.0))),
+        "osc8": pk.q_oscillator(8, 0.5, 1.0),
+        "zoo_normal": pk.model_spec_from_json(
+            next(s for s in zoo_specs() if s["kind"] == "normal")
+        ),
+        "normal6": pk.normal((1.0, 1j, -1.0, 2.0, 2j, 0.5)),
+    }[name.removesuffix("_conj")]
+    a = pk.build(plain)
+    if name.endswith("_conj"):
+        w = _haar_unitary(np.random.default_rng(7), a.shape[0])
+        return w @ a @ w.conj().T, pk.build(plain)
+    return a, a
+
+
+CALB_CASES = ("shift4", "osc8", "shift4_conj", "osc8_conj", "zoo_normal", "normal6")
+
+
+@pytest.mark.parametrize("name", CALB_CASES)
+def test_build_calB_from_graded_atoms(name):
+    a, plain = _calB_operator(name)
+    an = Analysis(a, CALB_TOL)
+    alg, graded = pk.build_calB(an)
+    basis = alg.basis
+    k, n = len(basis), a.shape[0]
+    flat = basis.reshape(k, -1)
+    assert np.abs(flat.conj() @ flat.T - np.eye(k)).max() <= 1e-12
+    assert alg.residual(np.array([np.eye(n), an.pd.pos, an.pd.u])) <= CALB_TOL
+    products = (basis[:, None] @ basis[None, :]).reshape(-1, n, n)
+    assert alg.residual(np.concatenate((products, basis.conj().transpose(0, 2, 1)))) <= CALB_TOL
+    model = an.model
+    assert len(graded) == k
+    for b, g in zip(basis, graded):
+        assert g.model is model
+        coeffs = np.array(list(g.coefficients.values()))
+        assert model.algebra.residual(coeffs) <= CALB_TOL
+        for d, c in g.coefficients.items():
+            p = model.range_projection(abs(d))
+            assert pk.operator_norm(np.array([p @ c - c, c @ p - c])) <= CALB_TOL
+        assert pk.operator_norm(pk.realize(g) - b) <= CALB_TOL
+    assert k == pk.build_calB(plain)[0].dimension
+    closure = generate([*an.seed.basis, an.pd.u], unital=True)
+    assert k == closure.dimension
+
+
+def test_build_calB_conjugated_sqrt_shift_matches_its_plain_copy():
+    # the span closure of {C*(1, |a|), U} overflows (DimensionOverflow) on
+    # this copy, so its dimension is compared with the plain copy's only
+    plain = pk.build(pk.weighted_shift(np.sqrt(np.arange(1.0, 12.0))))
+    rng = np.random.default_rng(7)
+    w, _ = np.linalg.qr(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+    alg, graded = pk.build_calB(w @ plain @ w.conj().T)
+    assert alg.dimension == pk.build_calB(plain)[0].dimension == 144
+    assert max(g.bandwidth for g in graded) == 11

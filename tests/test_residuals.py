@@ -25,6 +25,7 @@ from polarkit.linalg import dagger
 from polarkit.relation import Analysis
 
 from conftest import zoo_specs
+from span_closure import generate, linear_span
 
 JORDAN = {"kind": "jordan_block", "dim": 3}
 TOL = 1e-9
@@ -220,7 +221,7 @@ def ref_layers(pair, basis, direction, depth):
 
 
 def ref_layer_products(layers):
-    spans = [pk.linear_span(list(st)) for st in layers]
+    spans = [linear_span(list(st)) for st in layers]
     worst = 0.0
     for k in range(len(layers)):
         for l in range(k + 1):
@@ -230,7 +231,7 @@ def ref_layer_products(layers):
     return worst
 
 
-def ref_tower_theorems(t, pair, tol):
+def ref_tower_theorems(t, pair):
     """Residuals of every check verify_tower_theorems records, by name."""
     out = {}
     every = t.an_list + t.na_list + t.n_a_inf_list + [t.a_inf_of_inf_a, t.inf_a_inf]
@@ -246,13 +247,11 @@ def ref_tower_theorems(t, pair, tol):
         out[f"{direction}_layers_commute"] = worst
     inf_star = ref_layers(pair, t.a_inf.basis, "star", len(t.n_a_inf_list))
     out["layer_products"] = ref_layer_products(inf_star)
-    level = pk.generate(
-        list(t.a_inf.basis) + [m for st in inf_star for m in st], unital=True, tol=tol
-    )
-    out["top_layer_ideal"] = ref_is_ideal_in(pk.linear_span(list(inf_star[-1])), level)
+    level = generate(list(t.a_inf.basis) + [m for st in inf_star for m in st], unital=True)
+    out["top_layer_ideal"] = ref_is_ideal_in(linear_span(list(inf_star[-1])), level)
     if t.hypotheses.strong_holds:
         out["layer_products_seed"] = ref_layer_products(star_layers)
-        top_seed = pk.linear_span(list(star_layers[len(t.na_list) - 1]))
+        top_seed = linear_span(list(star_layers[len(t.na_list) - 1]))
         out["top_layer_ideal_seed"] = ref_is_ideal_in(top_seed, t.na_list[-1])
     seq = t.n_a_inf_list
     down = up = 0.0
@@ -292,7 +291,7 @@ def ref_tower_theorems(t, pair, tol):
             gens += list(back)
     for back in ref_layers(pair, t.a0.basis, "star", len(t.na_list))[1:]:
         gens += list(back)
-    minimal = pk.generate(gens, unital=True, tol=tol)
+    minimal = generate(gens, unital=True)
     out["minimality"] = ref_algebras_equal(minimal, t.inf_a_inf)
     return out
 
@@ -302,7 +301,7 @@ def ref_sum_form(base, pair, direction, levels):
     layers = ref_layers(pair, base.basis, direction, len(levels) - 1)
     for n, alg in enumerate(levels):
         if alg is not None:
-            span = pk.linear_span(list(np.concatenate(layers[: n + 1])))
+            span = linear_span(list(np.concatenate(layers[: n + 1])))
             worst = max(worst, ref_algebras_equal(span, alg))
     return worst
 
@@ -340,7 +339,7 @@ def assert_tower_matches_per_pair_loops(an):
     assert t.hypotheses.weak_holds == (max(weak) <= threshold)
     assert t.hypotheses.strong_holds == (max(strong) <= threshold)
     rep = pk.verify_tower_theorems(t, pair, tol=an.tol)
-    want = ref_tower_theorems(t, pair, an.tol)
+    want = ref_tower_theorems(t, pair)
     assert set(rep.checks) == set(want)
     assert_same_verdicts(rep.checks, want, threshold)
     if an.certificate.holds:
@@ -402,13 +401,13 @@ def test_tower_residuals_match_per_pair_loops(spec):
 
 def test_tower_residuals_without_strong_hypotheses(shift4):
     pair = pk.endo_pair(pk.polar_decompose(shift4).u)
-    seed = pk.generate([np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)], unital=True)
+    seed = generate([np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)], unital=True)
     t = pk.build_tower(seed, pair)
     assert not t.hypotheses.strong_holds
     ref = ref_hypotheses(seed, pair, pair.ambient_dim)
     assert all(abs(t.hypotheses.details[k] - res) <= GOLDEN for k, res in ref.items())
     rep = pk.verify_tower_theorems(t, pair)
-    want = ref_tower_theorems(t, pair, TOL)
+    want = ref_tower_theorems(t, pair)
     assert_same_verdicts(rep.checks, want, TOL * _isometry_scale(pair.u))
 
 
@@ -521,7 +520,7 @@ def test_tampered_tower_fails_every_check_the_oracle_fails(case, field, shift4, 
     t, pair = an.tower, an.pair
     threshold = TOL * _isometry_scale(pair.u)
     bad = dataclasses.replace(t, **{field: _merge_two_atoms(getattr(t, field), 0)})
-    oracle = {name for name, res in ref_tower_theorems(bad, pair, TOL).items() if res > threshold}
+    oracle = {name for name, res in ref_tower_theorems(bad, pair).items() if res > threshold}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rep = pk.verify_tower_theorems(bad, pair)

@@ -3,6 +3,8 @@ import pytest
 
 import polarkit as pk
 
+from span_closure import generate
+
 
 @pytest.fixture(scope="module")
 def shift_pair():
@@ -13,7 +15,7 @@ def shift_pair():
 
 def coarse_seed():
     p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-    return pk.generate([p], unital=True)
+    return generate([p], unital=True)
 
 
 def test_endo_pair_rejects_non_isometry(rng):
@@ -105,7 +107,7 @@ def test_stationary_tower_stabilizes_at_zero(shift_pair):
 
 
 def test_non_commutative_seed_is_a_hypothesis_violation():
-    seed = pk.generate([[[0.0, 1.0], [0.0, 0.0]]])
+    seed = generate([[[0.0, 1.0], [0.0, 0.0]]])
     pair = pk.endo_pair(np.eye(2))
     for call in (pk.build_tower, pk.hypotheses_check):
         with pytest.raises(pk.HypothesisViolated, match="seed algebra is not commutative"):

@@ -21,6 +21,7 @@ from polarkit.relation import Analysis
 from polarkit.tower import _apply_stack
 
 from conftest import zoo_specs
+from span_closure import generate
 
 TOL = 1e-9
 
@@ -32,7 +33,7 @@ def span_sequence(seed, pair, direction, tol=TOL):
     while equal_run < 2:
         assert len(algs) <= pair.ambient_dim**2 + 2, "span tower failed to stabilize"
         images = _apply_stack(pair, images, direction)
-        nxt = pk.generate(list(algs[-1].basis) + list(images), unital=True, tol=tol)
+        nxt = generate(list(algs[-1].basis) + list(images), unital=True)
         eq, _ = pk.algebras_equal(nxt, algs[-1], tol=tol)
         equal_run = equal_run + 1 if eq else 0
         algs.append(nxt)
@@ -104,7 +105,7 @@ def test_ladder_towers_match_span_closure(family, n):
 
 
 def test_coarse_seed_tower_matches_span_closure(shift4):
-    seed = pk.generate([np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)], unital=True)
+    seed = generate([np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)], unital=True)
     t = assert_matches_span_closure(seed, pk.endo_pair(pk.polar_decompose(shift4).u))
     assert t.a0 is seed
 
@@ -145,38 +146,16 @@ def test_weighted_shift_towers_match_span_closure(weights, conjugate, seed):
     assert_matches_span_closure(*analysis_parts(a))
 
 
-def test_build_tower_makes_no_span_closure(monkeypatch, shift4):
-    calls = []
-
-    def counting(self, stack, _orig=algebra._SpanBuilder.absorb):
-        calls.append(stack)
-        return _orig(self, stack)
-
-    coarse = pk.generate([np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)], unital=True)
-    monkeypatch.setattr(algebra._SpanBuilder, "absorb", counting)
-    seed, pair = analysis_parts(shift4)
-    for a0 in (seed, coarse):
-        pk.build_tower(a0, pair)
-    assert calls == []
-
-
-def _no_span_closure(monkeypatch):
-    """Make every span closure raise, wherever it is imported."""
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("span closure called")
-
-    for module in (algebra, tower, relation):
-        for name in ("generate", "linear_span"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
-    monkeypatch.setattr(algebra._SpanBuilder, "absorb", forbidden)
+def test_package_has_no_span_closure():
+    # every algebra of the package is built from atoms or graded atoms
+    for module in (pk, algebra, relation, tower):
+        for name in ("generate", "linear_span", "_SpanBuilder", "DimensionOverflow"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 @pytest.mark.parametrize("spec", zoo_specs(), ids=_id)
-def test_zoo_tower_and_coefficient_algebra_run_no_span_closure(monkeypatch, spec):
+def test_zoo_tower_and_coefficient_algebra_run_no_span_closure(spec):
     an = Analysis(pk.build(pk.model_spec_from_json(spec)))
-    _no_span_closure(monkeypatch)
     pk.build_tower(an.seed, an.pair)
     if an.certificate.holds:
         assert pk.coefficient_algebra(an).passed
