@@ -13,24 +13,37 @@ alpha U* = U* delta(alpha); those identities are exact precisely when the
 coefficients commute with the power projections of U, which is the model
 hypothesis the ring-homomorphism tests exercise.
 
+Products run on atom values.  A is C(X) for the atoms X of its
+:class:`SpectralAlgebra`, so a coefficient is a vector over X (its atom
+values, read from one stacked rotation V* beta V), delta and delta_* act
+on X as a partial injection and its inverse, and P_k is a 0/1 vector.
+Every term of a product is then a gather through a power of delta or
+delta_* and an elementwise product, and P_d a mask.  The model derives
+those maps once, from ``tower._AtomFrame.atom_map``, and checks that they
+are 0/1 maps tied to U within ``tol * (1 + ||U||^2)^2``; a coefficient
+algebra that is not stored by its atoms, or that delta or delta_* does not
+map into itself, is a :class:`ModelMismatch`.
+
 The degree-0 coefficient functional N_0 is the whole point: the norm of b
 is recovered from coefficients alone through
 
     ||b|| = lim_k || N_0[ (b b*)^{2k} ] ||^{1/4k}
 
 with the bracketing s_k <= ||b|| <= (4kn+1)^{1/4k} s_k for bandwidth n.
-``norm_estimate`` implements this with repeated graded squaring and
-pre-scaling; ``gauge_average_N0`` is the independent averaging oracle for
-N_0 on shift models.
+``norm_estimate`` implements this with repeated graded squaring on atom
+values and pre-scaling, reading ||N_0|| as the largest atom value;
+``gauge_average_N0`` is the independent averaging oracle for N_0 on shift
+models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import MatrixAlgebra
+from .algebra import MatrixAlgebra, SpectralAlgebra, _atom_means
 from .errors import (
     BandwidthOverflow,
     ModelMismatch,
@@ -47,7 +60,8 @@ from .linalg import (
     operator_norm,
     rough_norm,
 )
-from .tower import EndoPair, endo_pair
+from .isometry import _isometry_scale
+from .tower import EndoPair, _AtomFrame, endo_pair
 
 # Coefficients with norm at or below this (relative to the element's scale)
 # are dropped during multiplication; keeps nilpotent truncation exact
@@ -65,6 +79,80 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
+class _AtomGathers:
+    """delta and delta_* of a model as gathers over the atoms X of its
+    coefficient algebra.
+
+    Row k of ``index`` gathers delta^k (delta^k(alpha) = alpha[index[k]] *
+    mask[k]) and row ``depth + k`` gathers delta_*^k; ``mask[k]`` holds the
+    atom values of P_k = delta^k(1) and ``mask[depth + k]`` those of
+    Q_k = delta_*^k(1).  Rows are kept for k < depth, which starts at the
+    model dimension and grows only for an element of degree at least that.
+    """
+
+    def __init__(self, model: "GradedModel"):
+        alg = model.algebra
+        if not isinstance(alg, SpectralAlgebra):
+            raise ModelMismatch("the coefficient algebra is not stored by its atoms")
+        frame = _AtomFrame(alg, model.pair)
+        limit = model.tol * _isometry_scale(model.pair.u)
+        self.steps = []
+        for direction, name in (("forward", "delta"), ("star", "delta_*")):
+            t, ties, intertwining = frame.atom_map(direction)
+            ones = t.real > 0.5
+            defect = max(
+                float(np.abs(t - ones).max(initial=0.0)),
+                float((ones.sum(axis=1) - 1).max(initial=0)),
+                float(ties.max(initial=0.0)),
+                intertwining,
+            )
+            if not defect <= limit:
+                raise ModelMismatch(
+                    f"{name} does not map the coefficient algebra into itself "
+                    f"(invariance defect {defect:.3e})"
+                )
+            self.steps.append((ones.argmax(axis=1), ones.any(axis=1)))
+        self.v, self.vh, self.labels = alg.v, alg._vh, alg.labels
+        self.ranges = alg._ranges
+        self.dim = model.dim
+        self._extend(self.dim)
+
+    def _extend(self, depth: int):
+        rows = []
+        for step, under in self.steps:
+            index = [np.arange(under.size)]
+            mask = [np.ones(under.size, dtype=bool)]
+            for _ in range(1, depth):
+                index.append(index[-1][step])
+                mask.append(mask[-1][step] & under)
+            rows.append((index, mask))
+        self.depth = depth
+        self.index = np.array(rows[0][0] + rows[1][0])
+        self.mask = np.array(rows[0][1] + rows[1][1], dtype=float)
+
+    def tables(self, degree: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(index, mask, depth)`` with rows for every power up to ``degree``."""
+        if degree >= self.depth:
+            self._extend(degree + 1)
+        return self.index, self.mask, self.depth
+
+    def values(self, *gs: "GradedElement") -> list[tuple[np.ndarray, np.ndarray]]:
+        """(degrees, atom values) of each element, from one stacked
+        rotation V* beta V of all their coefficients."""
+        degrees = [np.fromiter(g.coefficients, dtype=int, count=len(g.coefficients)) for g in gs]
+        mats = np.array([c for g in gs for c in g.coefficients.values()], dtype=np.complex128)
+        flat = _atom_means(self.vh @ mats.reshape(-1, self.dim, self.dim) @ self.v, self.ranges)
+        cuts = np.cumsum([len(d) for d in degrees])[:-1]
+        return list(zip(degrees, np.split(flat, cuts)))
+
+    def lift(self, model: "GradedModel", element) -> "GradedElement":
+        """The graded element with the given (degrees, atom values), its
+        coefficients V diag(values) V* formed in one stacked product."""
+        degrees, values = element
+        mats = (self.v * values[:, None, self.labels]) @ self.vh
+        return GradedElement(model, {int(d): c for d, c in zip(degrees, mats)})
+
+
 class GradedModel:
     """A partial isometry with a coefficient algebra, plus power caches.
 
@@ -72,6 +160,8 @@ class GradedModel:
     (typically the double-closure coefficient algebra of a seed, or simply
     the diagonal algebra for shift models).  u^k, u*^k and P_k = u^k u*^k
     are each computed once per k; the cached u*^k and P_k are read-only.
+    The gathers of delta and delta_* on the atoms of the algebra, which
+    products run on, are derived and checked on the first product.
     """
 
     def __init__(self, u, algebra: MatrixAlgebra, tol: float = DEFAULT_TOL):
@@ -112,8 +202,9 @@ class GradedModel:
         """u^k m u*^k, the k-fold forward conjugation in one product."""
         return self.power(k) @ as_matrix(m) @ self._power_star(k)
 
-    def delta_star_k(self, m, k: int) -> np.ndarray:
-        return self._power_star(k) @ as_matrix(m) @ self.power(k)
+    @cached_property
+    def _gathers(self) -> _AtomGathers:
+        return _AtomGathers(self)
 
     @property
     def band_orientation(self) -> int | None:
@@ -246,6 +337,11 @@ def _check_support(g: GradedElement, tol: float, norms=None):
 def realize(g: GradedElement) -> np.ndarray:
     """Assemble the dense matrix Sum u*^|d| beta_d + beta_0 + beta_d u^d."""
     _check_support(g, g.model.tol)
+    return _assemble(g)
+
+
+def _assemble(g: GradedElement) -> np.ndarray:
+    """:func:`realize` without its support check."""
     out = np.zeros((g.model.dim, g.model.dim), dtype=np.complex128)
     for d, c in g.coefficients.items():
         if d == 0:
@@ -265,72 +361,77 @@ def graded_adjoint(g: GradedElement) -> GradedElement:
     )
 
 
-def _term_product(model: GradedModel, m: int, beta: np.ndarray, n: int, gamma: np.ndarray):
-    """Raw coefficient of (term at degree m) * (term at degree n), which
-    lands in degree m + n.
-
-    Derived by moving coefficients through powers of u with the
-    push-through identities and absorbing u^k u*^k into range projections;
-    each case is an identity of matrices once the coefficients commute
-    with the power projections.
-    """
-    if m >= 0 and n >= 0:
-        return beta @ model.delta_k(gamma, m)
-    if m <= 0 and n <= 0:
-        return model.delta_k(beta, -n) @ gamma
-    if m > 0 and n < 0:
-        r = -n
-        if m >= r:
-            return beta @ model.delta_k(model.range_projection(r) @ gamma, m - r)
-        return model.delta_k(beta @ model.range_projection(m), r - m) @ gamma
-    # m < 0 < n: exact in all cases by associativity alone
-    return model.delta_star_k(beta @ gamma, min(-m, n))
-
-
 def graded_mul(g1: GradedElement, g2: GradedElement) -> GradedElement:
-    """Product in graded form, degree by degree.
+    """Product in graded form, degree by degree, on atom values.
 
-    The result's degree-d coefficient is projected onto its canonical
-    support; degrees whose u-power vanishes (nilpotent truncation) and
-    coefficients that come out at round-off scale are dropped.
-    """
-    return _product(g1, g2)
-
-
-def _product(g1: GradedElement, g2: GradedElement, degree: int | None = None) -> GradedElement:
-    """graded_mul, or with ``degree`` only its degree-``degree`` coefficient.
-
-    The term at degrees (m, n) lands in degree m + n, so a term that would
-    be truncated or not asked for is skipped before it is formed; the rest
-    are formed, projected, summed and dropped in the same order as the full
-    product, which keeps every bit of the coefficients that remain.
+    The inputs are rotated into atom values with one stacked product, the
+    product runs on those (see :func:`_product`), and the result is lifted
+    back to dense coefficients with one more.  The result's degree-d
+    coefficient lies under P_|d|; degrees whose u-power vanishes
+    (nilpotent truncation) and coefficients that come out at round-off
+    scale are dropped.  :class:`ModelMismatch` is raised for elements of
+    different models, and for a model whose coefficient algebra delta or
+    delta_* does not map into itself.
     """
     if g1.model is not g2.model:
         raise ModelMismatch("graded elements belong to different models")
-    model = g1.model
-    factors = list(g1.coefficients.values())
-    if g2 is not g1:
-        factors += g2.coefficients.values()
-    scale = max(1.0, operator_norm(factors))
-    acc: dict[int, np.ndarray] = {}
-    for m, beta in g1.coefficients.items():
-        for n, gamma in g2.coefficients.items():
-            d = m + n
-            if abs(d) >= model.dim or (degree is not None and d != degree):
-                continue
-            raw = _term_product(model, m, beta, n, gamma)
-            if d != 0:
-                p = model.range_projection(abs(d))
-                raw = p @ raw @ p
-            if d in acc:
-                acc[d] = acc[d] + raw
-            else:
-                acc[d] = raw
-    norms = _operator_norms(list(acc.values()))
-    out = {
-        d: c for (d, c), nc in zip(acc.items(), norms) if nc > COEFF_DROP * scale * scale
-    }
-    return GradedElement(model, out)
+    gathers = g1.model._gathers
+    left, right = gathers.values(g1, g2)
+    return gathers.lift(g1.model, _product(gathers, left, right))
+
+
+def _product(gathers: _AtomGathers, left, right, degree: int | None = None):
+    """The graded product of two (degrees, atom values) pairs, or with
+    ``degree`` only its degree-``degree`` coefficient.
+
+    The term at degrees (m, n) lands in degree m + n; by the push-through
+    identities its atom values are
+
+        m, n >= 0          beta * delta^m(gamma)
+        m, n <= 0          delta^-n(beta) * gamma
+        m > 0 > n, m >= -n beta * delta^(m+n)(P_-n gamma)
+        m > 0 > n, m < -n  delta^(-n-m)(beta P_m) * gamma
+        m < 0 < n          delta_*^min(-m, n)(beta * gamma)
+
+    that is beta and gamma each gathered through one power of delta or
+    delta_*, times a mask, times the mask of P_|m+n|.  Terms that would
+    be truncated (|m + n| >= dim) or not asked for are never formed.  One
+    left degree is taken at a time, against all right degrees at once, so
+    no array exceeds (degrees, atoms).  Per degree, coefficients whose
+    largest value is at or below ``COEFF_DROP * scale**2`` are dropped,
+    with scale the largest factor value and at least 1.
+    """
+    ldeg, lval = left
+    rdeg, rval = right
+    dim = gathers.dim
+    top = max(int(np.abs(ldeg).max(initial=0)), int(np.abs(rdeg).max(initial=0)), dim - 1)
+    index, mask, depth = gathers.tables(top)
+    scale = max(1.0, float(np.abs(lval).max(initial=0.0)), float(np.abs(rval).max(initial=0.0)))
+    acc = np.zeros((2 * dim - 1, lval.shape[-1]), dtype=np.complex128)
+    for m, beta in zip(ldeg.tolist(), lval):
+        d = m + rdeg
+        keep = np.abs(d) < dim
+        if degree is not None:
+            keep &= d == degree
+        if not keep.any():
+            continue
+        n, gamma, d = rdeg[keep], rval[keep], d[keep]
+        if m >= 0:
+            # rows of index / mask: the power on beta, on gamma, and the mask
+            low = (n >= 0) | (-n <= m)
+            on_beta = np.where(low, 0, -n - m)
+            on_gamma = np.where(n >= 0, m, np.where(low, m + n, 0))
+            under = np.where(low, m, -n)
+        else:
+            back = depth + np.minimum(-m, n)
+            on_beta = under = np.where(n <= 0, -n, back)
+            on_gamma = np.where(n <= 0, 0, back)
+        rows = np.arange(len(n))[:, None]
+        terms = beta[index[on_beta]] * gamma[rows, index[on_gamma]]
+        acc[d + dim - 1] += terms * (mask[under] * mask[np.abs(d)])
+    peak = np.abs(acc).max(axis=1)
+    kept = np.flatnonzero(peak > COEFF_DROP * scale * scale)
+    return kept - (dim - 1), acc[kept]
 
 
 def extract_N(g: GradedElement, n: int) -> np.ndarray:
@@ -518,8 +619,11 @@ def norm_estimate(
     exponents are powers of two), and records s_k at k = 1, 2, 4, ... up
     to kmax.  The element is pre-scaled by a power-iteration norm guess so
     the squared coefficients stay O(1); the 1/4k-th root restores the
-    scale exactly.  Raises :class:`ZeroElement` for the zero element and
-    :class:`BandwidthOverflow` when 4 * kmax * bandwidth exceeds ``cap``.
+    scale exactly.  g's coefficients are read as atom values once, every
+    squaring runs on those, and ||N_0|| is the largest degree-0 value.
+    Raises :class:`ZeroElement` for the zero element,
+    :class:`BandwidthOverflow` when 4 * kmax * bandwidth exceeds ``cap``,
+    and :class:`ModelMismatch` as :func:`graded_mul` does.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
@@ -535,15 +639,17 @@ def norm_estimate(
     t = rough_norm(dense)
     if t <= 0.0:
         t = coeff_scale
-    h = g.scaled(1.0 / t)
-    c = graded_mul(h, graded_adjoint(h))
+    gathers = g.model._gathers
+    degrees, values = gathers.values(g)[0]
+    h = (degrees, values / t)
+    power = _product(gathers, h, (-degrees, h[1].conj()))
     estimates = []
     k = 1
-    power = c
     while True:
         # (h h*)^{2k}; the last square is read only at degree 0
-        power = _product(power, power, degree=0 if 2 * k > kmax else None)
-        s = t * operator_norm(extract_N(power, 0)) ** (1.0 / (4 * k))
+        power = _product(gathers, power, power, degree=0 if 2 * k > kmax else None)
+        center = power[1][power[0] == 0]
+        s = t * float(np.abs(center).max(initial=0.0)) ** (1.0 / (4 * k))
         estimates.append((k, float(s)))
         if 2 * k > kmax:
             break

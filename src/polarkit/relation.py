@@ -41,6 +41,7 @@ from .algebra import (
     MatrixAlgebra,
     _atom_means,
     _atom_residual,
+    _block_constant_defect,
     _eigenspaces,
     _joint_eigenbases,
     _labels,
@@ -48,8 +49,14 @@ from .algebra import (
     is_function_of,
     spectral_algebra,
 )
-from .errors import ModelNotGraded, PolarkitError, RelationViolated
-from .graded import GradedElement, GradedModel, realize
+from .errors import (
+    ModelMismatch,
+    ModelNotGraded,
+    PolarkitError,
+    RelationViolated,
+    SupportViolation,
+)
+from .graded import COEFF_DROP, GradedElement, GradedModel, _assemble
 from .isometry import (
     ConditionCheck,
     _lattice_residuals,
@@ -66,6 +73,12 @@ from .tower import (
     build_tower,
     endo_pair,
 )
+
+# Largest entry of G - I for the Gram matrix G of B's graded atoms that
+# still counts as round-off: Haar-conjugated shifts reach 1e-13 by n = 40,
+# while atoms that carry eigenvector error (conjugated oscillators, whose
+# level gaps are about 2^-n) reach 1.8e-11 at n = 16.
+_GRAM_ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -377,6 +390,109 @@ def graded_model_for(a, tol: float = DEFAULT_TOL) -> GradedModel:
     return _analysis(a, tol).model
 
 
+def _graded_atom_gram_defect(model: GradedModel, under: np.ndarray) -> float:
+    """Largest entry of G - I for the Gram matrix G of the graded atoms
+    b_x U^k (k >= 0) and U*^k b_x (k >= 1) with x under P_k, under the
+    trace inner product, without forming the n^2 x n^2 product.
+
+    In the atom basis v, b_x is E_x / sqrt(r_x) (the 0/1 diagonal of atom
+    x over its rank) and U is w = v* U v, so with W_k = w^k
+
+        <E_x W_k, E_y W_j>     = [x = y] sum_{i in x} (W_j W_k*)[i, i]
+        <W_k* E_x, W_j* E_y>   = [x = y] sum_{i in x} (W_k W_j*)[i, i]
+        <E_x W_k, W_j* E_y>    = conj(sum_{i in x, l in y} W_k[i, l] W_j[l, i])
+
+    (each over sqrt(r_x r_y)); the second family has the first's
+    magnitudes.  ``under[k - 1]`` flags the atoms under P_k.
+    """
+    alg, n = model.algebra, model.dim
+    starts, sizes = alg._ranges
+    w = alg._vh @ model.pair.u @ alg.v
+    powers = [np.eye(n, dtype=np.complex128)]
+    for _ in range(1, n):
+        powers.append(powers[-1] @ w)
+    powers = np.array(powers)
+    member = np.vstack([np.ones((1, sizes.size), dtype=bool), under[: n - 1]])
+    rows = powers.transpose(1, 0, 2)
+    same = np.add.reduceat(rows @ dagger(rows), starts, axis=0) / sizes[:, None, None]
+    same -= np.eye(n)
+    both = member.T[:, :, None] & member.T[:, None, :]
+    worst = float(np.abs(np.where(both, same, 0.0)).max(initial=0.0))
+    root = np.sqrt(sizes)
+    turned = powers[1:].transpose(0, 2, 1)
+    for k in range(n):
+        cross = np.add.reduceat(np.add.reduceat(powers[k] * turned, starts, axis=1), starts, axis=2)
+        cross /= root[None, :, None] * root[None, None, :]
+        both = member[k][None, :, None] & member[1:][:, None, :]
+        worst = max(worst, float(np.abs(np.where(both, cross, 0.0)).max(initial=0.0)))
+    return worst
+
+
+def _check_degree(model: GradedModel, d: int, stack: np.ndarray, norms: np.ndarray):
+    """Raise as ``model.element`` does for the first coefficient of degree
+    d in ``stack`` that is not in the coefficient algebra or leaks outside
+    P_|d|; ``norms`` are the coefficients' operator norms."""
+    alg = model.algebra
+    limit = model.tol * (1.0 + norms)
+    res = _operator_norms(_block_constant_defect(alg._vh @ stack @ alg.v, alg.labels)[0])
+    bad = np.flatnonzero(~(res <= limit))
+    if bad.size:
+        raise ModelMismatch(
+            f"degree-{d} coefficient is not in the coefficient algebra "
+            f"(residual {res[bad[0]]:.3e})"
+        )
+    if d:
+        p = model.range_projection(abs(d))
+        leak = np.maximum(_operator_norms(p @ stack - stack), _operator_norms(stack @ p - stack))
+        bad = np.flatnonzero(leak > limit)
+        if bad.size:
+            raise SupportViolation(
+                f"degree-{d} coefficient leaks outside its range projection "
+                f"(defect {leak[bad[0]]:.3e})"
+            )
+
+
+class _AtomCombinations:
+    """Coefficients of B's graded basis as combinations of the atoms b_x,
+    checked one degree at a time.
+
+    A combination c = sum_x a_x b_x of the atoms x of degree k has a
+    membership defect of at most sum_x |a_x| res_x, with res_x the atom's
+    own, and leaks outside P_k by at most ||(1 - P_k) E_k|| ||c||, where
+    E_k is the sum of those atoms' projections, since c = E_k c.  Its norm
+    is its largest atom value max_x |a_x| / sqrt(rank x).  Only a
+    combination these bounds do not clear is formed and checked on its
+    own (:func:`_check_degree`), so one stacked check per degree does.
+    """
+
+    def __init__(self, model: GradedModel):
+        alg = model.algebra
+        self.model = model
+        self.atoms = alg.basis
+        self.root = np.sqrt(alg._ranges[1])
+        self.res = _operator_norms(
+            _block_constant_defect(alg._vh @ self.atoms @ alg.v, alg.labels)[0]
+        )
+        everything = np.arange(len(self.atoms))
+        self.check(0, np.eye(everything.size), everything)
+
+    def check(self, d: int, weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Norms of the combinations ``weights`` (rows) of the atoms ``xs``
+        as coefficients of degree d, after checking them."""
+        mags = np.abs(weights)
+        norms = (mags / self.root[xs]).max(axis=1, initial=0.0)
+        bound = mags @ self.res[xs]
+        if d:
+            e = np.tensordot(self.root[xs], self.atoms[xs], axes=1)
+            p = self.model.range_projection(abs(d))
+            bound = bound + operator_norm(p @ e - e) * norms
+        rest = np.flatnonzero(bound > self.model.tol * (1.0 + norms))
+        if rest.size:
+            stack = np.tensordot(weights[rest], self.atoms[xs], axes=1)
+            _check_degree(self.model, d, stack, norms[rest])
+        return norms
+
+
 def build_calB(a, tol: float = DEFAULT_TOL) -> tuple[MatrixAlgebra, list[GradedElement]]:
     """The algebra B generated by {1, |a|, U} with a graded basis.
 
@@ -384,11 +500,13 @@ def build_calB(a, tol: float = DEFAULT_TOL) -> tuple[MatrixAlgebra, list[GradedE
     b_x = P_x / sqrt(rank P_x) for the atoms x of the coefficient algebra
     and 1 <= k < n with P_x under P_k = U^k U*^k.  These are orthonormal
     under the trace inner product unless delta has a cycle on the atoms,
-    that is unless P_n is not 0; only then does one thin SVD pick an
-    orthonormal basis of their span.  Returns the algebra and one graded
-    element per basis matrix, with coefficients in the coefficient algebra
-    and canonical supports; ModelNotGraded is raised when a round trip
-    realize(element) misses its basis matrix.
+    that is unless P_n is not 0, or the atoms carry more than round-off
+    error, which their Gram defect measures; only then does one thin SVD
+    pick an orthonormal basis of their span.  Returns the algebra and one
+    graded element per basis matrix, with coefficients in the coefficient
+    algebra and canonical supports, each degree checked as one stack;
+    ModelNotGraded is raised when a round trip realize(element) misses its
+    basis matrix.
     """
     an = _analysis(a, tol)
     tol = an.tol
@@ -407,23 +525,35 @@ def build_calB(a, tol: float = DEFAULT_TOL) -> tuple[MatrixAlgebra, list[GradedE
         mats += [b[xs] @ model.power(k), model._power_star(k) @ b[xs]]
     degrees, atoms, span = np.concatenate(degrees), np.concatenate(atoms), np.concatenate(mats)
 
-    if under[n - 1].any():
+    combos = _AtomCombinations(model)
+    if under[n - 1].any() or _graded_atom_gram_defect(model, under) > _GRAM_ROUNDOFF:
         left, s, vh = np.linalg.svd(span.reshape(len(span), -1), full_matrices=False)
         keep = s > DROP_THRESHOLD * max(1.0, float(s[0]))
         basis = vh[keep].reshape(-1, n, n)
         coef = dagger(left[:, keep]) / s[keep][:, None]
-        graded = [
-            model.element(
-                {int(d): np.tensordot(row[degrees == d], b[atoms[degrees == d]], axes=1)
-                 for d in np.unique(degrees)}
-            )
-            for row in coef
-        ]
+        parts: list[dict] = [{} for _ in coef]
+        for d in np.unique(degrees):
+            sel = degrees == d
+            norms = combos.check(int(d), coef[:, sel], atoms[sel])
+            rows = np.flatnonzero(norms > COEFF_DROP)
+            stack = np.tensordot(coef[rows][:, sel], b[atoms[sel]], axes=1)
+            for r, c in zip(rows, stack):
+                parts[r][int(d)] = c
+        graded = [GradedElement(model, part) for part in parts]
     else:
         basis = span
-        graded = [model.element({int(d): b[x]}) for d, x in zip(degrees, atoms)]
-    back = _operator_norms(np.array([realize(g) for g in graded]) - basis)
-    bad = np.flatnonzero(back > tol * (1.0 + _operator_norms(basis)))
+        for k in range(1, n):
+            # degree -k has the same atoms and the same bound
+            xs = np.flatnonzero(under[k - 1])
+            combos.check(k, np.eye(xs.size), xs)
+        graded = [GradedElement(model, {int(d): b[x]}) for d, x in zip(degrees, atoms)]
+    miss = np.array([_assemble(g) for g in graded])
+    miss -= basis
+    # a Frobenius norm at or under tol clears its matrix; the operator
+    # norms are taken only for the rest
+    rest = np.flatnonzero(np.linalg.norm(miss, axis=(1, 2)) > tol)
+    back = _operator_norms(miss[rest])
+    bad = np.flatnonzero(back > tol * (1.0 + _operator_norms(basis[rest])))
     if bad.size:
         raise ModelNotGraded(f"graded round trip failed (residual {back[bad[0]]:.3e})")
     return MatrixAlgebra(dim=n, basis=basis, unital=True), graded

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarkit as pk
-from polarkit.relation import Analysis
+from polarkit.algebra import _atom_means
+from polarkit.relation import _GRAM_ROUNDOFF, Analysis, _graded_atom_gram_defect
 
 from conftest import zoo_specs
 from span_closure import generate
@@ -250,3 +251,51 @@ def test_build_calB_conjugated_sqrt_shift_matches_its_plain_copy():
     alg, graded = pk.build_calB(w @ plain @ w.conj().T)
     assert alg.dimension == pk.build_calB(plain)[0].dimension == 144
     assert max(g.bandwidth for g in graded) == 11
+
+
+def _conjugated_oscillator(n):
+    """Q q_oscillator(n, 1/2, 1) Q* for Q from the QR of a complex Gaussian
+    of rng seed 7: the atoms of its double closure carry the eigenvector
+    error of |a|, whose level gaps are about 2^-n."""
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q @ pk.build(pk.q_oscillator(n, 0.5, 1.0)) @ q.conj().T
+
+
+def _span_gram_defect(model):
+    """Largest entry of G - I for the graded atoms, from their n^2 x n^2 Gram."""
+    alg, n = model.algebra, model.dim
+    projs = np.array([model.range_projection(k) for k in range(1, n)])
+    under = _atom_means(alg._vh @ projs @ alg.v, alg._ranges).real > 0.5
+    b = alg.basis
+    mats = [b]
+    for k in range(1, n):
+        xs = np.flatnonzero(under[k - 1])
+        mats += [b[xs] @ model.power(k), model._power_star(k) @ b[xs]]
+    flat = np.concatenate(mats).reshape(-1, n * n)
+    return np.abs(flat.conj() @ flat.T - np.eye(len(flat))).max(), under
+
+
+@pytest.mark.parametrize("name", ("shift4", "shift4_conj", "osc8_conj", "osc16_conj"))
+def test_graded_atom_gram_defect_matches_the_span_gram(name):
+    a = _conjugated_oscillator(16) if name == "osc16_conj" else _calB_operator(name)[0]
+    model = Analysis(a, CALB_TOL).model
+    want, under = _span_gram_defect(model)
+    got = _graded_atom_gram_defect(model, under)
+    assert abs(got - want) <= 1e-14 + 1e-3 * want
+    assert (got > _GRAM_ROUNDOFF) == (name == "osc16_conj")
+
+
+@pytest.mark.parametrize("n", (16, 20))
+def test_build_calB_keeps_a_conjugated_oscillator_basis_orthonormal(n):
+    # the graded atoms alone are 1.8e-11 (n = 16) and 6.2e-10 (n = 20) from
+    # orthonormal, so B's basis comes from the thin SVD of their span
+    an = Analysis(_conjugated_oscillator(n), CALB_TOL)
+    alg, graded = pk.build_calB(an)
+    assert alg.dimension == n * n
+    flat = alg.basis.reshape(n * n, -1)
+    assert np.abs(flat.conj() @ flat.T - np.eye(n * n)).max() <= 1e-12
+    assert alg.residual(an.pd.u) <= 1e-3 * CALB_TOL
+    assert max(g.bandwidth for g in graded) == n - 1
+    for b, g in zip(alg.basis[::37], graded[::37]):
+        assert pk.operator_norm(pk.realize(g) - b) <= CALB_TOL
