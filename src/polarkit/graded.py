@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import MatrixAlgebra, SpectralAlgebra, _atom_means
+from .algebra import MatrixAlgebra, SpectralAlgebra, _block_constant_defect
 from .errors import (
     BandwidthOverflow,
     ModelMismatch,
@@ -113,8 +113,7 @@ class _AtomGathers:
                 )
             self.steps.append((ones.argmax(axis=1), ones.any(axis=1)))
         self.v, self.vh, self.labels = alg.v, alg._vh, alg.labels
-        self.ranges = alg._ranges
-        self.dim = model.dim
+        self.dim, self.tol = model.dim, model.tol
         self._extend(self.dim)
 
     def _extend(self, depth: int):
@@ -138,10 +137,29 @@ class _AtomGathers:
 
     def values(self, *gs: "GradedElement") -> list[tuple[np.ndarray, np.ndarray]]:
         """(degrees, atom values) of each element, from one stacked
-        rotation V* beta V of all their coefficients."""
+        rotation V* beta V of all their coefficients.
+
+        A coefficient whose rotation is further than ``tol * (1 + ||beta||)``
+        from its atom values is not in the coefficient algebra, and is a
+        :class:`ModelMismatch` as in :meth:`GradedModel.element`.
+        """
         degrees = [np.fromiter(g.coefficients, dtype=int, count=len(g.coefficients)) for g in gs]
         mats = np.array([c for g in gs for c in g.coefficients.values()], dtype=np.complex128)
-        flat = _atom_means(self.vh @ mats.reshape(-1, self.dim, self.dim) @ self.v, self.ranges)
+        mats = mats.reshape(-1, self.dim, self.dim)
+        defect, flat = _block_constant_defect(self.vh @ mats @ self.v, self.labels)
+        # the largest atom value is at most ||beta||, so a Frobenius norm
+        # under tol * (1 + that value) clears a coefficient; the operator
+        # norms are taken only for the rest
+        frob = np.linalg.norm(defect, axis=(1, 2))
+        rest = np.flatnonzero(~(frob <= self.tol * (1.0 + np.abs(flat).max(axis=1, initial=0.0))))
+        res = _operator_norms(defect[rest])
+        bad = np.flatnonzero(~(res <= self.tol * (1.0 + _operator_norms(mats[rest]))))
+        if bad.size:
+            i = int(rest[bad[0]])
+            raise ModelMismatch(
+                f"degree-{np.concatenate(degrees)[i]} coefficient is not in the coefficient "
+                f"algebra (residual {res[bad[0]]:.3e})"
+            )
         cuts = np.cumsum([len(d) for d in degrees])[:-1]
         return list(zip(degrees, np.split(flat, cuts)))
 

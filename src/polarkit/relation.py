@@ -49,13 +49,7 @@ from .algebra import (
     is_function_of,
     spectral_algebra,
 )
-from .errors import (
-    ModelMismatch,
-    ModelNotGraded,
-    PolarkitError,
-    RelationViolated,
-    SupportViolation,
-)
+from .errors import ModelNotGraded, PolarkitError, RelationViolated
 from .graded import COEFF_DROP, GradedElement, GradedModel, _assemble
 from .isometry import (
     ConditionCheck,
@@ -428,69 +422,32 @@ def _graded_atom_gram_defect(model: GradedModel, under: np.ndarray) -> float:
     return worst
 
 
-def _check_degree(model: GradedModel, d: int, stack: np.ndarray, norms: np.ndarray):
-    """Raise as ``model.element`` does for the first coefficient of degree
-    d in ``stack`` that is not in the coefficient algebra or leaks outside
-    P_|d|; ``norms`` are the coefficients' operator norms."""
-    alg = model.algebra
-    limit = model.tol * (1.0 + norms)
-    res = _operator_norms(_block_constant_defect(alg._vh @ stack @ alg.v, alg.labels)[0])
-    bad = np.flatnonzero(~(res <= limit))
-    if bad.size:
-        raise ModelMismatch(
-            f"degree-{d} coefficient is not in the coefficient algebra "
-            f"(residual {res[bad[0]]:.3e})"
-        )
-    if d:
-        p = model.range_projection(abs(d))
-        leak = np.maximum(_operator_norms(p @ stack - stack), _operator_norms(stack @ p - stack))
-        bad = np.flatnonzero(leak > limit)
-        if bad.size:
-            raise SupportViolation(
-                f"degree-{d} coefficient leaks outside its range projection "
-                f"(defect {leak[bad[0]]:.3e})"
-            )
+def _combination_norms(
+    model: GradedModel, res: np.ndarray, d: int, weights: np.ndarray, xs: np.ndarray
+) -> np.ndarray:
+    """Norms of the combinations ``weights`` (rows) of the atoms b_x,
+    x in ``xs``, as coefficients of degree d, after checking them.
 
-
-class _AtomCombinations:
-    """Coefficients of B's graded basis as combinations of the atoms b_x,
-    checked one degree at a time.
-
-    A combination c = sum_x a_x b_x of the atoms x of degree k has a
-    membership defect of at most sum_x |a_x| res_x, with res_x the atom's
-    own, and leaks outside P_k by at most ||(1 - P_k) E_k|| ||c||, where
-    E_k is the sum of those atoms' projections, since c = E_k c.  Its norm
-    is its largest atom value max_x |a_x| / sqrt(rank x).  Only a
-    combination these bounds do not clear is formed and checked on its
-    own (:func:`_check_degree`), so one stacked check per degree does.
+    A combination c = sum_x a_x b_x has a membership defect of at most
+    sum_x |a_x| res_x, with ``res`` the atoms' own defects, and leaks
+    outside P_|d| by at most ||(1 - P_|d|) E|| ||c||, where E is the sum
+    of those atoms' projections, since c = E c.  Its norm is its largest
+    atom value max_x |a_x| / sqrt(rank x).  Only a combination these
+    bounds do not clear is formed and checked on its own by
+    ``model.element``.
     """
-
-    def __init__(self, model: GradedModel):
-        alg = model.algebra
-        self.model = model
-        self.atoms = alg.basis
-        self.root = np.sqrt(alg._ranges[1])
-        self.res = _operator_norms(
-            _block_constant_defect(alg._vh @ self.atoms @ alg.v, alg.labels)[0]
-        )
-        everything = np.arange(len(self.atoms))
-        self.check(0, np.eye(everything.size), everything)
-
-    def check(self, d: int, weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Norms of the combinations ``weights`` (rows) of the atoms ``xs``
-        as coefficients of degree d, after checking them."""
-        mags = np.abs(weights)
-        norms = (mags / self.root[xs]).max(axis=1, initial=0.0)
-        bound = mags @ self.res[xs]
-        if d:
-            e = np.tensordot(self.root[xs], self.atoms[xs], axes=1)
-            p = self.model.range_projection(abs(d))
-            bound = bound + operator_norm(p @ e - e) * norms
-        rest = np.flatnonzero(bound > self.model.tol * (1.0 + norms))
-        if rest.size:
-            stack = np.tensordot(weights[rest], self.atoms[xs], axes=1)
-            _check_degree(self.model, d, stack, norms[rest])
-        return norms
+    atoms = model.algebra.basis[xs]
+    root = np.sqrt(model.algebra._ranges[1][xs])
+    mags = np.abs(weights)
+    norms = (mags / root).max(axis=1, initial=0.0)
+    bound = mags @ res[xs]
+    if d:
+        e = np.tensordot(root, atoms, axes=1)
+        p = model.range_projection(abs(d))
+        bound = bound + operator_norm(p @ e - e) * norms
+    for r in np.flatnonzero(bound > model.tol * (1.0 + norms)):
+        model.element({d: np.tensordot(weights[r], atoms, axes=1)})
+    return norms
 
 
 def build_calB(a, tol: float = DEFAULT_TOL) -> tuple[MatrixAlgebra, list[GradedElement]]:
@@ -504,9 +461,9 @@ def build_calB(a, tol: float = DEFAULT_TOL) -> tuple[MatrixAlgebra, list[GradedE
     error, which their Gram defect measures; only then does one thin SVD
     pick an orthonormal basis of their span.  Returns the algebra and one
     graded element per basis matrix, with coefficients in the coefficient
-    algebra and canonical supports, each degree checked as one stack;
-    ModelNotGraded is raised when a round trip realize(element) misses its
-    basis matrix.
+    algebra and canonical supports, each degree checked at once by the
+    bounds of :func:`_combination_norms`; ModelNotGraded is raised when a
+    round trip realize(element) misses its basis matrix.
     """
     an = _analysis(a, tol)
     tol = an.tol
@@ -525,7 +482,9 @@ def build_calB(a, tol: float = DEFAULT_TOL) -> tuple[MatrixAlgebra, list[GradedE
         mats += [b[xs] @ model.power(k), model._power_star(k) @ b[xs]]
     degrees, atoms, span = np.concatenate(degrees), np.concatenate(atoms), np.concatenate(mats)
 
-    combos = _AtomCombinations(model)
+    # each atom's own membership defect, which bounds its combinations'
+    res = _operator_norms(_block_constant_defect(alg._vh @ b @ alg.v, alg.labels)[0])
+    _combination_norms(model, res, 0, np.eye(len(b)), np.arange(len(b)))
     if under[n - 1].any() or _graded_atom_gram_defect(model, under) > _GRAM_ROUNDOFF:
         left, s, vh = np.linalg.svd(span.reshape(len(span), -1), full_matrices=False)
         keep = s > DROP_THRESHOLD * max(1.0, float(s[0]))
@@ -534,7 +493,7 @@ def build_calB(a, tol: float = DEFAULT_TOL) -> tuple[MatrixAlgebra, list[GradedE
         parts: list[dict] = [{} for _ in coef]
         for d in np.unique(degrees):
             sel = degrees == d
-            norms = combos.check(int(d), coef[:, sel], atoms[sel])
+            norms = _combination_norms(model, res, int(d), coef[:, sel], atoms[sel])
             rows = np.flatnonzero(norms > COEFF_DROP)
             stack = np.tensordot(coef[rows][:, sel], b[atoms[sel]], axes=1)
             for r, c in zip(rows, stack):
@@ -545,7 +504,7 @@ def build_calB(a, tol: float = DEFAULT_TOL) -> tuple[MatrixAlgebra, list[GradedE
         for k in range(1, n):
             # degree -k has the same atoms and the same bound
             xs = np.flatnonzero(under[k - 1])
-            combos.check(k, np.eye(xs.size), xs)
+            _combination_norms(model, res, k, np.eye(xs.size), xs)
         graded = [GradedElement(model, {int(d): b[x]}) for d, x in zip(degrees, atoms)]
     miss = np.array([_assemble(g) for g in graded])
     miss -= basis

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 import polarkit as pk
 from polarkit.algebra import _atom_means
-from polarkit.relation import _GRAM_ROUNDOFF, Analysis, _graded_atom_gram_defect
+from polarkit.relation import (
+    _GRAM_ROUNDOFF,
+    Analysis,
+    _combination_norms,
+    _graded_atom_gram_defect,
+)
 
 from conftest import zoo_specs
 from span_closure import generate
@@ -299,3 +304,24 @@ def test_build_calB_keeps_a_conjugated_oscillator_basis_orthonormal(n):
     assert max(g.bandwidth for g in graded) == n - 1
     for b, g in zip(alg.basis[::37], graded[::37]):
         assert pk.operator_norm(pk.realize(g) - b) <= CALB_TOL
+
+
+def test_combinations_the_atom_bounds_do_not_clear_are_checked_by_element(shift4, monkeypatch):
+    model = Analysis(shift4).model
+    alg = model.algebra
+    checked = []
+    element = model.element
+    monkeypatch.setattr(model, "element", lambda c: checked.append(c) or element(c))
+    xs = np.arange(alg.dimension)
+    weights = np.eye(xs.size)
+    # exact atoms clear every combination of degree 0 by the bounds alone
+    norms = _combination_norms(model, np.zeros(xs.size), 0, weights, xs)
+    assert checked == [] and np.allclose(norms, 1.0)
+    # with each atom's defect taken as 1 none is cleared, and each passes element
+    assert np.array_equal(_combination_norms(model, np.ones(xs.size), 0, weights, xs), norms)
+    assert len(checked) == xs.size
+    # the atom on e_0 lies outside P_1: its leak bound is 1, and element names it
+    first = np.flatnonzero(np.abs(alg.basis[:, 0, 0]) > 0.5)
+    assert first.size == 1
+    with pytest.raises(pk.SupportViolation, match="^degree-1 coefficient leaks"):
+        _combination_norms(model, np.zeros(xs.size), 1, np.eye(1), first)
