@@ -52,7 +52,7 @@ from .serialize import (
     read_matrix,
 )
 from .tower import atom_orbits
-from .words import PhiMap, deg, normal_order, parse_word
+from .words import NormalForm, PhiMap, deg, normal_order, parse_word
 
 CONFIG_ERRORS = (ConfigError, ParseError, InvalidSpec, UnsupportedPhi, DimensionTooSmall)
 
@@ -317,14 +317,17 @@ def _cmd_norm_estimate(args) -> int:
 
 def _cmd_normal_order(args) -> int:
     if args.exact:
-        phi = PhiMap.affine(Fraction(args.q), Fraction(args.h))
+        phi = PhiMap.affine_exact(args.q, args.h)
     else:
-        phi = PhiMap.affine(float(args.q), float(args.h))
+        phi = PhiMap.affine(args.q, args.h)
     word = parse_word(args.word)
     nf = normal_order(word, phi)
+    if args.exact:
+        # p may hold plain ints (an untouched unit, the zeros of a shift by x)
+        nf = NormalForm(nf.l, nf.m, tuple(Fraction(c) for c in nf.p))
     payload = normal_form_to_json(nf)
     text = (
-        f"l={nf.l} m={nf.m} p={payload['p']}\n"
+        f"l={nf.l} m={nf.m} p=[{', '.join(str(c) for c in payload['p'])}]\n"
         f"deg {deg(word)} (normal form degree {nf.degree})\n"
     )
     _emit(args, payload, text)

@@ -63,7 +63,7 @@ class InvalidSpec(PolarkitError):
 
 
 class ParseError(PolarkitError):
-    """A JSON artifact or word literal could not be parsed."""
+    """A JSON artifact, word literal or relation coefficient could not be parsed."""
 
 
 class ConfigError(PolarkitError):

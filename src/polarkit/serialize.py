@@ -3,12 +3,14 @@
 A complex matrix travels as {"dim": N, "entries": [[re, im], ...]} with
 N*N entries in row-major order.  Doubles go through Python's shortest
 round-trip repr, so read(write(m)) reproduces every bit and identical
-inputs always produce identical bytes.
+inputs always produce identical bytes.  An exact (Fraction) coefficient
+of a normal form travels as its string, "52/27", and reads back exact.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import numpy as np
 
@@ -80,6 +82,8 @@ def write_matrix(path: str, m) -> None:
 
 
 def _coeff_to_json(c):
+    if isinstance(c, Fraction):
+        return str(c)
     z = complex(c)
     if z.imag == 0.0:
         return float(z.real)
@@ -108,6 +112,11 @@ def normal_form_from_json(obj) -> NormalForm:
             if len(c) != 2:
                 raise ParseError("complex coefficient must be a [re, im] pair")
             coeffs.append(complex(float(c[0]), float(c[1])))
+        elif isinstance(c, str):
+            try:
+                coeffs.append(Fraction(c))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"exact coefficient {c!r} is not a fraction") from exc
         else:
             coeffs.append(float(c))
     return NormalForm(l, m, tuple(coeffs))

@@ -3,13 +3,25 @@
 Words over the letters a and a* carry an integer degree (letter count,
 signed).  When the defining relation is the affine one
 
-    a a* = q a*a + h
+    a a* = ell(a*a),   ell(x) = q x + h,
 
 every word collapses to a normal form a^{*l} p(a*a) a^m with p a
-polynomial, by pushing a* to the left and a to the right through the
-substitution x -> q x + h.  The degree m - l of the normal form equals
-the degree of the original word, and products of normal forms stay in
-normal form with degrees adding exactly.
+polynomial.  The degree m - l of the normal form equals the degree of
+the original word, and products of normal forms stay in normal form
+with degrees adding exactly.
+
+Right-multiplying a^{*l} p a^m by one letter does one of two things to
+p: it composes p with ell or its inverse (p(x) a* = a* p(ell(x)), and
+a* p(x) a = x p(ell^{-1}(x)) when a pending a* cancels), or it multiplies
+p by one more linear factor ell^j(x) (a^m a* = ell^m(a*a) a^{m-1}).  So
+p is always a product of iterates ell^j(x) and of the input polynomials
+composed with such iterates.  The fold behind ``normal_order`` and
+``nf_mul`` records only those factors, with one shared index offset for
+the compositions, and expands p once at the end: one product of linear
+factors, read from a per-PhiMap table of iterates, and one composition
+per input polynomial.  An a cancels a pending a* only when q != 0; for
+q = 0 the inverse does not exist, mixed forms are left as is, and
+ell^j is the constant h for every j >= 1.
 
 Everything symbolic here is representation independent.  ``evaluate``
 maps a word or normal form into a concrete matrix model; for truncated
@@ -23,6 +35,7 @@ exact; floats give the usual double-precision arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -56,6 +69,23 @@ def deg(word) -> int:
     return sum(1 if w == GEN else -1 for w in word)
 
 
+def _coefficient(name: str, value, exact: bool):
+    """q or h of the affine relation, checked finite.
+
+    Exact coefficients become Fractions; otherwise a number keeps its
+    type and a string is read as a float (``"1/3"`` included).
+    """
+    try:
+        if exact:
+            return Fraction(str(value))
+        c = float(Fraction(value)) if isinstance(value, str) else value
+        if isinstance(c, (int, Fraction)) or math.isfinite(c):
+            return c
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise ParseError(f"relation coefficient {name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhiMap:
     """The conjugation action of a on polynomials in x = a*a.
@@ -70,15 +100,20 @@ class PhiMap:
     q: object = 0
     h: object = 0
     table: tuple = field(default=())
+    # Iterates of ell(x) = q x + h, filled on demand by _ell: index j of
+    # the first list holds ell^j, of the second ell^{-j}.
+    _powers: tuple = field(
+        init=False, repr=False, compare=False, default_factory=lambda: ([(1, 0)], [(1, 0)])
+    )
 
     @classmethod
     def affine(cls, q, h) -> "PhiMap":
-        return cls(kind="affine", q=q, h=h)
+        return cls(kind="affine", q=_coefficient("q", q, False), h=_coefficient("h", h, False))
 
     @classmethod
     def affine_exact(cls, q, h) -> "PhiMap":
         """Affine map with q, h coerced to Fraction for exact rewriting."""
-        return cls(kind="affine", q=Fraction(str(q)), h=Fraction(str(h)))
+        return cls(kind="affine", q=_coefficient("q", q, True), h=_coefficient("h", h, True))
 
     @classmethod
     def spectral(cls, table) -> "PhiMap":
@@ -90,6 +125,22 @@ class PhiMap:
                 "symbolic rewriting needs the affine relation; "
                 f"got kind {self.kind!r}"
             )
+
+    def _ell(self, j: int) -> tuple:
+        """Coefficients (q_j, h_j) of the iterate ell^j(x) = q_j x + h_j.
+
+        A negative j iterates the inverse (x - h) / q, so needs q != 0.
+        """
+        q, h = self.q, self.h
+        table = self._powers[0]
+        if j < 0:
+            j, table = -j, self._powers[1]
+            q = Fraction(1) / q if isinstance(q, (int, Fraction)) else 1.0 / q
+            h = -h * q
+        while len(table) <= j:
+            qj, hj = table[-1]
+            table.append((q * qj, q * hj + h))
+        return table[j]
 
 
 def _trim(p: tuple) -> tuple:
@@ -130,15 +181,6 @@ def poly_compose_affine(p: tuple, q, h) -> tuple:
     return _trim(acc)
 
 
-def _ell_power(phi: PhiMap, m: int):
-    """Coefficients (qm, hm) of the m-fold iterate x -> qm x + hm."""
-    qm, hm = 1, 0
-    for _ in range(m):
-        qm = phi.q * qm
-        hm = phi.q * hm + phi.h
-    return qm, hm
-
-
 @dataclass(frozen=True)
 class NormalForm:
     """The canonical shape a^{*l} p(a*a) a^m of a word.
@@ -171,39 +213,77 @@ class NormalForm:
 NF_ONE = NormalForm(0, 0, (1,))
 
 
-def _times_a(l: int, m: int, p: tuple, phi: PhiMap):
-    """Right-multiply a^{*l} p a^m by the letter a."""
-    m += 1
-    if l > 0 and m > 0 and phi.q != 0:
-        # a* p(x) a = x * p((x - h) / q) since p(x) a = a p(inverse(x)).
-        l -= 1
-        m -= 1
-        if isinstance(phi.q, (int, Fraction)):
-            inv_q = Fraction(1) / phi.q
-        else:
-            inv_q = 1.0 / phi.q
-        p = poly_mul((0, 1), poly_compose_affine(p, inv_q, -phi.h * inv_q))
-    return l, m, p
-
-
-def _times_astar(l: int, m: int, p: tuple, phi: PhiMap):
-    """Right-multiply a^{*l} p a^m by the letter a*."""
-    if m > 0:
-        # a^m a* = ell^m(x) a^{m-1} pushed back through p.
-        qm, hm = _ell_power(phi, m)
-        p = poly_mul(p, (hm, qm))
-        m -= 1
+def _mul_linear(p: list, h, q) -> None:
+    """p <- p * (h + q x), in place."""
+    if q == 0:
+        p[:] = [h * c for c in p]
+    elif h == 0:
+        p[:] = [0] + (p if q == 1 else [q * c for c in p])
     else:
-        # p(x) a* = a* p(q x + h).
-        l += 1
-        p = poly_compose_affine(p, phi.q, phi.h)
-    return l, m, p
+        p.append(q * p[-1])
+        for i in range(len(p) - 2, 0, -1):
+            p[i] = h * p[i] + q * p[i - 1]
+        p[0] = h * p[0]
 
 
-def _times_poly(l: int, m: int, p: tuple, s: tuple, phi: PhiMap):
-    """Right-multiply a^{*l} p a^m by s(x): s commutes through a^m."""
-    qm, hm = _ell_power(phi, m)
-    return l, m, poly_mul(p, poly_compose_affine(s, qm, hm))
+class _Fold:
+    """a^{*l} p(a*a) a^m with p kept as factors, expanded once by form().
+
+    p is the product of ell^{k+s}(x) over the keys k of ``factors``, each
+    with its multiplicity, times r(ell^{k+s}(x)) for each (r, k) in
+    ``pieces``.  Moving p through a* composes it with ell, which is s += 1;
+    moving it back through a composes with the inverse, s -= 1.  No step
+    touches a coefficient.
+    """
+
+    __slots__ = ("phi", "l", "m", "s", "factors", "pieces")
+
+    def __init__(self, phi: PhiMap, l: int = 0, m: int = 0, p: tuple = (1,)):
+        self.phi = phi
+        self.l, self.m, self.s = l, m, 0
+        self.factors: dict[int, int] = {}
+        self.pieces = [] if p == (1,) else [(p, 0)]
+
+    def _factor(self, j: int) -> None:
+        """Multiply p by ell^j(x)."""
+        k = j - self.s
+        self.factors[k] = self.factors.get(k, 0) + 1
+
+    def times_a(self) -> None:
+        if self.l > 0 and self.phi.q != 0:
+            # a* p(x) a = x p(ell^{-1}(x)): the pending a* and the a cancel.
+            self.l -= 1
+            self.s -= 1
+            self._factor(0)
+        else:
+            self.m += 1
+
+    def times_astar(self) -> None:
+        if self.m > 0:
+            # a^m a* = ell^m(x) a^{m-1}, the factor pushed back through p.
+            self._factor(self.m)
+            self.m -= 1
+        else:
+            # p(x) a* = a* p(ell(x)).
+            self.l += 1
+            self.s += 1
+
+    def times_poly(self, r: tuple) -> None:
+        # r(x) commutes leftward through a^m as r(ell^m(x)).
+        self.pieces.append((r, self.m - self.s))
+
+    def form(self) -> NormalForm:
+        ell, s = self.phi._ell, self.s
+        p = [1]
+        for k, mult in self.factors.items():
+            q, h = ell(k + s)
+            for _ in range(mult):
+                _mul_linear(p, h, q)
+        for r, k in self.pieces:
+            if k + s != 0 and len(r) > 1:
+                r = poly_compose_affine(r, *ell(k + s))
+            p = list(poly_mul(p, r))
+        return NormalForm(self.l, self.m, tuple(p))
 
 
 def normal_order(word, phi: PhiMap) -> NormalForm:
@@ -216,15 +296,15 @@ def normal_order(word, phi: PhiMap) -> NormalForm:
     phi.require_affine()
     if isinstance(word, str):
         word = parse_word(word)
-    l, m, p = 0, 0, (1,)
+    fold = _Fold(phi)
     for letter in word:
         if letter == GEN:
-            l, m, p = _times_a(l, m, p, phi)
+            fold.times_a()
         elif letter == GEN_STAR:
-            l, m, p = _times_astar(l, m, p, phi)
+            fold.times_astar()
         else:
             raise ParseError(f"unknown letter {letter!r}")
-    return NormalForm(l, m, p)
+    return fold.form()
 
 
 def nf_mul(n1: NormalForm, n2: NormalForm, phi: PhiMap) -> NormalForm:
@@ -232,16 +312,17 @@ def nf_mul(n1: NormalForm, n2: NormalForm, phi: PhiMap) -> NormalForm:
 
     Folds the second factor into the first letter by letter, so the
     degree identity degree(n1) + degree(n2) = degree(product) is exact
-    whatever the coefficient type.
+    whatever the coefficient type.  Each input polynomial is composed
+    once, when the product is expanded.
     """
     phi.require_affine()
-    l, m, p = n1.l, n1.m, n1.p
+    fold = _Fold(phi, n1.l, n1.m, n1.p)
     for _ in range(n2.l):
-        l, m, p = _times_astar(l, m, p, phi)
-    l, m, p = _times_poly(l, m, p, n2.p, phi)
+        fold.times_astar()
+    fold.times_poly(n2.p)
     for _ in range(n2.m):
-        l, m, p = _times_a(l, m, p, phi)
-    return NormalForm(l, m, p)
+        fold.times_a()
+    return fold.form()
 
 
 def _as_model_matrix(model) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,7 +119,40 @@ def test_normal_order_output(capsys):
 
 def test_normal_order_exact_fractions(capsys):
     assert main(["normal-order", "a a a*", "--q", "1/2", "--h", "1", "--exact"]) == 0
-    assert "[1.5, 0.25]" in capsys.readouterr().out
+    assert "p=[3/2, 1/4]" in capsys.readouterr().out
+
+
+def test_normal_order_exact_output_round_trips(capsys):
+    argv = ["normal-order", "a a a* a* a*", "--q", "1/3", "--h", "1", "--exact"]
+    assert main(argv) == 0
+    assert "l=1 m=0 p=[52/27, 17/81, 1/243]\n" in capsys.readouterr().out
+    assert main(argv + ["--report", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["p"] == ["52/27", "17/81", "1/243"]
+    back = pk.normal_form_from_json(obj)
+    assert back == pk.normal_order(pk.parse_word(argv[1]), pk.PhiMap.affine_exact("1/3", 1))
+    assert back.p == (Fraction(52, 27), Fraction(17, 81), Fraction(1, 243))
+
+
+def test_normal_order_float_output_unchanged(capsys):
+    # the bytes printed before exact coefficients were serialized as strings
+    assert main(["normal-order", "a* a a a*", "--q", "0.5", "--h", "1"]) == 0
+    assert capsys.readouterr().out == "l=0 m=0 p=[0.0, 1.0, 0.5]\ndeg 0 (normal form degree 0)\n"
+    assert main(["normal-order", "a a a*", "--q", "0.5", "--h", "1", "--report", "json"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "deg": 1,\n  "l": 0,\n  "m": 1,\n  "p": [\n    1.5,\n    0.25\n  ]\n}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "flags", [["--q", "abc"], ["--exact", "--q", "1/0"], ["--exact", "--q", "inf"], ["--q", "nan"]]
+)
+def test_normal_order_bad_relation_coefficient(flags, capsys):
+    assert main(["normal-order", "a a a*", "--h", "1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: relation coefficient q")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_normal_order_bad_word(capsys):

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,6 +76,21 @@ def test_normal_form_round_trip():
     back = pk.normal_form_from_json(obj)
     assert (back.l, back.m) == (nf.l, nf.m)
     assert np.allclose([complex(c) for c in back.p], [complex(c) for c in nf.p])
+
+
+def test_exact_normal_form_round_trip():
+    phi = pk.PhiMap.affine_exact("1/3", "1")
+    nf = pk.normal_order(pk.parse_word("a a a* a* a*"), phi)
+    obj = json.loads(json.dumps(pk.normal_form_to_json(nf)))
+    assert obj["p"] == ["52/27", "17/81", "1/243"]
+    back = pk.normal_form_from_json(obj)
+    assert back == nf
+    assert all(isinstance(c, Fraction) for c in back.p)
+
+
+def test_exact_coefficient_must_be_a_fraction():
+    with pytest.raises(pk.ParseError):
+        pk.normal_form_from_json({"l": 0, "m": 0, "p": ["1/0"]})
 
 
 def test_model_spec_round_trip():
