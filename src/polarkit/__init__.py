@@ -10,14 +10,11 @@ from .algebra import (
     FunctionCertificate,
     MatrixAlgebra,
     SpectralAlgebra,
-    algebras_equal,
     bicommutant,
     commutant,
-    contains,
     is_commutative,
     is_function_of,
     is_function_of_family,
-    is_ideal_in,
     joint_eigenbasis,
     spectral_algebra,
 )
@@ -31,7 +28,6 @@ from .errors import (
     ModelMismatch,
     ModelNotGraded,
     NotHermitian,
-    NotSubalgebra,
     ParseError,
     PolarkitError,
     RelationViolated,
@@ -45,18 +41,14 @@ from .graded import (
     NormEstimate,
     PropertyStarReport,
     SumNormReport,
-    TransportReport,
     check_property_star,
     extract_N,
-    gauge_average_N0,
     graded_adjoint,
     graded_mul,
     norm_estimate,
     random_element,
     realize,
-    regrade,
     sum_norm_inequalities,
-    transport_compare,
 )
 from .isometry import (
     CommutingProjectionReport,
@@ -65,11 +57,7 @@ from .isometry import (
     PartialIsometryReport,
     PowerIsometryReport,
     commuting_projection_properties,
-    final_projection,
-    initial_projection,
-    is_partial_isometry,
     morphism_check,
-    nilpotent_index,
     partial_isometry_report,
     power_isometry_check,
     power_projections,
@@ -86,16 +74,13 @@ from .linalg import (
 from .models import (
     KINDS,
     ModelSpec,
-    ModelValidation,
     build,
     custom,
-    hamiltonian,
     jordan_block,
     normal,
     phi_for,
     q_lambda,
     q_oscillator,
-    validate_model,
     weighted_shift,
 )
 from .relation import (
@@ -129,7 +114,6 @@ from .tower import (
     TowerReport,
     atom_orbits,
     build_tower,
-    delta_apply,
     endo_pair,
     hypotheses_check,
     verify_tower_theorems,
@@ -138,10 +122,8 @@ from .words import (
     NF_ONE,
     NormalForm,
     PhiMap,
-    b_graded_decompose,
     deg,
     evaluate,
-    evaluate_terms,
     interior_projection,
     nf_mul,
     normal_order,

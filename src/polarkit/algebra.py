@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CommutantViolation, NotHermitian, NotSubalgebra
+from .errors import CommutantViolation, NotHermitian
 from .linalg import (
     DEFAULT_TOL,
     _operator_norms,
@@ -76,20 +76,10 @@ class MatrixAlgebra:
     def _flat(self) -> np.ndarray:
         return self.basis.reshape(self.dimension, -1)
 
-    def project(self, m) -> np.ndarray:
-        """Trace-orthogonal projection of m onto the span."""
-        v = as_matrix(m).ravel()
-        if self.dimension == 0:
-            return np.zeros((self.dim, self.dim), dtype=np.complex128)
-        flat = self._flat()
-        coeffs = flat.conj() @ v
-        return (coeffs @ flat).reshape(self.dim, self.dim)
-
     def residual(self, m) -> float:
-        """Operator norm of m minus its projection onto the span; for a
-        (k, n, n) stack, the largest over the stack.  The whole stack is
-        projected with one product, which rounds differently from
-        :meth:`project` on each matrix."""
+        """Operator norm of m minus its trace-orthogonal projection onto
+        the span; for a (k, n, n) stack, the largest over the stack, with
+        the whole stack projected in one product."""
         ms = np.asarray(m, dtype=np.complex128).reshape(-1, self.dim * self.dim)
         if self.dimension:
             flat = self._flat()
@@ -128,26 +118,10 @@ class SpectralAlgebra(MatrixAlgebra):
         """The column ranges of v, one per atom."""
         return np.split(np.arange(self.dim), self._ranges[0][1:])
 
-    def project(self, m) -> np.ndarray:
-        """v diag(atom means of v* m v) v*: the trace-orthogonal projection."""
-        means = _atom_means(self._vh @ as_matrix(m) @ self.v, self._ranges)
-        return (self.v * means[self.labels]) @ self._vh
-
     def residual(self, m) -> float:
         """Block-constant defect of m in the atom basis; for a (k, n, n)
         stack, the largest over the stack."""
         return _atom_residual(self.v, self.labels, np.asarray(m, dtype=np.complex128))
-
-
-def contains(algebra: MatrixAlgebra, m, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Membership test: (member, residual).
-
-    ``residual`` is the operator norm of the projection defect and the
-    boolean is ``residual <= tol * (1 + ||m||)``.
-    """
-    mat = as_matrix(m)
-    res = algebra.residual(mat)
-    return res <= tol * (1.0 + operator_norm(mat)), res
 
 
 def _eigenspaces(h, tol: float):
@@ -238,25 +212,6 @@ def is_commutative(algebra: MatrixAlgebra, tol: float = DEFAULT_TOL) -> tuple[bo
     b = algebra.basis
     worst = max(
         (operator_norm(b[i] @ b[i + 1 :] - b[i + 1 :] @ b[i]) for i in range(algebra.dimension)),
-        default=0.0,
-    )
-    return worst <= tol, worst
-
-
-def is_ideal_in(j: MatrixAlgebra, a: MatrixAlgebra, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Check that span j absorbs multiplication by a on both sides.
-
-    Raises :class:`NotSubalgebra` when some basis element of j is not a
-    member of a.
-    """
-    if j.dim != a.dim:
-        raise ValueError("ambient dimensions differ")
-    for i, m in enumerate(j.basis):
-        member, res = contains(a, m, tol)
-        if not member:
-            raise NotSubalgebra(f"basis element {i} of the candidate ideal is outside the algebra (residual {res:.3e})")
-    worst = max(
-        (j.residual(np.concatenate((x @ a.basis, a.basis @ x))) for x in j.basis),
         default=0.0,
     )
     return worst <= tol, worst
@@ -413,9 +368,3 @@ def is_function_of_family(b, mats, tol: float = DEFAULT_TOL) -> FunctionCertific
     defect = _atom_residual(v, _labels(blocks), bm)
     scale_b = 1.0 + operator_norm(bm)
     return FunctionCertificate(exists=defect <= tol * scale_b, residual=defect)
-
-
-def algebras_equal(a: MatrixAlgebra, b: MatrixAlgebra, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Mutual containment of spans; residual is the worst projection defect."""
-    worst = max(b.residual(a.basis), a.residual(b.basis))
-    return worst <= tol, worst

@@ -8,13 +8,15 @@ canonical JSON form) and can additionally write the JSON to --out.
 Exit status: 0 when every reported check passed, 1 when a mathematical
 check failed, 2 for configuration or parse problems.  The default
 tolerance is 1e-9, overridable by the POLARKIT_TOL environment variable
-and per call by --tol.
+and per call by --tol; either must be positive and finite, and --kmax at
+least 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from fractions import Fraction
@@ -57,6 +59,14 @@ from .words import NormalForm, PhiMap, deg, normal_order, parse_word
 CONFIG_ERRORS = (ConfigError, ParseError, InvalidSpec, UnsupportedPhi, DimensionTooSmall)
 
 
+def _checked_tol(tol: float, source: str) -> float:
+    """tol, when it is positive and finite; a ConfigError naming its
+    source otherwise."""
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"{source} must be positive and finite, got {tol!r}")
+    return tol
+
+
 def _default_tol() -> float:
     raw = os.environ.get("POLARKIT_TOL")
     if raw is None:
@@ -65,9 +75,7 @@ def _default_tol() -> float:
         tol = float(raw)
     except ValueError as exc:
         raise ConfigError(f"POLARKIT_TOL is not a number: {raw!r}") from exc
-    if tol <= 0:
-        raise ConfigError(f"POLARKIT_TOL must be positive, got {raw!r}")
-    return tol
+    return _checked_tol(tol, "POLARKIT_TOL")
 
 
 def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
@@ -430,6 +438,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.tol is not None:
+            _checked_tol(args.tol, "--tol")
+        if args.kmax < 1:
+            raise ConfigError(f"--kmax must be at least 1, got {args.kmax}")
         return args.func(args)
     except CONFIG_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")

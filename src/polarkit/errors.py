@@ -22,10 +22,6 @@ class CommutantViolation(PolarkitError):
     """An operator required to commute with an algebra does not."""
 
 
-class NotSubalgebra(PolarkitError):
-    """The candidate ideal is not contained in the ambient algebra."""
-
-
 class RelationViolated(PolarkitError):
     """The defining relation aa* in C*(1, a*a) fails for the input."""
 

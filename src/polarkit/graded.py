@@ -22,7 +22,8 @@ delta_* and an elementwise product, and P_d a mask.  The model derives
 those maps once, from ``tower._AtomFrame.atom_map``, and checks that they
 are 0/1 maps tied to U within ``tol * (1 + ||U||^2)^2``; a coefficient
 algebra that is not stored by its atoms, or that delta or delta_* does not
-map into itself, is a :class:`ModelMismatch`.
+map into itself, is a :class:`ModelMismatch`.  Reading those atom values
+is also the one membership check of a coefficient.
 
 The degree-0 coefficient functional N_0 is the whole point: the norm of b
 is recovered from coefficients alone through
@@ -31,9 +32,7 @@ is recovered from coefficients alone through
 
 with the bracketing s_k <= ||b|| <= (4kn+1)^{1/4k} s_k for bandwidth n.
 ``norm_estimate`` implements this with repeated graded squaring on atom
-values and pre-scaling, reading ||N_0|| as the largest atom value;
-``gauge_average_N0`` is the independent averaging oracle for N_0 on shift
-models.
+values and pre-scaling, reading ||N_0|| as the largest atom value.
 """
 
 from __future__ import annotations
@@ -43,14 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import MatrixAlgebra, SpectralAlgebra, _block_constant_defect
-from .errors import (
-    BandwidthOverflow,
-    ModelMismatch,
-    ModelNotGraded,
-    SupportViolation,
-    ZeroElement,
-)
+from .algebra import SpectralAlgebra, _block_constant_defect
+from .errors import BandwidthOverflow, ModelMismatch, SupportViolation, ZeroElement
 from .linalg import (
     DEFAULT_TOL,
     _operator_norms,
@@ -91,10 +84,7 @@ class _AtomGathers:
     """
 
     def __init__(self, model: "GradedModel"):
-        alg = model.algebra
-        if not isinstance(alg, SpectralAlgebra):
-            raise ModelMismatch("the coefficient algebra is not stored by its atoms")
-        frame = _AtomFrame(alg, model.pair)
+        frame = _AtomFrame(model.algebra, model.pair)
         limit = model.tol * _isometry_scale(model.pair.u)
         self.steps = []
         for direction, name in (("forward", "delta"), ("star", "delta_*")):
@@ -112,8 +102,7 @@ class _AtomGathers:
                     f"(invariance defect {defect:.3e})"
                 )
             self.steps.append((ones.argmax(axis=1), ones.any(axis=1)))
-        self.v, self.vh, self.labels = alg.v, alg._vh, alg.labels
-        self.dim, self.tol = model.dim, model.tol
+        self.dim = model.dim
         self._extend(self.dim)
 
     def _extend(self, depth: int):
@@ -135,54 +124,22 @@ class _AtomGathers:
             self._extend(degree + 1)
         return self.index, self.mask, self.depth
 
-    def values(self, *gs: "GradedElement") -> list[tuple[np.ndarray, np.ndarray]]:
-        """(degrees, atom values) of each element, from one stacked
-        rotation V* beta V of all their coefficients.
-
-        A coefficient whose rotation is further than ``tol * (1 + ||beta||)``
-        from its atom values is not in the coefficient algebra, and is a
-        :class:`ModelMismatch` as in :meth:`GradedModel.element`.
-        """
-        degrees = [np.fromiter(g.coefficients, dtype=int, count=len(g.coefficients)) for g in gs]
-        mats = np.array([c for g in gs for c in g.coefficients.values()], dtype=np.complex128)
-        mats = mats.reshape(-1, self.dim, self.dim)
-        defect, flat = _block_constant_defect(self.vh @ mats @ self.v, self.labels)
-        # the largest atom value is at most ||beta||, so a Frobenius norm
-        # under tol * (1 + that value) clears a coefficient; the operator
-        # norms are taken only for the rest
-        frob = np.linalg.norm(defect, axis=(1, 2))
-        rest = np.flatnonzero(~(frob <= self.tol * (1.0 + np.abs(flat).max(axis=1, initial=0.0))))
-        res = _operator_norms(defect[rest])
-        bad = np.flatnonzero(~(res <= self.tol * (1.0 + _operator_norms(mats[rest]))))
-        if bad.size:
-            i = int(rest[bad[0]])
-            raise ModelMismatch(
-                f"degree-{np.concatenate(degrees)[i]} coefficient is not in the coefficient "
-                f"algebra (residual {res[bad[0]]:.3e})"
-            )
-        cuts = np.cumsum([len(d) for d in degrees])[:-1]
-        return list(zip(degrees, np.split(flat, cuts)))
-
-    def lift(self, model: "GradedModel", element) -> "GradedElement":
-        """The graded element with the given (degrees, atom values), its
-        coefficients V diag(values) V* formed in one stacked product."""
-        degrees, values = element
-        mats = (self.v * values[:, None, self.labels]) @ self.vh
-        return GradedElement(model, {int(d): c for d, c in zip(degrees, mats)})
-
 
 class GradedModel:
     """A partial isometry with a coefficient algebra, plus power caches.
 
-    ``algebra`` is the commutative algebra the coefficients live in
-    (typically the double-closure coefficient algebra of a seed, or simply
-    the diagonal algebra for shift models).  u^k, u*^k and P_k = u^k u*^k
+    ``algebra`` is the commutative algebra the coefficients live in,
+    stored by its atoms (typically the double-closure coefficient algebra
+    of a seed, or simply the diagonal algebra for shift models); any other
+    algebra is a :class:`ModelMismatch`.  u^k, u*^k and P_k = u^k u*^k
     are each computed once per k; the cached u*^k and P_k are read-only.
     The gathers of delta and delta_* on the atoms of the algebra, which
     products run on, are derived and checked on the first product.
     """
 
-    def __init__(self, u, algebra: MatrixAlgebra, tol: float = DEFAULT_TOL):
+    def __init__(self, u, algebra: SpectralAlgebra, tol: float = DEFAULT_TOL):
+        if not isinstance(algebra, SpectralAlgebra):
+            raise ModelMismatch("the coefficient algebra is not stored by its atoms")
         self.pair: EndoPair = u if isinstance(u, EndoPair) else endo_pair(u, tol=tol)
         if algebra.dim != self.pair.ambient_dim:
             raise ModelMismatch("coefficient algebra dimension does not match u")
@@ -212,39 +169,9 @@ class GradedModel:
             self._proj[k] = _frozen(self.power(k) @ self._power_star(k))
         return self._proj[k]
 
-    def initial_projection(self, k: int) -> np.ndarray:
-        """Q_k = u*^k u^k."""
-        return self._power_star(k) @ self.power(k)
-
-    def delta_k(self, m, k: int) -> np.ndarray:
-        """u^k m u*^k, the k-fold forward conjugation in one product."""
-        return self.power(k) @ as_matrix(m) @ self._power_star(k)
-
     @cached_property
     def _gathers(self) -> _AtomGathers:
         return _AtomGathers(self)
-
-    @property
-    def band_orientation(self) -> int | None:
-        """+1 when u lives on the first subdiagonal (then a degree-d term
-        occupies the band row - col = d), -1 when u lives on the first
-        superdiagonal (degree d occupies row - col = -d), None otherwise."""
-        u = self.pair.u
-        idx = np.arange(self.dim - 1)
-        for sign in (1, -1):
-            mask = np.ones_like(u, dtype=bool)
-            if sign > 0:
-                mask[idx + 1, idx] = False
-            else:
-                mask[idx, idx + 1] = False
-            if np.max(np.abs(u[mask]), initial=0.0) <= self.tol:
-                return sign
-        return None
-
-    @property
-    def is_shift_banded(self) -> bool:
-        """True when u is a standard-basis shift in either orientation."""
-        return self.band_orientation is not None
 
     def element(self, coefficients: dict, enforce_support: bool = False) -> "GradedElement":
         """Build a graded element, validating the invariants.
@@ -276,31 +203,56 @@ class GradedModel:
             mats.append(cm)
         norms = _operator_norms(mats)
         keep = np.flatnonzero(~(norms <= COEFF_DROP))
-        kept = [mats[i] for i in keep]
-        norms = norms[keep]
-        res = _operator_norms([cm - self.algebra.project(cm) for cm in kept])
-        bad = np.flatnonzero(~(res <= self.tol * (1.0 + norms)))
-        if bad.size:
-            i = int(bad[0])
-            raise ModelMismatch(
-                f"degree-{degrees[keep[i]]} coefficient is not in the coefficient algebra "
-                f"(residual {res[i]:.3e})"
-            )
+        stack = np.array(mats, dtype=np.complex128).reshape(-1, self.dim, self.dim)
+        self._atom_values(stack[keep], np.array(degrees)[keep], norms[keep])
         if unreadable is not None:
             raise unreadable
-        g = GradedElement(self, {degrees[i]: cm for i, cm in zip(keep, kept)})
-        _check_support(g, self.tol, norms)
+        g = GradedElement(self, {degrees[i]: mats[i] for i in keep})
+        _check_support(g, self.tol, norms[keep])
         return g
 
-    def element_from_right_coefficients(self, coefficients: dict) -> "GradedElement":
-        """Convert the alternate orientation (coefficients right of u^d for
-        d > 0, left of u*^d for d < 0) into the canonical one via the
-        push-through identities: beta_d = delta^{|d|}(alpha_d)."""
-        conv = {}
-        for d, c in coefficients.items():
-            k = abs(int(d))
-            conv[int(d)] = self.delta_k(c, k) if k else as_matrix(c)
-        return self.element(conv, enforce_support=True)
+    def _atom_values(self, mats: np.ndarray, degrees: np.ndarray, norms=None) -> np.ndarray:
+        """Atom values (k, atoms) of a (k, n, n) stack of coefficients, read
+        from one stacked rotation V* beta V.
+
+        A coefficient whose rotation is further than ``tol * (1 + ||beta||)``
+        from its atom values is not in the coefficient algebra, and is a
+        :class:`ModelMismatch` naming its entry of ``degrees``.  ``norms``,
+        when given, are the ||beta||.
+        """
+        alg = self.algebra
+        defect, values = _block_constant_defect(alg._vh @ mats @ alg.v, alg.labels)
+        # the largest atom value is at most ||beta||, so a Frobenius norm
+        # under tol * (1 + that value) clears a coefficient; the operator
+        # norms are taken only for the rest
+        frob = np.linalg.norm(defect, axis=(1, 2))
+        rest = np.flatnonzero(~(frob <= self.tol * (1.0 + np.abs(values).max(axis=1, initial=0.0))))
+        res = _operator_norms(defect[rest])
+        scale = _operator_norms(mats[rest]) if norms is None else norms[rest]
+        bad = np.flatnonzero(~(res <= self.tol * (1.0 + scale)))
+        if bad.size:
+            raise ModelMismatch(
+                f"degree-{degrees[rest[bad[0]]]} coefficient is not in the coefficient "
+                f"algebra (residual {res[bad[0]]:.3e})"
+            )
+        return values
+
+    def _values(self, *gs: "GradedElement") -> list[tuple[np.ndarray, np.ndarray]]:
+        """(degrees, atom values) of each element, from one stacked
+        rotation of all their coefficients."""
+        degrees = [np.fromiter(g.coefficients, dtype=int, count=len(g.coefficients)) for g in gs]
+        mats = np.array([c for g in gs for c in g.coefficients.values()], dtype=np.complex128)
+        flat = self._atom_values(mats.reshape(-1, self.dim, self.dim), np.concatenate(degrees))
+        cuts = np.cumsum([len(d) for d in degrees])[:-1]
+        return list(zip(degrees, np.split(flat, cuts)))
+
+    def _lift(self, element) -> "GradedElement":
+        """The graded element with the given (degrees, atom values), its
+        coefficients V diag(values) V* formed in one stacked product."""
+        degrees, values = element
+        alg = self.algebra
+        mats = (alg.v * values[:, None, alg.labels]) @ alg._vh
+        return GradedElement(self, {int(d): c for d, c in zip(degrees, mats)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,9 +345,10 @@ def graded_mul(g1: GradedElement, g2: GradedElement) -> GradedElement:
     """
     if g1.model is not g2.model:
         raise ModelMismatch("graded elements belong to different models")
-    gathers = g1.model._gathers
-    left, right = gathers.values(g1, g2)
-    return gathers.lift(g1.model, _product(gathers, left, right))
+    model = g1.model
+    gathers = model._gathers
+    left, right = model._values(g1, g2)
+    return model._lift(_product(gathers, left, right))
 
 
 def _product(gathers: _AtomGathers, left, right, degree: int | None = None):
@@ -455,59 +408,6 @@ def _product(gathers: _AtomGathers, left, right, degree: int | None = None):
 def extract_N(g: GradedElement, n: int) -> np.ndarray:
     """The coefficient functional N_n: return beta_n (zero if absent)."""
     return g.coefficient(n)
-
-
-def regrade(model: GradedModel, m) -> GradedElement:
-    """Decompose a dense matrix into graded form by band extraction.
-
-    Only valid for shift-banded models, where the degree-d part occupies
-    one diagonal band (which one depends on the shift orientation);
-    raises :class:`ModelNotGraded` otherwise.  The round trip
-    realize(regrade(m)) = m holds exactly when m lies in the graded
-    algebra of the model.
-    """
-    sign = model.band_orientation
-    if sign is None:
-        raise ModelNotGraded("u is not a standard-basis shift; bands are undefined")
-    mm = as_matrix(m)
-    n = model.dim
-    rows, cols = np.indices((n, n))
-    coeffs = {}
-    for b in range(-(n - 1), n):
-        band = np.where(rows - cols == b, mm, 0.0)
-        d = sign * b
-        if d == 0:
-            c = band
-        elif d > 0:
-            c = band @ dagger(model.power(d))
-        else:
-            c = model.power(-d) @ band
-        if operator_norm(c) > COEFF_DROP * (1.0 + operator_norm(mm)):
-            coeffs[d] = c
-    return GradedElement(model, coeffs)
-
-
-def gauge_average_N0(m, bandwidth: int, model: GradedModel) -> np.ndarray:
-    """Average V_j m V_j* over the diagonal phase unitaries
-    V_j = diag(w^(j n)), w = exp(2 pi i / M), M = 2 bandwidth + 2.
-
-    For band-limited m this kills every off-diagonal band exactly and
-    returns the degree-0 part; it never increases the operator norm, which
-    is the oracle property behind the coefficient bound.
-    """
-    if not model.is_shift_banded:
-        raise ModelNotGraded("gauge averaging needs a standard-basis shift model")
-    mm = as_matrix(m)
-    n = model.dim
-    big_m = 2 * bandwidth + 2
-    omega = np.exp(2j * np.pi / big_m)
-    acc = np.zeros_like(mm)
-    idx = np.arange(n)
-    for j in range(big_m):
-        phases = omega ** (j * idx)
-        v = np.diag(phases)
-        acc += v @ mm @ dagger(v)
-    return acc / big_m
 
 
 @dataclass(frozen=True)
@@ -658,7 +558,7 @@ def norm_estimate(
     if t <= 0.0:
         t = coeff_scale
     gathers = g.model._gathers
-    degrees, values = gathers.values(g)[0]
+    degrees, values = g.model._values(g)[0]
     h = (degrees, values / t)
     power = _product(gathers, h, (-degrees, h[1].conj()))
     estimates = []
@@ -679,64 +579,3 @@ def norm_estimate(
         prescale=float(t),
     )
 
-
-@dataclass(frozen=True)
-class TransportReport:
-    final_a: float
-    final_b: float
-    final_gap: float
-    dense_a: float
-    dense_b: float
-    dense_gap: float
-    passed: bool
-
-
-def transport_compare(
-    g: GradedElement,
-    model_a: GradedModel,
-    model_b: GradedModel,
-    perm,
-    kmax: int = 64,
-    final_tol: float = 1e-6,
-    dense_tol: float = 1e-9,
-) -> TransportReport:
-    """Unitary-transport consistency between a model and a relabeled copy.
-
-    ``perm`` maps basis index i of model_a to perm[i] of model_b; model_b's
-    isometry must equal the conjugated one (:class:`ModelMismatch`
-    otherwise).  The graded element is transported coefficientwise and the
-    norm estimates and dense norms of the two realizations are compared.
-    """
-    if g.model is not model_a:
-        raise ModelMismatch("graded element does not belong to model_a")
-    n = model_a.dim
-    if model_b.dim != n or len(perm) != n:
-        raise ModelMismatch("permutation or model dimensions do not match")
-    w = np.zeros((n, n), dtype=np.complex128)
-    for i, target in enumerate(perm):
-        w[int(target), i] = 1.0
-    conj = w @ model_a.pair.u @ dagger(w)
-    mismatch = operator_norm(conj - model_b.pair.u)
-    if mismatch > model_a.tol * (1.0 + operator_norm(model_a.pair.u)):
-        raise ModelMismatch(
-            f"model_b is not the permutation-conjugated copy (gap {mismatch:.3e})"
-        )
-    g2 = model_b.element(
-        {d: w @ c @ dagger(w) for d, c in g.coefficients.items()},
-        enforce_support=True,
-    )
-    est_a = norm_estimate(g, kmax=kmax)
-    est_b = norm_estimate(g2, kmax=kmax)
-    dense_a = operator_norm(realize(g))
-    dense_b = operator_norm(realize(g2))
-    final_gap = abs(est_a.final - est_b.final)
-    dense_gap = abs(dense_a - dense_b)
-    return TransportReport(
-        final_a=est_a.final,
-        final_b=est_b.final,
-        final_gap=final_gap,
-        dense_a=dense_a,
-        dense_b=dense_b,
-        dense_gap=dense_gap,
-        passed=final_gap <= final_tol and dense_gap <= dense_tol,
-    )

@@ -93,24 +93,6 @@ def partial_isometry_report(u, tol: float = DEFAULT_TOL) -> PartialIsometryRepor
     )
 
 
-def is_partial_isometry(u, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Convenience wrapper: (all five conditions pass, worst residual)."""
-    rep = partial_isometry_report(u, tol=tol)
-    return rep.passed, rep.worst
-
-
-def initial_projection(u) -> np.ndarray:
-    """u*u, the projection onto the initial (co-kernel) space."""
-    um = as_matrix(u)
-    return dagger(um) @ um
-
-
-def final_projection(u) -> np.ndarray:
-    """uu*, the projection onto the range."""
-    um = as_matrix(u)
-    return um @ dagger(um)
-
-
 def _power_table(u, kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacks (powers, p, q) with powers[k] = u^k, p[k] = u^k u*^k and
     q[k] = u*^k u^k, k = 0..kmax."""
@@ -349,20 +331,3 @@ def morphism_check(v, algebra, tol: float = DEFAULT_TOL) -> MorphismReport:
         equivalence_flags=flags,
         equivalence_consistent=consistent,
     )
-
-
-def nilpotent_index(u, tol: float = DEFAULT_TOL) -> int | None:
-    """Smallest k with u^k = 0 (within tol), or None.
-
-    A nilpotent matrix on an n-dimensional space dies by k = n, so the
-    search stops there.
-    """
-    um = as_matrix(u)
-    n = um.shape[0]
-    nu = max(1.0, operator_norm(um))
-    m = np.eye(n, dtype=np.complex128)
-    for k in range(1, n + 1):
-        m = m @ um
-        if operator_norm(m) <= tol * nu**k:
-            return k
-    return None

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpec
-from .linalg import DEFAULT_TOL, as_matrix, dagger, hermitian_eig, operator_norm
+from .errors import InvalidSpec, UnsupportedPhi
+from .linalg import as_matrix, dagger
 from .words import PhiMap
 
 KINDS = ("weighted_shift", "q_oscillator", "normal", "jordan_block", "custom")
@@ -141,78 +141,5 @@ def phi_for(spec: ModelSpec) -> PhiMap:
     """The substitution map of the model's defining relation."""
     if spec.kind == "q_oscillator":
         return PhiMap.affine(spec.q, spec.h)
-    from .errors import UnsupportedPhi
-
     raise UnsupportedPhi(f"model kind {spec.kind!r} has no affine relation")
 
-
-def hamiltonian(spec: ModelSpec, d=()) -> tuple[np.ndarray, list[float]]:
-    """H = a + a* + d(a*a) for a real-coefficient polynomial d.
-
-    Returns the Hermitian matrix and its ascending spectrum.
-    """
-    a = build(spec)
-    coeffs = tuple(d)
-    if any(abs(complex(c).imag) > 0 for c in coeffs):
-        raise InvalidSpec("hamiltonian polynomial must have real coefficients")
-    n = a.shape[0]
-    h = a + dagger(a)
-    if coeffs:
-        x = dagger(a) @ a
-        acc = float(coeffs[-1]) * np.eye(n, dtype=np.complex128)
-        for c in reversed(coeffs[:-1]):
-            acc = acc @ x + float(c) * np.eye(n, dtype=np.complex128)
-        h = h + acc
-    defect = operator_norm(h - dagger(h))
-    if defect > 1e-12 * (1.0 + operator_norm(h)):
-        raise InvalidSpec(f"hamiltonian is not Hermitian (defect {defect:.3e})")
-    w, _ = hermitian_eig(h)
-    return h, [float(x) for x in w]
-
-
-@dataclass(frozen=True)
-class ModelValidation:
-    """validate_model output.
-
-    ``interior_residual`` and ``boundary_defect`` are only set for the
-    q_oscillator kind: the first is the worst entry of aa* - q a*a - h
-    away from the top index (must vanish), the second is the magnitude
-    of the top diagonal entry, the truncation artifact (reported, not
-    judged; it equals q lambda_{N-1} + h).
-    """
-
-    label: str
-    certificate: object
-    interior_residual: float | None = None
-    boundary_defect: float | None = None
-
-    @property
-    def passed(self) -> bool:
-        ok = bool(self.certificate.holds)
-        if self.interior_residual is not None:
-            ok = ok and self.interior_residual <= 1e-9
-        return ok
-
-
-def validate_model(spec: ModelSpec, tol: float = DEFAULT_TOL) -> ModelValidation:
-    """Run the defining-relation check, plus the affine check for q models."""
-    from .relation import verify_I1
-
-    a = build(spec)
-    cert = verify_I1(a, tol=tol)
-    interior = None
-    boundary = None
-    if spec.kind == "q_oscillator":
-        n = spec.dim
-        r = a @ dagger(a) - spec.q * (dagger(a) @ a) - spec.h * np.eye(n)
-        boundary = float(abs(r[n - 1, n - 1]))
-        r = r.copy()
-        r[n - 1, :] = 0.0
-        r[:, n - 1] = 0.0
-        interior = operator_norm(r)
-    return ModelValidation(
-        label=spec.label(),
-        certificate=cert,
-        interior_residual=interior,
-        boundary_defect=boundary,
-    )

@@ -96,17 +96,21 @@ class RelationCertificate:
     offending_eigenvalue: float | None = None
 
 
+_FAILURES = (PolarkitError, np.linalg.LinAlgError)
+
+
 def _once(derive):
     """A field of :class:`Analysis`: derived on first read, then cached
-    together with the PolarkitError the derivation may raise."""
+    together with the PolarkitError or LinAlgError the derivation may
+    raise."""
 
     def get(self):
         if derive not in self._memo:
             try:
                 self._memo[derive] = derive(self)
-            except PolarkitError as exc:
+            except _FAILURES as exc:
                 self._memo[derive] = exc
-        if isinstance(self._memo[derive], PolarkitError):
+        if isinstance(self._memo[derive], _FAILURES):
             raise self._memo[derive]
         return self._memo[derive]
 
@@ -121,7 +125,7 @@ class Analysis:
     ``seed`` (C*(1, |a|)), ``pair`` (U validated as a partial isometry),
     ``tower`` (both towers over the seed) and ``model`` (U over the
     tower's double closure).  A failed derivation is not repeated either:
-    its PolarkitError is raised again on every later read.
+    its PolarkitError or LinAlgError is raised again on every later read.
     """
 
     def __init__(self, a, tol: float = DEFAULT_TOL):
@@ -221,8 +225,10 @@ def theorem22_report(a, tol: float = DEFAULT_TOL, kmax: int | None = None) -> Th
 
     Requires the defining relation (RelationViolated otherwise).  Power
     ranges run to ``kmax`` (default: the matrix dimension, by which
-    point the projection chain has stabilized or died).
+    point the projection chain has stabilized or died), at least 1.
     """
+    if kmax is not None and kmax < 1:
+        raise ValueError("kmax must be at least 1")
     an = _analysis(a, tol)
     tol = an.tol
     _require_relation(an)

@@ -58,8 +58,8 @@ class SuiteConfig:
             raise ConfigError(f"unknown suite names {bad}; valid: {list(SUITE_ORDER)}")
         if not self.models:
             raise ConfigError("config needs at least one model")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ConfigError("tol must be positive and finite")
         if self.kmax < 1:
             raise ConfigError("kmax must be at least 1")
 
@@ -73,17 +73,16 @@ def config_from_json(obj) -> SuiteConfig:
     try:
         models = tuple(model_spec_from_json(m) for m in obj["models"])
         suites = tuple(obj["suites"])
+        tol, kmax = float(obj.get("tol", DEFAULT_TOL)), int(obj.get("kmax", 64))
+        seed = int(obj.get("seed", 0))
     except KeyError as exc:
         raise ConfigError(f"config is missing field {exc.args[0]!r}") from exc
     except ParseError as exc:
         raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config field is malformed: {exc}") from exc
     return SuiteConfig(
-        models=models,
-        suites=suites,
-        tol=float(obj.get("tol", DEFAULT_TOL)),
-        kmax=int(obj.get("kmax", 64)),
-        seed=int(obj.get("seed", 0)),
-        output=obj.get("output"),
+        models=models, suites=suites, tol=tol, kmax=kmax, seed=seed, output=obj.get("output")
     )
 
 
@@ -96,7 +95,7 @@ def _check(name: str, anchor: str, passed: bool, residual: float) -> dict:
     }
 
 
-def _precondition_failure(exc: PolarkitError, anchor: str) -> list[dict]:
+def _precondition_failure(exc: Exception, anchor: str) -> list[dict]:
     return [
         {
             "name": "precondition",
@@ -346,8 +345,9 @@ def run_suite(config: SuiteConfig) -> dict:
     """Execute the configured suites over every model.
 
     Returns the report dict; precondition failures (a model violating
-    the defining relation, say) are recorded as failed checks rather
-    than raised, so one bad model never hides the others.  Every suite
+    the defining relation, say, or a numpy ``LinAlgError`` on a badly
+    scaled matrix) are recorded as failed checks rather than raised, so
+    one bad model never hides the others.  Every suite
     of a model reads one shared :class:`Analysis`, so the polar parts,
     the relation gate and the tower are derived once per model.
     """
@@ -370,7 +370,7 @@ def run_suite(config: SuiteConfig) -> dict:
             rng = np.random.default_rng([config.seed, mi, si])
             try:
                 checks = _RUNNERS[sname](spec, an, config, rng)
-            except PolarkitError as exc:
+            except (PolarkitError, np.linalg.LinAlgError) as exc:
                 checks = _precondition_failure(exc, f"{sname}.run")
             all_pass = all_pass and all(c["pass"] for c in checks)
             suites_out.append({"name": sname, "checks": checks})

@@ -9,7 +9,9 @@ of a normal form travels as its string, "52/27", and reads back exact.
 
 from __future__ import annotations
 
+import cmath
 import json
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -99,27 +101,38 @@ def normal_form_to_json(nf: NormalForm) -> dict:
     }
 
 
+def _coeff_from_json(c):
+    if isinstance(c, str):
+        try:
+            return Fraction(c)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"exact coefficient {c!r} is not a fraction") from exc
+    if isinstance(c, (list, tuple)):
+        if len(c) != 2:
+            raise ParseError("complex coefficient must be a [re, im] pair")
+        z = complex(float(c[0]), float(c[1]))
+    else:
+        z = float(c)
+    if not cmath.isfinite(z):
+        raise ParseError(f"coefficient {c!r} is not finite")
+    return z
+
+
 def normal_form_from_json(obj) -> NormalForm:
+    """The normal form of a JSON object; ParseError for anything else:
+    l or m not a non-negative integer, p not a non-empty list, or a
+    coefficient that is not a finite number, a finite [re, im] pair or a
+    fraction string."""
     try:
-        l = int(obj["l"])
-        m = int(obj["m"])
-        raw = obj["p"]
-    except (KeyError, TypeError) as exc:
+        l, m, raw = operator.index(obj["l"]), operator.index(obj["m"]), obj["p"]
+        if not isinstance(raw, (list, tuple)) or not raw:
+            raise ParseError(f"normal form field 'p' must be a non-empty list, got {raw!r}")
+        coeffs = tuple(_coeff_from_json(c) for c in raw)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"normal form object is malformed: {exc}") from exc
-    coeffs = []
-    for c in raw:
-        if isinstance(c, (list, tuple)):
-            if len(c) != 2:
-                raise ParseError("complex coefficient must be a [re, im] pair")
-            coeffs.append(complex(float(c[0]), float(c[1])))
-        elif isinstance(c, str):
-            try:
-                coeffs.append(Fraction(c))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"exact coefficient {c!r} is not a fraction") from exc
-        else:
-            coeffs.append(float(c))
-    return NormalForm(l, m, tuple(coeffs))
+    if l < 0 or m < 0:
+        raise ParseError(f"normal form powers must be non-negative, got l={l}, m={m}")
+    return NormalForm(l, m, coeffs)
 
 
 def model_spec_to_json(spec: ModelSpec) -> dict:

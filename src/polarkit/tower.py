@@ -92,13 +92,6 @@ class EndoPair:
     def delta_star(self, m) -> np.ndarray:
         return dagger(self.u) @ as_matrix(m) @ self.u
 
-    def apply(self, m, direction: str) -> np.ndarray:
-        if direction == "forward":
-            return self.delta(m)
-        if direction == "star":
-            return self.delta_star(m)
-        raise ValueError(f"unknown direction {direction!r}")
-
     def swapped(self) -> "EndoPair":
         """Roles of delta and delta_* exchanged (U replaced by U*)."""
         return EndoPair(u=dagger(self.u), ambient_dim=self.ambient_dim)
@@ -113,11 +106,6 @@ def endo_pair(u, tol: float = DEFAULT_TOL) -> EndoPair:
             f"u is not a partial isometry (worst condition residual {rep.worst:.3e})"
         )
     return EndoPair(u=um, ambient_dim=um.shape[0])
-
-
-def delta_apply(pair: EndoPair, m, direction: str = "forward") -> np.ndarray:
-    """delta(m) = U m U* for 'forward', delta_*(m) = U* m U for 'star'."""
-    return pair.apply(m, direction)
 
 
 def _apply_stack(pair: EndoPair, stack: np.ndarray, direction: str) -> np.ndarray:

@@ -169,10 +169,6 @@ def poly_mul(p: tuple, r: tuple) -> tuple:
     return _trim(tuple(out))
 
 
-def poly_scale(p: tuple, c) -> tuple:
-    return _trim(tuple(c * ci for ci in p))
-
-
 def poly_compose_affine(p: tuple, q, h) -> tuple:
     """p(q x + h) by Horner's scheme in polynomial arithmetic."""
     acc = (p[-1],)
@@ -205,9 +201,6 @@ class NormalForm:
     def word_length(self) -> int:
         """Letter count of the longest monomial this form expands to."""
         return self.l + self.m + 2 * (len(self.p) - 1)
-
-    def scaled(self, c) -> "NormalForm":
-        return NormalForm(self.l, self.m, poly_scale(self.p, c))
 
 
 NF_ONE = NormalForm(0, 0, (1,))
@@ -385,34 +378,3 @@ def interior_projection(dim: int, length: int) -> np.ndarray:
     for i in range(keep):
         p[i, i] = 1.0
     return p
-
-
-def b_graded_decompose(terms, phi: PhiMap) -> dict:
-    """Group a finite sum of weighted words by degree.
-
-    ``terms`` is an iterable of (coefficient, word).  Each bucket is a
-    list of normal forms whose shared m - l equals the bucket key; forms
-    with identical (l, m) are merged by polynomial addition.  The bucket
-    at 0 is the degree-zero part, the one whose norm lower-bounds the
-    whole sum in models with the norm-filtration property.
-    """
-    phi.require_affine()
-    buckets: dict[int, dict[tuple, tuple]] = {}
-    for coeff, word in terms:
-        nf = normal_order(word, phi).scaled(coeff)
-        slot = buckets.setdefault(nf.degree, {})
-        key = (nf.l, nf.m)
-        slot[key] = poly_add(slot[key], nf.p) if key in slot else nf.p
-    out: dict[int, list[NormalForm]] = {}
-    for d in sorted(buckets):
-        out[d] = [NormalForm(l, m, p) for (l, m), p in sorted(buckets[d].items())]
-    return out
-
-
-def evaluate_terms(terms, model) -> np.ndarray:
-    """Realize a finite sum of (coefficient, word) pairs in a model."""
-    a = _as_model_matrix(model)
-    out = np.zeros_like(a)
-    for coeff, word in terms:
-        out = out + complex(coeff) * evaluate(word, a)
-    return out

@@ -5,7 +5,9 @@
 orthonormal span.  The package builds every algebra from atoms or graded
 atoms instead; these stay as the independent oracle the tests compare
 against.  They are badly conditioned when a generator has crowded
-eigenvalues, which is why no runtime path uses them.
+eigenvalues, which is why no runtime path uses them.  ``project``,
+``contains`` and ``algebras_equal`` are the membership tests the tests
+read algebras by.
 """
 
 import numpy as np
@@ -114,3 +116,22 @@ def linear_span(mats, unital: bool = False) -> MatrixAlgebra:
     builder.absorb(np.array(ms))
     basis = np.array([row.reshape(n, n) for row in builder.rows])
     return MatrixAlgebra(dim=n, basis=basis, unital=unital)
+
+
+def project(alg: MatrixAlgebra, m) -> np.ndarray:
+    """Trace-orthogonal projection of m onto the span of alg's basis."""
+    flat = alg.basis.reshape(alg.dimension, alg.dim * alg.dim)
+    return ((flat.conj() @ as_matrix(m).ravel()) @ flat).reshape(alg.dim, alg.dim)
+
+
+def contains(alg: MatrixAlgebra, m, tol: float = 1e-9) -> tuple[bool, float]:
+    """(member, residual): alg's residual of m, against tol * (1 + ||m||)."""
+    mat = as_matrix(m)
+    res = alg.residual(mat)
+    return res <= tol * (1.0 + float(np.linalg.norm(mat, 2))), res
+
+
+def algebras_equal(a: MatrixAlgebra, b: MatrixAlgebra, tol: float = 1e-9) -> tuple[bool, float]:
+    """Mutual containment of spans; residual is the worst projection defect."""
+    worst = max(b.residual(a.basis), a.residual(b.basis))
+    return worst <= tol, worst

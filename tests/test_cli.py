@@ -300,11 +300,43 @@ def test_run_suite_bad_config_exit_two(tmp_path, capsys):
     assert main(["run-suite", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "field", [{"tol": None}, {"tol": "abc"}, {"tol": float("nan")}, {"kmax": "x"}, {"seed": [1]}]
+)
+def test_run_suite_malformed_config_value_exits_two(field, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"models": [{"kind": "jordan_block", "dim": 3}], "suites": ["polar"], **field}))
+    assert main(["run-suite", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_tol_env_override(shift_file, monkeypatch, capsys):
     monkeypatch.setenv("POLARKIT_TOL", "not-a-number")
     assert main(["verify-relation", "--in", shift_file]) == 2
     monkeypatch.setenv("POLARKIT_TOL", "1e-6")
     assert main(["verify-relation", "--in", shift_file]) == 0
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_tol_must_be_positive_and_finite(shift_file, tol, monkeypatch, capsys):
+    argv = ["norm-estimate", "--in", shift_file]
+    assert main([*argv, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --tol must be positive and finite")
+    assert captured.out == ""
+    monkeypatch.setenv("POLARKIT_TOL", tol)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: POLARKIT_TOL must be positive and finite")
+
+
+@pytest.mark.parametrize("kmax", ["0", "-3"])
+def test_kmax_must_be_at_least_one(shift_file, kmax, capsys):
+    assert main(["norm-estimate", "--in", shift_file, "--kmax", kmax]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --kmax must be at least 1, got {kmax}\n"
+    assert captured.out == ""
 
 
 def test_console_script_entry_point(shift_file):

@@ -277,7 +277,7 @@ def test_norm_estimate_squarings_make_no_dense_product(monkeypatch):
     rng = np.random.default_rng(5)
     g = pk.random_element(model, rng, bandwidth=3)
     want = pk.norm_estimate(g, kmax=64)
-    gathers = model._gathers
+    alg = model.algebra
 
     # every matrix a dense product could start from counts its products
     def counting(m):
@@ -287,18 +287,19 @@ def test_norm_estimate_squarings_make_no_dense_product(monkeypatch):
         for k in list(cache):
             cache[k] = counting(cache[k])
     object.__setattr__(model.pair, "u", counting(model.pair.u))
-    gathers.v, gathers.vh = counting(gathers.v), counting(gathers.vh)
+    object.__setattr__(alg, "v", counting(alg.v))
+    alg.__dict__["_vh"] = counting(alg._vh)
     g = GradedElement(model, {d: counting(c) for d, c in g.coefficients.items()})
 
     rotations = []
 
-    def rotated(*gs, _orig=gathers.values):
+    def rotated(*gs, _orig=model._values):
         out = _orig(*gs)
         rotations.append(_CountingMatmul.calls)
         _CountingMatmul.calls = 0
         return out
 
-    monkeypatch.setattr(gathers, "values", rotated)
+    monkeypatch.setattr(model, "_values", rotated)
     _CountingMatmul.calls = 0
     est = pk.norm_estimate(g, kmax=64)
     # the rotation itself is two stacked products, then the squarings run
@@ -328,6 +329,11 @@ def _plain_algebra_model():
     ),
 )
 def test_product_on_a_model_without_atom_maps_is_a_model_mismatch(make, message):
+    if make is _plain_algebra_model:
+        # an algebra not stored by its atoms is refused when the model is built
+        with pytest.raises(pk.ModelMismatch, match=message):
+            make()
+        return
     model = make()
     u = model.pair.u
     top = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)  # in the algebra, under P_1
@@ -352,10 +358,10 @@ def test_product_of_a_coefficient_outside_the_algebra_is_a_model_mismatch():
     model = pk.GradedModel(u, pk.spectral_algebra(np.diag([1.0, 2.0, 1.0, 2.0])))
     inside = model.element({0: np.diag([1.0, 2.0, 1.0, 2.0]), 1: np.diag([0.0, 1.0, 0.0, 1.0])})
     _close(pk.graded_mul(inside, inside), ref_graded_mul(inside, inside), 1e-15)
-    # regrade reads the degree-0 band diag(1, 2, 3, 4), which is not in A;
-    # realize checks supports only and gives m back
+    # the degree-0 coefficient diag(1, 2, 3, 4) is not in A; realize checks
+    # supports only and gives m back
     m = np.diag([1.0, 2.0, 3.0, 4.0]) + u
-    outside = pk.regrade(model, m)
+    outside = GradedElement(model, {0: np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex), 1: u @ dagger(u)})
     assert np.array_equal(pk.realize(outside), m)
     message = r"^degree-0 coefficient is not in the coefficient algebra \(residual 1\.000e\+00\)$"
     for x, y in ((outside, inside), (inside, outside)):
@@ -383,3 +389,20 @@ def test_product_coefficients_lie_under_their_range_projections():
     c, p = got.coefficients[1], model.range_projection(1)
     assert ref_norm(p @ c @ p - c) <= 1e-15
     _close(got, ref_graded_mul(g1, g2), 1e-15)
+
+
+def test_element_product_and_estimate_share_one_membership_check(monkeypatch):
+    model = pk.graded_model_for(_shift(8))
+    g = pk.random_element(model, np.random.default_rng(4), bandwidth=2)
+    read = []
+
+    def recording(self, mats, degrees, norms=None, _orig=pk.GradedModel._atom_values):
+        read.append(sorted(np.asarray(degrees).tolist()))
+        return _orig(self, mats, degrees, norms)
+
+    monkeypatch.setattr(pk.GradedModel, "_atom_values", recording)
+    model.element(g.coefficients)
+    pk.graded_mul(g, g)
+    pk.norm_estimate(g, kmax=4)
+    band = sorted(g.coefficients)
+    assert read == [band, sorted(band + band), band]

@@ -30,20 +30,19 @@ def test_conditions_fail_together_for_scaled_isometry(shift4):
     rep = pk.partial_isometry_report(u)
     assert not rep.passed
     assert rep.consistent  # all five verdicts still agree
-    ok, res = pk.is_partial_isometry(u)
-    assert not ok and res > 1.0
+    assert rep.worst > 1.0
 
 
 def test_unitary_is_partial_isometry(rng):
     q, _ = np.linalg.qr(random_matrix(rng, 5))
-    ok, res = pk.is_partial_isometry(q)
-    assert ok and res <= 1e-12
+    rep = pk.partial_isometry_report(q)
+    assert rep.passed and rep.worst <= 1e-12
 
 
 def test_projections_of_polar_factor(shift4):
-    pd = pk.polar_decompose(shift4)
-    p_init = pk.initial_projection(pd.u)
-    p_fin = pk.final_projection(pd.u)
+    u = pk.polar_decompose(shift4).u
+    p_init = u.conj().T @ u
+    p_fin = u @ u.conj().T
     assert np.allclose(p_init, np.diag([1.0, 1.0, 1.0, 0.0]), atol=1e-12)
     assert np.allclose(p_fin, np.diag([0.0, 1.0, 1.0, 1.0]), atol=1e-12)
 
@@ -90,12 +89,6 @@ def test_morphism_check_rejects_noncommuting_initial(rng):
     alg = generate([random_matrix(rng, 3)], unital=True)
     with pytest.raises((pk.CommutantViolation, pk.HypothesisViolated)):
         pk.morphism_check(u, alg)
-
-
-def test_nilpotent_index(shift4):
-    u = pk.polar_decompose(shift4).u
-    assert pk.nilpotent_index(u) == 4
-    assert pk.nilpotent_index(np.eye(3)) is None
 
 
 @settings(max_examples=60, deadline=None)

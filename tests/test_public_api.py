@@ -1,0 +1,57 @@
+"""Every public name has a caller.
+
+Each name ``polarkit/__init__.py`` exports must be referenced, as an
+``ast`` scan finds it, in the package's own modules, in ``scripts/`` or in
+the benchmark's non-test files.  A name that only the tests call is API
+nobody runs; ``ALLOWED`` lists the few kept public without a caller.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "polarkit"
+
+ALLOWED = {
+    # the diagonal zoo model, beside the constructors the zoo script calls
+    "normal",
+    # writes the matrix files that --in reads
+    "write_matrix",
+    # reads back what normal-order --report json writes
+    "normal_form_from_json",
+    # membership in the algebra of a commuting family, for checks that
+    # read one family instead of one Hermitian matrix
+    "is_function_of_family",
+}
+
+
+def exported() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def referenced() -> set[str]:
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += (ROOT / "scripts").glob("*.py")
+    files += [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_exported_name_has_a_caller():
+    # equality, not inclusion: a name in ALLOWED that gains a caller leaves
+    # the list, and the allowed names show that the scan can miss a name
+    assert sorted(exported() - referenced()) == sorted(ALLOWED)

@@ -13,7 +13,7 @@ from polarkit.relation import (
 )
 
 from conftest import zoo_specs
-from span_closure import generate
+from span_closure import algebras_equal, contains, generate
 
 
 def test_verify_I1_shift_table(shift4):
@@ -46,7 +46,7 @@ def test_nonunital_seed_excludes_kernel(shift4):
     # eigenvalues 1, sqrt2, sqrt3 contribute; the kernel eigenprojection does not
     assert seed.dimension == 3
     eye = np.eye(4, dtype=complex)
-    ok, _ = pk.contains(seed, eye)
+    ok, _ = contains(seed, eye)
     assert not ok
 
 
@@ -72,6 +72,13 @@ def test_theorem22_on_reference_shift(shift4):
 def test_theorem22_rejects_relation_violator():
     with pytest.raises(pk.RelationViolated):
         pk.theorem22_report(pk.build(pk.jordan_block(3)))
+
+
+def test_theorem22_kmax_must_be_at_least_one(shift4):
+    for kmax in (0, -1):
+        with pytest.raises(ValueError, match="^kmax must be at least 1$"):
+            pk.theorem22_report(shift4, kmax=kmax)
+    assert pk.theorem22_report(shift4, kmax=1).kmax == 1
 
 
 def test_theorem22_q_models():
@@ -107,7 +114,7 @@ def test_seed_is_its_own_bicommutant(seed, n, moduli, conjugate):
         a = w @ a @ w.conj().T
     an = Analysis(a)
     bicom = pk.bicommutant(an.seed)
-    assert pk.algebras_equal(bicom, an.seed)[0]
+    assert algebras_equal(bicom, an.seed)[0]
     rep = pk.theorem22_report(an)
     p, q = pk.power_projections(an.pd.u, n)
     scale = 1.0 + pk.operator_norm(a)
@@ -154,7 +161,7 @@ def test_coefficient_algebra_is_commutative_and_invariant(q_half_8):
     worst = 0.0
     for b in alg.basis:
         for image in (pair.delta(b), pair.delta_star(b)):
-            _, res = pk.contains(alg, image)
+            _, res = contains(alg, image)
             worst = max(worst, res)
     assert worst <= 1e-9
 
@@ -191,7 +198,7 @@ def test_build_calB_coefficients_live_in_coefficient_algebra(shift4):
     worst = 0.0
     for g in graded:
         for c in g.coefficients.values():
-            _, res = pk.contains(rep.algebra, c)
+            _, res = contains(rep.algebra, c)
             worst = max(worst, res)
     assert worst <= 1e-9
 

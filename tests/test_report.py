@@ -260,3 +260,22 @@ def test_non_finite_model_is_a_build_precondition():
     assert second["suites"] == alone["suites"]
     assert [s["name"] for s in second["suites"]] == list(suites)
     assert all(c["pass"] for s in second["suites"] for c in s["checks"])
+
+
+def test_linalg_error_is_a_suite_precondition():
+    # entries of 1e200 overflow a a* to inf, and the SVDs of the tower and
+    # of theorem22_report do not converge
+    bad = pk.custom([[1e200, 1e200], [0.0, 1e-200]])
+    good = pk.weighted_shift((1.0, 1.4142135623730951))
+    suites = ("polar", "isometry", "tower", "theorem22")
+    with np.errstate(all="ignore"):
+        report = pk.run_suite(pk.SuiteConfig(models=(bad, good), suites=suites))
+    first, second = report["models"]
+    for suite in first["suites"][2:]:
+        (check,) = suite["checks"]
+        assert check["anchor"] == f"{suite['name']}.run"
+        assert check["error"] == "LinAlgError: SVD did not converge"
+    assert not report["all_pass"]
+    alone = pk.run_suite(pk.SuiteConfig(models=(good,), suites=suites))["models"][0]
+    assert second["suites"] == alone["suites"]
+    assert all(c["pass"] for s in second["suites"] for c in s["checks"])

@@ -25,7 +25,7 @@ from polarkit.linalg import dagger
 from polarkit.relation import Analysis
 
 from conftest import zoo_specs
-from span_closure import generate, linear_span
+from span_closure import generate, linear_span, project
 
 JORDAN = {"kind": "jordan_block", "dim": 3}
 TOL = 1e-9
@@ -37,7 +37,7 @@ def ref_norm(m) -> float:
 
 
 def ref_residual(alg, m) -> float:
-    return ref_norm(m - alg.project(m))
+    return ref_norm(m - project(alg, m))
 
 
 def ref_chain(x, kmax):
@@ -214,9 +214,10 @@ def ref_monotone(seq):
 
 
 def ref_layers(pair, basis, direction, depth):
+    step = pair.delta if direction == "forward" else pair.delta_star
     out = [basis.astype(np.complex128)]
     for _ in range(depth):
-        out.append(np.array([pair.apply(m, direction) for m in out[-1]]))
+        out.append(np.array([step(m) for m in out[-1]]))
     return out
 
 

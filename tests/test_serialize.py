@@ -93,6 +93,25 @@ def test_exact_coefficient_must_be_a_fraction():
         pk.normal_form_from_json({"l": 0, "m": 0, "p": ["1/0"]})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"l": 0, "m": 0, "p": [None]},
+        {"l": 0, "m": 0, "p": 5},
+        {"l": 0, "m": 0, "p": [[1, "x"]]},
+        {"l": "x", "m": 0, "p": [1]},
+        {"l": 0, "m": 0, "p": [float("nan")]},
+        {"l": 0, "m": 0, "p": [[1.0, float("nan")]]},
+        {"l": -1, "m": 0, "p": [1]},
+        {"l": 0, "m": -2, "p": [1]},
+    ],
+    ids=["null", "number_p", "bad_pair", "string_l", "nan", "nan_pair", "negative_l", "negative_m"],
+)
+def test_malformed_normal_form_is_a_parse_error(obj):
+    with pytest.raises(pk.ParseError):
+        pk.normal_form_from_json(obj)
+
+
 def test_model_spec_round_trip():
     specs = [
         pk.weighted_shift((1.0, 2.0)),

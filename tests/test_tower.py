@@ -30,7 +30,6 @@ def test_delta_shifts_diagonals(shift_pair):
     back = pair.delta_star(d)
     assert np.allclose(np.diag(fwd), [0.0, 1.0, 2.0, 3.0], atol=1e-12)
     assert np.allclose(np.diag(back), [2.0, 3.0, 4.0, 0.0], atol=1e-12)
-    assert np.allclose(pk.delta_apply(pair, d, "forward"), fwd)
 
 
 def test_coarse_seed_tower_dimensions(shift_pair):

@@ -21,7 +21,7 @@ from polarkit.relation import Analysis
 from polarkit.tower import _apply_stack
 
 from conftest import zoo_specs
-from span_closure import generate
+from span_closure import algebras_equal, generate
 
 TOL = 1e-9
 
@@ -34,7 +34,7 @@ def span_sequence(seed, pair, direction, tol=TOL):
         assert len(algs) <= pair.ambient_dim**2 + 2, "span tower failed to stabilize"
         images = _apply_stack(pair, images, direction)
         nxt = generate(list(algs[-1].basis) + list(images), unital=True)
-        eq, _ = pk.algebras_equal(nxt, algs[-1], tol=tol)
+        eq, _ = algebras_equal(nxt, algs[-1], tol=tol)
         equal_run = equal_run + 1 if eq else 0
         algs.append(nxt)
     return algs, len(algs) - 3
@@ -66,7 +66,7 @@ def assert_matches_span_closure(a0, pair, tol=TOL):
             assert [alg.dimension for alg in seq] == [alg.dimension for alg in want[name]], name
             pairs = list(zip(seq, want[name]))
         for mine, ref in pairs:
-            eq, res = pk.algebras_equal(mine, ref, tol=tol)
+            eq, res = algebras_equal(mine, ref, tol=tol)
             assert eq, f"{name}: levels differ (residual {res:.3e})"
     return t
 

@@ -112,29 +112,6 @@ def test_nf_mul_matches_concatenation():
     assert (prod.l, prod.m, prod.p) == (direct.l, direct.m, direct.p)
 
 
-def test_b_graded_decompose_buckets_by_degree():
-    terms = [
-        (1, pk.parse_word("a")),
-        (2, pk.parse_word("a a* a")),
-        (1, pk.parse_word("a*")),
-        (3, ()),
-    ]
-    buckets = pk.b_graded_decompose(terms, PHI_HALF)
-    assert sorted(buckets) == [-1, 0, 1]
-    # the two degree-1 words merge into a single (l, m) slot
-    assert len(buckets[1]) == 1
-
-
-def test_evaluate_terms_matches_bucket_sum():
-    a = pk.build(pk.q_oscillator(16, 0.5, 1.0))
-    terms = [(0.5, pk.parse_word("a a*")), (2.0, pk.parse_word("a"))]
-    total = pk.evaluate_terms(terms, a)
-    buckets = pk.b_graded_decompose(terms, PHI_FLOAT)
-    via_nf = sum(pk.evaluate(nf, a) for nfs in buckets.values() for nf in nfs)
-    p_int = pk.interior_projection(16, 2)
-    assert pk.operator_norm((total - via_nf) @ p_int) <= 1e-8
-
-
 @settings(max_examples=120, deadline=None)
 @given(w=words)
 def test_degree_matches_word_degree(w):
