@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -276,18 +277,28 @@ def _cmd_tower(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _element_coefficients(obj) -> dict:
+    """The degree -> matrix map of an element file: every key a decimal
+    integer, every degree given once."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("coefficients"), dict):
+        raise ParseError("element file must be {'coefficients': {degree: matrix}}")
+    coeffs = {}
+    for key, m in obj["coefficients"].items():
+        if re.fullmatch(r"[+-]?[0-9]+", key) is None:
+            raise ParseError(f"element degree {key!r} is not an integer")
+        d = int(key)
+        if d in coeffs:
+            raise ParseError(f"element degree {d} is given twice")
+        coeffs[d] = matrix_from_json(m)
+    return coeffs
+
+
 def _cmd_norm_estimate(args) -> int:
     tol = _resolve_tol(args)
     a = _load_operator(args)
     model = graded_model_for(a, tol=tol)
     if args.element:
-        obj = load_json(args.element)
-        if not isinstance(obj, dict) or "coefficients" not in obj:
-            raise ParseError("element file must be {'coefficients': {degree: matrix}}")
-        coeffs = {
-            int(d): matrix_from_json(m) for d, m in obj["coefficients"].items()
-        }
-        g = model.element(coeffs, enforce_support=True)
+        g = model.element(_element_coefficients(load_json(args.element)), enforce_support=True)
     else:
         p1 = model.range_projection(1)
         g = model.element({-1: p1, 1: p1}, enforce_support=True)

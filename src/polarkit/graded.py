@@ -25,6 +25,12 @@ algebra that is not stored by its atoms, or that delta or delta_* does not
 map into itself, is a :class:`ModelMismatch`.  Reading those atom values
 is also the one membership check of a coefficient.
 
+Random elements are built as masked atom values: random weights on the
+atoms, times the mask of P_|d|, lifted in one stacked product, so they lie
+in A and under P_|d| by construction and are not checked again.  The
+support check of ``element`` and ``realize`` clears a degree by a Frobenius
+bound and takes an SVD only for the degrees that bound cannot clear.
+
 The degree-0 coefficient functional N_0 is the whole point: the norm of b
 is recovered from coefficients alone through
 
@@ -125,6 +131,18 @@ class _AtomGathers:
         return self.index, self.mask, self.depth
 
 
+def _degree(d) -> int:
+    """The integer degree a coefficient key names: an integral number or a
+    decimal string; anything else is a :class:`ModelMismatch`."""
+    try:
+        deg = int(d)
+    except (TypeError, ValueError, OverflowError):
+        deg = None
+    if deg is None or not (isinstance(d, str) or deg == d):
+        raise ModelMismatch(f"degree {d!r} is not an integer")
+    return deg
+
+
 class GradedModel:
     """A partial isometry with a coefficient algebra, plus power caches.
 
@@ -176,19 +194,23 @@ class GradedModel:
     def element(self, coefficients: dict, enforce_support: bool = False) -> "GradedElement":
         """Build a graded element, validating the invariants.
 
-        Coefficients must be finite and belong to the coefficient algebra
-        (:class:`ModelMismatch` otherwise) and be supported under the
-        matching range projection (:class:`SupportViolation`), unless
-        ``enforce_support`` projects them onto that support first.
+        Degrees must be integers, each given once, and coefficients must be
+        finite and belong to the coefficient algebra (:class:`ModelMismatch`
+        otherwise) and be supported under the matching range projection
+        (:class:`SupportViolation`), unless ``enforce_support`` projects them
+        onto that support first.
         """
         degrees, mats = [], []
         unreadable = None
         for d, c in coefficients.items():
             # an unreadable coefficient is reported once every earlier one passes
             try:
-                deg, cm = int(d), as_matrix(c)
-            except (TypeError, ValueError) as exc:
+                deg, cm = _degree(d), as_matrix(c)
+            except (TypeError, ValueError, ModelMismatch) as exc:
                 unreadable = exc
+                break
+            if deg in degrees:
+                unreadable = ModelMismatch(f"degree {deg} is given twice")
                 break
             if cm.shape[0] != self.dim:
                 unreadable = ModelMismatch("coefficient dimension does not match the model")
@@ -225,8 +247,9 @@ class GradedModel:
         # the largest atom value is at most ||beta||, so a Frobenius norm
         # under tol * (1 + that value) clears a coefficient; the operator
         # norms are taken only for the rest
-        frob = np.linalg.norm(defect, axis=(1, 2))
-        rest = np.flatnonzero(~(frob <= self.tol * (1.0 + np.abs(values).max(axis=1, initial=0.0))))
+        frobenius = np.linalg.norm(defect, axis=(1, 2))
+        peak = np.abs(values).max(axis=1, initial=0.0)
+        rest = np.flatnonzero(~(frobenius <= self.tol * (1.0 + peak)))
         res = _operator_norms(defect[rest])
         scale = _operator_norms(mats[rest]) if norms is None else norms[rest]
         bad = np.flatnonzero(~(res <= self.tol * (1.0 + scale)))
@@ -276,31 +299,41 @@ class GradedElement:
             return np.zeros((self.model.dim, self.model.dim), dtype=np.complex128)
         return c
 
-    def scaled(self, factor: complex) -> "GradedElement":
-        return GradedElement(
-            self.model, {d: factor * c for d, c in self.coefficients.items()}
-        )
-
 
 def _check_support(g: GradedElement, tol: float, norms=None):
     """Raise SupportViolation for the first nonzero degree whose coefficient
     leaks outside P_|d|.  ``norms``, when given, are the operator norms of
-    g's coefficients in order."""
+    g's coefficients in order.
+
+    A degree whose leaks P c - c and c P - c both have Frobenius norm at
+    most ``tol * (1 + s)`` passes without an SVD, s being its given norm or
+    else ||c||_F / sqrt(n); both bounds are below the exact ones (||.||_2
+    <= ||.||_F and ||c||_F / sqrt(n) <= ||c||_2), so only the degrees this
+    cannot clear go to the exact check, and no verdict changes."""
     terms = list(g.coefficients.items())
     nonzero = [i for i, (d, _) in enumerate(terms) if d != 0]
     if not nonzero:
         return
     cs = np.array([terms[i][1] for i in nonzero])
     ps = np.array([g.model.range_projection(abs(terms[i][0])) for i in nonzero])
-    both = _operator_norms(np.concatenate([ps @ cs - cs, cs @ ps - cs]))
-    defects = np.maximum(both[: len(nonzero)], both[len(nonzero) :])
-    scale = _operator_norms(cs) if norms is None else np.asarray(norms)[nonzero]
+    left, right = ps @ cs - cs, cs @ ps - cs
+    if norms is None:
+        lower = np.linalg.norm(cs, axis=(1, 2)) / np.sqrt(g.model.dim)
+    else:
+        lower = np.asarray(norms)[nonzero]
+    upper = np.maximum(np.linalg.norm(left, axis=(1, 2)), np.linalg.norm(right, axis=(1, 2)))
+    rest = np.flatnonzero(~(upper <= tol * (1.0 + lower)))
+    if not rest.size:
+        return
+    both = _operator_norms(np.concatenate([left[rest], right[rest]]))
+    defects = np.maximum(both[: rest.size], both[rest.size :])
+    scale = _operator_norms(cs[rest]) if norms is None else lower[rest]
     bad = np.flatnonzero(defects > tol * (1.0 + scale))
     if bad.size:
         i = int(bad[0])
         raise SupportViolation(
-            f"degree-{terms[nonzero[i]][0]} coefficient leaks outside its range projection "
-            f"(defect {defects[i]:.3e})"
+            f"degree-{terms[nonzero[rest[i]]][0]} coefficient leaks outside its range "
+            f"projection (defect {defects[i]:.3e})"
         )
 
 
@@ -422,16 +455,26 @@ class PropertyStarReport:
 def random_element(
     model: GradedModel, rng: np.random.Generator, bandwidth: int = 3
 ) -> GradedElement:
-    """Random graded element: each coefficient is a random combination of
-    the coefficient-algebra basis, projected onto its canonical support."""
+    """Random graded element, built as masked atom values.
+
+    Per degree d = -b..b, k complex normals w weigh the coefficient-algebra
+    basis P_x / sqrt(rank P_x), that is atom values w_x / sqrt(rank P_x);
+    the mask of P_|d| projects them onto their canonical support, degrees
+    left at or below ``COEFF_DROP`` are dropped, and one stacked product
+    lifts the rest.  Membership and support hold by construction: the mask
+    is the atom form of P_|d|, tied to u once per model.
+    """
+    if bandwidth < 0:
+        raise ValueError(f"bandwidth must be nonnegative, got {bandwidth}")
     b = min(bandwidth, model.dim - 1)
-    k = model.algebra.dimension
-    coeffs = {}
-    for d in range(-b, b + 1):
-        w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        c = np.tensordot(w, model.algebra.basis, axes=(0, 0))
-        coeffs[d] = c
-    return model.element(coeffs, enforce_support=True)
+    alg = model.algebra
+    k = alg.dimension
+    _, mask, _ = model._gathers.tables(b)
+    degrees = np.arange(-b, b + 1)
+    draws = np.array([rng.standard_normal(k) + 1j * rng.standard_normal(k) for _ in degrees])
+    values = draws / np.sqrt(alg._ranges[1]) * mask[np.abs(degrees)]
+    keep = np.abs(values).max(axis=1, initial=0.0) > COEFF_DROP
+    return model._lift((degrees[keep], values[keep]))
 
 
 def check_property_star(
@@ -443,6 +486,8 @@ def check_property_star(
 ) -> PropertyStarReport:
     """Sample random graded elements and test the coefficient bounds
     ||b|| >= ||beta_0|| and ||b|| >= max_d ||beta_d||, within tol."""
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     if rng is None:
         rng = np.random.default_rng(0)
     worst_center = np.inf

@@ -34,11 +34,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().swapaxes(-1, -2)
 
 
-def frob(m: np.ndarray) -> float:
-    """Frobenius norm (cheap; used for drop decisions, not for certificates)."""
-    return float(np.linalg.norm(m))
-
-
 def _operator_norms(m) -> np.ndarray:
     """Largest singular value of each matrix of a (..., n, n) stack."""
     a = np.asarray(m, dtype=np.complex128)

@@ -206,6 +206,26 @@ def test_algebra_info_reads_the_tower_without_its_theorems(
     )
 
 
+@pytest.mark.parametrize(
+    "keys, message",
+    (
+        (["1.5"], "error: element degree '1.5' is not an integer\n"),
+        (["x"], "error: element degree 'x' is not an integer\n"),
+        (["1", "01"], "error: element degree 1 is given twice\n"),
+    ),
+)
+def test_norm_estimate_element_degrees_are_integers_given_once(keys, message, tmp_path, capsys):
+    model = pk.graded_model_for(pk.build(pk.weighted_shift((1.0, 1.0, 1.0))))
+    p1 = pk.matrix_to_json(model.range_projection(1))
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps({"coefficients": {key: p1 for key in keys}}))
+    argv = ["norm-estimate", "--model", '{"kind": "weighted_shift", "weights": [1.0, 1.0, 1.0]}']
+    assert main(argv + ["--element", str(path)]) == 2
+    assert capsys.readouterr().err == message
+    path.write_text(json.dumps({"coefficients": {"1": p1, "-1": p1}}))
+    assert main(argv + ["--element", str(path)]) == 0
+
+
 def test_missing_input_is_config_error(capsys):
     assert main(["verify-relation"]) == 2
     assert main(["verify-relation", "--in", "/nonexistent/x.json"]) == 2

@@ -170,7 +170,9 @@ def test_norm_estimate_unit_shift(unit_model):
 def test_norm_estimate_scales_linearly(unit_model):
     g = u_plus_ustar(unit_model)
     est1 = pk.norm_estimate(g, kmax=8)
-    est2 = pk.norm_estimate(g.scaled(3.0), kmax=8)
+    est2 = pk.norm_estimate(
+        pk.GradedElement(g.model, {d: 3.0 * c for d, c in g.coefficients.items()}), kmax=8
+    )
     assert est2.final == pytest.approx(3.0 * est1.final, rel=1e-12)
 
 
@@ -208,3 +210,29 @@ def test_transport_rejects_wrong_permutation(rng):
     g = pk.random_element(model_a, rng, bandwidth=1)
     with pytest.raises(pk.ModelMismatch):
         transport_compare(g, model_a, model_a, [1, 0, 2, 3, 4])
+
+
+def test_degrees_are_integers_given_once(model):
+    p1 = model.range_projection(1)
+    with pytest.raises(pk.ModelMismatch, match=r"^degree 1\.5 is not an integer$"):
+        model.element({1.5: p1})
+    with pytest.raises(pk.ModelMismatch, match=r"^degree 'x' is not an integer$"):
+        model.element({0: np.eye(4), "x": p1})
+    with pytest.raises(pk.ModelMismatch, match="^degree 1 is given twice$"):
+        model.element({1: p1, "1": 2 * p1})
+    with pytest.raises(pk.ModelMismatch, match="^degree -1 is given twice$"):
+        model.element({np.int64(-1): p1, "-1": p1})
+    # an earlier non-member is still the one named
+    with pytest.raises(pk.ModelMismatch, match="^degree-0 coefficient is not in"):
+        model.element({0: np.ones((4, 4)), 2.5: p1})
+    # integral numbers and decimal strings name their degree
+    g = model.element({1.0: p1, "-1": 2 * p1, np.int64(0): np.eye(4)})
+    assert list(g.coefficients) == [1, -1, 0]
+
+
+def test_negative_sizes_are_rejected(model, rng):
+    with pytest.raises(ValueError, match="bandwidth must be nonnegative"):
+        pk.random_element(model, rng, bandwidth=-1)
+    with pytest.raises(ValueError, match="samples must be nonnegative"):
+        pk.check_property_star(model, samples=-3)
+    assert pk.random_element(model, rng, bandwidth=0).degrees == (0,)

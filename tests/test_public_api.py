@@ -1,9 +1,11 @@
-"""Every public name has a caller.
+"""Every public name, and every definition, has a caller.
 
 Each name ``polarkit/__init__.py`` exports must be referenced, as an
 ``ast`` scan finds it, in the package's own modules, in ``scripts/`` or in
 the benchmark's non-test files.  A name that only the tests call is API
-nobody runs; ``ALLOWED`` lists the few kept public without a caller.
+nobody runs; ``ALLOWED`` lists the few kept public without a caller.  The
+same scan must find every other function, method and class the package
+defines, with no exceptions.
 """
 
 import ast
@@ -55,3 +57,19 @@ def test_every_exported_name_has_a_caller():
     # equality, not inclusion: a name in ALLOWED that gains a caller leaves
     # the list, and the allowed names show that the scan can miss a name
     assert sorted(exported() - referenced()) == sorted(ALLOWED)
+
+
+def defined() -> set[str]:
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_every_defined_function_has_a_caller():
+    # every function, method and class of the package, public or private,
+    # is referenced outside the tests; an exported name answers to the test
+    # above instead, and no other name is let off
+    assert sorted(defined() - referenced() - exported()) == []
