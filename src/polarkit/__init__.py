@@ -66,7 +66,6 @@ from .linalg import (
     DEFAULT_TOL,
     PolarDecomposition,
     dagger,
-    hermitian_sqrt,
     operator_norm,
     polar_decompose,
     rough_norm,
@@ -87,7 +86,6 @@ from .relation import (
     CoefficientAlgebraReport,
     RelationCertificate,
     Theorem22Report,
-    build_calB,
     coefficient_algebra,
     graded_model_for,
     nonunital_seed,
@@ -107,12 +105,10 @@ from .serialize import (
     write_matrix,
 )
 from .tower import (
-    AtomOrbits,
     EndoPair,
     HypothesesReport,
     TheoremReport,
     TowerReport,
-    atom_orbits,
     build_tower,
     endo_pair,
     hypotheses_check,

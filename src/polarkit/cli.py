@@ -38,7 +38,6 @@ from .linalg import DEFAULT_TOL, operator_norm, polar_decompose
 from .models import build
 from .relation import (
     Analysis,
-    build_calB,
     coefficient_algebra,
     graded_model_for,
     theorem22_report,
@@ -54,7 +53,7 @@ from .serialize import (
     normal_form_to_json,
     read_matrix,
 )
-from .tower import atom_orbits
+from .tower import Structure
 from .words import NormalForm, PhiMap, deg, normal_order, parse_word
 
 CONFIG_ERRORS = (ConfigError, ParseError, InvalidSpec, UnsupportedPhi, DimensionTooSmall)
@@ -216,22 +215,22 @@ def _cmd_verify_theorems(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _orbits(an: Analysis) -> tuple[dict, str]:
+def _orbits(st: Structure) -> tuple[dict, str]:
     """JSON entry and text line for the orbits of delta on the atoms of
     the coefficient algebra (counts only)."""
-    orb = atom_orbits(an.tower.inf_a_inf, an.pair)
-    lengths = ", ".join(str(n) for n in orb.chains)
-    line = (
-        f"atom orbits under delta: atoms {orb.atoms}, orbits {orb.orbits},"
-        f" cycles {orb.cycles}, chains {len(orb.chains)}"
-        + (f" (lengths {lengths})" if orb.chains else "")
-    )
+    chains = sorted((b.length for b in st.blocks if not b.cycle), reverse=True)
     entry = {
-        "atoms": orb.atoms,
-        "orbits": orb.orbits,
-        "cycles": orb.cycles,
-        "chain_lengths": list(orb.chains),
+        "atoms": sum(b.length for b in st.blocks),
+        "orbits": len(st.blocks),
+        "cycles": len(st.blocks) - len(chains),
+        "chain_lengths": chains,
     }
+    line = (
+        "atom orbits under delta: "
+        + ", ".join(f"{k} {entry[k]}" for k in ("atoms", "orbits", "cycles"))
+        + f", chains {len(chains)}"
+        + (f" (lengths {', '.join(map(str, chains))})" if chains else "")
+    )
     return entry, line
 
 
@@ -239,7 +238,7 @@ def _cmd_tower(args) -> int:
     an = Analysis(_load_operator(args), _resolve_tol(args))
     rep = coefficient_algebra(an)
     t = rep.tower
-    orbits, orbit_line = _orbits(an)
+    orbits, orbit_line = _orbits(an.structure)
     families = (
         ("tower", t.checks), ("theorem", rep.theorems.checks), ("structure", rep.structure)
     )
@@ -355,16 +354,15 @@ def _cmd_normal_order(args) -> int:
 
 def _cmd_algebra_info(args) -> int:
     an = Analysis(_load_operator(args), _resolve_tol(args))
-    algebra_b, graded_basis = build_calB(an)
+    st = an.structure
     tower = an.tower
-    orbits, orbit_line = _orbits(an)
-    bandwidth = max((g.bandwidth for g in graded_basis), default=0)
+    orbits, orbit_line = _orbits(st)
     payload = {
         "dim": int(an.matrix.shape[0]),
         "seed_dimension": tower.a0.dimension,
         "coefficient_dimension": tower.inf_a_inf.dimension,
-        "full_algebra_dimension": algebra_b.dimension,
-        "graded_bandwidth": bandwidth,
+        "full_algebra_dimension": st.dimension,
+        "graded_bandwidth": st.bandwidth,
         "stabilization": dict(sorted(tower.stabilization.items())),
         "atom_orbits": orbits,
     }
@@ -433,7 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_normal_order)
 
-    p = sub.add_parser("algebra-info", help="dimensions of the generated algebras")
+    p = sub.add_parser(
+        "algebra-info", help="dimensions of the generated algebras, B read from delta's orbits"
+    )
     _add_common(p)
     p.set_defaults(func=_cmd_algebra_info)
 

@@ -19,7 +19,7 @@ values, read from one stacked rotation V* beta V), delta and delta_* act
 on X as a partial injection and its inverse, and P_k is a 0/1 vector.
 Every term of a product is then a gather through a power of delta or
 delta_* and an elementwise product, and P_d a mask.  The model derives
-those maps once, from ``tower._AtomFrame.atom_map``, and checks that they
+those maps once, from ``tower._AtomFrame.injection``, and checks that they
 are 0/1 maps tied to U within ``tol * (1 + ||U||^2)^2``; a coefficient
 algebra that is not stored by its atoms, or that delta or delta_* does not
 map into itself, is a :class:`ModelMismatch`.  Reading those atom values
@@ -55,7 +55,6 @@ from .linalg import (
     _operator_norms,
     as_matrix,
     dagger,
-    hermitian_sqrt,
     operator_norm,
     rough_norm,
 )
@@ -94,20 +93,13 @@ class _AtomGathers:
         limit = model.tol * _isometry_scale(model.pair.u)
         self.steps = []
         for direction, name in (("forward", "delta"), ("star", "delta_*")):
-            t, ties, intertwining = frame.atom_map(direction)
-            ones = t.real > 0.5
-            defect = max(
-                float(np.abs(t - ones).max(initial=0.0)),
-                float((ones.sum(axis=1) - 1).max(initial=0)),
-                float(ties.max(initial=0.0)),
-                intertwining,
-            )
+            pre, hit, defect = frame.injection(direction)
             if not defect <= limit:
                 raise ModelMismatch(
                     f"{name} does not map the coefficient algebra into itself "
                     f"(invariance defect {defect:.3e})"
                 )
-            self.steps.append((ones.argmax(axis=1), ones.any(axis=1)))
+            self.steps.append((pre, hit))
         self.dim = model.dim
         self._extend(self.dim)
 
@@ -530,27 +522,28 @@ def sum_norm_inequalities(ds, tol: float = DEFAULT_TOL) -> SumNormReport:
         ||Sum sqrt(d_i d_i*)||^2 >= (1/m) ||Sum d_i d_i*||
 
     Margins are reported as (bound side) - (bounded side), so all four
-    should come out nonnegative up to round-off.
+    should come out nonnegative up to round-off.  Both absolute values
+    of every d_i come from one batched SVD of the stack, and the five
+    norms from one more.
     """
     mats = [as_matrix(d) for d in ds]
     if not mats:
         raise ValueError("need at least one matrix")
     m = len(mats)
-    total = sum(mats)
-    gram_right = sum(d @ dagger(d) for d in mats)
-    gram_left = sum(dagger(d) @ d for d in mats)
-    abs_left = sum(hermitian_sqrt(dagger(d) @ d) for d in mats)
-    abs_right = sum(hermitian_sqrt(d @ dagger(d)) for d in mats)
-    ns = operator_norm(total) ** 2
+    stack = np.array(mats)
+    # d = W diag(s) V*, so |d| = V diag(s) V* and |d*| = W diag(s) W*
+    w, s, vh = np.linalg.svd(stack)
+    root_left = (dagger(vh) * s[:, None, :]) @ vh
+    root_right = (w * s[:, None, :]) @ dagger(w)
+    sums = np.array([stack, stack @ dagger(stack), dagger(stack) @ stack, root_left, root_right])
+    total, right, left, abs_left, abs_right = map(float, _operator_norms(sums.sum(axis=1)))
     margins = {
-        "square_vs_right_gram": m * operator_norm(gram_right) - ns,
-        "square_vs_left_gram": m * operator_norm(gram_left) - ns,
-        "abs_sum_vs_left_gram": operator_norm(abs_left) ** 2
-        - operator_norm(gram_left) / m,
-        "abs_sum_vs_right_gram": operator_norm(abs_right) ** 2
-        - operator_norm(gram_right) / m,
+        "square_vs_right_gram": m * right - total**2,
+        "square_vs_left_gram": m * left - total**2,
+        "abs_sum_vs_left_gram": abs_left**2 - left / m,
+        "abs_sum_vs_right_gram": abs_right**2 - right / m,
     }
-    norm = operator_norm(mats)
+    norm = float(s[:, 0].max())
     scale = 1.0 + norm * norm
     passed = all(v >= -tol * m * scale for v in margins.values())
     return SumNormReport(count=m, margins=margins, passed=passed)
@@ -596,14 +589,16 @@ def norm_estimate(
             f"4*kmax*bandwidth = {4 * kmax * band} exceeds the cap {cap}"
         )
     dense = realize(g)
-    coeff_scale = operator_norm(list(g.coefficients.values()))
+    degrees, values = g.model._values(g)[0]
+    # a coefficient in A has the norm of its largest atom value; the dense
+    # test stays, because degrees can cancel on a cycle
+    coeff_scale = float(np.abs(values).max(initial=0.0))
     if operator_norm(dense) <= 1e-14 * coeff_scale or coeff_scale == 0.0:
         raise ZeroElement("norm estimate of the zero element is undefined")
     t = rough_norm(dense)
     if t <= 0.0:
         t = coeff_scale
     gathers = g.model._gathers
-    degrees, values = g.model._values(g)[0]
     h = (degrees, values / t)
     power = _product(gathers, h, (-degrees, h[1].conj()))
     estimates = []

@@ -79,19 +79,6 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL):
     return w, v
 
 
-def hermitian_sqrt(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Positive square root of a positive semidefinite Hermitian matrix.
-
-    Eigenvalues below ``-tol * (1 + ||m||)`` raise ``ValueError``; small
-    negative round-off is clipped to zero.
-    """
-    w, v = hermitian_eig(m, tol=tol)
-    scale = 1.0 + (abs(float(w[-1])) if w.size else 0.0)
-    if w.size and float(w[0]) < -tol * scale:
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
-
-
 def eig_groups(w: np.ndarray, gap_tol: float) -> list[np.ndarray]:
     """Partition ascending eigenvalues into clusters separated by > gap_tol.
 

@@ -14,10 +14,11 @@ no commutant is ever built.
 
 ``coefficient_algebra`` assembles the commutative algebra every graded
 coefficient lives in, by running the endomorphism tower over the seed
-C*(1, |a|), and checks the structure statements that come with it.
-``build_calB`` builds the full algebra generated by {1, |a|, U} from
-the graded atoms of the coefficient algebra, each basis element with its
-graded decomposition.
+C*(1, |a|), and checks the structure statements that come with it.  The
+``structure`` view reads the algebra B generated by {1, |a|, U} as a
+Wedderburn sum over the orbits of delta on the atoms of that algebra
+(``tower.OrbitBlock``), so dim B = sum L^2 over chains + sum c^2 s over
+cycles, and no matrix of B is formed.
 
 Membership tests here go through eigenspace characterizations
 (functions of a matrix, or of a commuting family) rather than through
@@ -37,11 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    DROP_THRESHOLD,
     MatrixAlgebra,
-    _atom_means,
     _atom_residual,
-    _block_constant_defect,
     _eigenspaces,
     _joint_eigenbases,
     _labels,
@@ -49,8 +47,8 @@ from .algebra import (
     is_function_of,
     spectral_algebra,
 )
-from .errors import ModelNotGraded, PolarkitError, RelationViolated
-from .graded import COEFF_DROP, GradedElement, GradedModel, _assemble
+from .errors import PolarkitError, RelationViolated
+from .graded import GradedModel
 from .isometry import (
     ConditionCheck,
     _lattice_residuals,
@@ -58,7 +56,7 @@ from .isometry import (
     morphism_check,
     projection_chain_defect,
 )
-from .linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger, operator_norm, polar_decompose
+from .linalg import DEFAULT_TOL, as_matrix, dagger, operator_norm, polar_decompose
 from .tower import (
     TheoremReport,
     TowerReport,
@@ -66,14 +64,8 @@ from .tower import (
     _tower_theorems,
     build_tower,
     endo_pair,
+    orbit_structure,
 )
-
-# Largest entry of G - I for the Gram matrix G of B's graded atoms that
-# still counts as round-off: Haar-conjugated shifts reach 1e-13 by n = 40,
-# while atoms that carry eigenvector error (conjugated oscillators, whose
-# level gaps are about 2^-n) reach 1.8e-11 at n = 16.
-_GRAM_ROUNDOFF = 1e-12
-
 
 @dataclass(frozen=True)
 class RelationCertificate:
@@ -123,9 +115,10 @@ class Analysis:
     Each field is derived on first read from the ones before it: ``pd``
     (the polar parts), ``certificate`` (the defining-relation test),
     ``seed`` (C*(1, |a|)), ``pair`` (U validated as a partial isometry),
-    ``tower`` (both towers over the seed) and ``model`` (U over the
-    tower's double closure).  A failed derivation is not repeated either:
-    its PolarkitError or LinAlgError is raised again on every later read.
+    ``tower`` (both towers over the seed), ``model`` (U over the tower's
+    double closure) and ``structure`` (the blocks of B, given the
+    relation).  A failed derivation is not repeated either: its
+    PolarkitError or LinAlgError is raised again on every later read.
     """
 
     def __init__(self, a, tol: float = DEFAULT_TOL):
@@ -139,6 +132,7 @@ class Analysis:
     pair = _once(lambda an: endo_pair(an.pd.u, tol=an.tol))
     tower = _once(lambda an: build_tower(an.seed, an.pair, tol=an.tol))
     model = _once(lambda an: GradedModel(an.pair, an.tower.inf_a_inf, tol=an.tol))
+    structure = _once(lambda an: _structure(an))
 
 
 def _analysis(a, tol: float) -> Analysis:
@@ -183,6 +177,11 @@ def _require_relation(an: Analysis) -> RelationCertificate:
             f"aa* is not a function of a*a (residual {cert.membership_residual:.3e}){extra}"
         )
     return cert
+
+
+def _structure(an: Analysis):
+    _require_relation(an)
+    return orbit_structure(an.tower.inf_a_inf, an.pair, an.tol)
 
 
 def nonunital_seed(pos, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
@@ -388,137 +387,3 @@ def graded_model_for(a, tol: float = DEFAULT_TOL) -> GradedModel:
     blocks) on which :func:`verify_I1` fails.
     """
     return _analysis(a, tol).model
-
-
-def _graded_atom_gram_defect(model: GradedModel, under: np.ndarray) -> float:
-    """Largest entry of G - I for the Gram matrix G of the graded atoms
-    b_x U^k (k >= 0) and U*^k b_x (k >= 1) with x under P_k, under the
-    trace inner product, without forming the n^2 x n^2 product.
-
-    In the atom basis v, b_x is E_x / sqrt(r_x) (the 0/1 diagonal of atom
-    x over its rank) and U is w = v* U v, so with W_k = w^k
-
-        <E_x W_k, E_y W_j>     = [x = y] sum_{i in x} (W_j W_k*)[i, i]
-        <W_k* E_x, W_j* E_y>   = [x = y] sum_{i in x} (W_k W_j*)[i, i]
-        <E_x W_k, W_j* E_y>    = conj(sum_{i in x, l in y} W_k[i, l] W_j[l, i])
-
-    (each over sqrt(r_x r_y)); the second family has the first's
-    magnitudes.  ``under[k - 1]`` flags the atoms under P_k.
-    """
-    alg, n = model.algebra, model.dim
-    starts, sizes = alg._ranges
-    w = alg._vh @ model.pair.u @ alg.v
-    powers = [np.eye(n, dtype=np.complex128)]
-    for _ in range(1, n):
-        powers.append(powers[-1] @ w)
-    powers = np.array(powers)
-    member = np.vstack([np.ones((1, sizes.size), dtype=bool), under[: n - 1]])
-    rows = powers.transpose(1, 0, 2)
-    same = np.add.reduceat(rows @ dagger(rows), starts, axis=0) / sizes[:, None, None]
-    same -= np.eye(n)
-    both = member.T[:, :, None] & member.T[:, None, :]
-    worst = float(np.abs(np.where(both, same, 0.0)).max(initial=0.0))
-    root = np.sqrt(sizes)
-    turned = powers[1:].transpose(0, 2, 1)
-    for k in range(n):
-        cross = np.add.reduceat(np.add.reduceat(powers[k] * turned, starts, axis=1), starts, axis=2)
-        cross /= root[None, :, None] * root[None, None, :]
-        both = member[k][None, :, None] & member[1:][:, None, :]
-        worst = max(worst, float(np.abs(np.where(both, cross, 0.0)).max(initial=0.0)))
-    return worst
-
-
-def _combination_norms(
-    model: GradedModel, res: np.ndarray, d: int, weights: np.ndarray, xs: np.ndarray
-) -> np.ndarray:
-    """Norms of the combinations ``weights`` (rows) of the atoms b_x,
-    x in ``xs``, as coefficients of degree d, after checking them.
-
-    A combination c = sum_x a_x b_x has a membership defect of at most
-    sum_x |a_x| res_x, with ``res`` the atoms' own defects, and leaks
-    outside P_|d| by at most ||(1 - P_|d|) E|| ||c||, where E is the sum
-    of those atoms' projections, since c = E c.  Its norm is its largest
-    atom value max_x |a_x| / sqrt(rank x).  Only a combination these
-    bounds do not clear is formed and checked on its own by
-    ``model.element``.
-    """
-    atoms = model.algebra.basis[xs]
-    root = np.sqrt(model.algebra._ranges[1][xs])
-    mags = np.abs(weights)
-    norms = (mags / root).max(axis=1, initial=0.0)
-    bound = mags @ res[xs]
-    if d:
-        e = np.tensordot(root, atoms, axes=1)
-        p = model.range_projection(abs(d))
-        bound = bound + operator_norm(p @ e - e) * norms
-    for r in np.flatnonzero(bound > model.tol * (1.0 + norms)):
-        model.element({d: np.tensordot(weights[r], atoms, axes=1)})
-    return norms
-
-
-def build_calB(a, tol: float = DEFAULT_TOL) -> tuple[MatrixAlgebra, list[GradedElement]]:
-    """The algebra B generated by {1, |a|, U} with a graded basis.
-
-    B is spanned by the graded elements b_x, b_x U^k and U*^k b_x, with
-    b_x = P_x / sqrt(rank P_x) for the atoms x of the coefficient algebra
-    and 1 <= k < n with P_x under P_k = U^k U*^k.  These are orthonormal
-    under the trace inner product unless delta has a cycle on the atoms,
-    that is unless P_n is not 0, or the atoms carry more than round-off
-    error, which their Gram defect measures; only then does one thin SVD
-    pick an orthonormal basis of their span.  Returns the algebra and one
-    graded element per basis matrix, with coefficients in the coefficient
-    algebra and canonical supports, each degree checked at once by the
-    bounds of :func:`_combination_norms`; ModelNotGraded is raised when a
-    round trip realize(element) misses its basis matrix.
-    """
-    an = _analysis(a, tol)
-    tol = an.tol
-    _require_relation(an)
-    model = an.model
-    alg, n = model.algebra, model.dim
-    # the atom values of P_1 .. P_n: 1 on the atoms under P_k, 0 elsewhere
-    projs = np.array([model.range_projection(k) for k in range(1, n + 1)])
-    under = _atom_means(alg._vh @ projs @ alg.v, alg._ranges).real > 0.5
-    b = alg.basis
-    degrees, atoms, mats = [np.zeros(len(b), dtype=int)], [np.arange(len(b))], [b]
-    for k in range(1, n):
-        xs = np.flatnonzero(under[k - 1])
-        degrees += [np.full(len(xs), k), np.full(len(xs), -k)]
-        atoms += [xs, xs]
-        mats += [b[xs] @ model.power(k), model._power_star(k) @ b[xs]]
-    degrees, atoms, span = np.concatenate(degrees), np.concatenate(atoms), np.concatenate(mats)
-
-    # each atom's own membership defect, which bounds its combinations'
-    res = _operator_norms(_block_constant_defect(alg._vh @ b @ alg.v, alg.labels)[0])
-    _combination_norms(model, res, 0, np.eye(len(b)), np.arange(len(b)))
-    if under[n - 1].any() or _graded_atom_gram_defect(model, under) > _GRAM_ROUNDOFF:
-        left, s, vh = np.linalg.svd(span.reshape(len(span), -1), full_matrices=False)
-        keep = s > DROP_THRESHOLD * max(1.0, float(s[0]))
-        basis = vh[keep].reshape(-1, n, n)
-        coef = dagger(left[:, keep]) / s[keep][:, None]
-        parts: list[dict] = [{} for _ in coef]
-        for d in np.unique(degrees):
-            sel = degrees == d
-            norms = _combination_norms(model, res, int(d), coef[:, sel], atoms[sel])
-            rows = np.flatnonzero(norms > COEFF_DROP)
-            stack = np.tensordot(coef[rows][:, sel], b[atoms[sel]], axes=1)
-            for r, c in zip(rows, stack):
-                parts[r][int(d)] = c
-        graded = [GradedElement(model, part) for part in parts]
-    else:
-        basis = span
-        for k in range(1, n):
-            # degree -k has the same atoms and the same bound
-            xs = np.flatnonzero(under[k - 1])
-            _combination_norms(model, res, k, np.eye(xs.size), xs)
-        graded = [GradedElement(model, {int(d): b[x]}) for d, x in zip(degrees, atoms)]
-    miss = np.array([_assemble(g) for g in graded])
-    miss -= basis
-    # a Frobenius norm at or under tol clears its matrix; the operator
-    # norms are taken only for the rest
-    rest = np.flatnonzero(np.linalg.norm(miss, axis=(1, 2)) > tol)
-    back = _operator_norms(miss[rest])
-    bad = np.flatnonzero(back > tol * (1.0 + _operator_norms(basis[rest])))
-    if bad.size:
-        raise ModelNotGraded(f"graded round trip failed (residual {back[bad[0]]:.3e})")
-    return MatrixAlgebra(dim=n, basis=basis, unital=True), graded

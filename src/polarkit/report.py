@@ -224,9 +224,10 @@ def _suite_graded(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> li
     for _ in range(10):
         g1 = random_element(model, rng, bandwidth=bandwidth)
         g2 = random_element(model, rng, bandwidth=bandwidth)
+        r1, r2 = realize(g1), realize(g2)
         lhs = realize(graded_mul(g1, g2))
-        rhs = realize(g1) @ realize(g2)
-        scale = (1.0 + operator_norm(realize(g1))) * (1.0 + operator_norm(realize(g2)))
+        rhs = r1 @ r2
+        scale = (1.0 + operator_norm(r1)) * (1.0 + operator_norm(r2))
         worst = max(worst, operator_norm(lhs - rhs) / scale)
     checks = [_check("ring_consistency", "graded.product", worst <= tol, worst)]
     star = check_property_star(model, samples=10, tol=tol, bandwidth=bandwidth, rng=rng)

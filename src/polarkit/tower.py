@@ -43,8 +43,10 @@ endomorphism products and minimality are then vector algebra on X:
 weighted least squares under the trace inner product, whose weights are
 the atom ranks, class means for coarser levels, and a value partition for
 generated algebras.  Each check reports its coordinate residual plus a
-bound from the ties, and no check runs a span closure.  ``atom_orbits``
-reads the orbit structure off delta's matrix.
+bound from the ties, and no check runs a span closure.
+
+``orbit_structure`` reads the blocks of B = C*(1, |a|, U) off delta's
+orbits on X.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .algebra import (
     _refine,
     is_commutative,
 )
-from .errors import HypothesisViolated
+from .errors import HypothesisViolated, ModelNotGraded
 from .isometry import _isometry_scale, partial_isometry_report
 from .linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger, operator_norm
 
@@ -478,6 +480,21 @@ class _AtomFrame:
         inter = operator_norm((cols - images @ w) / np.sqrt(self.ranks)[:, None, None])
         return values.T, ties, inter
 
+    def injection(self, direction: str):
+        """``(pre, hit, defect)``: d = delta or delta_* maps atom pre[y] to
+        atom y where hit[y], and no atom to y elsewhere; defect is how far
+        d's atom map is from that 0/1 map (entries off 0 and 1, ties,
+        intertwining, atoms hit twice)."""
+        t, ties, intertwining = self.atom_map(direction)
+        ones = t.real > 0.5
+        defect = max(
+            float(np.abs(t - ones).max(initial=0.0)),
+            float((ones.sum(axis=1) - 1).max(initial=0)),
+            float(ties.max(initial=0.0)),
+            intertwining,
+        )
+        return ones.argmax(axis=1), ones.any(axis=1), defect
+
     def classes(self, level: SpectralAlgebra) -> tuple[np.ndarray, float]:
         """The class of each atom of X under the atoms of ``level`` (the one
         covering most of it), and the largest tie of level's atoms: how far
@@ -519,46 +536,103 @@ class _AtomFrame:
 
 
 @dataclass(frozen=True)
-class AtomOrbits:
-    """The orbits of delta on the atoms X of a commutative algebra.
+class OrbitBlock:
+    """One orbit of delta on the atoms of the double closure, and the block
+    of B = C*(1, |a|, U) it carries.
 
-    delta acts on X as a partial injection, so every orbit is a cycle or
-    a chain x -> delta(x) -> ... that ends where delta(P_x) = 0.
-    ``chains`` holds the chain lengths, longest first.
+    delta acts on the atoms as a partial injection, so an orbit is a chain
+    x -> delta(x) -> ... that ends where delta(P_x) = 0, or a cycle.  A
+    chain of length L gives M_L(C); a cycle of length c gives
+    M_c(C) (x) C^s, where s (``spectrum``; 1 on a chain) is the number of
+    distinct eigenvalues of the holonomy U^c on one of its atoms.
+    ``multiplicity`` is the common rank of the orbit's atoms.
     """
 
-    atoms: int
-    cycles: int
-    chains: tuple[int, ...]
+    cycle: bool
+    length: int
+    multiplicity: int
+    spectrum: int
 
     @property
-    def orbits(self) -> int:
-        return self.cycles + len(self.chains)
+    def dimension(self) -> int:
+        return self.length * self.length * self.spectrum
+
+    @property
+    def bandwidth(self) -> int:
+        """The least b such that the graded elements of degree |d| <= b
+        span the block: L - 1 on a chain.  On a cycle U is unitary, so the
+        degrees -b..b give 2b + 1 consecutive powers of U, which reach
+        every residue mod c at least s times once 2b + 1 >= c s, that is
+        b = ceil((c s - 1) / 2) = floor(c s / 2)."""
+        return self.length * self.spectrum // 2 if self.cycle else self.length - 1
 
 
-def atom_orbits(alg: SpectralAlgebra, pair: EndoPair) -> AtomOrbits:
-    """Orbit counts of delta on the atoms of ``alg``, read from its atom
-    matrix: x maps to the atom y on which delta(P_x) takes the value 1
-    (above 1/2), or to nothing."""
-    tmat = _AtomFrame(alg, pair).atom_map("forward")[0]
-    image = {int(x): int(y) for y, x in zip(*np.nonzero(tmat.real > 0.5))}
-    seen: set = set()
-    chains = []
-    for x in sorted(set(range(alg.dimension)) - set(image.values())):
-        start = len(seen)
-        while x is not None and x not in seen:
+@dataclass(frozen=True)
+class Structure:
+    """B as the direct sum of one block per orbit of delta, chains first;
+    ``residual`` is the distance of U from that block form plus the
+    unitarity defect of the holonomies."""
+
+    blocks: tuple[OrbitBlock, ...]
+    residual: float
+
+    @property
+    def dimension(self) -> int:
+        return sum(b.dimension for b in self.blocks)
+
+    @property
+    def bandwidth(self) -> int:
+        return max((b.bandwidth for b in self.blocks), default=0)
+
+
+def orbit_structure(alg: SpectralAlgebra, pair: EndoPair, tol: float = DEFAULT_TOL) -> Structure:
+    """The blocks of B from one walk of delta's atom map on the atoms of
+    ``alg``, the double closure.
+
+    In the atom basis U is one r x r block per atom x, in the block row of
+    delta(x); a cycle's holonomy is the product of its blocks around the
+    cycle.  The residual adds the defect of delta's atom map from a 0/1
+    partial injection, the norm of U off that block form and the
+    holonomies' unitarity defect; over ``tol * (1 + ||U||^2)^2`` it is a
+    :class:`ModelNotGraded`."""
+    frame = _AtomFrame(alg, pair)
+    pre, hit, defect = frame.injection("forward")
+    starts, sizes = frame.ranges
+    image = np.full(frame.size, -1)
+    image[pre[hit]] = np.flatnonzero(hit)
+    orbits, seen = [], set()
+    # chains from their heads, the atoms nothing maps to; the rest lie on cycles
+    for x in [*np.flatnonzero(~hit), *range(frame.size)]:
+        orbit = []
+        while x >= 0 and x not in seen:
             seen.add(x)
-            x = image.get(x)
-        chains.append(len(seen) - start)
-    cycles = 0
-    for x in range(alg.dimension):
-        if x not in seen:
-            cycles += 1
-            while x not in seen:
-                seen.add(x)
-                x = image.get(x)
-    chains.sort(reverse=True)
-    return AtomOrbits(atoms=alg.dimension, cycles=cycles, chains=tuple(chains))
+            orbit.append(x)
+            x = image[x]
+        if orbit:
+            orbits.append(orbit)
+    w = frame.u["forward"]
+    off = np.where(frame.labels[:, None] == image[frame.labels][None, :], 0.0, w)
+    residual = max(defect, operator_norm(off))
+    limit = tol * _isometry_scale(pair.u)
+    if residual <= limit:
+        blocks, unitarity = [], 0.0
+        for orbit in orbits:
+            holonomy = np.eye(sizes[orbit[0]], dtype=np.complex128)
+            cycle = image[orbit[-1]] == orbit[0]
+            if cycle:
+                atom = [slice(starts[x], starts[x] + sizes[x]) for x in orbit]
+                for src, dst in zip(atom, atom[1:] + atom[:1]):
+                    holonomy = w[dst, src] @ holonomy
+                gram = dagger(holonomy) @ holonomy - np.eye(len(holonomy))
+                unitarity = max(unitarity, operator_norm(gram))
+            spectrum = _value_classes(np.linalg.eigvals(holonomy)[None, :], tol).max() + 1
+            blocks.append(OrbitBlock(bool(cycle), len(orbit), len(holonomy), int(spectrum)))
+        residual += unitarity
+    if not residual <= limit:
+        raise ModelNotGraded(
+            f"U is not a block partial permutation of the atoms (residual {residual:.3e})"
+        )
+    return Structure(blocks=tuple(blocks), residual=float(residual))
 
 
 def _value_classes(values: np.ndarray, tol: float) -> np.ndarray:

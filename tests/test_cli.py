@@ -1,13 +1,16 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import polarkit as pk
+from polarkit import cli
 from polarkit.cli import main
+from polarkit.tower import orbit_structure
 
 from conftest import zoo_specs
 
@@ -82,11 +85,12 @@ def test_orbit_counts_tell_chains_from_cycles(capsys):
     a[:4, :4] = pk.build(pk.weighted_shift((1.0, np.sqrt(2.0), np.sqrt(3.0))))
     a[4:, 4:] = pk.build(pk.weighted_shift((0.5, 2.5)))
     normal = pk.build(pk.model_spec_from_json(zoo_specs()[4]))
-    want = {7: (0, (4, 3)), 3: (3, ())}
+    want = {7: (0, [4, 3]), 3: (3, [])}
     for m in (a, normal):
         an = pk.relation.Analysis(m)
-        orb = pk.atom_orbits(an.tower.inf_a_inf, an.pair)
-        assert (orb.atoms, orb.cycles, orb.chains) == (m.shape[0], *want[m.shape[0]])
+        entry, _ = cli._orbits(orbit_structure(an.tower.inf_a_inf, an.pair))
+        got = (entry["atoms"], entry["cycles"], entry["chain_lengths"])
+        assert got == (m.shape[0], *want[m.shape[0]])
     assert main(["tower", "--model", json.dumps(zoo_specs()[4])]) == 0
     out = capsys.readouterr().out
     assert "atom orbits under delta: atoms 3, orbits 3, cycles 3, chains 0\n" in out
@@ -398,3 +402,22 @@ def test_algebra_info_on_a_conjugated_shift(shift_file, shift4, tmp_path, capsys
     assert main(["algebra-info", "--in", str(path)]) == 0
     assert capsys.readouterr().out == plain
     assert "full algebra C*(1,|a|,U) dimension 16\n" in plain
+
+
+def test_algebra_info_after_the_tower_stays_small(monkeypatch, capsys):
+    # B is read from delta's orbits, so no dense n x n matrix of B is
+    # formed; at n = 48, dim B = 2304 such matrices would take 85 MB each
+    # time they were stacked
+    spec = {"kind": "weighted_shift", "weights": np.sqrt(np.arange(1.0, 48.0)).tolist()}
+    an = cli.Analysis(pk.build(pk.model_spec_from_json(spec)))
+    an.tower
+    monkeypatch.setattr(cli, "Analysis", lambda matrix, tol: an)
+    tracemalloc.start()
+    try:
+        assert main(["algebra-info", "--model", json.dumps(spec)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert "full algebra C*(1,|a|,U) dimension 2304\ngraded bandwidth 47\n" in out
+    assert peak < 50e6

@@ -155,6 +155,44 @@ def test_sum_norm_inequalities(rng):
         assert min(rep.margins.values()) >= -1e-9
 
 
+def _eigh_sqrt(h):
+    """Positive square root of a Hermitian positive semidefinite h."""
+    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def ref_sum_norm_margins(ds):
+    """The four margins of sum_norm_inequalities, with |d| and |d*| taken
+    as eigh square roots of d*d and d d*."""
+    m = len(ds)
+    norm = pk.operator_norm
+    ns = norm(sum(ds)) ** 2
+    right = sum(d @ d.conj().T for d in ds)
+    left = sum(d.conj().T @ d for d in ds)
+    return {
+        "square_vs_right_gram": m * norm(right) - ns,
+        "square_vs_left_gram": m * norm(left) - ns,
+        "abs_sum_vs_left_gram": norm(sum(_eigh_sqrt(d.conj().T @ d) for d in ds)) ** 2
+        - norm(left) / m,
+        "abs_sum_vs_right_gram": norm(sum(_eigh_sqrt(d @ d.conj().T) for d in ds)) ** 2
+        - norm(right) / m,
+    }
+
+
+@pytest.mark.parametrize("n", (1, 3, 6))
+def test_sum_norm_margins_match_the_eigh_square_roots(rng, n):
+    # full-rank factors: on a kernel the eigh root is off by about
+    # sqrt(eps) ||d||, the SVD's by eps ||d||
+    for m_count in (1, 2, 5):
+        for scale in (1e-3, 1.0, 50.0):
+            ds = [scale * random_matrix(rng, n) for _ in range(m_count)]
+            got = pk.sum_norm_inequalities(ds).margins
+            want = ref_sum_norm_margins(ds)
+            bound = 1e-12 * (1.0 + pk.operator_norm(ds) ** 2)
+            assert got.keys() == want.keys()
+            assert all(abs(got[k] - want[k]) <= bound for k in want), (got, want)
+
+
 def test_norm_estimate_unit_shift(unit_model):
     g = u_plus_ustar(unit_model)
     est = pk.norm_estimate(g, kmax=64)
@@ -180,6 +218,27 @@ def test_norm_estimate_zero_element(model):
     zero = model.element({})
     with pytest.raises(pk.ZeroElement):
         pk.norm_estimate(zero)
+
+
+def test_norm_estimate_reads_membership_before_the_zero_test(model):
+    # E_01 is not in the diagonal algebra; U* E_11 = E_01 on the shift, so
+    # E_01 - U* E_11 realizes to 0, and the coefficient is named first
+    e = np.eye(4)
+    cancel = pk.GradedElement(model, {0: np.outer(e[0], e[1]), -1: -np.outer(e[1], e[1])})
+    assert pk.operator_norm(pk.realize(cancel)) == 0.0
+    with pytest.raises(pk.ModelMismatch, match="^degree-0 coefficient is not in"):
+        pk.norm_estimate(cancel)
+
+
+def test_norm_estimate_of_degrees_that_cancel_is_a_zero_element():
+    # on a normal model with scalar holonomy l, -l P + P U realizes to 0,
+    # though both coefficients are nonzero members of the algebra
+    model = pk.graded_model_for(pk.build(pk.normal((1j, 1j, 2.0))))
+    p = np.diag([1.0, 1.0, 0.0])
+    g = model.element({0: -1j * p, 1: p})
+    assert pk.operator_norm(pk.realize(g)) <= 1e-15
+    with pytest.raises(pk.ZeroElement):
+        pk.norm_estimate(g)
 
 
 def test_norm_estimate_bandwidth_cap(model, rng):

@@ -54,19 +54,6 @@ def test_operator_norm_matches_svd(rng):
     assert pk.operator_norm([]) == 0.0
 
 
-def test_hermitian_sqrt_squares_back(rng):
-    b = random_matrix(rng, 5)
-    h = b @ b.conj().T
-    r = pk.hermitian_sqrt(h)
-    assert np.allclose(r @ r, h, atol=1e-9)
-    assert np.linalg.eigvalsh(r).min() >= -1e-12
-
-
-def test_hermitian_sqrt_rejects_nonhermitian(rng):
-    with pytest.raises(pk.NotHermitian):
-        pk.hermitian_sqrt(random_matrix(rng, 4))
-
-
 def test_hermitian_eig_ascending(rng):
     b = random_matrix(rng, 6)
     h = b + b.conj().T

@@ -4,13 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarkit as pk
-from polarkit.algebra import _atom_means
-from polarkit.relation import (
-    _GRAM_ROUNDOFF,
-    Analysis,
-    _combination_norms,
-    _graded_atom_gram_defect,
-)
+from polarkit.linalg import dagger
+from polarkit.relation import Analysis
+from polarkit.tower import orbit_structure
 
 from conftest import zoo_specs
 from span_closure import algebras_equal, contains, generate
@@ -182,32 +178,48 @@ def test_graded_model_for_skips_relation_gate(unit_shift4):
     assert model.algebra.dimension == 4
 
 
-def test_build_calB_reference_shift(shift4):
-    alg, graded = pk.build_calB(shift4)
-    assert alg.dimension == 16  # {1, |a|, U} generates the full matrix algebra
-    assert max(g.bandwidth for g in graded) == 3
-    worst = 0.0
-    for b, g in zip(alg.basis, graded):
-        worst = max(worst, pk.operator_norm(b - pk.realize(g)))
-    assert worst <= 1e-9
-
-
-def test_build_calB_coefficients_live_in_coefficient_algebra(shift4):
-    rep = pk.coefficient_algebra(shift4)
-    _, graded = pk.build_calB(shift4)
-    worst = 0.0
-    for g in graded:
-        for c in g.coefficients.values():
-            _, res = contains(rep.algebra, c)
-            worst = max(worst, res)
-    assert worst <= 1e-9
-
-
 CALB_TOL = 1e-9
 
 
+def _bicommutant_dimension(an):
+    """dim B by von Neumann's double commutant theorem: B = {|a|, U}''."""
+    return pk.bicommutant([an.pd.pos, an.pd.u]).dimension
+
+
+def _window_bandwidth(an, dimension):
+    """The least b whose span window {P_x U^d, U*^d P_x : d <= b}, over the
+    atoms P_x of the coefficient algebra, reaches ``dimension``."""
+    atoms, u = an.model.algebra.basis, an.pd.u
+    n = u.shape[0]
+    window, power = [atoms], np.eye(n)
+    for b in range(n):
+        if b:
+            power = power @ u
+            window += [atoms @ power, dagger(power) @ atoms]
+        s = np.linalg.svd(np.concatenate(window).reshape(-1, n * n), compute_uv=False)
+        if np.count_nonzero(s > 1e-8 * s[0]) == dimension:
+            return b
+    raise AssertionError(f"no span window reaches dimension {dimension}")
+
+
+def _assert_oracles_agree(an):
+    st_b = an.structure
+    assert st_b.residual <= CALB_TOL
+    assert st_b.dimension == _bicommutant_dimension(an)
+    assert st_b.bandwidth == _window_bandwidth(an, st_b.dimension)
+    return st_b
+
+
+def test_build_calB_reference_shift(shift4):
+    blocks = _assert_oracles_agree(Analysis(shift4)).blocks
+    # {1, |a|, U} generates the full matrix algebra: one chain of 4 atoms
+    assert [(b.cycle, b.length, b.multiplicity, b.dimension, b.bandwidth) for b in blocks] == [
+        (False, 4, 1, 16, 3)
+    ]
+
+
 def _calB_operator(name):
-    """Operator and its unconjugated copy for the build_calB cases; the
+    """Operator and its unconjugated copy for the cases of B; the
     Haar-conjugated ones take their unitary from rng seed 7."""
     plain = {
         "shift4": pk.weighted_shift((1.0, np.sqrt(2.0), np.sqrt(3.0))),
@@ -229,40 +241,26 @@ CALB_CASES = ("shift4", "osc8", "shift4_conj", "osc8_conj", "zoo_normal", "norma
 
 @pytest.mark.parametrize("name", CALB_CASES)
 def test_build_calB_from_graded_atoms(name):
+    """B read from delta's orbits has the dimension of the bicommutant and
+    of the span closure of {C*(1, |a|), U}, and the graded atoms of degree
+    |d| <= bandwidth span it; a conjugated copy has the plain copy's
+    blocks."""
     a, plain = _calB_operator(name)
     an = Analysis(a, CALB_TOL)
-    alg, graded = pk.build_calB(an)
-    basis = alg.basis
-    k, n = len(basis), a.shape[0]
-    flat = basis.reshape(k, -1)
-    assert np.abs(flat.conj() @ flat.T - np.eye(k)).max() <= 1e-12
-    assert alg.residual(np.array([np.eye(n), an.pd.pos, an.pd.u])) <= CALB_TOL
-    products = (basis[:, None] @ basis[None, :]).reshape(-1, n, n)
-    assert alg.residual(np.concatenate((products, basis.conj().transpose(0, 2, 1)))) <= CALB_TOL
-    model = an.model
-    assert len(graded) == k
-    for b, g in zip(basis, graded):
-        assert g.model is model
-        coeffs = np.array(list(g.coefficients.values()))
-        assert model.algebra.residual(coeffs) <= CALB_TOL
-        for d, c in g.coefficients.items():
-            p = model.range_projection(abs(d))
-            assert pk.operator_norm(np.array([p @ c - c, c @ p - c])) <= CALB_TOL
-        assert pk.operator_norm(pk.realize(g) - b) <= CALB_TOL
-    assert k == pk.build_calB(plain)[0].dimension
-    closure = generate([*an.seed.basis, an.pd.u], unital=True)
-    assert k == closure.dimension
+    st_b = _assert_oracles_agree(an)
+    assert st_b.blocks == Analysis(plain, CALB_TOL).structure.blocks
+    assert st_b.dimension == generate([*an.seed.basis, an.pd.u], unital=True).dimension
 
 
 def test_build_calB_conjugated_sqrt_shift_matches_its_plain_copy():
     # the span closure of {C*(1, |a|), U} overflows (DimensionOverflow) on
-    # this copy, so its dimension is compared with the plain copy's only
+    # this copy, so the bicommutant is its oracle
     plain = pk.build(pk.weighted_shift(np.sqrt(np.arange(1.0, 12.0))))
     rng = np.random.default_rng(7)
     w, _ = np.linalg.qr(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
-    alg, graded = pk.build_calB(w @ plain @ w.conj().T)
-    assert alg.dimension == pk.build_calB(plain)[0].dimension == 144
-    assert max(g.bandwidth for g in graded) == 11
+    st_b = _assert_oracles_agree(Analysis(w @ plain @ w.conj().T))
+    assert st_b.blocks == Analysis(plain).structure.blocks
+    assert (st_b.dimension, st_b.bandwidth) == (144, 11)
 
 
 def _conjugated_oscillator(n):
@@ -274,61 +272,107 @@ def _conjugated_oscillator(n):
     return q @ pk.build(pk.q_oscillator(n, 0.5, 1.0)) @ q.conj().T
 
 
-def _span_gram_defect(model):
-    """Largest entry of G - I for the graded atoms, from their n^2 x n^2 Gram."""
-    alg, n = model.algebra, model.dim
-    projs = np.array([model.range_projection(k) for k in range(1, n)])
-    under = _atom_means(alg._vh @ projs @ alg.v, alg._ranges).real > 0.5
-    b = alg.basis
-    mats = [b]
-    for k in range(1, n):
-        xs = np.flatnonzero(under[k - 1])
-        mats += [b[xs] @ model.power(k), model._power_star(k) @ b[xs]]
-    flat = np.concatenate(mats).reshape(-1, n * n)
-    return np.abs(flat.conj() @ flat.T - np.eye(len(flat))).max(), under
-
-
-@pytest.mark.parametrize("name", ("shift4", "shift4_conj", "osc8_conj", "osc16_conj"))
-def test_graded_atom_gram_defect_matches_the_span_gram(name):
-    a = _conjugated_oscillator(16) if name == "osc16_conj" else _calB_operator(name)[0]
-    model = Analysis(a, CALB_TOL).model
-    want, under = _span_gram_defect(model)
-    got = _graded_atom_gram_defect(model, under)
-    assert abs(got - want) <= 1e-14 + 1e-3 * want
-    assert (got > _GRAM_ROUNDOFF) == (name == "osc16_conj")
-
-
 @pytest.mark.parametrize("n", (16, 20))
-def test_build_calB_keeps_a_conjugated_oscillator_basis_orthonormal(n):
-    # the graded atoms alone are 1.8e-11 (n = 16) and 6.2e-10 (n = 20) from
-    # orthonormal, so B's basis comes from the thin SVD of their span
+def test_structure_of_a_conjugated_oscillator_matches_its_plain_copy(n):
     an = Analysis(_conjugated_oscillator(n), CALB_TOL)
-    alg, graded = pk.build_calB(an)
-    assert alg.dimension == n * n
-    flat = alg.basis.reshape(n * n, -1)
-    assert np.abs(flat.conj() @ flat.T - np.eye(n * n)).max() <= 1e-12
-    assert alg.residual(an.pd.u) <= 1e-3 * CALB_TOL
-    assert max(g.bandwidth for g in graded) == n - 1
-    for b, g in zip(alg.basis[::37], graded[::37]):
-        assert pk.operator_norm(pk.realize(g) - b) <= CALB_TOL
+    st_b = _assert_oracles_agree(an)
+    assert st_b.blocks == Analysis(pk.build(pk.q_oscillator(n, 0.5, 1.0))).structure.blocks
+    assert (st_b.dimension, st_b.bandwidth) == (n * n, n - 1)
 
 
-def test_combinations_the_atom_bounds_do_not_clear_are_checked_by_element(shift4, monkeypatch):
-    model = Analysis(shift4).model
-    alg = model.algebra
-    checked = []
-    element = model.element
-    monkeypatch.setattr(model, "element", lambda c: checked.append(c) or element(c))
-    xs = np.arange(alg.dimension)
-    weights = np.eye(xs.size)
-    # exact atoms clear every combination of degree 0 by the bounds alone
-    norms = _combination_norms(model, np.zeros(xs.size), 0, weights, xs)
-    assert checked == [] and np.allclose(norms, 1.0)
-    # with each atom's defect taken as 1 none is cleared, and each passes element
-    assert np.array_equal(_combination_norms(model, np.ones(xs.size), 0, weights, xs), norms)
-    assert len(checked) == xs.size
-    # the atom on e_0 lies outside P_1: its leak bound is 1, and element names it
-    first = np.flatnonzero(np.abs(alg.basis[:, 0, 0]) > 0.5)
-    assert first.size == 1
-    with pytest.raises(pk.SupportViolation, match="^degree-1 coefficient leaks"):
-        _combination_norms(model, np.zeros(xs.size), 1, np.eye(1), first)
+def _cycle(moduli, holonomy):
+    """U |a| with |a| = diag(moduli) (x) 1_r and U the cyclic shift of
+    len(moduli) blocks of rank r = len(holonomy), identity between
+    consecutive blocks and diag(holonomy) from the last back to the first:
+    one cycle of delta with holonomy diag(holonomy)."""
+    c, r = len(moduli), len(holonomy)
+    u = np.kron(np.roll(np.eye(c), 1, axis=0), np.eye(r)).astype(complex)
+    u[:r, -r:] = np.diag(holonomy)
+    return u @ np.diag(np.repeat(np.asarray(moduli, dtype=float), r))
+
+
+FIXED_CASES = {
+    "3-cycle": (np.roll(np.eye(3), 1, axis=0) @ np.diag([1.0, 2.0, 3.0]), 9, 1),
+    "2-cycle rank 2": (_cycle((1.0, 2.0), (1.0, -1.0)), 8, 2),
+    "3-cycle rank 2": (_cycle((1.0, 2.0, 3.0), (1.0, 1j)), 18, 3),
+    "normal6": (pk.build(pk.normal((1.0, 1j, -1.0, 2.0, 2j, 0.5))), 6, 1),
+    "normal6 2i to 2": (pk.build(pk.normal((1.0, 1j, -1.0, 2.0, 2.0, 0.5))), 5, 1),
+}
+
+
+@pytest.mark.parametrize("name", FIXED_CASES)
+def test_structure_fixed_cases(name):
+    a, dimension, bandwidth = FIXED_CASES[name]
+    st_b = _assert_oracles_agree(Analysis(a))
+    assert (st_b.dimension, st_b.bandwidth) == (dimension, bandwidth)
+
+
+@pytest.mark.parametrize(
+    "spec", zoo_specs(), ids=lambda spec: spec["kind"] + str(spec.get("dim", ""))
+)
+def test_structure_matches_the_oracles_on_the_zoo(spec):
+    an = Analysis(pk.build(pk.model_spec_from_json(spec)))
+    if not an.certificate.holds:
+        with pytest.raises(pk.RelationViolated):
+            an.structure
+        return
+    _assert_oracles_agree(an)
+
+
+def test_structure_on_an_algebra_delta_does_not_preserve_is_not_graded():
+    # delta(diag(1, 1, 0, 0)) = diag(0, 1, 1, 0) is not in C*(1, diag(1, 1, 2, 2)):
+    # that atom maps to no atom, yet U is an isometry on it
+    alg = pk.spectral_algebra(np.diag([1.0, 1.0, 2.0, 2.0]))
+    message = r"^U is not a block partial permutation of the atoms \(residual 1\.000e\+00\)$"
+    with pytest.raises(pk.ModelNotGraded, match=message):
+        orbit_structure(alg, pk.endo_pair(np.eye(4, k=-1)))
+
+
+@st.composite
+def direct_sums(draw):
+    """A direct sum, n <= 10, of at most one weighted shift (a chain; every
+    chain ends in the kernel, and aa* must be one value there) tensored
+    with 1_r, normal blocks (1-cycles) and cyclic shifts times a diagonal
+    (longer cycles), each level of a*a used once so the relation holds."""
+    levels = iter(np.sqrt(draw(st.permutations(range(1, 17)))))
+    phases = st.sampled_from((1.0, 1j, -1.0, -1j))
+    kinds = draw(
+        st.lists(st.sampled_from(("chain", "normal", "cycle")), min_size=1, max_size=3).filter(
+            lambda ks: ks.count("chain") <= 1
+        )
+    )
+    blocks = []
+    for kind in kinds:
+        room = 10 - sum(len(b) for b in blocks)
+        if kind == "normal":
+            count = draw(st.integers(1, min(3, room)))
+            blocks.append(next(levels) * np.diag([draw(phases) for _ in range(count)]))
+        elif room >= 2:
+            length = draw(st.integers(2, min(4 if kind == "chain" else 3, room)))
+            r = draw(st.integers(1, min(2, room // length)))
+            if kind == "chain":
+                weights = [next(levels) for _ in range(length - 1)]
+                blocks.append(np.kron(pk.build(pk.weighted_shift(weights)), np.eye(r)))
+            else:
+                holonomy = [draw(phases) for _ in range(r)]
+                blocks.append(_cycle([next(levels) for _ in range(length)], holonomy))
+        if sum(len(b) for b in blocks) == 10:
+            break
+    n = sum(len(b) for b in blocks)
+    a = np.zeros((n, n), dtype=complex)
+    at = 0
+    for b in blocks:
+        a[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    if draw(st.booleans()):
+        w = _haar_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+        a = w @ a @ w.conj().T
+    return a
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=direct_sums())
+def test_structure_of_direct_sums_matches_the_oracles(a):
+    an = Analysis(a)
+    assert an.certificate.holds
+    _assert_oracles_agree(an)
