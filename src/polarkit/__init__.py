@@ -14,13 +14,10 @@ from .algebra import (
     commutant,
     is_commutative,
     is_function_of,
-    is_function_of_family,
-    joint_eigenbasis,
     spectral_algebra,
 )
 from .errors import (
     BandwidthOverflow,
-    CommutantViolation,
     ConfigError,
     DimensionTooSmall,
     HypothesisViolated,
@@ -53,11 +50,9 @@ from .graded import (
 from .isometry import (
     CommutingProjectionReport,
     ConditionCheck,
-    MorphismReport,
     PartialIsometryReport,
     PowerIsometryReport,
     commuting_projection_properties,
-    morphism_check,
     partial_isometry_report,
     power_isometry_check,
     power_projections,
@@ -88,7 +83,6 @@ from .relation import (
     Theorem22Report,
     coefficient_algebra,
     graded_model_for,
-    nonunital_seed,
     theorem22_report,
     verify_I1,
 )

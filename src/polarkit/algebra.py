@@ -12,10 +12,9 @@ one atom label per column of v.  Its members are the matrices that are
 scalar on every atom in that basis, so membership is a block-constant
 defect and needs no basis at all; the basis P_x / sqrt(rank P_x) is kept
 for callers that read one.  ``spectral_algebra`` builds C*(1, h) for
-Hermitian h from eigenprojections, and ``joint_eigenbasis`` the atoms of
-a commuting Hermitian family, one member at a time; ``_refine`` is the one
-step that splits atoms by a Hermitian matrix, and the towers of
-``tower.py`` use it too.  ``is_function_of`` is the membership test for
+Hermitian h from eigenprojections; ``_refine`` is the one step that
+splits atoms by a Hermitian matrix, and the towers of ``tower.py`` build
+every level with it.  ``is_function_of`` is the membership test for
 algebras of the form C*(1, h).  Eigenvalues of h are grouped by one rule,
 ``_eigenspaces``.
 
@@ -24,9 +23,8 @@ are the reference oracle only: a finite-dimensional *-algebra with 1 is
 its own bicommutant, so no check of the package needs them.
 
 Every residual is an operator norm; one over many matrices is one
-``operator_norm`` call on their stack (``MatrixAlgebra.residual`` and
-``is_function_of_family`` take stacks too), built one row at a time,
-never as one stack of all pairs.
+``operator_norm`` call on their stack (``MatrixAlgebra.residual`` takes
+stacks too), built one row at a time, never as one stack of all pairs.
 """
 
 from __future__ import annotations
@@ -36,10 +34,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CommutantViolation, NotHermitian
+from .errors import NotHermitian
 from .linalg import (
     DEFAULT_TOL,
-    _operator_norms,
     as_matrix,
     dagger,
     eig_groups,
@@ -299,7 +296,7 @@ def _refine(v: np.ndarray, blocks, h: np.ndarray, gap: float) -> list[np.ndarray
     compressed to it, grouped at ``gap``; v is rotated within each block
     in place.  Refinement only splits, so every block stays a consecutive
     column range.  This is the one step behind every set of atoms built
-    from a family: a joint eigenbasis and each tower level."""
+    from a family, each tower level among them."""
     refined: list[np.ndarray] = []
     for idx in blocks:
         if idx.size == 1:
@@ -311,60 +308,3 @@ def _refine(v: np.ndarray, blocks, h: np.ndarray, gap: float) -> list[np.ndarray
         for g in eig_groups(w, gap):
             refined.append(idx[g])
     return refined
-
-
-def _joint_eigenbases(mats, tol: float = DEFAULT_TOL):
-    """Joint eigenbases of the growing prefixes of a commuting Hermitian
-    family: yields ``(v, blocks)`` for mats[:1], mats[:2], ...
-
-    Step j checks member j's commutators with the members before it,
-    within ``tol * (1 + ||m_i||) * (1 + ||m_j||)``, then splits the blocks
-    by member j at ``tol * (1 + ||m_j||)``.  The yielded v is updated in
-    place by the next step.
-    """
-    ms = np.array([as_matrix(m) for m in mats])
-    n = ms.shape[-1]
-    v = np.eye(n, dtype=np.complex128)
-    blocks = [np.arange(n)]
-    norms = np.zeros(len(ms))
-    for j, h in enumerate(ms):
-        both = _operator_norms(np.concatenate((h[None], ms[:j] @ h - h @ ms[:j])))
-        norms[j], comm = both[0], both[1:]
-        bad = np.flatnonzero(comm > tol * ((1.0 + norms[:j]) * (1.0 + norms[j])))
-        if bad.size:
-            i = int(bad[0])
-            raise CommutantViolation(f"family members {i} and {j} do not commute (norm {comm[i]:.3e})")
-        blocks = _refine(v, blocks, h, tol * (1.0 + norms[j]))
-        yield v, blocks
-
-
-def joint_eigenbasis(mats, tol: float = DEFAULT_TOL):
-    """Simultaneous eigenbasis of a commuting Hermitian family.
-
-    Returns ``(v, blocks)``: a unitary and index groups such that every
-    input is (approximately) scalar on each block in that basis.  Raises
-    :class:`CommutantViolation` naming the first member, and then the
-    first earlier member, that fail to commute within tol.
-    """
-    if not len(mats):
-        raise ValueError("need at least one matrix")
-    for v, blocks in _joint_eigenbases(mats, tol=tol):
-        pass
-    return v, blocks
-
-
-def is_function_of_family(b, mats, tol: float = DEFAULT_TOL) -> FunctionCertificate:
-    """Membership of b in the C*-algebra generated by 1 and a commuting
-    Hermitian family, via the joint eigenblock characterization.
-
-    A (k, n, n) stack b is read as the direct sum of its matrices: the
-    residual is the largest defect, the scale the largest norm, and the
-    joint eigenbasis is computed once for the whole stack.
-    """
-    bm = np.asarray(b, dtype=np.complex128)
-    v, blocks = joint_eigenbasis(mats, tol=tol)
-    if bm.ndim < 2 or bm.shape[-2:] != v.shape:
-        raise ValueError(f"expected {v.shape} matrices to match the family, got shape {bm.shape}")
-    defect = _atom_residual(v, _labels(blocks), bm)
-    scale_b = 1.0 + operator_norm(bm)
-    return FunctionCertificate(exists=defect <= tol * scale_b, residual=defect)

@@ -18,10 +18,6 @@ class HypothesisViolated(PolarkitError):
     """A stated precondition of a theorem-level check does not hold."""
 
 
-class CommutantViolation(PolarkitError):
-    """An operator required to commute with an algebra does not."""
-
-
 class RelationViolated(PolarkitError):
     """The defining relation aa* in C*(1, a*a) fails for the input."""
 

@@ -58,7 +58,6 @@ from .linalg import (
     operator_norm,
     rough_norm,
 )
-from .isometry import _isometry_scale
 from .tower import EndoPair, _AtomFrame, endo_pair
 
 # Coefficients with norm at or below this (relative to the element's scale)
@@ -90,7 +89,7 @@ class _AtomGathers:
 
     def __init__(self, model: "GradedModel"):
         frame = _AtomFrame(model.algebra, model.pair)
-        limit = model.tol * _isometry_scale(model.pair.u)
+        limit = model.tol * frame.scale
         self.steps = []
         for direction, name in (("forward", "delta"), ("star", "delta_*")):
             pre, hit, defect = frame.injection(direction)

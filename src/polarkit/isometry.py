@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CommutantViolation, HypothesisViolated
+from .errors import HypothesisViolated
 from .linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger, hermitian_eig, operator_norm
 
 
@@ -258,76 +258,4 @@ def commuting_projection_properties(
         reduction_residual=reduction_residual,
         family_residual=family_residual,
         passed=worst <= tol * scale,
-    )
-
-
-@dataclass(frozen=True)
-class MorphismReport:
-    multiplicative_residual: float
-    intertwine_residual: float
-    passed: bool
-    equivalence_flags: tuple[bool, bool, bool, bool] | None
-    equivalence_consistent: bool | None
-
-
-def morphism_check(v, algebra, tol: float = DEFAULT_TOL) -> MorphismReport:
-    """Check that b -> v b v* restricts to a morphism on the algebra.
-
-    Requires v*v in the commutant of the algebra (raises
-    :class:`CommutantViolation` naming the first offending basis element).
-    Verifies multiplicativity on basis pairs and the intertwining
-    relations v a = (v a v*) v and a v* = v* (v a v*).
-
-    When the algebra contains the identity and vv* also lies in the
-    commutant, the four statements "v*v is a projection", "vv* is a
-    projection", "v(.)v* is multiplicative", "v*(.)v is multiplicative"
-    are equivalent; their booleans and agreement flag are then reported.
-    """
-    vm = as_matrix(v)
-    vs = dagger(vm)
-    q = vs @ vm
-    p = vm @ vs
-    scale = _isometry_scale(vm)
-    basis = algebra.basis
-    comm = _operator_norms(q @ basis - basis @ q)
-    bad = np.flatnonzero(comm > tol * scale)
-    if bad.size:
-        i = int(bad[0])
-        raise CommutantViolation(f"v*v does not commute with basis element {i} (norm {comm[i]:.3e})")
-
-    def _mult_defect(w):
-        ws = dagger(w)
-        images = w @ basis @ ws
-        return max(
-            (
-                operator_norm(w @ (x @ basis) @ ws - images[i] @ images)
-                for i, x in enumerate(basis)
-            ),
-            default=0.0,
-        )
-
-    mult = _mult_defect(vm)
-    images = vm @ basis @ vs
-    inter = max(operator_norm(vm @ basis - images @ vm), operator_norm(basis @ vs - vs @ images))
-
-    flags = None
-    consistent = None
-    eye = np.eye(vm.shape[0], dtype=np.complex128)
-    has_unit = algebra.residual(eye) <= tol * (1.0 + 1.0)
-    p_commutes = operator_norm(p @ basis - basis @ p) <= tol * scale
-    if has_unit and p_commutes:
-        proj_q = operator_norm(q @ q - q) <= tol * scale
-        proj_p = operator_norm(p @ p - p) <= tol * scale
-        morph_fwd = mult <= tol * scale
-        morph_bwd = _mult_defect(vs) <= tol * scale
-        flags = (proj_q, proj_p, morph_fwd, morph_bwd)
-        consistent = all(flags) or not any(flags)
-
-    worst = max(mult, inter)
-    return MorphismReport(
-        multiplicative_residual=mult,
-        intertwine_residual=inter,
-        passed=worst <= tol * scale,
-        equivalence_flags=flags,
-        equivalence_consistent=consistent,
     )

@@ -10,7 +10,9 @@ by |a| alone (no identity adjoined; the unital and non-unital algebras
 are deliberately kept distinct).  Bicommutant membership is tested
 against the seed C*(1, |a|) itself: at finite dimension a *-algebra with
 1 is its own bicommutant (von Neumann's double commutant theorem), so
-no commutant is ever built.
+no commutant is ever built.  The ten checks are read on the atoms of the
+tower's double closure, where U is a block partial permutation plus a
+measured tie per power, so they cost O(n) SVDs, not O(n^2).
 
 ``coefficient_algebra`` assembles the commutative algebra every graded
 coefficient lives in, by running the endomorphism tower over the seed
@@ -20,11 +22,11 @@ Wedderburn sum over the orbits of delta on the atoms of that algebra
 (``tower.OrbitBlock``), so dim B = sum L^2 over chains + sum c^2 s over
 cycles, and no matrix of B is formed.
 
-Membership tests here go through eigenspace characterizations
-(functions of a matrix, or of a commuting family) rather than through
-span bases of matrix powers: powers of a matrix with crowded eigenvalues
-span the same algebra but make the membership test numerically useless,
-while the eigenspace route is exact up to rounding.
+Membership tests here go through eigenspaces (functions of a matrix, or
+classes of atoms) rather than through span bases of matrix powers:
+powers of a matrix with crowded eigenvalues span the same algebra but
+make the membership test numerically useless, while the eigenspace route
+is exact up to rounding.
 
 The functions here are views on one :class:`Analysis` per operator and
 accept one in place of the matrix (its own tol then governs), so callers
@@ -37,31 +39,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    MatrixAlgebra,
-    _atom_residual,
-    _eigenspaces,
-    _joint_eigenbases,
-    _labels,
-    _projection_basis,
-    is_function_of,
-    spectral_algebra,
-)
+from .algebra import MatrixAlgebra, _atom_means, is_function_of, spectral_algebra
 from .errors import PolarkitError, RelationViolated
 from .graded import GradedModel
-from .isometry import (
-    ConditionCheck,
-    _lattice_residuals,
-    _power_table,
-    morphism_check,
-    projection_chain_defect,
-)
+from .isometry import ConditionCheck
 from .linalg import DEFAULT_TOL, as_matrix, dagger, operator_norm, polar_decompose
 from .tower import (
     TheoremReport,
     TowerReport,
     _AtomFrame,
+    _layers_commutator,
     _tower_theorems,
+    _value_classes,
     build_tower,
     endo_pair,
     orbit_structure,
@@ -115,7 +104,8 @@ class Analysis:
     Each field is derived on first read from the ones before it: ``pd``
     (the polar parts), ``certificate`` (the defining-relation test),
     ``seed`` (C*(1, |a|)), ``pair`` (U validated as a partial isometry),
-    ``tower`` (both towers over the seed), ``model`` (U over the tower's
+    ``tower`` (both towers over the seed), ``frame`` (the atoms of the
+    tower's double closure, with U in their basis), ``model`` (U over that
     double closure) and ``structure`` (the blocks of B, given the
     relation).  A failed derivation is not repeated either: its
     PolarkitError or LinAlgError is raised again on every later read.
@@ -131,6 +121,7 @@ class Analysis:
     seed = _once(lambda an: spectral_algebra(an.pd.pos, tol=an.tol))
     pair = _once(lambda an: endo_pair(an.pd.u, tol=an.tol))
     tower = _once(lambda an: build_tower(an.seed, an.pair, tol=an.tol))
+    frame = _once(lambda an: _AtomFrame(an.tower.inf_a_inf, an.pair))
     model = _once(lambda an: GradedModel(an.pair, an.tower.inf_a_inf, tol=an.tol))
     structure = _once(lambda an: _structure(an))
 
@@ -181,20 +172,7 @@ def _require_relation(an: Analysis) -> RelationCertificate:
 
 def _structure(an: Analysis):
     _require_relation(an)
-    return orbit_structure(an.tower.inf_a_inf, an.pair, an.tol)
-
-
-def nonunital_seed(pos, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
-    """The algebra generated by |a| without adjoining the identity.
-
-    Spanned by the eigenprojections of |a| away from its kernel: any
-    polynomial with zero constant term takes arbitrary values on the
-    nonzero spectrum but is forced to vanish on the kernel.  Its basis is
-    the seed's own rows P_i / sqrt(rank P_i) for those eigenprojections.
-    """
-    w, v, groups, scale = _eigenspaces(pos, tol)
-    kept = [idx for idx in groups if abs(float(np.mean(w[idx]))) > tol * scale]
-    return MatrixAlgebra(dim=v.shape[0], basis=_projection_basis(v, kept), unital=False)
+    return orbit_structure(an.frame, an.tol)
 
 
 @dataclass(frozen=True)
@@ -219,79 +197,145 @@ class Theorem22Report:
         raise KeyError(name)
 
 
-def theorem22_report(a, tol: float = DEFAULT_TOL, kmax: int | None = None) -> Theorem22Report:
+def _class_defect(frame: _AtomFrame, values, ties, cls, eps: float) -> float:
+    """Bound on the distance of elements, atom values plus ties, from the
+    algebra of the classes ``cls`` whose tie is ``eps``; 0 for none."""
+    if not len(values):
+        return 0.0
+    return frame.class_residual(values, cls) + float(np.max(ties)) + eps
+
+
+def _chain_defect(values: np.ndarray, ties: np.ndarray) -> float:
+    """Bound on ||X_k X_l - X_k|| and ||X_l X_k - X_k|| over l <= k for
+    X_k = values[k] + E_k, ||E_k|| <= ties[k]: the products of atom
+    functions commute, and the rest is x_k E_l + E_k (x_l - 1) + E_k E_l."""
+    prods = np.abs(values[:, None, :] * values[None, :, :] - values[:, None, :]).max(axis=-1)
+    size, lower = np.abs(values).max(axis=1), np.abs(values - 1.0).max(axis=1)
+    bound = prods + np.outer(size, ties) + np.outer(ties, lower) + np.outer(ties, ties)
+    return float(np.tril(bound).max(initial=0.0))
+
+
+def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     """Verify the ten properties of U from the polar decomposition.
 
-    Requires the defining relation (RelationViolated otherwise).  Power
-    ranges run to ``kmax`` (default: the matrix dimension, by which
-    point the projection chain has stabilized or died), at least 1.
+    Requires the defining relation (RelationViolated otherwise), and raises
+    the tower's HypothesisViolated or the block form's ModelNotGraded.
+    Powers run to k = n, the dimension, by which point the projection chain
+    has stabilized or died.  Each residual is passed at
+    ``tol * (1 + ||a||)^2``.
+
+    The checks are read on the atoms X of the double closure (the frame of
+    :class:`tower._AtomFrame`), where U is W = D_k + R_k per power: D_k one
+    block per atom x in the block row of delta^k(x), and R_k, of norm tau_k,
+    the rest.  P_k = U^k U*^k and Q_k = U*^k U^k are atom vectors p_k, q_k
+    plus ties; the seed C*(1, |a|) is a partition of X with tie eps, and
+    the non-unital seed is spanned by the rows f_c = 1_c / sqrt(rank c) of
+    the seed's classes on which |a| exceeds ``tol * (1 + max |a|)``.  With
+    V = max(1, ||U||)^n >= ||W^k|| and D = V + max tau_k >= ||D_k||, each
+    residual is a vector residual plus a bound from the ties:
+
+    * the bicommutant checks: class residual of q_1 and of every p_k in
+      the seed's partition, plus their ties and eps;
+    * projections commuting: atom functions commute, so [Q_l, P_k] is
+      bounded by the spreads of the values times the off-block norms;
+    * power reduction: U* U^k U*^l - U^(k-1) U*^l = (Q_1 - 1) U^(k-1) U*^l,
+      whose block part maps delta^l(x) to delta^(k-1)(x), an atom delta
+      is defined on, so only |q_1 - 1| on those atoms enters it;
+    * idempotence and nesting: products of the vectors, with
+      P^2 - P = p^2 - p + (p - 1/2) F + F (p - 1/2) + F^2 for the tie F;
+    * the seed images: D_k f = g D_k for f on X and g its gather through
+      delta^k, and R_k f - g R_k has norm at most tau_k max f for f >= 0,
+      so delta^k(f) = U^k f U*^k is g p_k plus a tie of
+      max f (tie(P_k) + V tau_k) + V^2 eps.  These give the seed's images
+      in the seed and in C*(1, |a|, P_1..P_(k-1)), whose partition the
+      values of |a| and p_1..p_(k-1) generate (with the seed's tie eps),
+      and their absorption by P_k;
+    * the morphism and the round trip: delta(b b') - delta(b) delta(b') =
+      U b (1 - Q_1) b' U* and U b - delta(b) U = U b (1 - Q_1), whose block
+      part reads f (1 - q_1) on the atoms delta is defined on, and
+      U*(U b U*)U - b = Q_1 (b Q_1 - b) + (Q_1 b - b), where b Q_1 - b is
+      the adjoint of Q_1 b - b = (q_1 - 1) f plus ties.
     """
-    if kmax is not None and kmax < 1:
-        raise ValueError("kmax must be at least 1")
     an = _analysis(a, tol)
     tol = an.tol
-    _require_relation(an)
+    an.structure  # the relation, the tower and U's block form, or their typed error
+    frame = an.frame
     n = an.matrix.shape[0]
-    if kmax is None:
-        kmax = n
-    pd = an.pd
-    u = pd.u
-    us = dagger(u)
-    powers, p, q = _power_table(u, kmax)
-
+    images, stack, taus = frame.powers(n)
+    p, p_ties, p_off = frame.coords(stack @ dagger(stack))
+    q, q_ties, q_off = frame.coords(dagger(stack) @ stack)
     scale = 1.0 + operator_norm(an.matrix)
     thr = tol * (scale * scale)
-    seed_unital = an.seed
-    seed_plain = nonunital_seed(pd.pos, tol=tol)
 
+    cls, eps = frame.classes(an.seed)
+    pos = _atom_means(frame.rotate(an.pd.pos), frame.ranges).real
+    means = np.bincount(cls, pos * frame.ranks) / np.bincount(cls, frame.ranks)
+    f = frame.class_basis(cls)[np.abs(means) > tol * (1.0 + np.abs(pos).max())]
+    f_max = f.max(axis=1, initial=0.0)
+
+    big = max(1.0, np.sqrt(frame.nu2)) ** n
+    tau = float(taus.max())
+    dom = images[0] >= 0
+    gap = np.abs(q[0] - 1.0)
+    out = gap.max() + q_ties[0]  # bound on ||1 - Q_1||
     checks = []
 
     def add(name: str, residual: float):
-        checks.append(ConditionCheck(name=name, residual=float(residual), passed=residual <= thr))
+        residual = float(residual)
+        checks.append(ConditionCheck(name=name, residual=residual, passed=residual <= thr))
 
-    # C*(1, |a|) is its own bicommutant
-    add("initial_projection_in_bicommutant", seed_unital.residual(q[1]))
-    add("range_projections_in_bicommutant", seed_unital.residual(p[1:]))
-    commutant, reduction = _lattice_residuals(u, powers, p, q)
-    add("projection_families_commute", commutant)
-    add("power_reduction", reduction)
-    add("range_projections_idempotent", operator_norm(p[1:] @ p[1:] - p[1:]))
+    add("initial_projection_in_bicommutant", _class_defect(frame, q[:1], q_ties[:1], cls, eps))
+    add("range_projections_in_bicommutant", _class_defect(frame, p, p_ties, cls, eps))
+    add("projection_families_commute", _layers_commutator([(q, q_ties, q_off), (p, p_ties, p_off)]))
     add(
-        "ordered_products_nest",
-        max(projection_chain_defect(q, kmax), projection_chain_defect(p, kmax)),
+        "power_reduction",
+        gap[dom].max(initial=0.0) * (big + tau) ** 2
+        + gap.max() * tau * (2.0 * big + tau)
+        + q_ties[0] * big * big,
     )
+    idempotent = np.abs(p * p - p).max(axis=1) + 2.0 * np.abs(p - 0.5).max(axis=1) * p_ties
+    add("range_projections_idempotent", (idempotent + p_ties * p_ties).max())
+    add("ordered_products_nest", max(_chain_defect(q, q_ties), _chain_defect(p, p_ties)))
 
-    plain = seed_plain.basis
-    morph = morphism_check(u, seed_plain, tol=tol)
-    range_res = seed_unital.residual(u @ plain @ us)
+    # delta^k of the non-unital seed, k = 1..n: gathered rows masked by p_k
+    gathered = np.zeros((n, *f.shape))
+    for k, image in enumerate(images):
+        src = image >= 0
+        gathered[k][:, image[src]] = f[:, src]
+    imgs = gathered * p[:, None, :]
+    img_ties = np.outer(p_ties + big * taus, f_max) + big * big * eps
+
+    f_top = f.max(initial=0.0)
+    inter = np.abs(f * (1.0 - q[0]))[:, dom].max(initial=0.0) * (big + tau)
+    inter += f_top * ((big + tau) * q_ties[0] + tau * out) + big * eps * out
+    mult = inter * (f_top + eps) * big
     add(
         "delta_morphism_on_seed",
-        max(morph.multiplicative_residual, morph.intertwine_residual, range_res),
+        max(mult, inter, _class_defect(frame, imgs[0], img_ties[0], cls, eps)),
     )
 
-    # the images of all seed elements share one joint eigenbasis of
-    # [|a|, P_1..P_{k-1}] per k, the one for k - 1 split by P_{k-1}; an
-    # empty non-unital seed needs none
-    image_res = 0.0
-    absorb = 0.0
-    bases = _joint_eigenbases([pd.pos, *p[1:kmax]], tol=tol)
-    for k, (v, blocks) in zip(range(1, kmax + 1 if seed_plain.dimension else 1), bases):
-        imgs = powers[k] @ plain @ dagger(powers[k])
-        image_res = max(image_res, _atom_residual(v, _labels(blocks), imgs))
-        absorb = max(
-            absorb, operator_norm(p[k] @ imgs - imgs), operator_norm(imgs @ p[k] - imgs)
+    # C*(1, |a|, P_1..P_(k-1)): the partition |a| and p_1..p_(k-1) generate
+    extended, level = 0.0, _value_classes(pos[None, :], tol)
+    for k in range(1, n + 1 if len(f) else 1):
+        if k > 1 and level.max() < frame.size - 1:  # p_(k-1) can split a class
+            level = _value_classes(np.vstack([level, p[k - 2]]), tol)
+        generators = max(eps, p_ties[: k - 1].max(initial=0.0))
+        extended = max(
+            extended, _class_defect(frame, imgs[k - 1], img_ties[k - 1], level, generators)
         )
-    add("delta_powers_in_extended_algebra", image_res)
-    add("range_projection_absorbs_image", absorb)
-
-    round_trip = max(
-        operator_norm(us @ (u @ plain @ us) @ u - plain),
-        operator_norm(q[1] @ plain - plain),
-        operator_norm(plain @ q[1] - plain),
+    add("delta_powers_in_extended_algebra", extended)
+    absorb = (
+        np.abs((p[:, None, :] - 1.0) * imgs).max(axis=-1, initial=0.0)
+        + p_ties[:, None] * np.abs(imgs).max(axis=-1, initial=0.0)
+        + (np.abs(p - 1.0).max(axis=1) + p_ties)[:, None] * img_ties
     )
+    add("range_projection_absorbs_image", absorb.max(initial=0.0))
+
+    one_side = np.abs((q[0] - 1.0) * f).max(axis=1, initial=0.0) + f_max * q_ties[0] + out * eps
+    round_trip = (np.abs(q[0]).max() + q_ties[0] + 1.0) * one_side.max(initial=0.0)
     add("delta_star_delta_identity", round_trip)
 
-    return Theorem22Report(checks=tuple(checks), kmax=kmax)
+    return Theorem22Report(checks=tuple(checks), kmax=n)
 
 
 @dataclass(frozen=True)
@@ -357,9 +401,8 @@ def coefficient_algebra(a, tol: float = DEFAULT_TOL) -> CoefficientAlgebraReport
     an = _analysis(a, tol)
     tol = an.tol
     cert = _require_relation(an)
-    tower, pair = an.tower, an.pair
-    frame = _AtomFrame(tower.inf_a_inf, pair)
-    theorems, inf_star = _tower_theorems(tower, pair, frame, tol)
+    tower, frame = an.tower, an.frame
+    theorems, inf_star = _tower_theorems(tower, an.pair, frame, tol)
 
     scale = 1.0 + operator_norm(an.matrix)
     star_levels = _sum_form_residual(frame, inf_star, tower.n_a_inf_list)

@@ -439,6 +439,9 @@ class _AtomFrame:
         self.u = {"forward": w, "star": dagger(w)}
         nu = operator_norm(pair.u)
         self.nu2 = nu * nu
+        # the scale of isometry._isometry_scale, from the norm just taken
+        self.scale = (1.0 + self.nu2) * (1.0 + self.nu2)
+        self._maps: dict[str, tuple] = {}
         self._classes: dict[int, tuple[np.ndarray, float]] = {}
 
     @property
@@ -474,11 +477,13 @@ class _AtomFrame:
         bounds ||d(P_x) - sum_y t[y, x] P_y||, and intertwining is the
         largest ||U b - delta(b) U|| (or ||U* b - delta_*(b) U*||) over the
         basis b = P_x / sqrt(rank P_x)."""
-        w = self.u[direction]
-        cols, images = _atom_images(w, self.labels)
-        values, ties, _ = self.coords(images)
-        inter = operator_norm((cols - images @ w) / np.sqrt(self.ranks)[:, None, None])
-        return values.T, ties, inter
+        if direction not in self._maps:
+            w = self.u[direction]
+            cols, images = _atom_images(w, self.labels)
+            values, ties, _ = self.coords(images)
+            inter = operator_norm((cols - images @ w) / np.sqrt(self.ranks)[:, None, None])
+            self._maps[direction] = (values.T, ties, inter)
+        return self._maps[direction]
 
     def injection(self, direction: str):
         """``(pre, hit, defect)``: d = delta or delta_* maps atom pre[y] to
@@ -494,6 +499,24 @@ class _AtomFrame:
             intertwining,
         )
         return ones.argmax(axis=1), ones.any(axis=1), defect
+
+    def powers(self, depth: int):
+        """``(images, stack, ties)`` for the powers W^k, k = 1..depth, of U in
+        this frame, W = V*UV, in rows k - 1: images[k - 1] is delta^k as an
+        atom map, -1 where delta^k(P_x) = 0, so W^k is one block per atom x,
+        in the block row of images[k - 1][x]; stack[k - 1] = W^k and
+        ties[k - 1] is its norm off that block pattern, one batched SVD."""
+        pre, hit, _ = self.injection("forward")
+        step = np.full(self.size + 1, -1)  # step[-1] keeps -1 (no atom) at -1
+        step[pre[hit]] = np.flatnonzero(hit)
+        w = self.u["forward"]
+        images, stack = [step[:-1]], [w]
+        for _ in range(depth - 1):
+            images.append(step[images[-1]])
+            stack.append(stack[-1] @ w)
+        images, stack = np.array(images), np.array(stack)
+        off = self.labels[:, None] != images[:, self.labels][:, None, :]
+        return images, stack, _operator_norms(np.where(off, stack, 0.0))
 
     def classes(self, level: SpectralAlgebra) -> tuple[np.ndarray, float]:
         """The class of each atom of X under the atoms of ``level`` (the one
@@ -585,9 +608,9 @@ class Structure:
         return max((b.bandwidth for b in self.blocks), default=0)
 
 
-def orbit_structure(alg: SpectralAlgebra, pair: EndoPair, tol: float = DEFAULT_TOL) -> Structure:
+def orbit_structure(frame: _AtomFrame, tol: float = DEFAULT_TOL) -> Structure:
     """The blocks of B from one walk of delta's atom map on the atoms of
-    ``alg``, the double closure.
+    ``frame``, those of the double closure.
 
     In the atom basis U is one r x r block per atom x, in the block row of
     delta(x); a cycle's holonomy is the product of its blocks around the
@@ -595,11 +618,10 @@ def orbit_structure(alg: SpectralAlgebra, pair: EndoPair, tol: float = DEFAULT_T
     partial injection, the norm of U off that block form and the
     holonomies' unitarity defect; over ``tol * (1 + ||U||^2)^2`` it is a
     :class:`ModelNotGraded`."""
-    frame = _AtomFrame(alg, pair)
-    pre, hit, defect = frame.injection("forward")
+    _, hit, defect = frame.injection("forward")
+    images, stack, ties = frame.powers(1)
     starts, sizes = frame.ranges
-    image = np.full(frame.size, -1)
-    image[pre[hit]] = np.flatnonzero(hit)
+    image = images[0]
     orbits, seen = [], set()
     # chains from their heads, the atoms nothing maps to; the rest lie on cycles
     for x in [*np.flatnonzero(~hit), *range(frame.size)]:
@@ -610,10 +632,9 @@ def orbit_structure(alg: SpectralAlgebra, pair: EndoPair, tol: float = DEFAULT_T
             x = image[x]
         if orbit:
             orbits.append(orbit)
-    w = frame.u["forward"]
-    off = np.where(frame.labels[:, None] == image[frame.labels][None, :], 0.0, w)
-    residual = max(defect, operator_norm(off))
-    limit = tol * _isometry_scale(pair.u)
+    w = stack[0]
+    residual = max(defect, float(ties[0]))
+    limit = tol * frame.scale
     if residual <= limit:
         blocks, unitarity = [], 0.0
         for orbit in orbits:
@@ -727,12 +748,11 @@ def _tower_theorems(
     """:func:`verify_tower_theorems` on the atoms of ``frame``, with the
     coordinates of the star layers of a_inf it reads, so that the sum-form
     checks on the same frame need not recompute them."""
-    scale = _isometry_scale(pair.u)
     checks: dict[str, tuple[bool, float]] = {}
 
     def record(name: str, residual: float):
         residual = float(residual)
-        checks[name] = (residual <= tol * scale, residual)
+        checks[name] = (residual <= tol * frame.scale, residual)
 
     big = t.inf_a_inf
     maps = {d: frame.atom_map(d) for d in ("forward", "star")}

@@ -8,12 +8,22 @@ against.  They are badly conditioned when a generator has crowded
 eigenvalues, which is why no runtime path uses them.  ``project``,
 ``contains`` and ``algebras_equal`` are the membership tests the tests
 read algebras by.
+
+``joint_eigenbasis`` and ``nonunital_seed`` are the dense eigenspace
+oracles of the ten-property report: the atoms of a commuting Hermitian
+family, and the algebra |a| generates without the identity.
 """
 
 import numpy as np
 
-from polarkit.algebra import DROP_THRESHOLD, MatrixAlgebra
-from polarkit.linalg import as_matrix, dagger
+from polarkit.algebra import (
+    DROP_THRESHOLD,
+    MatrixAlgebra,
+    _eigenspaces,
+    _projection_basis,
+    _refine,
+)
+from polarkit.linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger
 
 
 class DimensionOverflow(Exception):
@@ -135,3 +145,31 @@ def algebras_equal(a: MatrixAlgebra, b: MatrixAlgebra, tol: float = 1e-9) -> tup
     """Mutual containment of spans; residual is the worst projection defect."""
     worst = max(b.residual(a.basis), a.residual(b.basis))
     return worst <= tol, worst
+
+
+def joint_eigenbasis(mats, tol: float = DEFAULT_TOL):
+    """Simultaneous eigenbasis ``(v, blocks)`` of a commuting Hermitian
+    family: every member is (approximately) scalar on each block of
+    columns of the unitary v.  Member j splits the blocks at
+    ``tol * (1 + ||m_j||)``; ValueError names the first pair that does not
+    commute within ``tol * (1 + ||m_i||) * (1 + ||m_j||)``."""
+    ms = np.array([as_matrix(m) for m in mats])
+    norms = _operator_norms(ms)
+    v = np.eye(ms.shape[-1], dtype=np.complex128)
+    blocks = [np.arange(ms.shape[-1])]
+    for j, h in enumerate(ms):
+        comm = _operator_norms(ms[:j] @ h - h @ ms[:j])
+        bad = np.flatnonzero(comm > tol * ((1.0 + norms[:j]) * (1.0 + norms[j])))
+        if bad.size:
+            raise ValueError(f"family members {bad[0]} and {j} do not commute")
+        blocks = _refine(v, blocks, h, tol * (1.0 + norms[j]))
+    return v, blocks
+
+
+def nonunital_seed(pos, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
+    """The algebra generated by |a| without adjoining the identity: the
+    eigenprojections of |a| away from its kernel, as the rows
+    P_i / sqrt(rank P_i)."""
+    w, v, groups, scale = _eigenspaces(pos, tol)
+    kept = [idx for idx in groups if abs(float(np.mean(w[idx]))) > tol * scale]
+    return MatrixAlgebra(dim=v.shape[0], basis=_projection_basis(v, kept), unital=False)

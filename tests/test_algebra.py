@@ -7,7 +7,14 @@ import polarkit as pk
 
 
 from conftest import random_matrix
-from span_closure import algebras_equal, contains, generate, linear_span, project
+from span_closure import (
+    algebras_equal,
+    contains,
+    generate,
+    joint_eigenbasis,
+    linear_span,
+    project,
+)
 
 
 def diag(*entries):
@@ -108,7 +115,7 @@ def test_is_function_of_requires_normal_b(rng):
 
 def test_joint_eigenbasis_diagonalizes_family():
     mats = [diag(1, 1, 2), diag(3, 4, 4)]
-    v, blocks = pk.joint_eigenbasis(mats)
+    v, blocks = joint_eigenbasis(mats)
     for m in mats:
         d = v.conj().T @ m @ v
         assert np.allclose(d, np.diag(np.diag(d)), atol=1e-10)
@@ -122,18 +129,8 @@ def test_joint_eigenbasis_rejects_noncommuting(rng):
     h2 = diag(1, 2, 3)
     if np.allclose(h1 @ h2, h2 @ h1):
         pytest.skip("randomly commuting pair")
-    with pytest.raises(pk.CommutantViolation):
-        pk.joint_eigenbasis([h1, h2])
-
-
-def test_is_function_of_family():
-    p = diag(1, 1, 0, 0)
-    q = diag(0, 1, 1, 0)
-    target = diag(0, 1, 0, 0)  # pointwise product, a function of the pair
-    cert = pk.is_function_of_family(target, [p, q])
-    assert cert.exists
-    lone = pk.is_function_of_family(target, [p])
-    assert not lone.exists
+    with pytest.raises(ValueError, match="^family members 0 and 1 do not commute$"):
+        joint_eigenbasis([h1, h2])
 
 
 @settings(max_examples=25, deadline=None)
@@ -173,15 +170,3 @@ def test_span_residual_of_a_stack_is_the_largest_single_residual(rng):
     stack = np.array([random_matrix(rng, 3) for _ in range(4)])
     singles = [np.linalg.svd(m - project(alg, m), compute_uv=False)[0] for m in stack]
     assert alg.residual(stack) == pytest.approx(max(singles), rel=1e-13)
-
-
-def test_joint_eigenbasis_grows_one_member_at_a_time():
-    from polarkit.algebra import _joint_eigenbases
-
-    family = [diag(1, 1, 1, 2), diag(0, 1, 1, 1), diag(5, 5, 6, 5)]
-    prefixes = [(v.copy(), [list(b) for b in blocks]) for v, blocks in _joint_eigenbases(family)]
-    assert [len(blocks) for _, blocks in prefixes] == [2, 3, 4]
-    for j, (v, blocks) in enumerate(prefixes):
-        v_ref, blocks_ref = pk.joint_eigenbasis(family[: j + 1])
-        assert np.array_equal(v, v_ref)
-        assert blocks == [list(b) for b in blocks_ref]

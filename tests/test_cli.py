@@ -88,7 +88,7 @@ def test_orbit_counts_tell_chains_from_cycles(capsys):
     want = {7: (0, [4, 3]), 3: (3, [])}
     for m in (a, normal):
         an = pk.relation.Analysis(m)
-        entry, _ = cli._orbits(orbit_structure(an.tower.inf_a_inf, an.pair))
+        entry, _ = cli._orbits(orbit_structure(an.frame))
         got = (entry["atoms"], entry["cycles"], entry["chain_lengths"])
         assert got == (m.shape[0], *want[m.shape[0]])
     assert main(["tower", "--model", json.dumps(zoo_specs()[4])]) == 0

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import polarkit as pk
 
 from conftest import random_matrix
-from span_closure import generate
 
 CONDITION_NAMES = (
     "spec_initial",
@@ -71,24 +70,6 @@ def test_commuting_projection_properties(shift4):
     rep = pk.commuting_projection_properties(u, kmax=3)
     assert rep.passed
     assert rep.family_residual <= 1e-12
-
-
-def test_morphism_check_on_diagonal_algebra(shift4):
-    u = pk.polar_decompose(shift4).u
-    alg = generate([np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)], unital=True)
-    rep = pk.morphism_check(u, alg)
-    assert rep.passed
-    assert rep.multiplicative_residual <= 1e-12
-    assert rep.intertwine_residual <= 1e-12
-    assert rep.equivalence_consistent
-
-
-def test_morphism_check_rejects_noncommuting_initial(rng):
-    q, _ = np.linalg.qr(random_matrix(rng, 3))
-    u = q[:, :2] @ q[:, :2].conj().T @ q  # still a partial isometry
-    alg = generate([random_matrix(rng, 3)], unital=True)
-    with pytest.raises((pk.CommutantViolation, pk.HypothesisViolated)):
-        pk.morphism_check(u, alg)
 
 
 @settings(max_examples=60, deadline=None)

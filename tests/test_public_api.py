@@ -21,9 +21,6 @@ ALLOWED = {
     "write_matrix",
     # reads back what normal-order --report json writes
     "normal_form_from_json",
-    # membership in the algebra of a commuting family, for checks that
-    # read one family instead of one Hermitian matrix
-    "is_function_of_family",
 }
 
 

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 import polarkit as pk
 from polarkit.linalg import dagger
 from polarkit.relation import Analysis
-from polarkit.tower import orbit_structure
+from polarkit.tower import _AtomFrame, orbit_structure
 
 from conftest import zoo_specs
-from span_closure import algebras_equal, contains, generate
+from span_closure import algebras_equal, contains, generate, nonunital_seed
+from test_residuals import assert_theorem22_matches_per_pair_loops
 
 
 def test_verify_I1_shift_table(shift4):
@@ -38,7 +39,7 @@ def test_verify_I1_jordan_names_offender():
 
 def test_nonunital_seed_excludes_kernel(shift4):
     pos = pk.polar_decompose(shift4).pos
-    seed = pk.nonunital_seed(pos)
+    seed = nonunital_seed(pos)
     # eigenvalues 1, sqrt2, sqrt3 contribute; the kernel eigenprojection does not
     assert seed.dimension == 3
     eye = np.eye(4, dtype=complex)
@@ -68,13 +69,6 @@ def test_theorem22_on_reference_shift(shift4):
 def test_theorem22_rejects_relation_violator():
     with pytest.raises(pk.RelationViolated):
         pk.theorem22_report(pk.build(pk.jordan_block(3)))
-
-
-def test_theorem22_kmax_must_be_at_least_one(shift4):
-    for kmax in (0, -1):
-        with pytest.raises(ValueError, match="^kmax must be at least 1$"):
-            pk.theorem22_report(shift4, kmax=kmax)
-    assert pk.theorem22_report(shift4, kmax=1).kmax == 1
 
 
 def test_theorem22_q_models():
@@ -278,6 +272,7 @@ def test_structure_of_a_conjugated_oscillator_matches_its_plain_copy(n):
     st_b = _assert_oracles_agree(an)
     assert st_b.blocks == Analysis(pk.build(pk.q_oscillator(n, 0.5, 1.0))).structure.blocks
     assert (st_b.dimension, st_b.bandwidth) == (n * n, n - 1)
+    assert_theorem22_matches_per_pair_loops(an)
 
 
 def _cycle(moduli, holonomy):
@@ -325,7 +320,7 @@ def test_structure_on_an_algebra_delta_does_not_preserve_is_not_graded():
     alg = pk.spectral_algebra(np.diag([1.0, 1.0, 2.0, 2.0]))
     message = r"^U is not a block partial permutation of the atoms \(residual 1\.000e\+00\)$"
     with pytest.raises(pk.ModelNotGraded, match=message):
-        orbit_structure(alg, pk.endo_pair(np.eye(4, k=-1)))
+        orbit_structure(_AtomFrame(alg, pk.endo_pair(np.eye(4, k=-1))))
 
 
 @st.composite
@@ -376,3 +371,4 @@ def test_structure_of_direct_sums_matches_the_oracles(a):
     an = Analysis(a)
     assert an.certificate.holds
     _assert_oracles_agree(an)
+    assert_theorem22_matches_per_pair_loops(an)
