@@ -34,7 +34,7 @@ from .errors import (
 )
 from .graded import norm_estimate, realize
 from .isometry import partial_isometry_report
-from .linalg import DEFAULT_TOL, operator_norm, polar_decompose
+from .linalg import DEFAULT_TOL, dagger, operator_norm, polar_decompose
 from .models import build
 from .relation import (
     Analysis,
@@ -56,7 +56,9 @@ from .serialize import (
 from .tower import Structure
 from .words import NormalForm, PhiMap, deg, normal_order, parse_word
 
-CONFIG_ERRORS = (ConfigError, ParseError, InvalidSpec, UnsupportedPhi, DimensionTooSmall)
+# a LinAlgError is numpy failing to factor the input: bad input too
+CONFIG_ERRORS = (ConfigError, ParseError, InvalidSpec, UnsupportedPhi, DimensionTooSmall,
+                 np.linalg.LinAlgError)
 
 
 def _checked_tol(tol: float, source: str) -> float:
@@ -111,12 +113,17 @@ def _load_model_obj(text: str):
 
 
 def _load_operator(args) -> np.ndarray:
+    """The operator of --model or --in; a ParseError when a*a overflows."""
     if getattr(args, "model", None):
-        spec = model_spec_from_json(_load_model_obj(args.model))
-        return build(spec)
-    if getattr(args, "infile", None):
-        return read_matrix(args.infile)
-    raise ConfigError("need --in MATRIX.json or --model SPEC")
+        a = build(model_spec_from_json(_load_model_obj(args.model)))
+    elif getattr(args, "infile", None):
+        a = read_matrix(args.infile)
+    else:
+        raise ConfigError("need --in MATRIX.json or --model SPEC")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(dagger(a) @ a).all():
+            raise ParseError(f"a*a overflows double precision (largest entry {np.abs(a).max():.3e})")
+    return a
 
 
 def _emit(args, payload: dict, text: str) -> None:

@@ -18,12 +18,14 @@ Products run on atom values.  A is C(X) for the atoms X of its
 values, read from one stacked rotation V* beta V), delta and delta_* act
 on X as a partial injection and its inverse, and P_k is a 0/1 vector.
 Every term of a product is then a gather through a power of delta or
-delta_* and an elementwise product, and P_d a mask.  The model derives
-those maps once, from ``tower._AtomFrame.injection``, and checks that they
-are 0/1 maps tied to U within ``tol * (1 + ||U||^2)^2``; a coefficient
-algebra that is not stored by its atoms, or that delta or delta_* does not
-map into itself, is a :class:`ModelMismatch`.  Reading those atom values
-is also the one membership check of a coefficient.
+delta_* and an elementwise product, and P_d a mask; a term is dropped
+only where its P_d is zero.  The gathers are the frame's
+(``tower._AtomFrame.gathers``, the tower's own frame for a model over a
+double closure), checked once to be 0/1 maps tied to U within
+``tol * (1 + ||U||^2)^2``; a coefficient algebra that is not stored by
+its atoms, or that delta or delta_* does not map into itself, is a
+:class:`ModelMismatch`.  Reading those atom values is also the one
+membership check of a coefficient.
 
 Random elements are built as masked atom values: random weights on the
 atoms, times the mask of P_|d|, lifted in one stacked product, so they lie
@@ -36,9 +38,10 @@ is recovered from coefficients alone through
 
     ||b|| = lim_k || N_0[ (b b*)^{2k} ] ||^{1/4k}
 
-with the bracketing s_k <= ||b|| <= (4kn+1)^{1/4k} s_k for bandwidth n.
-``norm_estimate`` implements this with repeated graded squaring on atom
-values and pre-scaling, reading ||N_0|| as the largest atom value.
+with the bracketing s_k <= ||b|| <= (4kn+1)^{1/4k} s_k for bandwidth n,
+when U is nilpotent.  ``norm_estimate`` implements this with repeated
+graded squaring on atom values and pre-scaling, reading ||N_0|| as the
+largest atom value.
 """
 
 from __future__ import annotations
@@ -76,50 +79,10 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
-class _AtomGathers:
-    """delta and delta_* of a model as gathers over the atoms X of its
-    coefficient algebra.
-
-    Row k of ``index`` gathers delta^k (delta^k(alpha) = alpha[index[k]] *
-    mask[k]) and row ``depth + k`` gathers delta_*^k; ``mask[k]`` holds the
-    atom values of P_k = delta^k(1) and ``mask[depth + k]`` those of
-    Q_k = delta_*^k(1).  Rows are kept for k < depth, which starts at the
-    model dimension and grows only for an element of degree at least that.
-    """
-
-    def __init__(self, model: "GradedModel"):
-        frame = _AtomFrame(model.algebra, model.pair)
-        limit = model.tol * frame.scale
-        self.steps = []
-        for direction, name in (("forward", "delta"), ("star", "delta_*")):
-            pre, hit, defect = frame.injection(direction)
-            if not defect <= limit:
-                raise ModelMismatch(
-                    f"{name} does not map the coefficient algebra into itself "
-                    f"(invariance defect {defect:.3e})"
-                )
-            self.steps.append((pre, hit))
-        self.dim = model.dim
-        self._extend(self.dim)
-
-    def _extend(self, depth: int):
-        rows = []
-        for step, under in self.steps:
-            index = [np.arange(under.size)]
-            mask = [np.ones(under.size, dtype=bool)]
-            for _ in range(1, depth):
-                index.append(index[-1][step])
-                mask.append(mask[-1][step] & under)
-            rows.append((index, mask))
-        self.depth = depth
-        self.index = np.array(rows[0][0] + rows[1][0])
-        self.mask = np.array(rows[0][1] + rows[1][1], dtype=float)
-
-    def tables(self, degree: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """``(index, mask, depth)`` with rows for every power up to ``degree``."""
-        if degree >= self.depth:
-            self._extend(degree + 1)
-        return self.index, self.mask, self.depth
+def _nilpotent(model: "GradedModel") -> bool:
+    """Whether a power of u vanishes (a mask P_k = 0 on the atoms): only
+    then does N_0 read degree 0 alone; on a cycle no u^d is 0."""
+    return model._gathers.vanish is not None
 
 
 def _degree(d) -> int:
@@ -179,8 +142,21 @@ class GradedModel:
         return self._proj[k]
 
     @cached_property
-    def _gathers(self) -> _AtomGathers:
-        return _AtomGathers(self)
+    def _frame(self) -> _AtomFrame:
+        """The algebra's atoms, with u in their basis (a tower's, when set)."""
+        return _AtomFrame(self.algebra, self.pair)
+
+    @cached_property
+    def _gathers(self) -> _AtomFrame:
+        """The frame, once delta and delta_* act on its atoms as 0/1 maps."""
+        for direction, name in (("forward", "delta"), ("star", "delta_*")):
+            defect = self._frame.injection(direction)[2]
+            if not defect <= self.tol * self._frame.scale:
+                raise ModelMismatch(
+                    f"{name} does not map the coefficient algebra into itself "
+                    f"(invariance defect {defect:.3e})"
+                )
+        return self._frame
 
     def element(self, coefficients: dict, enforce_support: bool = False) -> "GradedElement":
         """Build a graded element, validating the invariants.
@@ -375,7 +351,7 @@ def graded_mul(g1: GradedElement, g2: GradedElement) -> GradedElement:
     return model._lift(_product(gathers, left, right))
 
 
-def _product(gathers: _AtomGathers, left, right, degree: int | None = None):
+def _product(frame: _AtomFrame, left, right, degree: int | None = None):
     """The graded product of two (degrees, atom values) pairs, or with
     ``degree`` only its degree-``degree`` coefficient.
 
@@ -389,23 +365,24 @@ def _product(gathers: _AtomGathers, left, right, degree: int | None = None):
         m < 0 < n          delta_*^min(-m, n)(beta * gamma)
 
     that is beta and gamma each gathered through one power of delta or
-    delta_*, times a mask, times the mask of P_|m+n|.  Terms that would
-    be truncated (|m + n| >= dim) or not asked for are never formed.  One
-    left degree is taken at a time, against all right degrees at once, so
-    no array exceeds (degrees, atoms).  Per degree, coefficients whose
-    largest value is at or below ``COEFF_DROP * scale**2`` are dropped,
-    with scale the largest factor value and at least 1.
+    delta_*, times a mask, times the mask of P_|m+n|.  Terms whose P_|m+n|
+    is zero (|m + n| at least the least k with P_k = 0, when U is
+    nilpotent) or not asked for are never formed.  One left degree is
+    taken at a time, against all right degrees at once, so no array
+    exceeds (degrees, atoms).  Per degree, coefficients whose largest
+    value is at or below ``COEFF_DROP * scale**2`` are dropped, with scale
+    the largest factor value and at least 1.
     """
     ldeg, lval = left
     rdeg, rval = right
-    dim = gathers.dim
-    top = max(int(np.abs(ldeg).max(initial=0)), int(np.abs(rdeg).max(initial=0)), dim - 1)
-    index, mask, depth = gathers.tables(top)
+    lmax, rmax = int(np.abs(ldeg).max(initial=0)), int(np.abs(rdeg).max(initial=0))
+    top = lmax + rmax if frame.vanish is None else min(lmax + rmax, frame.vanish - 1)
+    index, mask, depth = frame.gathers(max(lmax, rmax, top))
     scale = max(1.0, float(np.abs(lval).max(initial=0.0)), float(np.abs(rval).max(initial=0.0)))
-    acc = np.zeros((2 * dim - 1, lval.shape[-1]), dtype=np.complex128)
+    acc = np.zeros((2 * top + 1, lval.shape[-1]), dtype=np.complex128)
     for m, beta in zip(ldeg.tolist(), lval):
         d = m + rdeg
-        keep = np.abs(d) < dim
+        keep = np.abs(d) <= top
         if degree is not None:
             keep &= d == degree
         if not keep.any():
@@ -423,10 +400,10 @@ def _product(gathers: _AtomGathers, left, right, degree: int | None = None):
             on_gamma = np.where(n <= 0, 0, back)
         rows = np.arange(len(n))[:, None]
         terms = beta[index[on_beta]] * gamma[rows, index[on_gamma]]
-        acc[d + dim - 1] += terms * (mask[under] * mask[np.abs(d)])
+        acc[d + top] += terms * (mask[under] * mask[np.abs(d)])
     peak = np.abs(acc).max(axis=1)
     kept = np.flatnonzero(peak > COEFF_DROP * scale * scale)
-    return kept - (dim - 1), acc[kept]
+    return kept - top, acc[kept]
 
 
 def extract_N(g: GradedElement, n: int) -> np.ndarray:
@@ -460,7 +437,7 @@ def random_element(
     b = min(bandwidth, model.dim - 1)
     alg = model.algebra
     k = alg.dimension
-    _, mask, _ = model._gathers.tables(b)
+    _, mask, _ = model._gathers.gathers(b)
     degrees = np.arange(-b, b + 1)
     draws = np.array([rng.standard_normal(k) + 1j * rng.standard_normal(k) for _ in degrees])
     values = draws / np.sqrt(alg._ranges[1]) * mask[np.abs(degrees)]
@@ -578,7 +555,8 @@ def norm_estimate(
     squaring runs on those, and ||N_0|| is the largest degree-0 value.
     Raises :class:`ZeroElement` for the zero element,
     :class:`BandwidthOverflow` when 4 * kmax * bandwidth exceeds ``cap``,
-    and :class:`ModelMismatch` as :func:`graded_mul` does.
+    and :class:`ModelMismatch` as :func:`graded_mul` does and for a u no
+    power of which vanishes.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
@@ -594,6 +572,11 @@ def norm_estimate(
     coeff_scale = float(np.abs(values).max(initial=0.0))
     if operator_norm(dense) <= 1e-14 * coeff_scale or coeff_scale == 0.0:
         raise ZeroElement("norm estimate of the zero element is undefined")
+    if not _nilpotent(g.model):
+        raise ModelMismatch(
+            "u is not nilpotent (no power of it vanishes on the atoms), so the "
+            "degree-0 functional does not give the norm"
+        )
     t = rough_norm(dense)
     if t <= 0.0:
         t = coeff_scale

@@ -121,9 +121,16 @@ class Analysis:
     seed = _once(lambda an: spectral_algebra(an.pd.pos, tol=an.tol))
     pair = _once(lambda an: endo_pair(an.pd.u, tol=an.tol))
     tower = _once(lambda an: build_tower(an.seed, an.pair, tol=an.tol))
-    frame = _once(lambda an: _AtomFrame(an.tower.inf_a_inf, an.pair))
-    model = _once(lambda an: GradedModel(an.pair, an.tower.inf_a_inf, tol=an.tol))
+    frame = _once(lambda an: an.tower._frame)
+    model = _once(lambda an: _graded_model(an))
     structure = _once(lambda an: _structure(an))
+
+
+def _graded_model(an: Analysis) -> GradedModel:
+    """U over the double closure, read on the tower's frame."""
+    model = GradedModel(an.pair, an.frame.alg, tol=an.tol)
+    model._frame = an.frame
+    return model
 
 
 def _analysis(a, tol: float) -> Analysis:
@@ -186,16 +193,6 @@ class Theorem22Report:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def worst(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
-
-    def by_name(self, name: str) -> ConditionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def _class_defect(frame: _AtomFrame, values, ties, cls, eps: float) -> float:
     """Bound on the distance of elements, atom values plus ties, from the
@@ -243,10 +240,8 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
       is defined on, so only |q_1 - 1| on those atoms enters it;
     * idempotence and nesting: products of the vectors, with
       P^2 - P = p^2 - p + (p - 1/2) F + F (p - 1/2) + F^2 for the tie F;
-    * the seed images: D_k f = g D_k for f on X and g its gather through
-      delta^k, and R_k f - g R_k has norm at most tau_k max f for f >= 0,
-      so delta^k(f) = U^k f U*^k is g p_k plus a tie of
-      max f (tie(P_k) + V tau_k) + V^2 eps.  These give the seed's images
+    * the seed images: delta^k(f) is f gathered through delta^k times
+      p_k plus a tie (``_AtomFrame.layers``).  These give the seed's images
       in the seed and in C*(1, |a|, P_1..P_(k-1)), whose partition the
       values of |a| and p_1..p_(k-1) generate (with the seed's tie eps),
       and their absorption by P_k;
@@ -261,9 +256,7 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     an.structure  # the relation, the tower and U's block form, or their typed error
     frame = an.frame
     n = an.matrix.shape[0]
-    images, stack, taus = frame.powers(n)
-    p, p_ties, p_off = frame.coords(stack @ dagger(stack))
-    q, q_ties, q_off = frame.coords(dagger(stack) @ stack)
+    images, taus, (p, p_ties, p_off), (q, q_ties, q_off) = frame.powers(n)
     scale = 1.0 + operator_norm(an.matrix)
     thr = tol * (scale * scale)
 
@@ -298,12 +291,8 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     add("ordered_products_nest", max(_chain_defect(q, q_ties), _chain_defect(p, p_ties)))
 
     # delta^k of the non-unital seed, k = 1..n: gathered rows masked by p_k
-    gathered = np.zeros((n, *f.shape))
-    for k, image in enumerate(images):
-        src = image >= 0
-        gathered[k][:, image[src]] = f[:, src]
-    imgs = gathered * p[:, None, :]
-    img_ties = np.outer(p_ties + big * taus, f_max) + big * big * eps
+    layers = frame.layers(f, np.full(len(f), eps), "forward", n)[1:]
+    imgs, img_ties = (np.array([layer[i] for layer in layers]) for i in (0, 1))
 
     f_top = f.max(initial=0.0)
     inter = np.abs(f * (1.0 - q[0]))[:, dom].max(initial=0.0) * (big + tau)
@@ -407,7 +396,7 @@ def coefficient_algebra(a, tol: float = DEFAULT_TOL) -> CoefficientAlgebraReport
     scale = 1.0 + operator_norm(an.matrix)
     star_levels = _sum_form_residual(frame, inf_star, tower.n_a_inf_list)
     fwd_stab = tower.stabilization.get("forward_from_star_limit", 0)
-    fwd_layers = frame.layers(frame.rotate(tower.inf_a.basis), "forward", fwd_stab)
+    fwd_layers = frame.layers(*frame.basis_coords(tower.inf_a), "forward", fwd_stab)
     fwd_levels = _sum_form_residual(
         frame, fwd_layers, [None] * fwd_stab + [tower.a_inf_of_inf_a]
     )

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, PolarkitError, ZeroElement
 from .graded import (
+    _nilpotent,
     check_property_star,
     extract_N,
     graded_adjoint,
@@ -120,15 +121,15 @@ def _relation_failure(an: Analysis) -> list[dict] | None:
 def _nilpotent_model(an: Analysis):
     """(model, None) when the graded suites apply, else (None, checks).
 
-    The graded calculus truncates at degree dim, which realizes to zero
-    only when u is nilpotent (finite shift truncations); the suites do
+    The norm formula reads degree 0 alone only when u is nilpotent
+    (finite shift truncations, see ``graded._nilpotent``); the suites do
     not apply to unitary-type models and report no checks for them.
     """
     try:
         model = an.model
     except PolarkitError as exc:
         return None, _precondition_failure(exc, "graded.model")
-    if operator_norm(model.power(model.dim)) > an.tol:
+    if not _nilpotent(model):
         return None, []
     return model, None
 

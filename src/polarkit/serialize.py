@@ -43,22 +43,34 @@ def _matrix_entries(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ParseError(f"matrix object must be a dict, got {type(obj).__name__}")
     try:
-        n = int(obj["dim"])
+        n = _integer(obj["dim"], "matrix field 'dim'")
         entries = obj["entries"]
     except KeyError as exc:
         raise ParseError(f"matrix object is missing field {exc.args[0]!r}") from exc
     if n <= 0:
         raise ParseError(f"matrix field 'dim' must be positive, got {n}")
+    if not isinstance(entries, list):
+        raise ParseError("matrix field 'entries' must be a list of [re, im] pairs")
     if len(entries) != n * n:
         raise ParseError(
             f"matrix field 'entries' has {len(entries)} items, expected dim^2 = {n * n}"
         )
     flat = np.empty(n * n, dtype=np.complex128)
     for i, pair in enumerate(entries):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ParseError(f"entries[{i}] must be a [re, im] pair")
-        flat[i] = complex(float(pair[0]), float(pair[1]))
+        try:
+            re, im = pair if isinstance(pair, (list, tuple)) else ()
+            flat[i] = complex(float(re), float(im))
+        except (TypeError, ValueError):
+            raise ParseError(f"entries[{i}] must be a [re, im] pair of numbers, got {pair!r}") from None
     return flat.reshape(n, n)
+
+
+def _integer(value, what: str) -> int:
+    """value, when it is a JSON integer: a bool, a float or a string is a
+    ParseError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def load_json(path: str):
@@ -161,14 +173,13 @@ def model_spec_from_json(obj) -> ModelSpec:
                 weights=tuple(float(w) for w in obj["weights"]),
             )
         if kind == "q_oscillator":
-            return ModelSpec(
-                kind=kind, dim=int(obj["dim"]), q=float(obj["q"]), h=float(obj["h"])
-            )
+            dim = _integer(obj["dim"], "model field 'dim'")
+            return ModelSpec(kind=kind, dim=dim, q=float(obj["q"]), h=float(obj["h"]))
         if kind == "normal":
             diag = tuple(complex(float(p[0]), float(p[1])) for p in obj["diag"])
             return ModelSpec(kind=kind, dim=len(diag), diag=diag)
         if kind == "jordan_block":
-            return ModelSpec(kind=kind, dim=int(obj["dim"]))
+            return ModelSpec(kind=kind, dim=_integer(obj["dim"], "model field 'dim'"))
         if kind == "custom":
             # a non-finite entry fails models.build, as in the other kinds
             m = _matrix_entries(obj["matrix"])

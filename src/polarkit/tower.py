@@ -8,13 +8,10 @@ tower adjoins delta images, the star tower adjoins delta_* images:
     T_n(star)    = alg{A_0, delta_*(A_0), ..., delta_*^n(A_0)}
 
 Dimensions are nondecreasing and bounded, so each sequence stabilizes; the
-limits are written a_inf and inf_a.  Every level is commutative, so it is
-built by its atoms (minimal projections): T_n splits the atoms of T_{n-1}
-by the images delta^n(A_0), with no span closure.  Applying the star
-construction to a_inf (or the forward one to inf_a) gives the double
-closures, which agree and form the smallest commutative algebra
-containing A_0 on which both conjugations act as endomorphisms, provided
-the hypotheses below hold.
+limits are written a_inf and inf_a.  Applying the star construction to
+a_inf (or the forward one to inf_a) gives the double closures, which agree
+and form the smallest commutative algebra containing A_0 on which both
+conjugations act as endomorphisms, provided the hypotheses below hold.
 
 Two hypothesis sets appear in the theory and the source statements do not
 single one out, so both are checked and reported:
@@ -26,32 +23,26 @@ single one out, so both are checked and reported:
 
 The weak set is what the double-closure construction needs; the strong set
 additionally makes the layer products and the top-layer ideal statement
-valid at the seed level (they always hold at the a_inf level).  For a seed
-stored by its atoms the hypotheses are read in its atom basis, where "X
-commutes with A_0" is the off-block part of X (its entries between
-different atoms), one batched SVD per layer of delta images.
+valid at the seed level (they always hold at the a_inf level).
 
-The tower theorems are checked on the atoms X of the double closure, which
-is C(X): delta and delta_* act on X as a partial injection and its
-inverse, two 0/1 matrices whose column x holds the atom values of
-delta(P_x) and delta_*(P_x), each tied to U by one batched defect.  Every
-element a check reads is rotated into the atom basis and written as a
-vector over X plus its tie, a bound on its distance from that atom
-function (``_AtomFrame``).  Layer products, the top-layer ideal, the
-sum-form levels, delta lowering and delta_* raising a level, the
-endomorphism products and minimality are then vector algebra on X:
-weighted least squares under the trace inner product, whose weights are
-the atom ranks, class means for coarser levels, and a value partition for
-generated algebras.  Each check reports its coordinate residual plus a
-bound from the ties, and no check runs a span closure.
-
-``orbit_structure`` reads the blocks of B = C*(1, |a|, U) off delta's
-orbits on X.
+Everything is read on the atoms X of the double closure, which is C(X).
+X is found first, by splitting the seed's atoms with one mixed image
+U h U* and U* h U per round, and certified: delta and delta_* must act on
+X as a partial injection and its inverse, two 0/1 matrices tied to U by
+one batched defect.  An element read on X is a vector over X plus its
+tie, a bound on its distance from that atom function (``_AtomFrame``).
+The four sequences are then partitions of X joined with gathers of the
+seed's classes; the hypotheses and the tower theorems are gathers through
+the powers of delta, weighted least squares under the trace inner product
+(whose weights are the atom ranks) and commutator bounds from the ties.
+No check runs a span closure.  ``orbit_structure`` reads the blocks of
+B = C*(1, |a|, U) off delta's orbits on X.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,19 +53,18 @@ from .algebra import (
     _atom_algebra,
     _atom_means,
     _atom_ranges,
-    _block_constant_defect,
     _labels,
     _refine,
     is_commutative,
 )
 from .errors import HypothesisViolated, ModelNotGraded
-from .isometry import _isometry_scale, partial_isometry_report
+from .isometry import partial_isometry_report
 from .linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger, operator_norm
 
-# Seed of the fixed weights that mix a refinement step's images into one
-# Hermitian matrix: generic real weights in [1, 2), so that two atoms the
-# images tell apart almost never get equal mixed values, and the same
-# weights on every run.
+# Seed of the fixed weights that mix the atoms of a refinement round into
+# one Hermitian matrix: generic real weights in [1, 2), so that two atoms
+# the images tell apart almost never get equal mixed values (the first
+# 2048 lie at least 2e-7 apart), and the same weights on every run.
 MIX_SEED = 20020
 
 
@@ -110,11 +100,6 @@ def endo_pair(u, tol: float = DEFAULT_TOL) -> EndoPair:
     return EndoPair(u=um, ambient_dim=um.shape[0])
 
 
-def _apply_stack(pair: EndoPair, stack: np.ndarray, direction: str) -> np.ndarray:
-    u = pair.u if direction == "forward" else dagger(pair.u)
-    return (u[None, :, :] @ stack) @ dagger(u)[None, :, :]
-
-
 @dataclass(frozen=True)
 class HypothesesReport:
     """Residuals for both hypothesis sets; failures are reported, not thrown."""
@@ -145,87 +130,115 @@ def _commutativity_defect(algs) -> float:
     return worst
 
 
+def _mix_weights(count: int) -> np.ndarray:
+    return np.random.default_rng(MIX_SEED).uniform(1.0, 2.0, count)
+
+
+def _double_closure(a0: MatrixAlgebra, pair: EndoPair, tol: float):
+    """``(frame, seed, defect)``: the frame on X, the seed's class of each
+    atom of X, and X's certification defect (``_AtomFrame.injection``).
+
+    X starts from the seed's atoms (for a seed not stored by its atoms,
+    those of C*(1, h), h a fixed mix of its basis' Hermitian parts); each
+    round splits them by U h U* and U* h U, h = sum_x c_x P_x with fixed
+    weights c, grouped at ``tol * (1 + 2 ||U||^2)``, until none splits.
+    """
+    comm_res = _commutativity_defect([a0])
+    if comm_res > tol:
+        raise HypothesisViolated(f"seed algebra is not commutative (residual {comm_res:.3e})")
+    if isinstance(a0, SpectralAlgebra):
+        v, blocks = a0.v.copy(), a0.blocks
+    else:
+        b = a0.basis.astype(np.complex128)
+        parts = np.concatenate(((b + dagger(b)) / 2.0, (b - dagger(b)) / 2.0j))
+        h = np.tensordot(_mix_weights(len(parts)), parts, axes=1)
+        v = np.eye(a0.dim, dtype=np.complex128)
+        blocks = _refine(v, [np.arange(a0.dim)], h, tol * (1.0 + operator_norm(h)))
+    seed, count, nu = _labels(blocks), 0, operator_norm(pair.u)
+    while len(blocks) > count and any(idx.size > 1 for idx in blocks):
+        count, gap = len(blocks), tol * (1.0 + 2.0 * nu * nu)
+        h = (v * _mix_weights(count)[_labels(blocks)]) @ dagger(v)
+        for image in (pair.delta(h), pair.delta_star(h)):
+            blocks = _refine(v, blocks, image, gap)
+    same = isinstance(a0, SpectralAlgebra) and len(blocks) == len(a0.blocks)
+    frame = _AtomFrame(a0 if same else _atom_algebra(v, blocks), pair)
+    defect = max(frame.injection(d)[2] for d in ("forward", "star"))
+    return frame, seed[frame.ranges[0]], defect
+
+
+def _sequence(frame: "_AtomFrame", base: np.ndarray, direction: str):
+    """``(levels, stab)``: T_n = alg{T_(n-1), d^n(base)} as partitions of
+    X, until a level repeats twice.  d^n maps a class to the images of its
+    atoms under delta^n or to their preimages, and the rest of X is the
+    class of 1 - d^n(1).  A level equals the one below exactly when its
+    class count does; stab is the first n whose level is the limit.
+    """
+    levels, equal_run = [base], 0
+    while equal_run < 2:
+        index, mask, depth = frame.gathers(len(levels))
+        row = len(levels) + (depth if direction == "star" else 0)
+        gathered = np.where(mask[row] > 0, base[index[row]], -1)
+        keys = levels[-1] * (frame.size + 1) + gathered + 1
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        level = np.argsort(np.argsort(first))[inverse]  # the join, one numbering per partition
+        equal_run = equal_run + 1 if level.max() == levels[-1].max() else 0
+        levels.append(levels[-1] if equal_run else level)
+    return levels, len(levels) - 3
+
+
+def _hypotheses(frame: "_AtomFrame", a0: MatrixAlgebra, kmax: int, tol: float, defect: float):
+    """Both hypothesis sets read on X (see the module docstring); every
+    residual is the certification ``defect`` of X when that fails."""
+    limit = tol * frame.scale
+    names = (
+        "delta_star_powers_of_1_projections",
+        "delta_star_powers_of_1_commute_with_seed",
+        "delta_powers_of_seed_commute_with_seed",
+        "delta_star_of_1_commutes_with_delta_powers",
+        "delta_of_seed_inside_seed",
+        "delta_star_of_1_commutes_with_seed",
+    )
+    residuals = [defect] * len(names)
+    if defect <= limit:
+        values, ties = frame.basis_coords(a0)
+        seed = (values, ties, ties)
+        q, q_ties, q_off = frame.powers(kmax)[3]
+        idempotent = np.abs(q * q - q).max(axis=1) + 2.0 * np.abs(q - 0.5).max(axis=1) * q_ties
+        hermitian = 2.0 * (np.abs(q.imag).max(axis=1) + q_ties)
+        q1 = (q[:1], q_ties[:1], q_off[:1])  # Q_0 = 1 is exact, and commutes
+        fwd = frame.layers(values, ties, "forward", kmax)
+        span, span_ties = frame.span_basis(values, ties)
+        image = fwd[min(1, kmax)]
+        residuals = [
+            np.maximum(idempotent + q_ties * q_ties, hermitian).max(initial=0.0),
+            _layers_commutator([(q, q_ties, q_off), seed]),
+            max(_layers_commutator([seed, layer]) for layer in fwd),
+            max(_layers_commutator([q1, layer]) for layer in fwd),
+            frame.span_residual(image[0], span) + 2.0 * image[1].max(initial=0.0)
+            + span_ties.max(initial=0.0) if kmax else 0.0,
+            _layers_commutator([q1, seed]),
+        ]
+    residuals = [float(res) for res in residuals]
+    weak, strong = max(residuals[:4]), max(residuals[:1] + residuals[4:])
+    return HypothesesReport(
+        kmax=kmax, weak_holds=weak <= limit, strong_holds=strong <= limit, weak_residual=weak,
+        strong_residual=strong, details=dict(zip(names, residuals)),
+    )
+
+
 def hypotheses_check(
     a0: MatrixAlgebra, pair: EndoPair, kmax: int | None = None, tol: float = DEFAULT_TOL
 ) -> HypothesesReport:
     """Evaluate both hypothesis sets for the tower construction on A_0.
 
     ``kmax`` defaults to the ambient dimension (high powers of a truncated
-    shift vanish, so nothing new appears beyond it).  Residuals are
-    compared against ``tol * (1 + ||u||^2)^2``.  Raises
-    :class:`HypothesisViolated` when A_0 is not commutative.
-
-    For a seed stored by its atoms everything runs in its atom basis,
-    where "X commutes with A_0" is the off-block part of X (the entries
-    between different atoms), one batched SVD per layer of delta images;
-    any other seed is checked against its basis pair by pair.
+    shift vanish, so nothing new appears beyond it).  Residuals are read
+    on X (X's certification defect if that fails) against ``tol * (1 +
+    ||u||^2)^2``.  Raises :class:`HypothesisViolated` when A_0 is not
+    commutative.
     """
-    comm_res = _commutativity_defect([a0])
-    if comm_res > tol:
-        raise HypothesisViolated(f"seed algebra is not commutative (residual {comm_res:.3e})")
-    if kmax is None:
-        kmax = pair.ambient_dim
-    scale = _isometry_scale(pair.u)
-    eye = np.eye(pair.ambient_dim, dtype=np.complex128)
-
-    if isinstance(a0, SpectralAlgebra):
-        v, vh, layer = a0.v, a0._vh, a0._vh @ a0.basis @ a0.v
-        outside = a0.labels[:, None] != a0.labels[None, :]
-
-        def commutator(stack):
-            return np.where(outside, stack, 0.0)
-
-        def seed_residual(stack):
-            return operator_norm(_block_constant_defect(stack, a0.labels)[0])
-
-    else:
-        v = vh = eye
-        layer = a0.basis.astype(np.complex128)
-
-        def commutator(stack):
-            return np.concatenate([x @ a0.basis - a0.basis @ x for x in stack])
-
-        seed_residual = a0.residual
-    w = vh @ pair.u @ v
-
-    ds1 = [eye]
-    for _ in range(kmax):
-        ds1.append(dagger(w) @ ds1[-1] @ w)
-    ds1 = np.array(ds1)
-    proj_res = max(operator_norm(ds1 @ ds1 - ds1), operator_norm(ds1 - dagger(ds1)))
-    ds1_in_comm = operator_norm(commutator(ds1))
-    ds1_vs_a0 = operator_norm(commutator(ds1[1:2]))
-
-    q = ds1[1]
-    fwd_in_comm = ds1_vs_fwd = strong_image = 0.0
-    for k in range(kmax + 1):
-        if k:
-            layer = w @ layer @ dagger(w)
-        comm = commutator(layer)
-        norms = _operator_norms(np.concatenate((comm, q @ layer - layer @ q)))
-        fwd_in_comm = max(fwd_in_comm, float(norms[: len(comm)].max()))
-        ds1_vs_fwd = max(ds1_vs_fwd, float(norms[len(comm) :].max()))
-        if k == 1:
-            strong_image = seed_residual(layer)
-
-    details = {
-        "delta_star_powers_of_1_projections": proj_res,
-        "delta_star_powers_of_1_commute_with_seed": ds1_in_comm,
-        "delta_powers_of_seed_commute_with_seed": fwd_in_comm,
-        "delta_star_of_1_commutes_with_delta_powers": ds1_vs_fwd,
-        "delta_of_seed_inside_seed": strong_image,
-        "delta_star_of_1_commutes_with_seed": ds1_vs_a0,
-    }
-    weak_residual = max(proj_res, ds1_in_comm, fwd_in_comm, ds1_vs_fwd)
-    strong_residual = max(proj_res, strong_image, ds1_vs_a0)
-    return HypothesesReport(
-        kmax=kmax,
-        weak_holds=weak_residual <= tol * scale,
-        strong_holds=strong_residual <= tol * scale,
-        weak_residual=weak_residual,
-        strong_residual=strong_residual,
-        details=details,
-    )
+    frame, _, defect = _double_closure(a0, pair, tol)
+    return _hypotheses(frame, a0, pair.ambient_dim if kmax is None else kmax, tol, defect)
 
 
 @dataclass(frozen=True)
@@ -237,7 +250,8 @@ class TowerReport:
     from a_inf (its limit is the double closure inf_a_inf);
     ``a_inf_of_inf_a`` is the forward limit of inf_a, which should equal
     inf_a_inf.  ``stabilization`` maps sequence names to the first index at
-    which the sequence has reached its limit.
+    which the sequence has reached its limit; every level is read on the
+    atoms of the double closure, ``_frame``.
     """
 
     a0: MatrixAlgebra
@@ -251,82 +265,7 @@ class TowerReport:
     stabilization: dict[str, int]
     hypotheses: HypothesesReport
     checks: dict[str, tuple[bool, float]]
-
-
-def _mix_weights(count: int) -> np.ndarray:
-    return np.random.default_rng(MIX_SEED).uniform(1.0, 2.0, count)
-
-
-def _image_defects(v: np.ndarray, blocks, images: np.ndarray) -> np.ndarray:
-    """Block-constant defects of each image in the atoms (v, blocks)."""
-    return _block_constant_defect(dagger(v) @ images @ v, _labels(blocks))[0]
-
-
-def _refine_atoms(v: np.ndarray, blocks, images: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Split the atoms (v, blocks) until every image is scalar on each.
-
-    One fixed real combination h of the images' Hermitian parts splits
-    the blocks at ``tol * (1 + ||h||)``.  One batched SVD then checks that
-    every image is block-scalar within ``tol * (1 + ||image||)``; when h
-    merged values that some image tells apart, the blocks are split by
-    each Hermitian part in turn.  v is rotated in place.  Raises
-    :class:`HypothesisViolated` when an image is still not block-scalar:
-    it does not commute with the atoms, so the algebra it generates with
-    them is not commutative.
-    """
-    parts = np.concatenate(((images + dagger(images)) / 2.0, (images - dagger(images)) / 2.0j))
-    h = np.tensordot(_mix_weights(len(parts)), parts, axes=1)
-    blocks = _refine(v, blocks, h, tol * (1.0 + operator_norm(h)))
-    k = len(images)
-    norms = _operator_norms(np.concatenate((images, _image_defects(v, blocks, images))))
-    bound = tol * (1.0 + norms[:k])
-    if np.all(norms[k:] <= bound):
-        return blocks
-    for x, norm_x in zip(parts, _operator_norms(parts)):
-        blocks = _refine(v, blocks, x, tol * (1.0 + norm_x))
-    excess = _operator_norms(_image_defects(v, blocks, images)) - bound
-    if np.any(excess > 0):
-        raise HypothesisViolated(
-            "a delta image is not scalar on the atoms of the level below "
-            f"(defect exceeds its bound by {excess.max():.3e}); the tower is not commutative"
-        )
-    return blocks
-
-
-def _tower_sequence(
-    seed: MatrixAlgebra, pair: EndoPair, direction: str, tol: float
-) -> tuple[list[MatrixAlgebra], int]:
-    """Iterate T_n = alg{T_{n-1}, d^n(seed)} until it repeats twice.
-
-    T_n splits the atoms of T_{n-1} by the images d^n(seed); a seed
-    without atoms gets them from the Hermitian parts of its basis.
-    Refinement only splits atoms, so T_n equals T_{n-1} exactly when the
-    atom count is unchanged.  Stabilization needs two such steps in a
-    row; the returned index is the first n whose algebra already equals
-    the limit.
-    """
-    dim = pair.ambient_dim
-    if isinstance(seed, SpectralAlgebra):
-        v, blocks, level = seed.v.copy(), seed.blocks, seed
-    else:
-        v = np.eye(dim, dtype=np.complex128)
-        blocks = _refine_atoms(v, [np.arange(dim)], seed.basis, tol)
-        level = _atom_algebra(v.copy(), blocks)
-    algs = [seed]
-    images = seed.basis.astype(np.complex128)
-    equal_run = 0
-    while equal_run < 2:
-        images = _apply_stack(pair, images, direction)
-        count = len(blocks)
-        blocks = _refine_atoms(v, blocks, images, tol)
-        if len(blocks) == count:
-            equal_run += 1
-        else:
-            equal_run = 0
-            level = _atom_algebra(v.copy(), blocks)
-        algs.append(level)
-    stab = len(algs) - 3  # last two entries only confirmed the one before them
-    return algs, stab
+    _frame: "_AtomFrame" = field(default=None, repr=False, compare=False)
 
 
 def build_tower(
@@ -337,56 +276,62 @@ def build_tower(
     Requires the weak hypothesis set (raises :class:`HypothesisViolated`
     otherwise); whether the strong set also holds is recorded in the
     report.  ``swap_roles`` runs the whole construction with U replaced by
-    U*, which is the asymmetry variant of the theory.
+    U*, which is the asymmetry variant of the theory.  Each level is a
+    partition of X (:func:`_sequence`), one algebra per partition, read
+    in the next by a class residual on X.
     """
     if swap_roles:
         pair = pair.swapped()
-    hyp = hypotheses_check(a0, pair, kmax=pair.ambient_dim, tol=tol)
+    frame, seed, defect = _double_closure(a0, pair, tol)
+    hyp = _hypotheses(frame, a0, pair.ambient_dim, tol, defect)
     if not hyp.weak_holds:
         raise HypothesisViolated(
             "seed algebra fails the weak hypothesis set "
             f"(worst residual {hyp.weak_residual:.3e}); no commutative extension "
             "on which both conjugations are endomorphisms exists"
         )
-    an_list, stab_an = _tower_sequence(a0, pair, "forward", tol)
-    na_list, stab_na = _tower_sequence(a0, pair, "star", tol)
-    a_inf = an_list[-1]
-    inf_a = na_list[-1]
-    n_a_inf_list, stab_dbl = _tower_sequence(a_inf, pair, "star", tol)
-    inf_a_inf = n_a_inf_list[-1]
-    fwd_of_star, stab_dbl2 = _tower_sequence(inf_a, pair, "forward", tol)
-    a_inf_of_inf_a = fwd_of_star[-1]
+    algebras = {tuple(range(frame.size)): frame.alg}
+    if isinstance(a0, SpectralAlgebra):
+        algebras.setdefault(tuple(seed), a0)
 
-    eye = np.eye(pair.ambient_dim, dtype=np.complex128)
-    checks: dict[str, tuple[bool, float]] = {}
-    scale = _isometry_scale(pair.u)
-    for name, m in (
-        ("final_projection_member", pair.delta(eye)),
-        ("initial_projection_member", pair.delta_star(eye)),
-    ):
-        res = inf_a_inf.residual(m)
-        checks[name] = (res <= tol * scale, res)
+    def tower(base, direction):
+        parts, stab = _sequence(frame, base, direction)
+        for cls in parts:
+            if tuple(cls) not in algebras:
+                cols = cls[frame.labels]
+                groups = np.split(np.arange(cols.size), np.cumsum(np.bincount(cols))[:-1])
+                level = _atom_algebra(frame.alg.v[:, np.argsort(cols, kind="stable")], groups)
+                algebras[tuple(cls)] = level
+                frame._classes[id(level)] = (cls, 0.0, level)  # X's own columns, exactly
+        return [algebras[tuple(cls)] for cls in parts], stab, parts[-1]
+
+    an_list, stab_an, fwd = tower(seed, "forward")
+    na_list, stab_na, star = tower(seed, "star")
+    an_list[0] = na_list[0] = a0
+    n_a_inf_list, stab_dbl, _ = tower(fwd, "star")
+    fwd_of_star, stab_dbl2, _ = tower(star, "forward")
+    _, _, (p, p_ties, _), (q, q_ties, _) = frame.powers(1)
+
+    def residual(values, ties, level) -> float:
+        cls, eps = frame.classes(level)
+        return frame.class_residual(values, cls) + float(ties.max(initial=0.0)) + eps
+
+    worst = {
+        "final_projection_member": residual(p, p_ties, n_a_inf_list[-1]),
+        "initial_projection_member": residual(q, q_ties, n_a_inf_list[-1]),
+    }
     for name, seq in (("monotone_forward", an_list), ("monotone_star", na_list)):
-        worst = max((hi.residual(lo.basis) for lo, hi in zip(seq, seq[1:])), default=0.0)
-        checks[name] = (worst <= tol * scale, worst)
+        pairs = [(lo, hi) for lo, hi in zip(seq, seq[1:]) if lo is not hi]
+        worst[name] = max((residual(*frame.basis_coords(lo), hi) for lo, hi in pairs), default=0.0)
+    checks = {name: (res <= tol * frame.scale, res) for name, res in worst.items()}
 
+    stabs = (stab_an, stab_na, stab_dbl, stab_dbl2)
+    names = ("forward", "star", "star_from_forward_limit", "forward_from_star_limit")
     return TowerReport(
-        a0=a0,
-        an_list=an_list,
-        na_list=na_list,
-        n_a_inf_list=n_a_inf_list,
-        a_inf=a_inf,
-        inf_a=inf_a,
-        inf_a_inf=inf_a_inf,
-        a_inf_of_inf_a=a_inf_of_inf_a,
-        stabilization={
-            "forward": stab_an,
-            "star": stab_na,
-            "star_from_forward_limit": stab_dbl,
-            "forward_from_star_limit": stab_dbl2,
-        },
-        hypotheses=hyp,
-        checks=checks,
+        a0=a0, an_list=an_list, na_list=na_list, n_a_inf_list=n_a_inf_list,
+        a_inf=an_list[-1], inf_a=na_list[-1], inf_a_inf=n_a_inf_list[-1],
+        a_inf_of_inf_a=fwd_of_star[-1], stabilization=dict(zip(names, stabs)),
+        hypotheses=hyp, checks=checks, _frame=frame,
     )
 
 
@@ -400,10 +345,6 @@ class TheoremReport:
     @property
     def passed(self) -> bool:
         return all(ok for ok, _ in self.checks.values())
-
-    @property
-    def worst(self) -> float:
-        return max((res for _, res in self.checks.values()), default=0.0)
 
 
 def _atom_images(w: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -441,8 +382,11 @@ class _AtomFrame:
         self.nu2 = nu * nu
         # the scale of isometry._isometry_scale, from the norm just taken
         self.scale = (1.0 + self.nu2) * (1.0 + self.nu2)
+        self.pair = pair
         self._maps: dict[str, tuple] = {}
-        self._classes: dict[int, tuple[np.ndarray, float]] = {}
+        self._classes: dict[int, tuple] = {}
+        self._images = np.empty((0, self.size), dtype=int)
+        self._powers = self._tables = None
 
     @property
     def size(self) -> int:
@@ -462,13 +406,30 @@ class _AtomFrame:
         blocks = np.add.reduceat(within, self.ranges[0], axis=-1)
         return values, off + np.sqrt(blocks.max(axis=-1)), off
 
-    def layers(self, rot: np.ndarray, direction: str, depth: int) -> list:
-        """Coordinates of d^k(stack) for k = 0..depth, one stack at a time."""
-        out = [self.coords(rot)]
-        w = self.u[direction]
-        for _ in range(depth):
-            rot = w @ rot @ dagger(w)
-            out.append(self.coords(rot))
+    def layers(self, values: np.ndarray, ties: np.ndarray, direction: str, depth: int) -> list:
+        """``(values, ties, off)`` of d^k(f), k = 0..depth, for the rows f of
+        ``values`` with ties ``ties``: gathers through the powers of delta.
+
+        With W^k = D_k + R_k as in :meth:`powers`, D_k f = g D_k and
+        D_k* f = g' D_k* for g, g' the gathers of f through delta^k and
+        delta_*^k (:meth:`gathers`), 0 off their ranges.  So delta^k(f) = W^k f W^k* is
+        g P_k + (R_k f - g R_k) W^k*, and R_k f - g R_k = R_k (f - c) -
+        (g - c) R_k for any c; likewise delta_*^k(f) with g' and Q_k.
+        The tie adds max |f| tie(P_k) + 2 r V tau_k + V^2 tie(f), r the radius
+        of a disc holding f's values and 0, V = max(1, ||U||)^depth >= ||W^k||,
+        and bounds the off-block norms too."""
+        _, taus, *projections = self.powers(depth)
+        proj, proj_ties, _ = projections[direction == "star"]
+        index, mask, top = self.gathers(depth)
+        big = max(1.0, np.sqrt(self.nu2)) ** depth
+        size = np.abs(values).max(axis=1, initial=0.0)
+        span = [v.max(axis=1, initial=0.0) - v.min(axis=1, initial=0.0)
+                for v in (values.real, values.imag)]
+        out = [(values, ties, ties)]
+        for k in range(depth):
+            row = k + 1 + (top if direction == "star" else 0)
+            tie = size * proj_ties[k] + big * taus[k] * np.hypot(*span) + big * big * ties
+            out.append((values[:, index[row]] * (mask[row] * proj[k]), tie, tie))
         return out
 
     def atom_map(self, direction: str):
@@ -500,23 +461,66 @@ class _AtomFrame:
         )
         return ones.argmax(axis=1), ones.any(axis=1), defect
 
+    def images(self, depth: int) -> np.ndarray:
+        """delta^k as an atom map, k = 1..depth, in rows k - 1: the atom
+        delta^k(P_x) is, -1 where delta^k(P_x) = 0."""
+        if len(self._images) < depth:
+            pre, hit, _ = self.injection("forward")
+            step = np.full(self.size + 1, -1)  # step[-1] keeps -1 (no atom) at -1
+            step[pre[hit]] = np.flatnonzero(hit)
+            rows = list(self._images) or [step[:-1]]
+            while len(rows) < depth:
+                rows.append(step[rows[-1]])
+            self._images = np.array(rows)
+        return self._images[:depth]
+
     def powers(self, depth: int):
-        """``(images, stack, ties)`` for the powers W^k, k = 1..depth, of U in
+        """``(images, ties, p, q)`` for the powers W^k, k = 1..depth, of U in
         this frame, W = V*UV, in rows k - 1: images[k - 1] is delta^k as an
-        atom map, -1 where delta^k(P_x) = 0, so W^k is one block per atom x,
-        in the block row of images[k - 1][x]; stack[k - 1] = W^k and
-        ties[k - 1] is its norm off that block pattern, one batched SVD."""
-        pre, hit, _ = self.injection("forward")
-        step = np.full(self.size + 1, -1)  # step[-1] keeps -1 (no atom) at -1
-        step[pre[hit]] = np.flatnonzero(hit)
-        w = self.u["forward"]
-        images, stack = [step[:-1]], [w]
-        for _ in range(depth - 1):
-            images.append(step[images[-1]])
-            stack.append(stack[-1] @ w)
-        images, stack = np.array(images), np.array(stack)
-        off = self.labels[:, None] != images[:, self.labels][:, None, :]
-        return images, stack, _operator_norms(np.where(off, stack, 0.0))
+        atom map (:meth:`images`), so W^k is one block per atom x, in the
+        block row of images[k - 1][x]; ties[k - 1] is its norm off that block
+        pattern, one batched SVD; p and q are the coordinates ``(values, ties,
+        off)`` of P_k = W^k W^k* and Q_k = W^k* W^k = delta_*^k(1).  Cached at
+        the largest depth asked for, without the stack of W^k itself."""
+        if self._powers is None or len(self._powers[0]) < depth:
+            images = self.images(depth)
+            w = self.u["forward"]
+            stack = np.empty((depth, *w.shape), dtype=np.complex128)
+            for k in range(depth):
+                stack[k] = stack[k - 1] @ w if k else w
+            off = self.labels[:, None] != images[:, self.labels][:, None, :]
+            ties = _operator_norms(np.where(off, stack, 0.0))
+            p, q = self.coords(stack @ dagger(stack)), self.coords(dagger(stack) @ stack)
+            self._powers = (images, ties, p, q)
+        images, ties, p, q = self._powers
+        return images[:depth], ties[:depth], *(tuple(x[:depth] for x in pq) for pq in (p, q))
+
+    def gathers(self, degree: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(index, mask, depth)``: row k of ``index`` gathers delta^k
+        (delta^k(alpha) = alpha[index[k]] * mask[k]) and row depth + k
+        delta_*^k, k < depth, with mask P_k = delta^k(1), Q_k = delta_*^k(1);
+        depth starts at the dimension and grows past ``degree``."""
+        if self._tables is None or self._tables[2] <= degree:
+            depth = max(degree + 1, self.alg.dim)
+            images = self.images(depth - 1)
+            on = images >= 0
+            power, atom = np.nonzero(on)
+            index = np.zeros((2 * depth, self.size), dtype=int)
+            mask = np.zeros((2 * depth, self.size))
+            index[0] = index[depth] = np.arange(self.size)
+            mask[0] = mask[depth] = 1.0
+            index[power + 1, images[power, atom]] = atom
+            mask[power + 1, images[power, atom]] = 1.0
+            index[depth + 1 :], mask[depth + 1 :] = np.where(on, images, 0), on
+            self._tables = (index, mask, depth)
+        return self._tables
+
+    @cached_property
+    def vanish(self) -> int | None:
+        """The least k with P_k = 0, None when no power of U vanishes; a
+        chain of atoms is at most |X| long, so it is at most |X|."""
+        gone = np.flatnonzero((self.images(self.size) < 0).all(axis=1))
+        return int(gone[0]) + 1 if gone.size else None
 
     def classes(self, level: SpectralAlgebra) -> tuple[np.ndarray, float]:
         """The class of each atom of X under the atoms of ``level`` (the one
@@ -525,12 +529,20 @@ class _AtomFrame:
         key = id(level)
         if key not in self._classes:
             if level is self.alg:
-                self._classes[key] = (np.arange(self.size), 0.0)
+                self._classes[key] = (np.arange(self.size), 0.0, level)
             else:
                 values, ties, _ = self.coords(_atom_images(self.alg._vh @ level.v, level.labels)[1])
                 _, cls = np.unique(values.real.argmax(axis=0), return_inverse=True)
-                self._classes[key] = (cls, float(ties.max()))
-        return self._classes[key]
+                self._classes[key] = (cls, float(ties.max()), level)
+        return self._classes[key][:2]
+
+    def basis_coords(self, alg: MatrixAlgebra) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, ties)`` of alg's basis on X: class indicators with the
+        class tie for an algebra stored by its atoms, else by rotation."""
+        if not isinstance(alg, SpectralAlgebra):
+            return self.coords(self.rotate(alg.basis))[:2]
+        cls, eps = self.classes(alg)
+        return self.class_basis(cls), np.full(cls.max() + 1, eps)
 
     def class_basis(self, cls: np.ndarray) -> np.ndarray:
         """Class indicators, orthonormal under the trace inner product."""
@@ -619,7 +631,7 @@ def orbit_structure(frame: _AtomFrame, tol: float = DEFAULT_TOL) -> Structure:
     holonomies' unitarity defect; over ``tol * (1 + ||U||^2)^2`` it is a
     :class:`ModelNotGraded`."""
     _, hit, defect = frame.injection("forward")
-    images, stack, ties = frame.powers(1)
+    images, ties, _, _ = frame.powers(1)
     starts, sizes = frame.ranges
     image = images[0]
     orbits, seen = [], set()
@@ -632,7 +644,7 @@ def orbit_structure(frame: _AtomFrame, tol: float = DEFAULT_TOL) -> Structure:
             x = image[x]
         if orbit:
             orbits.append(orbit)
-    w = stack[0]
+    w = frame.u["forward"]
     residual = max(defect, float(ties[0]))
     limit = tol * frame.scale
     if residual <= limit:
@@ -679,8 +691,10 @@ def _layers_commutator(layers: list) -> float:
     commutes with the part of F inside the atoms, so the commutator is
     [f, F_off] + [E_off, g] + [E, F], and ||[f, O]|| <= spread(f) ||O||.
     """
-    values, ties, off = (np.concatenate(part) for part in zip(*layers))
-    spread = np.hypot(np.ptp(values.real, axis=1), np.ptp(values.imag, axis=1))
+    spread = np.concatenate(
+        [np.hypot(np.ptp(v.real, axis=1), np.ptp(v.imag, axis=1)) for v, _, _ in layers]
+    )
+    ties, off = (np.concatenate(part) for part in list(zip(*layers))[1:])
     ends = np.cumsum([len(e) for _, e, _ in layers])
     worst = 0.0
     for start, end in zip(np.concatenate(([0], ends[:-2])), ends[:-1]):
@@ -690,7 +704,7 @@ def _layers_commutator(layers: list) -> float:
             + np.multiply.outer(off[now], spread[later])
             + 2.0 * np.multiply.outer(ties[now], ties[later])
         )
-        worst = max(worst, float(bound.max()))
+        worst = max(worst, float(bound.max(initial=0.0)))
     return worst
 
 
@@ -739,7 +753,10 @@ def verify_tower_theorems(
     action on X, and each residual is a coordinate residual plus a bound
     from the ties of the elements it reads.
     """
-    return _tower_theorems(t, pair, _AtomFrame(t.inf_a_inf, pair), tol)[0]
+    frame = t._frame
+    if frame is None or frame.alg is not t.inf_a_inf or frame.pair is not pair:
+        frame = _AtomFrame(t.inf_a_inf, pair)
+    return _tower_theorems(t, pair, frame, tol)[0]
 
 
 def _tower_theorems(
@@ -763,12 +780,12 @@ def _tower_theorems(
     record("commutative", _commutativity_defect(every_algebra))
 
     depth_seed = max(len(t.na_list), len(t.an_list))
-    seed = frame.rotate(t.a0.basis)
-    seed_layers = {d: frame.layers(seed, d, depth_seed) for d in ("star", "forward")}
+    seed = frame.basis_coords(t.a0)
+    seed_layers = {d: frame.layers(*seed, d, depth_seed) for d in ("star", "forward")}
     for direction in ("star", "forward"):
         record(f"{direction}_layers_commute", _layers_commutator(seed_layers[direction]))
 
-    inf_star = frame.layers(frame.rotate(t.a_inf.basis), "star", len(t.n_a_inf_list))
+    inf_star = frame.layers(*frame.basis_coords(t.a_inf), "star", len(t.n_a_inf_list))
     record("layer_products", _layer_product_defect(frame, inf_star))
     inf_values, inf_ties, _ = (np.concatenate(part) for part in zip(*inf_star))
     level = _value_classes(inf_values, tol)
@@ -782,15 +799,9 @@ def _tower_theorems(
         member = frame.class_residual(top[0], cls) + top[1].max()
         record("top_layer_ideal_seed", max(member, _ideal_defect(frame, top, cls)) + eps)
 
-    def move(values, ties, direction):
-        """Atom values and ties of d(element), through d's atom map."""
-        tmat, tmat_ties, _ = maps[direction]
-        return values @ tmat.T, np.abs(values) @ tmat_ties + frame.nu2 * ties
-
     def mapped_defect(src, direction, dst) -> float:
         """Residual of d(src's basis) in the level dst."""
-        cls, eps = frame.classes(src)
-        values, ties = move(frame.class_basis(cls), eps, direction)
+        values, ties, _ = frame.layers(*frame.basis_coords(src), direction, 1)[1]
         dst_cls, dst_eps = frame.classes(dst)
         return frame.class_residual(values, dst_cls) + ties.max() + dst_eps
 
@@ -824,20 +835,12 @@ def _tower_theorems(
     cls, eps = frame.classes(t.a_inf_of_inf_a)
     record("double_closure_equality", frame.class_residual(own, cls) + eps)
 
-    gens = [seed_layers["forward"][0][:2]]
-    img = gens[0]
-    for _ in range(len(t.an_list)):
-        img = move(*img, "forward")
-        gens.append(img)
-        back = img
-        for _ in range(len(t.n_a_inf_list)):
-            back = move(*back, "star")
-            gens.append(back)
-    back = gens[0]
-    for _ in range(len(t.na_list)):
-        back = move(*back, "star")
-        gens.append(back)
-    minimal = _value_classes(np.concatenate([g for g, _ in gens]), tol)
-    record("minimality", frame.class_residual(own, minimal) + max(e.max() for _, e in gens))
+    # delta_*^j delta^i (seed) for i <= len(an_list), j <= len(n_a_inf_list),
+    # and delta_*^j (seed) for j <= len(na_list)
+    gens = frame.layers(*seed, "star", len(t.na_list))
+    for img in frame.layers(*seed, "forward", len(t.an_list))[1:]:
+        gens += frame.layers(*img[:2], "star", len(t.n_a_inf_list))
+    minimal = _value_classes(np.concatenate([g for g, _, _ in gens]), tol)
+    record("minimality", frame.class_residual(own, minimal) + max(e.max() for _, e, _ in gens))
 
     return TheoremReport(checks=checks, seed_layers_checked=seed_layers_checked), inf_star

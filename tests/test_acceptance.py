@@ -109,10 +109,11 @@ def test_criterion_04_tower_suite():
     tower = pk.build_tower(seed, pair, tol=TOL)
     rep = pk.verify_tower_theorems(tower, pair, tol=TOL)
     elapsed = time.perf_counter() - t0
+    worst = max(res for _, res in rep.checks.values())
     ok = (
         tower.inf_a.dimension == 4
         and rep.passed
-        and rep.worst <= TOL
+        and worst <= TOL
         and "double_closure_equality" in rep.checks
         and "intertwining" in rep.checks
         and elapsed < 5.0
@@ -121,7 +122,7 @@ def test_criterion_04_tower_suite():
         4,
         ok,
         f"tower from C*(1, diag(1,1,0,0)): star limit dim "
-        f"{tower.inf_a.dimension}, worst residual {rep.worst:.3e}, "
+        f"{tower.inf_a.dimension}, worst residual {worst:.3e}, "
         f"{elapsed:.2f}s",
     )
 
@@ -133,7 +134,7 @@ def test_criterion_05_ten_property_theorem():
         for dim in (4, 8, 16):
             a = pk.build(pk.q_oscillator(dim, q, 1.0))
             rep = pk.theorem22_report(a, tol=TOL)
-            worst = max(worst, rep.worst)
+            worst = max(worst, *(c.residual for c in rep.checks))
             ok = ok and rep.passed
     assert verdict(
         5,

@@ -254,6 +254,57 @@ def test_non_finite_input_exits_two(tmp_path, capsys):
 
 
 
+HUGE = {"dim": 2, "entries": [[1e200, 0], [1e200, 0], [0, 0], [1e-200, 0]]}
+
+
+@pytest.mark.parametrize("command", ("verify-relation", "verify-theorems", "tower", "algebra-info"))
+@pytest.mark.parametrize(
+    "matrix, message",
+    (
+        (HUGE, "error: a*a overflows double precision (largest entry 1.000e+200)\n"),
+        (
+            {"dim": 2, "entries": [["x", 0], [0, 0], [0, 0], [0, 0]]},
+            "error: entries[0] must be a [re, im] pair of numbers, got ['x', 0]\n",
+        ),
+        (
+            {"dim": 2.5, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+            "error: matrix field 'dim' must be an integer, got 2.5\n",
+        ),
+        ({"dim": True, "entries": [[1, 0]]}, "error: matrix field 'dim' must be an integer, got True\n"),
+    ),
+    ids=("overflow", "text-entry", "float-dim", "bool-dim"),
+)
+def test_unreadable_matrix_input_exits_two(command, matrix, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(matrix))
+    assert main([command, "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
+
+
+def test_model_dim_must_be_an_integer(capsys):
+    for dim in ("2.5", "true", '"4"'):
+        model = f'{{"kind": "q_oscillator", "dim": {dim}, "q": 0.5, "h": 1.0}}'
+        assert main(["verify-relation", "--model", model]) == 2
+        assert capsys.readouterr().err.startswith("error: model field 'dim' must be an integer")
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    ({"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}, {"dim": 1, "entries": [[2, 0]]}),
+)
+def test_norm_estimate_refuses_a_u_that_is_not_nilpotent(matrix, tmp_path, capsys):
+    # u = diag(1, 0) and u = 1 are their own powers, so degree 0 of
+    # (b b*)^2k would also collect the degrees that wrap onto it, and the
+    # estimate would leave its envelope
+    path = tmp_path / "projection.json"
+    path.write_text(json.dumps(matrix))
+    assert main(["norm-estimate", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("check failed: ModelMismatch: u is not nilpotent")
+
+
 def test_run_suite_infinite_custom_matrix_is_one_failed_model(tmp_path, capsys):
     inf = float("inf")
     entries = [[inf, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]

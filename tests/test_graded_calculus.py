@@ -66,9 +66,9 @@ def ref_graded_mul(g1, g2):
     acc = {}
     for m, beta in g1.coefficients.items():
         for n, gamma in g2.coefficients.items():
+            # a term vanishes only with its P_|d|: at |d| >= dim on a
+            # nilpotent u, never on a cycle
             d, raw = ref_term_product(model, m, beta, n, gamma)
-            if abs(d) >= model.dim:
-                continue
             if d != 0:
                 p = ref_range_projection(model, abs(d))
                 raw = p @ raw @ p
@@ -171,14 +171,41 @@ def _close_estimates(got, want):
         assert abs(s - r) <= 1e-12 * r, f"k = {k}"
 
 
+def _nilpotent(model):
+    return ref_norm(np.linalg.matrix_power(model.pair.u, model.dim)) <= 1e-9
+
+
 @pytest.mark.parametrize("band", (1, 3))
 def test_norm_estimate_matches_per_pair_reference(model, band):
     g = pk.random_element(model, np.random.default_rng([12, band]), bandwidth=band)
+    if not _nilpotent(model):
+        # on a cycle degree 0 also reads the degrees that wrap around it
+        with pytest.raises(pk.ModelMismatch, match="^u is not nilpotent"):
+            pk.norm_estimate(g, kmax=64)
+        return
     est = pk.norm_estimate(g, kmax=64)
     _close_estimates(est.estimates, ref_norm_estimates(g, 64))
     assert est.prescale == ref_prescaled(g)[0]
     for kmax in (1, 3):
         _close_estimates(pk.norm_estimate(g, kmax=kmax).estimates, ref_norm_estimates(g, kmax))
+
+
+def test_products_on_a_cycle_keep_every_degree():
+    # U^4 = 1 on the 4-cycle, so no power of U vanishes and degree 4 of
+    # g g is the coefficient of U^4 = 1, not a truncated term
+    model = _cyclic_unitary()
+    g = model.element({2: np.eye(4)})
+    gg = pk.graded_mul(g, g)
+    assert gg.degrees == (4,)
+    assert ref_norm(pk.realize(gg) - np.eye(4)) <= 1e-15
+    rng = np.random.default_rng(14)
+    for b1 in range(1, 4):
+        for b2 in range(1, 4):
+            g1 = pk.random_element(model, rng, bandwidth=b1)
+            g2 = pk.random_element(model, rng, bandwidth=b2)
+            r1, r2 = pk.realize(g1), pk.realize(g2)
+            got = pk.realize(pk.graded_mul(g1, g2))
+            assert ref_norm(got - r1 @ r2) <= 1e-12 * (1.0 + ref_norm(r1)) * (1.0 + ref_norm(r2))
 
 
 def test_last_square_forms_only_degree_zero(monkeypatch):

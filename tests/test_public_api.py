@@ -21,6 +21,8 @@ ALLOWED = {
     "write_matrix",
     # reads back what normal-order --report json writes
     "normal_form_from_json",
+    # the tower's hypotheses alone; build_tower reads them with X's frame
+    "hypotheses_check",
 }
 
 
