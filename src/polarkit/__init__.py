@@ -39,7 +39,6 @@ from .graded import (
     PropertyStarReport,
     SumNormReport,
     check_property_star,
-    extract_N,
     graded_adjoint,
     graded_mul,
     norm_estimate,

@@ -27,11 +27,22 @@ its atoms, or that delta or delta_* does not map into itself, is a
 :class:`ModelMismatch`.  Reading those atom values is also the one
 membership check of a coefficient.
 
-Random elements are built as masked atom values: random weights on the
-atoms, times the mask of P_|d|, lifted in one stacked product, so they lie
-in A and under P_|d| by construction and are not checked again.  The
-support check of ``element`` and ``realize`` clears a degree by a Frobenius
-bound and takes an SVD only for the degrees that bound cannot clear.
+Elements carry certified atom values.  Every element the package builds
+holds its (degrees, atom values) beside its dense coefficients, certified
+once when it is built: ``random_element`` draws them as random weights on
+the atoms times the mask of P_|d|; ``graded_mul`` takes them from the
+product; ``graded_adjoint`` conjugates them and flips the degrees; and
+``element`` reads them in its membership check, before its support check.
+The dense coefficients are lifted from those values (or, for ``element``,
+copied from the caller's) and read-only, and the map cannot be assigned
+to, so the two cannot part.  Only a ``GradedElement(model, coefficients)``
+built directly carries no values: ``graded_mul`` and ``norm_estimate``
+rotate its coefficients into atom values, which checks their membership,
+and ``realize`` checks its support.  That support check (also the one of
+``element``) clears a degree by a Frobenius bound and takes an SVD only
+for the degrees that bound cannot clear.  A coefficient V diag(v) V* has
+norm max |v|, so ``GradedElement.coefficient_norm`` reads the norms of
+carried coefficients without an SVD.
 
 The degree-0 coefficient functional N_0 is the whole point: the norm of b
 is recovered from coefficients alone through
@@ -46,8 +57,10 @@ largest atom value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -165,7 +178,8 @@ class GradedModel:
         finite and belong to the coefficient algebra (:class:`ModelMismatch`
         otherwise) and be supported under the matching range projection
         (:class:`SupportViolation`), unless ``enforce_support`` projects them
-        onto that support first.
+        onto that support first.  The element keeps read-only copies of the
+        coefficients and carries the atom values the membership check read.
         """
         degrees, mats = [], []
         unreadable = None
@@ -192,11 +206,12 @@ class GradedModel:
             mats.append(cm)
         norms = _operator_norms(mats)
         keep = np.flatnonzero(~(norms <= COEFF_DROP))
-        stack = np.array(mats, dtype=np.complex128).reshape(-1, self.dim, self.dim)
-        self._atom_values(stack[keep], np.array(degrees)[keep], norms[keep])
+        stack = np.array(mats, dtype=np.complex128).reshape(-1, self.dim, self.dim)[keep]
+        kept = np.array(degrees, dtype=int)[keep]
+        values = self._atom_values(stack, kept, norms[keep])
         if unreadable is not None:
             raise unreadable
-        g = GradedElement(self, {degrees[i]: mats[i] for i in keep})
+        g = self._lift((kept, values), stack)
         _check_support(g, self.tol, norms[keep])
         return g
 
@@ -227,6 +242,14 @@ class GradedModel:
             )
         return values
 
+    def _atoms_of(self, *gs: "GradedElement") -> list[tuple[np.ndarray, np.ndarray]]:
+        """(degrees, atom values) of each element: the carried ones, and for
+        the elements that carry none one stacked rotation of all their
+        coefficients (see :meth:`_values`)."""
+        bare = [g for g in gs if g._atoms is None]
+        rotated = iter(self._values(*bare) if bare else ())
+        return [next(rotated) if g._atoms is None else g._atoms for g in gs]
+
     def _values(self, *gs: "GradedElement") -> list[tuple[np.ndarray, np.ndarray]]:
         """(degrees, atom values) of each element, from one stacked
         rotation of all their coefficients."""
@@ -236,21 +259,35 @@ class GradedModel:
         cuts = np.cumsum([len(d) for d in degrees])[:-1]
         return list(zip(degrees, np.split(flat, cuts)))
 
-    def _lift(self, element) -> "GradedElement":
-        """The graded element with the given (degrees, atom values), its
-        coefficients V diag(values) V* formed in one stacked product."""
+    def _lift(self, element, mats=None) -> "GradedElement":
+        """The graded element that carries the given (degrees, atom values).
+
+        Its coefficients are ``mats`` when given, else V diag(values) V*
+        formed in one stacked product.  Coefficients, degrees and values
+        are made read-only and the map is a read-only view, so the carried
+        values cannot go stale."""
         degrees, values = element
-        alg = self.algebra
-        mats = (alg.v * values[:, None, alg.labels]) @ alg._vh
-        return GradedElement(self, {int(d): c for d, c in zip(degrees, mats)})
+        if mats is None:
+            alg = self.algebra
+            mats = (alg.v * values[:, None, alg.labels]) @ alg._vh
+        # views of a read-only stack are read-only
+        mats = _frozen(np.asarray(mats))
+        coefficients = MappingProxyType(dict(zip(degrees.tolist(), mats)))
+        return GradedElement(self, coefficients, _atoms=(_frozen(degrees), _frozen(values)))
 
 
 @dataclass(frozen=True, eq=False)
 class GradedElement:
-    """Immutable degree -> coefficient map over a GradedModel."""
+    """Immutable degree -> coefficient map over a GradedModel.
+
+    An element the package builds also carries ``_atoms``, its certified
+    (degrees, atom values) in the order of ``coefficients``; one built
+    directly from a coefficient map carries none.
+    """
 
     model: GradedModel
-    coefficients: dict[int, np.ndarray]
+    coefficients: Mapping[int, np.ndarray]
+    _atoms: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -261,10 +298,25 @@ class GradedElement:
         return max((abs(d) for d in self.coefficients), default=0)
 
     def coefficient(self, n: int) -> np.ndarray:
+        """beta_n, the coefficient functional N_n (zero if absent)."""
         c = self.coefficients.get(int(n))
         if c is None:
             return np.zeros((self.model.dim, self.model.dim), dtype=np.complex128)
         return c
+
+    def coefficient_norm(self, n: int | None = None) -> float:
+        """||beta_n||, or max_d ||beta_d|| when ``n`` is None (0 if absent).
+
+        A carried coefficient is V diag(v) V* for the atom basis V, whose
+        norm is max |v|, so no SVD is taken; an element built directly
+        takes one batched SVD."""
+        if self._atoms is None:
+            mats = list(self.coefficients.values()) if n is None else self.coefficient(n)
+            return operator_norm(mats)
+        degrees, values = self._atoms
+        if n is not None:
+            values = values[degrees == n]
+        return float(np.abs(values).max(initial=0.0))
 
 
 def _check_support(g: GradedElement, tol: float, norms=None):
@@ -305,13 +357,13 @@ def _check_support(g: GradedElement, tol: float, norms=None):
 
 
 def realize(g: GradedElement) -> np.ndarray:
-    """Assemble the dense matrix Sum u*^|d| beta_d + beta_0 + beta_d u^d."""
-    _check_support(g, g.model.tol)
-    return _assemble(g)
+    """Assemble the dense matrix Sum u*^|d| beta_d + beta_0 + beta_d u^d.
 
-
-def _assemble(g: GradedElement) -> np.ndarray:
-    """:func:`realize` without its support check."""
+    The supports of an element built directly are checked first
+    (:class:`SupportViolation`); its membership is not.  An element that
+    carries atom values was certified when it was built."""
+    if g._atoms is None:
+        _check_support(g, g.model.tol)
     out = np.zeros((g.model.dim, g.model.dim), dtype=np.complex128)
     for d, c in g.coefficients.items():
         if d == 0:
@@ -325,18 +377,22 @@ def _assemble(g: GradedElement) -> np.ndarray:
 
 def graded_adjoint(g: GradedElement) -> GradedElement:
     """Adjoint: the degree-d coefficient becomes the adjoint of the
-    degree-(-d) one; realize(graded_adjoint(g)) = realize(g)* exactly."""
-    return GradedElement(
-        g.model, {-d: dagger(c) for d, c in g.coefficients.items()}
-    )
+    degree-(-d) one; realize(graded_adjoint(g)) = realize(g)* exactly.
+    Carried atom values become their conjugates at the negated degrees."""
+    mats = [dagger(c) for c in g.coefficients.values()]
+    if g._atoms is None:
+        return GradedElement(g.model, {-d: c for d, c in zip(g.coefficients, mats)})
+    degrees, values = g._atoms
+    return g.model._lift((-degrees, values.conj()), mats)
 
 
 def graded_mul(g1: GradedElement, g2: GradedElement) -> GradedElement:
     """Product in graded form, degree by degree, on atom values.
 
-    The inputs are rotated into atom values with one stacked product, the
-    product runs on those (see :func:`_product`), and the result is lifted
-    back to dense coefficients with one more.  The result's degree-d
+    The product runs on the inputs' carried atom values (an input built
+    directly is rotated into them first, which checks its membership), see
+    :func:`_product`, and the result carries its values and is lifted to
+    dense coefficients with one stacked product.  The result's degree-d
     coefficient lies under P_|d|; degrees whose u-power vanishes
     (nilpotent truncation) and coefficients that come out at round-off
     scale are dropped.  :class:`ModelMismatch` is raised for elements of
@@ -347,7 +403,7 @@ def graded_mul(g1: GradedElement, g2: GradedElement) -> GradedElement:
         raise ModelMismatch("graded elements belong to different models")
     model = g1.model
     gathers = model._gathers
-    left, right = model._values(g1, g2)
+    left, right = model._atoms_of(g1, g2)
     return model._lift(_product(gathers, left, right))
 
 
@@ -406,11 +462,6 @@ def _product(frame: _AtomFrame, left, right, degree: int | None = None):
     return kept - top, acc[kept]
 
 
-def extract_N(g: GradedElement, n: int) -> np.ndarray:
-    """The coefficient functional N_n: return beta_n (zero if absent)."""
-    return g.coefficient(n)
-
-
 @dataclass(frozen=True)
 class PropertyStarReport:
     samples: int
@@ -430,7 +481,8 @@ def random_element(
     the mask of P_|d| projects them onto their canonical support, degrees
     left at or below ``COEFF_DROP`` are dropped, and one stacked product
     lifts the rest.  Membership and support hold by construction: the mask
-    is the atom form of P_|d|, tied to u once per model.
+    is the atom form of P_|d|, tied to u once per model.  The element
+    carries those values.
     """
     if bandwidth < 0:
         raise ValueError(f"bandwidth must be nonnegative, got {bandwidth}")
@@ -439,7 +491,8 @@ def random_element(
     k = alg.dimension
     _, mask, _ = model._gathers.gathers(b)
     degrees = np.arange(-b, b + 1)
-    draws = np.array([rng.standard_normal(k) + 1j * rng.standard_normal(k) for _ in degrees])
+    x = rng.standard_normal((2 * b + 1, 2, k))
+    draws = x[:, 0] + 1j * x[:, 1]
     values = draws / np.sqrt(alg._ranges[1]) * mask[np.abs(degrees)]
     keep = np.abs(values).max(axis=1, initial=0.0) > COEFF_DROP
     return model._lift((degrees[keep], values[keep]))
@@ -453,7 +506,8 @@ def check_property_star(
     rng: np.random.Generator | None = None,
 ) -> PropertyStarReport:
     """Sample random graded elements and test the coefficient bounds
-    ||b|| >= ||beta_0|| and ||b|| >= max_d ||beta_d||, within tol."""
+    ||b|| >= ||beta_0|| and ||b|| >= max_d ||beta_d||, within tol; the
+    coefficient norms are read from the carried atom values."""
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     if rng is None:
@@ -464,9 +518,8 @@ def check_property_star(
     for _ in range(samples):
         g = random_element(model, rng, bandwidth=bandwidth)
         nb = operator_norm(realize(g))
-        center = nb - operator_norm(g.coefficient(0))
-        biggest = operator_norm(list(g.coefficients.values()))
-        any_margin = nb - biggest
+        center = nb - g.coefficient_norm(0)
+        any_margin = nb - g.coefficient_norm()
         worst_center = min(worst_center, center)
         worst_any = min(worst_any, any_margin)
         if center < -tol * (1.0 + nb) or any_margin < -tol * (1.0 + nb):
@@ -537,6 +590,8 @@ class NormEstimate:
     final: float
     bandwidth: int
     prescale: float
+    # ||realize(g)||, taken once for the zero test
+    dense_norm: float
 
     def upper_bound(self, k: int, s_k: float) -> float:
         return float((4 * k * self.bandwidth + 1) ** (1.0 / (4 * k)) * s_k)
@@ -551,8 +606,10 @@ def norm_estimate(
     exponents are powers of two), and records s_k at k = 1, 2, 4, ... up
     to kmax.  The element is pre-scaled by a power-iteration norm guess so
     the squared coefficients stay O(1); the 1/4k-th root restores the
-    scale exactly.  g's coefficients are read as atom values once, every
-    squaring runs on those, and ||N_0|| is the largest degree-0 value.
+    scale exactly.  Every squaring runs on g's carried atom values (the
+    coefficients of an element built directly are rotated into them once),
+    and ||N_0|| is the largest degree-0 value.  The dense norm
+    ||realize(g)|| the zero test takes is kept as ``dense_norm``.
     Raises :class:`ZeroElement` for the zero element,
     :class:`BandwidthOverflow` when 4 * kmax * bandwidth exceeds ``cap``,
     and :class:`ModelMismatch` as :func:`graded_mul` does and for a u no
@@ -566,11 +623,12 @@ def norm_estimate(
             f"4*kmax*bandwidth = {4 * kmax * band} exceeds the cap {cap}"
         )
     dense = realize(g)
-    degrees, values = g.model._values(g)[0]
+    degrees, values = g.model._atoms_of(g)[0]
     # a coefficient in A has the norm of its largest atom value; the dense
     # test stays, because degrees can cancel on a cycle
     coeff_scale = float(np.abs(values).max(initial=0.0))
-    if operator_norm(dense) <= 1e-14 * coeff_scale or coeff_scale == 0.0:
+    dense_norm = operator_norm(dense)
+    if dense_norm <= 1e-14 * coeff_scale or coeff_scale == 0.0:
         raise ZeroElement("norm estimate of the zero element is undefined")
     if not _nilpotent(g.model):
         raise ModelMismatch(
@@ -599,5 +657,6 @@ def norm_estimate(
         final=estimates[-1][1],
         bandwidth=band,
         prescale=float(t),
+        dense_norm=dense_norm,
     )
 

@@ -197,7 +197,7 @@ def test_criterion_07_property_star_and_sandwich():
             if pk.operator_norm(b.coefficient(0)) > nb + slack:
                 violations += 1
             bb = pk.graded_mul(b, pk.graded_adjoint(b))
-            center = pk.operator_norm(pk.extract_N(bb, 0))
+            center = pk.operator_norm(bb.coefficient(0))
             if center > nb * nb + slack:
                 violations += 1
             if nb * nb > (2 * n_band + 1) * center + slack:

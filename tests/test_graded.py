@@ -84,7 +84,7 @@ def test_realize_u_plus_ustar(model):
 def test_square_of_u_plus_ustar_center(unit_model):
     g = u_plus_ustar(unit_model)
     sq = pk.graded_mul(g, g)
-    center = pk.extract_N(sq, 0)
+    center = sq.coefficient(0)
     assert np.allclose(center, np.diag([1.0, 2.0, 2.0, 1.0]), atol=1e-12)
 
 
@@ -92,7 +92,7 @@ def test_gauge_average_matches_center(unit_model):
     g = u_plus_ustar(unit_model)
     sq = pk.graded_mul(g, g)
     avg = gauge_average_N0(pk.realize(sq), bandwidth=2)
-    assert np.allclose(avg, pk.extract_N(sq, 0), atol=1e-12)
+    assert np.allclose(avg, sq.coefficient(0), atol=1e-12)
 
 
 def test_gauge_average_never_increases_norm(rng):

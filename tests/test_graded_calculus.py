@@ -14,12 +14,16 @@ PRODUCT_BOUND) and each s_k within 1e-12 relative.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarkit as pk
 import polarkit.graded as graded
 from polarkit.graded import COEFF_DROP
 from polarkit.graded import GradedElement
 from polarkit.linalg import dagger, rough_norm
+from polarkit.relation import Analysis
+from polarkit.report import SUITE_ORDER
 
 from conftest import zoo_specs
 
@@ -431,8 +435,9 @@ def test_element_product_and_estimate_share_one_membership_check(monkeypatch):
     model.element(g.coefficients)
     pk.graded_mul(g, g)
     pk.norm_estimate(g, kmax=4)
-    band = sorted(g.coefficients)
-    assert read == [band, sorted(band + band), band]
+    # element reads its coefficients once; product and estimate run on the
+    # values the random element carries and read nothing
+    assert read == [sorted(g.coefficients)]
 
 
 def ref_random_element(model, rng, bandwidth):
@@ -538,3 +543,124 @@ def test_support_check_decides_as_the_dense_check_at_its_boundary(side, factor):
     if side == "both":
         # element passes the operator norms it has taken
         assert _support_message(lambda: model.element(coeffs)) == want
+
+
+# -- carried atom values ------------------------------------------------------
+
+
+def _carrying_models():
+    """The zoo's graded models, whose atom bases are permutations up to
+    phase, so a rotation reads carried values back exactly, and a
+    Haar-conjugated shift, where it reads them back at round-off."""
+    models = []
+    for spec in zoo_specs():
+        try:
+            models.append(Analysis(pk.build(pk.model_spec_from_json(spec))).model)
+        except pk.PolarkitError:
+            continue
+    return models + [pk.graded_model_for(_haar_conjugated_shift(8))]
+
+
+CARRYING_MODELS = _carrying_models()
+
+
+def ref_realize(g):
+    """Sum u*^|d| beta_d + beta_0 + beta_d u^d with numpy's matrix powers."""
+    u = g.model.pair.u
+    out = np.zeros_like(u)
+    for d, c in g.coefficients.items():
+        ud = np.linalg.matrix_power(u, abs(d))
+        out += c @ ud if d >= 0 else dagger(ud) @ c
+    return out
+
+
+def _assert_certified(g):
+    model = g.model
+    degrees, values = g._atoms
+    assert degrees.tolist() == list(g.coefficients)
+    mats = np.array(list(g.coefficients.values())).reshape(-1, model.dim, model.dim)
+    rotated = model._atom_values(mats, degrees)
+    for i, c in enumerate(mats):
+        norm = ref_norm(c)
+        assert np.abs(values[i] - rotated[i]).max() <= model.tol * (1.0 + norm)
+        assert abs(g.coefficient_norm(degrees[i]) - norm) <= 1e-12 * (1.0 + norm)
+    dense = ref_realize(g)
+    assert ref_norm(pk.realize(g) - dense) <= 1e-12 * (1.0 + ref_norm(dense))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    which=st.integers(0, len(CARRYING_MODELS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    b1=st.integers(0, 3),
+    b2=st.integers(0, 3),
+)
+def test_built_elements_carry_the_atom_values_of_their_coefficients(which, seed, b1, b2):
+    model = CARRYING_MODELS[which]
+    rng = np.random.default_rng(seed)
+    g1 = pk.random_element(model, rng, bandwidth=b1)
+    g2 = pk.random_element(model, rng, bandwidth=b2)
+    built = [
+        g1,
+        pk.graded_mul(g1, g2),
+        pk.graded_adjoint(g2),
+        model.element({d: np.array(c) for d, c in g2.coefficients.items()}),
+    ]
+    for g in built:
+        _assert_certified(g)
+    # a directly built element carries nothing, and its product is the
+    # product of the carried element it copies
+    bare = GradedElement(model, dict(g1.coefficients))
+    assert bare._atoms is None
+    for x, y in ((bare, g2), (g2, bare)):
+        got, want = pk.graded_mul(x, y), pk.graded_mul(*(g1 if z is bare else z for z in (x, y)))
+        assert got._atoms[0].tolist() == want._atoms[0].tolist()
+        assert np.allclose(got._atoms[1], want._atoms[1], rtol=1e-12, atol=1e-12)
+
+
+def test_carried_values_cannot_go_stale():
+    model = pk.graded_model_for(_shift(8))
+    g = pk.random_element(model, np.random.default_rng(9), bandwidth=2)
+    with pytest.raises(TypeError):
+        g.coefficients[5] = np.eye(8)
+    for a in (g.coefficients[1], g._atoms[0], g._atoms[1]):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # element copies the caller's coefficients and leaves them writable
+    c = np.array(g.coefficients[0])
+    h = model.element({0: c})
+    c[0, 0] += 1.0
+    assert np.array_equal(h.coefficients[0], g.coefficients[0])
+    assert c.flags.writeable
+
+
+def test_norm_estimate_keeps_its_dense_norm():
+    model = pk.graded_model_for(_shift(12))
+    for g in (
+        pk.random_element(model, np.random.default_rng(10), bandwidth=2),
+        GradedElement(model, {1: np.array(model.range_projection(1))}),
+    ):
+        est = pk.norm_estimate(g, kmax=8)
+        assert est.dense_norm == pk.operator_norm(pk.realize(g))
+
+
+def test_zoo_pass_checks_support_only_for_given_coefficients(monkeypatch):
+    config = pk.config_from_json({"models": zoo_specs(), "suites": list(SUITE_ORDER), "seed": 0})
+    counts = {"element": 0, "support": 0, "rotation": 0}
+
+    def counted(name, orig):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return orig(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(pk.GradedModel, "element", counted("element", pk.GradedModel.element))
+    monkeypatch.setattr(graded, "_check_support", counted("support", graded._check_support))
+    monkeypatch.setattr(pk.GradedModel, "_values", counted("rotation", pk.GradedModel._values))
+    report = pk.run_suite(config)
+    assert [m["index"] for m in report["models"]] == list(range(len(zoo_specs())))
+    # one support check per coefficient map a suite supplies, and no element
+    # the suites build is rotated back into atom values
+    assert counts["support"] == counts["element"] <= 6
+    assert counts["rotation"] == 0
