@@ -46,16 +46,7 @@ from .graded import (
     realize,
     sum_norm_inequalities,
 )
-from .isometry import (
-    CommutingProjectionReport,
-    ConditionCheck,
-    PartialIsometryReport,
-    PowerIsometryReport,
-    commuting_projection_properties,
-    partial_isometry_report,
-    power_isometry_check,
-    power_projections,
-)
+from .isometry import ConditionCheck, PartialIsometryReport, partial_isometry_report
 from .linalg import (
     DEFAULT_TOL,
     PolarDecomposition,
@@ -98,13 +89,17 @@ from .serialize import (
     write_matrix,
 )
 from .tower import (
+    CommutingProjectionReport,
     EndoPair,
     HypothesesReport,
+    PowerIsometryReport,
     TheoremReport,
     TowerReport,
     build_tower,
+    commuting_projection_properties,
     endo_pair,
     hypotheses_check,
+    power_isometry_check,
     verify_tower_theorems,
 )
 from .words import (

@@ -48,8 +48,9 @@ from .tower import (
     TheoremReport,
     TowerReport,
     _AtomFrame,
-    _layers_commutator,
+    _power_facts,
     _tower_theorems,
+    _unit_closure,
     _value_classes,
     build_tower,
     endo_pair,
@@ -106,9 +107,11 @@ class Analysis:
     ``seed`` (C*(1, |a|)), ``pair`` (U validated as a partial isometry),
     ``tower`` (both towers over the seed), ``frame`` (the atoms of the
     tower's double closure, with U in their basis), ``model`` (U over that
-    double closure) and ``structure`` (the blocks of B, given the
-    relation).  A failed derivation is not repeated either: its
-    PolarkitError or LinAlgError is raised again on every later read.
+    double closure), ``structure`` (the blocks of B, given the relation)
+    and ``unit_closure`` (the atoms of C*(1)'s double closure under U and
+    their certification defect, which the isometry reports read).  A
+    failed derivation is not repeated either: its PolarkitError or
+    LinAlgError is raised again on every later read.
     """
 
     def __init__(self, a, tol: float = DEFAULT_TOL):
@@ -124,6 +127,7 @@ class Analysis:
     frame = _once(lambda an: an.tower._frame)
     model = _once(lambda an: _graded_model(an))
     structure = _once(lambda an: _structure(an))
+    unit_closure = _once(lambda an: _unit_closure(an.pd.u, an.tol))
 
 
 def _graded_model(an: Analysis) -> GradedModel:
@@ -202,16 +206,6 @@ def _class_defect(frame: _AtomFrame, values, ties, cls, eps: float) -> float:
     return frame.class_residual(values, cls) + float(np.max(ties)) + eps
 
 
-def _chain_defect(values: np.ndarray, ties: np.ndarray) -> float:
-    """Bound on ||X_k X_l - X_k|| and ||X_l X_k - X_k|| over l <= k for
-    X_k = values[k] + E_k, ||E_k|| <= ties[k]: the products of atom
-    functions commute, and the rest is x_k E_l + E_k (x_l - 1) + E_k E_l."""
-    prods = np.abs(values[:, None, :] * values[None, :, :] - values[:, None, :]).max(axis=-1)
-    size, lower = np.abs(values).max(axis=1), np.abs(values - 1.0).max(axis=1)
-    bound = prods + np.outer(size, ties) + np.outer(ties, lower) + np.outer(ties, ties)
-    return float(np.tril(bound).max(initial=0.0))
-
-
 def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     """Verify the ten properties of U from the polar decomposition.
 
@@ -233,13 +227,9 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
 
     * the bicommutant checks: class residual of q_1 and of every p_k in
       the seed's partition, plus their ties and eps;
-    * projections commuting: atom functions commute, so [Q_l, P_k] is
-      bounded by the spreads of the values times the off-block norms;
-    * power reduction: U* U^k U*^l - U^(k-1) U*^l = (Q_1 - 1) U^(k-1) U*^l,
-      whose block part maps delta^l(x) to delta^(k-1)(x), an atom delta
-      is defined on, so only |q_1 - 1| on those atoms enters it;
-    * idempotence and nesting: products of the vectors, with
-      P^2 - P = p^2 - p + (p - 1/2) F + F (p - 1/2) + F^2 for the tie F;
+    * projections commuting, power reduction, idempotence and nesting:
+      the power facts the isometry reports read too
+      (:func:`tower._power_facts`);
     * the seed images: delta^k(f) is f gathered through delta^k times
       p_k plus a tie (``_AtomFrame.layers``).  These give the seed's images
       in the seed and in C*(1, |a|, P_1..P_(k-1)), whose partition the
@@ -256,7 +246,7 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     an.structure  # the relation, the tower and U's block form, or their typed error
     frame = an.frame
     n = an.matrix.shape[0]
-    images, taus, (p, p_ties, p_off), (q, q_ties, q_off) = frame.powers(n)
+    images, taus, (p, p_ties, _), (q, q_ties, _) = frame.powers(n)
     scale = 1.0 + operator_norm(an.matrix)
     thr = tol * (scale * scale)
 
@@ -279,16 +269,11 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
 
     add("initial_projection_in_bicommutant", _class_defect(frame, q[:1], q_ties[:1], cls, eps))
     add("range_projections_in_bicommutant", _class_defect(frame, p, p_ties, cls, eps))
-    add("projection_families_commute", _layers_commutator([(q, q_ties, q_off), (p, p_ties, p_off)]))
-    add(
-        "power_reduction",
-        gap[dom].max(initial=0.0) * (big + tau) ** 2
-        + gap.max() * tau * (2.0 * big + tau)
-        + q_ties[0] * big * big,
-    )
-    idempotent = np.abs(p * p - p).max(axis=1) + 2.0 * np.abs(p - 0.5).max(axis=1) * p_ties
-    add("range_projections_idempotent", (idempotent + p_ties * p_ties).max())
-    add("ordered_products_nest", max(_chain_defect(q, q_ties), _chain_defect(p, p_ties)))
+    facts = _power_facts(frame, n)
+    add("projection_families_commute", facts["commute"].max())
+    add("power_reduction", facts["reduction"])
+    add("range_projections_idempotent", facts["final_idempotent"])
+    add("ordered_products_nest", max(facts["initial_chain"], facts["final_chain"]))
 
     # delta^k of the non-unital seed, k = 1..n: gathered rows masked by p_k
     layers = frame.layers(f, np.full(len(f), eps), "forward", n)[1:]

@@ -27,15 +27,12 @@ from .graded import (
     realize,
     sum_norm_inequalities,
 )
-from .isometry import (
-    commuting_projection_properties,
-    partial_isometry_report,
-    power_isometry_check,
-)
+from .isometry import partial_isometry_report
 from .linalg import DEFAULT_TOL, _operator_norms, operator_norm
 from .models import ModelSpec, build, phi_for
 from .relation import Analysis, coefficient_algebra, theorem22_report
 from .serialize import dumps_canonical, model_spec_to_json
+from .tower import _commuting_projections, _power_isometry
 from .words import GEN, GEN_STAR, evaluate, interior_projection, nf_mul, normal_order
 
 SUITE_ORDER = ("polar", "isometry", "tower", "theorem22", "graded", "norm_formula", "words")
@@ -152,35 +149,17 @@ def _suite_polar(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> lis
 
 
 def _suite_isometry(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> list[dict]:
-    tol = config.tol
-    u = an.pd.u
-    n = u.shape[0]
-    rep = power_isometry_check(u, kmax=n, tol=tol)
-    checks = [
-        _check(
-            "powers_vs_projections",
-            "isometry.power_equivalence",
-            rep.equivalent,
-            max(rep.worst_power, rep.worst_family),
-        )
-    ]
+    n = an.matrix.shape[0]
+    rep = _power_isometry(*an.unit_closure, n, config.tol)
+    worst = max(rep.worst_power, rep.worst_family)
+    checks = [_check("powers_vs_projections", "isometry.power_equivalence", rep.equivalent, worst)]
     try:
-        crep = commuting_projection_properties(u, kmax=n, tol=tol)
-        checks.append(
-            _check(
-                "commuting_projection_family",
-                "isometry.projection_family",
-                crep.passed,
-                max(
-                    crep.commutant_residual,
-                    crep.reduction_residual,
-                    crep.family_residual,
-                ),
-            )
-        )
+        crep = _commuting_projections(*an.unit_closure, n, config.tol)
     except PolarkitError as exc:
-        checks.extend(_precondition_failure(exc, "isometry.projection_family"))
-    return checks
+        return checks + _precondition_failure(exc, "isometry.projection_family")
+    worst = max(crep.commutant_residual, crep.reduction_residual, crep.family_residual)
+    name, anchor = "commuting_projection_family", "isometry.projection_family"
+    return checks + [_check(name, anchor, crep.passed, worst)]
 
 
 def _suite_tower(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> list[dict]:
@@ -350,7 +329,8 @@ def run_suite(config: SuiteConfig) -> dict:
     scaled matrix) are recorded as failed checks rather than raised, so
     one bad model never hides the others.  Every suite
     of a model reads one shared :class:`Analysis`, so the polar parts,
-    the relation gate and the tower are derived once per model.
+    the relation gate, the tower and the closure of C*(1) that the
+    isometry suite reads are derived once per model.
     """
     suites = [s for s in SUITE_ORDER if s in config.suites]
     models_out = []

@@ -36,7 +36,8 @@ seed's classes; the hypotheses and the tower theorems are gathers through
 the powers of delta, weighted least squares under the trace inner product
 (whose weights are the atom ranks) and commutator bounds from the ties.
 No check runs a span closure.  ``orbit_structure`` reads the blocks of
-B = C*(1, |a|, U) off delta's orbits on X.
+B = C*(1, |a|, U) off delta's orbits on X, and the isometry reports read
+the powers of U on the atoms of C*(1)'s double closure (``_power_facts``).
 """
 
 from __future__ import annotations
@@ -83,10 +84,6 @@ class EndoPair:
 
     def delta_star(self, m) -> np.ndarray:
         return dagger(self.u) @ as_matrix(m) @ self.u
-
-    def swapped(self) -> "EndoPair":
-        """Roles of delta and delta_* exchanged (U replaced by U*)."""
-        return EndoPair(u=dagger(self.u), ambient_dim=self.ambient_dim)
 
 
 def endo_pair(u, tol: float = DEFAULT_TOL) -> EndoPair:
@@ -203,14 +200,13 @@ def _hypotheses(frame: "_AtomFrame", a0: MatrixAlgebra, kmax: int, tol: float, d
         values, ties = frame.basis_coords(a0)
         seed = (values, ties, ties)
         q, q_ties, q_off = frame.powers(kmax)[3]
-        idempotent = np.abs(q * q - q).max(axis=1) + 2.0 * np.abs(q - 0.5).max(axis=1) * q_ties
-        hermitian = 2.0 * (np.abs(q.imag).max(axis=1) + q_ties)
+        idempotent, hermitian = _projection_defects(q, q_ties)
         q1 = (q[:1], q_ties[:1], q_off[:1])  # Q_0 = 1 is exact, and commutes
         fwd = frame.layers(values, ties, "forward", kmax)
         span, span_ties = frame.span_basis(values, ties)
         image = fwd[min(1, kmax)]
         residuals = [
-            np.maximum(idempotent + q_ties * q_ties, hermitian).max(initial=0.0),
+            np.maximum(idempotent, hermitian).max(initial=0.0),
             _layers_commutator([(q, q_ties, q_off), seed]),
             max(_layers_commutator([seed, layer]) for layer in fwd),
             max(_layers_commutator([q1, layer]) for layer in fwd),
@@ -268,20 +264,14 @@ class TowerReport:
     _frame: "_AtomFrame" = field(default=None, repr=False, compare=False)
 
 
-def build_tower(
-    a0: MatrixAlgebra, pair: EndoPair, tol: float = DEFAULT_TOL, swap_roles: bool = False
-) -> TowerReport:
+def build_tower(a0: MatrixAlgebra, pair: EndoPair, tol: float = DEFAULT_TOL) -> TowerReport:
     """Construct both towers, their limits, and the double closures.
 
     Requires the weak hypothesis set (raises :class:`HypothesisViolated`
     otherwise); whether the strong set also holds is recorded in the
-    report.  ``swap_roles`` runs the whole construction with U replaced by
-    U*, which is the asymmetry variant of the theory.  Each level is a
-    partition of X (:func:`_sequence`), one algebra per partition, read
-    in the next by a class residual on X.
+    report.  Each level is a partition of X (:func:`_sequence`), one
+    algebra per partition, read in the next by a class residual on X.
     """
-    if swap_roles:
-        pair = pair.swapped()
     frame, seed, defect = _double_closure(a0, pair, tol)
     hyp = _hypotheses(frame, a0, pair.ambient_dim, tol, defect)
     if not hyp.weak_holds:
@@ -570,6 +560,146 @@ class _AtomFrame:
         return float(np.abs(values - proj).max(initial=0.0))
 
 
+def _power_facts(frame: _AtomFrame, kmax: int) -> dict:
+    """The facts about the powers W^k of U, k = 1..kmax, that the isometry
+    reports and ``theorem22_report`` read, bounded on the atoms of the
+    certified ``frame``.  As in :meth:`_AtomFrame.powers`, W^k = D_k + R_k
+    with D_k one block per atom x in the block row of delta^k(x),
+    ||R_k|| <= tau_k, and P_k = W^k W^k*, Q_k = W^k* W^k are atom vectors
+    p_k, q_k plus ties.  With V = max(1, ||U||)^kmax >= ||W^k||:
+
+    * ``powers`` (per k): the five conditions on W^k.  The spectra of the
+      Hermitian parts of Q_k and P_k lie within their ties of Re q_k and
+      Re p_k (Weyl); Q_k^2 - Q_k and P_k^2 - P_k are bounded as in
+      :func:`_projection_defects`; and W^k W^k* W^k - W^k = W^k (Q_k - 1)
+      = D_k (q_k - 1) + R_k (q_k - 1) + W^k (Q_k - q_k), whose block part
+      reads q_k - 1 only on the atoms delta^k is defined on;
+    * ``commute`` (rows l, columns k): [Q_l, P_k] (:func:`_commutator_bounds`);
+    * ``reduction``: U* U^k U*^l - U^(k-1) U*^l = (Q_1 - 1) U^(k-1) U*^l
+      for 1 <= k <= l, whose block part maps delta^l(x) to delta^(k-1)(x),
+      an atom delta is defined on, so only |q_1 - 1| on those atoms enters it;
+    * ``initial_chain``, ``final_chain``: the Q- and P-chains
+      (:func:`_chain_defect`), ``initial_hermitian``: Q_k - Q_k*, and
+      ``final_idempotent``: P_k^2 - P_k.
+    """
+    images, taus, (p, p_ties, p_off), (q, q_ties, q_off) = frame.powers(kmax)
+    big = max(1.0, np.sqrt(frame.nu2)) ** kmax
+    tau = float(taus.max())
+    gap = np.abs(q - 1.0)
+    near = np.where(images >= 0, gap, 0.0).max(axis=1)
+    q_idempotent, q_hermitian = _projection_defects(q, q_ties)
+    p_idempotent, _ = _projection_defects(p, p_ties)
+    pairs = ((q, q_ties), (p, p_ties))
+    spectra = [np.minimum(abs(x.real), abs(x.real - 1.0)).max(axis=1) + t for x, t in pairs]
+    triple = near * (big + taus) + gap.max(axis=1) * taus + q_ties * big
+    return {
+        "powers": np.maximum.reduce([*spectra, q_idempotent, p_idempotent, triple]),
+        "commute": _commutator_bounds((_spread(q), q_ties, q_off), (_spread(p), p_ties, p_off)),
+        "reduction": near[0] * (big + tau) ** 2 + gap[0].max() * tau * (2.0 * big + tau)
+        + q_ties[0] * big * big,
+        "initial_chain": _chain_defect(q, q_ties),
+        "final_chain": _chain_defect(p, p_ties),
+        "initial_hermitian": float(q_hermitian.max()),
+        "final_idempotent": float(p_idempotent.max()),
+    }
+
+
+def _unit_closure(u, tol: float) -> tuple[_AtomFrame, float]:
+    """``(frame, defect)``: the atoms of the double closure of C*(1) under
+    u and their certification defect (:func:`_double_closure`).  This
+    needs neither a relation nor |a|, and by Halmos-Wallen every power of
+    a partial isometry u is one exactly when u is a sum of a unitary and
+    truncated shifts, which is when this closure is certified."""
+    um = np.array(as_matrix(u))  # a copy: EndoPair freezes its array
+    one = _atom_algebra(np.eye(len(um), dtype=np.complex128), [np.arange(len(um))])
+    frame, _, defect = _double_closure(one, EndoPair(u=um, ambient_dim=len(um)), tol)
+    return frame, defect
+
+
+@dataclass(frozen=True)
+class PowerIsometryReport:
+    """Joint check of two equivalent statements about the powers of v:
+    (powers) every v^k is a partial isometry, and (family) the initial
+    projections v*^k v^k form a commuting decreasing projection family.
+    ``equivalent`` records that the two booleans agree, which the theory
+    guarantees; a False means a tolerance straddle."""
+
+    kmax: int
+    powers_ok: bool
+    family_ok: bool
+    worst_power: float
+    worst_family: float
+
+    @property
+    def equivalent(self) -> bool:
+        return self.powers_ok == self.family_ok
+
+
+def _power_isometry(frame: _AtomFrame, defect: float, kmax: int, tol: float):
+    """:func:`power_isometry_check` on the closure ``(frame, defect)``."""
+    limit = tol * frame.scale
+    if not defect <= limit:
+        return PowerIsometryReport(kmax, False, False, defect, defect)
+    facts = _power_facts(frame, kmax)
+    worst_power = float(facts["powers"].max())
+    worst_family = max(facts["initial_chain"], facts["initial_hermitian"])
+    verdicts = (worst_power <= limit, worst_family <= limit)
+    return PowerIsometryReport(kmax, *verdicts, worst_power, worst_family)
+
+
+def power_isometry_check(v, kmax: int, tol: float = DEFAULT_TOL) -> PowerIsometryReport:
+    """Check powers-are-partial-isometries against the projection-family
+    characterization, for k = 1..kmax, on the atoms of C*(1)'s double
+    closure under v (:func:`_power_facts`) against ``tol * (1 + ||v||^2)^2``.
+    When that closure is not certified, both fail with its defect."""
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
+    return _power_isometry(*_unit_closure(v, tol), kmax, tol)
+
+
+@dataclass(frozen=True)
+class CommutingProjectionReport:
+    kmax: int
+    commutant_residual: float
+    reduction_residual: float
+    family_residual: float
+    passed: bool
+
+
+def _commuting_projections(frame: _AtomFrame, defect: float, kmax: int, tol: float):
+    """:func:`commuting_projection_properties` on the closure ``(frame, defect)``."""
+    limit = tol * frame.scale
+    if not defect <= limit:
+        raise HypothesisViolated(f"C*(1)'s double closure under v is not certified ({defect:.3e})")
+    facts = _power_facts(frame, kmax)
+    if not facts["powers"][0] <= limit:
+        raise HypothesisViolated(f"v is not a partial isometry (residual {facts['powers'][0]:.3e})")
+    bad = np.flatnonzero(~(facts["commute"][0] <= limit))
+    if bad.size:
+        k, res = bad[0] + 1, facts["commute"][0, bad[0]]
+        raise HypothesisViolated(f"[v*v, v^{k} v*^{k}] has norm up to {res:.3e}, beyond tolerance")
+    residuals = (float(facts["commute"].max()), float(facts["reduction"]), facts["final_chain"])
+    return CommutingProjectionReport(kmax, *residuals, passed=max(residuals) <= limit)
+
+
+def commuting_projection_properties(
+    v, kmax: int, tol: float = DEFAULT_TOL
+) -> CommutingProjectionReport:
+    """Consequences of [v*v, v^k v*^k] = 0 for a partial isometry v.
+
+    Requires that hypothesis up to kmax (raises
+    :class:`HypothesisViolated` naming the first offending k, or the
+    defect of C*(1)'s double closure under v when that is not certified);
+    then checks that each v*^l v^l commutes with the whole final-projection
+    family, the reduction identity v* v^k v*^l = v^(k-1) v*^l for
+    1 <= k <= l, and that {v^k v*^k} is a commuting decreasing projection
+    family, all on that closure's atoms, as in :func:`power_isometry_check`.
+    """
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
+    return _commuting_projections(*_unit_closure(v, tol), kmax, tol)
+
+
 @dataclass(frozen=True)
 class OrbitBlock:
     """One orbit of delta on the atoms of the double closure, and the block
@@ -684,28 +814,53 @@ def _value_classes(values: np.ndarray, tol: float) -> np.ndarray:
     return cls
 
 
-def _layers_commutator(layers: list) -> float:
-    """Bound on the commutators of elements in different layers.
+def _spread(values: np.ndarray) -> np.ndarray:
+    """Per row, the diameter of a box holding its values."""
+    return np.hypot(np.ptp(values.real, axis=1), np.ptp(values.imag, axis=1))
+
+
+def _commutator_bounds(one: tuple, other: tuple) -> np.ndarray:
+    """Bounds on ||[x, y]|| for the rows x of ``one`` and y of ``other``,
+    each given as ``(spread, ties, off)``.
 
     For elements f + E, g + F with f, g atom functions, [f, g] = 0 and f
     commutes with the part of F inside the atoms, so the commutator is
     [f, F_off] + [E_off, g] + [E, F], and ||[f, O]|| <= spread(f) ||O||.
     """
-    spread = np.concatenate(
-        [np.hypot(np.ptp(v.real, axis=1), np.ptp(v.imag, axis=1)) for v, _, _ in layers]
-    )
-    ties, off = (np.concatenate(part) for part in list(zip(*layers))[1:])
-    ends = np.cumsum([len(e) for _, e, _ in layers])
+    (s1, t1, o1), (s2, t2, o2) = one, other
+    return np.multiply.outer(s1, o2) + np.multiply.outer(o1, s2) + 2.0 * np.multiply.outer(t1, t2)
+
+
+def _layers_commutator(layers: list) -> float:
+    """Bound on the commutators of elements in different layers, each
+    ``(values, ties, off)`` (:func:`_commutator_bounds`)."""
+    rows = [np.concatenate(part) for part in zip(*((_spread(v), t, o) for v, t, o in layers))]
+    ends = np.cumsum([len(t) for _, t, _ in layers])
     worst = 0.0
     for start, end in zip(np.concatenate(([0], ends[:-2])), ends[:-1]):
-        now, later = slice(start, end), slice(end, None)
-        bound = (
-            np.multiply.outer(spread[now], off[later])
-            + np.multiply.outer(off[now], spread[later])
-            + 2.0 * np.multiply.outer(ties[now], ties[later])
-        )
+        bound = _commutator_bounds([r[start:end] for r in rows], [r[end:] for r in rows])
         worst = max(worst, float(bound.max(initial=0.0)))
     return worst
+
+
+def _projection_defects(values: np.ndarray, ties: np.ndarray):
+    """Per row, bounds on ||X^2 - X|| and ||X - X*|| for X = x + E with x
+    the atom function of the row's values and ||E|| <= its tie:
+    X^2 - X = x^2 - x + (x - 1/2) E + E (x - 1/2) + E^2, and
+    X - X* = 2i Im x + E - E*."""
+    idempotent = np.abs(values * values - values).max(axis=1)
+    idempotent += 2.0 * np.abs(values - 0.5).max(axis=1) * ties
+    return idempotent + ties * ties, 2.0 * (np.abs(values.imag).max(axis=1) + ties)
+
+
+def _chain_defect(values: np.ndarray, ties: np.ndarray) -> float:
+    """Bound on ||X_k X_l - X_k|| and ||X_l X_k - X_k|| over l <= k for
+    X_k = values[k] + E_k, ||E_k|| <= ties[k]: the products of atom
+    functions commute, and the rest is x_k E_l + E_k (x_l - 1) + E_k E_l."""
+    prods = np.abs(values[:, None, :] * values[None, :, :] - values[:, None, :]).max(axis=-1)
+    size, lower = np.abs(values).max(axis=1), np.abs(values - 1.0).max(axis=1)
+    bound = prods + np.outer(size, ties) + np.outer(ties, lower) + np.outer(ties, ties)
+    return float(np.tril(bound).max(initial=0.0))
 
 
 def _norm_bound(values: np.ndarray, ties: np.ndarray) -> float:

@@ -6,11 +6,15 @@ loops the package used before: each takes one SVD per matrix and keeps the
 running maximum.  The batched SVD and the stacked products run the same
 LAPACK and BLAS routines on each matrix, so the two must agree exactly.
 
-The tower theorems, the hypotheses, the sum-form checks and the ten
-properties of ``theorem22_report`` are read on the atoms of the double
+The tower theorems, the hypotheses, the sum-form checks, the ten
+properties of ``theorem22_report`` and the two isometry reports
+(``power_isometry_check`` and ``commuting_projection_properties``, on the
+atoms of C*(1)'s double closure) are read on the atoms of a double
 closure instead, with their own rounding and a tie bound added, so against
-the per-pair loops (span closures and joint eigenbases included) they must
-give the same verdict per check and residuals within ``GOLDEN``.
+the per-pair loops (span closures, joint eigenbases and the power table
+included) they must give the same verdict per check and residuals within
+``GOLDEN``, and the ten properties and the isometry reports never fall
+below the loops by more than 1e-12.
 """
 
 import dataclasses
@@ -18,12 +22,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarkit as pk
 from polarkit.algebra import _atom_algebra
 from polarkit.isometry import _isometry_scale
 from polarkit.linalg import dagger
 from polarkit.relation import Analysis
+from polarkit.tower import _unit_closure
 
 from conftest import zoo_specs
 from span_closure import generate, joint_eigenbasis, linear_span, nonunital_seed, project
@@ -108,6 +115,40 @@ def ref_lattice(u, kmax):
         for k in range(1, l + 1)
     )
     return commutant, reduction, ref_chain(p_of, kmax)
+
+
+def ref_isometry(u, kmax):
+    """Residuals of the two isometry reports from the power table: the
+    worst of the five conditions over u^k, the Q-chain with the
+    Hermiticity of each Q_k, and the commutant, reduction and P-chain of
+    :func:`ref_lattice`."""
+    upow, _, q_of = ref_powers(u, kmax)
+    ks = range(1, kmax + 1)
+    worst_power = max(pk.partial_isometry_report(upow[k]).worst for k in ks)
+    worst_family = max(ref_chain(q_of, kmax), max(ref_norm(q_of[k] - dagger(q_of[k])) for k in ks))
+    return (worst_power, worst_family), ref_lattice(u, kmax)
+
+
+def assert_isometry_matches_per_pair_loops(u, close=None):
+    """Both isometry reports against :func:`ref_isometry`: per residual,
+    the verdict of the per-pair residual at tol (1 + ||u||^2)^2, a residual
+    never below it by more than 1e-12, and within ``close`` of it when
+    given.  Returns the two reports."""
+    n = u.shape[0]
+    (power, family), lattice = ref_isometry(u, n)
+    prep = pk.power_isometry_check(u, kmax=n)
+    crep = pk.commuting_projection_properties(u, kmax=n)
+    threshold = TOL * _isometry_scale(u)
+    assert prep.powers_ok == (power <= threshold) and prep.family_ok == (family <= threshold)
+    assert crep.passed == (max(lattice) <= threshold)
+    got = (
+        prep.worst_power, prep.worst_family,
+        crep.commutant_residual, crep.reduction_residual, crep.family_residual,
+    )
+    for mine, want in zip(got, (power, family, *lattice), strict=True):
+        assert mine >= want - 1e-12, (got, want)
+        assert close is None or mine - want <= close, (got, want)
+    return prep, crep
 
 
 def ref_morphism(v, basis):
@@ -378,21 +419,7 @@ def _id(spec):
 
 @pytest.mark.parametrize("spec", CASES, ids=_id)
 def test_isometry_residuals_match_per_pair_loops(spec):
-    u = _analysis(spec).pd.u
-    n = u.shape[0]
-    commutant, reduction, family = ref_lattice(u, n)
-    crep = pk.commuting_projection_properties(u, kmax=n)
-    assert (crep.commutant_residual, crep.reduction_residual, crep.family_residual) == (
-        commutant,
-        reduction,
-        family,
-    )
-    prep = pk.power_isometry_check(u, kmax=n)
-    _, q_of = ref_powers(u, n)[1:]
-    worst_family = max(
-        ref_chain(q_of, n), max(ref_norm(q_of[k] - dagger(q_of[k])) for k in range(1, n + 1))
-    )
-    assert prep.worst_family == worst_family
+    assert_isometry_matches_per_pair_loops(_analysis(spec).pd.u, GOLDEN)
 
 
 @pytest.mark.parametrize("spec", CASES, ids=_id)
@@ -474,6 +501,54 @@ CONJUGATES = {
 @pytest.mark.parametrize("case", list(CONJUGATES))
 def test_tower_verdicts_match_per_pair_loops_on_conjugates(case):
     assert_tower_matches_per_pair_loops(Analysis(CONJUGATES[case]()))
+
+
+def _halmos_wallen(rng, unitary, shifts):
+    """A Haar unitary of size ``unitary`` plus one truncated shift
+    e_i -> e_(i+1) per (length, forward) in ``shifts`` (its adjoint, a
+    co-shift, when not forward; length 1 is a zero block), the sum
+    conjugated by a Haar unitary."""
+    blocks = [haar(rng, unitary)] if unitary else []
+    blocks += [np.eye(m, k=-1 if fwd else 1, dtype=complex) for m, fwd in shifts]
+    n = sum(len(b) for b in blocks)
+    u = np.zeros((n, n), dtype=complex)
+    start = 0
+    for b in blocks:
+        u[start : start + len(b), start : start + len(b)] = b
+        start += len(b)
+    return _haar_conjugate(u, int(rng.integers(2**31)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    unitary=st.integers(0, 6),
+    shifts=st.lists(st.tuples(st.integers(1, 6), st.booleans()), max_size=3),
+)
+def test_halmos_wallen_sums_pass_both_paths(seed, unitary, shifts):
+    # every power of such a sum is a partial isometry (Halmos-Wallen)
+    u = _halmos_wallen(np.random.default_rng(seed), max(unitary, 0 if shifts else 1), shifts)
+    prep, crep = assert_isometry_matches_per_pair_loops(u)
+    assert prep.powers_ok and prep.family_ok and crep.passed
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10), rank=st.integers(0, 8))
+def test_rank_deficient_partial_isometries_leave_the_closure_uncertified(seed, n, rank):
+    rng = np.random.default_rng(seed)
+    rank = 1 + rank % (n - 1)
+    v = haar(rng, n)[:, :rank] @ dagger(haar(rng, n)[:, :rank])
+    threshold = TOL * _isometry_scale(v)
+    assert pk.partial_isometry_report(v).passed
+    assert ref_isometry(v, n)[0][0] > threshold  # the per-pair path fails too
+    _, defect = _unit_closure(v, TOL)
+    assert defect > threshold
+    prep = pk.power_isometry_check(v, kmax=n)
+    assert not (prep.powers_ok or prep.family_ok) and prep.equivalent
+    assert prep.worst_power == prep.worst_family == defect
+    with pytest.raises(pk.HypothesisViolated, match="not certified"):
+        pk.commuting_projection_properties(v, kmax=n)
+    assert v.flags.writeable
 
 
 def pairwise_products(xs, ys):

@@ -90,10 +90,10 @@ def test_tower_theorems_fine_seed_add_seed_level_checks(shift_pair):
 
 def test_swap_roles_exchanges_directions(shift_pair):
     _, _, pair = shift_pair
-    sw = pair.swapped()
+    sw = pk.endo_pair(pair.u.conj().T)
     d = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
     assert np.allclose(sw.delta(d), pair.delta_star(d))
-    t = pk.build_tower(coarse_seed(), pair, swap_roles=True)
+    t = pk.build_tower(coarse_seed(), sw)
     # with roles swapped the forward tower is the star tower of the original
     assert [alg.dimension for alg in t.an_list] == [2, 4, 4, 4]
 

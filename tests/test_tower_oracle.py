@@ -19,6 +19,7 @@ import polarkit.relation as relation
 import polarkit.tower as tower
 from polarkit.relation import Analysis
 from polarkit.linalg import dagger
+from polarkit.report import _suite_isometry
 
 from conftest import zoo_specs
 from span_closure import algebras_equal, generate
@@ -201,6 +202,19 @@ def test_tower_takes_a_few_svds_per_atom(monkeypatch):
     an.seed, an.pair
     count = _count_svds(monkeypatch)
     assert an.tower.hypotheses.weak_holds
+    assert count[0] <= 10 * n, count[0]
+
+
+def test_isometry_suite_takes_a_few_svds_per_atom(monkeypatch):
+    # the dense power table and its loops over pairs (k, l) sent 15,211
+    # matrices to SVD here
+    n = 64
+    spec = pk.weighted_shift(np.sqrt(np.arange(1.0, n)))
+    an = Analysis(pk.build(spec))
+    an.pd
+    count = _count_svds(monkeypatch)
+    checks = _suite_isometry(spec, an, pk.SuiteConfig(models=(spec,), suites=("isometry",)), None)
+    assert [c["pass"] for c in checks] == [True, True]
     assert count[0] <= 10 * n, count[0]
 
 
