@@ -74,7 +74,7 @@ from .linalg import (
     operator_norm,
     rough_norm,
 )
-from .tower import EndoPair, _AtomFrame, endo_pair
+from .tower import _BLOCK, EndoPair, _AtomFrame, endo_pair
 
 # Coefficients with norm at or below this (relative to the element's scale)
 # are dropped during multiplication; keeps nilpotent truncation exact
@@ -421,13 +421,21 @@ def _product(frame: _AtomFrame, left, right, degree: int | None = None):
         m < 0 < n          delta_*^min(-m, n)(beta * gamma)
 
     that is beta and gamma each gathered through one power of delta or
-    delta_*, times a mask, times the mask of P_|m+n|.  Terms whose P_|m+n|
-    is zero (|m + n| at least the least k with P_k = 0, when U is
-    nilpotent) or not asked for are never formed.  One left degree is
-    taken at a time, against all right degrees at once, so no array
-    exceeds (degrees, atoms).  Per degree, coefficients whose largest
-    value is at or below ``COEFF_DROP * scale**2`` are dropped, with scale
-    the largest factor value and at least 1.
+    delta_* (:func:`_term_rows`), times a mask, times the mask of
+    P_|m+n|.  Terms whose P_|m+n| is zero (|m + n| at least the least k
+    with P_k = 0, when U is nilpotent) or not asked for are never formed.
+
+    The terms are laid out with the left degrees as rows, in the order of
+    ``left``, and the degrees m + n as columns; a slot whose right degree
+    is absent gathers a row of zeros.  They are formed in blocks of about
+    sqrt(``_BLOCK`` / atoms) rows and the columns those rows reach, at
+    most ``_BLOCK`` (slot, atom) entries each (or one slot), and each
+    column is summed down its rows, a block's first row taking the sum of
+    the blocks before it.  So every degree adds its terms one at a time in the order
+    of the left degrees, as a loop over them would.  Per degree,
+    coefficients whose largest value is at or below
+    ``COEFF_DROP * scale**2`` are dropped, with scale the largest factor
+    value and at least 1.
     """
     ldeg, lval = left
     rdeg, rval = right
@@ -435,31 +443,54 @@ def _product(frame: _AtomFrame, left, right, degree: int | None = None):
     top = lmax + rmax if frame.vanish is None else min(lmax + rmax, frame.vanish - 1)
     index, mask, depth = frame.gathers(max(lmax, rmax, top))
     scale = max(1.0, float(np.abs(lval).max(initial=0.0)), float(np.abs(rval).max(initial=0.0)))
-    acc = np.zeros((2 * top + 1, lval.shape[-1]), dtype=np.complex128)
-    for m, beta in zip(ldeg.tolist(), lval):
-        d = m + rdeg
-        keep = np.abs(d) <= top
-        if degree is not None:
-            keep &= d == degree
-        if not keep.any():
-            continue
-        n, gamma, d = rdeg[keep], rval[keep], d[keep]
-        if m >= 0:
-            # rows of index / mask: the power on beta, on gamma, and the mask
-            low = (n >= 0) | (-n <= m)
-            on_beta = np.where(low, 0, -n - m)
-            on_gamma = np.where(n >= 0, m, np.where(low, m + n, 0))
-            under = np.where(low, m, -n)
-        else:
-            back = depth + np.minimum(-m, n)
-            on_beta = under = np.where(n <= 0, -n, back)
-            on_gamma = np.where(n <= 0, 0, back)
-        rows = np.arange(len(n))[:, None]
-        terms = beta[index[on_beta]] * gamma[rows, index[on_gamma]]
-        acc[d + top] += terms * (mask[under] * mask[np.abs(d)])
+    size = lval.shape[-1]
+    first, last = (-top, top) if degree is None else (max(-top, degree), min(top, degree))
+    acc = np.zeros((max(0, last - first + 1), size), dtype=np.complex128)
+    if not (len(ldeg) and len(rdeg)):
+        return np.zeros(0, dtype=int), acc[:0]
+    # slot[n + reach] is the row of right degree n, or the row of zeros
+    reach = top + lmax + rmax
+    slot = np.full(2 * reach + 1, len(rdeg))
+    slot[rdeg + reach] = np.arange(len(rdeg))
+    lflat = lval.ravel()
+    rflat = np.concatenate((rval, np.zeros((1, size)))).ravel()
+    rdeg0 = np.append(rdeg, 0)
+    rows = max(1, int(np.sqrt(_BLOCK // size)))
+    for r in range(0, len(ldeg), rows):
+        m = ldeg[r : r + rows, None]
+        lo = max(first, int(m.min() + rdeg.min()))
+        hi = min(last, int(m.max() + rdeg.max()))
+        d = np.arange(lo, hi + 1)
+        j = slot[d - m + reach]
+        on_beta, on_gamma, under = _term_rows(m, rdeg0[j], depth)
+        at = (np.arange(r, r + len(m)) * size)[:, None, None]
+        cols = max(1, _BLOCK // (len(m) * size))
+        for c in range(0, len(d), cols):
+            s = slice(c, c + cols)
+            terms = lflat.take(index[on_beta[:, s]] + at)
+            terms *= rflat.take(index[on_gamma[:, s]] + (j[:, s] * size)[..., None])
+            terms *= mask[under[:, s]] * mask[np.abs(d[s])]
+            block = slice(lo - first + c, lo - first + c + terms.shape[1])
+            terms[0] += acc[block]
+            acc[block] = terms.sum(axis=0)
     peak = np.abs(acc).max(axis=1)
     kept = np.flatnonzero(peak > COEFF_DROP * scale * scale)
-    return kept - top, acc[kept]
+    return kept + first, acc[kept]
+
+
+def _term_rows(m: np.ndarray, n: np.ndarray, depth: int):
+    """The rows of the gather tables (``_AtomFrame.gathers``) the terms at
+    degrees (m, n) read: the power on beta, the power on gamma and the
+    mask; row k is delta^k and P_k, row depth + k delta_*^k and Q_k."""
+    low = (n >= 0) | (-n <= m)
+    back = depth + np.minimum(-m, n)
+    star = np.where(n <= 0, -n, back)
+    on_beta = np.where(m >= 0, np.where(low, 0, -n - m), star)
+    on_gamma = np.where(
+        m >= 0, np.where(n >= 0, m, np.where(low, m + n, 0)), np.where(n <= 0, 0, back)
+    )
+    under = np.where(m >= 0, np.where(low, m, -n), star)
+    return on_beta, on_gamma, under
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,11 @@ from .linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger, operator_no
 # 2048 lie at least 2e-7 apart), and the same weights on every run.
 MIX_SEED = 20020
 
+# Elements per block of the kernels that would otherwise form one array
+# per pair of rows (the graded product, the chain bounds): 128 KB of
+# complex values, so their temporaries stay small at any size.
+_BLOCK = 1 << 13
+
 
 @dataclass(frozen=True)
 class EndoPair:
@@ -127,8 +132,19 @@ def _commutativity_defect(algs) -> float:
     return worst
 
 
+_MIX = np.empty(0)
+
+
 def _mix_weights(count: int) -> np.ndarray:
-    return np.random.default_rng(MIX_SEED).uniform(1.0, 2.0, count)
+    """default_rng(MIX_SEED).uniform(1, 2, count), read off one cached
+    table: a shorter draw is a prefix of a longer one, so the table is
+    drawn again, at least twice as long, only when a round asks for more.
+    It is built on first use, which is when ``numpy.random`` loads."""
+    global _MIX
+    if len(_MIX) < count:
+        _MIX = np.random.default_rng(MIX_SEED).uniform(1.0, 2.0, max(count, 2 * len(_MIX)))
+        _MIX.flags.writeable = False
+    return _MIX[:count]
 
 
 def _double_closure(a0: MatrixAlgebra, pair: EndoPair, tol: float):
@@ -856,11 +872,20 @@ def _projection_defects(values: np.ndarray, ties: np.ndarray):
 def _chain_defect(values: np.ndarray, ties: np.ndarray) -> float:
     """Bound on ||X_k X_l - X_k|| and ||X_l X_k - X_k|| over l <= k for
     X_k = values[k] + E_k, ||E_k|| <= ties[k]: the products of atom
-    functions commute, and the rest is x_k E_l + E_k (x_l - 1) + E_k E_l."""
-    prods = np.abs(values[:, None, :] * values[None, :, :] - values[:, None, :]).max(axis=-1)
-    size, lower = np.abs(values).max(axis=1), np.abs(values - 1.0).max(axis=1)
-    bound = prods + np.outer(size, ties) + np.outer(ties, lower) + np.outer(ties, ties)
-    return float(np.tril(bound).max(initial=0.0))
+    functions commute, and the rest is x_k E_l + E_k (x_l - 1) + E_k E_l.
+    The products x_k x_l - x_k, l <= k, are formed for blocks of rows k
+    of at most ``_BLOCK`` (l, atom) entries, or for one row."""
+    count, atoms = values.shape
+    norms, lower = np.abs(values).max(axis=1), np.abs(values - 1.0).max(axis=1)
+    step = max(1, _BLOCK // max(1, count * atoms))
+    worst = 0.0
+    for k in range(0, count, step):
+        x, end = values[k : k + step], min(count, k + step)
+        prods = np.abs(x[:, None, :] * values[None, :end, :] - x[:, None, :]).max(axis=-1)
+        t, near = ties[k:end, None], ties[None, :end]
+        bound = prods + norms[k:end, None] * near + t * lower[None, :end] + t * near
+        worst = max(worst, float(np.tril(bound, k).max(initial=0.0)))
+    return worst
 
 
 def _norm_bound(values: np.ndarray, ties: np.ndarray) -> float:

@@ -12,6 +12,9 @@ and recorded k, coefficients within 1e-12 (1 + ||g1||)(1 + ||g2||)
 PRODUCT_BOUND) and each s_k within 1e-12 relative.
 """
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -664,3 +667,112 @@ def test_zoo_pass_checks_support_only_for_given_coefficients(monkeypatch):
     # the suites build is rotated back into atom values
     assert counts["support"] == counts["element"] <= 6
     assert counts["rotation"] == 0
+
+
+# -- the product kernel -------------------------------------------------------
+
+
+def ref_atom_product(frame, left, right, degree=None):
+    """graded._product one left degree at a time, against all right
+    degrees at once, each degree's terms added into it in the order of
+    the left degrees: the slow oracle of the blocked kernel."""
+    ldeg, lval = left
+    rdeg, rval = right
+    lmax, rmax = int(np.abs(ldeg).max(initial=0)), int(np.abs(rdeg).max(initial=0))
+    top = lmax + rmax if frame.vanish is None else min(lmax + rmax, frame.vanish - 1)
+    index, mask, depth = frame.gathers(max(lmax, rmax, top))
+    scale = max(1.0, float(np.abs(lval).max(initial=0.0)), float(np.abs(rval).max(initial=0.0)))
+    acc = np.zeros((2 * top + 1, lval.shape[-1]), dtype=np.complex128)
+    for m, beta in zip(ldeg.tolist(), lval):
+        d = m + rdeg
+        keep = np.abs(d) <= top
+        if degree is not None:
+            keep &= d == degree
+        if not keep.any():
+            continue
+        n, gamma, d = rdeg[keep], rval[keep], d[keep]
+        if m >= 0:
+            # rows of index / mask: the power on beta, on gamma, and the mask
+            low = (n >= 0) | (-n <= m)
+            on_beta = np.where(low, 0, -n - m)
+            on_gamma = np.where(n >= 0, m, np.where(low, m + n, 0))
+            under = np.where(low, m, -n)
+        else:
+            back = depth + np.minimum(-m, n)
+            on_beta = under = np.where(n <= 0, -n, back)
+            on_gamma = np.where(n <= 0, 0, back)
+        rows = np.arange(len(n))[:, None]
+        terms = beta[index[on_beta]] * gamma[rows, index[on_gamma]]
+        acc[d + top] += terms * (mask[under] * mask[np.abs(d)])
+    peak = np.abs(acc).max(axis=1)
+    kept = np.flatnonzero(peak > COEFF_DROP * scale * scale)
+    return kept - top, acc[kept]
+
+
+# the zoo's graded models and a Haar-conjugated shift, the shifts up to
+# n = 24, and a cycle, on which no degree is truncated
+KERNEL_MODELS = CARRYING_MODELS + [
+    pk.graded_model_for(_shift(n)) for n in (2, 5, 12, 16, 24)
+] + [_cyclic_unitary()]
+
+
+@st.composite
+def _factors(draw, model):
+    """(degrees, atom values): a set of degrees within a bandwidth of 0 to
+    3, gaps allowed, in any order, with random values under P_|d|."""
+    band = draw(st.integers(0, 3))
+    degrees = np.array(
+        draw(st.lists(st.integers(-band, band), min_size=1, max_size=2 * band + 1, unique=True))
+    )
+    _, mask, _ = model._gathers.gathers(band)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((len(degrees), 2, model.algebra.dimension))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    return degrees, (x[:, 0] + 1j * x[:, 1]) * scale * mask[np.abs(degrees)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    which=st.integers(0, len(KERNEL_MODELS) - 1),
+    budget=st.sampled_from([1, 40, 300, graded._BLOCK]),
+)
+def test_product_kernel_matches_the_loop_over_left_degrees(data, which, budget):
+    # smaller element budgets split these products into many blocks, as
+    # the squarings of larger models are split
+    model = KERNEL_MODELS[which]
+    frame = model._gathers
+    left, right = data.draw(_factors(model)), data.draw(_factors(model))
+    scale = max(1.0, np.abs(left[1]).max(), np.abs(right[1]).max())
+    top = int(np.abs(left[0]).max() + np.abs(right[0]).max())
+    if frame.vanish is not None:
+        top = min(top, frame.vanish - 1)
+    kept = ref_atom_product(frame, left, right)[0].tolist()
+    dropped = sorted(set(range(-top, top + 1)) - set(kept))
+    unreachable = [-top - 2, -top - 1, top + 1, top + 2]
+    pools = {"all": [None], "kept": kept, "dropped": dropped, "unreachable": unreachable}
+    pool = data.draw(st.sampled_from([name for name, degrees in pools.items() if degrees]))
+    degree = data.draw(st.sampled_from(pools[pool]))
+    with mock.patch.object(graded, "_BLOCK", budget):
+        got = graded._product(frame, left, right, degree)
+    want = ref_atom_product(frame, left, right, degree)
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].shape == want[1].shape
+    assert np.abs(got[1] - want[1]).max(initial=0.0) <= 1e-14 * scale * scale
+    if pool != "all":
+        assert got[0].tolist() == ([degree] if pool == "kept" else [])
+
+
+def test_norm_estimate_forms_its_terms_in_blocks():
+    # the kernel without blocks traces 42 MB on this estimate; the blocks
+    # keep it near the size of its inputs
+    model = pk.graded_model_for(_shift(64))
+    g = pk.random_element(model, np.random.default_rng(15), bandwidth=3)
+    pk.norm_estimate(g, kmax=64)
+    tracemalloc.start()
+    try:
+        pk.norm_estimate(g, kmax=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak

@@ -8,6 +8,12 @@ The two must give the same dimensions, the same stabilization indices,
 and levels that contain each other within tol.
 """
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,7 +230,41 @@ def test_mix_weights_keep_atoms_apart():
     # gap tol (1 + 2 ||U||^2), far below the least spacing
     c = np.sort(tower._mix_weights(2048))
     assert np.diff(c).min() > 1e-7
-    assert np.array_equal(tower._mix_weights(16), tower._mix_weights(2048)[:16])
+    # read off one cached table that grows on demand, each a fresh draw
+    for count in (16, 3, 2048, 2049, 5000, 7):
+        draw = np.random.default_rng(tower.MIX_SEED).uniform(1.0, 2.0, count)
+        assert np.array_equal(tower._mix_weights(count), draw)
+
+
+def test_import_draws_no_mix_weights():
+    # the table is drawn on first use, so importing the package does not
+    # load numpy.random, a few MB of every process that imports it
+    code = (
+        "import sys, numpy; loaded = 'numpy.random' in sys.modules; import polarkit; "
+        "sys.exit(not loaded and 'numpy.random' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(tower.__file__).resolve().parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_chain_bound_forms_its_products_in_blocks():
+    # the products x_k x_l - x_k over all (k, l) at once trace 8.1 MB at
+    # n = 64 (0.5 GB at n = 256); the blocks give the same bound to the bit
+    n = 64
+    an = Analysis(pk.build(pk.weighted_shift(np.sqrt(np.arange(1.0, n)))))
+    frame, _ = an.unit_closure
+    for values, ties, _ in frame.powers(n)[2:]:
+        dense = np.abs(values[:, None, :] * values[None, :, :] - values[:, None, :]).max(axis=-1)
+        norms, lower = np.abs(values).max(axis=1), np.abs(values - 1.0).max(axis=1)
+        dense = dense + np.outer(norms, ties) + np.outer(ties, lower) + np.outer(ties, ties)
+        tracemalloc.start()
+        try:
+            bound = tower._chain_defect(values, ties)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bound == float(np.tril(dense).max(initial=0.0))
+        assert peak < 4 << 20, peak
 
 
 def test_image_off_the_atoms_is_rejected():
