@@ -12,7 +12,6 @@ from .algebra import (
     SpectralAlgebra,
     bicommutant,
     commutant,
-    is_commutative,
     is_function_of,
     spectral_algebra,
 )
@@ -98,7 +97,6 @@ from .tower import (
     build_tower,
     commuting_projection_properties,
     endo_pair,
-    hypotheses_check,
     power_isometry_check,
     verify_tower_theorems,
 )

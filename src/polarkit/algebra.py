@@ -1,30 +1,31 @@
-"""Finite-dimensional *-algebras of matrices: explicit linear spans, and
-commutative algebras stored by their atoms.
+"""Finite-dimensional *-algebras of matrices: commutative algebras stored
+by their atoms, and the explicit linear spans the commutant returns.
 
 At desk scale a C*-algebra of n x n matrices is just a linear subspace of
-M_n closed under products and adjoints, so norm closure never enters.  An
-algebra is stored as an orthonormal basis under the trace inner product
-<X, Y> = tr(X* Y); membership is projection defect.
-
-A commutative *-algebra with 1 is C(X) for the finite set X of its minimal
+M_n closed under products and adjoints, so norm closure never enters.  A
+commutative *-algebra with 1 is C(X) for the finite set X of its minimal
 projections ("atoms"), so :class:`SpectralAlgebra` stores a unitary v and
 one atom label per column of v.  Its members are the matrices that are
 scalar on every atom in that basis, so membership is a block-constant
 defect and needs no basis at all; the basis P_x / sqrt(rank P_x) is kept
-for callers that read one.  ``spectral_algebra`` builds C*(1, h) for
-Hermitian h from eigenprojections; ``_refine`` is the one step that
-splits atoms by a Hermitian matrix, and the towers of ``tower.py`` build
-every level with it.  ``is_function_of`` is the membership test for
-algebras of the form C*(1, h).  Eigenvalues of h are grouped by one rule,
-``_eigenspaces``.
+for callers that read one.  Every algebra the package builds is one:
+``spectral_algebra`` builds C*(1, h) for Hermitian h from
+eigenprojections; ``_refine`` is the one step that splits atoms by a
+Hermitian matrix, and the towers of ``tower.py`` build every level with
+it.  ``is_function_of`` is the membership test for algebras of the form
+C*(1, h).  Eigenvalues of h are grouped by one rule, ``_eigenspaces``.
 
+:class:`MatrixAlgebra` is an orthonormal basis under the trace inner
+product <X, Y> = tr(X* Y), with membership as projection defect; only
 ``commutant`` and ``bicommutant`` (a Kronecker null space, O(n^5) memory)
-are the reference oracle only: a finite-dimensional *-algebra with 1 is
-its own bicommutant, so no check of the package needs them.
+return one.  A finite-dimensional *-algebra with 1 is its own
+bicommutant, so no check of the package needs them; they stay public as
+the reference oracle of that theorem, which the benchmark's sweep runs
+on C*(1, |a|).  The tower and the graded model refuse a span algebra.
 
 Every residual is an operator norm; one over many matrices is one
 ``operator_norm`` call on their stack (``MatrixAlgebra.residual`` takes
-stacks too), built one row at a time, never as one stack of all pairs.
+stacks too).
 """
 
 from __future__ import annotations
@@ -202,16 +203,6 @@ def bicommutant(a, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     Neumann algebra, so for an algebra with 1 it equals the algebra (the
     tests check this against :func:`spectral_algebra`)."""
     return commutant(commutant(a, tol=tol), tol=tol)
-
-
-def is_commutative(algebra: MatrixAlgebra, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Largest commutator norm over basis pairs; boolean is <= tol."""
-    b = algebra.basis
-    worst = max(
-        (operator_norm(b[i] @ b[i + 1 :] - b[i + 1 :] @ b[i]) for i in range(algebra.dimension)),
-        default=0.0,
-    )
-    return worst <= tol, worst
 
 
 @dataclass(frozen=True)

@@ -27,22 +27,18 @@ its atoms, or that delta or delta_* does not map into itself, is a
 :class:`ModelMismatch`.  Reading those atom values is also the one
 membership check of a coefficient.
 
-Elements carry certified atom values.  Every element the package builds
-holds its (degrees, atom values) beside its dense coefficients, certified
-once when it is built: ``random_element`` draws them as random weights on
-the atoms times the mask of P_|d|; ``graded_mul`` takes them from the
-product; ``graded_adjoint`` conjugates them and flips the degrees; and
-``element`` reads them in its membership check, before its support check.
-The dense coefficients are lifted from those values (or, for ``element``,
-copied from the caller's) and read-only, and the map cannot be assigned
-to, so the two cannot part.  Only a ``GradedElement(model, coefficients)``
-built directly carries no values: ``graded_mul`` and ``norm_estimate``
-rotate its coefficients into atom values, which checks their membership,
-and ``realize`` checks its support.  That support check (also the one of
-``element``) clears a degree by a Frobenius bound and takes an SVD only
-for the degrees that bound cannot clear.  A coefficient V diag(v) V* has
-norm max |v|, so ``GradedElement.coefficient_norm`` reads the norms of
-carried coefficients without an SVD.
+Every element carries certified atom values: its (degrees, atom values)
+beside its dense coefficients, certified once when it is built.  There
+are four constructors: ``random_element`` draws the values as random
+weights on the atoms times the mask of P_|d|; ``graded_mul`` takes them
+from the product; ``graded_adjoint`` conjugates them and flips the
+degrees; and ``element`` reads them in its membership check, before its
+support check, which clears a degree by a Frobenius bound and takes an
+SVD only for the degrees that bound cannot clear.  The dense
+coefficients are lifted from those values (or, for ``element``, copied
+from the caller's) and read-only, and the map cannot be assigned to, so
+the two cannot part.  A coefficient V diag(v) V* has norm max |v|, so
+``GradedElement.coefficient_norm`` reads its norms without an SVD.
 
 The degree-0 coefficient functional N_0 is the whole point: the norm of b
 is recovered from coefficients alone through
@@ -215,14 +211,13 @@ class GradedModel:
         _check_support(g, self.tol, norms[keep])
         return g
 
-    def _atom_values(self, mats: np.ndarray, degrees: np.ndarray, norms=None) -> np.ndarray:
-        """Atom values (k, atoms) of a (k, n, n) stack of coefficients, read
-        from one stacked rotation V* beta V.
+    def _atom_values(self, mats: np.ndarray, degrees: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        """Atom values (k, atoms) of a (k, n, n) stack of coefficients with
+        operator norms ``norms``, read from one stacked rotation V* beta V.
 
         A coefficient whose rotation is further than ``tol * (1 + ||beta||)``
         from its atom values is not in the coefficient algebra, and is a
-        :class:`ModelMismatch` naming its entry of ``degrees``.  ``norms``,
-        when given, are the ||beta||.
+        :class:`ModelMismatch` naming its entry of ``degrees``.
         """
         alg = self.algebra
         defect, values = _block_constant_defect(alg._vh @ mats @ alg.v, alg.labels)
@@ -233,31 +228,13 @@ class GradedModel:
         peak = np.abs(values).max(axis=1, initial=0.0)
         rest = np.flatnonzero(~(frobenius <= self.tol * (1.0 + peak)))
         res = _operator_norms(defect[rest])
-        scale = _operator_norms(mats[rest]) if norms is None else norms[rest]
-        bad = np.flatnonzero(~(res <= self.tol * (1.0 + scale)))
+        bad = np.flatnonzero(~(res <= self.tol * (1.0 + norms[rest])))
         if bad.size:
             raise ModelMismatch(
                 f"degree-{degrees[rest[bad[0]]]} coefficient is not in the coefficient "
                 f"algebra (residual {res[bad[0]]:.3e})"
             )
         return values
-
-    def _atoms_of(self, *gs: "GradedElement") -> list[tuple[np.ndarray, np.ndarray]]:
-        """(degrees, atom values) of each element: the carried ones, and for
-        the elements that carry none one stacked rotation of all their
-        coefficients (see :meth:`_values`)."""
-        bare = [g for g in gs if g._atoms is None]
-        rotated = iter(self._values(*bare) if bare else ())
-        return [next(rotated) if g._atoms is None else g._atoms for g in gs]
-
-    def _values(self, *gs: "GradedElement") -> list[tuple[np.ndarray, np.ndarray]]:
-        """(degrees, atom values) of each element, from one stacked
-        rotation of all their coefficients."""
-        degrees = [np.fromiter(g.coefficients, dtype=int, count=len(g.coefficients)) for g in gs]
-        mats = np.array([c for g in gs for c in g.coefficients.values()], dtype=np.complex128)
-        flat = self._atom_values(mats.reshape(-1, self.dim, self.dim), np.concatenate(degrees))
-        cuts = np.cumsum([len(d) for d in degrees])[:-1]
-        return list(zip(degrees, np.split(flat, cuts)))
 
     def _lift(self, element, mats=None) -> "GradedElement":
         """The graded element that carries the given (degrees, atom values).
@@ -278,57 +255,39 @@ class GradedModel:
 
 @dataclass(frozen=True, eq=False)
 class GradedElement:
-    """Immutable degree -> coefficient map over a GradedModel.
-
-    An element the package builds also carries ``_atoms``, its certified
-    (degrees, atom values) in the order of ``coefficients``; one built
-    directly from a coefficient map carries none.
+    """Immutable degree -> coefficient map over a GradedModel, with
+    ``_atoms``, its certified (degrees, atom values) in the order of
+    ``coefficients``; :meth:`GradedModel._lift` builds every one.
     """
 
     model: GradedModel
     coefficients: Mapping[int, np.ndarray]
-    _atoms: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coefficients))
+    _atoms: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     @property
     def bandwidth(self) -> int:
         return max((abs(d) for d in self.coefficients), default=0)
 
-    def coefficient(self, n: int) -> np.ndarray:
-        """beta_n, the coefficient functional N_n (zero if absent)."""
-        c = self.coefficients.get(int(n))
-        if c is None:
-            return np.zeros((self.model.dim, self.model.dim), dtype=np.complex128)
-        return c
-
     def coefficient_norm(self, n: int | None = None) -> float:
         """||beta_n||, or max_d ||beta_d|| when ``n`` is None (0 if absent).
 
-        A carried coefficient is V diag(v) V* for the atom basis V, whose
-        norm is max |v|, so no SVD is taken; an element built directly
-        takes one batched SVD."""
-        if self._atoms is None:
-            mats = list(self.coefficients.values()) if n is None else self.coefficient(n)
-            return operator_norm(mats)
+        A coefficient is V diag(v) V* for the atom basis V, whose norm is
+        max |v|, so no SVD is taken."""
         degrees, values = self._atoms
         if n is not None:
             values = values[degrees == n]
         return float(np.abs(values).max(initial=0.0))
 
 
-def _check_support(g: GradedElement, tol: float, norms=None):
+def _check_support(g: GradedElement, tol: float, norms: np.ndarray):
     """Raise SupportViolation for the first nonzero degree whose coefficient
-    leaks outside P_|d|.  ``norms``, when given, are the operator norms of
-    g's coefficients in order.
+    leaks outside P_|d|; ``norms`` are the operator norms of g's
+    coefficients in order.
 
     A degree whose leaks P c - c and c P - c both have Frobenius norm at
-    most ``tol * (1 + s)`` passes without an SVD, s being its given norm or
-    else ||c||_F / sqrt(n); both bounds are below the exact ones (||.||_2
-    <= ||.||_F and ||c||_F / sqrt(n) <= ||c||_2), so only the degrees this
-    cannot clear go to the exact check, and no verdict changes."""
+    most ``tol * (1 + ||c||)`` passes without an SVD: the Frobenius norm
+    bounds the operator norm, so only the degrees this cannot clear go to
+    the exact check, and no verdict changes."""
     terms = list(g.coefficients.items())
     nonzero = [i for i, (d, _) in enumerate(terms) if d != 0]
     if not nonzero:
@@ -336,18 +295,14 @@ def _check_support(g: GradedElement, tol: float, norms=None):
     cs = np.array([terms[i][1] for i in nonzero])
     ps = np.array([g.model.range_projection(abs(terms[i][0])) for i in nonzero])
     left, right = ps @ cs - cs, cs @ ps - cs
-    if norms is None:
-        lower = np.linalg.norm(cs, axis=(1, 2)) / np.sqrt(g.model.dim)
-    else:
-        lower = np.asarray(norms)[nonzero]
+    scale = norms[nonzero]
     upper = np.maximum(np.linalg.norm(left, axis=(1, 2)), np.linalg.norm(right, axis=(1, 2)))
-    rest = np.flatnonzero(~(upper <= tol * (1.0 + lower)))
+    rest = np.flatnonzero(~(upper <= tol * (1.0 + scale)))
     if not rest.size:
         return
     both = _operator_norms(np.concatenate([left[rest], right[rest]]))
     defects = np.maximum(both[: rest.size], both[rest.size :])
-    scale = _operator_norms(cs[rest]) if norms is None else lower[rest]
-    bad = np.flatnonzero(defects > tol * (1.0 + scale))
+    bad = np.flatnonzero(defects > tol * (1.0 + scale[rest]))
     if bad.size:
         i = int(bad[0])
         raise SupportViolation(
@@ -357,13 +312,8 @@ def _check_support(g: GradedElement, tol: float, norms=None):
 
 
 def realize(g: GradedElement) -> np.ndarray:
-    """Assemble the dense matrix Sum u*^|d| beta_d + beta_0 + beta_d u^d.
-
-    The supports of an element built directly are checked first
-    (:class:`SupportViolation`); its membership is not.  An element that
-    carries atom values was certified when it was built."""
-    if g._atoms is None:
-        _check_support(g, g.model.tol)
+    """Assemble the dense matrix Sum u*^|d| beta_d + beta_0 + beta_d u^d;
+    the element was certified when it was built."""
     out = np.zeros((g.model.dim, g.model.dim), dtype=np.complex128)
     for d, c in g.coefficients.items():
         if d == 0:
@@ -378,10 +328,8 @@ def realize(g: GradedElement) -> np.ndarray:
 def graded_adjoint(g: GradedElement) -> GradedElement:
     """Adjoint: the degree-d coefficient becomes the adjoint of the
     degree-(-d) one; realize(graded_adjoint(g)) = realize(g)* exactly.
-    Carried atom values become their conjugates at the negated degrees."""
+    The atom values become their conjugates at the negated degrees."""
     mats = [dagger(c) for c in g.coefficients.values()]
-    if g._atoms is None:
-        return GradedElement(g.model, {-d: c for d, c in zip(g.coefficients, mats)})
     degrees, values = g._atoms
     return g.model._lift((-degrees, values.conj()), mats)
 
@@ -389,10 +337,9 @@ def graded_adjoint(g: GradedElement) -> GradedElement:
 def graded_mul(g1: GradedElement, g2: GradedElement) -> GradedElement:
     """Product in graded form, degree by degree, on atom values.
 
-    The product runs on the inputs' carried atom values (an input built
-    directly is rotated into them first, which checks its membership), see
-    :func:`_product`, and the result carries its values and is lifted to
-    dense coefficients with one stacked product.  The result's degree-d
+    The product runs on the inputs' atom values, see :func:`_product`,
+    and the result carries its values and is lifted to dense
+    coefficients with one stacked product.  The result's degree-d
     coefficient lies under P_|d|; degrees whose u-power vanishes
     (nilpotent truncation) and coefficients that come out at round-off
     scale are dropped.  :class:`ModelMismatch` is raised for elements of
@@ -401,10 +348,7 @@ def graded_mul(g1: GradedElement, g2: GradedElement) -> GradedElement:
     """
     if g1.model is not g2.model:
         raise ModelMismatch("graded elements belong to different models")
-    model = g1.model
-    gathers = model._gathers
-    left, right = model._atoms_of(g1, g2)
-    return model._lift(_product(gathers, left, right))
+    return g1.model._lift(_product(g1.model._gathers, g1._atoms, g2._atoms))
 
 
 def _product(frame: _AtomFrame, left, right, degree: int | None = None):
@@ -637,10 +581,9 @@ def norm_estimate(
     exponents are powers of two), and records s_k at k = 1, 2, 4, ... up
     to kmax.  The element is pre-scaled by a power-iteration norm guess so
     the squared coefficients stay O(1); the 1/4k-th root restores the
-    scale exactly.  Every squaring runs on g's carried atom values (the
-    coefficients of an element built directly are rotated into them once),
-    and ||N_0|| is the largest degree-0 value.  The dense norm
-    ||realize(g)|| the zero test takes is kept as ``dense_norm``.
+    scale exactly.  Every squaring runs on g's atom values, and ||N_0||
+    is the largest degree-0 value.  The dense norm ||realize(g)|| the
+    zero test takes is kept as ``dense_norm``.
     Raises :class:`ZeroElement` for the zero element,
     :class:`BandwidthOverflow` when 4 * kmax * bandwidth exceeds ``cap``,
     and :class:`ModelMismatch` as :func:`graded_mul` does and for a u no
@@ -654,7 +597,7 @@ def norm_estimate(
             f"4*kmax*bandwidth = {4 * kmax * band} exceeds the cap {cap}"
         )
     dense = realize(g)
-    degrees, values = g.model._atoms_of(g)[0]
+    degrees, values = g._atoms
     # a coefficient in A has the norm of its largest atom value; the dense
     # test stays, because degrees can cancel on a cycle
     coeff_scale = float(np.abs(values).max(initial=0.0))

@@ -46,17 +46,6 @@ class ModelSpec:
     diag: tuple = field(default=())
     matrix: object = None
 
-    def label(self) -> str:
-        if self.kind == "weighted_shift":
-            return f"weighted_shift(dim={self.dim})"
-        if self.kind == "q_oscillator":
-            return f"q_oscillator(dim={self.dim}, q={self.q}, h={self.h})"
-        if self.kind == "normal":
-            return f"normal(dim={self.dim})"
-        if self.kind == "jordan_block":
-            return f"jordan_block(dim={self.dim})"
-        return f"custom(dim={self.dim})"
-
 
 def weighted_shift(weights) -> ModelSpec:
     w = tuple(float(x) for x in weights)
@@ -99,7 +88,8 @@ def _raising_shift(weights) -> np.ndarray:
 
 def build(spec: ModelSpec) -> np.ndarray:
     """Materialize the model's matrix a; InvalidSpec for an inconsistent
-    spec or a non-finite weight, q, h, diagonal or matrix entry."""
+    spec (a q_oscillator level value lambda_n that is negative or that
+    repeats) or a non-finite weight, q, h, diagonal or matrix entry."""
     for name in ("weights", "q", "h", "diag") + (("matrix",) if spec.kind == "custom" else ()):
         if not np.isfinite(np.asarray(getattr(spec, name), dtype=np.complex128)).all():
             raise InvalidSpec(f"model field {name!r} has a non-finite entry")
@@ -123,6 +113,13 @@ def build(spec: ModelSpec) -> np.ndarray:
             raise InvalidSpec(
                 f"q_oscillator level values collide: lambda_{i} == lambda_{j} "
                 f"= {lam[i]:.6g} (q={spec.q}, h={spec.h})"
+            )
+        negative = np.flatnonzero(lam < 0)
+        if negative.size:
+            n = int(negative[0])
+            raise InvalidSpec(
+                f"q_oscillator level value lambda_{n} = {lam[n]:.6g} is negative "
+                f"(q={spec.q}, h={spec.h}), but a*a = diag(lambda) is positive"
             )
         return dagger(_raising_shift(np.sqrt(lam[1:])))
     if spec.kind == "normal":

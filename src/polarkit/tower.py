@@ -1,8 +1,9 @@
 """Conjugation maps delta(b) = U b U*, delta_*(b) = U* b U and the
 commutative extension towers they generate from a seed algebra.
 
-Given a commutative unital seed A_0 and a partial isometry U, the forward
-tower adjoins delta images, the star tower adjoins delta_* images:
+Given a commutative unital seed A_0, stored by its atoms (a seed stored
+any other way is a :class:`ModelMismatch`), and a partial isometry U, the
+forward tower adjoins delta images, the star tower adjoins delta_* images:
 
     T_n(forward) = alg{A_0, delta(A_0), ..., delta^n(A_0)}
     T_n(star)    = alg{A_0, delta_*(A_0), ..., delta_*^n(A_0)}
@@ -49,16 +50,14 @@ import numpy as np
 
 from .algebra import (
     DROP_THRESHOLD,
-    MatrixAlgebra,
     SpectralAlgebra,
     _atom_algebra,
     _atom_means,
     _atom_ranges,
     _labels,
     _refine,
-    is_commutative,
 )
-from .errors import HypothesisViolated, ModelNotGraded
+from .errors import HypothesisViolated, ModelMismatch, ModelNotGraded
 from .isometry import partial_isometry_report
 from .linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger, operator_norm
 
@@ -115,21 +114,14 @@ class HypothesesReport:
 
 
 def _commutativity_defect(algs) -> float:
-    """Largest commutator residual over the algebras.  Two atoms P_x, P_y
-    of an algebra stored by its atoms multiply to V_x G V_y*, with G the
-    unitarity defect v* v - 1 of its basis, so its basis commutes within
-    2 ||G|| (1 + ||G||); any other algebra is checked pair by pair."""
+    """Largest commutator residual over the algebras, each stored by its
+    atoms.  Two atoms P_x, P_y multiply to V_x G V_y*, with G the
+    unitarity defect v* v - 1 of the basis, so the basis commutes within
+    2 ||G|| (1 + ||G||)."""
     unique = list({id(alg): alg for alg in algs}.values())
-    spectral = [alg for alg in unique if isinstance(alg, SpectralAlgebra)]
-    worst = max(
-        (is_commutative(alg)[1] for alg in unique if not isinstance(alg, SpectralAlgebra)),
-        default=0.0,
-    )
-    if spectral:
-        eye = np.eye(spectral[0].dim)
-        g = operator_norm(np.array([alg._vh @ alg.v - eye for alg in spectral]))
-        worst = max(worst, 2.0 * g * (1.0 + g))
-    return worst
+    eye = np.eye(unique[0].dim)
+    g = operator_norm(np.array([alg._vh @ alg.v - eye for alg in unique]))
+    return 2.0 * g * (1.0 + g)
 
 
 _MIX = np.empty(0)
@@ -147,34 +139,28 @@ def _mix_weights(count: int) -> np.ndarray:
     return _MIX[:count]
 
 
-def _double_closure(a0: MatrixAlgebra, pair: EndoPair, tol: float):
+def _double_closure(a0: SpectralAlgebra, pair: EndoPair, tol: float):
     """``(frame, seed, defect)``: the frame on X, the seed's class of each
     atom of X, and X's certification defect (``_AtomFrame.injection``).
 
-    X starts from the seed's atoms (for a seed not stored by its atoms,
-    those of C*(1, h), h a fixed mix of its basis' Hermitian parts); each
-    round splits them by U h U* and U* h U, h = sum_x c_x P_x with fixed
-    weights c, grouped at ``tol * (1 + 2 ||U||^2)``, until none splits.
+    X starts from the seed's atoms; each round splits them by U h U* and
+    U* h U, h = sum_x c_x P_x with fixed weights c, grouped at
+    ``tol * (1 + 2 ||U||^2)``, until none splits.  A seed not stored by
+    its atoms is a :class:`ModelMismatch`.
     """
+    if not isinstance(a0, SpectralAlgebra):
+        raise ModelMismatch("the seed algebra is not stored by its atoms")
     comm_res = _commutativity_defect([a0])
     if comm_res > tol:
         raise HypothesisViolated(f"seed algebra is not commutative (residual {comm_res:.3e})")
-    if isinstance(a0, SpectralAlgebra):
-        v, blocks = a0.v.copy(), a0.blocks
-    else:
-        b = a0.basis.astype(np.complex128)
-        parts = np.concatenate(((b + dagger(b)) / 2.0, (b - dagger(b)) / 2.0j))
-        h = np.tensordot(_mix_weights(len(parts)), parts, axes=1)
-        v = np.eye(a0.dim, dtype=np.complex128)
-        blocks = _refine(v, [np.arange(a0.dim)], h, tol * (1.0 + operator_norm(h)))
+    v, blocks = a0.v.copy(), a0.blocks
     seed, count, nu = _labels(blocks), 0, operator_norm(pair.u)
     while len(blocks) > count and any(idx.size > 1 for idx in blocks):
         count, gap = len(blocks), tol * (1.0 + 2.0 * nu * nu)
         h = (v * _mix_weights(count)[_labels(blocks)]) @ dagger(v)
         for image in (pair.delta(h), pair.delta_star(h)):
             blocks = _refine(v, blocks, image, gap)
-    same = isinstance(a0, SpectralAlgebra) and len(blocks) == len(a0.blocks)
-    frame = _AtomFrame(a0 if same else _atom_algebra(v, blocks), pair)
+    frame = _AtomFrame(a0 if len(blocks) == len(a0.blocks) else _atom_algebra(v, blocks), pair)
     defect = max(frame.injection(d)[2] for d in ("forward", "star"))
     return frame, seed[frame.ranges[0]], defect
 
@@ -199,7 +185,7 @@ def _sequence(frame: "_AtomFrame", base: np.ndarray, direction: str):
     return levels, len(levels) - 3
 
 
-def _hypotheses(frame: "_AtomFrame", a0: MatrixAlgebra, kmax: int, tol: float, defect: float):
+def _hypotheses(frame: "_AtomFrame", a0: SpectralAlgebra, kmax: int, tol: float, defect: float):
     """Both hypothesis sets read on X (see the module docstring); every
     residual is the certification ``defect`` of X when that fails."""
     limit = tol * frame.scale
@@ -238,21 +224,6 @@ def _hypotheses(frame: "_AtomFrame", a0: MatrixAlgebra, kmax: int, tol: float, d
     )
 
 
-def hypotheses_check(
-    a0: MatrixAlgebra, pair: EndoPair, kmax: int | None = None, tol: float = DEFAULT_TOL
-) -> HypothesesReport:
-    """Evaluate both hypothesis sets for the tower construction on A_0.
-
-    ``kmax`` defaults to the ambient dimension (high powers of a truncated
-    shift vanish, so nothing new appears beyond it).  Residuals are read
-    on X (X's certification defect if that fails) against ``tol * (1 +
-    ||u||^2)^2``.  Raises :class:`HypothesisViolated` when A_0 is not
-    commutative.
-    """
-    frame, _, defect = _double_closure(a0, pair, tol)
-    return _hypotheses(frame, a0, pair.ambient_dim if kmax is None else kmax, tol, defect)
-
-
 @dataclass(frozen=True)
 class TowerReport:
     """Everything build_tower produces.
@@ -266,26 +237,27 @@ class TowerReport:
     atoms of the double closure, ``_frame``.
     """
 
-    a0: MatrixAlgebra
-    an_list: list[MatrixAlgebra]
-    na_list: list[MatrixAlgebra]
-    n_a_inf_list: list[MatrixAlgebra]
-    a_inf: MatrixAlgebra
-    inf_a: MatrixAlgebra
-    inf_a_inf: MatrixAlgebra
-    a_inf_of_inf_a: MatrixAlgebra
+    a0: SpectralAlgebra
+    an_list: list[SpectralAlgebra]
+    na_list: list[SpectralAlgebra]
+    n_a_inf_list: list[SpectralAlgebra]
+    a_inf: SpectralAlgebra
+    inf_a: SpectralAlgebra
+    inf_a_inf: SpectralAlgebra
+    a_inf_of_inf_a: SpectralAlgebra
     stabilization: dict[str, int]
     hypotheses: HypothesesReport
     checks: dict[str, tuple[bool, float]]
     _frame: "_AtomFrame" = field(default=None, repr=False, compare=False)
 
 
-def build_tower(a0: MatrixAlgebra, pair: EndoPair, tol: float = DEFAULT_TOL) -> TowerReport:
+def build_tower(a0: SpectralAlgebra, pair: EndoPair, tol: float = DEFAULT_TOL) -> TowerReport:
     """Construct both towers, their limits, and the double closures.
 
-    Requires the weak hypothesis set (raises :class:`HypothesisViolated`
-    otherwise); whether the strong set also holds is recorded in the
-    report.  Each level is a partition of X (:func:`_sequence`), one
+    The seed must be stored by its atoms (:class:`ModelMismatch`
+    otherwise) and satisfy the weak hypothesis set (raises
+    :class:`HypothesisViolated` otherwise); whether the strong set also
+    holds is recorded in the report.  Each level is a partition of X (:func:`_sequence`), one
     algebra per partition, read in the next by a class residual on X.
     """
     frame, seed, defect = _double_closure(a0, pair, tol)
@@ -297,8 +269,7 @@ def build_tower(a0: MatrixAlgebra, pair: EndoPair, tol: float = DEFAULT_TOL) -> 
             "on which both conjugations are endomorphisms exists"
         )
     algebras = {tuple(range(frame.size)): frame.alg}
-    if isinstance(a0, SpectralAlgebra):
-        algebras.setdefault(tuple(seed), a0)
+    algebras.setdefault(tuple(seed), a0)
 
     def tower(base, direction):
         parts, stab = _sequence(frame, base, direction)
@@ -542,11 +513,9 @@ class _AtomFrame:
                 self._classes[key] = (cls, float(ties.max()), level)
         return self._classes[key][:2]
 
-    def basis_coords(self, alg: MatrixAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    def basis_coords(self, alg: SpectralAlgebra) -> tuple[np.ndarray, np.ndarray]:
         """``(values, ties)`` of alg's basis on X: class indicators with the
-        class tie for an algebra stored by its atoms, else by rotation."""
-        if not isinstance(alg, SpectralAlgebra):
-            return self.coords(self.rotate(alg.basis))[:2]
+        class tie."""
         cls, eps = self.classes(alg)
         return self.class_basis(cls), np.full(cls.max() + 1, eps)
 

@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionTooSmall, ParseError, UnsupportedPhi
+from .errors import DimensionTooSmall, ParseError
 from .linalg import as_matrix, dagger
 
 GEN = "a"
@@ -88,18 +88,14 @@ def _coefficient(name: str, value, exact: bool):
 
 @dataclass(frozen=True)
 class PhiMap:
-    """The conjugation action of a on polynomials in x = a*a.
-
-    The affine kind encodes a a* = q a*a + h, so pushing a polynomial p
-    leftward through a substitutes x -> q x + h.  The spectral kind is a
-    bare eigenvalue table for models without an affine relation; it
-    supports matrix evaluation only, never symbolic rewriting.
+    """The conjugation action of a on polynomials in x = a*a under the
+    affine relation a a* = q a*a + h: pushing a polynomial p leftward
+    through a substitutes x -> q x + h.  A model without such a relation
+    has no PhiMap (``phi_for`` raises :class:`UnsupportedPhi`).
     """
 
-    kind: str
     q: object = 0
     h: object = 0
-    table: tuple = field(default=())
     # Iterates of ell(x) = q x + h, filled on demand by _ell: index j of
     # the first list holds ell^j, of the second ell^{-j}.
     _powers: tuple = field(
@@ -108,23 +104,12 @@ class PhiMap:
 
     @classmethod
     def affine(cls, q, h) -> "PhiMap":
-        return cls(kind="affine", q=_coefficient("q", q, False), h=_coefficient("h", h, False))
+        return cls(q=_coefficient("q", q, False), h=_coefficient("h", h, False))
 
     @classmethod
     def affine_exact(cls, q, h) -> "PhiMap":
         """Affine map with q, h coerced to Fraction for exact rewriting."""
-        return cls(kind="affine", q=_coefficient("q", q, True), h=_coefficient("h", h, True))
-
-    @classmethod
-    def spectral(cls, table) -> "PhiMap":
-        return cls(kind="spectral", table=tuple(table))
-
-    def require_affine(self) -> None:
-        if self.kind != "affine":
-            raise UnsupportedPhi(
-                "symbolic rewriting needs the affine relation; "
-                f"got kind {self.kind!r}"
-            )
+        return cls(q=_coefficient("q", q, True), h=_coefficient("h", h, True))
 
     def _ell(self, j: int) -> tuple:
         """Coefficients (q_j, h_j) of the iterate ell^j(x) = q_j x + h_j.
@@ -286,7 +271,6 @@ def normal_order(word, phi: PhiMap) -> NormalForm:
     pairs are cancelled eagerly through the inverse substitution); for
     q = 0 the inverse does not exist and mixed forms are left as is.
     """
-    phi.require_affine()
     if isinstance(word, str):
         word = parse_word(word)
     fold = _Fold(phi)
@@ -308,7 +292,6 @@ def nf_mul(n1: NormalForm, n2: NormalForm, phi: PhiMap) -> NormalForm:
     whatever the coefficient type.  Each input polynomial is composed
     once, when the product is expanded.
     """
-    phi.require_affine()
     fold = _Fold(phi, n1.l, n1.m, n1.p)
     for _ in range(n2.l):
         fold.times_astar()

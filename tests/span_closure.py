@@ -12,6 +12,10 @@ read algebras by.
 ``joint_eigenbasis`` and ``nonunital_seed`` are the dense eigenspace
 oracles of the ten-property report: the atoms of a commuting Hermitian
 family, and the algebra |a| generates without the identity.
+``ref_is_commutative`` is the per-pair commutator of a basis.
+
+``hypotheses`` reads the tower's hypothesis report for a seed alone, on
+the atoms of its double closure, as ``build_tower`` reads it.
 """
 
 import numpy as np
@@ -24,6 +28,7 @@ from polarkit.algebra import (
     _refine,
 )
 from polarkit.linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger
+from polarkit.tower import _double_closure, _hypotheses
 
 
 class DimensionOverflow(Exception):
@@ -173,3 +178,21 @@ def nonunital_seed(pos, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     w, v, groups, scale = _eigenspaces(pos, tol)
     kept = [idx for idx in groups if abs(float(np.mean(w[idx]))) > tol * scale]
     return MatrixAlgebra(dim=v.shape[0], basis=_projection_basis(v, kept), unital=False)
+
+
+def ref_is_commutative(alg) -> float:
+    """Largest commutator norm over pairs of alg's basis, one SVD each."""
+    b = alg.basis
+    worst = 0.0
+    for i in range(alg.dimension):
+        for j in range(i + 1, alg.dimension):
+            worst = max(worst, float(np.linalg.svd(b[i] @ b[j] - b[j] @ b[i], compute_uv=False)[0]))
+    return worst
+
+
+def hypotheses(a0, pair, kmax=None, tol=DEFAULT_TOL):
+    """The tower's ``HypothesesReport`` for the seed a0: both hypothesis
+    sets up to kmax (default the ambient dimension), read on the atoms of
+    its double closure."""
+    frame, _, defect = _double_closure(a0, pair, tol)
+    return _hypotheses(frame, a0, pair.ambient_dim if kmax is None else kmax, tol, defect)

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 import polarkit as pk
 import polarkit.graded as graded
 from polarkit.graded import COEFF_DROP
-from polarkit.graded import GradedElement
 from polarkit.linalg import dagger, rough_norm
 from polarkit.relation import Analysis
 from polarkit.report import SUITE_ORDER
@@ -66,13 +65,13 @@ def ref_term_product(model, m, beta, n, gamma):
     return -(s - n), ref_delta_star_k(model, beta @ gamma, n)
 
 
-def ref_graded_mul(g1, g2):
-    model = g1.model
-    factors = [*g1.coefficients.values(), *g2.coefficients.values()]
+def ref_graded_mul(model, left, right):
+    """The product of two degree -> coefficient maps, as such a map."""
+    factors = [*left.values(), *right.values()]
     scale = max([1.0] + [ref_norm(c) for c in factors])
     acc = {}
-    for m, beta in g1.coefficients.items():
-        for n, gamma in g2.coefficients.items():
+    for m, beta in left.items():
+        for n, gamma in right.items():
             # a term vanishes only with its P_|d|: at |d| >= dim on a
             # nilpotent u, never on a cycle
             d, raw = ref_term_product(model, m, beta, n, gamma)
@@ -80,29 +79,31 @@ def ref_graded_mul(g1, g2):
                 p = ref_range_projection(model, abs(d))
                 raw = p @ raw @ p
             acc[d] = acc[d] + raw if d in acc else raw
-    out = {d: c for d, c in acc.items() if ref_norm(c) > COEFF_DROP * scale * scale}
-    return pk.GradedElement(model, out)
+    return {d: c for d, c in acc.items() if ref_norm(c) > COEFF_DROP * scale * scale}
 
 
 def ref_prescaled(g):
-    """g / t with the estimate's power-iteration prescale t."""
+    """The estimate's power-iteration prescale t, and g / t as a degree ->
+    coefficient map."""
     t = rough_norm(pk.realize(g))
     if t <= 0.0:
         t = max(ref_norm(c) for c in g.coefficients.values())
-    return t, GradedElement(g.model, {d: c / t for d, c in g.coefficients.items()})
+    return t, {d: c / t for d, c in g.coefficients.items()}
 
 
 def ref_norm_estimates(g, kmax):
+    model = g.model
     t, h = ref_prescaled(g)
-    c = ref_graded_mul(h, pk.graded_adjoint(h))
-    power = ref_graded_mul(c, c)
+    c = ref_graded_mul(model, h, {-d: dagger(x) for d, x in h.items()})
+    power = ref_graded_mul(model, c, c)
+    zero = np.zeros((model.dim, model.dim), dtype=np.complex128)
     out = []
     k = 1
     while True:
-        out.append((k, float(t * ref_norm(power.coefficient(0)) ** (1.0 / (4 * k)))))
+        out.append((k, float(t * ref_norm(power.get(0, zero)) ** (1.0 / (4 * k)))))
         if 2 * k > kmax:
             break
-        power = ref_graded_mul(power, power)
+        power = ref_graded_mul(model, power, power)
         k *= 2
     return tuple(out)
 
@@ -145,8 +146,9 @@ def model(request):
 
 
 def _close(g, ref, bound):
-    assert sorted(g.coefficients) == sorted(ref.coefficients)
-    for d, c in ref.coefficients.items():
+    """g's coefficients against the degree -> coefficient map ref."""
+    assert sorted(g.coefficients) == sorted(ref)
+    for d, c in ref.items():
         assert ref_norm(g.coefficients[d] - c) <= bound, f"degree {d}"
 
 
@@ -169,7 +171,7 @@ def test_graded_mul_matches_per_pair_reference(model, request):
         g1s = pk.graded_adjoint(g1)
         for x, y in ((g1, g2), (g1, g1), (g1, g1s)):
             bound = rel * (1.0 + ref_norm(pk.realize(x))) * (1.0 + ref_norm(pk.realize(y)))
-            _close(pk.graded_mul(x, y), ref_graded_mul(x, y), bound)
+            _close(pk.graded_mul(x, y), ref_graded_mul(model, x.coefficients, y.coefficients), bound)
 
 
 def _close_estimates(got, want):
@@ -203,7 +205,7 @@ def test_products_on_a_cycle_keep_every_degree():
     model = _cyclic_unitary()
     g = model.element({2: np.eye(4)})
     gg = pk.graded_mul(g, g)
-    assert gg.degrees == (4,)
+    assert list(gg.coefficients) == [4]
     assert ref_norm(pk.realize(gg) - np.eye(4)) <= 1e-15
     rng = np.random.default_rng(14)
     for b1 in range(1, 4):
@@ -300,10 +302,10 @@ def test_element_drops_coefficients_at_or_below_the_drop_threshold():
     e2 = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
     # neither the non-member nor the leaking coefficient is checked once dropped
     g = model.element({0: COEFF_DROP * h, 2: COEFF_DROP * e1, 1: e2, -1: 0.5 * COEFF_DROP * h})
-    assert g.degrees == (1,)
+    assert list(g.coefficients) == [1]
     assert np.array_equal(g.coefficients[1], e2)
     g = model.element({0: 2 * COEFF_DROP * np.eye(4)})
-    assert g.degrees == (0,)
+    assert list(g.coefficients) == [0]
 
 
 def test_norm_estimate_squarings_make_no_dense_product(monkeypatch):
@@ -323,22 +325,21 @@ def test_norm_estimate_squarings_make_no_dense_product(monkeypatch):
     object.__setattr__(model.pair, "u", counting(model.pair.u))
     object.__setattr__(alg, "v", counting(alg.v))
     alg.__dict__["_vh"] = counting(alg._vh)
-    g = GradedElement(model, {d: counting(c) for d, c in g.coefficients.items()})
 
-    rotations = []
+    dense = []
 
-    def rotated(*gs, _orig=model._values):
-        out = _orig(*gs)
-        rotations.append(_CountingMatmul.calls)
+    def realized(g, _orig=graded.realize):
+        out = _orig(g)
+        dense.append(_CountingMatmul.calls)
         _CountingMatmul.calls = 0
         return out
 
-    monkeypatch.setattr(model, "_values", rotated)
+    monkeypatch.setattr(graded, "realize", realized)
     _CountingMatmul.calls = 0
     est = pk.norm_estimate(g, kmax=64)
-    # the rotation itself is two stacked products, then the squarings run
-    # on atom values only
-    assert len(rotations) == 1 and rotations[0] >= 2
+    # the dense realization for the zero test takes products with the
+    # powers of u, then the squarings run on the carried atom values only
+    assert len(dense) == 1 and dense[0] >= 1
     assert _CountingMatmul.calls == 0
     assert est.estimates == want.estimates
 
@@ -372,7 +373,7 @@ def test_product_on_a_model_without_atom_maps_is_a_model_mismatch(make, message)
     u = model.pair.u
     top = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)  # in the algebra, under P_1
     g = model.element({0: np.eye(4), 1: top, -1: 2 * top})
-    assert g.degrees == (-1, 0, 1)
+    assert sorted(g.coefficients) == [-1, 0, 1]
     assert np.array_equal(pk.realize(g), np.eye(4) + top @ u + 2 * dagger(u) @ top)
     with pytest.raises(pk.ModelMismatch, match=message):
         pk.graded_mul(g, g)
@@ -391,23 +392,19 @@ def test_product_of_a_coefficient_outside_the_algebra_is_a_model_mismatch():
     u = _e(1, 0) + _e(3, 2)
     model = pk.GradedModel(u, pk.spectral_algebra(np.diag([1.0, 2.0, 1.0, 2.0])))
     inside = model.element({0: np.diag([1.0, 2.0, 1.0, 2.0]), 1: np.diag([0.0, 1.0, 0.0, 1.0])})
-    _close(pk.graded_mul(inside, inside), ref_graded_mul(inside, inside), 1e-15)
-    # the degree-0 coefficient diag(1, 2, 3, 4) is not in A; realize checks
-    # supports only and gives m back
-    m = np.diag([1.0, 2.0, 3.0, 4.0]) + u
-    outside = GradedElement(model, {0: np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex), 1: u @ dagger(u)})
-    assert np.array_equal(pk.realize(outside), m)
+    ref = ref_graded_mul(model, inside.coefficients, inside.coefficients)
+    _close(pk.graded_mul(inside, inside), ref, 1e-15)
+    # the degree-0 coefficient diag(1, 2, 3, 4) is not in A, though its
+    # support is fine; every element carries certified atom values, so it
+    # never reaches a product: element names it
     message = r"^degree-0 coefficient is not in the coefficient algebra \(residual 1\.000e\+00\)$"
-    for x, y in ((outside, inside), (inside, outside)):
-        with pytest.raises(pk.ModelMismatch, match=message):
-            pk.graded_mul(x, y)
     with pytest.raises(pk.ModelMismatch, match=message):
-        pk.norm_estimate(outside)
-    # so is a coefficient off the atoms' blocks, in a direct GradedElement
+        model.element({0: np.diag([1.0, 2.0, 3.0, 4.0]), 1: u @ dagger(u)})
+    # so is a coefficient off the atoms' blocks
     shift = pk.graded_model_for(_shift(4))
     h = _e(2, 3) + _e(3, 2)
     with pytest.raises(pk.ModelMismatch, match="^degree-0 coefficient is not in"):
-        pk.graded_mul(GradedElement(shift, {0: h}), shift.element({0: np.eye(4)}))
+        shift.element({0: h})
 
 
 def test_product_coefficients_lie_under_their_range_projections():
@@ -419,10 +416,10 @@ def test_product_coefficients_lie_under_their_range_projections():
     gamma = np.diag([0.0, 1e-12, 1.0, 1.0]).astype(complex)
     g1, g2 = model.element({-1: beta}), model.element({2: gamma})
     got = pk.graded_mul(g1, g2)
-    assert got.degrees == (1,)
+    assert list(got.coefficients) == [1]
     c, p = got.coefficients[1], model.range_projection(1)
     assert ref_norm(p @ c @ p - c) <= 1e-15
-    _close(got, ref_graded_mul(g1, g2), 1e-15)
+    _close(got, ref_graded_mul(model, g1.coefficients, g2.coefficients), 1e-15)
 
 
 def test_element_product_and_estimate_share_one_membership_check(monkeypatch):
@@ -430,7 +427,7 @@ def test_element_product_and_estimate_share_one_membership_check(monkeypatch):
     g = pk.random_element(model, np.random.default_rng(4), bandwidth=2)
     read = []
 
-    def recording(self, mats, degrees, norms=None, _orig=pk.GradedModel._atom_values):
+    def recording(self, mats, degrees, norms, _orig=pk.GradedModel._atom_values):
         read.append(sorted(np.asarray(degrees).tolist()))
         return _orig(self, mats, degrees, norms)
 
@@ -494,18 +491,19 @@ def test_random_element_and_product_support_make_no_svd(monkeypatch):
         g1 = pk.random_element(model, rng, bandwidth=3)
         g2 = pk.random_element(model, rng, bandwidth=2)
     assert svds == []
-    assert g1.degrees == tuple(range(-3, 4)) and g2.degrees == tuple(range(-2, 3))
+    assert list(g1.coefficients) == list(range(-3, 4))
+    assert list(g2.coefficients) == list(range(-2, 3))
     pk.realize(pk.graded_mul(g1, g2))
     assert svds == []
 
 
-def ref_support_message(g, tol):
+def ref_support_message(model, coefficients, tol):
     """The exact dense support check: the message for the first nonzero
     degree, in order, whose leak outside P_|d| exceeds tol (1 + ||c||)."""
-    for d, c in g.coefficients.items():
+    for d, c in coefficients.items():
         if d == 0:
             continue
-        p = ref_range_projection(g.model, abs(d))
+        p = ref_range_projection(model, abs(d))
         defect = max(ref_norm(p @ c - c), ref_norm(c @ p - c))
         if defect > tol * (1.0 + ref_norm(c)):
             return (
@@ -514,11 +512,12 @@ def ref_support_message(g, tol):
     return None
 
 
-def _support_message(check):
+def _refusal(check):
+    """The type and message of the error ``check`` raises, or None."""
     try:
         check()
-    except pk.SupportViolation as exc:
-        return str(exc)
+    except (pk.SupportViolation, pk.ModelMismatch) as exc:
+        return type(exc), str(exc)
     return None
 
 
@@ -526,10 +525,9 @@ def _support_message(check):
 @pytest.mark.parametrize("factor", (0.5, 0.99, 1.01, 2.0))
 def test_support_check_decides_as_the_dense_check_at_its_boundary(side, factor):
     # a leak of factor * tol (1 + ||c||) in P c - c, in c P - c or, for a
-    # coefficient of the algebra, in both; ||c|| is 1 to round-off, and at
-    # 0.99 realize's Frobenius bound tol (1 + ||c||_F / sqrt(n)) does not
-    # clear it.  Degree -1 comes first and leaks 0.6 times as much, so it is
-    # the offender named at factor 2 and passes at 1.01.
+    # coefficient of the algebra, in both; ||c|| is 1 to round-off.  Degree
+    # -1 comes first and leaks 0.6 times as much, so it is the offender
+    # named at factor 2 and passes at 1.01.
     model = pk.graded_model_for(_shift(8))
     tol = model.tol
     p1, p2 = model.range_projection(1), model.range_projection(2)
@@ -538,14 +536,19 @@ def test_support_check_decides_as_the_dense_check_at_its_boundary(side, factor):
     leak = {"left": _e(out, inside, 8), "right": _e(inside, out, 8), "both": _e(out, out, 8)}[side]
     eps = factor * tol * 2.0
     coeffs = {0: np.eye(8), -1: p1 + 0.6 * eps * leak, 2: p2, 1: p1 + eps * leak}
-    g = GradedElement(model, {d: np.asarray(c, dtype=complex) for d, c in coeffs.items()})
-    want = ref_support_message(g, tol)
+    want = ref_support_message(model, coeffs, tol)
     named = {0.5: None, 0.99: None, 1.01: "degree-1 ", 2.0: "degree--1 "}[factor]
     assert want is None if named is None else want.startswith(named)
-    assert _support_message(lambda: pk.realize(g)) == want
-    if side == "both":
+    got = _refusal(lambda: model.element(coeffs))
+    if side == "both" or want is None:
         # element passes the operator norms it has taken
-        assert _support_message(lambda: model.element(coeffs)) == want
+        assert got == (None if want is None else (pk.SupportViolation, want))
+    else:
+        # a one-sided leak does not commute with P_|d|, so it leaves the
+        # commutative algebra by as much, and the membership check, which
+        # runs first at the same threshold, names the same degree
+        assert got[0] is pk.ModelMismatch
+        assert got[1].startswith(named + "coefficient is not in the coefficient algebra")
 
 
 # -- carried atom values ------------------------------------------------------
@@ -582,7 +585,7 @@ def _assert_certified(g):
     degrees, values = g._atoms
     assert degrees.tolist() == list(g.coefficients)
     mats = np.array(list(g.coefficients.values())).reshape(-1, model.dim, model.dim)
-    rotated = model._atom_values(mats, degrees)
+    rotated = model._atom_values(mats, degrees, np.array([ref_norm(c) for c in mats]))
     for i, c in enumerate(mats):
         norm = ref_norm(c)
         assert np.abs(values[i] - rotated[i]).max() <= model.tol * (1.0 + norm)
@@ -611,14 +614,6 @@ def test_built_elements_carry_the_atom_values_of_their_coefficients(which, seed,
     ]
     for g in built:
         _assert_certified(g)
-    # a directly built element carries nothing, and its product is the
-    # product of the carried element it copies
-    bare = GradedElement(model, dict(g1.coefficients))
-    assert bare._atoms is None
-    for x, y in ((bare, g2), (g2, bare)):
-        got, want = pk.graded_mul(x, y), pk.graded_mul(*(g1 if z is bare else z for z in (x, y)))
-        assert got._atoms[0].tolist() == want._atoms[0].tolist()
-        assert np.allclose(got._atoms[1], want._atoms[1], rtol=1e-12, atol=1e-12)
 
 
 def test_carried_values_cannot_go_stale():
@@ -641,7 +636,7 @@ def test_norm_estimate_keeps_its_dense_norm():
     model = pk.graded_model_for(_shift(12))
     for g in (
         pk.random_element(model, np.random.default_rng(10), bandwidth=2),
-        GradedElement(model, {1: np.array(model.range_projection(1))}),
+        model.element({1: model.range_projection(1)}),
     ):
         est = pk.norm_estimate(g, kmax=8)
         assert est.dense_norm == pk.operator_norm(pk.realize(g))
@@ -649,7 +644,7 @@ def test_norm_estimate_keeps_its_dense_norm():
 
 def test_zoo_pass_checks_support_only_for_given_coefficients(monkeypatch):
     config = pk.config_from_json({"models": zoo_specs(), "suites": list(SUITE_ORDER), "seed": 0})
-    counts = {"element": 0, "support": 0, "rotation": 0}
+    counts = {"element": 0, "support": 0}
 
     def counted(name, orig):
         def call(*args, **kwargs):
@@ -660,13 +655,10 @@ def test_zoo_pass_checks_support_only_for_given_coefficients(monkeypatch):
 
     monkeypatch.setattr(pk.GradedModel, "element", counted("element", pk.GradedModel.element))
     monkeypatch.setattr(graded, "_check_support", counted("support", graded._check_support))
-    monkeypatch.setattr(pk.GradedModel, "_values", counted("rotation", pk.GradedModel._values))
     report = pk.run_suite(config)
     assert [m["index"] for m in report["models"]] == list(range(len(zoo_specs())))
-    # one support check per coefficient map a suite supplies, and no element
-    # the suites build is rotated back into atom values
+    # one support check per coefficient map a suite supplies
     assert counts["support"] == counts["element"] <= 6
-    assert counts["rotation"] == 0
 
 
 # -- the product kernel -------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,24 @@ def test_q_oscillator_rejects_collisions():
         pk.build(pk.q_oscillator(4, 0.5, -1.0))
 
 
+def test_q_oscillator_rejects_a_negative_level():
+    # q = -2, h = 1 gives lambda = 0, 1, -1, 3: distinct, but a*a would
+    # need sqrt(-1), which built a NaN matrix
+    assert pk.q_lambda(4, -2.0, 1.0).tolist() == [0.0, 1.0, -1.0, 3.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(pk.InvalidSpec) as exc:
+            pk.build(pk.q_oscillator(4, -2.0, 1.0))
+    assert str(exc.value) == (
+        "q_oscillator level value lambda_2 = -1 is negative (q=-2.0, h=1.0), "
+        "but a*a = diag(lambda) is positive"
+    )
+    # the first negative level is named, and a nonnegative ladder builds
+    with pytest.raises(pk.InvalidSpec, match="^q_oscillator level value lambda_2 = -0.5 "):
+        pk.build(pk.q_oscillator(6, -1.5, 1.0))
+    assert np.isfinite(pk.build(pk.q_oscillator(4, -0.5, 1.0))).all()
+
+
 def test_normal_model_is_diagonal():
     a = pk.build(pk.normal((1.0, 1.0j)))
     assert np.allclose(a, np.diag([1.0, 1.0j]))
@@ -110,7 +130,7 @@ def test_build_rejects_unknown_kind():
 
 def test_phi_for_q_oscillator():
     phi = pk.phi_for(pk.q_oscillator(4, 0.5, 1.0))
-    assert phi.kind == "affine"
+    assert phi == pk.PhiMap.affine(0.5, 1.0)
     assert (phi.q, phi.h) == (0.5, 1.0)
     with pytest.raises(pk.UnsupportedPhi):
         pk.phi_for(pk.normal((1.0, 2.0)))
@@ -130,8 +150,3 @@ def test_validate_model_q_oscillator():
 
 def test_validate_model_negative_control():
     assert not pk.verify_I1(pk.build(pk.jordan_block(3))).holds
-
-
-def test_model_label_mentions_kind_and_dim():
-    lab = pk.q_oscillator(8, 0.5, 1.0).label()
-    assert "q_oscillator" in lab and "8" in lab

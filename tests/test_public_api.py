@@ -4,8 +4,10 @@ Each name ``polarkit/__init__.py`` exports must be referenced, as an
 ``ast`` scan finds it, in the package's own modules, in ``scripts/`` or in
 the benchmark's non-test files.  A name that only the tests call is API
 nobody runs; ``ALLOWED`` lists the few kept public without a caller.  The
-same scan must find every other function, method and class the package
-defines, with no exceptions.
+same scan must find every other function and class the package defines,
+and every method and property as an attribute (``x.name``), so that a
+local variable of the same name does not stand in for a caller; there
+are no exceptions.
 """
 
 import ast
@@ -21,8 +23,6 @@ ALLOWED = {
     "write_matrix",
     # reads back what normal-order --report json writes
     "normal_form_from_json",
-    # the tower's hypotheses alone; build_tower reads them with X's frame
-    "hypotheses_check",
 }
 
 
@@ -36,39 +36,62 @@ def exported() -> set[str]:
     }
 
 
-def referenced() -> set[str]:
+def references() -> tuple[set[str], set[str]]:
+    """(every name the scan finds, the names it finds as an attribute)."""
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     files += (ROOT / "scripts").glob("*.py")
     files += [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
-    names = set()
+    names, attributes = set(), set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
-    return names
+    return names | attributes, attributes
 
 
 def test_every_exported_name_has_a_caller():
     # equality, not inclusion: a name in ALLOWED that gains a caller leaves
     # the list, and the allowed names show that the scan can miss a name
-    assert sorted(exported() - referenced()) == sorted(ALLOWED)
+    assert sorted(exported() - references()[0]) == sorted(ALLOWED)
 
 
-def defined() -> set[str]:
-    names = set()
+def defined() -> tuple[set[str], set[str]]:
+    """(the functions and classes, the methods and properties) the package
+    defines, dunder methods left out."""
+    functions, methods = set(), set()
     for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names.add(node.name)
-    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        members = [
+            item
+            for node in nodes
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        methods |= {item.name for item in members}
+        functions |= {
+            node.name
+            for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not any(node is item for item in members)
+        }
+
+    def plain(names):
+        return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+    return plain(functions), plain(methods)
 
 
 def test_every_defined_function_has_a_caller():
     # every function, method and class of the package, public or private,
-    # is referenced outside the tests; an exported name answers to the test
-    # above instead, and no other name is let off
-    assert sorted(defined() - referenced() - exported()) == []
+    # is referenced outside the tests, a method or property as an attribute;
+    # an exported name answers to the test above instead, and no other name
+    # is let off
+    names, attributes = references()
+    functions, methods = defined()
+    assert sorted(functions - names - exported()) == []
+    assert sorted(methods - attributes) == []

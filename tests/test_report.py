@@ -262,6 +262,20 @@ def test_non_finite_model_is_a_build_precondition():
     assert all(c["pass"] for s in second["suites"] for c in s["checks"])
 
 
+def test_negative_level_model_is_a_build_precondition():
+    # lambda = 0, 1, -1, 3 built a NaN matrix, and every suite recorded
+    # "LinAlgError: SVD did not converge"
+    bad = pk.q_oscillator(4, -2.0, 1.0)
+    report = pk.run_suite(pk.SuiteConfig(models=(bad,), suites=SUITE_ORDER))
+    (model,) = report["models"]
+    assert [s["name"] for s in model["suites"]] == list(SUITE_ORDER)
+    for suite in model["suites"]:
+        (check,) = suite["checks"]
+        assert check["anchor"] == "models.build"
+        assert check["error"].startswith("InvalidSpec: q_oscillator level value lambda_2 = -1 ")
+    assert not report["all_pass"]
+
+
 def test_linalg_error_is_a_suite_precondition():
     # entries of 1e200 overflow a a* to inf, and the SVDs of the tower and
     # of theorem22_report do not converge

@@ -3,7 +3,7 @@ import pytest
 
 import polarkit as pk
 
-from span_closure import generate
+from span_closure import hypotheses
 
 
 @pytest.fixture(scope="module")
@@ -14,8 +14,7 @@ def shift_pair():
 
 
 def coarse_seed():
-    p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-    return generate([p], unital=True)
+    return pk.spectral_algebra(np.diag([1.0, 1.0, 0.0, 0.0]))
 
 
 def test_endo_pair_rejects_non_isometry(rng):
@@ -44,7 +43,7 @@ def test_coarse_seed_tower_dimensions(shift_pair):
 
 def test_coarse_seed_hypotheses(shift_pair):
     _, _, pair = shift_pair
-    rep = pk.hypotheses_check(coarse_seed(), pair)
+    rep = hypotheses(coarse_seed(), pair)
     assert rep.weak_holds
     assert not rep.strong_holds  # delta pushes diag(1,1,0,0) outside the seed
 
@@ -52,7 +51,7 @@ def test_coarse_seed_hypotheses(shift_pair):
 def test_fine_seed_hypotheses(shift_pair):
     a, pd, pair = shift_pair
     seed = pk.spectral_algebra(pd.pos)
-    rep = pk.hypotheses_check(seed, pair)
+    rep = hypotheses(seed, pair)
     assert rep.weak_holds and rep.strong_holds
 
 
@@ -64,7 +63,7 @@ def test_rotation_off_axes_breaks_weak_hypotheses():
     for deg, expect in ((90.0, True), (45.0, False)):
         t = np.deg2rad(deg)
         u = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-        rep = pk.hypotheses_check(diag, pk.endo_pair(u))
+        rep = hypotheses(diag, pk.endo_pair(u))
         assert rep.weak_holds is expect
 
 
@@ -105,12 +104,19 @@ def test_stationary_tower_stabilizes_at_zero(shift_pair):
     assert t.stabilization["star"] == 0
 
 
-def test_non_commutative_seed_is_a_hypothesis_violation():
-    seed = generate([[[0.0, 1.0], [0.0, 0.0]]])
-    pair = pk.endo_pair(np.eye(2))
-    for call in (pk.build_tower, pk.hypotheses_check):
-        with pytest.raises(pk.HypothesisViolated, match="seed algebra is not commutative"):
-            call(seed, pair)
+@pytest.mark.parametrize(
+    "make",
+    (lambda alg, pair: pk.build_tower(alg, pair), lambda alg, pair: pk.GradedModel(pair, alg)),
+    ids=("build_tower", "GradedModel"),
+)
+def test_span_algebra_is_refused_as_not_stored_by_its_atoms(make):
+    # the bicommutant is a span MatrixAlgebra, the same algebra as the
+    # diagonal one stored by its atoms; the tower and the graded model
+    # read atoms only, and refuse it by one rule
+    span = pk.bicommutant(pk.spectral_algebra(np.diag([1.0, 2.0])))
+    assert type(span) is pk.MatrixAlgebra and span.dimension == 2
+    with pytest.raises(pk.ModelMismatch, match=r"^the \w+ algebra is not stored by its atoms$"):
+        make(span, pk.endo_pair(np.eye(2)))
 
 
 def test_q_oscillator_32_tower_theorems_and_graded_model(q_half_32):

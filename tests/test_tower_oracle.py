@@ -28,7 +28,7 @@ from polarkit.linalg import dagger
 from polarkit.report import _suite_isometry
 
 from conftest import zoo_specs
-from span_closure import algebras_equal, generate
+from span_closure import algebras_equal, generate, hypotheses
 
 TOL = 1e-9
 
@@ -117,7 +117,7 @@ def test_ladder_towers_match_span_closure(family, n):
 
 
 def test_coarse_seed_tower_matches_span_closure(shift4):
-    seed = generate([np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)], unital=True)
+    seed = pk.spectral_algebra(np.diag([1.0, 1.0, 0.0, 0.0]))
     t = assert_matches_span_closure(seed, pk.endo_pair(pk.polar_decompose(shift4).u))
     assert t.a0 is seed
 
@@ -186,14 +186,14 @@ def _count_svds(monkeypatch):
 
 
 def test_tower_checks_svd_counts(monkeypatch):
-    # counts of SVD'd matrices on q_oscillator(16, 0.5, 1): 5,083 in
-    # hypotheses_check and 16,271 in verify_tower_theorems with pairwise
-    # commutators and span closures; 1,216 in hypotheses_check with dense
+    # counts of SVD'd matrices on q_oscillator(16, 0.5, 1): 5,083 in the
+    # hypotheses and 16,271 in verify_tower_theorems with pairwise
+    # commutators and span closures; 1,216 in the hypotheses with dense
     # images in the seed's atom basis
     an = Analysis(pk.build(pk.q_oscillator(16, 0.5, 1.0)))
     t = an.tower
     count = _count_svds(monkeypatch)
-    pk.hypotheses_check(an.seed, an.pair)
+    hypotheses(an.seed, an.pair)
     assert count[0] <= 10 * 16
     count[0] = 0
     assert pk.verify_tower_theorems(t, an.pair).passed
@@ -273,7 +273,7 @@ def test_image_off_the_atoms_is_rejected():
     t = np.deg2rad(30.0)
     u = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
     seed = pk.spectral_algebra(np.diag([1.0, 2.0]))
-    rep = pk.hypotheses_check(seed, pk.endo_pair(u))
+    rep = hypotheses(seed, pk.endo_pair(u))
     assert not rep.weak_holds and not rep.strong_holds
     assert set(rep.details.values()) == {rep.weak_residual}
     assert rep.weak_residual >= np.sin(t) ** 2 - 1e-12

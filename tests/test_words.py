@@ -61,13 +61,6 @@ def test_normal_form_word_length_never_grows():
         assert nf.word_length <= len(w)
 
 
-def test_spectral_phi_is_rejected():
-    table = ((1.0, 0.5), (2.0, 1.0))
-    phi = pk.PhiMap.spectral(table)
-    with pytest.raises(pk.UnsupportedPhi):
-        pk.normal_order(pk.parse_word("a a*"), phi)
-
-
 def test_exact_arithmetic_stays_rational():
     nf = pk.normal_order(pk.parse_word("a a a* a*"), PHI_HALF)
     assert all(isinstance(c, (int, Fraction)) for c in nf.p)

@@ -60,7 +60,6 @@ def _times_poly(l: int, m: int, p: tuple, s: tuple, phi):
 
 
 def normal_order(word, phi) -> NormalForm:
-    phi.require_affine()
     if isinstance(word, str):
         word = parse_word(word)
     l, m, p = 0, 0, (1,)
@@ -75,7 +74,6 @@ def normal_order(word, phi) -> NormalForm:
 
 
 def nf_mul(n1: NormalForm, n2: NormalForm, phi) -> NormalForm:
-    phi.require_affine()
     l, m, p = n1.l, n1.m, n1.p
     for _ in range(n2.l):
         l, m, p = _times_astar(l, m, p, phi)
