@@ -40,6 +40,7 @@ from .linalg import (
     DEFAULT_TOL,
     as_matrix,
     dagger,
+    _operator_norms,
     eig_groups,
     hermitian_eig,
     operator_norm,
@@ -119,7 +120,8 @@ class SpectralAlgebra(MatrixAlgebra):
     def residual(self, m) -> float:
         """Block-constant defect of m in the atom basis; for a (k, n, n)
         stack, the largest over the stack."""
-        return _atom_residual(self.v, self.labels, np.asarray(m, dtype=np.complex128))
+        rot = dagger(self.v) @ np.asarray(m, dtype=np.complex128) @ self.v
+        return operator_norm(_block_constant_defect(rot, self.labels, self._ranges)[0])
 
 
 def _eigenspaces(h, tol: float):
@@ -145,8 +147,10 @@ def _labels(groups) -> np.ndarray:
 
 def _atom_ranges(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First column and column count of each atom."""
-    starts = np.flatnonzero(np.diff(labels, prepend=-1))
-    return starts, np.diff(starts, append=labels.size)
+    edges = np.ones(labels.size + 1, dtype=bool)
+    np.not_equal(labels[1:], labels[:-1], out=edges[1:-1])
+    bounds = np.flatnonzero(edges)
+    return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
 def _atom_algebra(v: np.ndarray, groups) -> SpectralAlgebra:
@@ -231,21 +235,16 @@ def _atom_means(rot: np.ndarray, ranges) -> np.ndarray:
     return np.add.reduceat(np.diagonal(rot, axis1=-2, axis2=-1), starts, axis=-1) / sizes
 
 
-def _block_constant_defect(rot: np.ndarray, labels: np.ndarray):
+def _block_constant_defect(rot: np.ndarray, labels: np.ndarray, ranges):
     """Defect of each matrix of a rotated (..., n, n) stack from being
     scalar on every atom, with the atom values (..., atoms): each diagonal
-    entry loses the mean of its atom's diagonal."""
-    means = _atom_means(rot, _atom_ranges(labels))
+    entry loses the mean of its atom's diagonal.  ``ranges`` are the
+    atoms' (:func:`_atom_ranges` of ``labels``)."""
+    means = _atom_means(rot, ranges)
     defect = np.array(rot, dtype=np.complex128)
     cols = np.arange(labels.size)
     defect[..., cols, cols] -= means[..., labels]
     return defect, means
-
-
-def _atom_residual(v: np.ndarray, labels: np.ndarray, stack: np.ndarray) -> float:
-    """Largest block-constant defect of a (..., n, n) stack in the atoms
-    (v, labels)."""
-    return operator_norm(_block_constant_defect(dagger(v) @ stack @ v, labels)[0])
 
 
 def is_function_of(b, a, tol: float = DEFAULT_TOL) -> FunctionCertificate:
@@ -262,21 +261,35 @@ def is_function_of(b, a, tol: float = DEFAULT_TOL) -> FunctionCertificate:
     rather than by a Vandermonde system in the eigenvalues of a.
     """
     bm = as_matrix(b)
-    comm = operator_norm(bm @ dagger(bm) - dagger(bm) @ bm)
-    scale_b = 1.0 + operator_norm(bm)
+    scale_b = _normal_scale(bm, tol)
+    return _function_certificate(bm, scale_b, _eigenspaces(a, tol), tol)
+
+
+def _normal_scale(bm: np.ndarray, tol: float) -> float:
+    """1 + ||b||, once b passes the normality test of :func:`is_function_of`;
+    its self-commutator and ||b|| are one stack."""
+    comm, norm = _operator_norms([bm @ dagger(bm) - dagger(bm) @ bm, bm])
+    scale_b = 1.0 + float(norm)
     if comm > tol * scale_b * scale_b:
         raise NotHermitian(f"b is neither Hermitian nor normal (self-commutator {comm:.3e})")
-    w, v, groups, _ = _eigenspaces(a, tol)
-    resid, values = _block_constant_defect(dagger(v) @ bm @ v, _labels(groups))
+    return scale_b
+
+
+def _function_certificate(bm: np.ndarray, scale_b: float, spaces, tol: float):
+    """:func:`is_function_of` for a normal b of scale ``scale_b`` on the
+    eigenspaces ``spaces`` of a (:func:`_eigenspaces`)."""
+    w, v, groups, _ = spaces
+    labels = _labels(groups)
+    starts, sizes = ranges = _atom_ranges(labels)
+    resid, values = _block_constant_defect(dagger(v) @ bm @ v, labels, ranges)
     defect = operator_norm(resid)
     exists = defect <= tol * scale_b
-    table = tuple(
-        (float(np.mean(w[idx])), complex(val)) for idx, val in zip(groups, values)
-    )
+    means = np.add.reduceat(w, starts) / sizes
+    table = tuple((float(mean), complex(val)) for mean, val in zip(means, values))
     worst = None
     if not exists:
         rows = [float(np.linalg.norm(resid[idx, :])) for idx in groups]
-        worst = float(np.mean(w[groups[int(np.argmax(rows))]]))
+        worst = float(means[int(np.argmax(rows))])
     return FunctionCertificate(
         exists=exists, residual=defect, table=table, worst_eigenvalue=worst
     )

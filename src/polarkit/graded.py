@@ -220,7 +220,7 @@ class GradedModel:
         :class:`ModelMismatch` naming its entry of ``degrees``.
         """
         alg = self.algebra
-        defect, values = _block_constant_defect(alg._vh @ mats @ alg.v, alg.labels)
+        defect, values = _block_constant_defect(alg._vh @ mats @ alg.v, alg.labels, alg._ranges)
         # the largest atom value is at most ||beta||, so a Frobenius norm
         # under tol * (1 + that value) clears a coefficient; the operator
         # norms are taken only for the rest

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_matrix, dagger, hermitian_eig, operator_norm
+from .errors import NotHermitian
+from .linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger
 
 
 @dataclass(frozen=True)
@@ -47,45 +48,44 @@ class PartialIsometryReport:
         return all(flags) or not any(flags)
 
 
-def _isometry_scale(u) -> float:
-    """(1 + ||u||^2)^2, the scale of every threshold on a partial isometry
-    u: quartic because the idempotency checks are degree four in u.
-    Squared by multiplication, which rounds the same under every libm."""
-    nu = operator_norm(u)
-    s = 1.0 + nu * nu
-    return s * s
-
-
-def _spectral_distance_from_01(h, tol: float) -> float:
-    w, _ = hermitian_eig(h, tol=tol)
-    return float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
-
-
 def partial_isometry_report(u, tol: float = DEFAULT_TOL) -> PartialIsometryReport:
     """Evaluate all five characterizations on u.
 
     Each condition passes when its residual is at most
     ``tol * (1 + ||u||^2)^2`` (one shared scale, quartic because the
-    idempotency checks are degree four in u).
+    idempotency checks are degree four in u, squared by multiplication,
+    which rounds the same under every libm).  Every norm the conditions
+    read is one stack, and both spectra are one stacked eigendecomposition
+    of the symmetrized u*u and uu*, after the Hermiticity test that
+    :func:`linalg.hermitian_eig` makes (:class:`NotHermitian`).
     """
     um = as_matrix(u)
-    q = dagger(um) @ um
-    p = um @ dagger(um)
-    scale = _isometry_scale(um)
+    uh = dagger(um)
+    q, p = uh @ um, um @ uh
+    norms = _operator_norms(
+        [um, q - dagger(q), q, p - dagger(p), p, q @ q - q, p @ p - p,
+         um @ uh @ um - um, uh @ um @ uh - uh]
+    )
+    nu, triple = norms[0], max(norms[7], norms[8])
+    for defect, norm in (norms[1:3], norms[3:5]):
+        if defect > tol * (1.0 + norm):
+            raise NotHermitian(
+                f"hermiticity defect {defect:.3e} exceeds {tol:.1e} * {1.0 + norm:.3e}"
+            )
+    pair = np.array([q, p])
+    w = np.linalg.eigh((pair + dagger(pair)) / 2.0)[0]
+    spectra = np.minimum(np.abs(w), np.abs(w - 1.0)).max(axis=1)
+    s = 1.0 + nu * nu
+    scale = s * s
     residuals = (
-        ("spec_initial", _spectral_distance_from_01(q, tol)),
-        ("spec_final", _spectral_distance_from_01(p, tol)),
-        ("idempotent_initial", operator_norm(q @ q - q)),
-        ("idempotent_final", operator_norm(p @ p - p)),
-        (
-            "triple_product",
-            operator_norm(
-                [um @ dagger(um) @ um - um, dagger(um) @ um @ dagger(um) - dagger(um)]
-            ),
-        ),
+        ("spec_initial", spectra[0]),
+        ("spec_final", spectra[1]),
+        ("idempotent_initial", norms[5]),
+        ("idempotent_final", norms[6]),
+        ("triple_product", triple),
     )
     checks = tuple(
-        ConditionCheck(name=name, residual=res, passed=res <= tol * scale)
+        ConditionCheck(name=name, residual=float(res), passed=bool(res <= tol * scale))
         for name, res in residuals
     )
     worst = max(c.residual for c in checks)

@@ -38,7 +38,7 @@ def _operator_norms(m) -> np.ndarray:
     """Largest singular value of each matrix of a (..., n, n) stack."""
     a = np.asarray(m, dtype=np.complex128)
     if a.size == 0:
-        return np.zeros(0)
+        return np.zeros(a.shape[:-2] if a.ndim > 2 else 0)
     return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
@@ -57,10 +57,6 @@ def operator_norm(m) -> float:
     return float(_operator_norms(m).max(initial=0.0))
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    return operator_norm(m - dagger(m))
-
-
 def hermitian_eig(m, tol: float = DEFAULT_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -71,8 +67,8 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL):
     eigenvectors.
     """
     a = as_matrix(m)
-    defect = hermiticity_defect(a)
-    scale = 1.0 + operator_norm(a)
+    defect, norm = _operator_norms([a - dagger(a), a])
+    scale = 1.0 + norm
     if defect > tol * scale:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}")
     w, v = np.linalg.eigh((a + dagger(a)) / 2.0)

@@ -39,7 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MatrixAlgebra, _atom_means, is_function_of, spectral_algebra
+from .algebra import (
+    MatrixAlgebra,
+    _atom_algebra,
+    _atom_means,
+    _eigenspaces,
+    _function_certificate,
+    _normal_scale,
+    is_function_of,
+)
 from .errors import PolarkitError, RelationViolated
 from .graded import GradedModel
 from .isometry import ConditionCheck
@@ -103,8 +111,8 @@ class Analysis:
     """One operator and everything derived from it, each piece once.
 
     Each field is derived on first read from the ones before it: ``pd``
-    (the polar parts), ``certificate`` (the defining-relation test),
-    ``seed`` (C*(1, |a|)), ``pair`` (U validated as a partial isometry),
+    (the polar parts), ``spaces`` (the eigenspaces of |a|),
+    ``certificate`` (the defining-relation test), ``seed`` (C*(1, |a|)), ``pair`` (U validated as a partial isometry),
     ``tower`` (both towers over the seed), ``frame`` (the atoms of the
     tower's double closure, with U in their basis), ``model`` (U over that
     double closure), ``structure`` (the blocks of B, given the relation)
@@ -120,8 +128,9 @@ class Analysis:
         self._memo: dict = {}
 
     pd = _once(lambda an: polar_decompose(an.matrix, tol=an.tol))
+    spaces = _once(lambda an: _eigenspaces(an.pd.pos, an.tol))
     certificate = _once(lambda an: verify_I1(an))
-    seed = _once(lambda an: spectral_algebra(an.pd.pos, tol=an.tol))
+    seed = _once(lambda an: _atom_algebra(an.spaces[1], an.spaces[2]))
     pair = _once(lambda an: endo_pair(an.pd.u, tol=an.tol))
     tower = _once(lambda an: build_tower(an.seed, an.pair, tol=an.tol))
     frame = _once(lambda an: an.tower._frame)
@@ -154,7 +163,7 @@ def verify_I1(a, tol: float = DEFAULT_TOL) -> RelationCertificate:
     cert = is_function_of(am @ dagger(am), dagger(am) @ am, tol=an.tol)
     pd = an.pd
     mid = pd.u @ pd.pos @ dagger(pd.u)
-    cert2 = is_function_of(mid, pd.pos, tol=an.tol)
+    cert2 = _function_certificate(mid, _normal_scale(mid, an.tol), an.spaces, an.tol)
     table = tuple((float(ev), float(val.real)) for ev, val in cert.table)
     return RelationCertificate(
         holds=cert.exists,
@@ -288,15 +297,20 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
         max(mult, inter, _class_defect(frame, imgs[0], img_ties[0], cls, eps)),
     )
 
-    # C*(1, |a|, P_1..P_(k-1)): the partition |a| and p_1..p_(k-1) generate
-    extended, level = 0.0, _value_classes(pos[None, :], tol)
+    # C*(1, |a|, P_1..P_(k-1)) for k = 1..n: the partition |a| and
+    # p_1..p_(k-1) generate, with the tie max(eps, ties of P_1..P_(k-1));
+    # the images delta^k of a run of k on one partition are one projection
+    generators = np.maximum(eps, np.maximum.accumulate(np.concatenate(([0.0], p_ties[:-1]))))
+    extended, level, first = 0.0, _value_classes(pos[None, :], tol), 0
     for k in range(1, n + 1 if len(f) else 1):
-        if k > 1 and level.max() < frame.size - 1:  # p_(k-1) can split a class
-            level = _value_classes(np.vstack([level, p[k - 2]]), tol)
-        generators = max(eps, p_ties[: k - 1].max(initial=0.0))
-        extended = max(
-            extended, _class_defect(frame, imgs[k - 1], img_ties[k - 1], level, generators)
-        )
+        after = level
+        if k < n and level.max() < frame.size - 1:  # p_k can split a class
+            after = _value_classes(np.vstack([level, p[k - 1]]), tol)
+        if k == n or not np.array_equal(after, level):
+            res = frame.span_residuals(imgs[first:k], frame.class_basis(level))
+            res = res + img_ties[first:k].max(axis=1) + generators[first:k]
+            extended = max(extended, float(res.max()))
+            level, first = after, k
     add("delta_powers_in_extended_algebra", extended)
     absorb = (
         np.abs((p[:, None, :] - 1.0) * imgs).max(axis=-1, initial=0.0)
@@ -347,15 +361,17 @@ def _sum_form_residual(frame: _AtomFrame, layers: list, levels: list) -> float:
     layers d^0(base), d^1(base), ..., and ``levels[n]`` is the algebra
     expected to equal the span of the first n + 1 of them; None entries
     are skipped.  Each comparison adds the ties of the span and of the
-    level.
+    level.  The layers are joined once, and level n reads the rows of its
+    first n + 1.
     """
+    values = np.concatenate([v for v, _, _ in layers[: len(levels)]])
+    ties = np.concatenate([e for _, e, _ in layers[: len(levels)]])
+    ends = np.cumsum([len(e) for _, e, _ in layers[: len(levels)]])
     worst = 0.0
     for n, alg in enumerate(levels):
         if alg is None:
             continue
-        values = np.concatenate([v for v, _, _ in layers[: n + 1]])
-        ties = np.concatenate([e for _, e, _ in layers[: n + 1]])
-        span, span_ties = frame.span_basis(values, ties)
+        span, span_ties = frame.span_basis(values[: ends[n]], ties[: ends[n]])
         cls, eps = frame.classes(alg)
         res = max(
             frame.class_residual(span, cls), frame.span_residual(frame.class_basis(cls), span)

@@ -83,6 +83,11 @@ class EndoPair:
     def __post_init__(self):
         self.u.setflags(write=False)
 
+    @cached_property
+    def norm(self) -> float:
+        """||u||, taken once for every frame on u."""
+        return operator_norm(self.u)
+
     def delta(self, m) -> np.ndarray:
         return self.u @ as_matrix(m) @ dagger(self.u)
 
@@ -154,7 +159,7 @@ def _double_closure(a0: SpectralAlgebra, pair: EndoPair, tol: float):
     if comm_res > tol:
         raise HypothesisViolated(f"seed algebra is not commutative (residual {comm_res:.3e})")
     v, blocks = a0.v.copy(), a0.blocks
-    seed, count, nu = _labels(blocks), 0, operator_norm(pair.u)
+    seed, count, nu = _labels(blocks), 0, pair.norm
     while len(blocks) > count and any(idx.size > 1 for idx in blocks):
         count, gap = len(blocks), tol * (1.0 + 2.0 * nu * nu)
         h = (v * _mix_weights(count)[_labels(blocks)]) @ dagger(v)
@@ -205,13 +210,14 @@ def _hypotheses(frame: "_AtomFrame", a0: SpectralAlgebra, kmax: int, tol: float,
         idempotent, hermitian = _projection_defects(q, q_ties)
         q1 = (q[:1], q_ties[:1], q_off[:1])  # Q_0 = 1 is exact, and commutes
         fwd = frame.layers(values, ties, "forward", kmax)
+        rows = _rows(fwd)
         span, span_ties = frame.span_basis(values, ties)
         image = fwd[min(1, kmax)]
         residuals = [
             np.maximum(idempotent, hermitian).max(initial=0.0),
             _layers_commutator([(q, q_ties, q_off), seed]),
-            max(_layers_commutator([seed, layer]) for layer in fwd),
-            max(_layers_commutator([q1, layer]) for layer in fwd),
+            _commutator_max(_rows([seed]), rows),
+            _commutator_max(_rows([q1]), rows),
             frame.span_residual(image[0], span) + 2.0 * image[1].max(initial=0.0)
             + span_ties.max(initial=0.0) if kmax else 0.0,
             _layers_commutator([q1, seed]),
@@ -355,9 +361,9 @@ class _AtomFrame:
         self.inside_off_diagonal = self.inside & ~np.eye(alg.dim, dtype=bool)
         w = alg._vh @ pair.u @ alg.v
         self.u = {"forward": w, "star": dagger(w)}
-        nu = operator_norm(pair.u)
+        nu = pair.norm
         self.nu2 = nu * nu
-        # the scale of isometry._isometry_scale, from the norm just taken
+        # the scale of isometry.partial_isometry_report
         self.scale = (1.0 + self.nu2) * (1.0 + self.nu2)
         self.pair = pair
         self._maps: dict[str, tuple] = {}
@@ -394,7 +400,8 @@ class _AtomFrame:
         (g - c) R_k for any c; likewise delta_*^k(f) with g' and Q_k.
         The tie adds max |f| tie(P_k) + 2 r V tau_k + V^2 tie(f), r the radius
         of a disc holding f's values and 0, V = max(1, ||U||)^depth >= ||W^k||,
-        and bounds the off-block norms too."""
+        and bounds the off-block norms too.  The layers k >= 1 are one
+        gather, views of one (depth, rows, atoms) array."""
         _, taus, *projections = self.powers(depth)
         proj, proj_ties, _ = projections[direction == "star"]
         index, mask, top = self.gathers(depth)
@@ -402,25 +409,35 @@ class _AtomFrame:
         size = np.abs(values).max(axis=1, initial=0.0)
         span = [v.max(axis=1, initial=0.0) - v.min(axis=1, initial=0.0)
                 for v in (values.real, values.imag)]
-        out = [(values, ties, ties)]
-        for k in range(depth):
-            row = k + 1 + (top if direction == "star" else 0)
-            tie = size * proj_ties[k] + big * taus[k] * np.hypot(*span) + big * big * ties
-            out.append((values[:, index[row]] * (mask[row] * proj[k]), tie, tie))
-        return out
+        rows = np.arange(1, depth + 1) + (top if direction == "star" else 0)
+        gathered = values[np.arange(len(values))[None, :, None], index[rows][:, None, :]]
+        gathered = gathered * (mask[rows] * proj)[:, None, :]
+        tie = size * proj_ties[:, None] + (big * taus)[:, None] * np.hypot(*span) + big * big * ties
+        return [(values, ties, ties), *((g, t, t) for g, t in zip(gathered, tie))]
 
     def atom_map(self, direction: str):
         """``(t, ties, intertwining)`` for d = delta or delta_*: column x of
         the (atoms, atoms) matrix t holds the atom values of d(P_x), ties[x]
         bounds ||d(P_x) - sum_y t[y, x] P_y||, and intertwining is the
         largest ||U b - delta(b) U|| (or ||U* b - delta_*(b) U*||) over the
-        basis b = P_x / sqrt(rank P_x)."""
-        if direction not in self._maps:
-            w = self.u[direction]
-            cols, images = _atom_images(w, self.labels)
+        basis b = P_x / sqrt(rank P_x).  Both directions are read at once,
+        the images of both in one stack and their intertwining defects in
+        another."""
+        if not self._maps:
+            directions, count = ("forward", "star"), self.size
+            images = np.empty((2 * count, self.alg.dim, self.alg.dim), dtype=np.complex128)
+            defects = np.empty_like(images)
+            root = np.sqrt(self.ranks)[:, None, None]
+            for i, d in enumerate(directions):
+                cols, images[i * count : (i + 1) * count] = _atom_images(self.u[d], self.labels)
+                defects[i * count : (i + 1) * count] = cols
+                defects[i * count : (i + 1) * count] -= images[i * count : (i + 1) * count] @ self.u[d]
+                defects[i * count : (i + 1) * count] /= root
             values, ties, _ = self.coords(images)
-            inter = operator_norm((cols - images @ w) / np.sqrt(self.ranks)[:, None, None])
-            self._maps[direction] = (values.T, ties, inter)
+            inter = _operator_norms(defects)
+            for i, d in enumerate(directions):
+                part = slice(i * count, (i + 1) * count)
+                self._maps[d] = (values[part].T, ties[part], float(inter[part].max(initial=0.0)))
         return self._maps[direction]
 
     def injection(self, direction: str):
@@ -532,17 +549,30 @@ class _AtomFrame:
     def span_basis(self, values: np.ndarray, ties: np.ndarray):
         """Rows orthonormal under the trace inner product that span the
         rows of ``values``, with their ties."""
+        return self.span_bases(values[None], ties[None])[0]
+
+    def span_bases(self, values: np.ndarray, ties: np.ndarray) -> list:
+        """:meth:`span_basis` of each matrix of a (k, rows, atoms) stack
+        with ties (k, rows), from one batched SVD."""
         root = np.sqrt(self.ranks)
         left, s, vh = np.linalg.svd(values * root, full_matrices=False)
-        keep = s > DROP_THRESHOLD * max(1.0, float(s[0]))
-        coef = dagger(left[:, keep]) / s[keep][:, None]
-        return vh[keep] / root, np.abs(coef) @ ties
+        bases = []
+        for lk, sk, vk, tk in zip(left, s, vh, ties):
+            keep = sk > DROP_THRESHOLD * max(1.0, float(sk[0]))
+            coef = dagger(lk[:, keep]) / sk[keep][:, None]
+            bases.append((vk[keep] / root, np.abs(coef) @ tk))
+        return bases
 
     def span_residual(self, values: np.ndarray, basis: np.ndarray) -> float:
         """Largest atom value of the rows minus their trace-orthogonal
         projection on the span of the orthonormal rows of ``basis``."""
+        return float(self.span_residuals(values, basis))
+
+    def span_residuals(self, values: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """:meth:`span_residual` of each matrix of a (..., rows, atoms)
+        stack, each projected as a matrix of its own."""
         proj = ((values * self.ranks) @ dagger(basis)) @ basis
-        return float(np.abs(values - proj).max(initial=0.0))
+        return np.abs(values - proj).max(axis=(-2, -1), initial=0.0)
 
 
 def _power_facts(frame: _AtomFrame, kmax: int) -> dict:
@@ -794,14 +824,16 @@ def _value_classes(values: np.ndarray, tol: float) -> np.ndarray:
             break
         order = np.lexsort((row, cls))
         gap = tol * (1.0 + np.abs(row).max())
-        split = (np.diff(cls[order]) != 0) | (np.diff(row[order]) > gap)
+        ordered, cls_ordered = row[order], cls[order]
+        split = (cls_ordered[1:] != cls_ordered[:-1]) | (ordered[1:] - ordered[:-1] > gap)
         cls[order] = np.cumsum(np.concatenate(([0], split)))
     return cls
 
 
 def _spread(values: np.ndarray) -> np.ndarray:
     """Per row, the diameter of a box holding its values."""
-    return np.hypot(np.ptp(values.real, axis=1), np.ptp(values.imag, axis=1))
+    re, im = values.real, values.imag
+    return np.hypot(re.max(axis=1) - re.min(axis=1), im.max(axis=1) - im.min(axis=1))
 
 
 def _commutator_bounds(one: tuple, other: tuple) -> np.ndarray:
@@ -816,16 +848,37 @@ def _commutator_bounds(one: tuple, other: tuple) -> np.ndarray:
     return np.multiply.outer(s1, o2) + np.multiply.outer(o1, s2) + 2.0 * np.multiply.outer(t1, t2)
 
 
+def _rows(layers: list) -> list:
+    """``(spread, ties, off)`` of the rows of the layers, each ``(values,
+    ties, off)``, one array each: what a commutator bound reads of them."""
+    return [np.concatenate(part) for part in zip(*((_spread(v), t, o) for v, t, o in layers))]
+
+
+def _commutator_max(one: list, other: list, layer=None) -> float:
+    """The largest of :func:`_commutator_bounds` over the rows of ``one``
+    against those of ``other``, formed for blocks of rows of ``one`` of at
+    most ``_BLOCK`` entries, or for one row.  Given ``layer``, the
+    ascending layer of each row (``one`` is then ``other``), only pairs
+    whose row of ``one`` lies in a lower layer count."""
+    worst, start, low = 0.0, 0, 0
+    while start < len(one[0]):
+        if layer is not None:
+            low = int(np.searchsorted(layer, layer[start], side="right"))
+        end = start + max(1, _BLOCK // max(1, len(other[0]) - low))
+        bound = _commutator_bounds([x[start:end] for x in one], [x[low:] for x in other])
+        if layer is not None:
+            bound = np.where(layer[start:end, None] < layer[None, low:], bound, 0.0)
+        worst = max(worst, float(bound.max(initial=0.0)))
+        start = end
+    return worst
+
+
 def _layers_commutator(layers: list) -> float:
     """Bound on the commutators of elements in different layers, each
     ``(values, ties, off)`` (:func:`_commutator_bounds`)."""
-    rows = [np.concatenate(part) for part in zip(*((_spread(v), t, o) for v, t, o in layers))]
-    ends = np.cumsum([len(t) for _, t, _ in layers])
-    worst = 0.0
-    for start, end in zip(np.concatenate(([0], ends[:-2])), ends[:-1]):
-        bound = _commutator_bounds([r[start:end] for r in rows], [r[end:] for r in rows])
-        worst = max(worst, float(bound.max(initial=0.0)))
-    return worst
+    rows = _rows(layers)
+    layer = np.repeat(np.arange(len(layers)), [len(t) for _, t, _ in layers])
+    return _commutator_max(rows, rows, layer)
 
 
 def _projection_defects(values: np.ndarray, ties: np.ndarray):
@@ -861,28 +914,40 @@ def _norm_bound(values: np.ndarray, ties: np.ndarray) -> float:
     return float(np.abs(values).max(initial=0.0) + ties.max(initial=0.0))
 
 
-def _layer_product_defect(frame: _AtomFrame, layers: list) -> float:
+def _span_bases(frame: _AtomFrame, layers: list) -> list:
+    """The orthonormal basis of each layer's span, with its ties
+    (:meth:`_AtomFrame.span_bases`; the layers have one row count)."""
+    return frame.span_bases(*(np.array(part) for part in list(zip(*layers))[:2]))
+
+
+def _layer_product_defect(frame: _AtomFrame, layers: list, bases: list) -> float:
     """Worst residual of layer_k . layer_l against span(layer_k), l <= k,
-    plus the ties of the factors and of the span."""
+    plus the ties of the factors and of the span; ``bases`` are the
+    layers' (:func:`_span_bases`).
+
+    The layers have one row count, so the products of layer k with the
+    layers l <= k are one (l, row pair, atom) stack, projected in blocks of
+    layers of at most ``_BLOCK`` entries, or one layer; each product is
+    projected as a matrix of its own, as it would be alone."""
+    bounds = np.array([_norm_bound(v, t) for v, t, _ in layers])
+    tops = np.array([t.max() for _, t, _ in layers])
     worst = 0.0
-    for k, (values, ties, _) in enumerate(layers):
-        basis, basis_ties = frame.span_basis(values, ties)
-        for low, low_ties, _ in layers[: k + 1]:
-            prods = (values[:, None, :] * low[None, :, :]).reshape(-1, frame.size)
-            tie = (
-                _norm_bound(values, ties) * low_ties.max()
-                + _norm_bound(low, low_ties) * ties.max()
-                + basis_ties.max(initial=0.0)
-            )
-            worst = max(worst, frame.span_residual(prods, basis) + tie)
+    for k, ((values, _, _), (basis, basis_ties)) in enumerate(zip(layers, bases)):
+        tie = bounds[k] * tops + bounds * tops[k] + basis_ties.max(initial=0.0)
+        step = max(1, _BLOCK // max(1, values.size * len(values)))
+        for start in range(0, k + 1, step):
+            low = np.array([v for v, _, _ in layers[start : min(k + 1, start + step)]])
+            prods = (values[None, :, None, :] * low[:, None, :, :]).reshape(len(low), -1, frame.size)
+            res = frame.span_residuals(prods, basis) + tie[start : start + len(low)]
+            worst = max(worst, float(res.max()))
     return worst
 
 
-def _ideal_defect(frame: _AtomFrame, top: tuple, cls: np.ndarray) -> float:
-    """Residual of span(top) absorbing the class functions: products of
-    its orthonormal basis with the class indicators against span(top),
-    plus the ties of that basis."""
-    basis, basis_ties = frame.span_basis(top[0], top[1])
+def _ideal_defect(frame: _AtomFrame, span: tuple, cls: np.ndarray) -> float:
+    """Residual of a span, ``(basis, ties)``, absorbing the class
+    functions: products of its orthonormal basis with the class indicators
+    against it, plus the ties of that basis."""
+    basis, basis_ties = span
     level = frame.class_basis(cls)
     prods = (basis[:, None, :] * level[None, :, :]).reshape(-1, frame.size)
     return frame.span_residual(prods, basis) + 2.0 * basis_ties.max(initial=0.0)
@@ -935,34 +1000,40 @@ def _tower_theorems(
         record(f"{direction}_layers_commute", _layers_commutator(seed_layers[direction]))
 
     inf_star = frame.layers(*frame.basis_coords(t.a_inf), "star", len(t.n_a_inf_list))
-    record("layer_products", _layer_product_defect(frame, inf_star))
+    bases = _span_bases(frame, inf_star)
+    record("layer_products", _layer_product_defect(frame, inf_star, bases))
     inf_values, inf_ties, _ = (np.concatenate(part) for part in zip(*inf_star))
     level = _value_classes(inf_values, tol)
-    record("top_layer_ideal", _ideal_defect(frame, inf_star[-1], level) + inf_ties.max())
+    record("top_layer_ideal", _ideal_defect(frame, bases[-1], level) + inf_ties.max())
 
     seed_layers_checked = t.hypotheses.strong_holds
     if seed_layers_checked:
-        record("layer_products_seed", _layer_product_defect(frame, seed_layers["star"]))
+        bases = _span_bases(frame, seed_layers["star"])
+        record("layer_products_seed", _layer_product_defect(frame, seed_layers["star"], bases))
         top = seed_layers["star"][len(t.na_list) - 1]
         cls, eps = frame.classes(t.na_list[-1])
         member = frame.class_residual(top[0], cls) + top[1].max()
-        record("top_layer_ideal_seed", max(member, _ideal_defect(frame, top, cls)) + eps)
+        ideal = _ideal_defect(frame, bases[len(t.na_list) - 1], cls)
+        record("top_layer_ideal_seed", max(member, ideal) + eps)
 
-    def mapped_defect(src, direction, dst) -> float:
-        """Residual of d(src's basis) in the level dst."""
-        values, ties, _ = frame.layers(*frame.basis_coords(src), direction, 1)[1]
-        dst_cls, dst_eps = frame.classes(dst)
-        return frame.class_residual(values, dst_cls) + ties.max() + dst_eps
+    def mapped_defect(pairs, direction) -> float:
+        """Largest residual of d(src's basis) in the level dst over the
+        pairs (src, dst), with every basis gathered at once."""
+        coords = [frame.basis_coords(src) for src, _ in pairs]
+        if not coords:
+            return 0.0
+        stacked = (np.concatenate(part) for part in zip(*coords))
+        values, ties, _ = frame.layers(*stacked, direction, 1)[1]
+        ends = np.cumsum([len(e) for _, e in coords])
+        residuals = []
+        for (_, dst), start, end in zip(pairs, np.concatenate(([0], ends[:-1])), ends):
+            cls, eps = frame.classes(dst)
+            residuals.append(frame.class_residual(values[start:end], cls) + ties[start:end].max() + eps)
+        return max(residuals)
 
     seq = t.n_a_inf_list
-    record(
-        "delta_lowers_level",
-        max((mapped_defect(hi, "forward", lo) for lo, hi in zip(seq, seq[1:])), default=0.0),
-    )
-    record(
-        "delta_star_raises_level",
-        max(mapped_defect(lo, "star", hi) for lo, hi in zip(seq, seq[1:] + [big])),
-    )
+    record("delta_lowers_level", mapped_defect(list(zip(seq[1:], seq)), "forward"))
+    record("delta_star_raises_level", mapped_defect(list(zip(seq, seq[1:] + [big])), "star"))
 
     root = np.sqrt(frame.ranks)
     for name, direction in (("endomorphism_delta", "forward"), ("endomorphism_delta_star", "star")):
@@ -984,12 +1055,20 @@ def _tower_theorems(
     cls, eps = frame.classes(t.a_inf_of_inf_a)
     record("double_closure_equality", frame.class_residual(own, cls) + eps)
 
-    # delta_*^j delta^i (seed) for i <= len(an_list), j <= len(n_a_inf_list),
-    # and delta_*^j (seed) for j <= len(na_list)
+    # delta_*^j (seed) for j <= len(na_list), then delta_*^j delta^i (seed)
+    # for i <= len(an_list), j <= len(n_a_inf_list): the images delta^i are
+    # one gather, reordered to run over j within each i
     gens = frame.layers(*seed, "star", len(t.na_list))
-    for img in frame.layers(*seed, "forward", len(t.an_list))[1:]:
-        gens += frame.layers(*img[:2], "star", len(t.n_a_inf_list))
-    minimal = _value_classes(np.concatenate([g for g, _, _ in gens]), tol)
-    record("minimality", frame.class_residual(own, minimal) + max(e.max() for _, e, _ in gens))
+    values, ties = (np.concatenate([g for g, _, _ in gens]), np.concatenate([e for _, e, _ in gens]))
+    images = frame.layers(*seed, "forward", len(t.an_list))[1:]
+    if images:
+        joined = (np.concatenate(part) for part in list(zip(*images))[:2])
+        star = frame.layers(*joined, "star", len(t.n_a_inf_list))
+        shape = (len(star), len(images), len(seed[1]))
+        by_image = [np.array(part).reshape(*shape, -1).swapaxes(0, 1) for part in list(zip(*star))[:2]]
+        values = np.concatenate([values, by_image[0].reshape(-1, frame.size)])
+        ties = np.concatenate([ties, by_image[1].reshape(-1)])
+    minimal = _value_classes(values, tol)
+    record("minimality", frame.class_residual(own, minimal) + ties.max())
 
     return TheoremReport(checks=checks, seed_layers_checked=seed_layers_checked), inf_star

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 import polarkit as pk
 from polarkit.algebra import _atom_algebra
-from polarkit.isometry import _isometry_scale
 from polarkit.linalg import dagger
 from polarkit.relation import Analysis
 from polarkit.tower import _unit_closure
@@ -49,6 +48,13 @@ GOLDEN = 1e-10
 
 def ref_norm(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def isometry_scale(u) -> float:
+    """(1 + ||u||^2)^2, the scale of every threshold on a partial isometry."""
+    nu = ref_norm(u)
+    s = 1.0 + nu * nu
+    return s * s
 
 
 def ref_residual(alg, m) -> float:
@@ -136,7 +142,7 @@ def assert_isometry_matches_per_pair_loops(u, close=None):
     (power, family), lattice = ref_isometry(u, n)
     prep = pk.power_isometry_check(u, kmax=n)
     crep = pk.commuting_projection_properties(u, kmax=n)
-    threshold = TOL * _isometry_scale(u)
+    threshold = TOL * isometry_scale(u)
     assert prep.powers_ok == (power <= threshold) and prep.family_ok == (family <= threshold)
     assert crep.passed == (max(lattice) <= threshold)
     got = (
@@ -385,7 +391,7 @@ def assert_tower_matches_per_pair_loops(an):
     """Hypotheses, tower theorems and (when the relation holds) the
     sum-form checks of an operator against the per-pair loops."""
     t, pair = an.tower, an.pair
-    threshold = an.tol * _isometry_scale(pair.u)
+    threshold = an.tol * isometry_scale(pair.u)
     ref = ref_hypotheses(t.a0, pair, pair.ambient_dim)
     for name, res in t.hypotheses.details.items():
         assert abs(res - ref[name]) <= GOLDEN, (name, res, ref[name])
@@ -448,7 +454,7 @@ def test_tower_residuals_without_strong_hypotheses(shift4):
     assert all(abs(t.hypotheses.details[k] - res) <= GOLDEN for k, res in ref.items())
     rep = pk.verify_tower_theorems(t, pair)
     want = ref_tower_theorems(t, pair)
-    assert_same_verdicts(rep.checks, want, TOL * _isometry_scale(pair.u))
+    assert_same_verdicts(rep.checks, want, TOL * isometry_scale(pair.u))
 
 
 def haar(rng, n):
@@ -536,7 +542,7 @@ def test_rank_deficient_partial_isometries_leave_the_closure_uncertified(seed, n
     rng = np.random.default_rng(seed)
     rank = 1 + rank % (n - 1)
     v = haar(rng, n)[:, :rank] @ dagger(haar(rng, n)[:, :rank])
-    threshold = TOL * _isometry_scale(v)
+    threshold = TOL * isometry_scale(v)
     assert pk.partial_isometry_report(v).passed
     assert ref_isometry(v, n)[0][0] > threshold  # the per-pair path fails too
     _, defect = _unit_closure(v, TOL)
@@ -606,7 +612,7 @@ def test_tampered_tower_fails_every_check_the_oracle_fails(case, field, shift4, 
     a = {"shift4": shift4, "q8": q_half_8, "two-shifts": _two_shifts()}[case]
     an = Analysis(a)
     t, pair = an.tower, an.pair
-    threshold = TOL * _isometry_scale(pair.u)
+    threshold = TOL * isometry_scale(pair.u)
     bad = dataclasses.replace(t, **{field: _merge_two_atoms(getattr(t, field), 0)})
     oracle = {name for name, res in ref_tower_theorems(bad, pair).items() if res > threshold}
     with warnings.catch_warnings():
