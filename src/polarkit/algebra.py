@@ -57,13 +57,11 @@ class MatrixAlgebra:
     """A *-closed linear span of n x n matrices.
 
     ``basis`` has shape (k, n, n) with rows orthonormal under the trace
-    inner product.  ``unital`` records whether the identity was requested as
-    a generator (the identity may of course lie in the span regardless).
+    inner product.
     """
 
     dim: int
     basis: np.ndarray
-    unital: bool = True
 
     def __post_init__(self):
         self.basis.setflags(write=False)
@@ -199,7 +197,7 @@ def commutant(a, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     cut = tol * (1.0 + smax)
     null = [vh[i] for i in range(vh.shape[0]) if i >= s.size or s[i] <= cut]
     basis = np.array([row.reshape(n, n) for row in null])
-    return MatrixAlgebra(dim=n, basis=basis, unital=True)
+    return MatrixAlgebra(dim=n, basis=basis)
 
 
 def bicommutant(a, tol: float = DEFAULT_TOL) -> MatrixAlgebra:

@@ -70,7 +70,7 @@ from .linalg import (
     operator_norm,
     rough_norm,
 )
-from .tower import _BLOCK, EndoPair, _AtomFrame, endo_pair
+from .tower import _BLOCK, EndoPair, _AtomFrame, _commutativity_defect, endo_pair
 
 # Coefficients with norm at or below this (relative to the element's scale)
 # are dropped during multiplication; keeps nilpotent truncation exact
@@ -112,7 +112,8 @@ class GradedModel:
     ``algebra`` is the commutative algebra the coefficients live in,
     stored by its atoms (typically the double-closure coefficient algebra
     of a seed, or simply the diagonal algebra for shift models); any other
-    algebra is a :class:`ModelMismatch`.  u^k, u*^k and P_k = u^k u*^k
+    algebra, or one whose atom basis v is not unitary (the rule of the
+    tower's commutativity check), is a :class:`ModelMismatch`.  u^k, u*^k and P_k = u^k u*^k
     are each computed once per k; the cached u*^k and P_k are read-only.
     The gathers of delta and delta_* on the atoms of the algebra, which
     products run on, are derived and checked on the first product.
@@ -124,6 +125,11 @@ class GradedModel:
         self.pair: EndoPair = u if isinstance(u, EndoPair) else endo_pair(u, tol=tol)
         if algebra.dim != self.pair.ambient_dim:
             raise ModelMismatch("coefficient algebra dimension does not match u")
+        defect = _commutativity_defect([algebra])
+        if not defect <= tol:
+            raise ModelMismatch(
+                f"the coefficient algebra's atom basis is not unitary (defect {defect:.3e})"
+            )
         self.algebra = algebra
         self.tol = tol
         self.dim = self.pair.ambient_dim

@@ -88,8 +88,8 @@ def _raising_shift(weights) -> np.ndarray:
 
 def build(spec: ModelSpec) -> np.ndarray:
     """Materialize the model's matrix a; InvalidSpec for an inconsistent
-    spec (a q_oscillator level value lambda_n that is negative or that
-    repeats) or a non-finite weight, q, h, diagonal or matrix entry."""
+    spec (a q_oscillator level value lambda_n that overflows, repeats or
+    is negative) or a non-finite weight, q, h, diagonal or matrix entry."""
     for name in ("weights", "q", "h", "diag") + (("matrix",) if spec.kind == "custom" else ()):
         if not np.isfinite(np.asarray(getattr(spec, name), dtype=np.complex128)).all():
             raise InvalidSpec(f"model field {name!r} has a non-finite entry")
@@ -105,7 +105,14 @@ def build(spec: ModelSpec) -> np.ndarray:
             raise InvalidSpec("q_oscillator needs dim >= 2")
         if spec.h <= 0:
             raise InvalidSpec("q_oscillator needs h > 0")
-        lam = q_lambda(spec.dim, spec.q, spec.h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = q_lambda(spec.dim, spec.q, spec.h)
+        if not np.isfinite(lam).all():
+            n = int(np.flatnonzero(~np.isfinite(lam))[0])
+            raise InvalidSpec(
+                f"q_oscillator level value lambda_{n} = {lam[n]:.6g} is not finite "
+                f"(q={spec.q}, h={spec.h})"
+            )
         diffs = np.abs(lam[:, None] - lam[None, :])
         np.fill_diagonal(diffs, np.inf)
         if diffs.min() <= 1e-12:

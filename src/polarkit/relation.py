@@ -53,6 +53,7 @@ from .graded import GradedModel
 from .isometry import ConditionCheck
 from .linalg import DEFAULT_TOL, as_matrix, dagger, operator_norm, polar_decompose
 from .tower import (
+    _BLOCK,
     TheoremReport,
     TowerReport,
     _AtomFrame,
@@ -299,7 +300,8 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
 
     # C*(1, |a|, P_1..P_(k-1)) for k = 1..n: the partition |a| and
     # p_1..p_(k-1) generate, with the tie max(eps, ties of P_1..P_(k-1));
-    # the images delta^k of a run of k on one partition are one projection
+    # the images delta^k of a run of k on one partition are projected in
+    # blocks of at most _BLOCK entries
     generators = np.maximum(eps, np.maximum.accumulate(np.concatenate(([0.0], p_ties[:-1]))))
     extended, level, first = 0.0, _value_classes(pos[None, :], tol), 0
     for k in range(1, n + 1 if len(f) else 1):
@@ -307,9 +309,11 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
         if k < n and level.max() < frame.size - 1:  # p_k can split a class
             after = _value_classes(np.vstack([level, p[k - 1]]), tol)
         if k == n or not np.array_equal(after, level):
-            res = frame.span_residuals(imgs[first:k], frame.class_basis(level))
-            res = res + img_ties[first:k].max(axis=1) + generators[first:k]
-            extended = max(extended, float(res.max()))
+            basis, step = frame.class_basis(level), max(1, _BLOCK // imgs[0].size)
+            for lo in range(first, k, step):
+                res = frame.span_residuals(imgs[lo : min(k, lo + step)], basis)
+                res = res + img_ties[lo : lo + len(res)].max(axis=1) + generators[lo : lo + len(res)]
+                extended = max(extended, float(res.max()))
             level, first = after, k
     add("delta_powers_in_extended_algebra", extended)
     absorb = (

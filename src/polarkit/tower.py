@@ -72,6 +72,11 @@ MIX_SEED = 20020
 # complex values, so their temporaries stay small at any size.
 _BLOCK = 1 << 13
 
+# Entries per stack of n x n matrices that a frame sends to LAPACK at once
+# (the atom images of both directions): 8 MB of complex values, so the
+# whole stack goes at once up to n = 64 and the memory stays bounded above.
+_STACK = 1 << 19
+
 
 @dataclass(frozen=True)
 class EndoPair:
@@ -410,8 +415,8 @@ class _AtomFrame:
         span = [v.max(axis=1, initial=0.0) - v.min(axis=1, initial=0.0)
                 for v in (values.real, values.imag)]
         rows = np.arange(1, depth + 1) + (top if direction == "star" else 0)
-        gathered = values[np.arange(len(values))[None, :, None], index[rows][:, None, :]]
-        gathered = gathered * (mask[rows] * proj)[:, None, :]
+        gathered = values.astype(np.complex128)[np.arange(len(values))[None, :, None], index[rows][:, None, :]]
+        gathered *= (mask[rows] * proj)[:, None, :]
         tie = size * proj_ties[:, None] + (big * taus)[:, None] * np.hypot(*span) + big * big * ties
         return [(values, ties, ties), *((g, t, t) for g, t in zip(gathered, tie))]
 
@@ -420,24 +425,24 @@ class _AtomFrame:
         the (atoms, atoms) matrix t holds the atom values of d(P_x), ties[x]
         bounds ||d(P_x) - sum_y t[y, x] P_y||, and intertwining is the
         largest ||U b - delta(b) U|| (or ||U* b - delta_*(b) U*||) over the
-        basis b = P_x / sqrt(rank P_x).  Both directions are read at once,
-        the images of both in one stack and their intertwining defects in
-        another."""
+        basis b = P_x / sqrt(rank P_x).  Both directions are read at once:
+        their images are one stack, and so are their intertwining defects,
+        in blocks of at most ``_STACK`` entries."""
         if not self._maps:
-            directions, count = ("forward", "star"), self.size
-            images = np.empty((2 * count, self.alg.dim, self.alg.dim), dtype=np.complex128)
-            defects = np.empty_like(images)
+            w = np.array([self.u["forward"], self.u["star"]])
+            onehot = self.labels[None, :] == np.arange(self.size)[:, None]
             root = np.sqrt(self.ranks)[:, None, None]
-            for i, d in enumerate(directions):
-                cols, images[i * count : (i + 1) * count] = _atom_images(self.u[d], self.labels)
-                defects[i * count : (i + 1) * count] = cols
-                defects[i * count : (i + 1) * count] -= images[i * count : (i + 1) * count] @ self.u[d]
-                defects[i * count : (i + 1) * count] /= root
-            values, ties, _ = self.coords(images)
-            inter = _operator_norms(defects)
-            for i, d in enumerate(directions):
-                part = slice(i * count, (i + 1) * count)
-                self._maps[d] = (values[part].T, ties[part], float(inter[part].max(initial=0.0)))
+            step, parts = max(1, _STACK // self.alg.dim**2), []
+            for start in range(0, 2 * self.size, step):
+                d, x = np.divmod(np.arange(start, min(2 * self.size, start + step)), self.size)
+                cols = w[d] * onehot[x][:, None, :]
+                images = cols @ dagger(w[d])
+                inter = _operator_norms((cols - images @ w[d]) / root[x])
+                parts.append((*self.coords(images)[:2], inter))
+            values, ties, inter = (np.concatenate(part) for part in zip(*parts))
+            for i, name in enumerate(("forward", "star")):
+                part = slice(i * self.size, (i + 1) * self.size)
+                self._maps[name] = (values[part].T, ties[part], float(inter[part].max(initial=0.0)))
         return self._maps[direction]
 
     def injection(self, direction: str):

@@ -117,10 +117,10 @@ def generate(generators, unital: bool = True, maxdim: int | None = None) -> Matr
             fresh += builder.absorb(dagger(x)[None, :, :])
         frontier = fresh
     basis = np.array([row.reshape(n, n) for row in builder.rows])
-    return MatrixAlgebra(dim=n, basis=basis, unital=unital)
+    return MatrixAlgebra(dim=n, basis=basis)
 
 
-def linear_span(mats, unital: bool = False) -> MatrixAlgebra:
+def linear_span(mats) -> MatrixAlgebra:
     """Orthonormal span of a matrix list with no product closure, for
     layer subspaces like the image of an algebra under a linear map."""
     ms = [as_matrix(m) for m in mats]
@@ -130,7 +130,7 @@ def linear_span(mats, unital: bool = False) -> MatrixAlgebra:
     builder = _SpanBuilder(n, n * n)
     builder.absorb(np.array(ms))
     basis = np.array([row.reshape(n, n) for row in builder.rows])
-    return MatrixAlgebra(dim=n, basis=basis, unital=unital)
+    return MatrixAlgebra(dim=n, basis=basis)
 
 
 def project(alg: MatrixAlgebra, m) -> np.ndarray:
@@ -177,7 +177,7 @@ def nonunital_seed(pos, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     P_i / sqrt(rank P_i)."""
     w, v, groups, scale = _eigenspaces(pos, tol)
     kept = [idx for idx in groups if abs(float(np.mean(w[idx]))) > tol * scale]
-    return MatrixAlgebra(dim=v.shape[0], basis=_projection_basis(v, kept), unital=False)
+    return MatrixAlgebra(dim=v.shape[0], basis=_projection_basis(v, kept))
 
 
 def ref_is_commutative(alg) -> float:

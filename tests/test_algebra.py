@@ -56,7 +56,7 @@ def test_contains_rejects_outsider():
 
 def test_linear_span_is_not_closed_under_products():
     p = diag(1, 2, 0)
-    span = linear_span([p, np.eye(3, dtype=complex)], unital=True)
+    span = linear_span([p, np.eye(3, dtype=complex)])
     assert span.dimension == 2
     ok, _ = contains(span, p @ p)
     assert not ok  # spans do not multiply; generate() does
