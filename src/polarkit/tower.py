@@ -1060,20 +1060,12 @@ def _tower_theorems(
     cls, eps = frame.classes(t.a_inf_of_inf_a)
     record("double_closure_equality", frame.class_residual(own, cls) + eps)
 
-    # delta_*^j (seed) for j <= len(na_list), then delta_*^j delta^i (seed)
-    # for i <= len(an_list), j <= len(n_a_inf_list): the images delta^i are
-    # one gather, reordered to run over j within each i
+    # delta_*^j delta^i (seed) for i <= len(an_list), j <= len(n_a_inf_list),
+    # and delta_*^j (seed) for j <= len(na_list)
     gens = frame.layers(*seed, "star", len(t.na_list))
-    values, ties = (np.concatenate([g for g, _, _ in gens]), np.concatenate([e for _, e, _ in gens]))
-    images = frame.layers(*seed, "forward", len(t.an_list))[1:]
-    if images:
-        joined = (np.concatenate(part) for part in list(zip(*images))[:2])
-        star = frame.layers(*joined, "star", len(t.n_a_inf_list))
-        shape = (len(star), len(images), len(seed[1]))
-        by_image = [np.array(part).reshape(*shape, -1).swapaxes(0, 1) for part in list(zip(*star))[:2]]
-        values = np.concatenate([values, by_image[0].reshape(-1, frame.size)])
-        ties = np.concatenate([ties, by_image[1].reshape(-1)])
-    minimal = _value_classes(values, tol)
-    record("minimality", frame.class_residual(own, minimal) + ties.max())
+    for img in frame.layers(*seed, "forward", len(t.an_list))[1:]:
+        gens += frame.layers(*img[:2], "star", len(t.n_a_inf_list))
+    minimal = _value_classes(np.concatenate([g for g, _, _ in gens]), tol)
+    record("minimality", frame.class_residual(own, minimal) + max(e.max() for _, e, _ in gens))
 
     return TheoremReport(checks=checks, seed_layers_checked=seed_layers_checked), inf_star

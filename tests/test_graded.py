@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import polarkit as pk
+from polarkit.algebra import _atom_algebra
 from polarkit.linalg import dagger
 
 from conftest import random_matrix
@@ -64,6 +65,20 @@ def test_unitary_model_reaches_high_powers():
     assert np.array_equal(m.power(1501), u)
     # each power is the one below times u, the product order of a recursion
     assert np.array_equal(m.power(7), ((((((u @ u) @ u) @ u) @ u) @ u) @ u))
+
+
+def test_atom_basis_that_is_not_unitary_is_a_model_mismatch(shift4):
+    # v = diag(1, 2, 1, 1) read the identity as atom values (1, 4, 1, 1),
+    # and only the first product failed, on the invariance of the algebra
+    v = np.diag([1.0, 2.0, 1.0, 1.0]).astype(complex)
+    alg = _atom_algebra(v, [np.array([i]) for i in range(4)])
+    u = pk.polar_decompose(shift4).u
+    with pytest.raises(pk.ModelMismatch) as exc:
+        pk.GradedModel(u, alg)
+    assert str(exc.value) == "the coefficient algebra's atom basis is not unitary (defect 2.400e+01)"
+    # the rule of the tower's commutativity check, which refuses it too
+    with pytest.raises(pk.HypothesisViolated, match="not commutative"):
+        pk.build_tower(alg, pk.endo_pair(u))
 
 
 def test_non_finite_coefficient_is_a_model_mismatch(unit_model):

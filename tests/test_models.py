@@ -94,6 +94,20 @@ def test_q_oscillator_rejects_a_negative_level():
     assert np.isfinite(pk.build(pk.q_oscillator(4, -0.5, 1.0))).all()
 
 
+def test_q_oscillator_rejects_a_level_that_overflows():
+    # q = 10, h = 1 gives lambda_n = (10^n - 1) / 9, past float max at
+    # n = 310: the levels overflowed to inf, and the collision check read
+    # their NaN differences
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(pk.InvalidSpec) as exc:
+            pk.build(pk.q_oscillator(400, 10.0, 1.0))
+    assert str(exc.value) == (
+        "q_oscillator level value lambda_310 = inf is not finite (q=10.0, h=1.0)"
+    )
+    assert np.isfinite(pk.build(pk.q_oscillator(300, 10.0, 1.0))).all()
+
+
 def test_normal_model_is_diagonal():
     a = pk.build(pk.normal((1.0, 1.0j)))
     assert np.allclose(a, np.diag([1.0, 1.0j]))

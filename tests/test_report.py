@@ -213,6 +213,14 @@ def test_zoo_report_matches_golden(counted_zoo_run):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
 
+def test_zoo_report_is_the_golden_file_byte_for_byte(counted_zoo_run):
+    """The canonical run of scripts/run_zoo.py --seed 0 writes exactly the
+    bytes tests/data keeps; a change that moves a byte on purpose rewrites
+    the file and says why."""
+    _, report, _ = counted_zoo_run
+    assert pk.report_to_json(report) == GOLDEN.read_text(encoding="utf-8")
+
+
 def test_failed_derivation_is_not_repeated(monkeypatch, rng):
     import polarkit.relation as relation
 
@@ -273,6 +281,23 @@ def test_negative_level_model_is_a_build_precondition():
         (check,) = suite["checks"]
         assert check["anchor"] == "models.build"
         assert check["error"].startswith("InvalidSpec: q_oscillator level value lambda_2 = -1 ")
+    assert not report["all_pass"]
+
+
+def test_overflowing_level_model_is_a_build_precondition():
+    # the levels overflowed to inf, and every suite recorded
+    # "LinAlgError: SVD did not converge"
+    bad = pk.q_oscillator(400, 10.0, 1.0)
+    report = pk.run_suite(pk.SuiteConfig(models=(bad,), suites=SUITE_ORDER))
+    (model,) = report["models"]
+    assert [s["name"] for s in model["suites"]] == list(SUITE_ORDER)
+    for suite in model["suites"]:
+        (check,) = suite["checks"]
+        assert check["anchor"] == "models.build"
+        assert check["error"] == (
+            "InvalidSpec: q_oscillator level value lambda_310 = inf is not finite "
+            "(q=10.0, h=1.0)"
+        )
     assert not report["all_pass"]
 
 
