@@ -26,6 +26,10 @@ import numpy as np
 from .errors import NotHermitian
 from .linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger
 
+CONDITIONS = (
+    "spec_initial", "spec_final", "idempotent_initial", "idempotent_final", "triple_product"
+)
+
 
 @dataclass(frozen=True)
 class ConditionCheck:
@@ -66,27 +70,18 @@ def partial_isometry_report(u, tol: float = DEFAULT_TOL) -> PartialIsometryRepor
         [um, q - dagger(q), q, p - dagger(p), p, q @ q - q, p @ p - p,
          um @ uh @ um - um, uh @ um @ uh - uh]
     )
-    nu, triple = norms[0], max(norms[7], norms[8])
     for defect, norm in (norms[1:3], norms[3:5]):
         if defect > tol * (1.0 + norm):
-            raise NotHermitian(
-                f"hermiticity defect {defect:.3e} exceeds {tol:.1e} * {1.0 + norm:.3e}"
-            )
+            scale = 1.0 + norm
+            raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}")
     pair = np.array([q, p])
     w = np.linalg.eigh((pair + dagger(pair)) / 2.0)[0]
     spectra = np.minimum(np.abs(w), np.abs(w - 1.0)).max(axis=1)
-    s = 1.0 + nu * nu
-    scale = s * s
-    residuals = (
-        ("spec_initial", spectra[0]),
-        ("spec_final", spectra[1]),
-        ("idempotent_initial", norms[5]),
-        ("idempotent_final", norms[6]),
-        ("triple_product", triple),
-    )
+    s = 1.0 + norms[0] * norms[0]
+    residuals = (*spectra, norms[5], norms[6], max(norms[7], norms[8]))
     checks = tuple(
-        ConditionCheck(name=name, residual=float(res), passed=bool(res <= tol * scale))
-        for name, res in residuals
+        ConditionCheck(name=name, residual=float(res), passed=bool(res <= tol * (s * s)))
+        for name, res in zip(CONDITIONS, residuals)
     )
     worst = max(c.residual for c in checks)
     return PartialIsometryReport(

@@ -303,6 +303,7 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     # the images delta^k of a run of k on one partition are projected in
     # blocks of at most _BLOCK entries
     generators = np.maximum(eps, np.maximum.accumulate(np.concatenate(([0.0], p_ties[:-1]))))
+    bounds = [img_ties.max(axis=1, initial=0.0), generators]
     extended, level, first = 0.0, _value_classes(pos[None, :], tol), 0
     for k in range(1, n + 1 if len(f) else 1):
         after = level
@@ -311,8 +312,8 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
         if k == n or not np.array_equal(after, level):
             basis, step = frame.class_basis(level), max(1, _BLOCK // imgs[0].size)
             for lo in range(first, k, step):
-                res = frame.span_residuals(imgs[lo : min(k, lo + step)], basis)
-                res = res + img_ties[lo : lo + len(res)].max(axis=1) + generators[lo : lo + len(res)]
+                run = slice(lo, min(k, lo + step))
+                res = frame.span_residuals(imgs[run], basis) + bounds[0][run] + bounds[1][run]
                 extended = max(extended, float(res.max()))
             level, first = after, k
     add("delta_powers_in_extended_algebra", extended)

@@ -210,22 +210,21 @@ def _hypotheses(frame: "_AtomFrame", a0: SpectralAlgebra, kmax: int, tol: float,
     residuals = [defect] * len(names)
     if defect <= limit:
         values, ties = frame.basis_coords(a0)
-        seed = (values, ties, ties)
         q, q_ties, q_off = frame.powers(kmax)[3]
         idempotent, hermitian = _projection_defects(q, q_ties)
-        q1 = (q[:1], q_ties[:1], q_off[:1])  # Q_0 = 1 is exact, and commutes
         fwd = frame.layers(values, ties, "forward", kmax)
-        rows = _rows(fwd)
+        seed, q_rows, rows = _rows(fwd[:1]), _rows([(q, q_ties, q_off)]), _rows(fwd)
+        q1 = [r[:1] for r in q_rows]  # Q_0 = 1 is exact, and commutes
         span, span_ties = frame.span_basis(values, ties)
         image = fwd[min(1, kmax)]
         residuals = [
             np.maximum(idempotent, hermitian).max(initial=0.0),
-            _layers_commutator([(q, q_ties, q_off), seed]),
-            _commutator_max(_rows([seed]), rows),
-            _commutator_max(_rows([q1]), rows),
+            _commutator_max(q_rows, seed),
+            _commutator_max(seed, rows),
+            _commutator_max(q1, rows),
             frame.span_residual(image[0], span) + 2.0 * image[1].max(initial=0.0)
             + span_ties.max(initial=0.0) if kmax else 0.0,
-            _layers_commutator([q1, seed]),
+            _commutator_max(q1, seed),
         ]
     residuals = [float(res) for res in residuals]
     weak, strong = max(residuals[:4]), max(residuals[:1] + residuals[4:])
@@ -415,7 +414,7 @@ class _AtomFrame:
         span = [v.max(axis=1, initial=0.0) - v.min(axis=1, initial=0.0)
                 for v in (values.real, values.imag)]
         rows = np.arange(1, depth + 1) + (top if direction == "star" else 0)
-        gathered = values.astype(np.complex128)[np.arange(len(values))[None, :, None], index[rows][:, None, :]]
+        gathered = values.astype(np.complex128)[np.arange(len(values))[:, None], index[rows, None]]
         gathered *= (mask[rows] * proj)[:, None, :]
         tie = size * proj_ties[:, None] + (big * taus)[:, None] * np.hypot(*span) + big * big * ties
         return [(values, ties, ties), *((g, t, t) for g, t in zip(gathered, tie))]
@@ -429,20 +428,18 @@ class _AtomFrame:
         their images are one stack, and so are their intertwining defects,
         in blocks of at most ``_STACK`` entries."""
         if not self._maps:
-            w = np.array([self.u["forward"], self.u["star"]])
-            onehot = self.labels[None, :] == np.arange(self.size)[:, None]
-            root = np.sqrt(self.ranks)[:, None, None]
-            step, parts = max(1, _STACK // self.alg.dim**2), []
-            for start in range(0, 2 * self.size, step):
-                d, x = np.divmod(np.arange(start, min(2 * self.size, start + step)), self.size)
-                cols = w[d] * onehot[x][:, None, :]
+            w, pairs, parts = np.array([self.u["forward"], self.u["star"]]), 2 * self.size, []
+            step = max(1, _STACK // self.alg.dim**2)
+            for start in range(0, pairs, step):
+                d, x = np.divmod(np.arange(start, min(pairs, start + step)), self.size)
+                cols = w[d] * (self.labels == x[:, None])[:, None, :]
                 images = cols @ dagger(w[d])
-                inter = _operator_norms((cols - images @ w[d]) / root[x])
+                root = np.sqrt(self.ranks[x])[:, None, None]
+                inter = _operator_norms((cols - images @ w[d]) / root)
                 parts.append((*self.coords(images)[:2], inter))
-            values, ties, inter = (np.concatenate(part) for part in zip(*parts))
+            values, ties, inter = (np.split(np.concatenate(part), 2) for part in zip(*parts))
             for i, name in enumerate(("forward", "star")):
-                part = slice(i * self.size, (i + 1) * self.size)
-                self._maps[name] = (values[part].T, ties[part], float(inter[part].max(initial=0.0)))
+                self._maps[name] = (values[i].T, ties[i], float(inter[i].max(initial=0.0)))
         return self._maps[direction]
 
     def injection(self, direction: str):
@@ -554,15 +551,15 @@ class _AtomFrame:
     def span_basis(self, values: np.ndarray, ties: np.ndarray):
         """Rows orthonormal under the trace inner product that span the
         rows of ``values``, with their ties."""
-        return self.span_bases(values[None], ties[None])[0]
+        return self.span_bases([(values, ties)])[0]
 
-    def span_bases(self, values: np.ndarray, ties: np.ndarray) -> list:
-        """:meth:`span_basis` of each matrix of a (k, rows, atoms) stack
-        with ties (k, rows), from one batched SVD."""
+    def span_bases(self, layers: list) -> list:
+        """:meth:`span_basis` of each ``(values, ties, ...)`` of layers
+        with one row count, from one batched SVD."""
         root = np.sqrt(self.ranks)
-        left, s, vh = np.linalg.svd(values * root, full_matrices=False)
+        left, s, vh = np.linalg.svd(np.array([x[0] for x in layers]) * root, full_matrices=False)
         bases = []
-        for lk, sk, vk, tk in zip(left, s, vh, ties):
+        for lk, sk, vk, (_, tk, *_) in zip(left, s, vh, layers):
             keep = sk > DROP_THRESHOLD * max(1.0, float(sk[0]))
             coef = dagger(lk[:, keep]) / sk[keep][:, None]
             bases.append((vk[keep] / root, np.abs(coef) @ tk))
@@ -878,14 +875,6 @@ def _commutator_max(one: list, other: list, layer=None) -> float:
     return worst
 
 
-def _layers_commutator(layers: list) -> float:
-    """Bound on the commutators of elements in different layers, each
-    ``(values, ties, off)`` (:func:`_commutator_bounds`)."""
-    rows = _rows(layers)
-    layer = np.repeat(np.arange(len(layers)), [len(t) for _, t, _ in layers])
-    return _commutator_max(rows, rows, layer)
-
-
 def _projection_defects(values: np.ndarray, ties: np.ndarray):
     """Per row, bounds on ||X^2 - X|| and ||X - X*|| for X = x + E with x
     the atom function of the row's values and ||E|| <= its tie:
@@ -915,26 +904,13 @@ def _chain_defect(values: np.ndarray, ties: np.ndarray) -> float:
     return worst
 
 
-def _norm_bound(values: np.ndarray, ties: np.ndarray) -> float:
-    return float(np.abs(values).max(initial=0.0) + ties.max(initial=0.0))
-
-
-def _span_bases(frame: _AtomFrame, layers: list) -> list:
-    """The orthonormal basis of each layer's span, with its ties
-    (:meth:`_AtomFrame.span_bases`; the layers have one row count)."""
-    return frame.span_bases(*(np.array(part) for part in list(zip(*layers))[:2]))
-
-
 def _layer_product_defect(frame: _AtomFrame, layers: list, bases: list) -> float:
     """Worst residual of layer_k . layer_l against span(layer_k), l <= k,
     plus the ties of the factors and of the span; ``bases`` are the
-    layers' (:func:`_span_bases`).
-
-    The layers have one row count, so the products of layer k with the
-    layers l <= k are one (l, row pair, atom) stack, projected in blocks of
-    layers of at most ``_BLOCK`` entries, or one layer; each product is
-    projected as a matrix of its own, as it would be alone."""
-    bounds = np.array([_norm_bound(v, t) for v, t, _ in layers])
+    layers' (:meth:`_AtomFrame.span_bases`).  The products of layer k with
+    the layers l <= k are one (l, row pair, atom) stack, projected in blocks
+    of at most ``_BLOCK`` entries, or one layer, each product on its own."""
+    bounds = np.array([np.abs(v).max(initial=0.0) + t.max(initial=0.0) for v, t, _ in layers])
     tops = np.array([t.max() for _, t, _ in layers])
     worst = 0.0
     for k, ((values, _, _), (basis, basis_ties)) in enumerate(zip(layers, bases)):
@@ -942,7 +918,7 @@ def _layer_product_defect(frame: _AtomFrame, layers: list, bases: list) -> float
         step = max(1, _BLOCK // max(1, values.size * len(values)))
         for start in range(0, k + 1, step):
             low = np.array([v for v, _, _ in layers[start : min(k + 1, start + step)]])
-            prods = (values[None, :, None, :] * low[:, None, :, :]).reshape(len(low), -1, frame.size)
+            prods = (values[None, :, None] * low[:, None]).reshape(len(low), -1, frame.size)
             res = frame.span_residuals(prods, basis) + tie[start : start + len(low)]
             worst = max(worst, float(res.max()))
     return worst
@@ -1002,10 +978,13 @@ def _tower_theorems(
     seed = frame.basis_coords(t.a0)
     seed_layers = {d: frame.layers(*seed, d, depth_seed) for d in ("star", "forward")}
     for direction in ("star", "forward"):
-        record(f"{direction}_layers_commute", _layers_commutator(seed_layers[direction]))
+        # commutators of elements in different layers
+        layer = np.repeat(np.arange(len(seed_layers[direction])), len(seed[1]))
+        rows = _rows(seed_layers[direction])
+        record(f"{direction}_layers_commute", _commutator_max(rows, rows, layer))
 
     inf_star = frame.layers(*frame.basis_coords(t.a_inf), "star", len(t.n_a_inf_list))
-    bases = _span_bases(frame, inf_star)
+    bases = frame.span_bases(inf_star)
     record("layer_products", _layer_product_defect(frame, inf_star, bases))
     inf_values, inf_ties, _ = (np.concatenate(part) for part in zip(*inf_star))
     level = _value_classes(inf_values, tol)
@@ -1013,7 +992,7 @@ def _tower_theorems(
 
     seed_layers_checked = t.hypotheses.strong_holds
     if seed_layers_checked:
-        bases = _span_bases(frame, seed_layers["star"])
+        bases = frame.span_bases(seed_layers["star"])
         record("layer_products_seed", _layer_product_defect(frame, seed_layers["star"], bases))
         top = seed_layers["star"][len(t.na_list) - 1]
         cls, eps = frame.classes(t.na_list[-1])
@@ -1024,16 +1003,14 @@ def _tower_theorems(
     def mapped_defect(pairs, direction) -> float:
         """Largest residual of d(src's basis) in the level dst over the
         pairs (src, dst), with every basis gathered at once."""
-        coords = [frame.basis_coords(src) for src, _ in pairs]
-        if not coords:
+        if not pairs:
             return 0.0
-        stacked = (np.concatenate(part) for part in zip(*coords))
-        values, ties, _ = frame.layers(*stacked, direction, 1)[1]
-        ends = np.cumsum([len(e) for _, e in coords])
-        residuals = []
-        for (_, dst), start, end in zip(pairs, np.concatenate(([0], ends[:-1])), ends):
+        coords = [frame.basis_coords(src) for src, _ in pairs]
+        values, ties, _ = frame.layers(*map(np.concatenate, zip(*coords)), direction, 1)[1]
+        ends, residuals = np.cumsum([0] + [len(e) for _, e in coords]), []
+        for (_, dst), lo, hi in zip(pairs, ends, ends[1:]):
             cls, eps = frame.classes(dst)
-            residuals.append(frame.class_residual(values[start:end], cls) + ties[start:end].max() + eps)
+            residuals.append(frame.class_residual(values[lo:hi], cls) + ties[lo:hi].max() + eps)
         return max(residuals)
 
     seq = t.n_a_inf_list

@@ -151,8 +151,8 @@ def ref_span_basis(frame, values, ties):
     return vh[keep] / root, np.abs(coef) @ ties
 
 
-def ref_span_bases(frame, values, ties):
-    return [ref_span_basis(frame, v, t) for v, t in zip(values, ties)]
+def ref_span_bases(frame, layers):
+    return [ref_span_basis(frame, v, t) for v, t, *_ in layers]
 
 
 def ref_span_residual(frame, values, basis) -> float:
@@ -230,21 +230,43 @@ ORACLES = [
     (tower._AtomFrame, "span_bases", ref_span_bases),
     (tower._AtomFrame, "span_residuals", ref_span_residuals),
     (tower, "_commutator_max", ref_commutator_max),
-    (tower, "_layers_commutator", ref_layers_commutator),
     (tower, "_layer_product_defect", ref_layer_product_defect),
     (relation, "_sum_form_residual", ref_sum_form_residual),
 ]
 
 
 def ref_hypotheses_commutators(frame, a0, kmax):
-    """The hypotheses' commutators of the seed and of Q_1 with delta^k of
-    the seed, one layer at a time."""
+    """The hypotheses' commutators, by name: of the seed and of Q_1 with
+    delta^k of the seed one layer at a time, and of the Q_k and Q_1 with
+    the seed."""
     values, ties = frame.basis_coords(a0)
     seed = (values, ties, ties)
     q, q_ties, q_off = frame.powers(kmax)[3]
     q1 = (q[:1], q_ties[:1], q_off[:1])
     fwd = ref_layers(frame, values, ties, "forward", kmax)
-    return tuple(max(ref_layers_commutator([x, layer]) for layer in fwd) for x in (seed, q1))
+    return {
+        "delta_star_powers_of_1_commute_with_seed": ref_layers_commutator(
+            [(q, q_ties, q_off), seed]
+        ),
+        "delta_powers_of_seed_commute_with_seed": max(
+            ref_layers_commutator([seed, layer]) for layer in fwd
+        ),
+        "delta_star_of_1_commutes_with_delta_powers": max(
+            ref_layers_commutator([q1, layer]) for layer in fwd
+        ),
+        "delta_star_of_1_commutes_with_seed": ref_layers_commutator([q1, seed]),
+    }
+
+
+def ref_layers_commute(t, frame):
+    """The tower theorems' commutators of the seed's layers, one layer
+    boundary at a time."""
+    seed = frame.basis_coords(t.a0)
+    depth = max(len(t.na_list), len(t.an_list))
+    return {
+        f"{d}_layers_commute": ref_layers_commutator(ref_layers(frame, *seed, d, depth))
+        for d in ("star", "forward")
+    }
 
 
 def ref_extended(an):
@@ -375,16 +397,13 @@ def test_checks_with_a_batched_inner_loop_give_the_bits_of_the_loop(a):
         return
     t, frame = an.tower, an.frame
     details = t.hypotheses.details
-    want = ref_hypotheses_commutators(frame, an.seed, an.matrix.shape[0])
-    got = tuple(details[name] for name in (
-        "delta_powers_of_seed_commute_with_seed", "delta_star_of_1_commutes_with_delta_powers"
-    ))
-    assert bits(got) == bits(want)
+    for name, residual in ref_hypotheses_commutators(frame, an.seed, an.matrix.shape[0]).items():
+        assert bits(details[name]) == bits(residual), name
     rep = pk.theorem22_report(an)
     extended = {c.name: c.residual for c in rep.checks}["delta_powers_in_extended_algebra"]
     assert bits(extended) == bits(ref_extended(an))
     checks = pk.coefficient_algebra(an).theorems.checks
-    for name, residual in ref_mapped_levels(t, frame).items():
+    for name, residual in {**ref_mapped_levels(t, frame), **ref_layers_commute(t, frame)}.items():
         assert bits(checks[name][1]) == bits(residual), name
 
 

@@ -75,7 +75,9 @@ def test_atom_basis_that_is_not_unitary_is_a_model_mismatch(shift4):
     u = pk.polar_decompose(shift4).u
     with pytest.raises(pk.ModelMismatch) as exc:
         pk.GradedModel(u, alg)
-    assert str(exc.value) == "the coefficient algebra's atom basis is not unitary (defect 2.400e+01)"
+    assert str(exc.value) == (
+        "the coefficient algebra's atom basis is not unitary (defect 2.400e+01)"
+    )
     # the rule of the tower's commutativity check, which refuses it too
     with pytest.raises(pk.HypothesisViolated, match="not commutative"):
         pk.build_tower(alg, pk.endo_pair(u))
