@@ -38,9 +38,9 @@ import numpy as np
 from .errors import NotHermitian
 from .linalg import (
     DEFAULT_TOL,
+    _operator_norms,
     as_matrix,
     dagger,
-    _operator_norms,
     eig_groups,
     hermitian_eig,
     operator_norm,
@@ -260,23 +260,7 @@ def is_function_of(b, a, tol: float = DEFAULT_TOL) -> FunctionCertificate:
     """
     bm = as_matrix(b)
     scale_b = _normal_scale(bm, tol)
-    return _function_certificate(bm, scale_b, _eigenspaces(a, tol), tol)
-
-
-def _normal_scale(bm: np.ndarray, tol: float) -> float:
-    """1 + ||b||, once b passes the normality test of :func:`is_function_of`;
-    its self-commutator and ||b|| are one stack."""
-    comm, norm = _operator_norms([bm @ dagger(bm) - dagger(bm) @ bm, bm])
-    scale_b = 1.0 + float(norm)
-    if comm > tol * scale_b * scale_b:
-        raise NotHermitian(f"b is neither Hermitian nor normal (self-commutator {comm:.3e})")
-    return scale_b
-
-
-def _function_certificate(bm: np.ndarray, scale_b: float, spaces, tol: float):
-    """:func:`is_function_of` for a normal b of scale ``scale_b`` on the
-    eigenspaces ``spaces`` of a (:func:`_eigenspaces`)."""
-    w, v, groups, _ = spaces
+    w, v, groups, _ = _eigenspaces(a, tol)
     labels = _labels(groups)
     starts, sizes = ranges = _atom_ranges(labels)
     resid, values = _block_constant_defect(dagger(v) @ bm @ v, labels, ranges)
@@ -291,6 +275,16 @@ def _function_certificate(bm: np.ndarray, scale_b: float, spaces, tol: float):
     return FunctionCertificate(
         exists=exists, residual=defect, table=table, worst_eigenvalue=worst
     )
+
+
+def _normal_scale(bm: np.ndarray, tol: float) -> float:
+    """1 + ||b||, once b passes the normality test of :func:`is_function_of`;
+    its self-commutator and ||b|| are one stack."""
+    comm, norm = _operator_norms([bm @ dagger(bm) - dagger(bm) @ bm, bm])
+    scale_b = 1.0 + float(norm)
+    if comm > tol * scale_b * scale_b:
+        raise NotHermitian(f"b is neither Hermitian nor normal (self-commutator {comm:.3e})")
+    return scale_b
 
 
 def _refine(v: np.ndarray, blocks, h: np.ndarray, gap: float) -> list[np.ndarray]:

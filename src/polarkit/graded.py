@@ -113,8 +113,9 @@ class GradedModel:
     stored by its atoms (typically the double-closure coefficient algebra
     of a seed, or simply the diagonal algebra for shift models); any other
     algebra, or one whose atom basis v is not unitary (the rule of the
-    tower's commutativity check), is a :class:`ModelMismatch`.  u^k, u*^k and P_k = u^k u*^k
-    are each computed once per k; the cached u*^k and P_k are read-only.
+    tower's commutativity check), is a :class:`ModelMismatch`.  u^k, u*^k
+    and P_k = u^k u*^k are each computed once per k; the cached u*^k and
+    P_k are read-only.
     The gathers of delta and delta_* on the atoms of the algebra, which
     products run on, are derived and checked on the first product.
     """
@@ -226,7 +227,8 @@ class GradedModel:
         :class:`ModelMismatch` naming its entry of ``degrees``.
         """
         alg = self.algebra
-        defect, values = _block_constant_defect(alg._vh @ mats @ alg.v, alg.labels, alg._ranges)
+        rot = alg._vh @ mats @ alg.v
+        defect, values = _block_constant_defect(rot, alg.labels, alg._ranges)
         # the largest atom value is at most ||beta||, so a Frobenius norm
         # under tol * (1 + that value) clears a coefficient; the operator
         # norms are taken only for the rest

@@ -222,8 +222,6 @@ ORACLES = [
     (algebra, "hermitian_eig", ref_hermitian_eig),
     (algebra, "_normal_scale", ref_normal_scale),
     (relation, "_normal_scale", ref_normal_scale),
-    (algebra, "_function_certificate", ref_function_certificate),
-    (relation, "_function_certificate", ref_function_certificate),
     (tower, "partial_isometry_report", ref_partial_isometry_report),
     (tower._AtomFrame, "layers", ref_layers),
     (tower._AtomFrame, "atom_map", ref_atom_map),
