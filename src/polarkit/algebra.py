@@ -118,8 +118,7 @@ class SpectralAlgebra(MatrixAlgebra):
     def residual(self, m) -> float:
         """Block-constant defect of m in the atom basis; for a (k, n, n)
         stack, the largest over the stack."""
-        rot = dagger(self.v) @ np.asarray(m, dtype=np.complex128) @ self.v
-        return operator_norm(_block_constant_defect(rot, self.labels, self._ranges)[0])
+        return _atom_residual(self.v, self.labels, np.asarray(m, dtype=np.complex128))
 
 
 def _eigenspaces(h, tol: float):
@@ -243,6 +242,13 @@ def _block_constant_defect(rot: np.ndarray, labels: np.ndarray, ranges):
     cols = np.arange(labels.size)
     defect[..., cols, cols] -= means[..., labels]
     return defect, means
+
+
+def _atom_residual(v: np.ndarray, labels: np.ndarray, stack: np.ndarray) -> float:
+    """Largest block-constant defect of a (..., n, n) stack in the atoms
+    (v, labels)."""
+    rot = dagger(v) @ stack @ v
+    return operator_norm(_block_constant_defect(rot, labels, _atom_ranges(labels))[0])
 
 
 def is_function_of(b, a, tol: float = DEFAULT_TOL) -> FunctionCertificate:

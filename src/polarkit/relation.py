@@ -39,7 +39,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MatrixAlgebra, _atom_means, _normal_scale, is_function_of, spectral_algebra
+from .algebra import (
+    MatrixAlgebra,
+    _atom_algebra,
+    _atom_means,
+    _atom_residual,
+    _eigenspaces,
+    _labels,
+    _normal_scale,
+    is_function_of,
+)
 from .errors import PolarkitError, RelationViolated
 from .graded import GradedModel
 from .isometry import ConditionCheck
@@ -104,8 +113,9 @@ class Analysis:
     """One operator and everything derived from it, each piece once.
 
     Each field is derived on first read from the ones before it: ``pd``
-    (the polar parts), ``seed`` (C*(1, |a|)), ``certificate`` (the
-    defining-relation test), ``pair`` (U validated as a partial isometry),
+    (the polar parts), ``spaces`` (the eigenspaces of |a|), ``seed``
+    (C*(1, |a|), their algebra), ``certificate`` (the defining-relation
+    test), ``pair`` (U validated as a partial isometry),
     ``tower`` (both towers over the seed), ``frame`` (the atoms of the
     tower's double closure, with U in their basis), ``model`` (U over that
     double closure), ``structure`` (the blocks of B, given the relation)
@@ -121,7 +131,8 @@ class Analysis:
         self._memo: dict = {}
 
     pd = _once(lambda an: polar_decompose(an.matrix, tol=an.tol))
-    seed = _once(lambda an: spectral_algebra(an.pd.pos, tol=an.tol))
+    spaces = _once(lambda an: _eigenspaces(an.pd.pos, an.tol))
+    seed = _once(lambda an: _atom_algebra(an.spaces[1], an.spaces[2]))
     certificate = _once(lambda an: verify_I1(an))
     pair = _once(lambda an: endo_pair(an.pd.u, tol=an.tol))
     tower = _once(lambda an: build_tower(an.seed, an.pair, tol=an.tol))
@@ -148,9 +159,9 @@ def verify_I1(a, tol: float = DEFAULT_TOL) -> RelationCertificate:
     Both formulations are evaluated: aa* as a function of a*a, and
     U|a|U* as a function of |a| with U, |a| the polar parts.  They are
     equivalent statements, so the two booleans are expected to agree;
-    both residuals are reported.  The second is membership in the seed
-    C*(1, |a|), read on its atoms, so the eigenspaces of |a| are taken
-    once for the gate and the seed.
+    both residuals are reported.  The second is the defect of U|a|U*
+    from being scalar on the eigenspaces of |a|, the atoms of the seed
+    C*(1, |a|), which are taken once for the gate and the seed.
     """
     an = _analysis(a, tol)
     am = an.matrix
@@ -158,7 +169,8 @@ def verify_I1(a, tol: float = DEFAULT_TOL) -> RelationCertificate:
     pd = an.pd
     mid = pd.u @ pd.pos @ dagger(pd.u)
     scale = _normal_scale(mid, an.tol)
-    conjugate = an.seed.residual(mid)
+    _, v, groups, _ = an.spaces
+    conjugate = _atom_residual(v, _labels(groups), mid)
     table = tuple((float(ev), float(val.real)) for ev, val in cert.table)
     return RelationCertificate(
         holds=cert.exists,
