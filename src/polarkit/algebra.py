@@ -4,28 +4,29 @@ by their atoms, and the explicit linear spans the commutant returns.
 At desk scale a C*-algebra of n x n matrices is just a linear subspace of
 M_n closed under products and adjoints, so norm closure never enters.  A
 commutative *-algebra with 1 is C(X) for the finite set X of its minimal
-projections ("atoms"), so :class:`SpectralAlgebra` stores a unitary v and
-one atom label per column of v.  Its members are the matrices that are
-scalar on every atom in that basis, so membership is a block-constant
-defect and needs no basis at all; the basis P_x / sqrt(rank P_x) is kept
-for callers that read one.  Every algebra the package builds is one:
-``spectral_algebra`` builds C*(1, h) for Hermitian h from
-eigenprojections; ``_refine`` is the one step that splits atoms by a
-Hermitian matrix, and the towers of ``tower.py`` build every level with
-it.  ``is_function_of`` is the membership test for algebras of the form
-C*(1, h).  Eigenvalues of h are grouped by one rule, ``_eigenspaces``.
+projections ("atoms"), so :class:`SpectralAlgebra` is only a unitary v
+and one atom label per column of v, and its dimension is |X|.  Its
+members are the matrices that are scalar on every atom in that basis, so
+membership is a block-constant defect and needs no basis at all.  Every
+algebra the package builds is one: ``spectral_algebra`` builds C*(1, h)
+for Hermitian h from eigenprojections; ``_refine`` is the one step that
+splits atoms by a Hermitian matrix, and the towers of ``tower.py`` build
+every level with it.  ``is_function_of`` is the membership test for
+algebras of the form C*(1, h).  Eigenvalues of h are grouped by one rule,
+``_eigenspaces``.
 
 :class:`MatrixAlgebra` is an orthonormal basis under the trace inner
-product <X, Y> = tr(X* Y), with membership as projection defect; only
-``commutant`` and ``bicommutant`` (a Kronecker null space, O(n^5) memory)
-return one.  A finite-dimensional *-algebra with 1 is its own
-bicommutant, so no check of the package needs them; they stay public as
-the reference oracle of that theorem, which the benchmark's sweep runs
-on C*(1, |a|).  The tower and the graded model refuse a span algebra.
+product <X, Y> = tr(X* Y); only ``commutant`` and ``bicommutant`` (a
+Kronecker null space, O(n^5) memory) return one, and no other module
+names it.  A finite-dimensional *-algebra with 1 is its own bicommutant,
+so no check of the package needs them; they stay public as the reference
+oracle of that theorem, which the benchmark's sweep runs on C*(1, |a|).
+An atom algebra enters the commutant as its projection rows
+P_x / sqrt(rank P_x), formed for that call only.  The tower and the
+graded model refuse a span algebra.
 
 Every residual is an operator norm; one over many matrices is one
-``operator_norm`` call on their stack (``MatrixAlgebra.residual`` takes
-stacks too).
+``operator_norm`` call on their stack.
 """
 
 from __future__ import annotations
@@ -70,35 +71,22 @@ class MatrixAlgebra:
     def dimension(self) -> int:
         return int(self.basis.shape[0])
 
-    def _flat(self) -> np.ndarray:
-        return self.basis.reshape(self.dimension, -1)
-
-    def residual(self, m) -> float:
-        """Operator norm of m minus its trace-orthogonal projection onto
-        the span; for a (k, n, n) stack, the largest over the stack, with
-        the whole stack projected in one product."""
-        ms = np.asarray(m, dtype=np.complex128).reshape(-1, self.dim * self.dim)
-        if self.dimension:
-            flat = self._flat()
-            ms = ms - (ms @ flat.conj().T) @ flat
-        return operator_norm(ms.reshape(-1, self.dim, self.dim))
-
 
 @dataclass(frozen=True)
-class SpectralAlgebra(MatrixAlgebra):
+class SpectralAlgebra:
     """A commutative *-algebra with 1, stored by its atoms.
 
     ``v`` is unitary and ``labels[i]`` names the atom of column i; each
     atom is a consecutive range of columns, so ``labels`` runs 0, 0, .., 1,
     .. upward.  The algebra is every matrix that is scalar on each atom in
-    the basis v, and ``basis`` holds P_x / sqrt(rank P_x) per atom x.
+    the basis v, so its dimension is the number of atoms.
     """
 
-    v: np.ndarray = None
-    labels: np.ndarray = None
+    dim: int
+    v: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        super().__post_init__()
         self.v.setflags(write=False)
         self.labels.setflags(write=False)
 
@@ -111,14 +99,13 @@ class SpectralAlgebra(MatrixAlgebra):
         return np.ascontiguousarray(dagger(self.v))
 
     @property
+    def dimension(self) -> int:
+        return len(self._ranges[0])
+
+    @property
     def blocks(self) -> list[np.ndarray]:
         """The column ranges of v, one per atom."""
         return np.split(np.arange(self.dim), self._ranges[0][1:])
-
-    def residual(self, m) -> float:
-        """Block-constant defect of m in the atom basis; for a (k, n, n)
-        stack, the largest over the stack."""
-        return _atom_residual(self.v, self.labels, np.asarray(m, dtype=np.complex128))
 
 
 def _eigenspaces(h, tol: float):
@@ -153,9 +140,7 @@ def _atom_ranges(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _atom_algebra(v: np.ndarray, groups) -> SpectralAlgebra:
     """The commutative algebra whose atoms are the consecutive column
     groups of unitary v."""
-    return SpectralAlgebra(
-        dim=v.shape[0], basis=_projection_basis(v, groups), v=v, labels=_labels(groups)
-    )
+    return SpectralAlgebra(dim=v.shape[0], v=v, labels=_labels(groups))
 
 
 def spectral_algebra(h, tol: float = DEFAULT_TOL) -> SpectralAlgebra:
@@ -177,9 +162,15 @@ def commutant(a, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     null directions are the right singular vectors with singular value at
     most ``tol * (1 + s_max)``; because no squaring happens, the noise floor
     sits at machine precision, far below any honest tolerance.  The input
-    list is closed under adjoints first so the result is a *-algebra.
+    list is closed under adjoints first so the result is a *-algebra.  An
+    algebra stored by its atoms enters as the rows P_x / sqrt(rank P_x).
     """
-    mats = list(a.basis) if isinstance(a, MatrixAlgebra) else [as_matrix(g) for g in a]
+    if isinstance(a, SpectralAlgebra):
+        mats = list(_projection_basis(a.v, a.blocks))
+    elif isinstance(a, MatrixAlgebra):
+        mats = list(a.basis)
+    else:
+        mats = [as_matrix(g) for g in a]
     if not mats:
         raise ValueError("commutant needs at least one matrix")
     n = mats[0].shape[0]

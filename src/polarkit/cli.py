@@ -34,7 +34,7 @@ from .errors import (
 )
 from .graded import norm_estimate
 from .isometry import partial_isometry_report
-from .linalg import DEFAULT_TOL, dagger, operator_norm, polar_decompose
+from .linalg import DEFAULT_TOL
 from .models import build
 from .relation import (
     Analysis,
@@ -112,18 +112,17 @@ def _load_model_obj(text: str):
     return load_json(text)
 
 
-def _load_operator(args) -> np.ndarray:
-    """The operator of --model or --in; a ParseError when a*a overflows."""
+def _load_analysis(args) -> Analysis:
+    """The operator of --model or --in, at the resolved tolerance; an
+    InvalidSpec when a*a overflows."""
+    tol = _resolve_tol(args)
     if getattr(args, "model", None):
         a = build(model_spec_from_json(_load_model_obj(args.model)))
     elif getattr(args, "infile", None):
         a = read_matrix(args.infile)
     else:
         raise ConfigError("need --in MATRIX.json or --model SPEC")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(dagger(a) @ a).all():
-            raise ParseError(f"a*a overflows double precision (largest entry {np.abs(a).max():.3e})")
-    return a
+    return Analysis(a, tol)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -149,11 +148,10 @@ def _check_list(checks) -> tuple[list[dict], list[str]]:
 
 
 def _cmd_polar_decompose(args) -> int:
-    tol = _resolve_tol(args)
-    a = _load_operator(args)
-    pd = polar_decompose(a, tol=tol)
+    an = _load_analysis(args)
+    tol, pd = an.tol, an.pd
     rep = partial_isometry_report(pd.u, tol=tol)
-    ok = pd.residual <= tol * (1.0 + operator_norm(a)) and rep.passed and rep.consistent
+    ok = pd.residual <= tol * (1.0 + an.norm) and rep.passed and rep.consistent
     rows, check_lines = _check_list((c.name, c.passed, c.residual) for c in rep.conditions)
     payload = {
         "u": matrix_to_json(pd.u),
@@ -170,9 +168,7 @@ def _cmd_polar_decompose(args) -> int:
 
 
 def _cmd_verify_relation(args) -> int:
-    tol = _resolve_tol(args)
-    a = _load_operator(args)
-    cert = verify_I1(a, tol=tol)
+    cert = verify_I1(_load_analysis(args))
     payload = {
         "holds": cert.holds,
         "membership_residual": cert.membership_residual,
@@ -200,7 +196,7 @@ def _cmd_verify_relation(args) -> int:
 
 
 def _cmd_verify_theorems(args) -> int:
-    an = Analysis(_load_operator(args), _resolve_tol(args))
+    an = _load_analysis(args)
     cert = an.certificate
     if not cert.holds:
         payload = {
@@ -242,7 +238,7 @@ def _orbits(st: Structure) -> tuple[dict, str]:
 
 
 def _cmd_tower(args) -> int:
-    an = Analysis(_load_operator(args), _resolve_tol(args))
+    an = _load_analysis(args)
     rep = coefficient_algebra(an)
     t = rep.tower
     orbits, orbit_line = _orbits(an.structure)
@@ -300,9 +296,8 @@ def _element_coefficients(obj) -> dict:
 
 
 def _cmd_norm_estimate(args) -> int:
-    tol = _resolve_tol(args)
-    a = _load_operator(args)
-    model = graded_model_for(a, tol=tol)
+    an = _load_analysis(args)
+    tol, model = an.tol, graded_model_for(an)
     if args.element:
         g = model.element(_element_coefficients(load_json(args.element)), enforce_support=True)
     else:
@@ -360,7 +355,7 @@ def _cmd_normal_order(args) -> int:
 
 
 def _cmd_algebra_info(args) -> int:
-    an = Analysis(_load_operator(args), _resolve_tol(args))
+    an = _load_analysis(args)
     st = an.structure
     tower = an.tower
     orbits, orbit_line = _orbits(st)

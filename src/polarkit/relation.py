@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    MatrixAlgebra,
+    SpectralAlgebra,
     _atom_algebra,
     _atom_means,
     _atom_residual,
@@ -49,7 +49,7 @@ from .algebra import (
     _normal_scale,
     is_function_of,
 )
-from .errors import PolarkitError, RelationViolated
+from .errors import InvalidSpec, PolarkitError, RelationViolated
 from .graded import GradedModel
 from .isometry import ConditionCheck
 from .linalg import DEFAULT_TOL, as_matrix, dagger, operator_norm, polar_decompose
@@ -112,10 +112,12 @@ def _once(derive):
 class Analysis:
     """One operator and everything derived from it, each piece once.
 
-    Each field is derived on first read from the ones before it: ``pd``
-    (the polar parts), ``spaces`` (the eigenspaces of |a|), ``seed``
-    (C*(1, |a|), their algebra), ``certificate`` (the defining-relation
-    test), ``pair`` (U validated as a partial isometry),
+    An a whose a*a is not finite in double precision is an
+    :class:`InvalidSpec` at once.  Each field is derived on first read
+    from the ones before it: ``norm`` (||a||), ``pd`` (the polar parts),
+    ``spaces`` (the eigenspaces of |a|), ``seed`` (C*(1, |a|), their
+    algebra), ``certificate`` (the defining-relation test), ``pair`` (U
+    validated as a partial isometry),
     ``tower`` (both towers over the seed), ``frame`` (the atoms of the
     tower's double closure, with U in their basis), ``model`` (U over that
     double closure), ``structure`` (the blocks of B, given the relation)
@@ -127,9 +129,16 @@ class Analysis:
 
     def __init__(self, a, tol: float = DEFAULT_TOL):
         self.matrix = as_matrix(a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(dagger(self.matrix) @ self.matrix).all():
+                raise InvalidSpec(
+                    "a*a overflows double precision "
+                    f"(largest entry {np.abs(self.matrix).max():.3e})"
+                )
         self.tol = tol
         self._memo: dict = {}
 
+    norm = _once(lambda an: operator_norm(an.matrix))
     pd = _once(lambda an: polar_decompose(an.matrix, tol=an.tol))
     spaces = _once(lambda an: _eigenspaces(an.pd.pos, an.tol))
     seed = _once(lambda an: _atom_algebra(an.spaces[1], an.spaces[2]))
@@ -263,7 +272,7 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     frame = an.frame
     n = an.matrix.shape[0]
     images, taus, (p, p_ties, _), (q, q_ties, _) = frame.powers(n)
-    scale = 1.0 + operator_norm(an.matrix)
+    scale = 1.0 + an.norm
     thr = tol * (scale * scale)
 
     cls, eps = frame.classes(an.seed)
@@ -353,7 +362,7 @@ class CoefficientAlgebraReport:
     structure: dict[str, tuple[bool, float]]
 
     @property
-    def algebra(self) -> MatrixAlgebra:
+    def algebra(self) -> SpectralAlgebra:
         return self.tower.inf_a_inf
 
     @property
@@ -405,7 +414,7 @@ def coefficient_algebra(a, tol: float = DEFAULT_TOL) -> CoefficientAlgebraReport
     tower, frame = an.tower, an.frame
     theorems, inf_star = _tower_theorems(tower, an.pair, frame, tol)
 
-    scale = 1.0 + operator_norm(an.matrix)
+    scale = 1.0 + an.norm
     star_levels = _sum_form_residual(frame, inf_star, tower.n_a_inf_list)
     fwd_stab = tower.stabilization.get("forward_from_star_limit", 0)
     fwd_layers = frame.layers(*frame.basis_coords(tower.inf_a), "forward", fwd_stab)

@@ -133,7 +133,7 @@ def _nilpotent_model(an: Analysis):
 def _suite_polar(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> list[dict]:
     tol = config.tol
     pd = an.pd
-    scale = 1.0 + operator_norm(an.matrix)
+    scale = 1.0 + an.norm
     checks = [
         _check("factor_residual", "polar.residual", pd.residual <= tol * scale, pd.residual)
     ]
@@ -325,8 +325,8 @@ def run_suite(config: SuiteConfig) -> dict:
     """Execute the configured suites over every model.
 
     Returns the report dict; precondition failures (a model violating
-    the defining relation, say, or a numpy ``LinAlgError`` on a badly
-    scaled matrix) are recorded as failed checks rather than raised, so
+    the defining relation, say, an a*a that overflows, or a numpy
+    ``LinAlgError``) are recorded as failed checks rather than raised, so
     one bad model never hides the others.  Every suite
     of a model reads one shared :class:`Analysis`, so the polar parts,
     the relation gate, the tower and the closure of C*(1) that the

@@ -9,6 +9,12 @@ eigenvalues, which is why no runtime path uses them.  ``project``,
 ``contains`` and ``algebras_equal`` are the membership tests the tests
 read algebras by.
 
+``basis_of`` is the one way the tests read an orthonormal basis off an
+algebra: a span's rows, or the rows P_x / sqrt(rank P_x) of an algebra
+stored by its atoms, which the package never keeps.  ``residual`` is the
+projection defect of a span and the block-constant defect of an atom
+algebra.
+
 ``joint_eigenbasis`` and ``nonunital_seed`` are the dense eigenspace
 oracles of the ten-property report: the atoms of a commuting Hermitian
 family, and the algebra |a| generates without the identity.
@@ -23,11 +29,13 @@ import numpy as np
 from polarkit.algebra import (
     DROP_THRESHOLD,
     MatrixAlgebra,
+    SpectralAlgebra,
+    _atom_residual,
     _eigenspaces,
     _projection_basis,
     _refine,
 )
-from polarkit.linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger
+from polarkit.linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger, operator_norm
 from polarkit.tower import _double_closure, _hypotheses
 
 
@@ -133,22 +141,44 @@ def linear_span(mats) -> MatrixAlgebra:
     return MatrixAlgebra(dim=n, basis=basis)
 
 
-def project(alg: MatrixAlgebra, m) -> np.ndarray:
+def basis_of(alg) -> np.ndarray:
+    """The (k, n, n) orthonormal basis of alg: a span's rows, or the atom
+    projections P_x / sqrt(rank P_x) of an algebra stored by its atoms."""
+    if isinstance(alg, SpectralAlgebra):
+        return _projection_basis(alg.v, alg.blocks)
+    return alg.basis
+
+
+def residual(alg, m) -> float:
+    """Operator norm of m minus its part in alg; for a (k, n, n) stack, the
+    largest over the stack.  A span projects the whole stack in one
+    product; an atom algebra reads the block-constant defect in v."""
+    ms = np.asarray(m, dtype=np.complex128)
+    if isinstance(alg, SpectralAlgebra):
+        return _atom_residual(alg.v, alg.labels, ms)
+    ms = ms.reshape(-1, alg.dim * alg.dim)
+    if alg.dimension:
+        flat = alg.basis.reshape(alg.dimension, -1)
+        ms = ms - (ms @ flat.conj().T) @ flat
+    return operator_norm(ms.reshape(-1, alg.dim, alg.dim))
+
+
+def project(alg, m) -> np.ndarray:
     """Trace-orthogonal projection of m onto the span of alg's basis."""
-    flat = alg.basis.reshape(alg.dimension, alg.dim * alg.dim)
+    flat = basis_of(alg).reshape(alg.dimension, alg.dim * alg.dim)
     return ((flat.conj() @ as_matrix(m).ravel()) @ flat).reshape(alg.dim, alg.dim)
 
 
-def contains(alg: MatrixAlgebra, m, tol: float = 1e-9) -> tuple[bool, float]:
+def contains(alg, m, tol: float = 1e-9) -> tuple[bool, float]:
     """(member, residual): alg's residual of m, against tol * (1 + ||m||)."""
     mat = as_matrix(m)
-    res = alg.residual(mat)
+    res = residual(alg, mat)
     return res <= tol * (1.0 + float(np.linalg.norm(mat, 2))), res
 
 
-def algebras_equal(a: MatrixAlgebra, b: MatrixAlgebra, tol: float = 1e-9) -> tuple[bool, float]:
+def algebras_equal(a, b, tol: float = 1e-9) -> tuple[bool, float]:
     """Mutual containment of spans; residual is the worst projection defect."""
-    worst = max(b.residual(a.basis), a.residual(b.basis))
+    worst = max(residual(b, basis_of(a)), residual(a, basis_of(b)))
     return worst <= tol, worst
 
 
@@ -182,7 +212,7 @@ def nonunital_seed(pos, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
 
 def ref_is_commutative(alg) -> float:
     """Largest commutator norm over pairs of alg's basis, one SVD each."""
-    b = alg.basis
+    b = basis_of(alg)
     worst = 0.0
     for i in range(alg.dimension):
         for j in range(i + 1, alg.dimension):

@@ -28,6 +28,7 @@ from polarkit.relation import Analysis
 from polarkit.report import SUITE_ORDER
 
 from conftest import zoo_specs
+from span_closure import basis_of
 
 
 def ref_norm(m) -> float:
@@ -449,7 +450,7 @@ def ref_random_element(model, rng, bandwidth):
     coeffs = {}
     for d in range(-b, b + 1):
         w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        c = np.tensordot(w, model.algebra.basis, axes=(0, 0))
+        c = np.tensordot(w, basis_of(model.algebra), axes=(0, 0))
         if d != 0:
             p = ref_range_projection(model, abs(d))
             c = p @ c @ p

@@ -11,6 +11,7 @@ are no exceptions.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,3 +96,15 @@ def test_every_defined_function_has_a_caller():
     functions, methods = defined()
     assert sorted(functions - names - exported()) == []
     assert sorted(methods - attributes) == []
+
+
+def test_only_the_algebra_module_names_the_span_type():
+    # the package stores every algebra by its atoms; MatrixAlgebra, the
+    # span type the commutant returns, stays behind algebra.py and its
+    # export, and no other module names it, not even in an annotation
+    naming = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if re.search(r"\bMatrixAlgebra\b", path.read_text())
+    }
+    assert sorted(naming) == ["__init__.py", "algebra.py"]

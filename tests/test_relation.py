@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,15 @@ from polarkit.relation import Analysis
 from polarkit.tower import _AtomFrame, orbit_structure
 
 from conftest import zoo_specs
-from span_closure import algebras_equal, contains, generate, nonunital_seed, ref_is_commutative
+from span_closure import (
+    algebras_equal,
+    basis_of,
+    contains,
+    generate,
+    nonunital_seed,
+    ref_is_commutative,
+    residual,
+)
 from test_residuals import assert_theorem22_matches_per_pair_loops, ref_powers
 
 
@@ -35,6 +45,24 @@ def test_verify_I1_jordan_names_offender():
     cert = pk.verify_I1(pk.build(pk.jordan_block(3)))
     assert not cert.holds
     assert cert.offending_eigenvalue == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "a, largest",
+    (([[np.nan, 0.0], [0.0, 1.0]], "nan"), (np.diag([1e200, 1.0]), "1.000e+200")),
+    ids=("nan", "overflow"),
+)
+@pytest.mark.parametrize(
+    "view", (pk.verify_I1, pk.theorem22_report, pk.coefficient_algebra, pk.graded_model_for)
+)
+def test_a_non_finite_gram_is_an_invalid_spec(view, a, largest):
+    # the views raised "LinAlgError: SVD did not converge" on the NaN, and
+    # all but graded_model_for warned of an overflow in matmul on 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pk.InvalidSpec) as err:
+            view(a)
+    assert str(err.value) == f"a*a overflows double precision (largest entry {largest})"
 
 
 def test_nonunital_seed_excludes_kernel(shift4):
@@ -111,8 +139,8 @@ def test_seed_is_its_own_bicommutant(seed, n, moduli, conjugate):
     scale = 1.0 + pk.operator_norm(a)
     thr = an.tol * (scale * scale)
     oracle = {
-        "initial_projection_in_bicommutant": bicom.residual(q[1]) <= thr,
-        "range_projections_in_bicommutant": bicom.residual(ranges) <= thr,
+        "initial_projection_in_bicommutant": residual(bicom, q[1]) <= thr,
+        "range_projections_in_bicommutant": residual(bicom, ranges) <= thr,
     }
     passed = {c.name: c.passed for c in rep.checks}
     assert {name: passed[name] for name in oracle} == oracle
@@ -151,7 +179,7 @@ def test_coefficient_algebra_is_commutative_and_invariant(q_half_8):
     pd = pk.polar_decompose(q_half_8)
     pair = pk.endo_pair(pd.u)
     worst = 0.0
-    for b in alg.basis:
+    for b in basis_of(alg):
         for image in (pair.delta(b), pair.delta_star(b)):
             _, res = contains(alg, image)
             worst = max(worst, res)
@@ -185,7 +213,7 @@ def _bicommutant_dimension(an):
 def _window_bandwidth(an, dimension):
     """The least b whose span window {P_x U^d, U*^d P_x : d <= b}, over the
     atoms P_x of the coefficient algebra, reaches ``dimension``."""
-    atoms, u = an.model.algebra.basis, an.pd.u
+    atoms, u = basis_of(an.model.algebra), an.pd.u
     n = u.shape[0]
     window, power = [atoms], np.eye(n)
     for b in range(n):
@@ -245,7 +273,7 @@ def test_build_calB_from_graded_atoms(name):
     an = Analysis(a, CALB_TOL)
     st_b = _assert_oracles_agree(an)
     assert st_b.blocks == Analysis(plain, CALB_TOL).structure.blocks
-    assert st_b.dimension == generate([*an.seed.basis, an.pd.u], unital=True).dimension
+    assert st_b.dimension == generate([*basis_of(an.seed), an.pd.u], unital=True).dimension
 
 
 def test_build_calB_conjugated_sqrt_shift_matches_its_plain_copy():

@@ -1,11 +1,13 @@
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import polarkit as pk
+import polarkit.relation as relation
 from polarkit.report import SUITE_ORDER
 
 from conftest import zoo_specs
@@ -166,6 +168,32 @@ def test_run_suite_derives_each_fact_once_per_model(counted_zoo_run):
     assert counts == dict.fromkeys(COUNTED, len(specs))
 
 
+def test_run_suite_takes_the_norm_of_a_once_per_model(monkeypatch):
+    # _suite_polar, theorem22_report and coefficient_algebra took one each;
+    # a model whose a is its own polar part U is left out, since ||U|| is
+    # a norm SVD of the same matrix
+    svd = np.linalg.svd
+    checked = 0
+    for spec in zoo_specs():
+        a = pk.build(pk.model_spec_from_json(spec))
+        if np.array_equal(a, pk.polar_decompose(a).u):
+            continue
+        calls = []
+
+        def counting(m, *args, _a=a, **kwargs):
+            m = np.asarray(m)
+            if not kwargs.get("compute_uv", True) and m.shape == _a.shape:
+                calls.append(np.array_equal(m, _a))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        pk.run_suite(pk.config_from_json({"models": [spec], "suites": list(SUITE_ORDER)}))
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert sum(calls) == 1, spec
+        checked += 1
+    assert checked == 5
+
+
 def test_shared_analysis_matches_standalone_views(counted_zoo_run):
     specs, report, _ = counted_zoo_run
     checked = 0
@@ -301,15 +329,44 @@ def test_overflowing_level_model_is_a_build_precondition():
     assert not report["all_pass"]
 
 
-def test_linalg_error_is_a_suite_precondition():
-    # entries of 1e200 overflow a a* to inf, and the SVDs of the tower and
-    # of theorem22_report do not converge
-    bad = pk.custom([[1e200, 1e200], [0.0, 1e-200]])
+def test_overflowing_gram_is_a_build_precondition():
+    # a*a overflowed to inf: numpy warned of the overflow, the tower and
+    # theorem22 suites recorded "LinAlgError: SVD did not converge", and
+    # the other suites passed
+    bad = pk.weighted_shift((1e200, 1.0))
     good = pk.weighted_shift((1.0, 1.4142135623730951))
-    suites = ("polar", "isometry", "tower", "theorem22")
-    with np.errstate(all="ignore"):
-        report = pk.run_suite(pk.SuiteConfig(models=(bad, good), suites=suites))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = pk.run_suite(pk.SuiteConfig(models=(bad, good), suites=SUITE_ORDER))
     first, second = report["models"]
+    assert [s["name"] for s in first["suites"]] == list(SUITE_ORDER)
+    for suite in first["suites"]:
+        (check,) = suite["checks"]
+        assert check["anchor"] == "models.build"
+        assert check["error"] == (
+            "InvalidSpec: a*a overflows double precision (largest entry 1.000e+200)"
+        )
+    assert not report["all_pass"]
+    assert all(c["pass"] for s in second["suites"] for c in s["checks"])
+
+
+def test_linalg_error_is_a_suite_precondition(monkeypatch):
+    # numpy failing to factor a derived matrix fails the suites that read
+    # it, once per model, and no other model
+    bad = pk.weighted_shift((1.0, 2.0, 3.0))
+    good = pk.weighted_shift((1.0, 1.4142135623730951))
+    build_tower = relation.build_tower
+
+    def failing(seed, pair, tol):
+        if seed.dim == 4:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return build_tower(seed, pair, tol=tol)
+
+    monkeypatch.setattr(relation, "build_tower", failing)
+    suites = ("polar", "isometry", "tower", "theorem22")
+    report = pk.run_suite(pk.SuiteConfig(models=(bad, good), suites=suites))
+    first, second = report["models"]
+    assert all(c["pass"] for s in first["suites"][:2] for c in s["checks"])
     for suite in first["suites"][2:]:
         (check,) = suite["checks"]
         assert check["anchor"] == f"{suite['name']}.run"

@@ -33,6 +33,7 @@ from polarkit.tower import _unit_closure
 
 from conftest import zoo_specs
 from span_closure import (
+    basis_of,
     generate,
     joint_eigenbasis,
     linear_span,
@@ -80,17 +81,17 @@ def ref_max_commutator(xs, ys):
 
 def ref_algebras_equal(a, b):
     worst = 0.0
-    for m in a.basis:
+    for m in basis_of(a):
         worst = max(worst, ref_residual(b, m))
-    for m in b.basis:
+    for m in basis_of(b):
         worst = max(worst, ref_residual(a, m))
     return worst
 
 
 def ref_is_ideal_in(j, a):
     worst = 0.0
-    for x in j.basis:
-        for y in a.basis:
+    for x in basis_of(j):
+        for y in basis_of(a):
             worst = max(worst, ref_residual(j, x @ y), ref_residual(j, y @ x))
     return worst
 
@@ -205,19 +206,19 @@ def ref_theorem22(an):
         max(ref_norm(p_of[k] @ p_of[k] - p_of[k]) for k in ks),
         max(ref_chain(q_of, kmax), ref_chain(p_of, kmax)),
     ]
-    mult, inter = ref_morphism(u, seed_plain.basis)
-    range_res = max((ref_residual(an.seed, u @ b @ us) for b in seed_plain.basis), default=0.0)
+    mult, inter = ref_morphism(u, basis_of(seed_plain))
+    range_res = max((ref_residual(an.seed, u @ b @ us) for b in basis_of(seed_plain)), default=0.0)
     out.append(max(mult, inter, range_res))
     image_res = absorb = 0.0
     for k in ks:
         family = [pd.pos] + [p_of[j] for j in range(1, k)]
-        for b in seed_plain.basis:
+        for b in basis_of(seed_plain):
             img = upow[k] @ b @ dagger(upow[k])
             image_res = max(image_res, ref_family_defect(img, family, tol))
             absorb = max(absorb, ref_norm(p_of[k] @ img - img), ref_norm(img @ p_of[k] - img))
     out += [image_res, absorb]
     round_trip = 0.0
-    for b in seed_plain.basis:
+    for b in basis_of(seed_plain):
         round_trip = max(
             round_trip,
             ref_norm(us @ (u @ b @ us) @ u - b),
@@ -246,29 +247,29 @@ def ref_hypotheses(a0, pair, kmax):
     ds1 = [np.eye(pair.ambient_dim, dtype=np.complex128)]
     for _ in range(kmax):
         ds1.append(pair.delta_star(ds1[-1]))
-    fwd = [a0.basis]
+    fwd = [basis_of(a0)]
     for _ in range(kmax):
         fwd.append(np.array([pair.delta(m) for m in fwd[-1]]))
     return {
         "delta_star_powers_of_1_projections": max(
             max(ref_norm(x @ x - x), ref_norm(x - dagger(x))) for x in ds1
         ),
-        "delta_star_powers_of_1_commute_with_seed": ref_max_commutator(ds1, a0.basis),
+        "delta_star_powers_of_1_commute_with_seed": ref_max_commutator(ds1, basis_of(a0)),
         "delta_powers_of_seed_commute_with_seed": max(
-            ref_max_commutator(layer, a0.basis) for layer in fwd
+            ref_max_commutator(layer, basis_of(a0)) for layer in fwd
         ),
         "delta_star_of_1_commutes_with_delta_powers": max(
             ref_max_commutator([ds1[1]], layer) for layer in fwd
         ),
-        "delta_of_seed_inside_seed": max(ref_residual(a0, pair.delta(m)) for m in a0.basis),
-        "delta_star_of_1_commutes_with_seed": ref_max_commutator([ds1[1]], a0.basis),
+        "delta_of_seed_inside_seed": max(ref_residual(a0, pair.delta(m)) for m in basis_of(a0)),
+        "delta_star_of_1_commutes_with_seed": ref_max_commutator([ds1[1]], basis_of(a0)),
     }
 
 
 def ref_monotone(seq):
     worst = 0.0
     for lo, hi in zip(seq, seq[1:]):
-        for m in lo.basis:
+        for m in basis_of(lo):
             worst = max(worst, ref_residual(hi, m))
     return worst
 
@@ -298,17 +299,17 @@ def ref_tower_theorems(t, pair):
     every = t.an_list + t.na_list + t.n_a_inf_list + [t.a_inf_of_inf_a, t.inf_a_inf]
     out["commutative"] = max(ref_is_commutative(alg) for alg in every)
     depth_seed = max(len(t.na_list), len(t.an_list))
-    star_layers = ref_layers(pair, t.a0.basis, "star", depth_seed)
+    star_layers = ref_layers(pair, basis_of(t.a0), "star", depth_seed)
     for direction in ("star", "forward"):
-        layers = ref_layers(pair, t.a0.basis, direction, depth_seed)
+        layers = ref_layers(pair, basis_of(t.a0), direction, depth_seed)
         worst = 0.0
         for i in range(len(layers)):
             for j in range(i + 1, len(layers)):
                 worst = max(worst, ref_max_commutator(layers[i], layers[j]))
         out[f"{direction}_layers_commute"] = worst
-    inf_star = ref_layers(pair, t.a_inf.basis, "star", len(t.n_a_inf_list))
+    inf_star = ref_layers(pair, basis_of(t.a_inf), "star", len(t.n_a_inf_list))
     out["layer_products"] = ref_layer_products(inf_star)
-    level = generate(list(t.a_inf.basis) + [m for st in inf_star for m in st], unital=True)
+    level = generate(list(basis_of(t.a_inf)) + [m for st in inf_star for m in st], unital=True)
     out["top_layer_ideal"] = ref_is_ideal_in(linear_span(list(inf_star[-1])), level)
     if t.hypotheses.strong_holds:
         out["layer_products_seed"] = ref_layer_products(star_layers)
@@ -318,7 +319,7 @@ def ref_tower_theorems(t, pair):
     down = up = 0.0
     for n, alg in enumerate(seq):
         up_target = seq[n + 1] if n + 1 < len(seq) else t.inf_a_inf
-        for m in alg.basis:
+        for m in basis_of(alg):
             if n >= 1:
                 down = max(down, ref_residual(seq[n - 1], pair.delta(m)))
             up = max(up, ref_residual(up_target, pair.delta_star(m)))
@@ -326,10 +327,10 @@ def ref_tower_theorems(t, pair):
     out["delta_star_raises_level"] = up
     big = t.inf_a_inf
     worst_d = worst_ds = inter = 0.0
-    for x in big.basis:
+    for x in basis_of(big):
         worst_d = max(worst_d, ref_residual(big, pair.delta(x)))
         worst_ds = max(worst_ds, ref_residual(big, pair.delta_star(x)))
-        for y in big.basis:
+        for y in basis_of(big):
             worst_d = max(worst_d, ref_norm(pair.delta(x @ y) - pair.delta(x) @ pair.delta(y)))
             worst_ds = max(
                 worst_ds,
@@ -344,13 +345,13 @@ def ref_tower_theorems(t, pair):
     out["endomorphism_delta_star"] = worst_ds
     out["intertwining"] = inter
     out["double_closure_equality"] = ref_algebras_equal(t.inf_a_inf, t.a_inf_of_inf_a)
-    gens = list(t.a0.basis)
+    gens = list(basis_of(t.a0))
     for i in range(1, len(t.an_list) + 1):
-        img = ref_layers(pair, t.a0.basis, "forward", i)[-1]
+        img = ref_layers(pair, basis_of(t.a0), "forward", i)[-1]
         gens += list(img)
         for back in ref_layers(pair, img, "star", len(t.n_a_inf_list))[1:]:
             gens += list(back)
-    for back in ref_layers(pair, t.a0.basis, "star", len(t.na_list))[1:]:
+    for back in ref_layers(pair, basis_of(t.a0), "star", len(t.na_list))[1:]:
         gens += list(back)
     minimal = generate(gens, unital=True)
     out["minimality"] = ref_algebras_equal(minimal, t.inf_a_inf)
@@ -359,7 +360,7 @@ def ref_tower_theorems(t, pair):
 
 def ref_sum_form(base, pair, direction, levels):
     worst = 0.0
-    layers = ref_layers(pair, base.basis, direction, len(levels) - 1)
+    layers = ref_layers(pair, basis_of(base), direction, len(levels) - 1)
     for n, alg in enumerate(levels):
         if alg is not None:
             span = linear_span(list(np.concatenate(layers[: n + 1])))
@@ -572,7 +573,7 @@ def test_layer_commutator_bound_is_tight_on_merged_eigenvalues(q_half_32):
     assert rep.passed
     depth = max(len(t.na_list), len(t.an_list))
     for direction in ("star", "forward"):
-        layers = ref_layers(pair, t.a0.basis, direction, depth)
+        layers = ref_layers(pair, basis_of(t.a0), direction, depth)
         per_pair = 0.0
         for i in range(len(layers)):
             for j in range(i + 1, len(layers)):

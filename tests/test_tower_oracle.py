@@ -28,7 +28,7 @@ from polarkit.linalg import dagger
 from polarkit.report import _suite_isometry
 
 from conftest import zoo_specs
-from span_closure import algebras_equal, generate, hypotheses
+from span_closure import algebras_equal, basis_of, generate, hypotheses
 
 TOL = 1e-9
 
@@ -40,12 +40,12 @@ def apply_stack(pair, stack, direction):
 
 def span_sequence(seed, pair, direction, tol=TOL):
     algs = [seed]
-    images = seed.basis.astype(np.complex128)
+    images = basis_of(seed).astype(np.complex128)
     equal_run = 0
     while equal_run < 2:
         assert len(algs) <= pair.ambient_dim**2 + 2, "span tower failed to stabilize"
         images = apply_stack(pair, images, direction)
-        nxt = generate(list(algs[-1].basis) + list(images), unital=True)
+        nxt = generate(list(basis_of(algs[-1])) + list(images), unital=True)
         eq, _ = algebras_equal(nxt, algs[-1], tol=tol)
         equal_run = equal_run + 1 if eq else 0
         algs.append(nxt)
