@@ -104,8 +104,8 @@ class SpectralAlgebra:
 
     @property
     def blocks(self) -> list[np.ndarray]:
-        """The column ranges of v, one per atom."""
-        return np.split(np.arange(self.dim), self._ranges[0][1:])
+        """The column ranges of v, one per atom: none for the 0 x 0 algebra."""
+        return np.split(np.arange(self.dim), self._ranges[0][1:]) if self.dim else []
 
 
 def _eigenspaces(h, tol: float):
@@ -282,6 +282,23 @@ def _normal_scale(bm: np.ndarray, tol: float) -> float:
     if comm > tol * scale_b * scale_b:
         raise NotHermitian(f"b is neither Hermitian nor normal (self-commutator {comm:.3e})")
     return scale_b
+
+
+def _value_classes(values: np.ndarray, tol: float) -> np.ndarray:
+    """The atoms of the algebra that vectors over X generate: the classes
+    of atoms on which every row takes one value, within
+    ``tol * (1 + max |row|)``."""
+    rows = np.concatenate((values.real, values.imag))
+    cls = np.zeros(rows.shape[1], dtype=int)
+    for row in rows:
+        if cls.max() == cls.size - 1:
+            break
+        order = np.lexsort((row, cls))
+        gap = tol * (1.0 + np.abs(row).max())
+        ordered, cls_ordered = row[order], cls[order]
+        split = (cls_ordered[1:] != cls_ordered[:-1]) | (ordered[1:] - ordered[:-1] > gap)
+        cls[order] = np.cumsum(np.concatenate(([0], split)))
+    return cls
 
 
 def _refine(v: np.ndarray, blocks, h: np.ndarray, gap: float) -> list[np.ndarray]:

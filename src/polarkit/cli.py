@@ -33,11 +33,11 @@ from .errors import (
     UnsupportedPhi,
 )
 from .graded import norm_estimate
-from .isometry import partial_isometry_report
 from .linalg import DEFAULT_TOL
 from .models import build
 from .relation import (
     Analysis,
+    Structure,
     coefficient_algebra,
     graded_model_for,
     theorem22_report,
@@ -53,7 +53,6 @@ from .serialize import (
     normal_form_to_json,
     read_matrix,
 )
-from .tower import Structure
 from .words import NormalForm, PhiMap, deg, normal_order, parse_word
 
 # a LinAlgError is numpy failing to factor the input: bad input too
@@ -149,8 +148,7 @@ def _check_list(checks) -> tuple[list[dict], list[str]]:
 
 def _cmd_polar_decompose(args) -> int:
     an = _load_analysis(args)
-    tol, pd = an.tol, an.pd
-    rep = partial_isometry_report(pd.u, tol=tol)
+    tol, pd, rep = an.tol, an.pd, an.isometry
     ok = pd.residual <= tol * (1.0 + an.norm) and rep.passed and rep.consistent
     rows, check_lines = _check_list((c.name, c.passed, c.residual) for c in rep.conditions)
     payload = {

@@ -40,9 +40,12 @@ class ConditionCheck:
 
 @dataclass(frozen=True)
 class PartialIsometryReport:
+    """The five conditions, and ||u||, the scale of their thresholds."""
+
     conditions: tuple[ConditionCheck, ...]
     passed: bool
     worst: float
+    norm: float
 
     @property
     def consistent(self) -> bool:
@@ -85,5 +88,5 @@ def partial_isometry_report(u, tol: float = DEFAULT_TOL) -> PartialIsometryRepor
     )
     worst = max(c.residual for c in checks)
     return PartialIsometryReport(
-        conditions=checks, passed=all(c.passed for c in checks), worst=worst
+        conditions=checks, passed=all(c.passed for c in checks), worst=worst, norm=float(norms[0])
     )

@@ -8,6 +8,9 @@ to the largest singular value, with the cutoff factor exposed as ``tol``.
 ``operator_norm``, the one residual primitive, takes a (..., n, n) stack
 and returns its largest norm in one batched SVD; a check that names the
 first matrix over its own threshold reads the norms of ``_operator_norms``.
+The block helpers at the end read matrices by blocks of consecutive
+ranges (the atoms of ``tower._AtomFrame``) with Frobenius norms and
+gathers, and take no SVD.
 """
 
 from __future__ import annotations
@@ -158,3 +161,68 @@ def rough_norm(m, iters: int = 50) -> float:
         est = nw
         v = w / nw
     return float(np.sqrt(est))
+
+
+def _norm_f(m: np.ndarray) -> np.ndarray:
+    """||m||_F of each matrix of a (..., r, c) stack."""
+    return np.sqrt((m.real * m.real + m.imag * m.imag).sum(axis=(-2, -1)))
+
+
+def _norm_bounds(m: np.ndarray) -> np.ndarray:
+    """Bounds on ||m|| for each matrix of a (..., r, c) stack from one
+    product, ||m* m||_F^(1/2): the 4th root of the sum of the 4th powers of
+    m's singular values, at most ||m||_F.  Taken of m / ||m||_F, so that
+    nothing underflows."""
+    scale = _norm_f(m)
+    unit = m / np.where(scale > 0.0, scale, 1.0)[..., None, None]
+    return scale * np.sqrt(_norm_f(dagger(unit) @ unit))
+
+
+def _block_norms(m: np.ndarray, rows, cols) -> np.ndarray:
+    """S[y, s] = ||m[y, s]||_F^2, the squared Frobenius norm of m's block in
+    the row range y and the column range s, ranges given as ``(starts,
+    sizes)``."""
+    power = m.real * m.real + m.imag * m.imag
+    return np.add.reduceat(np.add.reduceat(power, rows[0], axis=0), cols[0], axis=1)
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray, width: int) -> np.ndarray:
+    """Row i is starts[i], starts[i] + 1, .. for counts[i] entries, then -1
+    up to ``width``."""
+    j = np.arange(width)
+    return np.where(j < counts[:, None], starts[:, None] + j, -1)
+
+
+def _gather_blocks(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The blocks m[rows[i]][:, cols[i]] as one (blocks, rows, columns)
+    array, zero where an index is -1."""
+    block = m[rows[:, :, None], cols[:, None, :]]
+    return np.where((rows >= 0)[:, :, None] & (cols >= 0)[:, None, :], block, 0.0)
+
+
+def _gram_defects(gram: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """||g - diag(d)||_F for each matrix g of a (..., r, r) stack and row d
+    of ``diag``."""
+    idx = np.arange(gram.shape[-1])
+    defect = gram.copy()
+    defect[..., idx, idx] -= diag
+    return _norm_f(defect)
+
+
+def _bordered(m: np.ndarray) -> np.ndarray:
+    """m with a zero row and column appended, which index -1 reads."""
+    out = np.zeros((len(m) + 1, len(m) + 1), dtype=np.complex128)
+    out[:-1, :-1] = m
+    return out
+
+
+def _push(blocks: np.ndarray, rows, cols, m: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """B_k m_k for each matrix m_k of a :func:`_bordered` stack, B_k the
+    block partial permutation with blocks[k, i] in the row range
+    idx[rows[k, i]] and the column range idx[cols[k, i]] (or rows[i],
+    cols[i]), -1 in idx reading the zero border: rows of m_k gathered,
+    multiplied and placed."""
+    k = np.arange(len(m))[:, None, None]
+    out = np.zeros_like(m)
+    out[k, idx[rows]] = blocks @ m[k, idx[cols]]
+    return out

@@ -19,7 +19,7 @@ coefficient lives in, by running the endomorphism tower over the seed
 C*(1, |a|), and checks the structure statements that come with it.  The
 ``structure`` view reads the algebra B generated by {1, |a|, U} as a
 Wedderburn sum over the orbits of delta on the atoms of that algebra
-(``tower.OrbitBlock``), so dim B = sum L^2 over chains + sum c^2 s over
+(:class:`OrbitBlock`), so dim B = sum L^2 over chains + sum c^2 s over
 cycles, and no matrix of B is formed.
 
 Membership tests here go through eigenspaces (functions of a matrix, or
@@ -47,24 +47,24 @@ from .algebra import (
     _eigenspaces,
     _labels,
     _normal_scale,
+    _value_classes,
     is_function_of,
 )
-from .errors import InvalidSpec, PolarkitError, RelationViolated
+from .errors import InvalidSpec, ModelNotGraded, PolarkitError, RelationViolated
 from .graded import GradedModel
-from .isometry import ConditionCheck
+from .isometry import ConditionCheck, partial_isometry_report
 from .linalg import DEFAULT_TOL, as_matrix, dagger, operator_norm, polar_decompose
 from .tower import (
     _BLOCK,
+    EndoPair,
     TheoremReport,
     TowerReport,
     _AtomFrame,
+    _checked_pair,
     _power_facts,
     _tower_theorems,
     _unit_closure,
-    _value_classes,
     build_tower,
-    endo_pair,
-    orbit_structure,
 )
 
 @dataclass(frozen=True)
@@ -116,9 +116,9 @@ class Analysis:
     :class:`InvalidSpec` at once.  Each field is derived on first read
     from the ones before it: ``norm`` (||a||), ``pd`` (the polar parts),
     ``spaces`` (the eigenspaces of |a|), ``seed`` (C*(1, |a|), their
-    algebra), ``certificate`` (the defining-relation test), ``pair`` (U
-    validated as a partial isometry),
-    ``tower`` (both towers over the seed), ``frame`` (the atoms of the
+    algebra), ``certificate`` (the defining-relation test), ``isometry``
+    (U's partial-isometry certificate, with ||U||), ``pair`` (U validated
+    by it), ``tower`` (both towers over the seed), ``frame`` (the atoms of the
     tower's double closure, with U in their basis), ``model`` (U over that
     double closure), ``structure`` (the blocks of B, given the relation)
     and ``unit_closure`` (the atoms of C*(1)'s double closure under U and
@@ -143,12 +143,14 @@ class Analysis:
     spaces = _once(lambda an: _eigenspaces(an.pd.pos, an.tol))
     seed = _once(lambda an: _atom_algebra(an.spaces[1], an.spaces[2]))
     certificate = _once(lambda an: verify_I1(an))
-    pair = _once(lambda an: endo_pair(an.pd.u, tol=an.tol))
+    isometry = _once(lambda an: partial_isometry_report(an.pd.u, tol=an.tol))
+    pair = _once(lambda an: _checked_pair(an.pd.u, an.isometry))
     tower = _once(lambda an: build_tower(an.seed, an.pair, tol=an.tol))
     frame = _once(lambda an: an.tower._frame)
     model = _once(lambda an: _graded_model(an))
     structure = _once(lambda an: _structure(an))
-    unit_closure = _once(lambda an: _unit_closure(an.pd.u, an.tol))
+    unit_closure = _once(lambda an: _unit_closure(
+        EndoPair(u=an.pd.u, ambient_dim=len(an.pd.u), norm=an.isometry.norm), an.tol))
 
 
 def _graded_model(an: Analysis) -> GradedModel:
@@ -209,6 +211,104 @@ def _require_relation(an: Analysis) -> RelationCertificate:
 def _structure(an: Analysis):
     _require_relation(an)
     return orbit_structure(an.frame, an.tol)
+
+
+@dataclass(frozen=True)
+class OrbitBlock:
+    """One orbit of delta on the atoms of the double closure, and the block
+    of B = C*(1, |a|, U) it carries.
+
+    delta acts on the atoms as a partial injection, so an orbit is a chain
+    x -> delta(x) -> ... that ends where delta(P_x) = 0, or a cycle.  A
+    chain of length L gives M_L(C); a cycle of length c gives
+    M_c(C) (x) C^s, where s (``spectrum``; 1 on a chain) is the number of
+    distinct eigenvalues of the holonomy U^c on one of its atoms.
+    ``multiplicity`` is the common rank of the orbit's atoms.
+    """
+
+    cycle: bool
+    length: int
+    multiplicity: int
+    spectrum: int
+
+    @property
+    def dimension(self) -> int:
+        return self.length * self.length * self.spectrum
+
+    @property
+    def bandwidth(self) -> int:
+        """The least b such that the graded elements of degree |d| <= b
+        span the block: L - 1 on a chain.  On a cycle U is unitary, so the
+        degrees -b..b give 2b + 1 consecutive powers of U, which reach
+        every residue mod c at least s times once 2b + 1 >= c s, that is
+        b = ceil((c s - 1) / 2) = floor(c s / 2)."""
+        return self.length * self.spectrum // 2 if self.cycle else self.length - 1
+
+
+@dataclass(frozen=True)
+class Structure:
+    """B as the direct sum of one block per orbit of delta, chains first;
+    ``residual`` is the distance of U from that block form plus the
+    unitarity defect of the holonomies."""
+
+    blocks: tuple[OrbitBlock, ...]
+    residual: float
+
+    @property
+    def dimension(self) -> int:
+        return sum(b.dimension for b in self.blocks)
+
+    @property
+    def bandwidth(self) -> int:
+        return max((b.bandwidth for b in self.blocks), default=0)
+
+
+def orbit_structure(frame: _AtomFrame, tol: float = DEFAULT_TOL) -> Structure:
+    """The blocks of B from one walk of delta's atom map on the atoms of
+    ``frame``, those of the double closure.
+
+    In the atom basis U is one r x r block per atom x, in the block row of
+    delta(x); a cycle's holonomy is the product of its blocks around the
+    cycle.  The residual adds the defect of delta's atom map from a 0/1
+    partial injection, a bound on the norm of U off that block form and the
+    holonomies' unitarity defect; over ``tol * (1 + ||U||^2)^2`` it is a
+    :class:`ModelNotGraded`."""
+    _, hit, defect = frame.injection("forward")
+    images, ties, _, _ = frame.powers(1)
+    starts, sizes = frame.ranges
+    image = images[0]
+    orbits, seen = [], set()
+    # chains from their heads, the atoms nothing maps to; the rest lie on cycles
+    for x in [*np.flatnonzero(~hit), *range(frame.size)]:
+        orbit = []
+        while x >= 0 and x not in seen:
+            seen.add(x)
+            orbit.append(x)
+            x = image[x]
+        if orbit:
+            orbits.append(orbit)
+    w = frame.u["forward"]
+    residual = max(defect, float(ties[0]))
+    limit = tol * frame.scale
+    if residual <= limit:
+        blocks, unitarity = [], 0.0
+        for orbit in orbits:
+            holonomy = np.eye(sizes[orbit[0]], dtype=np.complex128)
+            cycle = image[orbit[-1]] == orbit[0]
+            if cycle:
+                atom = [slice(starts[x], starts[x] + sizes[x]) for x in orbit]
+                for src, dst in zip(atom, atom[1:] + atom[:1]):
+                    holonomy = w[dst, src] @ holonomy
+                gram = dagger(holonomy) @ holonomy - np.eye(len(holonomy))
+                unitarity = max(unitarity, operator_norm(gram))
+            spectrum = _value_classes(np.linalg.eigvals(holonomy)[None, :], tol).max() + 1
+            blocks.append(OrbitBlock(bool(cycle), len(orbit), len(holonomy), int(spectrum)))
+        residual += unitarity
+    if not residual <= limit:
+        raise ModelNotGraded(
+            f"U is not a block partial permutation of the atoms (residual {residual:.3e})"
+        )
+    return Structure(blocks=tuple(blocks), residual=float(residual))
 
 
 @dataclass(frozen=True)
@@ -276,7 +376,7 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     thr = tol * (scale * scale)
 
     cls, eps = frame.classes(an.seed)
-    pos = _atom_means(frame.rotate(an.pd.pos), frame.ranges).real
+    pos = _atom_means(frame.alg._vh @ an.pd.pos @ frame.alg.v, frame.ranges).real
     means = np.bincount(cls, pos * frame.ranks) / np.bincount(cls, frame.ranks)
     f = frame.class_basis(cls)[np.abs(means) > tol * (1.0 + np.abs(pos).max())]
     f_max = f.max(axis=1, initial=0.0)
@@ -394,7 +494,7 @@ def _sum_form_residual(frame: _AtomFrame, layers: list, levels: list) -> float:
         span, span_ties = frame.span_basis(values[: ends[n]], ties[: ends[n]])
         cls, eps = frame.classes(alg)
         res = max(
-            frame.class_residual(span, cls), frame.span_residual(frame.class_basis(cls), span)
+            frame.class_residual(span, cls), frame.span_residuals(frame.class_basis(cls), span)
         )
         worst = max(worst, float(res + span_ties.max(initial=0.0) + eps))
     return worst

@@ -27,7 +27,6 @@ from .graded import (
     realize,
     sum_norm_inequalities,
 )
-from .isometry import partial_isometry_report
 from .linalg import DEFAULT_TOL, _operator_norms, operator_norm
 from .models import ModelSpec, build, phi_for
 from .relation import Analysis, coefficient_algebra, theorem22_report
@@ -137,7 +136,7 @@ def _suite_polar(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> lis
     checks = [
         _check("factor_residual", "polar.residual", pd.residual <= tol * scale, pd.residual)
     ]
-    rep = partial_isometry_report(pd.u, tol=tol)
+    rep = an.isometry
     checks.append(_check("isometry_conditions", "isometry.five_conditions", rep.passed, rep.worst))
     checks.append(
         _check("conditions_consistent", "isometry.consistency", rep.consistent, rep.worst)

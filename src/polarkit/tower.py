@@ -30,15 +30,20 @@ Everything is read on the atoms X of the double closure, which is C(X).
 X is found first, by splitting the seed's atoms with one mixed image
 U h U* and U* h U per round, and certified: delta and delta_* must act on
 X as a partial injection and its inverse, two 0/1 matrices tied to U by
-one batched defect.  An element read on X is a vector over X plus its
-tie, a bound on its distance from that atom function (``_AtomFrame``).
-The four sequences are then partitions of X joined with gathers of the
-seed's classes; the hypotheses and the tower theorems are gathers through
-the powers of delta, weighted least squares under the trace inner product
-(whose weights are the atom ranks) and commutator bounds from the ties.
-No check runs a span closure.  ``orbit_structure`` reads the blocks of
-B = C*(1, |a|, U) off delta's orbits on X, and the isometry reports read
-the powers of U on the atoms of C*(1)'s double closure (``_power_facts``).
+block norms of W = V*UV and one Gram W*W.  An element read on X is a
+vector over X plus its tie, a bound on its distance from that atom
+function (``_AtomFrame``); the powers of U are products of W's blocks
+along delta's orbits plus an exact first order and a bounded rest, so no
+tie takes an SVD or a power of U.  The four sequences are partitions of
+X joined with gathers of the seed's classes; the hypotheses and the tower
+theorems are gathers through the powers of delta, class residuals under
+the trace inner product (whose weights are the atom ranks; a layer of
+a_inf is a partition of its support, so its products with other layers
+are class residuals too) and commutator bounds from the ties.  No check
+runs a span closure.  ``relation.orbit_structure`` reads the
+blocks of B = C*(1, |a|, U) off delta's orbits on X, and the isometry
+reports read the powers of U on the atoms of C*(1)'s double closure
+(``_power_facts``).
 """
 
 from __future__ import annotations
@@ -52,14 +57,27 @@ from .algebra import (
     DROP_THRESHOLD,
     SpectralAlgebra,
     _atom_algebra,
-    _atom_means,
     _atom_ranges,
     _labels,
     _refine,
+    _value_classes,
 )
-from .errors import HypothesisViolated, ModelMismatch, ModelNotGraded
+from .errors import HypothesisViolated, ModelMismatch
 from .isometry import partial_isometry_report
-from .linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger, operator_norm
+from .linalg import (
+    DEFAULT_TOL,
+    _block_norms,
+    _bordered,
+    _gather_blocks,
+    _gram_defects,
+    _norm_bounds,
+    _norm_f,
+    _push,
+    _runs,
+    as_matrix,
+    dagger,
+    operator_norm,
+)
 
 # Seed of the fixed weights that mix the atoms of a refinement round into
 # one Hermitian matrix: generic real weights in [1, 2), so that two atoms
@@ -72,26 +90,18 @@ MIX_SEED = 20020
 # complex values, so their temporaries stay small at any size.
 _BLOCK = 1 << 13
 
-# Entries per stack of n x n matrices that a frame sends to LAPACK at once
-# (the atom images of both directions): 8 MB of complex values, so the
-# whole stack goes at once up to n = 64 and the memory stays bounded above.
-_STACK = 1 << 19
-
 
 @dataclass(frozen=True)
 class EndoPair:
-    """A validated partial isometry together with the two conjugations."""
+    """A partial isometry u with ||u||, which every frame on u reads, and
+    the two conjugations."""
 
     u: np.ndarray
     ambient_dim: int
+    norm: float
 
     def __post_init__(self):
         self.u.setflags(write=False)
-
-    @cached_property
-    def norm(self) -> float:
-        """||u||, taken once for every frame on u."""
-        return operator_norm(self.u)
 
     def delta(self, m) -> np.ndarray:
         return self.u @ as_matrix(m) @ dagger(self.u)
@@ -103,12 +113,17 @@ class EndoPair:
 def endo_pair(u, tol: float = DEFAULT_TOL) -> EndoPair:
     """Wrap u after checking it really is a partial isometry."""
     um = as_matrix(u)
-    rep = partial_isometry_report(um, tol=tol)
+    return _checked_pair(um, partial_isometry_report(um, tol=tol))
+
+
+def _checked_pair(um: np.ndarray, rep) -> EndoPair:
+    """u with ||u|| from its certificate ``rep``, a
+    :class:`PartialIsometryReport`, which it must pass."""
     if not rep.passed:
         raise HypothesisViolated(
             f"u is not a partial isometry (worst condition residual {rep.worst:.3e})"
         )
-    return EndoPair(u=um, ambient_dim=um.shape[0])
+    return EndoPair(u=um, ambient_dim=um.shape[0], norm=rep.norm)
 
 
 @dataclass(frozen=True)
@@ -222,7 +237,7 @@ def _hypotheses(frame: "_AtomFrame", a0: SpectralAlgebra, kmax: int, tol: float,
             _commutator_max(q_rows, seed),
             _commutator_max(seed, rows),
             _commutator_max(q1, rows),
-            frame.span_residual(image[0], span) + 2.0 * image[1].max(initial=0.0)
+            frame.span_residuals(image[0], span) + 2.0 * image[1].max(initial=0.0)
             + span_ties.max(initial=0.0) if kmax else 0.0,
             _commutator_max(q1, seed),
         ]
@@ -334,26 +349,41 @@ class TheoremReport:
         return all(ok for ok, _ in self.checks.values())
 
 
-def _atom_images(w: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(w P_x, w P_x w*) for the atoms P_x of the column labels, in the
-    basis whose columns they label."""
-    onehot = labels[None, :] == np.arange(labels[-1] + 1)[:, None]
-    cols = w[None, :, :] * onehot[:, None, :]
-    return cols, cols @ dagger(w)
+def _gram_facts(blocks, images, sizes) -> tuple:
+    """``(fro, q_in, p, p_in)`` for a run of powers k of
+    :meth:`_AtomFrame.powers`, given D^k's blocks and delta^k: the blocks'
+    squared Frobenius norms, q_k's Gram defects, and p_k with its Gram
+    defects (D^k D^k* in the rows of delta^k(x), atom -1 last: an injection
+    wherever p is read)."""
+    fro = (blocks.real * blocks.real + blocks.imag * blocks.imag).sum(axis=(-2, -1))
+    eye = np.arange(blocks.shape[-1]) < sizes[:, None]
+    at = (np.arange(len(blocks))[:, None], images)
+    p = np.zeros((len(blocks), len(sizes) + 1))
+    gram = np.zeros((len(blocks), len(sizes) + 1, *blocks.shape[-2:]), dtype=np.complex128)
+    p[at], gram[at] = fro, blocks @ dagger(blocks)
+    p = p[:, :-1] / sizes
+    q_in = _gram_defects(dagger(blocks) @ blocks, (fro / sizes)[..., None] * eye).max(axis=1)
+    return fro, q_in, p, _gram_defects(gram[:, :-1], p[..., None] * eye).max(axis=1)
+
+
+def _first_facts(first, block, image, idx) -> tuple:
+    """``(l_k, ||F_k||_F, ||L_k D^k* + D^k L_k*||_F)`` of :meth:`_AtomFrame.powers`
+    for L_k (:func:`linalg._bordered`), D^k's blocks and delta^k: F_k = X + X*
+    for X = D^k* L_k, and Y + Y* for Y = D^k L_k*, the adjoint of L_k D^k*."""
+    own, first, block, image = np.arange(len(block)), first[None], block[None], image[None]
+    pairs = (_push(dagger(block), own, image, first, idx), _push(block, image, own, dagger(first), idx))
+    return (float(_norm_bounds(first)[0]), *(float(_norm_f(x + dagger(x))[0]) for x in pairs))
 
 
 class _AtomFrame:
     """The atoms X of a commutative algebra, with U in their basis.
 
     An element read in this frame is rotated into the basis v and written
-    as a vector over X, its atom values (the mean of its diagonal over
-    each atom), plus its tie: a bound on its distance from the atom
-    function with those values.  The tie is the norm of the element's
-    off-block part (the entries between different atoms, one batched SVD
-    per stack) plus the largest Frobenius norm of its defect inside an
-    atom, which is zero on atoms of rank 1.  Vector algebra on X is taken
-    under the trace inner product, whose weights are the atom ranks, and
-    the operator norm of an atom function is its largest value.
+    as a vector over X, its atom values, plus its tie: a bound on its
+    distance from that atom function, from block norms with no SVD
+    (:meth:`atom_images`, :meth:`powers`).  Vector algebra on X is under
+    the trace inner product, whose weights are the atom ranks, and the
+    operator norm of an atom function is its largest value.
     """
 
     def __init__(self, alg: SpectralAlgebra, pair: EndoPair):
@@ -361,8 +391,6 @@ class _AtomFrame:
         self.labels = alg.labels
         self.ranges = _atom_ranges(alg.labels)
         self.ranks = self.ranges[1].astype(float)
-        self.inside = alg.labels[:, None] == alg.labels[None, :]
-        self.inside_off_diagonal = self.inside & ~np.eye(alg.dim, dtype=bool)
         w = alg._vh @ pair.u @ alg.v
         self.u = {"forward": w, "star": dagger(w)}
         nu = pair.norm
@@ -372,26 +400,17 @@ class _AtomFrame:
         self.pair = pair
         self._maps: dict[str, tuple] = {}
         self._classes: dict[int, tuple] = {}
+        self._bases: dict[bytes, np.ndarray] = {}
         self._images = np.empty((0, self.size), dtype=int)
         self._powers = self._tables = None
+        # each atom's columns padded with -1 to the largest rank, then atom
+        # -1's; -1 reads the zero border of the arrays of linalg._bordered
+        width = int(self.ranges[1].max(initial=0))
+        self.idx = np.concatenate((_runs(*self.ranges, width), np.full((1, width), -1)))
 
     @property
     def size(self) -> int:
         return self.ranks.size
-
-    def rotate(self, stack: np.ndarray) -> np.ndarray:
-        return self.alg._vh @ stack @ self.alg.v
-
-    def coords(self, rot: np.ndarray):
-        """``(values, ties, off)`` of a rotated (k, n, n) stack: atom values
-        (k, atoms), ties and off-block norms (k,)."""
-        values = _atom_means(rot, self.ranges)
-        off = _operator_norms(np.where(self.inside, 0.0, rot))
-        diag = np.diagonal(rot, axis1=-2, axis2=-1) - values[..., self.labels]
-        within = np.where(self.inside_off_diagonal, np.abs(rot) ** 2, 0.0).sum(axis=-1)
-        within += np.abs(diag) ** 2
-        blocks = np.add.reduceat(within, self.ranges[0], axis=-1)
-        return values, off + np.sqrt(blocks.max(axis=-1)), off
 
     def layers(self, values: np.ndarray, ties: np.ndarray, direction: str, depth: int) -> list:
         """``(values, ties, off)`` of d^k(f), k = 0..depth, for the rows f of
@@ -419,27 +438,58 @@ class _AtomFrame:
         tie = size * proj_ties[:, None] + (big * taus)[:, None] * np.hypot(*span) + big * big * ties
         return [(values, ties, ties), *((g, t, t) for g, t in zip(gathered, tie))]
 
+    def atom_images(self, m: np.ndarray, ranges) -> tuple[np.ndarray, np.ndarray]:
+        """``(t, ties)`` for the images m P_s m* of the atoms s of m's columns,
+        given by their ``ranges``, with m's rows in the basis v: atom values
+        t[x, s] = S[x, s] / rank x on X, S[x, s] the squared Frobenius norm
+        of m's block in the rows of x and the columns of s, and ties[s].
+
+        An atom x with t[x, s] > 1/2 is owned by s, and m P_s = B + R splits
+        into the rows of the atoms s owns and the rest: with T the values on
+        B's rows, m P_s m* - sum_x t[x, s] P_x is (B B* - T) + (B R* + R B*)
+        + (R R* - the sum over the other atoms).  The middle part has its
+        terms in disjoint blocks, so norm ||B R*|| <= b r, b = ||B||_F and
+        r = ||R||_F from S (operator norms on rank 1); the last is at most
+        r^2, as a difference of two positive matrices of norm at most r^2;
+        c = ||B B* - T||_F is from the owned rows' Gram, 0 on rank 1.  The
+        tie is c + b r + r^2 off the atoms plus max(c, r^2) inside one, as
+        the dense tie (off-atom norm plus largest Frobenius defect inside an
+        atom) was, and never below it.  O(n^2), with no SVD."""
+        starts, sizes = ranges
+        norms = _block_norms(m, self.ranges, ranges)
+        t = norms / self.ranks[:, None]
+        best = t.argmax(axis=1)
+        owner = np.where(t[np.arange(self.size), best] > 0.5, best, -1)
+        owned = owner[:, None] == np.arange(len(starts))
+        b2, r2 = np.where(owned, norms, 0.0).sum(axis=0), np.where(owned, 0.0, norms).sum(axis=0)
+        rows = owner[self.labels]  # the column atom owning each row of m
+        order = np.argsort(rows, kind="stable")
+        counts = np.bincount(rows[rows >= 0], minlength=len(starts))
+        at = _runs(np.searchsorted(rows[order], np.arange(len(starts))), counts, counts.max())
+        picked = np.where(at >= 0, order[at], -1)
+        block = _gather_blocks(m, picked, _runs(starts, sizes, sizes.max()))
+        diag = np.where(at >= 0, t[self.labels[picked], np.arange(len(starts))[:, None]], 0.0)
+        c = _gram_defects(block @ dagger(block), diag)
+        return t, c + np.sqrt(b2 * r2) + r2 + np.maximum(c, r2)
+
     def atom_map(self, direction: str):
-        """``(t, ties, intertwining)`` for d = delta or delta_*: column x of
-        the (atoms, atoms) matrix t holds the atom values of d(P_x), ties[x]
-        bounds ||d(P_x) - sum_y t[y, x] P_y||, and intertwining is the
-        largest ||U b - delta(b) U|| (or ||U* b - delta_*(b) U*||) over the
-        basis b = P_x / sqrt(rank P_x).  Both directions are read at once:
-        their images are one stack, and so are their intertwining defects,
-        in blocks of at most ``_STACK`` entries."""
-        if not self._maps:
-            w, pairs, parts = np.array([self.u["forward"], self.u["star"]]), 2 * self.size, []
-            step = max(1, _STACK // self.alg.dim**2)
-            for start in range(0, pairs, step):
-                d, x = np.divmod(np.arange(start, min(pairs, start + step)), self.size)
-                cols = w[d] * (self.labels == x[:, None])[:, None, :]
-                images = cols @ dagger(w[d])
-                root = np.sqrt(self.ranks[x])[:, None, None]
-                inter = _operator_norms((cols - images @ w[d]) / root)
-                parts.append((*self.coords(images)[:2], inter))
-            values, ties, inter = (np.split(np.concatenate(part), 2) for part in zip(*parts))
-            for i, name in enumerate(("forward", "star")):
-                self._maps[name] = (values[i].T, ties[i], float(inter[i].max(initial=0.0)))
+        """``(t, ties, intertwining)`` for d = delta or delta_*: column x of t
+        holds the atom values of d(P_x), ties[x] bounds ||d(P_x) -
+        sum_y t[y, x] P_y|| (:meth:`atom_images` of w = W, or W*), and
+        intertwining is the largest ||U b - delta(b) U|| (or ||U* b -
+        delta_*(b) U*||) over b = P_x / sqrt(rank P_x).  In the frame
+        U P_x - delta(P_x) U is w_x g_x, w_x = w P_x and g_x the rows of x
+        of 1 - w* w; its Frobenius norm squared is tr(w_x* w_x g_x g_x*),
+        from two rank x Grams and one Gram w* w for all atoms, exact on
+        rank 1."""
+        if direction not in self._maps:
+            w = self.u[direction]
+            t, ties = self.atom_images(w, self.ranges)
+            gram, rows = _bordered(dagger(w) @ w), self.idx[:-1]
+            gap = (np.eye(len(gram)) - gram)[rows]  # padding meets zero Gram entries
+            sq = gram[rows[:, :, None], rows[:, None, :]] * (gap @ dagger(gap)).transpose(0, 2, 1)
+            inter = np.sqrt(np.maximum(sq.sum(axis=(-2, -1)).real, 0.0) / self.ranks)
+            self._maps[direction] = (t, ties, float(inter.max(initial=0.0)))
         return self._maps[direction]
 
     def injection(self, direction: str):
@@ -473,21 +523,59 @@ class _AtomFrame:
     def powers(self, depth: int):
         """``(images, ties, p, q)`` for the powers W^k, k = 1..depth, of U in
         this frame, W = V*UV, in rows k - 1: images[k - 1] is delta^k as an
-        atom map (:meth:`images`), so W^k is one block per atom x, in the
-        block row of images[k - 1][x]; ties[k - 1] is its norm off that block
-        pattern, one batched SVD; p and q are the coordinates ``(values, ties,
-        off)`` of P_k = W^k W^k* and Q_k = W^k* W^k = delta_*^k(1).  Cached at
-        the largest depth asked for, without the stack of W^k itself."""
+        atom map (:meth:`images`), ties[k - 1] = tau_k >= ||W^k - D^k|| for
+        D^k the products of D, W's blocks in (delta(x), x), along delta's
+        orbits, and p, q the coordinates ``(values, ties, off)`` of
+        P_k = W^k W^k* and Q_k = W^k* W^k = delta_*^k(1).
+
+        No power of W is formed.  With R = W - D, W^k = D^k + L_k + M_k for
+        L_1 = R, L_k = D L_(k-1) + R D^(k-1) (row and column gathers,
+        formed only when R != 0) and M_k = W M_(k-1) + R L_(k-1), M_1 = 0: L_k, the
+        first order, is exact and stays bounded where R only turns the
+        basis (L_k = D^k A - A D^k), and ||M_k|| <= m_k = ||W|| m_(k-1) +
+        l_1 l_(k-1), l_k >= ||L_k|| (:func:`linalg._norm_bounds`), so
+        tau_k = l_k + m_k.  On a certified frame, the only kind whose p and
+        q are read, delta is a partial injection and Q_k = D^k* D^k + F_k +
+        G_k: D^k* D^k is block diagonal, F_k = D^k* L_k + L_k* D^k is formed
+        and 0 inside the atoms, and ||G_k|| <= g_k = l_k^2 + 2 (d_k + l_k)
+        m_k + m_k^2, d_k the largest Frobenius norm of a block of D^k.  So
+        q_k[x] is x's Gram block's squared Frobenius norm over rank x, the
+        tie its largest Frobenius defect from q_k[x] 1 plus ||F_k||_F + g_k,
+        and off ||F_k||_F + 2 g_k; P_k likewise from D^k D^k*.  The blocks
+        of a run of powers are one array of at most ``_BLOCK`` entries, or
+        one power; cached at the largest depth asked for."""
         if self._powers is None or len(self._powers[0]) < depth:
-            images = self.images(depth)
-            w = self.u["forward"]
-            stack = np.empty((depth, *w.shape), dtype=np.complex128)
-            for k in range(depth):
-                stack[k] = stack[k - 1] @ w if k else w
-            off = self.labels[:, None] != images[:, self.labels][:, None, :]
-            ties = _operator_norms(np.where(off, stack, 0.0))
-            p, q = self.coords(stack @ dagger(stack)), self.coords(dagger(stack) @ stack)
-            self._powers = (images, ties, p, q)
+            depth = max(depth, 1)
+            images, idx = self.images(depth), self.idx
+            w, sizes, image, at = self.u["forward"], self.ranges[1], images[0], idx[:-1]
+            step = _gather_blocks(w, idx[image], at)
+            step = np.concatenate((step, np.zeros_like(step[:1])))  # image -1 reads no block
+            rest = _bordered(w)
+            rest[idx[image][:, :, None], at[:, None, :]] = 0.0
+            moved, cols = rest.any(), rest[:, idx].transpose(1, 0, 2)  # else W^k = D^k
+            block, first, parts, facts = step[:-1], rest, [], []
+            chunk = max(1, _BLOCK // step.size)
+            for lo in range(0, depth, chunk):  # D^k for a run of powers, L_k one at a time
+                blocks = np.empty((min(chunk, depth - lo), *block.shape), dtype=np.complex128)
+                for j, k in enumerate(range(lo, lo + len(blocks))):
+                    if k and moved:  # L_k = D L_(k-1) + R D^(k-1)
+                        first, prev = np.zeros_like(rest), first
+                        first[idx[image]] = step[:-1] @ prev[at]
+                        first[:, at] += (cols[images[k - 1]] @ block).transpose(1, 0, 2)
+                    if k:
+                        block = step[images[k - 1]] @ block
+                    blocks[j] = block
+                    facts += [_first_facts(first, block, images[k], idx)] if moved else []
+                parts.append(_gram_facts(blocks, images[lo : lo + len(blocks)], sizes))
+            fro, q_in, p, p_in = (np.concatenate(part) for part in zip(*parts))
+            l, fq, fp = np.array(facts).T if moved else np.zeros((3, depth))
+            d, m, ls = np.sqrt(fro.max(axis=1)), [0.0], l.tolist()
+            for k in range(1, depth):
+                m.append(self.pair.norm * m[-1] + ls[0] * ls[k - 1])
+            m = np.array(m)
+            g = l * l + 2.0 * (d + l) * m + m * m
+            self._powers = (images, l + m, (p, p_in + fp + g, fp + 2.0 * g),
+                            (fro / sizes, q_in + fq + g, fq + 2.0 * g))
         images, ties, p, q = self._powers
         return images[:depth], ties[:depth], *(tuple(x[:depth] for x in pq) for pq in (p, q))
 
@@ -521,14 +609,15 @@ class _AtomFrame:
     def classes(self, level: SpectralAlgebra) -> tuple[np.ndarray, float]:
         """The class of each atom of X under the atoms of ``level`` (the one
         covering most of it), and the largest tie of level's atoms: how far
-        they are from the unions of atoms of X they stand for."""
+        they are from the unions of atoms of X they stand for
+        (:meth:`atom_images`)."""
         key = id(level)
         if key not in self._classes:
             if level is self.alg:
                 self._classes[key] = (np.arange(self.size), 0.0, level)
             else:
-                values, ties, _ = self.coords(_atom_images(self.alg._vh @ level.v, level.labels)[1])
-                _, cls = np.unique(values.real.argmax(axis=0), return_inverse=True)
+                t, ties = self.atom_images(self.alg._vh @ level.v, level._ranges)
+                _, cls = np.unique(t.argmax(axis=1), return_inverse=True)
                 self._classes[key] = (cls, float(ties.max()), level)
         return self._classes[key][:2]
 
@@ -539,42 +628,46 @@ class _AtomFrame:
         return self.class_basis(cls), np.full(cls.max() + 1, eps)
 
     def class_basis(self, cls: np.ndarray) -> np.ndarray:
-        """Class indicators, orthonormal under the trace inner product."""
-        onehot = (cls[None, :] == np.arange(cls.max() + 1)[:, None]).astype(float)
-        return onehot / np.sqrt(onehot @ self.ranks)[:, None]
+        """Class indicators, orthonormal under the trace inner product: one
+        read-only array per class array, built on its first read."""
+        key = cls.tobytes()
+        if key not in self._bases:
+            self._bases[key] = _class_basis(cls, self.ranks)
+        return self._bases[key]
+
+    def class_defects(self, values: np.ndarray, cls: np.ndarray) -> np.ndarray:
+        """The rows of ``values`` minus their rank-weighted class means."""
+        basis = self.class_basis(cls)  # real, its own conjugate
+        return values - ((values * self.ranks) @ basis.T) @ basis
 
     def class_residual(self, values: np.ndarray, cls: np.ndarray) -> float:
         """Largest atom value of the rows minus their rank-weighted class
         means: their defect from the coarser algebra of class functions."""
-        return self.span_residual(values, self.class_basis(cls))
+        return float(np.abs(self.class_defects(values, cls)).max(initial=0.0))
 
     def span_basis(self, values: np.ndarray, ties: np.ndarray):
         """Rows orthonormal under the trace inner product that span the
         rows of ``values``, with their ties."""
-        return self.span_bases([(values, ties)])[0]
-
-    def span_bases(self, layers: list) -> list:
-        """:meth:`span_basis` of each ``(values, ties, ...)`` of layers
-        with one row count, from one batched SVD."""
         root = np.sqrt(self.ranks)
-        left, s, vh = np.linalg.svd(np.array([x[0] for x in layers]) * root, full_matrices=False)
-        bases = []
-        for lk, sk, vk, (_, tk, *_) in zip(left, s, vh, layers):
-            keep = sk > DROP_THRESHOLD * max(1.0, float(sk[0]))
-            coef = dagger(lk[:, keep]) / sk[keep][:, None]
-            bases.append((vk[keep] / root, np.abs(coef) @ tk))
-        return bases
-
-    def span_residual(self, values: np.ndarray, basis: np.ndarray) -> float:
-        """Largest atom value of the rows minus their trace-orthogonal
-        projection on the span of the orthonormal rows of ``basis``."""
-        return float(self.span_residuals(values, basis))
+        left, s, vh = np.linalg.svd(values * root, full_matrices=False)
+        keep = s > DROP_THRESHOLD * max(1.0, float(s[0]))
+        coef = dagger(left[:, keep]) / s[keep][:, None]
+        return vh[keep] / root, np.abs(coef) @ ties
 
     def span_residuals(self, values: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        """:meth:`span_residual` of each matrix of a (..., rows, atoms)
-        stack, each projected as a matrix of its own."""
+        """Largest atom value of the rows minus their trace-orthogonal
+        projection on the span of the orthonormal rows of ``basis``, for
+        each matrix of a (..., rows, atoms) stack on its own."""
         proj = ((values * self.ranks) @ dagger(basis)) @ basis
         return np.abs(values - proj).max(axis=(-2, -1), initial=0.0)
+
+
+def _class_basis(cls: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """:meth:`_AtomFrame.class_basis`, built."""
+    onehot = (cls[None, :] == np.arange(cls.max() + 1)[:, None]).astype(float)
+    basis = onehot / np.sqrt(np.maximum(onehot @ ranks, 1.0))[:, None]  # a class may be empty
+    basis.flags.writeable = False
+    return basis
 
 
 def _power_facts(frame: _AtomFrame, kmax: int) -> dict:
@@ -621,16 +714,23 @@ def _power_facts(frame: _AtomFrame, kmax: int) -> dict:
     }
 
 
-def _unit_closure(u, tol: float) -> tuple[_AtomFrame, float]:
+def _unit_closure(pair: EndoPair, tol: float) -> tuple[_AtomFrame, float]:
     """``(frame, defect)``: the atoms of the double closure of C*(1) under
     u and their certification defect (:func:`_double_closure`).  This
     needs neither a relation nor |a|, and by Halmos-Wallen every power of
     a partial isometry u is one exactly when u is a sum of a unitary and
     truncated shifts, which is when this closure is certified."""
-    um = np.array(as_matrix(u))  # a copy: EndoPair freezes its array
-    one = _atom_algebra(np.eye(len(um), dtype=np.complex128), [np.arange(len(um))])
-    frame, _, defect = _double_closure(one, EndoPair(u=um, ambient_dim=len(um)), tol)
+    n = pair.ambient_dim
+    one = _atom_algebra(np.eye(n, dtype=np.complex128), [np.arange(n)])
+    frame, _, defect = _double_closure(one, pair, tol)
     return frame, defect
+
+
+def _free_pair(v) -> EndoPair:
+    """v with ||v||, unchecked, as the isometry reports read it; a copy,
+    since an EndoPair freezes its array."""
+    um = np.array(as_matrix(v))
+    return EndoPair(u=um, ambient_dim=len(um), norm=operator_norm(um))
 
 
 @dataclass(frozen=True)
@@ -671,7 +771,7 @@ def power_isometry_check(v, kmax: int, tol: float = DEFAULT_TOL) -> PowerIsometr
     When that closure is not certified, both fail with its defect."""
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    return _power_isometry(*_unit_closure(v, tol), kmax, tol)
+    return _power_isometry(*_unit_closure(_free_pair(v), tol), kmax, tol)
 
 
 @dataclass(frozen=True)
@@ -714,122 +814,7 @@ def commuting_projection_properties(
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    return _commuting_projections(*_unit_closure(v, tol), kmax, tol)
-
-
-@dataclass(frozen=True)
-class OrbitBlock:
-    """One orbit of delta on the atoms of the double closure, and the block
-    of B = C*(1, |a|, U) it carries.
-
-    delta acts on the atoms as a partial injection, so an orbit is a chain
-    x -> delta(x) -> ... that ends where delta(P_x) = 0, or a cycle.  A
-    chain of length L gives M_L(C); a cycle of length c gives
-    M_c(C) (x) C^s, where s (``spectrum``; 1 on a chain) is the number of
-    distinct eigenvalues of the holonomy U^c on one of its atoms.
-    ``multiplicity`` is the common rank of the orbit's atoms.
-    """
-
-    cycle: bool
-    length: int
-    multiplicity: int
-    spectrum: int
-
-    @property
-    def dimension(self) -> int:
-        return self.length * self.length * self.spectrum
-
-    @property
-    def bandwidth(self) -> int:
-        """The least b such that the graded elements of degree |d| <= b
-        span the block: L - 1 on a chain.  On a cycle U is unitary, so the
-        degrees -b..b give 2b + 1 consecutive powers of U, which reach
-        every residue mod c at least s times once 2b + 1 >= c s, that is
-        b = ceil((c s - 1) / 2) = floor(c s / 2)."""
-        return self.length * self.spectrum // 2 if self.cycle else self.length - 1
-
-
-@dataclass(frozen=True)
-class Structure:
-    """B as the direct sum of one block per orbit of delta, chains first;
-    ``residual`` is the distance of U from that block form plus the
-    unitarity defect of the holonomies."""
-
-    blocks: tuple[OrbitBlock, ...]
-    residual: float
-
-    @property
-    def dimension(self) -> int:
-        return sum(b.dimension for b in self.blocks)
-
-    @property
-    def bandwidth(self) -> int:
-        return max((b.bandwidth for b in self.blocks), default=0)
-
-
-def orbit_structure(frame: _AtomFrame, tol: float = DEFAULT_TOL) -> Structure:
-    """The blocks of B from one walk of delta's atom map on the atoms of
-    ``frame``, those of the double closure.
-
-    In the atom basis U is one r x r block per atom x, in the block row of
-    delta(x); a cycle's holonomy is the product of its blocks around the
-    cycle.  The residual adds the defect of delta's atom map from a 0/1
-    partial injection, the norm of U off that block form and the
-    holonomies' unitarity defect; over ``tol * (1 + ||U||^2)^2`` it is a
-    :class:`ModelNotGraded`."""
-    _, hit, defect = frame.injection("forward")
-    images, ties, _, _ = frame.powers(1)
-    starts, sizes = frame.ranges
-    image = images[0]
-    orbits, seen = [], set()
-    # chains from their heads, the atoms nothing maps to; the rest lie on cycles
-    for x in [*np.flatnonzero(~hit), *range(frame.size)]:
-        orbit = []
-        while x >= 0 and x not in seen:
-            seen.add(x)
-            orbit.append(x)
-            x = image[x]
-        if orbit:
-            orbits.append(orbit)
-    w = frame.u["forward"]
-    residual = max(defect, float(ties[0]))
-    limit = tol * frame.scale
-    if residual <= limit:
-        blocks, unitarity = [], 0.0
-        for orbit in orbits:
-            holonomy = np.eye(sizes[orbit[0]], dtype=np.complex128)
-            cycle = image[orbit[-1]] == orbit[0]
-            if cycle:
-                atom = [slice(starts[x], starts[x] + sizes[x]) for x in orbit]
-                for src, dst in zip(atom, atom[1:] + atom[:1]):
-                    holonomy = w[dst, src] @ holonomy
-                gram = dagger(holonomy) @ holonomy - np.eye(len(holonomy))
-                unitarity = max(unitarity, operator_norm(gram))
-            spectrum = _value_classes(np.linalg.eigvals(holonomy)[None, :], tol).max() + 1
-            blocks.append(OrbitBlock(bool(cycle), len(orbit), len(holonomy), int(spectrum)))
-        residual += unitarity
-    if not residual <= limit:
-        raise ModelNotGraded(
-            f"U is not a block partial permutation of the atoms (residual {residual:.3e})"
-        )
-    return Structure(blocks=tuple(blocks), residual=float(residual))
-
-
-def _value_classes(values: np.ndarray, tol: float) -> np.ndarray:
-    """The atoms of the algebra that vectors over X generate: the classes
-    of atoms on which every row takes one value, within
-    ``tol * (1 + max |row|)``."""
-    rows = np.concatenate((values.real, values.imag))
-    cls = np.zeros(rows.shape[1], dtype=int)
-    for row in rows:
-        if cls.max() == cls.size - 1:
-            break
-        order = np.lexsort((row, cls))
-        gap = tol * (1.0 + np.abs(row).max())
-        ordered, cls_ordered = row[order], cls[order]
-        split = (cls_ordered[1:] != cls_ordered[:-1]) | (ordered[1:] - ordered[:-1] > gap)
-        cls[order] = np.cumsum(np.concatenate(([0], split)))
-    return cls
+    return _commuting_projections(*_unit_closure(_free_pair(v), tol), kmax, tol)
 
 
 def _spread(values: np.ndarray) -> np.ndarray:
@@ -904,34 +889,47 @@ def _chain_defect(values: np.ndarray, ties: np.ndarray) -> float:
     return worst
 
 
-def _layer_product_defect(frame: _AtomFrame, layers: list, bases: list) -> float:
+def _layer_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(cover, cls)`` of a layer's rows, the first axis of ``values``
+    (further axes index layers): each row is a class indicator gathered
+    through delta^k (:meth:`_AtomFrame.layers`), so the rows have disjoint
+    supports; cover[x] = |h(x)| for the row h covering x, and cls puts x in
+    h's class, or in one more class where no row covers it."""
+    mags = np.abs(values)
+    cover = mags.max(axis=0, initial=0.0)
+    return cover, np.where(cover > 0, mags.argmax(axis=0), len(values))
+
+
+def _layer_product_defect(frame: _AtomFrame, layers: list) -> float:
     """Worst residual of layer_k . layer_l against span(layer_k), l <= k,
-    plus the ties of the factors and of the span; ``bases`` are the
-    layers' (:meth:`_AtomFrame.span_bases`).  The products of layer k with
-    the layers l <= k are one (l, row pair, atom) stack, projected in blocks
-    of at most ``_BLOCK`` entries, or one layer, each product on its own."""
-    bounds = np.array([np.abs(v).max(initial=0.0) + t.max(initial=0.0) for v, t, _ in layers])
-    tops = np.array([t.max() for _, t, _ in layers])
+    plus the ties of the factors, with no product formed.
+
+    For a row g of layer l and the row h of layer k with support C
+    (:func:`_layer_classes`), g h - m h, with m the rank-weighted mean of g
+    over C, is h (g - m) on C and 0 elsewhere, and m h is in the span: a
+    product stays in layer k's span exactly when layer l is constant on
+    layer k's classes, and its residual is at most max_x |h(x)| |g(x) - m|,
+    a class residual scaled by |h|.  For H = h + E, G = g + F with ||E|| <=
+    t_k, ||F|| <= t_l, H G - m H = h (g - m) + h F + E g + E F - m E, so the
+    ties add |h| t_l + (2 |g| + t_l) t_k."""
+    values = np.array([v for v, _, _ in layers])
+    cover, cls = _layer_classes(values.transpose(1, 0, 2))
+    sizes, tops = cover.max(axis=1), np.array([t.max(initial=0.0) for _, t, _ in layers])
+    ties = np.outer(sizes, tops) + np.outer(tops, 2.0 * sizes + tops)  # [k, l]
     worst = 0.0
-    for k, ((values, _, _), (basis, basis_ties)) in enumerate(zip(layers, bases)):
-        tie = bounds[k] * tops + bounds * tops[k] + basis_ties.max(initial=0.0)
-        step = max(1, _BLOCK // max(1, values.size * len(values)))
-        for start in range(0, k + 1, step):
-            low = np.array([v for v, _, _ in layers[start : min(k + 1, start + step)]])
-            prods = (values[None, :, None] * low[:, None]).reshape(len(low), -1, frame.size)
-            res = frame.span_residuals(prods, basis) + tie[start : start + len(low)]
-            worst = max(worst, float(res.max()))
+    for k in range(len(layers)):
+        res = (cover[k] * np.abs(frame.class_defects(values[: k + 1], cls[k]))).max(axis=(1, 2))
+        worst = max(worst, float((res + ties[k, : k + 1]).max()))
     return worst
 
 
-def _ideal_defect(frame: _AtomFrame, span: tuple, cls: np.ndarray) -> float:
-    """Residual of a span, ``(basis, ties)``, absorbing the class
-    functions: products of its orthonormal basis with the class indicators
-    against it, plus the ties of that basis."""
-    basis, basis_ties = span
-    level = frame.class_basis(cls)
-    prods = (basis[:, None, :] * level[None, :, :]).reshape(-1, frame.size)
-    return frame.span_residual(prods, basis) + 2.0 * basis_ties.max(initial=0.0)
+def _ideal_defect(frame: _AtomFrame, layer: tuple, cls: np.ndarray) -> float:
+    """Residual of the span of a layer, ``(values, ties, off)``, absorbing
+    the class functions of ``cls``: :func:`_layer_product_defect` with the
+    class indicators, exact and at most 1, as the rows g."""
+    cover, own = _layer_classes(layer[0])
+    res = cover * np.abs(frame.class_defects(frame.class_basis(cls), own))
+    return float(res.max(initial=0.0)) + 2.0 * float(layer[1].max(initial=0.0))
 
 
 def verify_tower_theorems(
@@ -984,21 +982,18 @@ def _tower_theorems(
         record(f"{direction}_layers_commute", _commutator_max(rows, rows, layer))
 
     inf_star = frame.layers(*frame.basis_coords(t.a_inf), "star", len(t.n_a_inf_list))
-    bases = frame.span_bases(inf_star)
-    record("layer_products", _layer_product_defect(frame, inf_star, bases))
+    record("layer_products", _layer_product_defect(frame, inf_star))
     inf_values, inf_ties, _ = (np.concatenate(part) for part in zip(*inf_star))
     level = _value_classes(inf_values, tol)
-    record("top_layer_ideal", _ideal_defect(frame, bases[-1], level) + inf_ties.max())
+    record("top_layer_ideal", _ideal_defect(frame, inf_star[-1], level) + inf_ties.max())
 
     seed_layers_checked = t.hypotheses.strong_holds
     if seed_layers_checked:
-        bases = frame.span_bases(seed_layers["star"])
-        record("layer_products_seed", _layer_product_defect(frame, seed_layers["star"], bases))
+        record("layer_products_seed", _layer_product_defect(frame, seed_layers["star"]))
         top = seed_layers["star"][len(t.na_list) - 1]
         cls, eps = frame.classes(t.na_list[-1])
         member = frame.class_residual(top[0], cls) + top[1].max()
-        ideal = _ideal_defect(frame, bases[len(t.na_list) - 1], cls)
-        record("top_layer_ideal_seed", max(member, ideal) + eps)
+        record("top_layer_ideal_seed", max(member, _ideal_defect(frame, top, cls)) + eps)
 
     def mapped_defect(pairs, direction) -> float:
         """Largest residual of d(src's basis) in the level dst over the
@@ -1039,10 +1034,15 @@ def _tower_theorems(
 
     # delta_*^j delta^i (seed) for i <= len(an_list), j <= len(n_a_inf_list),
     # and delta_*^j (seed) for j <= len(na_list)
-    gens = frame.layers(*seed, "star", len(t.na_list))
-    for img in frame.layers(*seed, "forward", len(t.an_list))[1:]:
-        gens += frame.layers(*img[:2], "star", len(t.n_a_inf_list))
-    minimal = _value_classes(np.concatenate([g for g, _, _ in gens]), tol)
-    record("minimality", frame.class_residual(own, minimal) + max(e.max() for _, e, _ in gens))
+    gens, ties, _ = zip(*frame.layers(*seed, "star", len(t.na_list)))
+    imgs = frame.layers(*seed, "forward", len(t.an_list))[1:]
+    if imgs:  # the star layers of every image in one gather, rows in image order
+        star = frame.layers(*map(np.concatenate, list(zip(*imgs))[:2]), "star",
+                            len(t.n_a_inf_list))
+        values = np.array([v for v, _, _ in star]).reshape(len(star), len(imgs), -1, frame.size)
+        gens += (values.transpose(1, 0, 2, 3).reshape(-1, frame.size),)
+        ties += tuple(e for _, e, _ in star)
+    minimal = _value_classes(np.concatenate(gens), tol)
+    record("minimality", frame.class_residual(own, minimal) + max(e.max() for e in ties))
 
     return TheoremReport(checks=checks, seed_layers_checked=seed_layers_checked), inf_star

@@ -207,6 +207,14 @@ def test_commutant_of_atoms_is_the_commutant_of_their_projection_rows(alg):
 def test_the_zero_algebra_has_dimension_zero():
     alg = pk.spectral_algebra(np.zeros((0, 0)))
     assert alg.dim == 0 and alg.dimension == 0
+    # one block per atom: np.split of the empty range gave one empty block
+    assert alg.blocks == []
+
+
+@pytest.mark.parametrize("spec", zoo_specs(), ids=lambda spec: spec["kind"])
+def test_an_algebra_has_one_block_per_atom(spec):
+    seed = Analysis(pk.build(pk.model_spec_from_json(spec))).seed
+    assert len(seed.blocks) == seed.dimension
 
 
 def _reachable_algebras(*roots):

@@ -1,18 +1,30 @@
-"""The batched kernels against the per-call loops they replaced, to the bit.
+"""The batched kernels against the per-call loops they replaced, to the bit,
+and the block-norm kernels against the dense ones they replaced.
 
 Every certificate sends its independent norms to LAPACK as one stack, and
 every per-layer or per-pair bound of the tower is one array kernel, formed
-in blocks of at most ``tower._BLOCK`` entries (``tower._STACK`` for the
-atom images).  Each matrix still gets the LAPACK call it got alone, each
-product is projected as a matrix of its own and each bound does the same
-arithmetic, so the residuals must not move by a bit.  The ``ref_*``
-functions below are the loops the kernels replaced: with them patched in,
-``verify_I1``, ``partial_isometry_report``, ``theorem22_report`` and
+in blocks of at most ``tower._BLOCK`` entries.  Each matrix still gets the
+LAPACK call it got alone, each product is projected as a matrix of its own
+and each bound does the same arithmetic, so the residuals must not move by
+a bit.  The ``ref_*`` functions below are the loops the kernels replaced:
+with them patched in (``ORACLES``), ``verify_I1``,
+``partial_isometry_report``, ``theorem22_report`` and
 ``coefficient_algebra`` must give the same bits as with the kernels, at
 every block size.  The loops that sit inside a check (the hypotheses'
 commutators, the extended algebras of ``theorem22_report`` and the mapped
 levels of the tower theorems) are compared with their reference loops by
 name.
+
+The frame's atom map and powers are read from block norms, and the layer
+products and the top-layer ideal as class residuals, so these bound the
+same quantities in another way.  Against the dense kernels they replaced
+(``ref_atom_map``, ``ref_classes``, ``ref_frame_powers``,
+``ref_layer_product_defect`` and ``ref_ideal_defect``, patched in as
+``DENSE``) each kernel keeps its verdict, and no bound falls below the
+dense one by more than 1e-12, so no check passes that failed with the
+dense kernels.  A check that sums several ties can fail where it passed,
+when its dense residual lay within the bounds' looseness (at most about
+1.5) of its threshold.
 """
 
 import dataclasses
@@ -32,6 +44,7 @@ from polarkit.linalg import dagger, eig_groups
 from polarkit.relation import Analysis
 
 from conftest import zoo_specs
+from test_relation import direct_sums
 
 TOL = 1e-9
 
@@ -114,7 +127,7 @@ def ref_partial_isometry_report(u, tol=TOL):
     names = ("spec_initial", "spec_final", "idempotent_initial", "idempotent_final",
              "triple_product")
     checks = tuple(pk.ConditionCheck(n, r, r <= tol * (s * s)) for n, r in zip(names, residuals))
-    return pk.PartialIsometryReport(checks, all(c.passed for c in checks), max(residuals))
+    return pk.PartialIsometryReport(checks, all(c.passed for c in checks), max(residuals), nu)
 
 
 def ref_layers(frame, values, ties, direction, depth):
@@ -129,18 +142,73 @@ def ref_layers(frame, values, ties, direction, depth):
     for k in range(depth):
         row = k + 1 + (top if direction == "star" else 0)
         tie = size * proj_ties[k] + big * taus[k] * np.hypot(*span) + big * big * ties
-        out.append((values[:, index[row]] * (mask[row] * proj[k]), tie, tie))
+        gathered = values.astype(np.complex128)[:, index[row]]
+        out.append((gathered * (mask[row] * proj[k]), tie, tie))
     return out
+
+
+def ref_atom_images(w, labels):
+    """(w P_x, w P_x w*) for the atoms P_x of the column labels."""
+    onehot = labels[None, :] == np.arange(labels[-1] + 1)[:, None]
+    cols = w[None, :, :] * onehot[:, None, :]
+    return cols, cols @ dagger(w)
+
+
+def ref_coords(frame, rot):
+    """(values, ties, off) of a rotated (k, n, n) stack: atom means, the
+    off-atom norm plus the largest Frobenius defect inside an atom, and the
+    off-atom norm, by SVD."""
+    inside = frame.labels[:, None] == frame.labels[None, :]
+    values = algebra._atom_means(rot, frame.ranges)
+    off = np.array([ref_norm(m) for m in np.where(inside, 0.0, rot)]) if len(rot) else np.zeros(0)
+    diag = np.diagonal(rot, axis1=-2, axis2=-1) - values[..., frame.labels]
+    within = np.where(inside & ~np.eye(len(inside), dtype=bool), np.abs(rot) ** 2, 0.0).sum(axis=-1)
+    within += np.abs(diag) ** 2
+    blocks = np.add.reduceat(within, frame.ranges[0], axis=-1)
+    return values, off + np.sqrt(blocks.max(axis=-1)), off
 
 
 def ref_atom_map(frame, direction):
     if direction not in frame._maps:
         w = frame.u[direction]
-        cols, images = tower._atom_images(w, frame.labels)
-        values, ties, _ = frame.coords(images)
+        cols, images = ref_atom_images(w, frame.labels)
+        values, ties, _ = ref_coords(frame, images)
         inter = max(ref_norm(m) for m in (cols - images @ w) / np.sqrt(frame.ranks)[:, None, None])
         frame._maps[direction] = (values.T, ties, inter)
     return frame._maps[direction]
+
+
+def ref_classes(frame, level):
+    """The classes of X under level's atoms and their tie, from the dense
+    images of level's atoms."""
+    key = id(level)
+    if key not in frame._classes:
+        if level is frame.alg:
+            frame._classes[key] = (np.arange(frame.size), 0.0, level)
+        else:
+            images = ref_atom_images(frame.alg._vh @ level.v, level.labels)[1]
+            values, ties, _ = ref_coords(frame, images)
+            _, cls = np.unique(values.real.argmax(axis=0), return_inverse=True)
+            frame._classes[key] = (cls, float(ties.max()), level)
+    return frame._classes[key][:2]
+
+
+def ref_frame_powers(frame, depth):
+    """The powers from the stack of W^k, its off-pattern norms and the
+    coordinates of W^k W^k* and W^k* W^k, by SVD."""
+    if frame._powers is None or len(frame._powers[0]) < depth:
+        images = frame.images(depth)
+        w = frame.u["forward"]
+        stack = np.empty((depth, *w.shape), dtype=np.complex128)
+        for k in range(depth):
+            stack[k] = stack[k - 1] @ w if k else w
+        off = frame.labels[:, None] != images[:, frame.labels][:, None, :]
+        ties = np.array([ref_norm(m) for m in np.where(off, stack, 0.0)])
+        p = ref_coords(frame, stack @ dagger(stack))
+        q = ref_coords(frame, dagger(stack) @ stack)
+        frame._powers = (images, ties, p, q)
+    images, ties, p, q = frame._powers
+    return images[:depth], ties[:depth], *(tuple(x[:depth] for x in pq) for pq in (p, q))
 
 
 def ref_span_basis(frame, values, ties):
@@ -149,10 +217,6 @@ def ref_span_basis(frame, values, ties):
     keep = s > algebra.DROP_THRESHOLD * max(1.0, float(s[0]))
     coef = dagger(left[:, keep]) / s[keep][:, None]
     return vh[keep] / root, np.abs(coef) @ ties
-
-
-def ref_span_bases(frame, layers):
-    return [ref_span_basis(frame, v, t) for v, t, *_ in layers]
 
 
 def ref_span_residual(frame, values, basis) -> float:
@@ -183,7 +247,10 @@ def ref_layers_commutator(layers) -> float:
     return worst
 
 
-def ref_layer_product_defect(frame, layers, bases) -> float:
+def ref_layer_product_defect(frame, layers) -> float:
+    """Every product of a row of layer k with a row of layer l <= k,
+    projected on the span of layer k's rows."""
+
     def norm_bound(values, ties):
         return float(np.abs(values).max(initial=0.0) + ties.max(initial=0.0))
 
@@ -199,6 +266,15 @@ def ref_layer_product_defect(frame, layers, bases) -> float:
             )
             worst = max(worst, ref_span_residual(frame, prods, basis) + tie)
     return worst
+
+
+def ref_ideal_defect(frame, layer, cls) -> float:
+    """The products of the span of a layer's rows with the class
+    indicators, projected on that span."""
+    basis, basis_ties = ref_span_basis(frame, *layer[:2])
+    level = frame.class_basis(cls)
+    prods = (basis[:, None, :] * level[None, :, :]).reshape(-1, frame.size)
+    return ref_span_residual(frame, prods, basis) + 2.0 * basis_ties.max(initial=0.0)
 
 
 def ref_sum_form_residual(frame, layers, levels) -> float:
@@ -222,14 +298,19 @@ ORACLES = [
     (algebra, "hermitian_eig", ref_hermitian_eig),
     (algebra, "_normal_scale", ref_normal_scale),
     (relation, "_normal_scale", ref_normal_scale),
-    (tower, "partial_isometry_report", ref_partial_isometry_report),
+    (relation, "partial_isometry_report", ref_partial_isometry_report),
     (tower._AtomFrame, "layers", ref_layers),
-    (tower._AtomFrame, "atom_map", ref_atom_map),
-    (tower._AtomFrame, "span_bases", ref_span_bases),
     (tower._AtomFrame, "span_residuals", ref_span_residuals),
     (tower, "_commutator_max", ref_commutator_max),
-    (tower, "_layer_product_defect", ref_layer_product_defect),
     (relation, "_sum_form_residual", ref_sum_form_residual),
+]
+
+DENSE = [
+    (tower._AtomFrame, "atom_map", ref_atom_map),
+    (tower._AtomFrame, "classes", ref_classes),
+    (tower._AtomFrame, "powers", ref_frame_powers),
+    (tower, "_layer_product_defect", ref_layer_product_defect),
+    (tower, "_ideal_defect", ref_ideal_defect),
 ]
 
 
@@ -272,14 +353,14 @@ def ref_extended(an):
     frame, tol, n = an.frame, an.tol, an.matrix.shape[0]
     _, _, (p, p_ties, _), _ = frame.powers(n)
     cls, eps = frame.classes(an.seed)
-    pos = algebra._atom_means(frame.rotate(an.pd.pos), frame.ranges).real
+    pos = algebra._atom_means(frame.alg._vh @ an.pd.pos @ frame.alg.v, frame.ranges).real
     means = np.bincount(cls, pos * frame.ranks) / np.bincount(cls, frame.ranks)
     f = frame.class_basis(cls)[np.abs(means) > tol * (1.0 + np.abs(pos).max())]
     layers = ref_layers(frame, f, np.full(len(f), eps), "forward", n)[1:]
-    extended, level = 0.0, tower._value_classes(pos[None, :], tol)
+    extended, level = 0.0, algebra._value_classes(pos[None, :], tol)
     for k in range(1, n + 1 if len(f) else 1):
         if k > 1 and level.max() < frame.size - 1:
-            level = tower._value_classes(np.vstack([level, p[k - 2]]), tol)
+            level = algebra._value_classes(np.vstack([level, p[k - 2]]), tol)
         generators = max(eps, p_ties[: k - 1].max(initial=0.0))
         values, ties, _ = layers[k - 1]
         res = ref_span_residual(frame, values, frame.class_basis(level))
@@ -381,7 +462,6 @@ def test_batched_kernels_give_the_bits_of_their_loops(a, block):
     with pytest.MonkeyPatch.context() as mp:
         for module in (tower, relation):
             mp.setattr(module, "_BLOCK", block)
-        mp.setattr(tower, "_STACK", block)
         assert views(a) == want
 
 
@@ -437,7 +517,10 @@ def test_certificates_make_few_svd_calls(monkeypatch):
 
 
 def test_tower_kernels_stay_blocked_at_n_128():
-    # unblocked, the tower's bound kernels trace 456 MB here; blocked, 120 MB
+    # unblocked, the tower's bound kernels traced 456 MB here; blocked, 120
+    # MB; with the frame from block norms and the layer products as class
+    # residuals, 35.5 MB, most of it the hypotheses' (kmax, rows, atoms)
+    # layers
     n = 128
     an = Analysis(pk.build(pk.weighted_shift(np.sqrt(np.arange(1.0, n)))))
     an.seed, an.pair
@@ -448,4 +531,156 @@ def test_tower_kernels_stay_blocked_at_n_128():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 160 << 20, peak
+    assert peak < 48 << 20, peak
+
+
+def rank_deficient(seed, n, rank):
+    """v = W_r W'_r*, the first r columns of two Haar unitaries: a partial
+    isometry whose C*(1) closure is not certified."""
+    rng = np.random.default_rng([seed, 12])
+    w = [np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+         for _ in range(2)]
+    return w[0][:, :rank] @ dagger(w[1][:, :rank])
+
+
+KERNEL_MODELS = st.one_of(
+    MODELS,
+    direct_sums(),
+    st.builds(rank_deficient, st.integers(0, 2**16), st.integers(3, 10), st.integers(1, 2)),
+)
+SUITES = ("polar", "isometry", "tower", "theorem22")
+LOOSE = 1e-12
+
+
+def suite_checks(a):
+    """Every check of the suites that read the frame: ``{(suite, name):
+    (pass, residual, error type)}``."""
+    report = pk.run_suite(pk.SuiteConfig(models=(pk.custom(a),), suites=SUITES))
+    return {
+        (suite["name"], check["name"]):
+            (check["pass"], check["residual"], check.get("error", "").split(":")[0])
+        for suite in report["models"][0]["suites"]
+        for check in suite["checks"]
+    }
+
+
+def frames(an):
+    """Fresh copies of the frames of C*(1)'s closure and, when the tower
+    builds, of the tower's double closure."""
+    out = [an.unit_closure[0]]
+    try:
+        out.append(an.frame)
+    except pk.PolarkitError:
+        pass
+    return [tower._AtomFrame(frame.alg, frame.pair) for frame in out]
+
+
+def at_least(new, old):
+    assert np.all(np.asarray(new) >= np.asarray(old) - LOOSE), (new, old)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=KERNEL_MODELS)
+def test_block_kernels_keep_the_verdicts_and_stay_above_their_dense_oracles(a):
+    # the atom map, the powers, the layer products and the top-layer ideal
+    # from block norms and class residuals against the dense kernels: each
+    # kernel's verdict is the dense one, no bound falls below the dense one
+    # by 1e-12, and so no check passes that failed with the dense kernels
+    an = Analysis(a)
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name, ref in DENSE:
+            mp.setattr(module, name, ref)
+        want = suite_checks(a)
+    got = suite_checks(a)
+    for key, (ok, residual, _) in got.items():
+        if key in want:
+            at_least(residual, want[key][1])
+        assert not ok or want.get(key, (False,))[0], key
+    n = len(a)
+    for frame in frames(an):
+        dense = tower._AtomFrame(frame.alg, frame.pair)
+        limit = TOL * frame.scale
+        defects = []
+        for direction in ("forward", "star"):
+            (t, ties, inter), (t0, ties0, inter0) = (
+                frame.atom_map(direction), ref_atom_map(dense, direction))
+            np.testing.assert_allclose(t, t0, rtol=0.0, atol=LOOSE)
+            at_least(ties, ties0)
+            at_least(inter, inter0)
+            defects.append((frame.injection(direction)[2], dense.injection(direction)[2]))
+        assert all((new <= limit) == (old <= limit) for new, old in defects), defects
+        images, taus, *pq = frame.powers(n)
+        images0, taus0, *pq0 = ref_frame_powers(dense, n)
+        assert np.array_equal(images, images0)
+        at_least(taus[0], taus0[0])
+        if max(new for new, _ in defects) > limit:
+            continue  # p, q and the later powers are read on a certified frame only
+        at_least(taus, taus0)
+        for (values, ties, off), (values0, ties0, off0) in zip(pq, pq0):
+            np.testing.assert_allclose(values, values0.real, rtol=0.0, atol=LOOSE)
+            at_least(ties, ties0)
+            at_least(off, off0)
+    try:
+        t = an.tower
+    except pk.PolarkitError:
+        return
+    frame, limit = an.frame, TOL * an.frame.scale
+    seed = frame.basis_coords(t.a0)
+    layers = [frame.layers(*frame.basis_coords(t.a_inf), "star", len(t.n_a_inf_list)),
+              frame.layers(*seed, "star", max(len(t.na_list), len(t.an_list)))]
+    for star in layers:
+        new, old = tower._layer_product_defect(frame, star), ref_layer_product_defect(frame, star)
+        at_least(new, old)
+        assert (new <= limit) == (old <= limit), (new, old)
+        cls = algebra._value_classes(np.concatenate([v for v, _, _ in star]), TOL)
+        new, old = tower._ideal_defect(frame, star[-1], cls), ref_ideal_defect(frame, star[-1], cls)
+        at_least(new, old)
+        assert (new <= limit) == (old <= limit), (new, old)
+
+
+def test_the_frame_takes_no_svd_and_no_cube_at_n_128(monkeypatch):
+    # the atom map took one SVD per atom and direction of an n x n image,
+    # and the powers formed the (n, n, n) stack of W^k and two products of
+    # it, 33.5 MB each here, and took 3 n SVDs; the unitary's frame peaked
+    # at 99 MB
+    n = 128
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an SVD in the frame")
+
+    cases = [
+        Analysis(pk.build(pk.q_oscillator(n, 1.0, 1.0))).frame,
+        Analysis(pk.build(pk.weighted_shift(np.sqrt(np.arange(1.0, n))))).frame,
+        Analysis(conjugated("shift", n, 5)).frame,  # W has a part off its blocks
+        # one atom of rank n, whose blocks are n x n: the C*(1) closure of a unitary
+        tower._unit_closure(tower._free_pair(haar(3, n)), TOL)[0],
+    ]
+    for case in cases:
+        frame = tower._AtomFrame(case.alg, case.pair)
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "svd", refused)
+            tracemalloc.start()
+            try:
+                frame.atom_map("forward"), frame.atom_map("star"), frame.powers(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 << 20, peak
+
+
+def test_class_bases_are_built_once_per_class_array(monkeypatch):
+    # a ladder pass rebuilt the class indicators 380 times over 20 frames;
+    # each frame now builds one read-only basis per class array it reads
+    built = []
+
+    def counting(cls, ranks, _orig=tower._class_basis):
+        built.append(cls.tobytes())
+        return _orig(cls, ranks)
+
+    monkeypatch.setattr(tower, "_class_basis", counting)
+    for family, n in RUNGS:
+        an = Analysis(ladder(family, n))
+        built.clear()
+        pk.verify_I1(an), pk.theorem22_report(an), pk.coefficient_algebra(an)
+        assert len(built) == len(set(built)) == len(an.frame._bases), (family, n)
+        assert all(not basis.flags.writeable for basis in an.frame._bases.values())

@@ -10,7 +10,7 @@ import pytest
 import polarkit as pk
 from polarkit import cli
 from polarkit.cli import main
-from polarkit.tower import orbit_structure
+from polarkit.relation import orbit_structure
 
 from conftest import zoo_specs
 

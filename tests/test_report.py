@@ -137,7 +137,7 @@ def test_graded_suite_skips_non_nilpotent_models():
         assert suite["checks"] == []
 
 
-COUNTED = ("polar_decompose", "verify_I1", "endo_pair", "build_tower")
+COUNTED = ("polar_decompose", "verify_I1", "partial_isometry_report", "build_tower")
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +190,35 @@ def test_run_suite_takes_the_norm_of_a_once_per_model(monkeypatch):
         pk.run_suite(pk.config_from_json({"models": [spec], "suites": list(SUITE_ORDER)}))
         monkeypatch.setattr(np.linalg, "svd", svd)
         assert sum(calls) == 1, spec
+        checked += 1
+    assert checked == 5
+
+
+def test_run_suite_certifies_u_and_takes_its_norm_once_per_model(monkeypatch):
+    # _suite_polar and Analysis.pair each took U's partial-isometry
+    # certificate, a stack of norms holding U, and Analysis.pair and
+    # Analysis.unit_closure each took ||U|| by an SVD of U alone: two of
+    # each per model, where one certificate now holds ||U|| for all three
+    svd = np.linalg.svd
+    checked = 0
+    for spec in zoo_specs():
+        a = pk.build(pk.model_spec_from_json(spec))
+        u = pk.polar_decompose(a).u
+        if np.array_equal(a, u):
+            continue
+        calls = []
+
+        def counting(m, *args, _u=u, **kwargs):
+            m = np.asarray(m)
+            if not kwargs.get("compute_uv", True) and m.shape[-2:] == _u.shape:
+                if any(np.array_equal(x, _u) for x in m.reshape(-1, *_u.shape)):
+                    calls.append("alone" if m.ndim == 2 else "stack")
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        pk.run_suite(pk.config_from_json({"models": [spec], "suites": list(SUITE_ORDER)}))
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert calls == ["stack"], spec
         checked += 1
     assert checked == 5
 
