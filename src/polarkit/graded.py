@@ -40,6 +40,12 @@ from the caller's) and read-only, and the map cannot be assigned to, so
 the two cannot part.  A coefficient V diag(v) V* has norm max |v|, so
 ``GradedElement.coefficient_norm`` reads its norms without an SVD.
 
+Draws, products, realizations and the sum estimates also run on stacks
+of elements, atom values shaped (..., degrees, atoms) over one degree
+set, as the graded suite of ``run_suite`` samples them;
+``random_element``, ``graded_mul``, ``realize`` and
+``sum_norm_inequalities`` are these with one item.
+
 The degree-0 coefficient functional N_0 is the whole point: the norm of b
 is recovered from coefficients alone through
 
@@ -53,6 +59,7 @@ largest atom value.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -61,9 +68,10 @@ from types import MappingProxyType
 import numpy as np
 
 from .algebra import SpectralAlgebra, _block_constant_defect
-from .errors import BandwidthOverflow, ModelMismatch, SupportViolation, ZeroElement
+from .errors import BandwidthOverflow, InvalidSpec, ModelMismatch, SupportViolation, ZeroElement
 from .linalg import (
     DEFAULT_TOL,
+    _finite,
     _operator_norms,
     as_matrix,
     dagger,
@@ -253,12 +261,17 @@ class GradedModel:
         values cannot go stale."""
         degrees, values = element
         if mats is None:
-            alg = self.algebra
-            mats = (alg.v * values[:, None, alg.labels]) @ alg._vh
+            mats = self._coefficients(values)
         # views of a read-only stack are read-only
         mats = _frozen(np.asarray(mats))
         coefficients = MappingProxyType(dict(zip(degrees.tolist(), mats)))
         return GradedElement(self, coefficients, _atoms=(_frozen(degrees), _frozen(values)))
+
+    def _coefficients(self, values: np.ndarray) -> np.ndarray:
+        """The coefficients V diag(v) V* of a (..., degrees, atoms) stack of
+        atom values v, in one stacked product."""
+        alg = self.algebra
+        return (alg.v * values[..., None, alg.labels]) @ alg._vh
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,13 +336,34 @@ def realize(g: GradedElement) -> np.ndarray:
     """Assemble the dense matrix Sum u*^|d| beta_d + beta_0 + beta_d u^d;
     the element was certified when it was built."""
     out = np.zeros((g.model.dim, g.model.dim), dtype=np.complex128)
-    for d, c in g.coefficients.items():
+    _realize(g.model, g.coefficients.items(), out)
+    return out
+
+
+def _realize(model: GradedModel, terms, out: np.ndarray):
+    """Add Sum u*^|d| beta_d + beta_0 + beta_d u^d into ``out`` for the
+    pairs (d, beta_d) of ``terms``, each beta_d a (..., n, n) stack shaped
+    like ``out``: one product per degree, the degrees added in order."""
+    for d, c in terms:
         if d == 0:
             out += c
         elif d > 0:
-            out += c @ g.model.power(d)
+            out += c @ model.power(d)
         else:
-            out += g.model._power_star(-d) @ c
+            out += model._power_star(-d) @ c
+
+
+def _realize_values(model: GradedModel, degrees: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """realize of every element (degrees, values[i]) of a (items, degrees,
+    atoms) stack: its coefficients lifted and multiplied per degree, for
+    blocks of items holding at most ``_BLOCK`` coefficient entries (or one
+    item)."""
+    n = model.dim
+    out = np.zeros((len(values), n, n), dtype=np.complex128)
+    step = max(1, _BLOCK // max(1, len(degrees) * n * n))
+    for i in range(0, len(values), step):
+        mats = model._coefficients(values[i : i + step])
+        _realize(model, zip(degrees.tolist(), mats.swapaxes(0, 1)), out[i : i + step])
     return out
 
 
@@ -361,7 +395,10 @@ def graded_mul(g1: GradedElement, g2: GradedElement) -> GradedElement:
 
 def _product(frame: _AtomFrame, left, right, degree: int | None = None):
     """The graded product of two (degrees, atom values) pairs, or with
-    ``degree`` only its degree-``degree`` coefficient.
+    ``degree`` only its degree-``degree`` coefficient.  The values may be
+    stacks shaped (..., degrees, atoms), the same stack on both sides
+    over one degree set each; item i of the result is the product of the
+    items i.
 
     The term at degrees (m, n) lands in degree m + n; by the push-through
     identities its atom values are
@@ -379,69 +416,93 @@ def _product(frame: _AtomFrame, left, right, degree: int | None = None):
 
     The terms are laid out with the left degrees as rows, in the order of
     ``left``, and the degrees m + n as columns; a slot whose right degree
-    is absent gathers a row of zeros.  They are formed in blocks of about
-    sqrt(``_BLOCK`` / atoms) rows and the columns those rows reach, at
-    most ``_BLOCK`` (slot, atom) entries each (or one slot), and each
-    column is summed down its rows, a block's first row taking the sum of
-    the blocks before it.  So every degree adds its terms one at a time in the order
-    of the left degrees, as a loop over them would.  Per degree,
-    coefficients whose largest value is at or below
-    ``COEFF_DROP * scale**2`` are dropped, with scale the largest factor
-    value and at least 1.
+    is absent gathers a row of zeros.  A stack's items sit side by side
+    in a slot, so a slot holds items * atoms entries, and the gathers
+    act on each item's atoms.  The terms are formed in blocks of about
+    sqrt(``_BLOCK`` / (items * atoms)) rows and the columns those rows
+    reach, at most ``_BLOCK`` entries each (or one slot), and each column
+    is summed down its rows, a block's first row taking the sum of the
+    blocks before it.  So every degree adds its terms one at a time in
+    the order of the left degrees, as a loop over them would.  Per item
+    and degree, coefficients whose largest value is at or below
+    ``COEFF_DROP * scale**2`` are dropped, with scale the item's largest
+    factor value and at least 1: the result's degrees are those some
+    item keeps, and an item's row of a degree it drops is zero.
     """
     ldeg, lval = left
     rdeg, rval = right
+    lead, atoms = lval.shape[:-2], lval.shape[-1]
+    items = math.prod(lead)
+    lval = lval.reshape(items, len(ldeg), atoms)
+    rval = rval.reshape(items, len(rdeg), atoms)
+    scale = np.maximum(
+        np.abs(lval).reshape(items, -1).max(axis=1, initial=1.0),
+        np.abs(rval).reshape(items, -1).max(axis=1, initial=1.0),
+    )
     lmax, rmax = int(np.abs(ldeg).max(initial=0)), int(np.abs(rdeg).max(initial=0))
     top = lmax + rmax if frame.vanish is None else min(lmax + rmax, frame.vanish - 1)
-    index, mask, depth = frame.gathers(max(lmax, rmax, top))
-    scale = max(1.0, float(np.abs(lval).max(initial=0.0)), float(np.abs(rval).max(initial=0.0)))
-    size = lval.shape[-1]
+    span = max(lmax, rmax, top)
+    index, mask, depth = frame.gathers(span)
+    size = items * atoms
+    if items > 1:
+        # the rows of delta^k and delta_*^k, k <= span, that the terms
+        # read, with item i's atoms in the columns i * atoms + x of a slot
+        read = np.r_[: span + 1, depth : depth + span + 1]
+        index = (index[read, None, :] + np.arange(0, size, atoms)[:, None]).reshape(len(read), size)
+        mask = np.tile(mask[read], items)
+        depth = span + 1
     first, last = (-top, top) if degree is None else (max(-top, degree), min(top, degree))
     acc = np.zeros((max(0, last - first + 1), size), dtype=np.complex128)
-    if not (len(ldeg) and len(rdeg)):
-        return np.zeros(0, dtype=int), acc[:0]
-    # slot[n + reach] is the row of right degree n, or the row of zeros
-    reach = top + lmax + rmax
-    slot = np.full(2 * reach + 1, len(rdeg))
-    slot[rdeg + reach] = np.arange(len(rdeg))
-    lflat = lval.ravel()
-    rflat = np.concatenate((rval, np.zeros((1, size)))).ravel()
-    rdeg0 = np.append(rdeg, 0)
-    rows = max(1, int(np.sqrt(_BLOCK // size)))
-    for r in range(0, len(ldeg), rows):
-        m = ldeg[r : r + rows, None]
-        lo = max(first, int(m.min() + rdeg.min()))
-        hi = min(last, int(m.max() + rdeg.max()))
-        d = np.arange(lo, hi + 1)
-        j = slot[d - m + reach]
-        on_beta, on_gamma, under = _term_rows(m, rdeg0[j], depth)
-        at = (np.arange(r, r + len(m)) * size)[:, None, None]
-        cols = max(1, _BLOCK // (len(m) * size))
-        for c in range(0, len(d), cols):
-            s = slice(c, c + cols)
-            terms = lflat.take(index[on_beta[:, s]] + at)
-            terms *= rflat.take(index[on_gamma[:, s]] + (j[:, s] * size)[..., None])
-            terms *= mask[under[:, s]] * mask[np.abs(d[s])]
-            block = slice(lo - first + c, lo - first + c + terms.shape[1])
-            terms[0] += acc[block]
-            acc[block] = terms.sum(axis=0)
-    peak = np.abs(acc).max(axis=1)
-    kept = np.flatnonzero(peak > COEFF_DROP * scale * scale)
-    return kept + first, acc[kept]
+    if len(ldeg) and len(rdeg):
+        # slot[n + reach] is the row of right degree n, or the row of zeros
+        reach = top + lmax + rmax
+        slot = np.full(2 * reach + 1, len(rdeg))
+        slot[rdeg + reach] = np.arange(len(rdeg))
+        lflat = lval.transpose(1, 0, 2).ravel()
+        rrows = rval.transpose(1, 0, 2).reshape(len(rdeg), size)
+        rflat = np.concatenate((rrows, np.zeros((1, size)))).ravel()
+        rdeg0 = np.append(rdeg, 0)
+        rlo, rhi = int(rdeg.min()), int(rdeg.max())
+        rows = max(1, int(np.sqrt(_BLOCK // size)))
+        for r in range(0, len(ldeg), rows):
+            m = ldeg[r : r + rows, None]
+            lo = max(first, int(m.min()) + rlo)
+            hi = min(last, int(m.max()) + rhi)
+            d = np.arange(lo, hi + 1)
+            j = slot[d - m + reach]
+            on_beta, on_gamma, under = _term_rows(m, rdeg0[j], depth)
+            at = (np.arange(r, r + len(m)) * size)[:, None, None]
+            cols = max(1, _BLOCK // (len(m) * size))
+            for c in range(0, len(d), cols):
+                s = slice(c, c + cols)
+                terms = lflat.take(index[on_beta[:, s]] + at)
+                terms *= rflat.take(index[on_gamma[:, s]] + (j[:, s] * size)[..., None])
+                terms *= mask[under[:, s]] * mask[np.abs(d[s])]
+                block = slice(lo - first + c, lo - first + c + terms.shape[1])
+                terms[0] += acc[block]
+                acc[block] = terms.sum(axis=0)
+    keep = np.abs(acc).reshape(len(acc), items, atoms).max(axis=2) > COEFF_DROP * scale * scale
+    kept = np.flatnonzero(keep.any(axis=1))
+    values = acc[kept]
+    if items > 1:
+        values = values.reshape(len(kept), items, atoms)
+        values[~keep[kept]] = 0.0
+        values = values.swapaxes(0, 1)
+    return kept + first, values.reshape(lead + (len(kept), atoms))
 
 
 def _term_rows(m: np.ndarray, n: np.ndarray, depth: int):
     """The rows of the gather tables (``_AtomFrame.gathers``) the terms at
     degrees (m, n) read: the power on beta, the power on gamma and the
     mask; row k is delta^k and P_k, row depth + k delta_*^k and Q_k."""
-    low = (n >= 0) | (-n <= m)
-    back = depth + np.minimum(-m, n)
-    star = np.where(n <= 0, -n, back)
-    on_beta = np.where(m >= 0, np.where(low, 0, -n - m), star)
+    m_up, n_up, n_down, neg = m >= 0, n >= 0, n <= 0, -n
+    low = n_up | (neg <= m)
+    star = np.where(n_down, neg, depth + np.minimum(-m, n))
+    on_beta = np.where(m_up, np.where(low, 0, neg - m), star)
     on_gamma = np.where(
-        m >= 0, np.where(n >= 0, m, np.where(low, m + n, 0)), np.where(n <= 0, 0, back)
+        m_up, np.where(n_up, m, np.where(low, m + n, 0)), np.where(n_down, 0, star)
     )
-    under = np.where(m >= 0, np.where(low, m, -n), star)
+    under = np.where(m_up, np.where(low, m, neg), star)
     return on_beta, on_gamma, under
 
 
@@ -467,18 +528,46 @@ def random_element(
     is the atom form of P_|d|, tied to u once per model.  The element
     carries those values.
     """
+    degrees, values = _draws(model, rng, bandwidth, 1)
+    return model._lift((degrees, values[0]))
+
+
+def _draws(model: GradedModel, rng: np.random.Generator, bandwidth: int, count: int):
+    """(degrees, values): the atom values of ``count`` random elements
+    (:func:`random_element`) as one (count, degrees, atoms) stack, from
+    one draw, the same stream as ``count`` calls.  The degrees are those
+    some element keeps; an element's row of a degree it drops is zero."""
     if bandwidth < 0:
         raise ValueError(f"bandwidth must be nonnegative, got {bandwidth}")
     b = min(bandwidth, model.dim - 1)
     alg = model.algebra
-    k = alg.dimension
     _, mask, _ = model._gathers.gathers(b)
     degrees = np.arange(-b, b + 1)
-    x = rng.standard_normal((2 * b + 1, 2, k))
-    draws = x[:, 0] + 1j * x[:, 1]
+    x = rng.standard_normal((count, 2 * b + 1, 2, alg.dimension))
+    draws = x[:, :, 0] + 1j * x[:, :, 1]
     values = draws / np.sqrt(alg._ranges[1]) * mask[np.abs(degrees)]
-    keep = np.abs(values).max(axis=1, initial=0.0) > COEFF_DROP
-    return model._lift((degrees[keep], values[keep]))
+    keep = np.abs(values).max(axis=2, initial=0.0) > COEFF_DROP
+    kept = keep.any(axis=0)
+    values = values[:, kept]
+    if count > 1:
+        values[~keep[:, kept]] = 0.0
+    return degrees[kept], values
+
+
+def _ring_defect(model: GradedModel, rng: np.random.Generator, pairs: int, bandwidth: int):
+    """The largest ||realize(g1 g2) - realize(g1) realize(g2)|| /
+    ((1 + ||realize(g1)||) (1 + ||realize(g2)||)) over ``pairs`` random
+    pairs (g1, g2), the same draws as 2 * ``pairs`` calls of
+    :func:`random_element`.  The pairs are drawn, multiplied and realized
+    as stacks, and the three norms of every pair taken in one call."""
+    degrees, values = _draws(model, rng, bandwidth, 2 * pairs)
+    factors = _realize_values(model, degrees, values).reshape(pairs, 2, model.dim, model.dim)
+    r1, r2 = factors[:, 0], factors[:, 1]
+    values = values.reshape(pairs, 2, *values.shape[1:])
+    product = _product(model._gathers, (degrees, values[:, 0]), (degrees, values[:, 1]))
+    defect = _realize_values(model, *product) - r1 @ r2
+    n1, n2, defect = _operator_norms(np.stack([r1, r2, defect], axis=1)).T
+    return float((defect / ((1.0 + n1) * (1.0 + n2))).max())
 
 
 def check_property_star(
@@ -489,30 +578,27 @@ def check_property_star(
     rng: np.random.Generator | None = None,
 ) -> PropertyStarReport:
     """Sample random graded elements and test the coefficient bounds
-    ||b|| >= ||beta_0|| and ||b|| >= max_d ||beta_d||, within tol; the
-    coefficient norms are read from the carried atom values."""
+    ||b|| >= ||beta_0|| and ||b|| >= max_d ||beta_d||, within tol.  The
+    samples are drawn, realized and normed as one stack each (the same
+    draws as ``samples`` calls of :func:`random_element`), and the
+    coefficient norms are read from their atom values."""
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    if samples == 0:
+        return PropertyStarReport(0, 0.0, 0.0, 0, True)
     if rng is None:
         rng = np.random.default_rng(0)
-    worst_center = np.inf
-    worst_any = np.inf
-    violations = 0
-    for _ in range(samples):
-        g = random_element(model, rng, bandwidth=bandwidth)
-        nb = operator_norm(realize(g))
-        center = nb - g.coefficient_norm(0)
-        any_margin = nb - g.coefficient_norm()
-        worst_center = min(worst_center, center)
-        worst_any = min(worst_any, any_margin)
-        if center < -tol * (1.0 + nb) or any_margin < -tol * (1.0 + nb):
-            violations += 1
-    if samples == 0:
-        worst_center = worst_any = 0.0
+    degrees, values = _draws(model, rng, bandwidth, samples)
+    nb = _operator_norms(_realize_values(model, degrees, values))
+    size = np.abs(values)
+    center = nb - size[:, degrees == 0].max(axis=(1, 2), initial=0.0)
+    any_margin = nb - size.max(axis=(1, 2), initial=0.0)
+    limit = -tol * (1.0 + nb)
+    violations = int(np.count_nonzero((center < limit) | (any_margin < limit)))
     return PropertyStarReport(
         samples=samples,
-        worst_margin_center=float(worst_center),
-        worst_margin_any=float(worst_any),
+        worst_margin_center=float(center.min()),
+        worst_margin_any=float(any_margin.min()),
         violations=violations,
         passed=violations == 0,
     )
@@ -534,31 +620,63 @@ def sum_norm_inequalities(ds, tol: float = DEFAULT_TOL) -> SumNormReport:
         ||Sum sqrt(d_i d_i*)||^2 >= (1/m) ||Sum d_i d_i*||
 
     Margins are reported as (bound side) - (bounded side), so all four
-    should come out nonnegative up to round-off.  Both absolute values
-    of every d_i come from one batched SVD of the stack, and the five
-    norms from one more.
+    should come out nonnegative up to round-off.  A matrix that is not
+    square, not finite or not the size of the first is an
+    :class:`InvalidSpec` naming it.  This is :func:`_sum_norms` on one
+    trial.
     """
-    mats = [as_matrix(d) for d in ds]
+    mats = []
+    for i, d in enumerate(ds):
+        try:
+            m = as_matrix(d)
+        except (TypeError, ValueError) as exc:
+            raise InvalidSpec(f"matrix {i} is not a square matrix: {exc}") from exc
+        if mats and m.shape != mats[0].shape:
+            raise InvalidSpec(f"matrix {i} has shape {m.shape}, matrix 0 {mats[0].shape}")
+        mats.append(_finite(m, f"matrix {i}"))
     if not mats:
         raise ValueError("need at least one matrix")
-    m = len(mats)
-    stack = np.array(mats)
+    return _sum_norms([np.array(mats)], tol)[0]
+
+
+def _sum_norms(trials: list, tol: float) -> list[SumNormReport]:
+    """:func:`sum_norm_inequalities` of each trial, an (m, n, n) stack of
+    finite matrices.  Both absolute values of every matrix of every trial
+    come from one batched SVD, and the trials' five sums are normed in
+    one more; each sum adds its trial's matrices in order."""
+    counts = np.array([len(t) for t in trials])
+    stack = np.concatenate(trials)
     # d = W diag(s) V*, so |d| = V diag(s) V* and |d*| = W diag(s) W*
     w, s, vh = np.linalg.svd(stack)
-    root_left = (dagger(vh) * s[:, None, :]) @ vh
-    root_right = (w * s[:, None, :]) @ dagger(w)
-    sums = np.array([stack, stack @ dagger(stack), dagger(stack) @ stack, root_left, root_right])
-    total, right, left, abs_left, abs_right = map(float, _operator_norms(sums.sum(axis=1)))
-    margins = {
-        "square_vs_right_gram": m * right - total**2,
-        "square_vs_left_gram": m * left - total**2,
-        "abs_sum_vs_left_gram": abs_left**2 - left / m,
-        "abs_sum_vs_right_gram": abs_right**2 - right / m,
-    }
-    norm = float(s[:, 0].max())
-    scale = 1.0 + norm * norm
-    passed = all(v >= -tol * m * scale for v in margins.values())
-    return SumNormReport(count=m, margins=margins, passed=passed)
+    parts = (
+        lambda: stack,
+        lambda: stack @ dagger(stack),
+        lambda: dagger(stack) @ stack,
+        lambda: (dagger(vh) * s[:, None, :]) @ vh,
+        lambda: (w * s[:, None, :]) @ dagger(w),
+    )
+    starts = np.cumsum(counts) - counts
+    sums = np.zeros((len(trials), len(parts)) + stack.shape[1:], dtype=np.complex128)
+    for p, part in enumerate(parts):
+        mats = part()
+        for j in range(counts.max()):
+            on = np.flatnonzero(counts > j)
+            sums[on, p] += mats[starts[on] + j]
+    reports = []
+    for m, norms, top in zip(
+        counts.tolist(), _operator_norms(sums), np.maximum.reduceat(s[:, 0], starts)
+    ):
+        total, right, left, abs_left, abs_right = map(float, norms)
+        margins = {
+            "square_vs_right_gram": m * right - total**2,
+            "square_vs_left_gram": m * left - total**2,
+            "abs_sum_vs_left_gram": abs_left**2 - left / m,
+            "abs_sum_vs_right_gram": abs_right**2 - right / m,
+        }
+        scale = 1.0 + float(top) * float(top)
+        passed = all(v >= -tol * m * scale for v in margins.values())
+        reports.append(SumNormReport(count=m, margins=margins, passed=passed))
+    return reports
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian
+from .errors import InvalidSpec, NotHermitian
 
 DEFAULT_TOL = 1e-9
 
@@ -30,6 +30,16 @@ def as_matrix(m) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def _finite(m: np.ndarray, name: str) -> np.ndarray:
+    """m, when every entry is finite; else an :class:`InvalidSpec` naming
+    ``name`` and its first NaN or infinite entry."""
+    finite = np.isfinite(m)
+    if not finite.all():
+        at = tuple(np.argwhere(~finite)[0].tolist())
+        raise InvalidSpec(f"{name} has a non-finite entry {m[at]} at {at}")
+    return m
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -121,9 +131,10 @@ def polar_decompose(a, tol: float = DEFAULT_TOL) -> PolarDecomposition:
     ``tol * max(s)`` are treated as exactly zero, so U annihilates the
     corresponding right singular vectors instead of acting unitarily there.
     ``|a| = V diag(s) V*`` keeps the small singular values (the positive
-    factor does not need a rank decision).
+    factor does not need a rank decision).  A matrix with a NaN or
+    infinite entry is an :class:`InvalidSpec` naming that entry.
     """
-    m = as_matrix(a)
+    m = _finite(as_matrix(a), "the matrix")
     w, s, vh = np.linalg.svd(m)
     smax = float(s[0]) if s.size else 0.0
     cutoff = tol * smax

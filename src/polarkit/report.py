@@ -19,15 +19,16 @@ import numpy as np
 from .errors import ConfigError, PolarkitError, ZeroElement
 from .graded import (
     _nilpotent,
+    _ring_defect,
+    _sum_norms,
     check_property_star,
     graded_adjoint,
     graded_mul,
     norm_estimate,
     random_element,
     realize,
-    sum_norm_inequalities,
 )
-from .linalg import DEFAULT_TOL, _operator_norms, operator_norm
+from .linalg import DEFAULT_TOL, operator_norm
 from .models import ModelSpec, build, phi_for
 from .relation import Analysis, coefficient_algebra, theorem22_report
 from .serialize import dumps_canonical, model_spec_to_json
@@ -198,15 +199,7 @@ def _suite_graded(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> li
     if model is None:
         return skipped
     bandwidth = min(3, model.dim - 1)
-    # r1, r2 and lhs - rhs of every draw, normed in one stack
-    ring = []
-    for _ in range(10):
-        g1 = random_element(model, rng, bandwidth=bandwidth)
-        g2 = random_element(model, rng, bandwidth=bandwidth)
-        r1, r2 = realize(g1), realize(g2)
-        ring += [r1, r2, realize(graded_mul(g1, g2)) - r1 @ r2]
-    n1, n2, defect = _operator_norms(ring).reshape(-1, 3).T
-    worst = float((defect / ((1.0 + n1) * (1.0 + n2))).max())
+    worst = _ring_defect(model, rng, 10, bandwidth)
     checks = [_check("ring_consistency", "graded.product", worst <= tol, worst)]
     star = check_property_star(model, samples=10, tol=tol, bandwidth=bandwidth, rng=rng)
     checks.append(
@@ -217,16 +210,13 @@ def _suite_graded(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> li
             max(0.0, -min(star.worst_margin_center, star.worst_margin_any)),
         )
     )
+    trials = []
+    for _ in range(5):
+        x = rng.standard_normal((int(rng.integers(1, 6)), 2, model.dim, model.dim))
+        trials.append(x[:, 0] + 1j * x[:, 1])
     worst_margin = 0.0
     ok = True
-    for _ in range(5):
-        m = int(rng.integers(1, 6))
-        ds = [
-            rng.standard_normal((model.dim, model.dim))
-            + 1j * rng.standard_normal((model.dim, model.dim))
-            for _ in range(m)
-        ]
-        rep = sum_norm_inequalities(ds, tol=tol)
+    for rep in _sum_norms(trials, tol):
         ok = ok and rep.passed
         worst_margin = min(worst_margin, min(rep.margins.values()))
     checks.append(

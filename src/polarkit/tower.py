@@ -401,6 +401,7 @@ class _AtomFrame:
         self._maps: dict[str, tuple] = {}
         self._classes: dict[int, tuple] = {}
         self._bases: dict[bytes, np.ndarray] = {}
+        self._facts: dict[int, dict] = {}
         self._images = np.empty((0, self.size), dtype=int)
         self._powers = self._tables = None
         # each atom's columns padded with -1 to the largest rank, then atom
@@ -691,7 +692,20 @@ def _power_facts(frame: _AtomFrame, kmax: int) -> dict:
     * ``initial_chain``, ``final_chain``: the Q- and P-chains
       (:func:`_chain_defect`), ``initial_hermitian``: Q_k - Q_k*, and
       ``final_idempotent``: P_k^2 - P_k.
+
+    They are computed once per frame and kmax; the arrays are read-only.
     """
+    if kmax not in frame._facts:
+        facts = _derive_power_facts(frame, kmax)
+        for v in facts.values():
+            if isinstance(v, np.ndarray):
+                v.flags.writeable = False
+        frame._facts[kmax] = facts
+    return frame._facts[kmax]
+
+
+def _derive_power_facts(frame: _AtomFrame, kmax: int) -> dict:
+    """:func:`_power_facts`, computed."""
     images, taus, (p, p_ties, p_off), (q, q_ties, q_off) = frame.powers(kmax)
     big = max(1.0, np.sqrt(frame.nu2)) ** kmax
     tau = float(taus.max())

@@ -173,6 +173,30 @@ def test_sum_norm_inequalities(rng):
         assert min(rep.margins.values()) >= -1e-9
 
 
+@pytest.mark.filterwarnings("error")
+def test_sum_norm_inequalities_rejects_a_nan_entry(rng):
+    # numpy warned, then raised "LinAlgError: SVD did not converge"
+    ds = [random_matrix(rng, 3) for _ in range(3)]
+    ds[2][1, 0] = np.nan
+    with pytest.raises(pk.InvalidSpec, match=r"matrix 2 has a non-finite entry .* at \(1, 0\)"):
+        pk.sum_norm_inequalities(ds)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sum_norm_inequalities_rejects_an_infinite_entry(rng):
+    ds = [random_matrix(rng, 3) for _ in range(2)]
+    ds[0][2, 2] = -np.inf
+    with pytest.raises(pk.InvalidSpec, match=r"matrix 0 has a non-finite entry .* at \(2, 2\)"):
+        pk.sum_norm_inequalities(ds)
+
+
+def test_sum_norm_inequalities_rejects_mixed_sizes(rng):
+    # numpy raised its "inhomogeneous shape" ValueError
+    ds = [random_matrix(rng, 3), random_matrix(rng, 3), random_matrix(rng, 4)]
+    with pytest.raises(pk.InvalidSpec, match=r"matrix 2 has shape \(4, 4\), matrix 0 \(3, 3\)"):
+        pk.sum_norm_inequalities(ds)
+
+
 def _eigh_sqrt(h):
     """Positive square root of a Hermitian positive semidefinite h."""
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)

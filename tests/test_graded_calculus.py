@@ -710,18 +710,22 @@ KERNEL_MODELS = CARRYING_MODELS + [
 
 
 @st.composite
-def _factors(draw, model):
+def _factors(draw, model, items=None):
     """(degrees, atom values): a set of degrees within a bandwidth of 0 to
-    3, gaps allowed, in any order, with random values under P_|d|."""
+    3, gaps allowed, in any order, with random values under P_|d|; with
+    ``items``, a (items, degrees, atoms) stack over that degree set, each
+    item at its own magnitude."""
     band = draw(st.integers(0, 3))
     degrees = np.array(
         draw(st.lists(st.integers(-band, band), min_size=1, max_size=2 * band + 1, unique=True))
     )
     _, mask, _ = model._gathers.gathers(band)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = rng.standard_normal((len(degrees), 2, model.algebra.dimension))
-    scale = 10.0 ** draw(st.integers(-3, 3))
-    return degrees, (x[:, 0] + 1j * x[:, 1]) * scale * mask[np.abs(degrees)]
+    lead = () if items is None else (items,)
+    x = rng.standard_normal(lead + (len(degrees), 2, model.algebra.dimension))
+    powers = draw(st.lists(st.integers(-3, 3), min_size=items or 1, max_size=items or 1))
+    scale = (10.0 ** np.array(powers, dtype=float)).reshape(lead + (1, 1))
+    return degrees, (x[..., 0, :] + 1j * x[..., 1, :]) * scale * mask[np.abs(degrees)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -729,18 +733,23 @@ def _factors(draw, model):
     data=st.data(),
     which=st.integers(0, len(KERNEL_MODELS) - 1),
     budget=st.sampled_from([1, 40, 300, graded._BLOCK]),
+    items=st.sampled_from([None, 1, 3, 10]),
 )
-def test_product_kernel_matches_the_loop_over_left_degrees(data, which, budget):
+def test_product_kernel_matches_the_loop_over_left_degrees(data, which, budget, items):
     # smaller element budgets split these products into many blocks, as
-    # the squarings of larger models are split
+    # the squarings of larger models are split; a stack is one product
+    # per item over the degrees some item keeps
     model = KERNEL_MODELS[which]
     frame = model._gathers
-    left, right = data.draw(_factors(model)), data.draw(_factors(model))
-    scale = max(1.0, np.abs(left[1]).max(), np.abs(right[1]).max())
+    left, right = data.draw(_factors(model, items)), data.draw(_factors(model, items))
+    pairs = list(zip(left[1].reshape(-1, *left[1].shape[-2:]),
+                     right[1].reshape(-1, *right[1].shape[-2:])))
     top = int(np.abs(left[0]).max() + np.abs(right[0]).max())
     if frame.vanish is not None:
         top = min(top, frame.vanish - 1)
-    kept = ref_atom_product(frame, left, right)[0].tolist()
+    kept = sorted(set().union(*(
+        ref_atom_product(frame, (left[0], lv), (right[0], rv))[0].tolist() for lv, rv in pairs
+    )))
     dropped = sorted(set(range(-top, top + 1)) - set(kept))
     unreachable = [-top - 2, -top - 1, top + 1, top + 2]
     pools = {"all": [None], "kept": kept, "dropped": dropped, "unreachable": unreachable}
@@ -748,12 +757,72 @@ def test_product_kernel_matches_the_loop_over_left_degrees(data, which, budget):
     degree = data.draw(st.sampled_from(pools[pool]))
     with mock.patch.object(graded, "_BLOCK", budget):
         got = graded._product(frame, left, right, degree)
-    want = ref_atom_product(frame, left, right, degree)
-    assert got[0].tolist() == want[0].tolist()
-    assert got[1].shape == want[1].shape
-    assert np.abs(got[1] - want[1]).max(initial=0.0) <= 1e-14 * scale * scale
+    wants = [ref_atom_product(frame, (left[0], lv), (right[0], rv), degree) for lv, rv in pairs]
+    union = sorted(set().union(*(w[0].tolist() for w in wants)))
+    assert got[0].tolist() == union
+    size = model.algebra.dimension
+    assert got[1].shape == left[1].shape[:-2] + (len(union), size)
+    for values, (lv, rv), (degrees, want) in zip(
+        got[1].reshape(len(pairs), len(union), size), pairs, wants
+    ):
+        scale = max(1.0, np.abs(lv).max(), np.abs(rv).max())
+        rows = np.searchsorted(union, degrees)
+        assert np.abs(values[rows] - want).max(initial=0.0) <= 1e-14 * scale * scale
+        # a degree this item drops reads exact zeros
+        assert not values[np.setdiff1d(np.arange(len(union)), rows)].any()
     if pool != "all":
         assert got[0].tolist() == ([degree] if pool == "kept" else [])
+
+
+class _Replay:
+    """A generator stand-in that hands out the entries of ``x`` in order."""
+
+    def __init__(self, x):
+        self.flat, self.at = x.ravel(), 0
+
+    def standard_normal(self, shape):
+        count = int(np.prod(shape))
+        out = self.flat[self.at : self.at + count].reshape(shape)
+        self.at += count
+        return out
+
+
+@pytest.mark.parametrize("budget", [1, 40, graded._BLOCK])
+def test_a_stack_holds_the_degrees_some_item_keeps(budget):
+    # item 1 draws zeros at degree 1 and item 2 draws 1e-16 at degree -1:
+    # as elements they drop those degrees, in the stack their rows there
+    # are zero.  Item 2's degrees -2 and 2 are 1e-9, so its square drops
+    # degrees -4 and 4, which the other squares keep.  The stack's
+    # products and dense forms are those of the three elements.
+    model = pk.graded_model_for(_shift(6))
+    frame = model._gathers
+    x = np.random.default_rng(3).standard_normal((3, 5, 2, model.algebra.dimension))
+    x[1, 3] = 0.0
+    x[2, 1] *= 1e-16
+    x[2, [0, 4]] *= 1e-9
+    degrees, values = graded._draws(model, _Replay(x), 2, 3)
+    replay = _Replay(x)
+    elements = [pk.random_element(model, replay, bandwidth=2) for _ in range(3)]
+    assert degrees.tolist() == list(range(-2, 3))
+    assert [list(g.coefficients) for g in elements] == [
+        [-2, -1, 0, 1, 2], [-2, -1, 0, 2], [-2, 0, 1, 2]
+    ]
+    assert not values[1, 3].any() and not values[2, 1].any()
+    with mock.patch.object(graded, "_BLOCK", budget):
+        dense = graded._realize_values(model, degrees, values)
+        products = [
+            graded._product(frame, (degrees, values), (degrees, values[order]))
+            for order in ([2, 1, 0], [0, 1, 2])
+        ]
+    assert 4 in products[1][0]
+    for i, g in enumerate(elements):
+        assert np.array_equal(values[i, np.searchsorted(degrees, g._atoms[0])], g._atoms[1])
+        assert np.array_equal(dense[i], pk.realize(g))
+        for (union, got), other in zip(products, (elements[2 - i], g)):
+            kept, want = graded._product(frame, g._atoms, other._atoms)
+            rows = np.searchsorted(union, kept)
+            assert np.array_equal(got[i, rows], want)
+            assert not got[i, np.setdiff1d(np.arange(len(union)), rows)].any()
 
 
 def test_norm_estimate_forms_its_terms_in_blocks():
@@ -769,3 +838,20 @@ def test_norm_estimate_forms_its_terms_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20, peak
+
+
+def test_a_stack_of_products_counts_its_items_in_its_blocks():
+    # ten products at n = 64 traced 2.7 MB when a block held one item's
+    # atoms per slot; counting the items keeps the peak near 0.8 MB
+    model = pk.graded_model_for(_shift(64))
+    degrees, values = graded._draws(model, np.random.default_rng(16), 3, 20)
+    pairs = values.reshape(10, 2, *values.shape[1:])
+    left, right = (degrees, pairs[:, 0]), (degrees, pairs[:, 1])
+    graded._product(model._gathers, left, right)
+    tracemalloc.start()
+    try:
+        graded._product(model._gathers, left, right)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 19, peak

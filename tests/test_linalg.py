@@ -95,3 +95,13 @@ def test_polar_properties(seed, n):
     assert pk.operator_norm(pd.u @ pd.u.conj().T @ pd.u - pd.u) <= 1e-9 * scale
     # rank of the positive factor equals the matrix rank
     assert pd.rank == np.linalg.matrix_rank(a, tol=1e-8 * scale)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_polar_decompose_rejects_a_non_finite_matrix(bad):
+    # numpy raised "LinAlgError: SVD did not converge"
+    a = np.eye(3, dtype=complex)
+    a[0, 2] = bad
+    with pytest.raises(pk.InvalidSpec, match=r"the matrix has a non-finite entry .* at \(0, 2\)"):
+        pk.polar_decompose(a)

@@ -5,12 +5,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarkit as pk
 import polarkit.relation as relation
+import polarkit.report as report_module
+import polarkit.tower as tower
+from polarkit.linalg import _operator_norms, dagger
+from polarkit.relation import Analysis
 from polarkit.report import SUITE_ORDER
 
 from conftest import zoo_specs
+from test_relation import _haar_unitary, direct_sums
 
 
 def small_config(**overrides):
@@ -404,3 +411,168 @@ def test_linalg_error_is_a_suite_precondition(monkeypatch):
     alone = pk.run_suite(pk.SuiteConfig(models=(good,), suites=suites))["models"][0]
     assert second["suites"] == alone["suites"]
     assert all(c["pass"] for s in second["suites"] for c in s["checks"])
+
+
+# -- the graded suite's stacks against its per-sample loops ------------------
+
+
+def ref_check_property_star(model, samples, tol, bandwidth, rng):
+    """check_property_star one sample at a time: each element drawn,
+    realized and normed on its own."""
+    worst_center = worst_any = np.inf
+    violations = 0
+    for _ in range(samples):
+        g = pk.random_element(model, rng, bandwidth=bandwidth)
+        nb = pk.operator_norm(pk.realize(g))
+        center = nb - g.coefficient_norm(0)
+        any_margin = nb - g.coefficient_norm()
+        worst_center = min(worst_center, center)
+        worst_any = min(worst_any, any_margin)
+        if center < -tol * (1.0 + nb) or any_margin < -tol * (1.0 + nb):
+            violations += 1
+    return worst_center, worst_any, violations
+
+
+def ref_sum_trial(ds, tol):
+    """One trial of the sum estimates with its own two SVD calls and its
+    sums taken over the trial's axis: (margins, passed)."""
+    m = len(ds)
+    stack = np.array(ds)
+    w, s, vh = np.linalg.svd(stack)
+    root_left = (dagger(vh) * s[:, None, :]) @ vh
+    root_right = (w * s[:, None, :]) @ dagger(w)
+    sums = np.array([stack, stack @ dagger(stack), dagger(stack) @ stack, root_left, root_right])
+    total, right, left, abs_left, abs_right = map(float, _operator_norms(sums.sum(axis=1)))
+    margins = {
+        "square_vs_right_gram": m * right - total**2,
+        "square_vs_left_gram": m * left - total**2,
+        "abs_sum_vs_left_gram": abs_left**2 - left / m,
+        "abs_sum_vs_right_gram": abs_right**2 - right / m,
+    }
+    norm = float(s[:, 0].max())
+    passed = all(v >= -tol * m * (1.0 + norm * norm) for v in margins.values())
+    return margins, passed
+
+
+def ref_suite_graded(an, tol, rng):
+    """The graded suite as a loop over its samples: ten products of two
+    elements, then ref_check_property_star, then five sum trials."""
+    model, skipped = report_module._nilpotent_model(an)
+    if model is None:
+        return skipped
+    bandwidth = min(3, model.dim - 1)
+    ring = []
+    for _ in range(10):
+        g1 = pk.random_element(model, rng, bandwidth=bandwidth)
+        g2 = pk.random_element(model, rng, bandwidth=bandwidth)
+        r1, r2 = pk.realize(g1), pk.realize(g2)
+        ring += [r1, r2, pk.realize(pk.graded_mul(g1, g2)) - r1 @ r2]
+    n1, n2, defect = np.array([pk.operator_norm(m) for m in ring]).reshape(-1, 3).T
+    worst = float((defect / ((1.0 + n1) * (1.0 + n2))).max())
+    checks = [report_module._check("ring_consistency", "graded.product", worst <= tol, worst)]
+    center, any_margin, violations = ref_check_property_star(model, 10, tol, bandwidth, rng)
+    checks.append(
+        report_module._check(
+            "coefficient_bounds",
+            "graded.norm_filtration",
+            violations == 0,
+            max(0.0, -min(center, any_margin)),
+        )
+    )
+    worst_margin, ok = 0.0, True
+    for _ in range(5):
+        m = int(rng.integers(1, 6))
+        ds = [
+            rng.standard_normal((model.dim, model.dim))
+            + 1j * rng.standard_normal((model.dim, model.dim))
+            for _ in range(m)
+        ]
+        margins, passed = ref_sum_trial(ds, tol)
+        ok = ok and passed
+        worst_margin = min(worst_margin, min(margins.values()))
+    checks.append(
+        report_module._check("sum_inequalities", "graded.sum_bounds", ok, max(0.0, -worst_margin))
+    )
+    return checks
+
+
+def _hex(checks):
+    return [(c["name"], c["pass"], float.hex(c["residual"]), c.get("error")) for c in checks]
+
+
+def assert_graded_suite_matches_its_loops(a, seed):
+    an = Analysis(a)
+    spec = pk.custom(a)
+    config = pk.SuiteConfig(models=(spec,), suites=("graded",), seed=seed)
+    got = report_module._suite_graded(spec, an, config, np.random.default_rng([seed, 0, 4]))
+    want = ref_suite_graded(an, config.tol, np.random.default_rng([seed, 0, 4]))
+    assert _hex(got) == _hex(want)
+    return got
+
+
+def _conjugated_chains():
+    """Haar-conjugated weighted shifts tensored with 1_r, the nilpotent
+    direct sums of test_relation.direct_sums: their atom bases are no
+    signed permutations, unlike the zoo's."""
+    cases = (((1.0, 2.0), 2, 5), ((np.sqrt(2.0), 1.0, np.sqrt(3.0)), 1, 6), ((2.0, 0.5), 3, 7))
+    out = []
+    for weights, r, seed in cases:
+        a = np.kron(pk.build(pk.weighted_shift(weights)), np.eye(r))
+        w = _haar_unitary(np.random.default_rng(seed), len(a))
+        out.append(w @ a @ w.conj().T)
+    return out
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2, 3, 2027))
+def test_stacked_graded_suite_gives_the_checks_of_its_loops(seed):
+    zoo = [pk.build(pk.model_spec_from_json(spec)) for spec in zoo_specs()]
+    applied = 0
+    for a in zoo + _conjugated_chains():
+        applied += bool(assert_graded_suite_matches_its_loops(a, seed))
+    # every zoo model but the normal one, and every chain
+    assert applied == len(zoo) - 1 + 3
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=direct_sums(), seed=st.sampled_from((0, 1, 2, 3, 2027)))
+def test_stacked_graded_suite_matches_its_loops_on_direct_sums(a, seed):
+    w = _haar_unitary(np.random.default_rng(seed), len(a))
+    assert_graded_suite_matches_its_loops(w @ a @ w.conj().T, seed)
+
+
+def test_graded_suite_makes_few_svd_calls(monkeypatch):
+    # one call for the ring's norms, one for the samples' norms, and one
+    # SVD and one norm call for the five sum trials; the per-sample loops
+    # made 21 (the ring's stack, one per sample and two per trial)
+    spec = pk.q_oscillator(16, 0.5, 1.0)
+    an = Analysis(pk.build(spec))
+    an.model._gathers
+    calls = [0]
+
+    def counting(*args, _orig=np.linalg.svd, **kwargs):
+        calls[0] += 1
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    config = pk.SuiteConfig(models=(spec,), suites=("graded",))
+    checks = report_module._suite_graded(spec, an, config, np.random.default_rng([0, 3, 4]))
+    assert [c["pass"] for c in checks] == [True] * 3
+    assert calls[0] <= 4, calls[0]
+
+
+def test_run_suite_derives_each_power_fact_once(monkeypatch):
+    # both isometry reports read the closure of C*(1) at kmax = n; each
+    # derived the facts itself, 19 derivations per zoo pass where 12 are
+    # left: the seven closures, and the tower frames of the five models
+    # that pass the relation, which theorem22 reads
+    seen = []
+    derive = tower._derive_power_facts
+
+    def counted(frame, kmax):
+        seen.append((frame, kmax))
+        return derive(frame, kmax)
+
+    monkeypatch.setattr(tower, "_derive_power_facts", counted)
+    config = pk.config_from_json({"models": zoo_specs(), "suites": list(SUITE_ORDER), "seed": 0})
+    assert pk.report_to_json(pk.run_suite(config)) == GOLDEN.read_text(encoding="utf-8")
+    assert len({(id(frame), kmax) for frame, kmax in seen}) == len(seen) == 12
