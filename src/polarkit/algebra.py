@@ -39,6 +39,7 @@ import numpy as np
 from .errors import NotHermitian
 from .linalg import (
     DEFAULT_TOL,
+    _finite,
     _operator_norms,
     as_matrix,
     dagger,
@@ -148,9 +149,9 @@ def spectral_algebra(h, tol: float = DEFAULT_TOL) -> SpectralAlgebra:
 
     Conditioned by the eigenvalue gaps instead of a Vandermonde system:
     eigenvalues closer than ``tol * (1 + ||h||)`` are merged into one
-    atom.
+    atom.  An h with a NaN or infinite entry is an :class:`InvalidSpec`.
     """
-    _, v, groups, _ = _eigenspaces(h, tol)
+    _, v, groups, _ = _eigenspaces(_finite(as_matrix(h), "h"), tol)
     return _atom_algebra(v, groups)
 
 
@@ -164,6 +165,7 @@ def commutant(a, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     sits at machine precision, far below any honest tolerance.  The input
     list is closed under adjoints first so the result is a *-algebra.  An
     algebra stored by its atoms enters as the rows P_x / sqrt(rank P_x).
+    A matrix with a NaN or infinite entry is an :class:`InvalidSpec`.
     """
     if isinstance(a, SpectralAlgebra):
         mats = list(_projection_basis(a.v, a.blocks))
@@ -173,6 +175,7 @@ def commutant(a, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
         mats = [as_matrix(g) for g in a]
     if not mats:
         raise ValueError("commutant needs at least one matrix")
+    mats = [_finite(g, f"matrix {i}") for i, g in enumerate(mats)]
     n = mats[0].shape[0]
     eye = np.eye(n)
     blocks = []
@@ -253,11 +256,12 @@ def is_function_of(b, a, tol: float = DEFAULT_TOL) -> FunctionCertificate:
     ``residual <= tol * (1 + ||b||)``.
 
     This is exactly membership in C*(1, a), but conditioned by b itself
-    rather than by a Vandermonde system in the eigenvalues of a.
+    rather than by a Vandermonde system in the eigenvalues of a.  A b or
+    a with a NaN or infinite entry is an :class:`InvalidSpec`.
     """
-    bm = as_matrix(b)
+    bm = _finite(as_matrix(b), "b")
     scale_b = _normal_scale(bm, tol)
-    w, v, groups, _ = _eigenspaces(a, tol)
+    w, v, groups, _ = _eigenspaces(_finite(as_matrix(a), "a"), tol)
     labels = _labels(groups)
     starts, sizes = ranges = _atom_ranges(labels)
     resid, values = _block_constant_defect(dagger(v) @ bm @ v, labels, ranges)

@@ -304,11 +304,7 @@ def _cmd_norm_estimate(args) -> int:
     est = norm_estimate(g, kmax=args.kmax)
     dense = est.dense_norm
     gap = abs(est.final - dense) / max(dense, 1e-300)
-    env_ok = all(
-        s_k <= dense + tol * (1.0 + dense)
-        and dense <= est.upper_bound(k, s_k) + tol * (1.0 + dense)
-        for k, s_k in est.estimates
-    )
+    env_ok, _ = est.envelope(tol)
     payload = {
         "bandwidth": est.bandwidth,
         "prescale": est.prescale,

@@ -27,18 +27,18 @@ its atoms, or that delta or delta_* does not map into itself, is a
 :class:`ModelMismatch`.  Reading those atom values is also the one
 membership check of a coefficient.
 
-Every element carries certified atom values: its (degrees, atom values)
-beside its dense coefficients, certified once when it is built.  There
-are four constructors: ``random_element`` draws the values as random
-weights on the atoms times the mask of P_|d|; ``graded_mul`` takes them
-from the product; ``graded_adjoint`` conjugates them and flips the
-degrees; and ``element`` reads them in its membership check, before its
-support check, which clears a degree by a Frobenius bound and takes an
-SVD only for the degrees that bound cannot clear.  The dense
-coefficients are lifted from those values (or, for ``element``, copied
-from the caller's) and read-only, and the map cannot be assigned to, so
-the two cannot part.  A coefficient V diag(v) V* has norm max |v|, so
-``GradedElement.coefficient_norm`` reads its norms without an SVD.
+An element is its certified (degrees, atom values), fixed when it is
+built.  There are four constructors: ``random_element`` draws the values
+as random weights on the atoms times the mask of P_|d|; ``graded_mul``
+takes them from the product; ``graded_adjoint`` conjugates them and flips
+the degrees; and ``element`` reads them in its membership check, before
+its support check, which clears a degree by a Frobenius bound and takes
+an SVD only for the degrees that bound cannot clear; it keeps those
+values, not the caller's matrices.  The dense coefficients are a
+read-only view V diag(v) V* of the values, formed on first read; the
+product, adjoint, estimate and norm paths never read it, and nothing
+stored beside the values can go stale.  A coefficient has norm max |v|,
+so ``GradedElement.coefficient_norm`` reads its norms without an SVD.
 
 Draws, products, realizations and the sum estimates also run on stacks
 of elements, atom values shaped (..., degrees, atoms) over one degree
@@ -189,8 +189,9 @@ class GradedModel:
         finite and belong to the coefficient algebra (:class:`ModelMismatch`
         otherwise) and be supported under the matching range projection
         (:class:`SupportViolation`), unless ``enforce_support`` projects them
-        onto that support first.  The element keeps read-only copies of the
-        coefficients and carries the atom values the membership check read.
+        onto that support first.  The element keeps the atom values the
+        membership check read, so its coefficients are their lift, within
+        ``tol * (1 + ||beta_d||)`` of the caller's.
         """
         degrees, mats = [], []
         unreadable = None
@@ -222,9 +223,8 @@ class GradedModel:
         values = self._atom_values(stack, kept, norms[keep])
         if unreadable is not None:
             raise unreadable
-        g = self._lift((kept, values), stack)
-        _check_support(g, self.tol, norms[keep])
-        return g
+        _check_support(self, kept, stack, norms[keep])
+        return self._lift(kept, values)
 
     def _atom_values(self, mats: np.ndarray, degrees: np.ndarray, norms: np.ndarray) -> np.ndarray:
         """Atom values (k, atoms) of a (k, n, n) stack of coefficients with
@@ -252,20 +252,10 @@ class GradedModel:
             )
         return values
 
-    def _lift(self, element, mats=None) -> "GradedElement":
-        """The graded element that carries the given (degrees, atom values).
-
-        Its coefficients are ``mats`` when given, else V diag(values) V*
-        formed in one stacked product.  Coefficients, degrees and values
-        are made read-only and the map is a read-only view, so the carried
-        values cannot go stale."""
-        degrees, values = element
-        if mats is None:
-            mats = self._coefficients(values)
-        # views of a read-only stack are read-only
-        mats = _frozen(np.asarray(mats))
-        coefficients = MappingProxyType(dict(zip(degrees.tolist(), mats)))
-        return GradedElement(self, coefficients, _atoms=(_frozen(degrees), _frozen(values)))
+    def _lift(self, degrees: np.ndarray, values: np.ndarray) -> "GradedElement":
+        """The graded element that carries the given (degrees, atom values),
+        both made read-only."""
+        return GradedElement(self, (_frozen(degrees), _frozen(values)))
 
     def _coefficients(self, values: np.ndarray) -> np.ndarray:
         """The coefficients V diag(v) V* of a (..., degrees, atoms) stack of
@@ -276,18 +266,24 @@ class GradedModel:
 
 @dataclass(frozen=True, eq=False)
 class GradedElement:
-    """Immutable degree -> coefficient map over a GradedModel, with
-    ``_atoms``, its certified (degrees, atom values) in the order of
-    ``coefficients``; :meth:`GradedModel._lift` builds every one.
-    """
+    """Immutable graded element over a GradedModel: ``_atoms``, its certified
+    (degrees, atom values); :meth:`GradedModel._lift` builds every one."""
 
     model: GradedModel
-    coefficients: Mapping[int, np.ndarray]
-    _atoms: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
+    _atoms: tuple[np.ndarray, np.ndarray] = field(repr=False)
+
+    @cached_property
+    def coefficients(self) -> Mapping[int, np.ndarray]:
+        """The read-only degree -> coefficient map, in the order of
+        ``_atoms``: V diag(v) V* of the atom values, formed on first read."""
+        degrees, values = self._atoms
+        # views of a read-only stack are read-only
+        mats = _frozen(self.model._coefficients(values))
+        return MappingProxyType(dict(zip(degrees.tolist(), mats)))
 
     @property
     def bandwidth(self) -> int:
-        return max((abs(d) for d in self.coefficients), default=0)
+        return int(np.abs(self._atoms[0]).max(initial=0))
 
     def coefficient_norm(self, n: int | None = None) -> float:
         """||beta_n||, or max_d ||beta_d|| when ``n`` is None (0 if absent).
@@ -300,34 +296,33 @@ class GradedElement:
         return float(np.abs(values).max(initial=0.0))
 
 
-def _check_support(g: GradedElement, tol: float, norms: np.ndarray):
+def _check_support(model: GradedModel, degrees: np.ndarray, mats: np.ndarray, norms):
     """Raise SupportViolation for the first nonzero degree whose coefficient
-    leaks outside P_|d|; ``norms`` are the operator norms of g's
-    coefficients in order.
+    in the (k, n, n) stack ``mats`` leaks outside P_|d|; ``degrees`` and
+    ``norms`` are the stack's degrees and operator norms in order.
 
     A degree whose leaks P c - c and c P - c both have Frobenius norm at
     most ``tol * (1 + ||c||)`` passes without an SVD: the Frobenius norm
     bounds the operator norm, so only the degrees this cannot clear go to
     the exact check, and no verdict changes."""
-    terms = list(g.coefficients.items())
-    nonzero = [i for i, (d, _) in enumerate(terms) if d != 0]
-    if not nonzero:
+    nonzero = np.flatnonzero(degrees != 0)
+    if not nonzero.size:
         return
-    cs = np.array([terms[i][1] for i in nonzero])
-    ps = np.array([g.model.range_projection(abs(terms[i][0])) for i in nonzero])
+    cs = mats[nonzero]
+    ps = np.array([model.range_projection(abs(d)) for d in degrees[nonzero].tolist()])
     left, right = ps @ cs - cs, cs @ ps - cs
-    scale = norms[nonzero]
+    limit = model.tol * (1.0 + norms[nonzero])
     upper = np.maximum(np.linalg.norm(left, axis=(1, 2)), np.linalg.norm(right, axis=(1, 2)))
-    rest = np.flatnonzero(~(upper <= tol * (1.0 + scale)))
+    rest = np.flatnonzero(~(upper <= limit))
     if not rest.size:
         return
     both = _operator_norms(np.concatenate([left[rest], right[rest]]))
     defects = np.maximum(both[: rest.size], both[rest.size :])
-    bad = np.flatnonzero(defects > tol * (1.0 + scale[rest]))
+    bad = np.flatnonzero(defects > limit[rest])
     if bad.size:
         i = int(bad[0])
         raise SupportViolation(
-            f"degree-{terms[nonzero[rest[i]]][0]} coefficient leaks outside its range "
+            f"degree-{degrees[nonzero[rest[i]]]} coefficient leaks outside its range "
             f"projection (defect {defects[i]:.3e})"
         )
 
@@ -369,19 +364,17 @@ def _realize_values(model: GradedModel, degrees: np.ndarray, values: np.ndarray)
 
 def graded_adjoint(g: GradedElement) -> GradedElement:
     """Adjoint: the degree-d coefficient becomes the adjoint of the
-    degree-(-d) one; realize(graded_adjoint(g)) = realize(g)* exactly.
-    The atom values become their conjugates at the negated degrees."""
-    mats = [dagger(c) for c in g.coefficients.values()]
+    degree-(-d) one, so realize(graded_adjoint(g)) = realize(g)*: the atom
+    values become their conjugates at the negated degrees."""
     degrees, values = g._atoms
-    return g.model._lift((-degrees, values.conj()), mats)
+    return g.model._lift(-degrees, values.conj())
 
 
 def graded_mul(g1: GradedElement, g2: GradedElement) -> GradedElement:
     """Product in graded form, degree by degree, on atom values.
 
     The product runs on the inputs' atom values, see :func:`_product`,
-    and the result carries its values and is lifted to dense
-    coefficients with one stacked product.  The result's degree-d
+    and the result is the values it returns.  The result's degree-d
     coefficient lies under P_|d|; degrees whose u-power vanishes
     (nilpotent truncation) and coefficients that come out at round-off
     scale are dropped.  :class:`ModelMismatch` is raised for elements of
@@ -390,7 +383,7 @@ def graded_mul(g1: GradedElement, g2: GradedElement) -> GradedElement:
     """
     if g1.model is not g2.model:
         raise ModelMismatch("graded elements belong to different models")
-    return g1.model._lift(_product(g1.model._gathers, g1._atoms, g2._atoms))
+    return g1.model._lift(*_product(g1.model._gathers, g1._atoms, g2._atoms))
 
 
 def _product(frame: _AtomFrame, left, right, degree: int | None = None):
@@ -523,13 +516,12 @@ def random_element(
     Per degree d = -b..b, k complex normals w weigh the coefficient-algebra
     basis P_x / sqrt(rank P_x), that is atom values w_x / sqrt(rank P_x);
     the mask of P_|d| projects them onto their canonical support, degrees
-    left at or below ``COEFF_DROP`` are dropped, and one stacked product
-    lifts the rest.  Membership and support hold by construction: the mask
-    is the atom form of P_|d|, tied to u once per model.  The element
-    carries those values.
+    left at or below ``COEFF_DROP`` are dropped, and the element is the
+    rest.  Membership and support hold by construction: the mask is the
+    atom form of P_|d|, tied to u once per model.
     """
     degrees, values = _draws(model, rng, bandwidth, 1)
-    return model._lift((degrees, values[0]))
+    return model._lift(degrees, values[0])
 
 
 def _draws(model: GradedModel, rng: np.random.Generator, bandwidth: int, count: int):
@@ -696,6 +688,16 @@ class NormEstimate:
 
     def upper_bound(self, k: int, s_k: float) -> float:
         return float((4 * k * self.bandwidth + 1) ** (1.0 / (4 * k)) * s_k)
+
+    def envelope(self, tol: float) -> tuple[bool, float]:
+        """Whether every bracket holds the dense norm ||b|| within
+        ``tol * (1 + ||b||)``, and the worst overshoot, the largest of 0
+        and s_k - ||b||, ||b|| - upper_k over the recorded k."""
+        dense = self.dense_norm
+        worst = 0.0
+        for k, s_k in self.estimates:
+            worst = max(worst, s_k - dense, dense - self.upper_bound(k, s_k))
+        return worst <= tol * (1.0 + dense), worst
 
 
 def norm_estimate(

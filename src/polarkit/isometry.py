@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotHermitian
-from .linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger
+from .linalg import DEFAULT_TOL, _finite, _operator_norms, as_matrix, dagger
 
 CONDITIONS = (
     "spec_initial", "spec_final", "idempotent_initial", "idempotent_final", "triple_product"
@@ -64,9 +64,10 @@ def partial_isometry_report(u, tol: float = DEFAULT_TOL) -> PartialIsometryRepor
     which rounds the same under every libm).  Every norm the conditions
     read is one stack, and both spectra are one stacked eigendecomposition
     of the symmetrized u*u and uu*, after the Hermiticity test that
-    :func:`linalg.hermitian_eig` makes (:class:`NotHermitian`).
+    :func:`linalg.hermitian_eig` makes (:class:`NotHermitian`).  A u with
+    a NaN or infinite entry is an :class:`InvalidSpec` naming that entry.
     """
-    um = as_matrix(u)
+    um = _finite(as_matrix(u), "u")
     uh = dagger(um)
     q, p = uh @ um, um @ uh
     norms = _operator_norms(

@@ -53,7 +53,7 @@ from .algebra import (
 from .errors import InvalidSpec, ModelNotGraded, PolarkitError, RelationViolated
 from .graded import GradedModel
 from .isometry import ConditionCheck, partial_isometry_report
-from .linalg import DEFAULT_TOL, as_matrix, dagger, operator_norm, polar_decompose
+from .linalg import DEFAULT_TOL, _finite, as_matrix, dagger, operator_norm, polar_decompose
 from .tower import (
     _BLOCK,
     EndoPair,
@@ -112,23 +112,24 @@ def _once(derive):
 class Analysis:
     """One operator and everything derived from it, each piece once.
 
-    An a whose a*a is not finite in double precision is an
-    :class:`InvalidSpec` at once.  Each field is derived on first read
-    from the ones before it: ``norm`` (||a||), ``pd`` (the polar parts),
-    ``spaces`` (the eigenspaces of |a|), ``seed`` (C*(1, |a|), their
-    algebra), ``certificate`` (the defining-relation test), ``isometry``
-    (U's partial-isometry certificate, with ||U||), ``pair`` (U validated
-    by it), ``tower`` (both towers over the seed), ``frame`` (the atoms of the
-    tower's double closure, with U in their basis), ``model`` (U over that
-    double closure), ``structure`` (the blocks of B, given the relation)
-    and ``unit_closure`` (the atoms of C*(1)'s double closure under U and
-    their certification defect, which the isometry reports read).  A
-    failed derivation is not repeated either: its PolarkitError or
-    LinAlgError is raised again on every later read.
+    An a with a NaN or infinite entry, or whose a*a is not finite in
+    double precision, is an :class:`InvalidSpec` at once.  Each field is
+    derived on first read from the ones before it: ``norm`` (||a||), ``pd``
+    (the polar parts), ``spaces`` (the eigenspaces of |a|), ``seed``
+    (C*(1, |a|), their algebra), ``certificate`` (the defining-relation
+    test), ``isometry`` (U's partial-isometry certificate, with ||U||),
+    ``pair`` (U validated by it), ``tower`` (both towers over the seed),
+    ``frame`` (the atoms of the tower's double closure, with U in their
+    basis), ``model`` (U over that double closure), ``structure`` (the
+    blocks of B, given the relation) and ``unit_closure`` (the atoms of
+    C*(1)'s double closure under U and their certification defect, which
+    the isometry reports read).  A failed derivation is not repeated
+    either: its PolarkitError or LinAlgError is raised again on every
+    later read.
     """
 
     def __init__(self, a, tol: float = DEFAULT_TOL):
-        self.matrix = as_matrix(a)
+        self.matrix = _finite(as_matrix(a), "the matrix")
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.isfinite(dagger(self.matrix) @ self.matrix).all():
                 raise InvalidSpec(

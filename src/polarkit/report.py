@@ -239,15 +239,7 @@ def _suite_norm_formula(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng)
     dense = est.dense_norm
     gap = abs(est.final - dense) / max(dense, 1e-300)
     checks = [_check("estimate_vs_dense", "norm.limit_formula", gap <= 0.05, gap)]
-    envelope_ok = True
-    worst_env = 0.0
-    for k, s_k in est.estimates:
-        lo = s_k - dense
-        hi = dense - est.upper_bound(k, s_k)
-        overshoot = max(lo, hi)
-        worst_env = max(worst_env, overshoot)
-        envelope_ok = envelope_ok and overshoot <= tol * (1.0 + dense)
-    checks.append(_check("envelope", "norm.envelope", envelope_ok, worst_env))
+    checks.append(_check("envelope", "norm.envelope", *est.envelope(tol)))
     b = random_element(model, rng, bandwidth=min(2, model.dim - 1))
     bb = graded_mul(b, graded_adjoint(b))
     nb = operator_norm(realize(b))

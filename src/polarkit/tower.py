@@ -68,6 +68,7 @@ from .linalg import (
     DEFAULT_TOL,
     _block_norms,
     _bordered,
+    _finite,
     _gather_blocks,
     _gram_defects,
     _norm_bounds,
@@ -741,9 +742,9 @@ def _unit_closure(pair: EndoPair, tol: float) -> tuple[_AtomFrame, float]:
 
 
 def _free_pair(v) -> EndoPair:
-    """v with ||v||, unchecked, as the isometry reports read it; a copy,
-    since an EndoPair freezes its array."""
-    um = np.array(as_matrix(v))
+    """v with ||v||, unchecked but finite, as the isometry reports read it;
+    a copy, since an EndoPair freezes its array."""
+    um = np.array(_finite(as_matrix(v), "v"))
     return EndoPair(u=um, ambient_dim=len(um), norm=operator_norm(um))
 
 
@@ -1047,9 +1048,10 @@ def _tower_theorems(
     record("double_closure_equality", frame.class_residual(own, cls) + eps)
 
     # delta_*^j delta^i (seed) for i <= len(an_list), j <= len(n_a_inf_list),
-    # and delta_*^j (seed) for j <= len(na_list)
-    gens, ties, _ = zip(*frame.layers(*seed, "star", len(t.na_list)))
-    imgs = frame.layers(*seed, "forward", len(t.an_list))[1:]
+    # and delta_*^j (seed) for j <= len(na_list), read from the seed's layers
+    # at depth_seed, whose ties bound those of the layers at a smaller depth
+    gens, ties, _ = zip(*seed_layers["star"][: len(t.na_list) + 1])
+    imgs = seed_layers["forward"][1 : len(t.an_list) + 1]
     if imgs:  # the star layers of every image in one gather, rows in image order
         star = frame.layers(*map(np.concatenate, list(zip(*imgs))[:2]), "star",
                             len(t.n_a_inf_list))

@@ -114,6 +114,20 @@ def test_norm_estimate_unit_shift(capsys):
     assert obj["dense_norm"] == pytest.approx(2.0 * np.cos(np.pi / 5.0))
 
 
+@pytest.mark.parametrize("halved", (False, True), ids=("as_is", "upper_bounds_halved"))
+def test_norm_estimate_verdict_is_the_suites_envelope_check(halved, monkeypatch, capsys):
+    spec = zoo_specs()[2]
+    if halved:  # brackets too low to hold the norm: both must fail
+        upper = pk.NormEstimate.upper_bound
+        monkeypatch.setattr(pk.NormEstimate, "upper_bound", lambda est, k, s: upper(est, k, s) / 2)
+    config = pk.config_from_json({"models": [spec], "suites": ["norm_formula"], "seed": 0})
+    checks = pk.run_suite(config)["models"][0]["suites"][0]["checks"]
+    (envelope,) = [c for c in checks if c["name"] == "envelope"]
+    code = main(["norm-estimate", "--model", json.dumps(spec), "--report", "json"])
+    assert json.loads(capsys.readouterr().out)["pass"] is envelope["pass"] is (not halved)
+    assert code == (1 if halved else 0)
+
+
 def test_normal_order_output(capsys):
     assert main(["normal-order", "a a a*", "--q", "0.5", "--h", "1"]) == 0
     out = capsys.readouterr().out

@@ -633,6 +633,50 @@ def test_carried_values_cannot_go_stale():
     assert c.flags.writeable
 
 
+def test_only_a_read_of_the_coefficients_lifts_them(monkeypatch):
+    model = pk.graded_model_for(_shift(8))
+    lifts = []
+
+    def counting(self, values, _orig=pk.GradedModel._coefficients):
+        lifts.append(values.shape)
+        return _orig(self, values)
+
+    monkeypatch.setattr(pk.GradedModel, "_coefficients", counting)
+    rng = np.random.default_rng(11)
+    g1 = pk.random_element(model, rng, bandwidth=2)
+    g2 = pk.random_element(model, rng, bandwidth=1)
+    h = pk.graded_adjoint(pk.graded_mul(g1, g2))
+    assert h.bandwidth == 3
+    assert h.coefficient_norm(1) <= h.coefficient_norm()
+    assert lifts == []
+    # the estimate lifts its input once, for the dense zero test
+    pk.norm_estimate(h, kmax=8)
+    assert lifts == [h._atoms[1].shape]
+    assert list(h.coefficients) == h._atoms[0].tolist()
+    assert len(lifts) == 1
+    first = g1.coefficients
+    assert g1.coefficients is first
+    assert lifts[1:] == [g1._atoms[1].shape]
+
+
+def test_element_keeps_the_lift_of_the_values_it_read():
+    model = pk.graded_model_for(_haar_conjugated_shift(8))
+    rng = np.random.default_rng(12)
+    g = pk.random_element(model, rng, bandwidth=2)
+    given = {}
+    for d, c in g.coefficients.items():
+        # a defect well inside the membership bound, under P_|d|
+        p = model.range_projection(abs(d))
+        e = p @ (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) @ p
+        given[d] = c + 0.1 * model.tol * e / ref_norm(e)
+    h = model.element(given)
+    lifted = model._coefficients(h._atoms[1])
+    assert list(h.coefficients) == list(given)
+    for (d, c), want in zip(h.coefficients.items(), lifted):
+        assert np.array_equal(c, want), f"degree {d}"
+        assert 0.0 < ref_norm(c - given[d]) <= model.tol * (1.0 + ref_norm(given[d]))
+
+
 def test_norm_estimate_keeps_its_dense_norm():
     model = pk.graded_model_for(_shift(12))
     for g in (

@@ -105,3 +105,29 @@ def test_polar_decompose_rejects_a_non_finite_matrix(bad):
     a[0, 2] = bad
     with pytest.raises(pk.InvalidSpec, match=r"the matrix has a non-finite entry .* at \(0, 2\)"):
         pk.polar_decompose(a)
+
+
+ENTRY_POINTS = {
+    "partial_isometry_report": ("u", pk.partial_isometry_report),
+    "spectral_algebra": ("h", pk.spectral_algebra),
+    "is_function_of(b)": ("b", lambda m: pk.is_function_of(m, np.eye(3))),
+    "is_function_of(a)": ("a", lambda m: pk.is_function_of(np.eye(3), m)),
+    "commutant": ("matrix 1", lambda m: pk.commutant([np.eye(3), m])),
+    "endo_pair": ("u", pk.endo_pair),
+    "power_isometry_check": ("v", lambda m: pk.power_isometry_check(m, 2)),
+    "commuting_projection_properties": ("v", lambda m: pk.commuting_projection_properties(m, 2)),
+    "verify_I1": ("the matrix", pk.verify_I1),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=("nan", "inf", "-inf"))
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_entry_points_reject_a_non_finite_matrix_before_any_decomposition(entry, bad):
+    # they raised "LinAlgError: SVD did not converge" on a NaN, and an
+    # infinite entry can keep LAPACK's SVD from returning at all
+    name, call = ENTRY_POINTS[entry]
+    a = np.eye(3, dtype=complex)
+    a[1, 0] = bad
+    with pytest.raises(pk.InvalidSpec, match=rf"^{name} has a non-finite entry .* at \(1, 0\)$"):
+        call(a)

@@ -48,21 +48,24 @@ def test_verify_I1_jordan_names_offender():
 
 
 @pytest.mark.parametrize(
-    "a, largest",
-    (([[np.nan, 0.0], [0.0, 1.0]], "nan"), (np.diag([1e200, 1.0]), "1.000e+200")),
+    "a, message",
+    (
+        ([[np.nan, 0.0], [0.0, 1.0]], "the matrix has a non-finite entry (nan+0j) at (0, 0)"),
+        (np.diag([1e200, 1.0]), "a*a overflows double precision (largest entry 1.000e+200)"),
+    ),
     ids=("nan", "overflow"),
 )
 @pytest.mark.parametrize(
     "view", (pk.verify_I1, pk.theorem22_report, pk.coefficient_algebra, pk.graded_model_for)
 )
-def test_a_non_finite_gram_is_an_invalid_spec(view, a, largest):
+def test_a_non_finite_gram_is_an_invalid_spec(view, a, message):
     # the views raised "LinAlgError: SVD did not converge" on the NaN, and
     # all but graded_model_for warned of an overflow in matmul on 1e200
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(pk.InvalidSpec) as err:
             view(a)
-    assert str(err.value) == f"a*a overflows double precision (largest entry {largest})"
+    assert str(err.value) == message
 
 
 def test_nonunital_seed_excludes_kernel(shift4):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import warnings
@@ -283,6 +284,22 @@ def test_zoo_report_is_the_golden_file_byte_for_byte(counted_zoo_run):
     the file and says why."""
     _, report, _ = counted_zoo_run
     assert pk.report_to_json(report) == GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    (
+        (1, "d2705c3a7ca70c5ee6917784b8be9c4ecb17bff601f2aa9d42754608804b29ed"),
+        (2027, "b8b2ca31c9b14b1a64f9fac5c22904981a86bbb70a410193252a7aa5d60ed453"),
+    ),
+)
+def test_zoo_report_bytes_are_pinned_at_more_seeds(seed, digest):
+    """The sha256 of the report scripts/run_zoo.py --seed <seed> writes,
+    taken with numpy 2.4.6 and OpenBLAS; a change that moves a byte on
+    purpose updates the digest and says why."""
+    config = pk.config_from_json({"models": zoo_specs(), "suites": list(SUITE_ORDER), "seed": seed})
+    text = pk.report_to_json(pk.run_suite(config))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_failed_derivation_is_not_repeated(monkeypatch, rng):
