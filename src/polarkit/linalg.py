@@ -153,9 +153,10 @@ def rough_norm(m, iters: int = 50) -> float:
     Deterministic: the start vector is a fixed pseudorandom draw (PCG64,
     seed 0) so repeated runs agree to the bit.  Used where a cheap scale
     guess is wanted without consulting the SVD oracle; accuracy of a few
-    percent is enough for its callers.
+    percent is enough for its callers.  A matrix with a NaN or infinite
+    entry is an :class:`InvalidSpec`.
     """
-    a = as_matrix(m)
+    a = _finite(as_matrix(m), "m")
     n = a.shape[0]
     if n == 0:
         return 0.0

@@ -11,12 +11,14 @@ are deliberately kept distinct).  Bicommutant membership is tested
 against the seed C*(1, |a|) itself: at finite dimension a *-algebra with
 1 is its own bicommutant (von Neumann's double commutant theorem), so
 no commutant is ever built.  The ten checks are read on the atoms of the
-tower's double closure, where U is a block partial permutation plus a
-measured tie per power, so they cost O(n) SVDs, not O(n^2).
+double closure of the seed, certified but with no tower built over it,
+where U is a block partial permutation plus a measured tie per power, so
+they cost O(n) SVDs, not O(n^2).
 
 ``coefficient_algebra`` assembles the commutative algebra every graded
 coefficient lives in, by running the endomorphism tower over the seed
-C*(1, |a|), and checks the structure statements that come with it.  The
+C*(1, |a|) on that same closure, and checks the structure statements
+that come with it; it is the one view here that builds the tower.  The
 ``structure`` view reads the algebra B generated by {1, |a|, U} as a
 Wedderburn sum over the orbits of delta on the atoms of that algebra
 (:class:`OrbitBlock`), so dim B = sum L^2 over chains + sum c^2 s over
@@ -60,11 +62,13 @@ from .tower import (
     TheoremReport,
     TowerReport,
     _AtomFrame,
+    _build_tower,
+    _certified,
     _checked_pair,
+    _double_closure,
     _power_facts,
     _tower_theorems,
     _unit_closure,
-    build_tower,
 )
 
 @dataclass(frozen=True)
@@ -118,18 +122,25 @@ class Analysis:
     (the polar parts), ``spaces`` (the eigenspaces of |a|), ``seed``
     (C*(1, |a|), their algebra), ``certificate`` (the defining-relation
     test), ``isometry`` (U's partial-isometry certificate, with ||U||),
-    ``pair`` (U validated by it), ``tower`` (both towers over the seed),
-    ``frame`` (the atoms of the tower's double closure, with U in their
-    basis), ``model`` (U over that double closure), ``structure`` (the
-    blocks of B, given the relation) and ``unit_closure`` (the atoms of
-    C*(1)'s double closure under U and their certification defect, which
-    the isometry reports read).  A failed derivation is not repeated
-    either: its PolarkitError or LinAlgError is raised again on every
-    later read.
+    ``pair`` (U validated by it), ``closure`` (the seed's double closure
+    under U: its frame, the seed's class of each atom and the
+    certification defect), ``frame`` (that closure's atoms with U in
+    their basis, once certified; else the weak hypotheses fail, a
+    :class:`HypothesisViolated`), ``tower`` (both towers over the seed,
+    built on ``closure``), ``model`` (U over the double closure),
+    ``structure`` (the blocks of B, given the relation) and
+    ``unit_closure`` (the atoms of C*(1)'s double closure under U and
+    their certification defect, which the isometry reports read).  Only
+    ``tower`` builds the tower; ``frame``, ``model`` and ``structure``
+    read the closure alone.  ``matrix`` is a read-only copy of a, so the
+    caller's array is neither kept nor frozen.  A failed derivation is not
+    repeated either: its PolarkitError or LinAlgError is raised again on
+    every later read.
     """
 
     def __init__(self, a, tol: float = DEFAULT_TOL):
-        self.matrix = _finite(as_matrix(a), "the matrix")
+        self.matrix = np.array(_finite(as_matrix(a), "the matrix"))
+        self.matrix.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.isfinite(dagger(self.matrix) @ self.matrix).all():
                 raise InvalidSpec(
@@ -146,8 +157,9 @@ class Analysis:
     certificate = _once(lambda an: verify_I1(an))
     isometry = _once(lambda an: partial_isometry_report(an.pd.u, tol=an.tol))
     pair = _once(lambda an: _checked_pair(an.pd.u, an.isometry))
-    tower = _once(lambda an: build_tower(an.seed, an.pair, tol=an.tol))
-    frame = _once(lambda an: an.tower._frame)
+    closure = _once(lambda an: _double_closure(an.seed, an.pair, an.tol))
+    frame = _once(lambda an: _certified(an.closure, an.tol))
+    tower = _once(lambda an: _build_tower(an.seed, an.pair, an.tol, an.closure))
     model = _once(lambda an: _graded_model(an))
     structure = _once(lambda an: _structure(an))
     unit_closure = _once(lambda an: _unit_closure(
@@ -155,7 +167,7 @@ class Analysis:
 
 
 def _graded_model(an: Analysis) -> GradedModel:
-    """U over the double closure, read on the tower's frame."""
+    """U over the double closure, read on its certified frame."""
     model = GradedModel(an.pair, an.frame.alg, tol=an.tol)
     model._frame = an.frame
     return model
@@ -335,8 +347,10 @@ def _class_defect(frame: _AtomFrame, values, ties, cls, eps: float) -> float:
 def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     """Verify the ten properties of U from the polar decomposition.
 
-    Requires the defining relation (RelationViolated otherwise), and raises
-    the tower's HypothesisViolated or the block form's ModelNotGraded.
+    Requires the defining relation (RelationViolated otherwise), then a
+    certified double closure of the seed (the HypothesisViolated of the
+    weak hypothesis set otherwise), then U's block form on its atoms
+    (ModelNotGraded otherwise); no tower is built.
     Powers run to k = n, the dimension, by which point the projection chain
     has stabilized or died.  Each residual is passed at
     ``tol * (1 + ||a||)^2``.
@@ -369,10 +383,12 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     """
     an = _analysis(a, tol)
     tol = an.tol
-    an.structure  # the relation, the tower and U's block form, or their typed error
+    _require_relation(an)
     frame = an.frame
     n = an.matrix.shape[0]
+    # the powers to depth n before the block form, which reads the first of them
     images, taus, (p, p_ties, _), (q, q_ties, _) = frame.powers(n)
+    an.structure  # U's block form, or its ModelNotGraded
     scale = 1.0 + an.norm
     thr = tol * (scale * scale)
 
@@ -534,8 +550,10 @@ def coefficient_algebra(a, tol: float = DEFAULT_TOL) -> CoefficientAlgebraReport
 def graded_model_for(a, tol: float = DEFAULT_TOL) -> GradedModel:
     """Graded model of a without requiring the defining relation.
 
-    Builds the double-closure tower over C*(1, |a|) and wraps the polar
-    partial isometry with that limit algebra.  The graded calculus only
+    Finds the double closure of C*(1, |a|) under the polar partial
+    isometry (no tower is built; an uncertified closure fails the weak
+    hypothesis set, a :class:`HypothesisViolated`) and wraps the partial
+    isometry with that algebra.  The graded calculus only
     needs U and a commutative invariant coefficient algebra, so this
     also covers negative-control models (unit-weight shifts, Jordan
     blocks) on which :func:`verify_I1` fails.

@@ -27,23 +27,29 @@ additionally makes the layer products and the top-layer ideal statement
 valid at the seed level (they always hold at the a_inf level).
 
 Everything is read on the atoms X of the double closure, which is C(X).
-X is found first, by splitting the seed's atoms with one mixed image
-U h U* and U* h U per round, and certified: delta and delta_* must act on
-X as a partial injection and its inverse, two 0/1 matrices tied to U by
-block norms of W = V*UV and one Gram W*W.  An element read on X is a
-vector over X plus its tie, a bound on its distance from that atom
-function (``_AtomFrame``); the powers of U are products of W's blocks
-along delta's orbits plus an exact first order and a bounded rest, so no
-tie takes an SVD or a power of U.  The four sequences are partitions of
-X joined with gathers of the seed's classes; the hypotheses and the tower
-theorems are gathers through the powers of delta, class residuals under
-the trace inner product (whose weights are the atom ranks; a layer of
-a_inf is a partition of its support, so its products with other layers
-are class residuals too) and commutator bounds from the ties.  No check
-runs a span closure.  ``relation.orbit_structure`` reads the
-blocks of B = C*(1, |a|, U) off delta's orbits on X, and the isometry
-reports read the powers of U on the atoms of C*(1)'s double closure
-(``_power_facts``).
+X is found first, by splitting the seed's atoms with images of a
+mixed h = sum_x c_x P_x.  Round j splits by those under U^(2^j) and
+U*^(2^j), the powers taken by squaring, so a chain of n atoms is cut in
+about log2 n rounds; then rounds of U h U* and U* h U run until none splits.  Every
+image lies in the double closure, so none splits it too finely, and the
+stopping rule, and so X, is that of the single-step rounds.  X is then
+certified: delta and delta_* must act on X as a partial injection and its
+inverse, two 0/1 matrices tied to U by block norms of W = V*UV and one
+Gram W*W.  Only a certified X is read (:func:`_certified`); the tower is
+built on it, and the views that need only X do not build the tower.  An
+element read on X is a vector over X plus its tie, a bound on its
+distance from that atom function (``_AtomFrame``); the powers of U are
+products of W's blocks along delta's orbits plus an exact first order and
+a bounded rest, so no tie takes an SVD or a power of U.  The four
+sequences are partitions of X joined with gathers of the seed's classes;
+the hypotheses and the tower theorems are gathers through the powers of
+delta, class residuals under the trace inner product (whose weights are
+the atom ranks; a layer of a_inf is a partition of its support, so its
+products with other layers are class residuals too) and commutator bounds
+from the ties.  No check runs a span closure.
+``relation.orbit_structure`` reads the blocks of B = C*(1, |a|, U) off
+delta's orbits on X, and the isometry reports read the powers of U on the
+atoms of C*(1)'s double closure (``_power_facts``).
 """
 
 from __future__ import annotations
@@ -112,8 +118,9 @@ class EndoPair:
 
 
 def endo_pair(u, tol: float = DEFAULT_TOL) -> EndoPair:
-    """Wrap u after checking it really is a partial isometry."""
-    um = as_matrix(u)
+    """Wrap u after checking it really is a partial isometry; a copy of
+    u, since an EndoPair freezes its array."""
+    um = np.array(as_matrix(u))
     return _checked_pair(um, partial_isometry_report(um, tol=tol))
 
 
@@ -169,10 +176,14 @@ def _double_closure(a0: SpectralAlgebra, pair: EndoPair, tol: float):
     """``(frame, seed, defect)``: the frame on X, the seed's class of each
     atom of X, and X's certification defect (``_AtomFrame.injection``).
 
-    X starts from the seed's atoms; each round splits them by U h U* and
-    U* h U, h = sum_x c_x P_x with fixed weights c, grouped at
-    ``tol * (1 + 2 ||U||^2)``, until none splits.  A seed not stored by
-    its atoms is a :class:`ModelMismatch`.
+    X starts from the seed's atoms, and each round splits them by two
+    images of h = sum_x c_x P_x, with fixed weights c.  Round j = 0, 1, ..
+    takes U^(2^j) h U*^(2^j) and U*^(2^j) h U^(2^j), the powers by
+    squaring, grouped at ``tol * (1 + 2 max(1, ||U||)^(2^(j+1)))``, while
+    2^j < n, that scale is finite (it bounds the images' norms) and some
+    atom has rank > 1.  Then rounds of U h U* and U* h U, grouped at
+    ``tol * (1 + 2 ||U||^2)``, run until none splits.  A seed not stored
+    by its atoms is a :class:`ModelMismatch`.
     """
     if not isinstance(a0, SpectralAlgebra):
         raise ModelMismatch("the seed algebra is not stored by its atoms")
@@ -180,15 +191,51 @@ def _double_closure(a0: SpectralAlgebra, pair: EndoPair, tol: float):
     if comm_res > tol:
         raise HypothesisViolated(f"seed algebra is not commutative (residual {comm_res:.3e})")
     v, blocks = a0.v.copy(), a0.blocks
-    seed, count, nu = _labels(blocks), 0, pair.norm
+    seed, nu = _labels(blocks), pair.norm
+
+    def mixed():
+        return (v * _mix_weights(len(blocks))[_labels(blocks)]) @ dagger(v)
+
+    root = max(1.0, nu)
+    reach, power, big = 1, pair.u, root * root  # U^reach, max(1, ||U||)^(2 reach)
+    # 2 big bounds the norm of both images
+    while reach < pair.ambient_dim and np.isfinite(2.0 * big) and any(
+        idx.size > 1 for idx in blocks
+    ):
+        if reach > 1:
+            power = power @ power
+        h = mixed()
+        for image in (power @ h @ dagger(power), dagger(power) @ h @ power):
+            blocks = _refine(v, blocks, image, tol * (1.0 + 2.0 * big))
+        reach, big = 2 * reach, big * big
+    count = 0
     while len(blocks) > count and any(idx.size > 1 for idx in blocks):
-        count, gap = len(blocks), tol * (1.0 + 2.0 * nu * nu)
-        h = (v * _mix_weights(count)[_labels(blocks)]) @ dagger(v)
+        count, h = len(blocks), mixed()
         for image in (pair.delta(h), pair.delta_star(h)):
-            blocks = _refine(v, blocks, image, gap)
+            blocks = _refine(v, blocks, image, tol * (1.0 + 2.0 * nu * nu))
     frame = _AtomFrame(a0 if len(blocks) == len(a0.blocks) else _atom_algebra(v, blocks), pair)
     defect = max(frame.injection(d)[2] for d in ("forward", "star"))
     return frame, seed[frame.ranges[0]], defect
+
+
+def _weak_violation(residual: float) -> HypothesisViolated:
+    """The error of a seed that fails the weak hypothesis set, worst
+    residual ``residual``."""
+    return HypothesisViolated(
+        "seed algebra fails the weak hypothesis set "
+        f"(worst residual {residual:.3e}); no commutative extension "
+        "on which both conjugations are endomorphisms exists"
+    )
+
+
+def _certified(closure: tuple, tol: float) -> "_AtomFrame":
+    """The frame of ``closure``, a :func:`_double_closure`, once its defect
+    is within ``tol * (1 + ||U||^2)^2``; beyond it every weak hypothesis
+    reads the defect (:func:`_hypotheses`), so it fails them."""
+    frame, _, defect = closure
+    if not defect <= tol * frame.scale:
+        raise _weak_violation(defect)
+    return frame
 
 
 def _sequence(frame: "_AtomFrame", base: np.ndarray, direction: str):
@@ -286,14 +333,15 @@ def build_tower(a0: SpectralAlgebra, pair: EndoPair, tol: float = DEFAULT_TOL) -
     holds is recorded in the report.  Each level is a partition of X (:func:`_sequence`), one
     algebra per partition, read in the next by a class residual on X.
     """
-    frame, seed, defect = _double_closure(a0, pair, tol)
+    return _build_tower(a0, pair, tol, _double_closure(a0, pair, tol))
+
+
+def _build_tower(a0: SpectralAlgebra, pair: EndoPair, tol: float, closure: tuple) -> TowerReport:
+    """:func:`build_tower` on ``closure``, the seed's :func:`_double_closure`."""
+    frame, seed, defect = closure
     hyp = _hypotheses(frame, a0, pair.ambient_dim, tol, defect)
     if not hyp.weak_holds:
-        raise HypothesisViolated(
-            "seed algebra fails the weak hypothesis set "
-            f"(worst residual {hyp.weak_residual:.3e}); no commutative extension "
-            "on which both conjugations are endomorphisms exists"
-        )
+        raise _weak_violation(hyp.weak_residual)
     algebras = {tuple(range(frame.size)): frame.alg}
     algebras.setdefault(tuple(seed), a0)
 

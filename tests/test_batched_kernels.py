@@ -470,7 +470,7 @@ def test_batched_kernels_give_the_bits_of_their_loops(a, block):
 def test_checks_with_a_batched_inner_loop_give_the_bits_of_the_loop(a):
     an = Analysis(a)
     try:
-        an.structure  # the relation, the tower and the block form
+        an.structure, an.tower  # the relation, the block form and the tower
     except pk.PolarkitError:
         return
     t, frame = an.tower, an.frame

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarkit as pk
+import polarkit.relation as relation
+import polarkit.tower as tower
 from polarkit.linalg import dagger
 from polarkit.relation import Analysis, orbit_structure
 from polarkit.tower import _AtomFrame
@@ -405,3 +407,111 @@ def test_structure_of_direct_sums_matches_the_oracles(a):
     assert an.certificate.holds
     _assert_oracles_agree(an)
     assert_theorem22_matches_per_pair_loops(an)
+
+
+# -- what each view derives ---------------------------------------------------
+
+
+def _count_derivations(monkeypatch) -> dict:
+    """Counters of the towers built (TowerReports made), the double
+    closures found and the derivations of the powers of U on a frame (calls
+    of _AtomFrame.powers that fill its cache anew)."""
+    counts = dict.fromkeys(("build_tower", "closures", "powers"), 0)
+    made, found, powers = tower.TowerReport.__init__, tower._double_closure, _AtomFrame.powers
+
+    def making(self, *args, **kwargs):
+        counts["build_tower"] += 1
+        made(self, *args, **kwargs)
+
+    def finding(*args, **kwargs):
+        counts["closures"] += 1
+        return found(*args, **kwargs)
+
+    def deriving(self, depth):
+        before = self._powers
+        out = powers(self, depth)
+        counts["powers"] += self._powers is not before
+        return out
+
+    monkeypatch.setattr(tower.TowerReport, "__init__", making)
+    for module in (tower, relation):
+        monkeypatch.setattr(module, "_double_closure", finding, raising=False)
+    monkeypatch.setattr(_AtomFrame, "powers", deriving)
+    return counts
+
+
+@pytest.mark.parametrize("family", ("shift", "osc"))
+def test_views_build_the_tower_only_where_they_read_it(monkeypatch, family):
+    # theorem22_report and graded_model_for built the whole tower to read
+    # its frame, and theorem22_report read the first power before the
+    # n-th, deriving the powers twice
+    spec = pk.weighted_shift(np.sqrt(np.arange(1.0, 8))) if family == "shift" else pk.q_oscillator(
+        8, 1.0, 1.0
+    )
+    a = pk.build(spec)
+    counts = _count_derivations(monkeypatch)
+    expected = {
+        pk.theorem22_report: {"build_tower": 0, "closures": 1, "powers": 1},
+        pk.graded_model_for: {"build_tower": 0, "closures": 1, "powers": 0},
+    }
+    for view, want in expected.items():
+        counts.update(dict.fromkeys(counts, 0))
+        view(a)
+        assert counts == want, view.__name__
+    counts.update(dict.fromkeys(counts, 0))
+    pk.coefficient_algebra(a)
+    assert (counts["build_tower"], counts["closures"]) == (1, 1)
+
+
+def _uncertified():
+    rng = np.random.default_rng(20260819)  # the conftest rng's first draw
+    t = np.deg2rad(30.0)
+    rotation = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    return {
+        "random": rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
+        "rotation": rotation @ np.diag([1.0, 2.0]),
+    }
+
+
+WEAK = (
+    "seed algebra fails the weak hypothesis set (worst residual {}); no commutative "
+    "extension on which both conjugations are endomorphisms exists"
+)
+
+
+@pytest.mark.parametrize(
+    "name, relation_message, weak_residual",
+    (
+        ("random", "aa* is not a function of a*a (residual 6.170e+00); eigenspace of a*a "
+         "at 6.396 carries inconsistent aa* values", "1.455e+00"),
+        ("rotation", "aa* is not a function of a*a (residual 1.299e+00); eigenspace of "
+         "a*a at 1 carries inconsistent aa* values", "9.330e-01"),
+    ),
+    ids=("random", "rotation"),
+)
+def test_uncertified_closure_raises_what_the_tower_raised(name, relation_message, weak_residual):
+    # the same types and messages as when every view read the tower
+    a = _uncertified()[name]
+    an = Analysis(a)
+    assert not an.closure[2] <= an.tol * an.closure[0].scale
+    for view in (pk.theorem22_report, pk.coefficient_algebra):
+        with pytest.raises(pk.RelationViolated) as err:
+            view(a)
+        assert str(err.value) == relation_message
+    for read in (lambda: pk.graded_model_for(a), lambda: an.frame, lambda: an.tower):
+        with pytest.raises(pk.HypothesisViolated) as err:
+            read()
+        assert str(err.value) == WEAK.format(weak_residual)
+
+
+def test_analysis_keeps_a_private_copy_of_a():
+    # Analysis kept the caller's array: written after the polar parts were
+    # taken, ||U|a| - an.matrix|| read 1.0 and verify_I1 read the new matrix
+    weights = (1.0, np.sqrt(2.0), np.sqrt(3.0), 2.0)
+    a = pk.build(pk.weighted_shift(weights))
+    an = Analysis(a)
+    pd = an.pd
+    a[...] = pk.build(pk.jordan_block(5))
+    assert a.flags.writeable and not an.matrix.flags.writeable
+    assert np.abs(pd.u @ pd.pos - an.matrix).max() < 1e-12
+    assert pk.verify_I1(an) == pk.verify_I1(pk.build(pk.weighted_shift(weights)))

@@ -145,7 +145,15 @@ def test_graded_suite_skips_non_nilpotent_models():
         assert suite["checks"] == []
 
 
-COUNTED = ("polar_decompose", "verify_I1", "partial_isometry_report", "build_tower")
+# the function each count wraps: a tower is built by tower._build_tower,
+# whether through build_tower or through Analysis.tower, which hands it the
+# closure Analysis.closure found
+COUNTED = {
+    "polar_decompose": pk.polar_decompose,
+    "verify_I1": pk.verify_I1,
+    "partial_isometry_report": pk.partial_isometry_report,
+    "build_tower": tower._build_tower,
+}
 
 
 @pytest.fixture(scope="module")
@@ -155,16 +163,15 @@ def counted_zoo_run():
     counts = dict.fromkeys(COUNTED, 0)
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "polarkit"]
     with pytest.MonkeyPatch.context() as mp:
-        for fname in COUNTED:
-            orig = getattr(pk, fname)
+        for fname, orig in COUNTED.items():
 
             def counting(*args, _orig=orig, _fname=fname, **kwargs):
                 counts[_fname] += 1
                 return _orig(*args, **kwargs)
 
             for module in modules:
-                if getattr(module, fname, None) is orig:
-                    mp.setattr(module, fname, counting)
+                if getattr(module, orig.__name__, None) is orig:
+                    mp.setattr(module, orig.__name__, counting)
         specs = zoo_specs()
         config = pk.config_from_json({"models": specs, "suites": list(SUITE_ORDER), "seed": 0})
         report = pk.run_suite(config)
@@ -172,8 +179,13 @@ def counted_zoo_run():
 
 
 def test_run_suite_derives_each_fact_once_per_model(counted_zoo_run):
+    # only the tower suite builds the tower, and only where the relation
+    # holds; the graded suites of the two negative controls read the
+    # certified closure alone
     specs, _, counts = counted_zoo_run
-    assert counts == dict.fromkeys(COUNTED, len(specs))
+    holds = sum(pk.verify_I1(pk.build(pk.model_spec_from_json(spec))).holds for spec in specs)
+    assert holds == 5
+    assert counts == {**dict.fromkeys(COUNTED, len(specs)), "build_tower": holds}
 
 
 def test_run_suite_takes_the_norm_of_a_once_per_model(monkeypatch):
@@ -303,15 +315,15 @@ def test_zoo_report_bytes_are_pinned_at_more_seeds(seed, digest):
 
 
 def test_failed_derivation_is_not_repeated(monkeypatch, rng):
-    import polarkit.relation as relation
-
+    # both suites read the graded model, and so the seed's double closure,
+    # which is found once and fails its certification once
     calls = []
 
-    def counting(*args, _orig=relation.build_tower, **kwargs):
+    def counting(*args, _orig=relation._double_closure, **kwargs):
         calls.append(args)
         return _orig(*args, **kwargs)
 
-    monkeypatch.setattr(relation, "build_tower", counting)
+    monkeypatch.setattr(relation, "_double_closure", counting)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     config = pk.SuiteConfig(models=(pk.custom(m),), suites=("graded", "norm_formula"))
     graded, norm = pk.run_suite(config)["models"][0]["suites"]
@@ -405,17 +417,18 @@ def test_overflowing_gram_is_a_build_precondition():
 
 def test_linalg_error_is_a_suite_precondition(monkeypatch):
     # numpy failing to factor a derived matrix fails the suites that read
-    # it, once per model, and no other model
+    # it, once per model, and no other model: here the seed's double
+    # closure, which the tower and theorem22 suites both read
     bad = pk.weighted_shift((1.0, 2.0, 3.0))
     good = pk.weighted_shift((1.0, 1.4142135623730951))
-    build_tower = relation.build_tower
+    double_closure = relation._double_closure
 
     def failing(seed, pair, tol):
         if seed.dim == 4:
             raise np.linalg.LinAlgError("SVD did not converge")
-        return build_tower(seed, pair, tol=tol)
+        return double_closure(seed, pair, tol)
 
-    monkeypatch.setattr(relation, "build_tower", failing)
+    monkeypatch.setattr(relation, "_double_closure", failing)
     suites = ("polar", "isometry", "tower", "theorem22")
     report = pk.run_suite(pk.SuiteConfig(models=(bad, good), suites=suites))
     first, second = report["models"]

@@ -126,3 +126,13 @@ def test_q_oscillator_32_tower_theorems_and_graded_model(q_half_32):
     assert rep.passed
     model = pk.graded_model_for(pk.build(pk.q_oscillator(32, 0.5, 1.0)))
     assert model.algebra.dimension == q_half_32.tower.inf_a_inf.dimension == 32
+
+
+def test_endo_pair_and_graded_model_copy_the_callers_u():
+    # both kept the caller's array as pair.u and left it read-only
+    u = np.array(pk.polar_decompose(pk.build(pk.weighted_shift((1.0, 2.0)))).u)
+    alg = pk.spectral_algebra(np.diag([0.0, 1.0, 2.0]))
+    for pair in (pk.endo_pair(u), pk.GradedModel(u, alg).pair):
+        assert pair.u is not u and not pair.u.flags.writeable
+        assert np.array_equal(pair.u, u)
+        assert u.flags.writeable

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +24,14 @@ import polarkit as pk
 import polarkit.algebra as algebra
 import polarkit.relation as relation
 import polarkit.tower as tower
+from polarkit.algebra import _atom_algebra, _labels, _refine
 from polarkit.relation import Analysis
-from polarkit.linalg import dagger
+from polarkit.linalg import _block_norms, dagger
 from polarkit.report import _suite_isometry
 
 from conftest import zoo_specs
 from span_closure import algebras_equal, basis_of, generate, hypotheses
+from test_batched_kernels import rank_deficient
 
 TOL = 1e-9
 
@@ -279,3 +282,132 @@ def test_image_off_the_atoms_is_rejected():
     assert rep.weak_residual >= np.sin(t) ** 2 - 1e-12
     with pytest.raises(pk.HypothesisViolated, match="fails the weak hypothesis set"):
         pk.build_tower(seed, pk.endo_pair(u))
+
+
+# -- the double closure against its one-step refinement --------------------
+
+
+def ref_double_closure(a0, pair, tol=TOL):
+    """tower._double_closure with rounds of U h U* and U* h U only, which
+    cut a chain of n atoms at one more place at each end per round: n/2
+    rounds."""
+    v, blocks = a0.v.copy(), a0.blocks
+    seed, count, nu = _labels(blocks), 0, pair.norm
+    while len(blocks) > count and any(idx.size > 1 for idx in blocks):
+        count, gap = len(blocks), tol * (1.0 + 2.0 * nu * nu)
+        h = (v * tower._mix_weights(count)[_labels(blocks)]) @ dagger(v)
+        for image in (pair.delta(h), pair.delta_star(h)):
+            blocks = _refine(v, blocks, image, gap)
+    frame = tower._AtomFrame(
+        a0 if len(blocks) == len(a0.blocks) else _atom_algebra(v, blocks), pair
+    )
+    defect = max(frame.injection(d)[2] for d in ("forward", "star"))
+    return frame, seed[frame.ranges[0]], defect
+
+
+def assert_same_closure(a0, pair, tol=TOL):
+    """The atoms of the closure are those of the oracle's, as subspaces
+    with their ranks, and both are certified or neither is."""
+    frame, seed, defect = tower._double_closure(a0, pair, tol)
+    ref, ref_seed, ref_defect = ref_double_closure(a0, pair, tol)
+    assert frame.size == ref.size
+    # overlap[x, y] = ||V_x* V'_y||_F^2 / rank x is 1 exactly when atom x
+    # lies in atom y
+    overlap = _block_norms(frame.alg._vh @ ref.alg.v, frame.ranges, ref.ranges) / frame.ranks[:, None]
+    match = overlap.argmax(axis=1)
+    assert np.array_equal(np.sort(match), np.arange(ref.size))
+    np.testing.assert_allclose(overlap[np.arange(frame.size), match], 1.0, rtol=0.0, atol=1e-6)
+    assert np.array_equal(frame.ranks, ref.ranks[match])
+    assert np.array_equal(seed, ref_seed[match])
+    limit = tol * frame.scale
+    assert (defect <= limit) == (ref_defect <= limit), (defect, ref_defect)
+
+
+def unit_algebra(n):
+    return _atom_algebra(np.eye(n, dtype=np.complex128), [np.arange(n)])
+
+
+@st.composite
+def unitary_shift_sums(draw):
+    """u = W (D + S_1 + ... ) W*, n <= 16: a diagonal unitary D and truncated
+    shifts S_i (a zero block for length 1) in one Haar basis W."""
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(("unitary", "shift")), min_size=1, max_size=3)):
+        size = draw(st.integers(1, 6))
+        if kind == "unitary":
+            angles = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+            blocks.append(np.diag(np.exp(2j * np.pi * np.array(angles))))
+        else:
+            blocks.append(np.eye(size, k=-1, dtype=np.complex128))
+    n = sum(len(b) for b in blocks)
+    u, at = np.zeros((n, n), dtype=np.complex128), 0
+    for b in blocks:
+        u[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    w = haar(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    return w @ u @ dagger(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    u=st.one_of(
+        unitary_shift_sums(),
+        st.builds(rank_deficient, st.integers(0, 2**16), st.integers(3, 10), st.integers(1, 2)),
+    )
+)
+def test_closure_of_c_star_1_matches_its_oracle(u):
+    assert_same_closure(unit_algebra(len(u)), tower._free_pair(u))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    weights=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), min_size=1, max_size=7),
+    conjugate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closure_of_the_seed_matches_its_oracle(weights, conjugate, seed):
+    a = shift(weights)
+    if conjugate:
+        w = haar(np.random.default_rng(seed), a.shape[0])
+        a = w @ a @ w.conj().T
+    an = Analysis(a)
+    assert_same_closure(an.seed, an.pair)
+    assert_same_closure(unit_algebra(len(a)), an.pair)
+
+
+def _ladder_pair(family, n):
+    spec = pk.weighted_shift(np.sqrt(np.arange(1.0, n))) if family == "shift" else pk.q_oscillator(
+        n, 1.0, 1.0
+    )
+    return Analysis(pk.build(spec)).pair
+
+
+@pytest.mark.parametrize("family", ("shift", "osc"))
+def test_closure_of_a_ladder_matches_its_oracle(family):
+    assert_same_closure(unit_algebra(64), _ladder_pair(family, 64))
+
+
+def test_closure_stops_squaring_before_its_images_overflow():
+    # v = 1e6 S on a chain of 64 atoms: ||v^32 h v*^32|| would be about
+    # 1e384, so the images under v^32 are not formed and the single-step
+    # rounds cut the rest of the chain
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_closure(unit_algebra(64), tower._free_pair(1e6 * np.eye(64, k=-1)))
+
+
+@pytest.mark.parametrize("family", ("shift", "osc"))
+def test_closure_takes_log_n_rounds(monkeypatch, family):
+    # C*(1) on a chain of n atoms: n/2 rounds when each cuts one more atom
+    # off each end (128 here), 2 log2 n + 2 at most with the dyadic images
+    n, rounds = 256, [0]
+
+    def counting(count, _orig=tower._mix_weights):
+        rounds[0] += 1
+        return _orig(count)
+
+    pair = _ladder_pair(family, n)
+    monkeypatch.setattr(tower, "_mix_weights", counting)
+    frame, _, defect = tower._double_closure(unit_algebra(n), pair, TOL)
+    assert rounds[0] <= 2 * np.log2(n) + 2, rounds[0]
+    assert frame.size == n and defect <= TOL * frame.scale
