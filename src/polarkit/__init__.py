@@ -52,7 +52,6 @@ from .linalg import (
     dagger,
     operator_norm,
     polar_decompose,
-    rough_norm,
 )
 from .models import (
     KINDS,

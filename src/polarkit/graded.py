@@ -76,7 +76,6 @@ from .linalg import (
     as_matrix,
     dagger,
     operator_norm,
-    rough_norm,
 )
 from .tower import _BLOCK, EndoPair, _AtomFrame, _commutativity_defect, endo_pair
 
@@ -677,13 +676,15 @@ class NormEstimate:
 
     Each recorded k brackets the true norm:
     s_k <= ||b|| <= (4 k n + 1)^{1/4k} s_k with n the bandwidth.
+    ``prescale``, the scale b's coefficients were divided by, is the
+    dense norm ||b||.
     """
 
     estimates: tuple[tuple[int, float], ...]
     final: float
     bandwidth: int
     prescale: float
-    # ||realize(g)||, taken once for the zero test
+    # ||realize(g)||, taken once for the zero test and the prescale
     dense_norm: float
 
     def upper_bound(self, k: int, s_k: float) -> float:
@@ -707,11 +708,11 @@ def norm_estimate(
 
     Forms c = g g* in graded form, squares it repeatedly (so the available
     exponents are powers of two), and records s_k at k = 1, 2, 4, ... up
-    to kmax.  The element is pre-scaled by a power-iteration norm guess so
-    the squared coefficients stay O(1); the 1/4k-th root restores the
-    scale exactly.  Every squaring runs on g's atom values, and ||N_0||
-    is the largest degree-0 value.  The dense norm ||realize(g)|| the
-    zero test takes is kept as ``dense_norm``.
+    to kmax.  The element is pre-scaled by its dense norm ||realize(g)||,
+    the one the zero test takes, kept as ``dense_norm``, so the squared
+    coefficients stay O(1); the 1/4k-th root restores the scale exactly.
+    Every squaring runs on g's atom values, and ||N_0|| is the largest
+    degree-0 value.
     Raises :class:`ZeroElement` for the zero element,
     :class:`BandwidthOverflow` when 4 * kmax * bandwidth exceeds ``cap``,
     and :class:`ModelMismatch` as :func:`graded_mul` does and for a u no
@@ -724,22 +725,18 @@ def norm_estimate(
         raise BandwidthOverflow(
             f"4*kmax*bandwidth = {4 * kmax * band} exceeds the cap {cap}"
         )
-    dense = realize(g)
     degrees, values = g._atoms
     # a coefficient in A has the norm of its largest atom value; the dense
     # test stays, because degrees can cancel on a cycle
     coeff_scale = float(np.abs(values).max(initial=0.0))
-    dense_norm = operator_norm(dense)
-    if dense_norm <= 1e-14 * coeff_scale or coeff_scale == 0.0:
+    t = operator_norm(realize(g))  # the dense norm, and the prescale
+    if t <= 1e-14 * coeff_scale or coeff_scale == 0.0:
         raise ZeroElement("norm estimate of the zero element is undefined")
     if not _nilpotent(g.model):
         raise ModelMismatch(
             "u is not nilpotent (no power of it vanishes on the atoms), so the "
             "degree-0 functional does not give the norm"
         )
-    t = rough_norm(dense)
-    if t <= 0.0:
-        t = coeff_scale
     gathers = g.model._gathers
     h = (degrees, values / t)
     power = _product(gathers, h, (-degrees, h[1].conj()))
@@ -758,7 +755,7 @@ def norm_estimate(
         estimates=tuple(estimates),
         final=estimates[-1][1],
         bandwidth=band,
-        prescale=float(t),
-        dense_norm=dense_norm,
+        prescale=t,
+        dense_norm=t,
     )
 

@@ -147,34 +147,6 @@ def polar_decompose(a, tol: float = DEFAULT_TOL) -> PolarDecomposition:
     return PolarDecomposition(u=u, pos=pos, rank=rank, cutoff=cutoff, residual=residual)
 
 
-def rough_norm(m, iters: int = 50) -> float:
-    """Power-iteration estimate of the operator norm.
-
-    Deterministic: the start vector is a fixed pseudorandom draw (PCG64,
-    seed 0) so repeated runs agree to the bit.  Used where a cheap scale
-    guess is wanted without consulting the SVD oracle; accuracy of a few
-    percent is enough for its callers.  A matrix with a NaN or infinite
-    entry is an :class:`InvalidSpec`.
-    """
-    a = _finite(as_matrix(m), "m")
-    n = a.shape[0]
-    if n == 0:
-        return 0.0
-    rng = np.random.Generator(np.random.PCG64(0))
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    ah = dagger(a)
-    est = 0.0
-    for _ in range(iters):
-        w = ah @ (a @ v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        est = nw
-        v = w / nw
-    return float(np.sqrt(est))
-
-
 def _norm_f(m: np.ndarray) -> np.ndarray:
     """||m||_F of each matrix of a (..., r, c) stack."""
     return np.sqrt((m.real * m.real + m.imag * m.imag).sum(axis=(-2, -1)))

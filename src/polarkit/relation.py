@@ -68,6 +68,7 @@ from .tower import (
     _double_closure,
     _power_facts,
     _tower_theorems,
+    _unit_classes,
     _unit_closure,
 )
 
@@ -130,12 +131,15 @@ class Analysis:
     built on ``closure``), ``model`` (U over the double closure),
     ``structure`` (the blocks of B, given the relation) and
     ``unit_closure`` (the atoms of C*(1)'s double closure under U and
-    their certification defect, which the isometry reports read).  Only
-    ``tower`` builds the tower; ``frame``, ``model`` and ``structure``
-    read the closure alone.  ``matrix`` is a read-only copy of a, so the
-    caller's array is neither kept nor frozen.  A failed derivation is not
-    repeated either: its PolarkitError or LinAlgError is raised again on
-    every later read.
+    their certification defect, which the isometry reports read: a
+    partition of ``closure`` once that is certified, and ``closure``'s own
+    frame where the partition is discrete, so the isometry reports and
+    :func:`theorem22_report` share its power facts; found on its own
+    otherwise).  Only ``tower`` builds the tower; ``frame``, ``model``,
+    ``structure`` and ``unit_closure`` read the closure alone.  ``matrix``
+    is a read-only copy of a, so the caller's array is neither kept nor
+    frozen.  A failed derivation is not repeated either: its PolarkitError
+    or LinAlgError is raised again on every later read.
     """
 
     def __init__(self, a, tol: float = DEFAULT_TOL):
@@ -162,8 +166,18 @@ class Analysis:
     tower = _once(lambda an: _build_tower(an.seed, an.pair, an.tol, an.closure))
     model = _once(lambda an: _graded_model(an))
     structure = _once(lambda an: _structure(an))
-    unit_closure = _once(lambda an: _unit_closure(
-        EndoPair(u=an.pd.u, ambient_dim=len(an.pd.u), norm=an.isometry.norm), an.tol))
+    unit_closure = _once(lambda an: _unit_frame(an))
+
+
+def _unit_frame(an: Analysis) -> tuple[_AtomFrame, float]:
+    """C*(1)'s double closure as a partition of the seed's, once that is
+    certified (:func:`tower._unit_classes`); found on its own otherwise."""
+    try:
+        an.frame  # the seed's closure, once certified
+    except _FAILURES:
+        pair = EndoPair(u=an.pd.u, ambient_dim=len(an.pd.u), norm=an.isometry.norm)
+        return _unit_closure(pair, an.tol)
+    return _unit_classes(an.closure)
 
 
 def _graded_model(an: Analysis) -> GradedModel:

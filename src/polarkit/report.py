@@ -28,7 +28,7 @@ from .graded import (
     random_element,
     realize,
 )
-from .linalg import DEFAULT_TOL, operator_norm
+from .linalg import DEFAULT_TOL, _operator_norms, operator_norm
 from .models import ModelSpec, build, phi_for
 from .relation import Analysis, coefficient_algebra, theorem22_report
 from .serialize import dumps_canonical, model_spec_to_json
@@ -270,7 +270,7 @@ def _suite_words(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> lis
     a = an.matrix
     phi = phi_for(spec)
     n = spec.dim
-    defects = []
+    defects, limits = [], []
     for _ in range(40):
         w = _random_word(rng)
         if len(w) + 1 > n:
@@ -279,8 +279,10 @@ def _suite_words(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> lis
         lhs = evaluate(w, a)
         rhs = evaluate(nf, a)
         defects.append((lhs - rhs) @ interior_projection(n, len(w)))
-    worst = operator_norm(defects)
-    checks = [_check("interior_agreement", "words.normal_order", worst <= 1e-8, worst)]
+        limits.append(config.tol * (1.0 + an.norm) ** len(w))
+    norms = _operator_norms(defects)
+    worst, ok = float(norms.max(initial=0.0)), bool((norms <= np.array(limits)).all())
+    checks = [_check("interior_agreement", "words.normal_order", ok, worst)]
     exact = True
     for _ in range(20):
         n1 = normal_order(_random_word(rng), phi)

@@ -49,7 +49,8 @@ products with other layers are class residuals too) and commutator bounds
 from the ties.  No check runs a span closure.
 ``relation.orbit_structure`` reads the blocks of B = C*(1, |a|, U) off
 delta's orbits on X, and the isometry reports read the powers of U on the
-atoms of C*(1)'s double closure (``_power_facts``).
+atoms of C*(1)'s double closure (``_power_facts``), a partition of X when
+X is certified (:func:`_unit_classes`).
 """
 
 from __future__ import annotations
@@ -214,8 +215,7 @@ def _double_closure(a0: SpectralAlgebra, pair: EndoPair, tol: float):
         for image in (pair.delta(h), pair.delta_star(h)):
             blocks = _refine(v, blocks, image, tol * (1.0 + 2.0 * nu * nu))
     frame = _AtomFrame(a0 if len(blocks) == len(a0.blocks) else _atom_algebra(v, blocks), pair)
-    defect = max(frame.injection(d)[2] for d in ("forward", "star"))
-    return frame, seed[frame.ranges[0]], defect
+    return frame, seed[frame.ranges[0]], frame.defect
 
 
 def _weak_violation(residual: float) -> HypothesisViolated:
@@ -249,13 +249,26 @@ def _sequence(frame: "_AtomFrame", base: np.ndarray, direction: str):
     while equal_run < 2:
         index, mask, depth = frame.gathers(len(levels))
         row = len(levels) + (depth if direction == "star" else 0)
-        gathered = np.where(mask[row] > 0, base[index[row]], -1)
-        keys = levels[-1] * (frame.size + 1) + gathered + 1
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        level = np.argsort(np.argsort(first))[inverse]  # the join, one numbering per partition
+        level = _join(levels[-1], np.where(mask[row] > 0, base[index[row]], -1))
         equal_run = equal_run + 1 if level.max() == levels[-1].max() else 0
         levels.append(levels[-1] if equal_run else level)
     return levels, len(levels) - 3
+
+
+def _join(level: np.ndarray, gathered: np.ndarray) -> np.ndarray:
+    """The partition of X joining ``level`` with ``gathered``, a class per
+    atom or -1 for none, classes numbered by first appearance, so that one
+    partition has one numbering."""
+    keys = level * (len(level) + 1) + gathered + 1
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+def _class_algebra(frame: "_AtomFrame", cls: np.ndarray) -> SpectralAlgebra:
+    """The algebra of the class functions of ``cls``, on X's own columns."""
+    cols = cls[frame.labels]
+    groups = np.split(np.arange(cols.size), np.cumsum(np.bincount(cols))[:-1])
+    return _atom_algebra(frame.alg.v[:, np.argsort(cols, kind="stable")], groups)
 
 
 def _hypotheses(frame: "_AtomFrame", a0: SpectralAlgebra, kmax: int, tol: float, defect: float):
@@ -349,10 +362,7 @@ def _build_tower(a0: SpectralAlgebra, pair: EndoPair, tol: float, closure: tuple
         parts, stab = _sequence(frame, base, direction)
         for cls in parts:
             if tuple(cls) not in algebras:
-                cols = cls[frame.labels]
-                groups = np.split(np.arange(cols.size), np.cumsum(np.bincount(cols))[:-1])
-                level = _atom_algebra(frame.alg.v[:, np.argsort(cols, kind="stable")], groups)
-                algebras[tuple(cls)] = level
+                level = algebras[tuple(cls)] = _class_algebra(frame, cls)
                 frame._classes[id(level)] = (cls, 0.0, level)  # X's own columns, exactly
         return [algebras[tuple(cls)] for cls in parts], stab, parts[-1]
 
@@ -556,6 +566,12 @@ class _AtomFrame:
             intertwining,
         )
         return ones.argmax(axis=1), ones.any(axis=1), defect
+
+    @property
+    def defect(self) -> float:
+        """The certification defect: how far delta and delta_* act on X
+        as a partial injection and its inverse (:meth:`injection`)."""
+        return max(self.injection(d)[2] for d in ("forward", "star"))
 
     def images(self, depth: int) -> np.ndarray:
         """delta^k as an atom map, k = 1..depth, in rows k - 1: the atom
@@ -787,6 +803,27 @@ def _unit_closure(pair: EndoPair, tol: float) -> tuple[_AtomFrame, float]:
     one = _atom_algebra(np.eye(n, dtype=np.complex128), [np.arange(n)])
     frame, _, defect = _double_closure(one, pair, tol)
     return frame, defect
+
+
+def _unit_classes(closure: tuple) -> tuple[_AtomFrame, float]:
+    """:func:`_unit_closure` read on ``closure``, a certified
+    :func:`_double_closure` of a seed with 1: C*(1) lies in the seed, so
+    its double closure is a partition of X, found from one class by joins
+    with the classes gathered through delta and delta_* until none splits.
+    A discrete partition is X itself, and gives X's frame and defect; a
+    coarser one gets a frame on X's columns, certified by its own
+    defect."""
+    frame, _, defect = closure
+    index, mask, depth = frame.gathers(1)
+    cls, count = np.zeros(frame.size, dtype=int), 0
+    while count < cls.max(initial=0) + 1:
+        count = cls.max(initial=0) + 1
+        for row in (1, depth + 1):
+            cls = _join(cls, np.where(mask[row] > 0, cls[index[row]], -1))
+    if count == frame.size:
+        return frame, defect
+    unit = _AtomFrame(_class_algebra(frame, cls), frame.pair)
+    return unit, unit.defect
 
 
 def _free_pair(v) -> EndoPair:

@@ -1,10 +1,20 @@
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import polarkit as pk
+
+# The property tests draw the same examples on every run, so a verdict
+# near its threshold cannot pass one run and fail the next;
+# HYPOTHESIS_PROFILE=search draws new ones on every run, to look for
+# counterexamples.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("search", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 REF_WEIGHTS = (1.0, np.sqrt(2.0), np.sqrt(3.0))
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import polarkit as pk
 import polarkit.graded as graded
 from polarkit.graded import COEFF_DROP
-from polarkit.linalg import dagger, rough_norm
+from polarkit.linalg import dagger
 from polarkit.relation import Analysis
 from polarkit.report import SUITE_ORDER
 
@@ -84,11 +84,9 @@ def ref_graded_mul(model, left, right):
 
 
 def ref_prescaled(g):
-    """The estimate's power-iteration prescale t, and g / t as a degree ->
-    coefficient map."""
-    t = rough_norm(pk.realize(g))
-    if t <= 0.0:
-        t = max(ref_norm(c) for c in g.coefficients.values())
+    """The estimate's prescale t, the dense norm of g, and g / t as a
+    degree -> coefficient map."""
+    t = pk.operator_norm(pk.realize(g))
     return t, {d: c / t for d, c in g.coefficients.items()}
 
 

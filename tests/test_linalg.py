@@ -64,26 +64,6 @@ def test_eig_groups_merges_close_values():
     assert [len(g) for g in groups] == [1, 2, 1]
 
 
-def test_rough_norm_bounds(rng):
-    a = random_matrix(rng, 8)
-    true = pk.operator_norm(a)
-    est = pk.rough_norm(a)
-    assert 0.5 * true <= est <= (1.0 + 1e-9) * true
-
-
-def test_rough_norm_zero():
-    assert pk.rough_norm(np.zeros((4, 4))) == 0.0
-
-
-@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
-def test_rough_norm_rejects_a_non_finite_matrix(bad):
-    # it returned nan with a RuntimeWarning
-    m = np.eye(3, dtype=np.complex128)
-    m[1, 0] = bad
-    with pytest.raises(pk.InvalidSpec, match=r"m has a non-finite entry .* at \(1, 0\)"):
-        pk.rough_norm(m)
-
-
 def test_dagger(rng):
     a = random_matrix(rng, 3)
     assert np.allclose(pk.dagger(a), a.conj().T)

@@ -16,6 +16,7 @@ import polarkit.tower as tower
 from polarkit.linalg import _operator_norms, dagger
 from polarkit.relation import Analysis
 from polarkit.report import SUITE_ORDER
+from polarkit.words import NormalForm
 
 from conftest import zoo_specs
 from test_relation import _haar_unitary, direct_sums
@@ -301,9 +302,10 @@ def test_zoo_report_is_the_golden_file_byte_for_byte(counted_zoo_run):
 @pytest.mark.parametrize(
     "seed, digest",
     (
-        (1, "d2705c3a7ca70c5ee6917784b8be9c4ecb17bff601f2aa9d42754608804b29ed"),
-        (2027, "b8b2ca31c9b14b1a64f9fac5c22904981a86bbb70a410193252a7aa5d60ed453"),
+        (1, "25937be5a930b1624d669405decf60bc801422cf3076e4978c1e8f60bb55b208"),
+        (2027, "b969791b213b619327e92b6b74cea429263abca18eb50bc41f6fe7a0e1f6f728"),
     ),
+    ids=("seed1", "seed2027"),  # so that a new digest keeps the test's name
 )
 def test_zoo_report_bytes_are_pinned_at_more_seeds(seed, digest):
     """The sha256 of the report scripts/run_zoo.py --seed <seed> writes,
@@ -591,10 +593,10 @@ def test_graded_suite_makes_few_svd_calls(monkeypatch):
 
 
 def test_run_suite_derives_each_power_fact_once(monkeypatch):
-    # both isometry reports read the closure of C*(1) at kmax = n; each
-    # derived the facts itself, 19 derivations per zoo pass where 12 are
-    # left: the seven closures, and the tower frames of the five models
-    # that pass the relation, which theorem22 reads
+    # both isometry reports read the closure of C*(1) at kmax = n, and on
+    # six of the seven zoo models that closure is the seed's, whose frame
+    # theorem22 reads too: one derivation per model, and one more for the
+    # normal model, whose closure of C*(1) is coarser than the seed's
     seen = []
     derive = tower._derive_power_facts
 
@@ -605,4 +607,57 @@ def test_run_suite_derives_each_power_fact_once(monkeypatch):
     monkeypatch.setattr(tower, "_derive_power_facts", counted)
     config = pk.config_from_json({"models": zoo_specs(), "suites": list(SUITE_ORDER), "seed": 0})
     assert pk.report_to_json(pk.run_suite(config)) == GOLDEN.read_text(encoding="utf-8")
-    assert len({(id(frame), kmax) for frame, kmax in seen}) == len(seen) == 12
+    assert len({(id(frame), kmax) for frame, kmax in seen}) == len(seen) == 8
+
+
+def test_run_suite_finds_one_closure_per_model(monkeypatch):
+    # the isometry suite reads C*(1)'s double closure as a partition of
+    # the seed's, so no model finds a closure twice, nor C*(1)'s on its own
+    closures, units = [], []
+
+    def counted(*args, _orig=tower._double_closure):
+        closures.append(args)
+        return _orig(*args)
+
+    def unit(*args, _orig=tower._unit_closure):
+        units.append(args)
+        return _orig(*args)
+
+    for module in (tower, relation):
+        monkeypatch.setattr(module, "_double_closure", counted)
+        monkeypatch.setattr(module, "_unit_closure", unit)
+    config = pk.config_from_json({"models": zoo_specs(), "suites": list(SUITE_ORDER), "seed": 0})
+    assert pk.report_to_json(pk.run_suite(config)) == GOLDEN.read_text(encoding="utf-8")
+    assert len(closures) == len(zoo_specs()) == 7
+    assert units == []
+
+
+def _words_check():
+    """The interior_agreement check of the words suite on
+    q_oscillator(24, 1, 100)."""
+    config = pk.SuiteConfig(models=(pk.q_oscillator(24, 1.0, 100.0),), suites=("words",))
+    check = pk.run_suite(config)["models"][0]["suites"][0]["checks"][0]
+    assert check["name"] == "interior_agreement"
+    return check
+
+
+def test_words_suite_judges_each_word_at_its_norm():
+    # ||a|| is about 48, so a length-6 word has norm about 1.5e10, and its
+    # round-off reads 1.9e-6, which a bare 1e-8 failed
+    check = _words_check()
+    assert check["pass"] and check["residual"] > 1e-8
+
+
+def test_words_suite_fails_a_perturbed_normal_form(monkeypatch):
+    # the first normal form's leading coefficient off by a relative 1e-6
+    forms = []
+
+    def perturbed(word, phi, _orig=report_module.normal_order):
+        nf = _orig(word, phi)
+        forms.append(nf)
+        if len(forms) > 1:
+            return nf
+        return NormalForm(nf.l, nf.m, nf.p[:-1] + (nf.p[-1] * (1.0 + 1e-6),))
+
+    monkeypatch.setattr(report_module, "normal_order", perturbed)
+    assert not _words_check()["pass"]

@@ -375,11 +375,15 @@ def test_closure_of_the_seed_matches_its_oracle(weights, conjugate, seed):
     assert_same_closure(unit_algebra(len(a)), an.pair)
 
 
-def _ladder_pair(family, n):
+def _ladder(family, n):
     spec = pk.weighted_shift(np.sqrt(np.arange(1.0, n))) if family == "shift" else pk.q_oscillator(
         n, 1.0, 1.0
     )
-    return Analysis(pk.build(spec)).pair
+    return pk.build(spec)
+
+
+def _ladder_pair(family, n):
+    return Analysis(_ladder(family, n)).pair
 
 
 @pytest.mark.parametrize("family", ("shift", "osc"))
@@ -411,3 +415,131 @@ def test_closure_takes_log_n_rounds(monkeypatch, family):
     frame, _, defect = tower._double_closure(unit_algebra(n), pair, TOL)
     assert rounds[0] <= 2 * np.log2(n) + 2, rounds[0]
     assert frame.size == n and defect <= TOL * frame.scale
+
+
+def _isometry_reports(closure, n):
+    """Both isometry reports on ``closure``, the second as its error's
+    message when it raises."""
+    try:
+        family = tower._commuting_projections(*closure, n, TOL)
+    except pk.HypothesisViolated as exc:
+        family = str(exc)
+    return tower._power_isometry(*closure, n, TOL), family
+
+
+def bits(mine, ref, scale):
+    return mine == ref
+
+
+def close(mine, ref, scale):
+    return abs(mine - ref) <= 1e-12 * scale
+
+
+def tighter(mine, ref, scale):
+    return mine <= ref
+
+
+def assert_unit_closure_matches(an, rule):
+    """``an.unit_closure`` against C*(1)'s closure found on its own: the
+    same atom count, the same verdicts from both isometry reports, and
+    every residual against the oracle's by ``rule``."""
+    n = len(an.matrix)
+    got, want = an.unit_closure, tower._unit_closure(tower._free_pair(an.pd.u), TOL)
+    assert got[0].size == want[0].size
+    for mine, ref in zip(_isometry_reports(got, n), _isometry_reports(want, n)):
+        assert type(mine) is type(ref)
+        if isinstance(ref, str):
+            assert mine == ref or rule is not bits
+            continue
+        for key, value in vars(ref).items():
+            if isinstance(value, float):
+                assert rule(vars(mine)[key], value, want[0].scale), (key, vars(mine)[key], value)
+            else:
+                assert vars(mine)[key] == value, key
+    return got
+
+
+@pytest.mark.parametrize("spec", zoo_specs(), ids=_id)
+def test_unit_closure_of_the_zoo_matches_its_oracle(spec):
+    an = Analysis(pk.build(pk.model_spec_from_json(spec)))
+    frame, _ = assert_unit_closure_matches(an, rule=bits)
+    # C*(1)'s closure is the seed's on every zoo model but the normal one
+    assert (frame is an.frame) == (spec["kind"] != "normal")
+
+
+@pytest.mark.parametrize("n", (4, 8, 16, 24, 32))
+@pytest.mark.parametrize("family", ("shift", "osc"))
+def test_unit_closure_of_a_ladder_matches_its_oracle(family, n):
+    # from n = 28 the oscillator's |a| has eigenvectors a few ulps off the
+    # unit vectors; the oracle's atoms, from eigenvectors of mixed images
+    # under U^16, are further off, and its residuals reach 1e-11 where the
+    # seed's read 5e-14
+    an = Analysis(_ladder(family, n))
+    rule = tighter if family == "osc" and n > 24 else bits
+    assert assert_unit_closure_matches(an, rule)[0] is an.frame
+
+
+def _unitary_sum(a, phases):
+    """a (+) diag(phases): a direct sum with a diagonal unitary, or with a
+    normal block when the phases have other moduli."""
+    out = np.zeros((len(a) + len(phases),) * 2, dtype=np.complex128)
+    out[: len(a), : len(a)], out[len(a) :, len(a) :] = a, np.diag(phases)
+    return out
+
+
+def _conjugated(a, rng):
+    w = haar(rng, len(a))
+    return w @ a @ dagger(w)
+
+
+@pytest.mark.parametrize(
+    "make",
+    (
+        lambda rng: _conjugated(_ladder("shift", 8), rng),
+        lambda rng: _conjugated(_ladder("osc", 12), rng),
+        lambda rng: haar(rng, 6),
+        lambda rng: _unitary_sum(_ladder("shift", 5), np.exp(2j * np.pi * rng.random(3))),
+        lambda rng: _unitary_sum(_ladder("osc", 4), [1.0, 2.0j, -3.0]),
+        lambda rng: _conjugated(_unitary_sum(_ladder("shift", 4), [1.0, 1j, 2.0]), rng),
+    ),
+    ids=("haar_shift", "haar_osc", "haar_unitary", "shift_unitary", "osc_normal", "haar_sum"),
+)
+def test_unit_closure_off_the_zoo_matches_its_oracle(make):
+    an = Analysis(make(np.random.default_rng(2027)))
+    frame, defect = assert_unit_closure_matches(an, rule=close)
+    assert defect <= TOL * frame.scale
+
+
+def _counted_fallback(monkeypatch):
+    calls = []
+
+    def counted(pair, tol, _orig=relation._unit_closure):
+        calls.append(pair)
+        return _orig(pair, tol)
+
+    monkeypatch.setattr(relation, "_unit_closure", counted)
+    return calls
+
+
+def test_unit_closure_is_found_on_its_own_when_the_seeds_closure_is_uncertified(monkeypatch, rng):
+    # a generic a: U is unitary and moves the rank-1 atoms of |a| off
+    # themselves, so X is not certified, while C*(1) is invariant
+    an = Analysis(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    frame, _, defect = an.closure
+    assert defect > TOL * frame.scale
+    calls = _counted_fallback(monkeypatch)
+    unit, unit_defect = assert_unit_closure_matches(an, rule=bits)
+    assert len(calls) == 1 and unit.size == 1 and unit_defect <= TOL * unit.scale
+
+
+def test_unit_closure_is_found_on_its_own_when_the_pair_fails(monkeypatch):
+    def failing(um, rep):
+        raise pk.HypothesisViolated("u is not a partial isometry")
+
+    monkeypatch.setattr(relation, "_checked_pair", failing)
+    calls = _counted_fallback(monkeypatch)
+    an = Analysis(_ladder("osc", 8))
+    with pytest.raises(pk.HypothesisViolated):
+        an.closure
+    assert_unit_closure_matches(an, rule=bits)
+    assert len(calls) == 1
