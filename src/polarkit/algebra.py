@@ -288,13 +288,16 @@ def _normal_scale(bm: np.ndarray, tol: float) -> float:
     return scale_b
 
 
-def _value_classes(values: np.ndarray, tol: float) -> np.ndarray:
+def _value_classes(values: np.ndarray, tol: float, *more: np.ndarray) -> np.ndarray:
     """The atoms of the algebra that vectors over X generate: the classes
     of atoms on which every row takes one value, within
-    ``tol * (1 + max |row|)``."""
-    rows = np.concatenate((values.real, values.imag))
-    cls = np.zeros(rows.shape[1], dtype=int)
-    for row in rows:
+    ``tol * (1 + max |row|)``.  The rows are those of ``values`` and of
+    ``more``, stacks of vectors over X read in place: their real parts in
+    order, then their imaginary parts (a real row of zeros splits none)."""
+    stacks = (values, *more)
+    parts = [x.real for x in stacks] + [x.imag for x in stacks if np.iscomplexobj(x)]
+    cls = np.zeros(values.shape[-1], dtype=int)
+    for row in (part[at] for part in parts for at in np.ndindex(part.shape[:-1])):
         if cls.max() == cls.size - 1:
             break
         order = np.lexsort((row, cls))

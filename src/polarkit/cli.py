@@ -8,8 +8,9 @@ canonical JSON form) and can additionally write the JSON to --out.
 Exit status: 0 when every reported check passed, 1 when a mathematical
 check failed, 2 for configuration or parse problems.  The default
 tolerance is 1e-9, overridable by the POLARKIT_TOL environment variable
-and per call by --tol; either must be positive and finite, and --kmax at
-least 1.
+and per call by --tol; either must be positive and finite, and
+norm-estimate's --kmax at least 1.  A flag a subcommand does not read is
+not registered on it, so giving one exits 2.
 """
 
 from __future__ import annotations
@@ -81,8 +82,6 @@ def _default_tol() -> float:
 
 def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
     p.add_argument("--tol", type=float, default=None, help="tolerance (default 1e-9)")
-    p.add_argument("--kmax", type=int, default=64, help="norm-estimate exponent bound")
-    p.add_argument("--seed", type=int, default=0, help="seed for random sampling")
     p.add_argument(
         "--report", choices=("json", "text"), default="text", help="stdout format"
     )
@@ -294,6 +293,8 @@ def _element_coefficients(obj) -> dict:
 
 
 def _cmd_norm_estimate(args) -> int:
+    if args.kmax < 1:
+        raise ConfigError(f"--kmax must be at least 1, got {args.kmax}")
     an = _load_analysis(args)
     tol, model = an.tol, graded_model_for(an)
     if args.element:
@@ -307,7 +308,6 @@ def _cmd_norm_estimate(args) -> int:
     env_ok, _ = est.envelope(tol)
     payload = {
         "bandwidth": est.bandwidth,
-        "prescale": est.prescale,
         "estimates": [
             {"k": k, "s_k": s_k, "upper": est.upper_bound(k, s_k)}
             for k, s_k in est.estimates
@@ -317,7 +317,7 @@ def _cmd_norm_estimate(args) -> int:
         "relative_gap": gap,
         "pass": bool(env_ok),
     }
-    lines = [f"bandwidth {est.bandwidth}, prescale {est.prescale:.6g}"]
+    lines = [f"bandwidth {est.bandwidth}"]
     for k, s_k in est.estimates:
         lines.append(
             f"  k={k:<4d} s_k={s_k:.12g}  upper={est.upper_bound(k, s_k):.12g}"
@@ -410,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norm-estimate", help="coefficient-only norm estimate")
     _add_common(p)
+    p.add_argument("--kmax", type=int, default=64, help="exponent bound, at least 1")
     p.add_argument(
         "--element",
         default=None,
@@ -447,8 +448,6 @@ def main(argv=None) -> int:
     try:
         if args.tol is not None:
             _checked_tol(args.tol, "--tol")
-        if args.kmax < 1:
-            raise ConfigError(f"--kmax must be at least 1, got {args.kmax}")
         return args.func(args)
     except CONFIG_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -676,15 +676,13 @@ class NormEstimate:
 
     Each recorded k brackets the true norm:
     s_k <= ||b|| <= (4 k n + 1)^{1/4k} s_k with n the bandwidth.
-    ``prescale``, the scale b's coefficients were divided by, is the
-    dense norm ||b||.
+    ``dense_norm`` is ||b||, also the scale b's coefficients were divided by.
     """
 
     estimates: tuple[tuple[int, float], ...]
     final: float
     bandwidth: int
-    prescale: float
-    # ||realize(g)||, taken once for the zero test and the prescale
+    # ||realize(g)||, taken once for the zero test and the scale of b
     dense_norm: float
 
     def upper_bound(self, k: int, s_k: float) -> float:
@@ -729,7 +727,7 @@ def norm_estimate(
     # a coefficient in A has the norm of its largest atom value; the dense
     # test stays, because degrees can cancel on a cycle
     coeff_scale = float(np.abs(values).max(initial=0.0))
-    t = operator_norm(realize(g))  # the dense norm, and the prescale
+    t = operator_norm(realize(g))  # the dense norm, and the scale of g
     if t <= 1e-14 * coeff_scale or coeff_scale == 0.0:
         raise ZeroElement("norm estimate of the zero element is undefined")
     if not _nilpotent(g.model):
@@ -755,7 +753,6 @@ def norm_estimate(
         estimates=tuple(estimates),
         final=estimates[-1][1],
         bandwidth=band,
-        prescale=t,
         dense_norm=t,
     )
 

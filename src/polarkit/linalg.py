@@ -95,16 +95,9 @@ def eig_groups(w: np.ndarray, gap_tol: float) -> list[np.ndarray]:
     gaps ends up in one cluster, which is the behaviour we want when
     deciding whether an operator can tell two eigenvalues apart.
     """
-    groups: list[np.ndarray] = []
     if w.size == 0:
-        return groups
-    start = 0
-    for i in range(1, w.size):
-        if w[i] - w[i - 1] > gap_tol:
-            groups.append(np.arange(start, i))
-            start = i
-    groups.append(np.arange(start, w.size))
-    return groups
+        return []
+    return np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > gap_tol) + 1)
 
 
 @dataclass(frozen=True)

@@ -432,8 +432,7 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     add("ordered_products_nest", max(facts["initial_chain"], facts["final_chain"]))
 
     # delta^k of the non-unital seed, k = 1..n: gathered rows masked by p_k
-    layers = frame.layers(f, np.full(len(f), eps), "forward", n)[1:]
-    imgs, img_ties = (np.array([layer[i] for layer in layers]) for i in (0, 1))
+    imgs, img_ties = (x[1:] for x in frame.layers(f, np.full(len(f), eps), "forward", n))
 
     f_top = f.max(initial=0.0)
     inter = np.abs(f * (1.0 - q[0]))[:, dom].max(initial=0.0) * (big + tau)
@@ -446,29 +445,31 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
 
     # C*(1, |a|, P_1..P_(k-1)) for k = 1..n: the partition |a| and
     # p_1..p_(k-1) generate, with the tie max(eps, ties of P_1..P_(k-1));
-    # the images delta^k of a run of k on one partition are projected in
-    # blocks of at most _BLOCK entries
+    # the images delta^k of a run of k on one partition are projected, and
+    # their absorption by P_k bounded, in blocks of at most _BLOCK entries
     generators = np.maximum(eps, np.maximum.accumulate(np.concatenate(([0.0], p_ties[:-1]))))
     bounds = [img_ties.max(axis=1, initial=0.0), generators]
-    extended, level, first = 0.0, _value_classes(pos[None, :], tol), 0
+    extended = absorb = 0.0
+    level, first = _value_classes(pos[None, :], tol), 0
     for k in range(1, n + 1 if len(f) else 1):
         after = level
         if k < n and level.max() < frame.size - 1:  # p_k can split a class
-            after = _value_classes(np.vstack([level, p[k - 1]]), tol)
+            after = _value_classes(level, tol, p[k - 1])
         if k == n or not np.array_equal(after, level):
             basis, step = frame.class_basis(level), max(1, _BLOCK // imgs[0].size)
             for lo in range(first, k, step):
                 run = slice(lo, min(k, lo + step))
                 res = frame.span_residuals(imgs[run], basis) + bounds[0][run] + bounds[1][run]
                 extended = max(extended, float(res.max()))
+                gone = (
+                    np.abs((p[run, None, :] - 1.0) * imgs[run]).max(axis=-1, initial=0.0)
+                    + p_ties[run, None] * np.abs(imgs[run]).max(axis=-1, initial=0.0)
+                    + (np.abs(p[run] - 1.0).max(axis=1) + p_ties[run])[:, None] * img_ties[run]
+                )
+                absorb = max(absorb, float(gone.max(initial=0.0)))
             level, first = after, k
     add("delta_powers_in_extended_algebra", extended)
-    absorb = (
-        np.abs((p[:, None, :] - 1.0) * imgs).max(axis=-1, initial=0.0)
-        + p_ties[:, None] * np.abs(imgs).max(axis=-1, initial=0.0)
-        + (np.abs(p - 1.0).max(axis=1) + p_ties)[:, None] * img_ties
-    )
-    add("range_projection_absorbs_image", absorb.max(initial=0.0))
+    add("range_projection_absorbs_image", absorb)
 
     one_side = np.abs((q[0] - 1.0) * f).max(axis=1, initial=0.0) + f_max * q_ties[0] + out * eps
     round_trip = (np.abs(q[0]).max() + q_ties[0] + 1.0) * one_side.max(initial=0.0)
@@ -505,24 +506,24 @@ class CoefficientAlgebraReport:
         )
 
 
-def _sum_form_residual(frame: _AtomFrame, layers: list, levels: list) -> float:
+def _sum_form_residual(frame: _AtomFrame, layers: tuple, levels: list) -> float:
     """Defect of tower levels from the plain span of layer images.
 
-    ``layers`` are the coordinates on the atoms of ``frame`` of the
-    layers d^0(base), d^1(base), ..., and ``levels[n]`` is the algebra
+    ``layers`` are the coordinates ``(values, ties)`` on the atoms of
+    ``frame`` of the layers d^0(base), d^1(base), ...
+    (:meth:`_AtomFrame.layers`), and ``levels[n]`` is the algebra
     expected to equal the span of the first n + 1 of them; None entries
     are skipped.  Each comparison adds the ties of the span and of the
-    level.  The layers are joined once, and level n reads the rows of its
-    first n + 1.
+    level, and level n reads the rows of the first n + 1 layers in place.
     """
-    values = np.concatenate([v for v, _, _ in layers[: len(levels)]])
-    ties = np.concatenate([e for _, e, _ in layers[: len(levels)]])
-    ends = np.cumsum([len(e) for _, e, _ in layers[: len(levels)]])
+    values, ties = layers
     worst = 0.0
     for n, alg in enumerate(levels):
         if alg is None:
             continue
-        span, span_ties = frame.span_basis(values[: ends[n]], ties[: ends[n]])
+        span, span_ties = frame.span_basis(
+            values[: n + 1].reshape(-1, frame.size), ties[: n + 1].reshape(-1)
+        )
         cls, eps = frame.classes(alg)
         res = max(
             frame.class_residual(span, cls), frame.span_residuals(frame.class_basis(cls), span)
@@ -548,10 +549,9 @@ def coefficient_algebra(a, tol: float = DEFAULT_TOL) -> CoefficientAlgebraReport
     scale = 1.0 + an.norm
     star_levels = _sum_form_residual(frame, inf_star, tower.n_a_inf_list)
     fwd_stab = tower.stabilization.get("forward_from_star_limit", 0)
-    fwd_layers = frame.layers(*frame.basis_coords(tower.inf_a), "forward", fwd_stab)
-    fwd_levels = _sum_form_residual(
-        frame, fwd_layers, [None] * fwd_stab + [tower.a_inf_of_inf_a]
-    )
+    coords = frame.basis_coords(tower.inf_a)  # at depth 0 the one layer, read as it is
+    layers = frame.layers(*coords, "forward", fwd_stab) if fwd_stab else [x[None] for x in coords]
+    fwd_levels = _sum_form_residual(frame, layers, [None] * fwd_stab + [tower.a_inf_of_inf_a])
     structure = {
         "sum_form_star_levels": (star_levels <= tol * scale, star_levels),
         "sum_form_forward_limit": (fwd_levels <= tol * scale, fwd_levels),

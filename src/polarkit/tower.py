@@ -42,8 +42,9 @@ distance from that atom function (``_AtomFrame``); the powers of U are
 products of W's blocks along delta's orbits plus an exact first order and
 a bounded rest, so no tie takes an SVD or a power of U.  The four
 sequences are partitions of X joined with gathers of the seed's classes;
-the hypotheses and the tower theorems are gathers through the powers of
-delta, class residuals under the trace inner product (whose weights are
+the hypotheses and the tower theorems read the layers d^k(f), one gather
+through the powers of delta into one array that each check indexes in
+place, by class residuals under the trace inner product (whose weights are
 the atom ranks; a layer of a_inf is a partition of its support, so its
 products with other layers are class residuals too) and commutator bounds
 from the ties.  No check runs a span closure.
@@ -242,24 +243,24 @@ def _sequence(frame: "_AtomFrame", base: np.ndarray, direction: str):
     """``(levels, stab)``: T_n = alg{T_(n-1), d^n(base)} as partitions of
     X, until a level repeats twice.  d^n maps a class to the images of its
     atoms under delta^n or to their preimages, and the rest of X is the
-    class of 1 - d^n(1).  A level equals the one below exactly when its
+    class of 1 - d^n(1), joined with T_(n-1) as pairs of classes
+    (:func:`_numbered`).  A level equals the one below exactly when its
     class count does; stab is the first n whose level is the limit.
     """
     levels, equal_run = [base], 0
     while equal_run < 2:
         index, mask, depth = frame.gathers(len(levels))
         row = len(levels) + (depth if direction == "star" else 0)
-        level = _join(levels[-1], np.where(mask[row] > 0, base[index[row]], -1))
+        gathered = np.where(mask[row] > 0, base[index[row]], -1)  # -1 for 1 - d^n(1)
+        level = _numbered(levels[-1] * (len(base) + 1) + gathered + 1)
         equal_run = equal_run + 1 if level.max() == levels[-1].max() else 0
         levels.append(levels[-1] if equal_run else level)
     return levels, len(levels) - 3
 
 
-def _join(level: np.ndarray, gathered: np.ndarray) -> np.ndarray:
-    """The partition of X joining ``level`` with ``gathered``, a class per
-    atom or -1 for none, classes numbered by first appearance, so that one
-    partition has one numbering."""
-    keys = level * (len(level) + 1) + gathered + 1
+def _numbered(keys: np.ndarray) -> np.ndarray:
+    """The partition of X into atoms with equal ``keys``, classes numbered
+    by first appearance, so that one partition has one numbering."""
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return np.argsort(np.argsort(first))[inverse]
 
@@ -288,17 +289,17 @@ def _hypotheses(frame: "_AtomFrame", a0: SpectralAlgebra, kmax: int, tol: float,
         values, ties = frame.basis_coords(a0)
         q, q_ties, q_off = frame.powers(kmax)[3]
         idempotent, hermitian = _projection_defects(q, q_ties)
-        fwd = frame.layers(values, ties, "forward", kmax)
-        seed, q_rows, rows = _rows(fwd[:1]), _rows([(q, q_ties, q_off)]), _rows(fwd)
+        fwd, fwd_ties = frame.layers(values, ties, "forward", kmax)
+        seed, rows = _rows(fwd[:1], fwd_ties[:1]), _rows(fwd, fwd_ties)
+        q_rows = [_spread(q), q_ties, q_off]
         q1 = [r[:1] for r in q_rows]  # Q_0 = 1 is exact, and commutes
         span, span_ties = frame.span_basis(values, ties)
-        image = fwd[min(1, kmax)]
         residuals = [
             np.maximum(idempotent, hermitian).max(initial=0.0),
             _commutator_max(q_rows, seed),
             _commutator_max(seed, rows),
             _commutator_max(q1, rows),
-            frame.span_residuals(image[0], span) + 2.0 * image[1].max(initial=0.0)
+            frame.span_residuals(fwd[1], span) + 2.0 * fwd_ties[1].max(initial=0.0)
             + span_ties.max(initial=0.0) if kmax else 0.0,
             _commutator_max(q1, seed),
         ]
@@ -472,9 +473,11 @@ class _AtomFrame:
     def size(self) -> int:
         return self.ranks.size
 
-    def layers(self, values: np.ndarray, ties: np.ndarray, direction: str, depth: int) -> list:
-        """``(values, ties, off)`` of d^k(f), k = 0..depth, for the rows f of
-        ``values`` with ties ``ties``: gathers through the powers of delta.
+    def layers(self, values: np.ndarray, ties: np.ndarray, direction: str, depth: int):
+        """``(values, ties)`` of d^k(f), k = 0..depth, for the rows f of
+        ``values`` with ties ``ties``: gathers through the powers of delta,
+        a complex (depth + 1, rows, atoms) array and a (depth + 1, rows)
+        one, whose layer 0 is f itself.
 
         With W^k = D_k + R_k as in :meth:`powers`, D_k f = g D_k and
         D_k* f = g' D_k* for g, g' the gathers of f through delta^k and
@@ -483,8 +486,9 @@ class _AtomFrame:
         (g - c) R_k for any c; likewise delta_*^k(f) with g' and Q_k.
         The tie adds max |f| tie(P_k) + 2 r V tau_k + V^2 tie(f), r the radius
         of a disc holding f's values and 0, V = max(1, ||U||)^depth >= ||W^k||,
-        and bounds the off-block norms too.  The layers k >= 1 are one
-        gather, views of one (depth, rows, atoms) array."""
+        and bounds the off-block norms too.  Every layer is one gather, from
+        the identity row of :meth:`gathers` on, so its readers index or
+        reshape the pair in place."""
         _, taus, *projections = self.powers(depth)
         proj, proj_ties, _ = projections[direction == "star"]
         index, mask, top = self.gathers(depth)
@@ -492,11 +496,14 @@ class _AtomFrame:
         size = np.abs(values).max(axis=1, initial=0.0)
         span = [v.max(axis=1, initial=0.0) - v.min(axis=1, initial=0.0)
                 for v in (values.real, values.imag)]
-        rows = np.arange(1, depth + 1) + (top if direction == "star" else 0)
+        rows = np.arange(depth + 1) + (top if direction == "star" else 0)
         gathered = values.astype(np.complex128)[np.arange(len(values))[:, None], index[rows, None]]
-        gathered *= (mask[rows] * proj)[:, None, :]
-        tie = size * proj_ties[:, None] + (big * taus)[:, None] * np.hypot(*span) + big * big * ties
-        return [(values, ties, ties), *((g, t, t) for g, t in zip(gathered, tie))]
+        gathered[1:] *= (mask[rows[1:]] * proj)[:, None, :]
+        tie = np.empty((depth + 1, len(values)))
+        tie[0] = ties
+        tie[1:] = size * proj_ties[:, None] + (big * taus)[:, None] * np.hypot(*span)
+        tie[1:] += big * big * ties
+        return gathered, tie
 
     def atom_images(self, m: np.ndarray, ranges) -> tuple[np.ndarray, np.ndarray]:
         """``(t, ties)`` for the images m P_s m* of the atoms s of m's columns,
@@ -808,19 +815,17 @@ def _unit_closure(pair: EndoPair, tol: float) -> tuple[_AtomFrame, float]:
 def _unit_classes(closure: tuple) -> tuple[_AtomFrame, float]:
     """:func:`_unit_closure` read on ``closure``, a certified
     :func:`_double_closure` of a seed with 1: C*(1) lies in the seed, so
-    its double closure is a partition of X, found from one class by joins
-    with the classes gathered through delta and delta_* until none splits.
-    A discrete partition is X itself, and gives X's frame and defect; a
-    coarser one gets a frame on X's columns, certified by its own
-    defect."""
+    its double closure is the partition of X that P_k = delta^k(1) and
+    Q_k = delta_*^k(1), k < depth (:meth:`_AtomFrame.gathers`), generate.
+    Both decrease in k, so two counts class an atom: its distance to the
+    start and to the end of its chain, depth on a cycle.  A discrete
+    partition is X, with X's frame and defect; a coarser one gets a frame
+    on X's columns, certified by its own defect."""
     frame, _, defect = closure
-    index, mask, depth = frame.gathers(1)
-    cls, count = np.zeros(frame.size, dtype=int), 0
-    while count < cls.max(initial=0) + 1:
-        count = cls.max(initial=0) + 1
-        for row in (1, depth + 1):
-            cls = _join(cls, np.where(mask[row] > 0, cls[index[row]], -1))
-    if count == frame.size:
+    _, mask, depth = frame.gathers(1)
+    start, end = (mask > 0).reshape(2, depth, -1).sum(axis=1)
+    cls = _numbered(start * (depth + 1) + end)
+    if cls.max(initial=-1) + 1 == frame.size:
         return frame, defect
     unit = _AtomFrame(_class_algebra(frame, cls), frame.pair)
     return unit, unit.defect
@@ -918,9 +923,9 @@ def commuting_projection_properties(
 
 
 def _spread(values: np.ndarray) -> np.ndarray:
-    """Per row, the diameter of a box holding its values."""
+    """Per row (the last axis), the diameter of a box holding its values."""
     re, im = values.real, values.imag
-    return np.hypot(re.max(axis=1) - re.min(axis=1), im.max(axis=1) - im.min(axis=1))
+    return np.hypot(re.max(axis=-1) - re.min(axis=-1), im.max(axis=-1) - im.min(axis=-1))
 
 
 def _commutator_bounds(one: tuple, other: tuple) -> np.ndarray:
@@ -935,10 +940,11 @@ def _commutator_bounds(one: tuple, other: tuple) -> np.ndarray:
     return np.multiply.outer(s1, o2) + np.multiply.outer(o1, s2) + 2.0 * np.multiply.outer(t1, t2)
 
 
-def _rows(layers: list) -> list:
-    """``(spread, ties, off)`` of the rows of the layers, each ``(values,
-    ties, off)``, one array each: what a commutator bound reads of them."""
-    return [np.concatenate(part) for part in zip(*((_spread(v), t, o) for v, t, o in layers))]
+def _rows(values: np.ndarray, ties: np.ndarray) -> list:
+    """``(spread, ties, off)`` of the rows of :meth:`_AtomFrame.layers`,
+    layer by layer, for a commutator bound; a tie bounds the off part too."""
+    ties = ties.reshape(-1)
+    return [_spread(values).reshape(-1), ties, ties]
 
 
 def _commutator_max(one: list, other: list, layer=None) -> float:
@@ -1000,7 +1006,7 @@ def _layer_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cover, np.where(cover > 0, mags.argmax(axis=0), len(values))
 
 
-def _layer_product_defect(frame: _AtomFrame, layers: list) -> float:
+def _layer_product_defect(frame: _AtomFrame, values: np.ndarray, ties: np.ndarray) -> float:
     """Worst residual of layer_k . layer_l against span(layer_k), l <= k,
     plus the ties of the factors, with no product formed.
 
@@ -1012,24 +1018,23 @@ def _layer_product_defect(frame: _AtomFrame, layers: list) -> float:
     a class residual scaled by |h|.  For H = h + E, G = g + F with ||E|| <=
     t_k, ||F|| <= t_l, H G - m H = h (g - m) + h F + E g + E F - m E, so the
     ties add |h| t_l + (2 |g| + t_l) t_k."""
-    values = np.array([v for v, _, _ in layers])
     cover, cls = _layer_classes(values.transpose(1, 0, 2))
-    sizes, tops = cover.max(axis=1), np.array([t.max(initial=0.0) for _, t, _ in layers])
+    sizes, tops = cover.max(axis=1), ties.max(axis=1, initial=0.0)
     ties = np.outer(sizes, tops) + np.outer(tops, 2.0 * sizes + tops)  # [k, l]
     worst = 0.0
-    for k in range(len(layers)):
+    for k in range(len(values)):
         res = (cover[k] * np.abs(frame.class_defects(values[: k + 1], cls[k]))).max(axis=(1, 2))
         worst = max(worst, float((res + ties[k, : k + 1]).max()))
     return worst
 
 
-def _ideal_defect(frame: _AtomFrame, layer: tuple, cls: np.ndarray) -> float:
-    """Residual of the span of a layer, ``(values, ties, off)``, absorbing
-    the class functions of ``cls``: :func:`_layer_product_defect` with the
-    class indicators, exact and at most 1, as the rows g."""
-    cover, own = _layer_classes(layer[0])
+def _ideal_defect(frame: _AtomFrame, values: np.ndarray, ties, cls: np.ndarray) -> float:
+    """Residual of the span of a layer, its rows ``values`` with ``ties``,
+    absorbing the class functions of ``cls``: :func:`_layer_product_defect`
+    with the class indicators, exact and at most 1, as the rows g."""
+    cover, own = _layer_classes(values)
     res = cover * np.abs(frame.class_defects(frame.class_basis(cls), own))
-    return float(res.max(initial=0.0)) + 2.0 * float(layer[1].max(initial=0.0))
+    return float(res.max(initial=0.0)) + 2.0 * float(ties.max(initial=0.0))
 
 
 def verify_tower_theorems(
@@ -1075,25 +1080,27 @@ def _tower_theorems(
     depth_seed = max(len(t.na_list), len(t.an_list))
     seed = frame.basis_coords(t.a0)
     seed_layers = {d: frame.layers(*seed, d, depth_seed) for d in ("star", "forward")}
+    layer = np.repeat(np.arange(depth_seed + 1), len(seed[1]))
     for direction in ("star", "forward"):
         # commutators of elements in different layers
-        layer = np.repeat(np.arange(len(seed_layers[direction])), len(seed[1]))
-        rows = _rows(seed_layers[direction])
+        rows = _rows(*seed_layers[direction])
         record(f"{direction}_layers_commute", _commutator_max(rows, rows, layer))
 
     inf_star = frame.layers(*frame.basis_coords(t.a_inf), "star", len(t.n_a_inf_list))
-    record("layer_products", _layer_product_defect(frame, inf_star))
-    inf_values, inf_ties, _ = (np.concatenate(part) for part in zip(*inf_star))
+    inf_values, inf_ties = inf_star
+    record("layer_products", _layer_product_defect(frame, *inf_star))
     level = _value_classes(inf_values, tol)
-    record("top_layer_ideal", _ideal_defect(frame, inf_star[-1], level) + inf_ties.max())
+    top_ideal = _ideal_defect(frame, inf_values[-1], inf_ties[-1], level)
+    record("top_layer_ideal", top_ideal + inf_ties.max())
 
     seed_layers_checked = t.hypotheses.strong_holds
+    star_values, star_ties = seed_layers["star"]
     if seed_layers_checked:
-        record("layer_products_seed", _layer_product_defect(frame, seed_layers["star"]))
-        top = seed_layers["star"][len(t.na_list) - 1]
+        record("layer_products_seed", _layer_product_defect(frame, star_values, star_ties))
+        top = star_values[len(t.na_list) - 1], star_ties[len(t.na_list) - 1]
         cls, eps = frame.classes(t.na_list[-1])
         member = frame.class_residual(top[0], cls) + top[1].max()
-        record("top_layer_ideal_seed", max(member, _ideal_defect(frame, top, cls)) + eps)
+        record("top_layer_ideal_seed", max(member, _ideal_defect(frame, *top, cls)) + eps)
 
     def mapped_defect(pairs, direction) -> float:
         """Largest residual of d(src's basis) in the level dst over the
@@ -1101,7 +1108,8 @@ def _tower_theorems(
         if not pairs:
             return 0.0
         coords = [frame.basis_coords(src) for src, _ in pairs]
-        values, ties, _ = frame.layers(*map(np.concatenate, zip(*coords)), direction, 1)[1]
+        layers = frame.layers(*map(np.concatenate, zip(*coords)), direction, 1)
+        values, ties = (x[1] for x in layers)
         ends, residuals = np.cumsum([0] + [len(e) for _, e in coords]), []
         for (_, dst), lo, hi in zip(pairs, ends, ends[1:]):
             cls, eps = frame.classes(dst)
@@ -1135,15 +1143,14 @@ def _tower_theorems(
     # delta_*^j delta^i (seed) for i <= len(an_list), j <= len(n_a_inf_list),
     # and delta_*^j (seed) for j <= len(na_list), read from the seed's layers
     # at depth_seed, whose ties bound those of the layers at a smaller depth
-    gens, ties, _ = zip(*seed_layers["star"][: len(t.na_list) + 1])
-    imgs = seed_layers["forward"][1 : len(t.an_list) + 1]
-    if imgs:  # the star layers of every image in one gather, rows in image order
-        star = frame.layers(*map(np.concatenate, list(zip(*imgs))[:2]), "star",
-                            len(t.n_a_inf_list))
-        values = np.array([v for v, _, _ in star]).reshape(len(star), len(imgs), -1, frame.size)
-        gens += (values.transpose(1, 0, 2, 3).reshape(-1, frame.size),)
-        ties += tuple(e for _, e, _ in star)
-    minimal = _value_classes(np.concatenate(gens), tol)
-    record("minimality", frame.class_residual(own, minimal) + max(e.max() for e in ties))
+    gens, tie = [star_values[: len(t.na_list) + 1]], star_ties[: len(t.na_list) + 1].max()
+    fwd_values, fwd_ties = (x[1 : len(t.an_list) + 1] for x in seed_layers["forward"])
+    if len(fwd_values):  # the star layers of every image in one gather, rows in image order
+        values, ties = frame.layers(fwd_values.reshape(-1, frame.size), fwd_ties.reshape(-1),
+                                    "star", len(t.n_a_inf_list))
+        gens.append(values.reshape(len(values), len(fwd_values), -1, frame.size).swapaxes(0, 1))
+        tie = max(tie, ties.max())
+    minimal = _value_classes(gens[0], tol, *gens[1:])
+    record("minimality", frame.class_residual(own, minimal) + tie)
 
     return TheoremReport(checks=checks, seed_layers_checked=seed_layers_checked), inf_star

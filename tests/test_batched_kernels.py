@@ -131,6 +131,8 @@ def ref_partial_isometry_report(u, tol=TOL):
 
 
 def ref_layers(frame, values, ties, direction, depth):
+    """``_AtomFrame.layers`` one power at a time, written into the pair
+    ``(values, ties)`` it returns."""
     _, taus, *projections = frame.powers(depth)
     proj, proj_ties, _ = projections[direction == "star"]
     index, mask, top = frame.gathers(depth)
@@ -138,13 +140,22 @@ def ref_layers(frame, values, ties, direction, depth):
     size = np.abs(values).max(axis=1, initial=0.0)
     span = [v.max(axis=1, initial=0.0) - v.min(axis=1, initial=0.0)
             for v in (values.real, values.imag)]
-    out = [(values, ties, ties)]
+    out = (np.empty((depth + 1, *values.shape), dtype=np.complex128),
+           np.empty((depth + 1, len(ties))))
+    out[0][0], out[1][0] = values, ties
     for k in range(depth):
         row = k + 1 + (top if direction == "star" else 0)
         tie = size * proj_ties[k] + big * taus[k] * np.hypot(*span) + big * big * ties
         gathered = values.astype(np.complex128)[:, index[row]]
-        out.append((gathered * (mask[row] * proj[k]), tie, tie))
+        out[0][k + 1], out[1][k + 1] = gathered * (mask[row] * proj[k]), tie
     return out
+
+
+def triples(values, ties):
+    """The layers ``(values, ties)`` of :meth:`_AtomFrame.layers` as a list
+    of per-layer ``(values, ties, off)``, a layer's tie being its off-block
+    bound too."""
+    return [(v, t, t) for v, t in zip(values, ties)]
 
 
 def ref_atom_images(w, labels):
@@ -247,9 +258,10 @@ def ref_layers_commutator(layers) -> float:
     return worst
 
 
-def ref_layer_product_defect(frame, layers) -> float:
+def ref_layer_product_defect(frame, values, ties) -> float:
     """Every product of a row of layer k with a row of layer l <= k,
     projected on the span of layer k's rows."""
+    layers = triples(values, ties)
 
     def norm_bound(values, ties):
         return float(np.abs(values).max(initial=0.0) + ties.max(initial=0.0))
@@ -268,16 +280,17 @@ def ref_layer_product_defect(frame, layers) -> float:
     return worst
 
 
-def ref_ideal_defect(frame, layer, cls) -> float:
+def ref_ideal_defect(frame, values, ties, cls) -> float:
     """The products of the span of a layer's rows with the class
     indicators, projected on that span."""
-    basis, basis_ties = ref_span_basis(frame, *layer[:2])
+    basis, basis_ties = ref_span_basis(frame, values, ties)
     level = frame.class_basis(cls)
     prods = (basis[:, None, :] * level[None, :, :]).reshape(-1, frame.size)
     return ref_span_residual(frame, prods, basis) + 2.0 * basis_ties.max(initial=0.0)
 
 
 def ref_sum_form_residual(frame, layers, levels) -> float:
+    layers = triples(*layers)
     worst = 0.0
     for n, alg in enumerate(levels):
         if alg is None:
@@ -322,7 +335,7 @@ def ref_hypotheses_commutators(frame, a0, kmax):
     seed = (values, ties, ties)
     q, q_ties, q_off = frame.powers(kmax)[3]
     q1 = (q[:1], q_ties[:1], q_off[:1])
-    fwd = ref_layers(frame, values, ties, "forward", kmax)
+    fwd = triples(*ref_layers(frame, values, ties, "forward", kmax))
     return {
         "delta_star_powers_of_1_commute_with_seed": ref_layers_commutator(
             [(q, q_ties, q_off), seed]
@@ -343,7 +356,8 @@ def ref_layers_commute(t, frame):
     seed = frame.basis_coords(t.a0)
     depth = max(len(t.na_list), len(t.an_list))
     return {
-        f"{d}_layers_commute": ref_layers_commutator(ref_layers(frame, *seed, d, depth))
+        f"{d}_layers_commute":
+            ref_layers_commutator(triples(*ref_layers(frame, *seed, d, depth)))
         for d in ("star", "forward")
     }
 
@@ -356,7 +370,7 @@ def ref_extended(an):
     pos = algebra._atom_means(frame.alg._vh @ an.pd.pos @ frame.alg.v, frame.ranges).real
     means = np.bincount(cls, pos * frame.ranks) / np.bincount(cls, frame.ranks)
     f = frame.class_basis(cls)[np.abs(means) > tol * (1.0 + np.abs(pos).max())]
-    layers = ref_layers(frame, f, np.full(len(f), eps), "forward", n)[1:]
+    layers = triples(*ref_layers(frame, f, np.full(len(f), eps), "forward", n))[1:]
     extended, level = 0.0, algebra._value_classes(pos[None, :], tol)
     for k in range(1, n + 1 if len(f) else 1):
         if k > 1 and level.max() < frame.size - 1:
@@ -372,7 +386,7 @@ def ref_mapped_levels(t, frame):
     """The tower theorems' mapped levels, one level at a time."""
 
     def mapped(src, direction, dst):
-        values, ties, _ = ref_layers(frame, *frame.basis_coords(src), direction, 1)[1]
+        values, ties = (x[1] for x in ref_layers(frame, *frame.basis_coords(src), direction, 1))
         cls, eps = frame.classes(dst)
         return frame.class_residual(values, cls) + ties.max() + eps
 
@@ -534,6 +548,26 @@ def test_tower_kernels_stay_blocked_at_n_128():
     assert peak < 48 << 20, peak
 
 
+def test_theorem22_report_reads_its_layers_in_place_at_n_128():
+    # the seed's layers delta^k(f), k = 0..n, of its n - 1 rows are one
+    # (n + 1, n - 1, n) complex stack, 33.5 MB here.  Copied into a second
+    # stack and with the absorption bound formed over all of it at once, the
+    # report peaked at 113 MiB; read in place, with that bound in blocks,
+    # the stack is most of the peak
+    n = 128
+    an = Analysis(pk.build(pk.weighted_shift(np.sqrt(np.arange(1.0, n)))))
+    an.frame
+    stack = (n + 1) * (n - 1) * n * 16
+    tracemalloc.start()
+    try:
+        assert pk.theorem22_report(an).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (113 << 20) - stack, peak
+    assert peak < 1.5 * stack, peak
+
+
 def rank_deficient(seed, n, rank):
     """v = W_r W'_r*, the first r columns of two Haar unitaries: a partial
     isometry whose C*(1) closure is not certified."""
@@ -628,12 +662,14 @@ def test_block_kernels_keep_the_verdicts_and_stay_above_their_dense_oracles(a):
     seed = frame.basis_coords(t.a0)
     layers = [frame.layers(*frame.basis_coords(t.a_inf), "star", len(t.n_a_inf_list)),
               frame.layers(*seed, "star", max(len(t.na_list), len(t.an_list)))]
-    for star in layers:
-        new, old = tower._layer_product_defect(frame, star), ref_layer_product_defect(frame, star)
+    for values, ties in layers:
+        new = tower._layer_product_defect(frame, values, ties)
+        old = ref_layer_product_defect(frame, values, ties)
         at_least(new, old)
         assert (new <= limit) == (old <= limit), (new, old)
-        cls = algebra._value_classes(np.concatenate([v for v, _, _ in star]), TOL)
-        new, old = tower._ideal_defect(frame, star[-1], cls), ref_ideal_defect(frame, star[-1], cls)
+        cls = algebra._value_classes(values, TOL)
+        top = values[-1], ties[-1]
+        new, old = tower._ideal_defect(frame, *top, cls), ref_ideal_defect(frame, *top, cls)
         at_least(new, old)
         assert (new <= limit) == (old <= limit), (new, old)
 

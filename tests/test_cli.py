@@ -383,6 +383,25 @@ def test_run_suite_negative_control_exit_one(tmp_path, capsys):
     assert json.loads(out.read_text())["all_pass"] is False
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run-suite", "--config", "c.json", "--seed", "7"],
+        ["run-suite", "--config", "c.json", "--kmax", "2"],
+        ["verify-relation", "--model", "{}", "--kmax", "2"],
+        ["norm-estimate", "--model", "{}", "--seed", "1"],
+    ],
+    ids=("run_suite_seed", "run_suite_kmax", "verify_relation_kmax", "norm_estimate_seed"),
+)
+def test_a_flag_the_command_does_not_read_exits_two(argv, capsys):
+    # the seed and the kmax of a run come from its config; --kmax is
+    # norm-estimate's own, and no command takes --seed
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" + argv[-2][2:] in capsys.readouterr().err
+
+
 def test_run_suite_bad_config_exit_two(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"models": [], "suites": ["polar"]}))

@@ -84,7 +84,7 @@ def ref_graded_mul(model, left, right):
 
 
 def ref_prescaled(g):
-    """The estimate's prescale t, the dense norm of g, and g / t as a
+    """The estimate's scale t, the dense norm of g, and g / t as a
     degree -> coefficient map."""
     t = pk.operator_norm(pk.realize(g))
     return t, {d: c / t for d, c in g.coefficients.items()}
@@ -193,7 +193,7 @@ def test_norm_estimate_matches_per_pair_reference(model, band):
         return
     est = pk.norm_estimate(g, kmax=64)
     _close_estimates(est.estimates, ref_norm_estimates(g, 64))
-    assert est.prescale == ref_prescaled(g)[0]
+    assert est.dense_norm == ref_prescaled(g)[0]
     for kmax in (1, 3):
         _close_estimates(pk.norm_estimate(g, kmax=kmax).estimates, ref_norm_estimates(g, kmax))
 

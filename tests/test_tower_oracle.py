@@ -543,3 +543,70 @@ def test_unit_closure_is_found_on_its_own_when_the_pair_fails(monkeypatch):
         an.closure
     assert_unit_closure_matches(an, rule=bits)
     assert len(calls) == 1
+
+
+def ref_unit_classes(closure):
+    """``tower._unit_classes`` by join rounds: from one class, join with
+    the classes gathered through delta and delta_* until none splits,
+    classes numbered by first appearance."""
+    frame, _, defect = closure
+    index, mask, depth = frame.gathers(1)
+    cls, count = np.zeros(frame.size, dtype=int), 0
+    while count < cls.max(initial=0) + 1:
+        count = cls.max(initial=0) + 1
+        for row in (1, depth + 1):
+            gathered = np.where(mask[row] > 0, cls[index[row]], -1)
+            keys = cls * (len(cls) + 1) + gathered + 1
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            cls = np.argsort(np.argsort(first))[inverse]
+    if count == frame.size:
+        return frame, defect
+    unit = tower._AtomFrame(tower._class_algebra(frame, cls), frame.pair)
+    return unit, unit.defect
+
+
+def chains_and_cycles(seed):
+    """A direct sum of weighted chains (shifts) and weighted cycles, of
+    random lengths, conjugated by a permutation: C*(1)'s atoms are the
+    atoms at one distance from the start and the end of their chain."""
+    rng = np.random.default_rng([seed, 13])
+    blocks = []
+    for _ in range(rng.integers(1, 5)):
+        m, cycle = int(rng.integers(1, 7)), bool(rng.integers(2))
+        block = np.diag(rng.uniform(1.0, 2.0, m - 1), -1).astype(np.complex128)
+        if cycle:
+            block[0, -1] = rng.uniform(1.0, 2.0)
+        blocks.append(block)
+    n = sum(len(b) for b in blocks)
+    a, at = np.zeros((n, n), dtype=np.complex128), 0
+    for b in blocks:
+        a[at : at + len(b), at : at + len(b)], at = b, at + len(b)
+    perm = rng.permutation(n)
+    return a[perm][:, perm]
+
+
+def assert_unit_classes_match(a):
+    closure = Analysis(a).closure
+    frame, _, defect = closure
+    if not defect <= TOL * frame.scale:
+        return
+    (got, got_defect), (want, want_defect) = tower._unit_classes(closure), ref_unit_classes(closure)
+    assert (got is frame) == (want is frame)
+    assert np.array_equal(got.alg.labels, want.alg.labels)
+    assert np.array_equal(got.alg.v, want.alg.v)
+    assert bits(got_defect, want_defect, None)
+
+
+UNIT_CASES = (
+    [(_id(spec), lambda spec=spec: pk.build(pk.model_spec_from_json(spec))) for spec in zoo_specs()]
+    + [(f"{fam}{n}", lambda fam=fam, n=n: _ladder(fam, n))
+       for fam in ("shift", "osc") for n in (2, 8, 24, 40)]
+    + [(f"chains{seed}", lambda seed=seed: chains_and_cycles(seed)) for seed in range(24)]
+)
+
+
+@pytest.mark.parametrize("make", [make for _, make in UNIT_CASES], ids=[i for i, _ in UNIT_CASES])
+def test_unit_classes_match_the_join_rounds(make):
+    # the counts of the gather masks against the join rounds they replaced:
+    # the same partition, numbered the same, so the same frame and defect
+    assert_unit_classes_match(make())
