@@ -35,16 +35,19 @@ the degrees; and ``element`` reads them in its membership check, before
 its support check, which clears a degree by a Frobenius bound and takes
 an SVD only for the degrees that bound cannot clear; it keeps those
 values, not the caller's matrices.  The dense coefficients are a
-read-only view V diag(v) V* of the values, formed on first read; the
-product, adjoint, estimate and norm paths never read it, and nothing
-stored beside the values can go stale.  A coefficient has norm max |v|,
-so ``GradedElement.coefficient_norm`` reads its norms without an SVD.
+read-only view V diag(v) V* of the values, formed on first read, and
+``realize`` reads it; the product, adjoint and coefficient-norm paths
+never do, and the norm estimate reads it once, realizing g for its dense
+zero test.  Nothing stored beside the values can go stale.  A
+coefficient has norm max |v|, so ``GradedElement.coefficient_norm``
+reads its norms without an SVD.
 
 Draws, products, realizations and the sum estimates also run on stacks
 of elements, atom values shaped (..., degrees, atoms) over one degree
 set, as the graded suite of ``run_suite`` samples them;
-``random_element``, ``graded_mul``, ``realize`` and
-``sum_norm_inequalities`` are these with one item.
+``random_element``, ``graded_mul`` and ``sum_norm_inequalities`` are
+these with one item, while ``realize`` assembles one element from its
+coefficients view.
 
 The degree-0 coefficient functional N_0 is the whole point: the norm of b
 is recovered from coefficients alone through
@@ -84,7 +87,7 @@ from .tower import _BLOCK, EndoPair, _AtomFrame, _commutativity_defect, endo_pai
 # without carrying exact-zero bands around.
 COEFF_DROP = 1e-14
 
-# Default cap on coefficient slots a norm estimate may touch:
+# Cap on the coefficient slots a norm estimate may touch:
 # 4 * kmax * bandwidth must stay at or under this.
 BANDWIDTH_CAP = 4096
 
@@ -699,9 +702,7 @@ class NormEstimate:
         return worst <= tol * (1.0 + dense), worst
 
 
-def norm_estimate(
-    g: GradedElement, kmax: int = 64, cap: int = BANDWIDTH_CAP
-) -> NormEstimate:
+def norm_estimate(g: GradedElement, kmax: int = 64) -> NormEstimate:
     """Estimate ||realize(g)|| from coefficients alone.
 
     Forms c = g g* in graded form, squares it repeatedly (so the available
@@ -712,16 +713,17 @@ def norm_estimate(
     Every squaring runs on g's atom values, and ||N_0|| is the largest
     degree-0 value.
     Raises :class:`ZeroElement` for the zero element,
-    :class:`BandwidthOverflow` when 4 * kmax * bandwidth exceeds ``cap``,
+    :class:`BandwidthOverflow` when 4 * kmax * bandwidth exceeds
+    ``BANDWIDTH_CAP``,
     and :class:`ModelMismatch` as :func:`graded_mul` does and for a u no
     power of which vanishes.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     band = g.bandwidth
-    if 4 * kmax * band > cap:
+    if 4 * kmax * band > BANDWIDTH_CAP:
         raise BandwidthOverflow(
-            f"4*kmax*bandwidth = {4 * kmax * band} exceeds the cap {cap}"
+            f"4*kmax*bandwidth = {4 * kmax * band} exceeds the cap {BANDWIDTH_CAP}"
         )
     degrees, values = g._atoms
     # a coefficient in A has the norm of its largest atom value; the dense

@@ -97,7 +97,8 @@ def eig_groups(w: np.ndarray, gap_tol: float) -> list[np.ndarray]:
     """
     if w.size == 0:
         return []
-    return np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > gap_tol) + 1)
+    cuts = [0, *(np.flatnonzero(np.diff(w) > gap_tol) + 1).tolist(), w.size]
+    return [np.arange(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 @dataclass(frozen=True)

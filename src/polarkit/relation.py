@@ -124,15 +124,15 @@ class Analysis:
     (C*(1, |a|), their algebra), ``certificate`` (the defining-relation
     test), ``isometry`` (U's partial-isometry certificate, with ||U||),
     ``pair`` (U validated by it), ``closure`` (the seed's double closure
-    under U: its frame, the seed's class of each atom and the
-    certification defect), ``frame`` (that closure's atoms with U in
+    under U: its frame, which carries its certification defect, and the
+    seed's class of each atom), ``frame`` (that closure's atoms with U in
     their basis, once certified; else the weak hypotheses fail, a
     :class:`HypothesisViolated`), ``tower`` (both towers over the seed,
     built on ``closure``), ``model`` (U over the double closure),
     ``structure`` (the blocks of B, given the relation) and
-    ``unit_closure`` (the atoms of C*(1)'s double closure under U and
-    their certification defect, which the isometry reports read: a
-    partition of ``closure`` once that is certified, and ``closure``'s own
+    ``unit_closure`` (the frame on the atoms of C*(1)'s double closure
+    under U, which the isometry reports read: a partition of ``closure``
+    once that is certified, and ``closure``'s own
     frame where the partition is discrete, so the isometry reports and
     :func:`theorem22_report` share its power facts; found on its own
     otherwise).  Only ``tower`` builds the tower; ``frame``, ``model``,
@@ -169,7 +169,7 @@ class Analysis:
     unit_closure = _once(lambda an: _unit_frame(an))
 
 
-def _unit_frame(an: Analysis) -> tuple[_AtomFrame, float]:
+def _unit_frame(an: Analysis) -> _AtomFrame:
     """C*(1)'s double closure as a partition of the seed's, once that is
     certified (:func:`tower._unit_classes`); found on its own otherwise."""
     try:
@@ -350,14 +350,6 @@ class Theorem22Report:
         return all(c.passed for c in self.checks)
 
 
-def _class_defect(frame: _AtomFrame, values, ties, cls, eps: float) -> float:
-    """Bound on the distance of elements, atom values plus ties, from the
-    algebra of the classes ``cls`` whose tie is ``eps``; 0 for none."""
-    if not len(values):
-        return 0.0
-    return frame.class_residual(values, cls) + float(np.max(ties)) + eps
-
-
 def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     """Verify the ten properties of U from the polar decomposition.
 
@@ -423,8 +415,8 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
         residual = float(residual)
         checks.append(ConditionCheck(name=name, residual=residual, passed=residual <= thr))
 
-    add("initial_projection_in_bicommutant", _class_defect(frame, q[:1], q_ties[:1], cls, eps))
-    add("range_projections_in_bicommutant", _class_defect(frame, p, p_ties, cls, eps))
+    add("initial_projection_in_bicommutant", frame.member(q[:1], q_ties[:1], an.seed))
+    add("range_projections_in_bicommutant", frame.member(p, p_ties, an.seed))
     facts = _power_facts(frame, n)
     add("projection_families_commute", facts["commute"].max())
     add("power_reduction", facts["reduction"])
@@ -440,13 +432,13 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     mult = inter * (f_top + eps) * big
     add(
         "delta_morphism_on_seed",
-        max(mult, inter, _class_defect(frame, imgs[0], img_ties[0], cls, eps)),
+        max(mult, inter, frame.member(imgs[0], img_ties[0], an.seed)),
     )
 
     # C*(1, |a|, P_1..P_(k-1)) for k = 1..n: the partition |a| and
     # p_1..p_(k-1) generate, with the tie max(eps, ties of P_1..P_(k-1));
-    # the images delta^k of a run of k on one partition are projected, and
-    # their absorption by P_k bounded, in blocks of at most _BLOCK entries
+    # the class defects of the images delta^k of a run of k on one
+    # partition, and their absorption by P_k, in blocks of at most _BLOCK entries
     generators = np.maximum(eps, np.maximum.accumulate(np.concatenate(([0.0], p_ties[:-1]))))
     bounds = [img_ties.max(axis=1, initial=0.0), generators]
     extended = absorb = 0.0
@@ -456,10 +448,11 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
         if k < n and level.max() < frame.size - 1:  # p_k can split a class
             after = _value_classes(level, tol, p[k - 1])
         if k == n or not np.array_equal(after, level):
-            basis, step = frame.class_basis(level), max(1, _BLOCK // imgs[0].size)
+            step = max(1, _BLOCK // imgs[0].size)
             for lo in range(first, k, step):
                 run = slice(lo, min(k, lo + step))
-                res = frame.span_residuals(imgs[run], basis) + bounds[0][run] + bounds[1][run]
+                defects = np.abs(frame.class_defects(imgs[run], level))
+                res = defects.max(axis=(1, 2), initial=0.0) + bounds[0][run] + bounds[1][run]
                 extended = max(extended, float(res.max()))
                 gone = (
                     np.abs((p[run, None, :] - 1.0) * imgs[run]).max(axis=-1, initial=0.0)

@@ -59,6 +59,8 @@ class SuiteConfig:
             raise ConfigError("tol must be positive and finite")
         if self.kmax < 1:
             raise ConfigError("kmax must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def config_from_json(obj) -> SuiteConfig:
@@ -150,11 +152,11 @@ def _suite_polar(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> lis
 
 def _suite_isometry(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> list[dict]:
     n = an.matrix.shape[0]
-    rep = _power_isometry(*an.unit_closure, n, config.tol)
+    rep = _power_isometry(an.unit_closure, n, config.tol)
     worst = max(rep.worst_power, rep.worst_family)
     checks = [_check("powers_vs_projections", "isometry.power_equivalence", rep.equivalent, worst)]
     try:
-        crep = _commuting_projections(*an.unit_closure, n, config.tol)
+        crep = _commuting_projections(an.unit_closure, n, config.tol)
     except PolarkitError as exc:
         return checks + _precondition_failure(exc, "isometry.projection_family")
     worst = max(crep.commutant_residual, crep.reduction_residual, crep.family_residual)

@@ -175,8 +175,9 @@ def _mix_weights(count: int) -> np.ndarray:
 
 
 def _double_closure(a0: SpectralAlgebra, pair: EndoPair, tol: float):
-    """``(frame, seed, defect)``: the frame on X, the seed's class of each
-    atom of X, and X's certification defect (``_AtomFrame.injection``).
+    """``(frame, seed)``: the frame on X, which carries X's certification
+    defect (:attr:`_AtomFrame.defect`), and the seed's class of each atom
+    of X.
 
     X starts from the seed's atoms, and each round splits them by two
     images of h = sum_x c_x P_x, with fixed weights c.  Round j = 0, 1, ..
@@ -216,7 +217,7 @@ def _double_closure(a0: SpectralAlgebra, pair: EndoPair, tol: float):
         for image in (pair.delta(h), pair.delta_star(h)):
             blocks = _refine(v, blocks, image, tol * (1.0 + 2.0 * nu * nu))
     frame = _AtomFrame(a0 if len(blocks) == len(a0.blocks) else _atom_algebra(v, blocks), pair)
-    return frame, seed[frame.ranges[0]], frame.defect
+    return frame, seed[frame.ranges[0]]
 
 
 def _weak_violation(residual: float) -> HypothesisViolated:
@@ -233,9 +234,9 @@ def _certified(closure: tuple, tol: float) -> "_AtomFrame":
     """The frame of ``closure``, a :func:`_double_closure`, once its defect
     is within ``tol * (1 + ||U||^2)^2``; beyond it every weak hypothesis
     reads the defect (:func:`_hypotheses`), so it fails them."""
-    frame, _, defect = closure
-    if not defect <= tol * frame.scale:
-        raise _weak_violation(defect)
+    frame = closure[0]
+    if not frame.defect <= tol * frame.scale:
+        raise _weak_violation(frame.defect)
     return frame
 
 
@@ -272,10 +273,12 @@ def _class_algebra(frame: "_AtomFrame", cls: np.ndarray) -> SpectralAlgebra:
     return _atom_algebra(frame.alg.v[:, np.argsort(cols, kind="stable")], groups)
 
 
-def _hypotheses(frame: "_AtomFrame", a0: SpectralAlgebra, kmax: int, tol: float, defect: float):
+def _hypotheses(frame: "_AtomFrame", a0: SpectralAlgebra, kmax: int, tol: float):
     """Both hypothesis sets read on X (see the module docstring); every
-    residual is the certification ``defect`` of X when that fails."""
-    limit = tol * frame.scale
+    residual is the certification defect of X when that fails.  The seed's
+    basis is already orthonormal, its class indicators, so delta(A_0) in
+    A_0 is its first layer as a member of A_0 (:meth:`_AtomFrame.member`)."""
+    limit, defect = tol * frame.scale, frame.defect
     names = (
         "delta_star_powers_of_1_projections",
         "delta_star_powers_of_1_commute_with_seed",
@@ -293,14 +296,12 @@ def _hypotheses(frame: "_AtomFrame", a0: SpectralAlgebra, kmax: int, tol: float,
         seed, rows = _rows(fwd[:1], fwd_ties[:1]), _rows(fwd, fwd_ties)
         q_rows = [_spread(q), q_ties, q_off]
         q1 = [r[:1] for r in q_rows]  # Q_0 = 1 is exact, and commutes
-        span, span_ties = frame.span_basis(values, ties)
         residuals = [
             np.maximum(idempotent, hermitian).max(initial=0.0),
             _commutator_max(q_rows, seed),
             _commutator_max(seed, rows),
             _commutator_max(q1, rows),
-            frame.span_residuals(fwd[1], span) + 2.0 * fwd_ties[1].max(initial=0.0)
-            + span_ties.max(initial=0.0) if kmax else 0.0,
+            frame.member(fwd[1], 2.0 * fwd_ties[1], a0) if kmax else 0.0,
             _commutator_max(q1, seed),
         ]
     residuals = [float(res) for res in residuals]
@@ -352,8 +353,8 @@ def build_tower(a0: SpectralAlgebra, pair: EndoPair, tol: float = DEFAULT_TOL) -
 
 def _build_tower(a0: SpectralAlgebra, pair: EndoPair, tol: float, closure: tuple) -> TowerReport:
     """:func:`build_tower` on ``closure``, the seed's :func:`_double_closure`."""
-    frame, seed, defect = closure
-    hyp = _hypotheses(frame, a0, pair.ambient_dim, tol, defect)
+    frame, seed = closure
+    hyp = _hypotheses(frame, a0, pair.ambient_dim, tol)
     if not hyp.weak_holds:
         raise _weak_violation(hyp.weak_residual)
     algebras = {tuple(range(frame.size)): frame.alg}
@@ -373,18 +374,14 @@ def _build_tower(a0: SpectralAlgebra, pair: EndoPair, tol: float, closure: tuple
     n_a_inf_list, stab_dbl, _ = tower(fwd, "star")
     fwd_of_star, stab_dbl2, _ = tower(star, "forward")
     _, _, (p, p_ties, _), (q, q_ties, _) = frame.powers(1)
-
-    def residual(values, ties, level) -> float:
-        cls, eps = frame.classes(level)
-        return frame.class_residual(values, cls) + float(ties.max(initial=0.0)) + eps
-
     worst = {
-        "final_projection_member": residual(p, p_ties, n_a_inf_list[-1]),
-        "initial_projection_member": residual(q, q_ties, n_a_inf_list[-1]),
+        "final_projection_member": frame.member(p, p_ties, n_a_inf_list[-1]),
+        "initial_projection_member": frame.member(q, q_ties, n_a_inf_list[-1]),
     }
     for name, seq in (("monotone_forward", an_list), ("monotone_star", na_list)):
         pairs = [(lo, hi) for lo, hi in zip(seq, seq[1:]) if lo is not hi]
-        worst[name] = max((residual(*frame.basis_coords(lo), hi) for lo, hi in pairs), default=0.0)
+        worst[name] = max((frame.member(*frame.basis_coords(lo), hi) for lo, hi in pairs),
+                          default=0.0)
     checks = {name: (res <= tol * frame.scale, res) for name, res in worst.items()}
 
     stabs = (stab_an, stab_na, stab_dbl, stab_dbl2)
@@ -574,7 +571,7 @@ class _AtomFrame:
         )
         return ones.argmax(axis=1), ones.any(axis=1), defect
 
-    @property
+    @cached_property
     def defect(self) -> float:
         """The certification defect: how far delta and delta_* act on X
         as a partial injection and its inverse (:meth:`injection`)."""
@@ -718,6 +715,16 @@ class _AtomFrame:
         means: their defect from the coarser algebra of class functions."""
         return float(np.abs(self.class_defects(values, cls)).max(initial=0.0))
 
+    def member(self, values: np.ndarray, ties, level) -> float:
+        """Bound on the distance of elements, atom values ``values`` plus
+        ``ties``, from ``level``: a :class:`SpectralAlgebra`, read by its
+        classes and their tie (:meth:`classes`), or a partition of X, exact.
+        0 for no rows."""
+        if not len(values):
+            return 0.0
+        cls, eps = self.classes(level) if isinstance(level, SpectralAlgebra) else (level, 0.0)
+        return self.class_residual(values, cls) + float(np.max(ties)) + eps
+
     def span_basis(self, values: np.ndarray, ties: np.ndarray):
         """Rows orthonormal under the trace inner product that span the
         rows of ``values``, with their ties."""
@@ -727,12 +734,11 @@ class _AtomFrame:
         coef = dagger(left[:, keep]) / s[keep][:, None]
         return vh[keep] / root, np.abs(coef) @ ties
 
-    def span_residuals(self, values: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    def span_residuals(self, values: np.ndarray, basis: np.ndarray) -> float:
         """Largest atom value of the rows minus their trace-orthogonal
-        projection on the span of the orthonormal rows of ``basis``, for
-        each matrix of a (..., rows, atoms) stack on its own."""
+        projection on the span of the orthonormal rows of ``basis``."""
         proj = ((values * self.ranks) @ dagger(basis)) @ basis
-        return np.abs(values - proj).max(axis=(-2, -1), initial=0.0)
+        return float(np.abs(values - proj).max(initial=0.0))
 
 
 def _class_basis(cls: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -800,35 +806,33 @@ def _derive_power_facts(frame: _AtomFrame, kmax: int) -> dict:
     }
 
 
-def _unit_closure(pair: EndoPair, tol: float) -> tuple[_AtomFrame, float]:
-    """``(frame, defect)``: the atoms of the double closure of C*(1) under
-    u and their certification defect (:func:`_double_closure`).  This
-    needs neither a relation nor |a|, and by Halmos-Wallen every power of
-    a partial isometry u is one exactly when u is a sum of a unitary and
+def _unit_closure(pair: EndoPair, tol: float) -> _AtomFrame:
+    """The frame on the atoms of the double closure of C*(1) under u, with
+    its certification defect (:func:`_double_closure`).  This needs
+    neither a relation nor |a|, and by Halmos-Wallen every power of a
+    partial isometry u is one exactly when u is a sum of a unitary and
     truncated shifts, which is when this closure is certified."""
     n = pair.ambient_dim
     one = _atom_algebra(np.eye(n, dtype=np.complex128), [np.arange(n)])
-    frame, _, defect = _double_closure(one, pair, tol)
-    return frame, defect
+    return _double_closure(one, pair, tol)[0]
 
 
-def _unit_classes(closure: tuple) -> tuple[_AtomFrame, float]:
+def _unit_classes(closure: tuple) -> _AtomFrame:
     """:func:`_unit_closure` read on ``closure``, a certified
     :func:`_double_closure` of a seed with 1: C*(1) lies in the seed, so
     its double closure is the partition of X that P_k = delta^k(1) and
     Q_k = delta_*^k(1), k < depth (:meth:`_AtomFrame.gathers`), generate.
     Both decrease in k, so two counts class an atom: its distance to the
     start and to the end of its chain, depth on a cycle.  A discrete
-    partition is X, with X's frame and defect; a coarser one gets a frame
-    on X's columns, certified by its own defect."""
-    frame, _, defect = closure
+    partition is X, with X's frame; a coarser one gets a frame on X's
+    columns, certified by its own defect."""
+    frame = closure[0]
     _, mask, depth = frame.gathers(1)
     start, end = (mask > 0).reshape(2, depth, -1).sum(axis=1)
     cls = _numbered(start * (depth + 1) + end)
     if cls.max(initial=-1) + 1 == frame.size:
-        return frame, defect
-    unit = _AtomFrame(_class_algebra(frame, cls), frame.pair)
-    return unit, unit.defect
+        return frame
+    return _AtomFrame(_class_algebra(frame, cls), frame.pair)
 
 
 def _free_pair(v) -> EndoPair:
@@ -857,9 +861,9 @@ class PowerIsometryReport:
         return self.powers_ok == self.family_ok
 
 
-def _power_isometry(frame: _AtomFrame, defect: float, kmax: int, tol: float):
-    """:func:`power_isometry_check` on the closure ``(frame, defect)``."""
-    limit = tol * frame.scale
+def _power_isometry(frame: _AtomFrame, kmax: int, tol: float):
+    """:func:`power_isometry_check` on the closure ``frame``."""
+    limit, defect = tol * frame.scale, frame.defect
     if not defect <= limit:
         return PowerIsometryReport(kmax, False, False, defect, defect)
     facts = _power_facts(frame, kmax)
@@ -876,7 +880,7 @@ def power_isometry_check(v, kmax: int, tol: float = DEFAULT_TOL) -> PowerIsometr
     When that closure is not certified, both fail with its defect."""
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    return _power_isometry(*_unit_closure(_free_pair(v), tol), kmax, tol)
+    return _power_isometry(_unit_closure(_free_pair(v), tol), kmax, tol)
 
 
 @dataclass(frozen=True)
@@ -888,9 +892,9 @@ class CommutingProjectionReport:
     passed: bool
 
 
-def _commuting_projections(frame: _AtomFrame, defect: float, kmax: int, tol: float):
-    """:func:`commuting_projection_properties` on the closure ``(frame, defect)``."""
-    limit = tol * frame.scale
+def _commuting_projections(frame: _AtomFrame, kmax: int, tol: float):
+    """:func:`commuting_projection_properties` on the closure ``frame``."""
+    limit, defect = tol * frame.scale, frame.defect
     if not defect <= limit:
         raise HypothesisViolated(f"C*(1)'s double closure under v is not certified ({defect:.3e})")
     facts = _power_facts(frame, kmax)
@@ -919,7 +923,7 @@ def commuting_projection_properties(
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    return _commuting_projections(*_unit_closure(_free_pair(v), tol), kmax, tol)
+    return _commuting_projections(_unit_closure(_free_pair(v), tol), kmax, tol)
 
 
 def _spread(values: np.ndarray) -> np.ndarray:
@@ -1099,8 +1103,8 @@ def _tower_theorems(
         record("layer_products_seed", _layer_product_defect(frame, star_values, star_ties))
         top = star_values[len(t.na_list) - 1], star_ties[len(t.na_list) - 1]
         cls, eps = frame.classes(t.na_list[-1])
-        member = frame.class_residual(top[0], cls) + top[1].max()
-        record("top_layer_ideal_seed", max(member, _ideal_defect(frame, *top, cls)) + eps)
+        member = frame.member(*top, t.na_list[-1])
+        record("top_layer_ideal_seed", max(member, _ideal_defect(frame, *top, cls) + eps))
 
     def mapped_defect(pairs, direction) -> float:
         """Largest residual of d(src's basis) in the level dst over the
@@ -1110,11 +1114,9 @@ def _tower_theorems(
         coords = [frame.basis_coords(src) for src, _ in pairs]
         layers = frame.layers(*map(np.concatenate, zip(*coords)), direction, 1)
         values, ties = (x[1] for x in layers)
-        ends, residuals = np.cumsum([0] + [len(e) for _, e in coords]), []
-        for (_, dst), lo, hi in zip(pairs, ends, ends[1:]):
-            cls, eps = frame.classes(dst)
-            residuals.append(frame.class_residual(values[lo:hi], cls) + ties[lo:hi].max() + eps)
-        return max(residuals)
+        ends = np.cumsum([0] + [len(e) for _, e in coords])
+        return max(frame.member(values[lo:hi], ties[lo:hi], dst)
+                   for (_, dst), lo, hi in zip(pairs, ends, ends[1:]))
 
     seq = t.n_a_inf_list
     record("delta_lowers_level", mapped_defect(list(zip(seq[1:], seq)), "forward"))
@@ -1137,8 +1139,7 @@ def _tower_theorems(
     record("intertwining", max(maps["forward"][2], maps["star"][2]))
 
     own = frame.class_basis(np.arange(frame.size))
-    cls, eps = frame.classes(t.a_inf_of_inf_a)
-    record("double_closure_equality", frame.class_residual(own, cls) + eps)
+    record("double_closure_equality", frame.member(own, 0.0, t.a_inf_of_inf_a))
 
     # delta_*^j delta^i (seed) for i <= len(an_list), j <= len(n_a_inf_list),
     # and delta_*^j (seed) for j <= len(na_list), read from the seed's layers
@@ -1151,6 +1152,6 @@ def _tower_theorems(
         gens.append(values.reshape(len(values), len(fwd_values), -1, frame.size).swapaxes(0, 1))
         tie = max(tie, ties.max())
     minimal = _value_classes(gens[0], tol, *gens[1:])
-    record("minimality", frame.class_residual(own, minimal) + tie)
+    record("minimality", frame.member(own, tie, minimal))
 
     return TheoremReport(checks=checks, seed_layers_checked=seed_layers_checked), inf_star

@@ -235,12 +235,6 @@ def ref_span_residual(frame, values, basis) -> float:
     return float(np.abs(values - proj).max(initial=0.0))
 
 
-def ref_span_residuals(frame, values, basis):
-    if values.ndim == 2:
-        return np.float64(ref_span_residual(frame, values, basis))
-    return np.array([ref_span_residual(frame, v, basis) for v in values])
-
-
 def ref_commutator_max(one, other, layer=None) -> float:
     bound = tower._commutator_bounds(one, other)
     if layer is not None:
@@ -313,7 +307,7 @@ ORACLES = [
     (relation, "_normal_scale", ref_normal_scale),
     (relation, "partial_isometry_report", ref_partial_isometry_report),
     (tower._AtomFrame, "layers", ref_layers),
-    (tower._AtomFrame, "span_residuals", ref_span_residuals),
+    (tower._AtomFrame, "span_residuals", ref_span_residual),
     (tower, "_commutator_max", ref_commutator_max),
     (relation, "_sum_form_residual", ref_sum_form_residual),
 ]
@@ -348,6 +342,30 @@ def ref_hypotheses_commutators(frame, a0, kmax):
         ),
         "delta_star_of_1_commutes_with_seed": ref_layers_commutator([q1, seed]),
     }
+
+
+def ref_seed_inside_seed(frame, a0, kmax) -> float:
+    """The hypotheses' delta_of_seed_inside_seed by the span route: the
+    seed's basis orthonormalized by an SVD, with the ties that takes, and
+    delta of the basis projected on its span."""
+    values, ties = frame.basis_coords(a0)
+    fwd, fwd_ties = frame.layers(values, ties, "forward", kmax)
+    span, span_ties = ref_span_basis(frame, values, ties)
+    return (ref_span_residual(frame, fwd[1], span) + 2.0 * fwd_ties[1].max(initial=0.0)
+            + span_ties.max(initial=0.0))
+
+
+def assert_seed_inside_seed_within_its_span_oracle(an):
+    """delta_of_seed_inside_seed read as a class residual is at most the
+    span route's plus 1e-12 of the scale, and the strong verdict is the
+    one the span route gives."""
+    frame, hyp = an.frame, an.tower.hypotheses
+    ref = ref_seed_inside_seed(frame, an.seed, an.matrix.shape[0])
+    got = hyp.details["delta_of_seed_inside_seed"]
+    assert got <= ref + 1e-12 * frame.scale, (got, ref)
+    strong = ("delta_star_powers_of_1_projections", "delta_star_of_1_commutes_with_seed")
+    ref_strong = max(ref, *(hyp.details[name] for name in strong))
+    assert hyp.strong_holds == (ref_strong <= an.tol * frame.scale), (got, ref)
 
 
 def ref_layers_commute(t, frame):
@@ -497,6 +515,13 @@ def test_checks_with_a_batched_inner_loop_give_the_bits_of_the_loop(a):
     checks = pk.coefficient_algebra(an).theorems.checks
     for name, residual in {**ref_mapped_levels(t, frame), **ref_layers_commute(t, frame)}.items():
         assert bits(checks[name][1]) == bits(residual), name
+    assert_seed_inside_seed_within_its_span_oracle(an)
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 10, 12, 24, 48, 64))
+@pytest.mark.parametrize("family", ("osc", "shift"))
+def test_seed_inside_seed_stays_within_its_span_oracle_on_the_ladder(family, n):
+    assert_seed_inside_seed_within_its_span_oracle(Analysis(ladder(family, n)))
 
 
 @pytest.mark.parametrize("n", (4, 6, 8, 10, 12, 24, 48, 64))
@@ -601,7 +626,7 @@ def suite_checks(a):
 def frames(an):
     """Fresh copies of the frames of C*(1)'s closure and, when the tower
     builds, of the tower's double closure."""
-    out = [an.unit_closure[0]]
+    out = [an.unit_closure]
     try:
         out.append(an.frame)
     except pk.PolarkitError:
@@ -689,7 +714,7 @@ def test_the_frame_takes_no_svd_and_no_cube_at_n_128(monkeypatch):
         Analysis(pk.build(pk.weighted_shift(np.sqrt(np.arange(1.0, n))))).frame,
         Analysis(conjugated("shift", n, 5)).frame,  # W has a part off its blocks
         # one atom of rank n, whose blocks are n x n: the C*(1) closure of a unitary
-        tower._unit_closure(tower._free_pair(haar(3, n)), TOL)[0],
+        tower._unit_closure(tower._free_pair(haar(3, n)), TOL),
     ]
     for case in cases:
         frame = tower._AtomFrame(case.alg, case.pair)

@@ -409,7 +409,9 @@ def test_run_suite_bad_config_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field", [{"tol": None}, {"tol": "abc"}, {"tol": float("nan")}, {"kmax": "x"}, {"seed": [1]}]
+    "field",
+    # a negative seed, which numpy's default_rng would reject mid-run
+    [{"tol": None}, {"tol": "abc"}, {"tol": float("nan")}, {"kmax": "x"}, {"seed": [1]}, {"seed": -1}],
 )
 def test_run_suite_malformed_config_value_exits_two(field, tmp_path, capsys):
     cfg = tmp_path / "config.json"

@@ -2,6 +2,8 @@ import hashlib
 import json
 import sys
 import warnings
+from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,8 @@ def test_config_validation():
         small_config(tol=-1.0)
     with pytest.raises(pk.ConfigError):
         small_config(kmax=0)
+    with pytest.raises(pk.ConfigError, match="seed must be non-negative"):
+        small_config(seed=-1)
     with pytest.raises(pk.ConfigError):
         small_config(models=[])
     with pytest.raises(pk.ConfigError):
@@ -630,6 +634,36 @@ def test_run_suite_finds_one_closure_per_model(monkeypatch):
     assert pk.report_to_json(pk.run_suite(config)) == GOLDEN.read_text(encoding="utf-8")
     assert len(closures) == len(zoo_specs()) == 7
     assert units == []
+
+
+def test_run_suite_derives_each_frames_defect_once(monkeypatch):
+    # a frame carries its certification defect: the closure's certificate,
+    # the hypotheses and both isometry reports read it off the frame, and
+    # a read after the run derives it again on no frame
+    desc = tower._AtomFrame.__dict__["defect"]
+    derive = desc.func if isinstance(desc, cached_property) else desc.fget
+    frames, calls = [], Counter()
+
+    def counted(self):
+        calls[id(self)] += 1
+        return derive(self)
+
+    def made(self, *args, _orig=tower._AtomFrame.__init__):
+        frames.append(self)
+        _orig(self, *args)
+
+    wrapped = type(desc)(counted)
+    if isinstance(wrapped, cached_property):
+        wrapped.__set_name__(tower._AtomFrame, "defect")
+    monkeypatch.setattr(tower._AtomFrame, "defect", wrapped)
+    monkeypatch.setattr(tower._AtomFrame, "__init__", made)
+    config = pk.config_from_json({"models": zoo_specs(), "suites": list(SUITE_ORDER), "seed": 0})
+    assert pk.report_to_json(pk.run_suite(config)) == GOLDEN.read_text(encoding="utf-8")
+    for frame in frames:
+        frame.defect
+    # one frame per model, and one more for the normal model's C*(1)
+    assert len(frames) == len(zoo_specs()) + 1 == 8
+    assert [calls[id(frame)] for frame in frames] == [1] * len(frames)
 
 
 def _words_check():

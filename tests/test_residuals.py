@@ -546,7 +546,7 @@ def test_rank_deficient_partial_isometries_leave_the_closure_uncertified(seed, n
     threshold = TOL * isometry_scale(v)
     assert pk.partial_isometry_report(v).passed
     assert ref_isometry(v, n)[0][0] > threshold  # the per-pair path fails too
-    _, defect = _unit_closure(_free_pair(v), TOL)
+    defect = _unit_closure(_free_pair(v), TOL).defect
     assert defect > threshold
     prep = pk.power_isometry_check(v, kmax=n)
     assert not (prep.powers_ok or prep.family_ok) and prep.equivalent

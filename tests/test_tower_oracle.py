@@ -255,7 +255,7 @@ def test_chain_bound_forms_its_products_in_blocks():
     # n = 64 (0.5 GB at n = 256); the blocks give the same bound to the bit
     n = 64
     an = Analysis(pk.build(pk.weighted_shift(np.sqrt(np.arange(1.0, n)))))
-    frame, _ = an.unit_closure
+    frame = an.unit_closure
     for values, ties, _ in frame.powers(n)[2:]:
         dense = np.abs(values[:, None, :] * values[None, :, :] - values[:, None, :]).max(axis=-1)
         norms, lower = np.abs(values).max(axis=1), np.abs(values - 1.0).max(axis=1)
@@ -308,7 +308,8 @@ def ref_double_closure(a0, pair, tol=TOL):
 def assert_same_closure(a0, pair, tol=TOL):
     """The atoms of the closure are those of the oracle's, as subspaces
     with their ranks, and both are certified or neither is."""
-    frame, seed, defect = tower._double_closure(a0, pair, tol)
+    frame, seed = tower._double_closure(a0, pair, tol)
+    defect = frame.defect
     ref, ref_seed, ref_defect = ref_double_closure(a0, pair, tol)
     assert frame.size == ref.size
     # overlap[x, y] = ||V_x* V'_y||_F^2 / rank x is 1 exactly when atom x
@@ -412,19 +413,19 @@ def test_closure_takes_log_n_rounds(monkeypatch, family):
 
     pair = _ladder_pair(family, n)
     monkeypatch.setattr(tower, "_mix_weights", counting)
-    frame, _, defect = tower._double_closure(unit_algebra(n), pair, TOL)
+    frame, _ = tower._double_closure(unit_algebra(n), pair, TOL)
     assert rounds[0] <= 2 * np.log2(n) + 2, rounds[0]
-    assert frame.size == n and defect <= TOL * frame.scale
+    assert frame.size == n and frame.defect <= TOL * frame.scale
 
 
 def _isometry_reports(closure, n):
     """Both isometry reports on ``closure``, the second as its error's
     message when it raises."""
     try:
-        family = tower._commuting_projections(*closure, n, TOL)
+        family = tower._commuting_projections(closure, n, TOL)
     except pk.HypothesisViolated as exc:
         family = str(exc)
-    return tower._power_isometry(*closure, n, TOL), family
+    return tower._power_isometry(closure, n, TOL), family
 
 
 def bits(mine, ref, scale):
@@ -445,7 +446,7 @@ def assert_unit_closure_matches(an, rule):
     every residual against the oracle's by ``rule``."""
     n = len(an.matrix)
     got, want = an.unit_closure, tower._unit_closure(tower._free_pair(an.pd.u), TOL)
-    assert got[0].size == want[0].size
+    assert got.size == want.size
     for mine, ref in zip(_isometry_reports(got, n), _isometry_reports(want, n)):
         assert type(mine) is type(ref)
         if isinstance(ref, str):
@@ -453,7 +454,7 @@ def assert_unit_closure_matches(an, rule):
             continue
         for key, value in vars(ref).items():
             if isinstance(value, float):
-                assert rule(vars(mine)[key], value, want[0].scale), (key, vars(mine)[key], value)
+                assert rule(vars(mine)[key], value, want.scale), (key, vars(mine)[key], value)
             else:
                 assert vars(mine)[key] == value, key
     return got
@@ -462,7 +463,7 @@ def assert_unit_closure_matches(an, rule):
 @pytest.mark.parametrize("spec", zoo_specs(), ids=_id)
 def test_unit_closure_of_the_zoo_matches_its_oracle(spec):
     an = Analysis(pk.build(pk.model_spec_from_json(spec)))
-    frame, _ = assert_unit_closure_matches(an, rule=bits)
+    frame = assert_unit_closure_matches(an, rule=bits)
     # C*(1)'s closure is the seed's on every zoo model but the normal one
     assert (frame is an.frame) == (spec["kind"] != "normal")
 
@@ -476,7 +477,7 @@ def test_unit_closure_of_a_ladder_matches_its_oracle(family, n):
     # seed's read 5e-14
     an = Analysis(_ladder(family, n))
     rule = tighter if family == "osc" and n > 24 else bits
-    assert assert_unit_closure_matches(an, rule)[0] is an.frame
+    assert assert_unit_closure_matches(an, rule) is an.frame
 
 
 def _unitary_sum(a, phases):
@@ -506,8 +507,8 @@ def _conjugated(a, rng):
 )
 def test_unit_closure_off_the_zoo_matches_its_oracle(make):
     an = Analysis(make(np.random.default_rng(2027)))
-    frame, defect = assert_unit_closure_matches(an, rule=close)
-    assert defect <= TOL * frame.scale
+    frame = assert_unit_closure_matches(an, rule=close)
+    assert frame.defect <= TOL * frame.scale
 
 
 def _counted_fallback(monkeypatch):
@@ -525,11 +526,11 @@ def test_unit_closure_is_found_on_its_own_when_the_seeds_closure_is_uncertified(
     # a generic a: U is unitary and moves the rank-1 atoms of |a| off
     # themselves, so X is not certified, while C*(1) is invariant
     an = Analysis(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-    frame, _, defect = an.closure
-    assert defect > TOL * frame.scale
+    frame, _ = an.closure
+    assert frame.defect > TOL * frame.scale
     calls = _counted_fallback(monkeypatch)
-    unit, unit_defect = assert_unit_closure_matches(an, rule=bits)
-    assert len(calls) == 1 and unit.size == 1 and unit_defect <= TOL * unit.scale
+    unit = assert_unit_closure_matches(an, rule=bits)
+    assert len(calls) == 1 and unit.size == 1 and unit.defect <= TOL * unit.scale
 
 
 def test_unit_closure_is_found_on_its_own_when_the_pair_fails(monkeypatch):
@@ -549,7 +550,7 @@ def ref_unit_classes(closure):
     """``tower._unit_classes`` by join rounds: from one class, join with
     the classes gathered through delta and delta_* until none splits,
     classes numbered by first appearance."""
-    frame, _, defect = closure
+    frame, _ = closure
     index, mask, depth = frame.gathers(1)
     cls, count = np.zeros(frame.size, dtype=int), 0
     while count < cls.max(initial=0) + 1:
@@ -560,9 +561,8 @@ def ref_unit_classes(closure):
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
             cls = np.argsort(np.argsort(first))[inverse]
     if count == frame.size:
-        return frame, defect
-    unit = tower._AtomFrame(tower._class_algebra(frame, cls), frame.pair)
-    return unit, unit.defect
+        return frame
+    return tower._AtomFrame(tower._class_algebra(frame, cls), frame.pair)
 
 
 def chains_and_cycles(seed):
@@ -587,10 +587,11 @@ def chains_and_cycles(seed):
 
 def assert_unit_classes_match(a):
     closure = Analysis(a).closure
-    frame, _, defect = closure
-    if not defect <= TOL * frame.scale:
+    frame, _ = closure
+    if not frame.defect <= TOL * frame.scale:
         return
-    (got, got_defect), (want, want_defect) = tower._unit_classes(closure), ref_unit_classes(closure)
+    got, want = tower._unit_classes(closure), ref_unit_classes(closure)
+    got_defect, want_defect = got.defect, want.defect
     assert (got is frame) == (want is frame)
     assert np.array_equal(got.alg.labels, want.alg.labels)
     assert np.array_equal(got.alg.v, want.alg.v)
