@@ -109,12 +109,10 @@ class SpectralAlgebra:
         return np.split(np.arange(self.dim), self._ranges[0][1:]) if self.dim else []
 
 
-def _eigenspaces(h, tol: float):
-    """The one eigenvalue-grouping rule: ``(w, v, groups, scale)``, with
-    eigenvalues of Hermitian h grouped at ``tol * scale``, scale 1 + |w_max|."""
-    w, v = hermitian_eig(h, tol=tol)
-    scale = 1.0 + (abs(float(w[-1])) if w.size else 0.0)
-    return w, v, eig_groups(w, tol * scale), scale
+def _eigenspaces(w: np.ndarray, tol: float) -> list[np.ndarray]:
+    """The one eigenvalue-grouping rule: the ascending eigenvalues w of a
+    Hermitian matrix grouped at ``tol * (1 + |w_max|)``, as index arrays."""
+    return eig_groups(w, tol * (1.0 + (abs(float(w[-1])) if w.size else 0.0)))
 
 
 def _projection_basis(v: np.ndarray, groups) -> np.ndarray:
@@ -151,8 +149,8 @@ def spectral_algebra(h, tol: float = DEFAULT_TOL) -> SpectralAlgebra:
     eigenvalues closer than ``tol * (1 + ||h||)`` are merged into one
     atom.  An h with a NaN or infinite entry is an :class:`InvalidSpec`.
     """
-    _, v, groups, _ = _eigenspaces(_finite(as_matrix(h), "h"), tol)
-    return _atom_algebra(v, groups)
+    w, v = hermitian_eig(_finite(as_matrix(h), "h"), tol)
+    return _atom_algebra(v, _eigenspaces(w, tol))
 
 
 def commutant(a, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
@@ -238,13 +236,6 @@ def _block_constant_defect(rot: np.ndarray, labels: np.ndarray, ranges):
     return defect, means
 
 
-def _atom_residual(v: np.ndarray, labels: np.ndarray, stack: np.ndarray) -> float:
-    """Largest block-constant defect of a (..., n, n) stack in the atoms
-    (v, labels)."""
-    rot = dagger(v) @ stack @ v
-    return operator_norm(_block_constant_defect(rot, labels, _atom_ranges(labels))[0])
-
-
 def is_function_of(b, a, tol: float = DEFAULT_TOL) -> FunctionCertificate:
     """Decide whether b = f(a) for some function f on the spectrum of a.
 
@@ -260,28 +251,35 @@ def is_function_of(b, a, tol: float = DEFAULT_TOL) -> FunctionCertificate:
     a with a NaN or infinite entry is an :class:`InvalidSpec`.
     """
     bm = _finite(as_matrix(b), "b")
-    scale_b = _normal_scale(bm, tol)
-    w, v, groups, _ = _eigenspaces(_finite(as_matrix(a), "a"), tol)
-    labels = _labels(groups)
-    starts, sizes = ranges = _atom_ranges(labels)
-    resid, values = _block_constant_defect(dagger(v) @ bm @ v, labels, ranges)
+    scale_b = _normal_scale(*_operator_norms([bm @ dagger(bm) - dagger(bm) @ bm, bm]), tol)
+    w, v = hermitian_eig(_finite(as_matrix(a), "a"), tol)
+    groups = _eigenspaces(w, tol)
+    resid, values, means = _group_defect(bm, w, v, groups)
     defect = operator_norm(resid)
     exists = defect <= tol * scale_b
-    means = np.add.reduceat(w, starts) / sizes
     table = tuple((float(mean), complex(val)) for mean, val in zip(means, values))
-    worst = None
-    if not exists:
-        rows = [float(np.linalg.norm(resid[idx, :])) for idx in groups]
-        worst = float(means[int(np.argmax(rows))])
-    return FunctionCertificate(
-        exists=exists, residual=defect, table=table, worst_eigenvalue=worst
-    )
+    worst = None if exists else _worst_group(resid, groups, means)
+    return FunctionCertificate(exists=exists, residual=defect, table=table, worst_eigenvalue=worst)
 
 
-def _normal_scale(bm: np.ndarray, tol: float) -> float:
-    """1 + ||b||, once b passes the normality test of :func:`is_function_of`;
-    its self-commutator and ||b|| are one stack."""
-    comm, norm = _operator_norms([bm @ dagger(bm) - dagger(bm) @ bm, bm])
+def _group_defect(b: np.ndarray, w: np.ndarray, v: np.ndarray, groups):
+    """b's defect from being scalar on each group of columns of unitary v,
+    with b's value and the mean of w on each group."""
+    labels = _labels(groups)
+    starts, sizes = ranges = _atom_ranges(labels)
+    resid, values = _block_constant_defect(dagger(v) @ b @ v, labels, ranges)
+    return resid, values, np.add.reduceat(w, starts) / sizes
+
+
+def _worst_group(resid: np.ndarray, groups, means: np.ndarray) -> float:
+    """The mean of the group whose rows of the defect ``resid`` weigh most."""
+    rows = [float(np.linalg.norm(resid[idx, :])) for idx in groups]
+    return float(means[int(np.argmax(rows))])
+
+
+def _normal_scale(comm: float, norm: float, tol: float) -> float:
+    """1 + ||b|| from b's self-commutator norm and ||b||, once they pass
+    the normality test of :func:`is_function_of`."""
     scale_b = 1.0 + float(norm)
     if comm > tol * scale_b * scale_b:
         raise NotHermitian(f"b is neither Hermitian nor normal (self-commutator {comm:.3e})")

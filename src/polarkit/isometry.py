@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian
-from .linalg import DEFAULT_TOL, _finite, _operator_norms, as_matrix, dagger
+from .errors import InvalidSpec
+from .linalg import DEFAULT_TOL, _check_hermitian, _finite, _operator_norms, as_matrix, dagger
 
 CONDITIONS = (
     "spec_initial", "spec_final", "idempotent_initial", "idempotent_final", "triple_product"
@@ -62,12 +62,15 @@ def partial_isometry_report(u, tol: float = DEFAULT_TOL) -> PartialIsometryRepor
     ``tol * (1 + ||u||^2)^2`` (one shared scale, quartic because the
     idempotency checks are degree four in u, squared by multiplication,
     which rounds the same under every libm).  Every norm the conditions
-    read is one stack, and both spectra are one stacked eigendecomposition
-    of the symmetrized u*u and uu*, after the Hermiticity test that
-    :func:`linalg.hermitian_eig` makes (:class:`NotHermitian`).  A u with
-    a NaN or infinite entry is an :class:`InvalidSpec` naming that entry.
+    read is one stack, and both spectra are one stacked ``eigvalsh`` of
+    the symmetrized u*u and uu* (no eigenvectors are read), after the
+    Hermiticity test that :func:`linalg.hermitian_eig` makes
+    (:class:`NotHermitian`).  A u with a NaN or infinite entry, or of
+    size 0 x 0, is an :class:`InvalidSpec`.
     """
     um = _finite(as_matrix(u), "u")
+    if not um.size:
+        raise InvalidSpec("u is 0 x 0")
     uh = dagger(um)
     q, p = uh @ um, um @ uh
     norms = _operator_norms(
@@ -75,11 +78,9 @@ def partial_isometry_report(u, tol: float = DEFAULT_TOL) -> PartialIsometryRepor
          um @ uh @ um - um, uh @ um @ uh - uh]
     )
     for defect, norm in (norms[1:3], norms[3:5]):
-        if defect > tol * (1.0 + norm):
-            scale = 1.0 + norm
-            raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}")
+        _check_hermitian(defect, norm, tol)
     pair = np.array([q, p])
-    w = np.linalg.eigh((pair + dagger(pair)) / 2.0)[0]
+    w = np.linalg.eigvalsh((pair + dagger(pair)) / 2.0)
     spectra = np.minimum(np.abs(w), np.abs(w - 1.0)).max(axis=1)
     s = 1.0 + norms[0] * norms[0]
     residuals = (*spectra, norms[5], norms[6], max(norms[7], norms[8]))

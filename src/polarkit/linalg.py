@@ -80,12 +80,17 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL):
     eigenvectors.
     """
     a = as_matrix(m)
-    defect, norm = _operator_norms([a - dagger(a), a])
+    _check_hermitian(*_operator_norms([a - dagger(a), a]), tol)
+    w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
+    return w, v
+
+
+def _check_hermitian(defect: float, norm: float, tol: float) -> None:
+    """The Hermiticity test of :func:`hermitian_eig`, on ||m - m*|| and ||m||
+    already taken."""
     scale = 1.0 + norm
     if defect > tol * scale:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}")
-    w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
-    return w, v
 
 
 def eig_groups(w: np.ndarray, gap_tol: float) -> list[np.ndarray]:
@@ -109,6 +114,8 @@ class PolarDecomposition:
     closure of the range of ``pos`` and zero on its kernel.  ``rank`` is the
     number of singular values kept, ``cutoff`` the threshold they were
     compared against, ``residual`` the operator norm of a - u @ pos.
+    ``sigma``, ascending, and the columns of ``v`` are the eigenpairs of
+    pos, read off the SVD both factors come from, so ||a|| = sigma[-1].
     """
 
     u: np.ndarray
@@ -116,6 +123,8 @@ class PolarDecomposition:
     rank: int
     cutoff: float
     residual: float
+    sigma: np.ndarray
+    v: np.ndarray
 
 
 def polar_decompose(a, tol: float = DEFAULT_TOL) -> PolarDecomposition:
@@ -138,7 +147,8 @@ def polar_decompose(a, tol: float = DEFAULT_TOL) -> PolarDecomposition:
     pos = dagger(vh) @ (s[:, None] * vh)
     pos = (pos + dagger(pos)) / 2.0
     residual = operator_norm(m - u @ pos)
-    return PolarDecomposition(u=u, pos=pos, rank=rank, cutoff=cutoff, residual=residual)
+    v = np.ascontiguousarray(dagger(vh[::-1]))
+    return PolarDecomposition(u, pos, rank, cutoff, residual, sigma=s[::-1], v=v)
 
 
 def _norm_f(m: np.ndarray) -> np.ndarray:

@@ -45,17 +45,25 @@ from .algebra import (
     SpectralAlgebra,
     _atom_algebra,
     _atom_means,
-    _atom_residual,
     _eigenspaces,
-    _labels,
+    _group_defect,
     _normal_scale,
     _value_classes,
-    is_function_of,
+    _worst_group,
 )
 from .errors import InvalidSpec, ModelNotGraded, PolarkitError, RelationViolated
 from .graded import GradedModel
 from .isometry import ConditionCheck, partial_isometry_report
-from .linalg import DEFAULT_TOL, _finite, as_matrix, dagger, operator_norm, polar_decompose
+from .linalg import (
+    DEFAULT_TOL,
+    _check_hermitian,
+    _finite,
+    _operator_norms,
+    as_matrix,
+    dagger,
+    operator_norm,
+    polar_decompose,
+)
 from .tower import (
     _BLOCK,
     EndoPair,
@@ -117,33 +125,37 @@ def _once(derive):
 class Analysis:
     """One operator and everything derived from it, each piece once.
 
-    An a with a NaN or infinite entry, or whose a*a is not finite in
-    double precision, is an :class:`InvalidSpec` at once.  Each field is
-    derived on first read from the ones before it: ``norm`` (||a||), ``pd``
-    (the polar parts), ``spaces`` (the eigenspaces of |a|), ``seed``
-    (C*(1, |a|), their algebra), ``certificate`` (the defining-relation
-    test), ``isometry`` (U's partial-isometry certificate, with ||U||),
-    ``pair`` (U validated by it), ``closure`` (the seed's double closure
-    under U: its frame, which carries its certification defect, and the
-    seed's class of each atom), ``frame`` (that closure's atoms with U in
-    their basis, once certified; else the weak hypotheses fail, a
-    :class:`HypothesisViolated`), ``tower`` (both towers over the seed,
-    built on ``closure``), ``model`` (U over the double closure),
-    ``structure`` (the blocks of B, given the relation) and
-    ``unit_closure`` (the frame on the atoms of C*(1)'s double closure
-    under U, which the isometry reports read: a partition of ``closure``
-    once that is certified, and ``closure``'s own
-    frame where the partition is discrete, so the isometry reports and
-    :func:`theorem22_report` share its power facts; found on its own
-    otherwise).  Only ``tower`` builds the tower; ``frame``, ``model``,
-    ``structure`` and ``unit_closure`` read the closure alone.  ``matrix``
-    is a read-only copy of a, so the caller's array is neither kept nor
-    frozen.  A failed derivation is not repeated either: its PolarkitError
-    or LinAlgError is raised again on every later read.
+    An a of size 0 x 0, with a NaN or infinite entry, or whose a*a is not
+    finite in double precision, is an :class:`InvalidSpec` at once.  Each
+    field is derived on first read from the ones before it: ``pd`` (the
+    polar parts, from the one SVD of a), ``norm`` (||a||) and ``spaces``
+    (the eigenspaces of |a|, as groups of the columns of ``pd.v`` by
+    ``algebra._eigenspaces``), both read off that SVD, ``seed``
+    (C*(1, |a|), the algebra of those groups), ``certificate`` (the
+    defining-relation test), ``isometry`` (U's partial-isometry certificate,
+    with ||U||), ``pair`` (U validated by it), ``closure`` (the seed's
+    double closure under U: its frame, which carries its certification
+    defect, and the seed's class of each atom), ``frame`` (that closure's
+    atoms with U in their basis, once certified; else the weak hypotheses
+    fail, a :class:`HypothesisViolated`), ``tower`` (both towers over the
+    seed, built on ``closure``), ``model`` (U over the double closure),
+    ``structure`` (the blocks of B, given the relation) and ``unit_closure``
+    (the frame on the atoms of C*(1)'s double closure under U, which the
+    isometry reports read: a partition of ``closure`` once that is
+    certified, and ``closure``'s own frame where the partition is discrete,
+    so the isometry reports and :func:`theorem22_report` share its power
+    facts; found on its own otherwise).  Only ``tower`` builds the tower;
+    ``frame``, ``model``, ``structure`` and ``unit_closure`` read the
+    closure alone.  ``matrix`` is a read-only copy of a, so the caller's
+    array is neither kept nor frozen.  A failed derivation is not repeated
+    either: its PolarkitError or LinAlgError is raised again on every later
+    read.
     """
 
     def __init__(self, a, tol: float = DEFAULT_TOL):
         self.matrix = np.array(_finite(as_matrix(a), "the matrix"))
+        if not self.matrix.size:
+            raise InvalidSpec("the matrix is 0 x 0")
         self.matrix.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.isfinite(dagger(self.matrix) @ self.matrix).all():
@@ -154,10 +166,10 @@ class Analysis:
         self.tol = tol
         self._memo: dict = {}
 
-    norm = _once(lambda an: operator_norm(an.matrix))
     pd = _once(lambda an: polar_decompose(an.matrix, tol=an.tol))
-    spaces = _once(lambda an: _eigenspaces(an.pd.pos, an.tol))
-    seed = _once(lambda an: _atom_algebra(an.spaces[1], an.spaces[2]))
+    norm = _once(lambda an: float(an.pd.sigma[-1]))
+    spaces = _once(lambda an: _eigenspaces(an.pd.sigma, an.tol))
+    seed = _once(lambda an: _atom_algebra(an.pd.v, an.spaces))
     certificate = _once(lambda an: verify_I1(an))
     isometry = _once(lambda an: partial_isometry_report(an.pd.u, tol=an.tol))
     pair = _once(lambda an: _checked_pair(an.pd.u, an.isometry))
@@ -197,26 +209,33 @@ def verify_I1(a, tol: float = DEFAULT_TOL) -> RelationCertificate:
     Both formulations are evaluated: aa* as a function of a*a, and
     U|a|U* as a function of |a| with U, |a| the polar parts.  They are
     equivalent statements, so the two booleans are expected to agree;
-    both residuals are reported.  The second is the defect of U|a|U*
-    from being scalar on the eigenspaces of |a|, the atoms of the seed
-    C*(1, |a|), which are taken once for the gate and the seed.
+    both residuals are reported: the defects of aa* from being scalar on
+    the eigenspaces of a*a = V diag(sigma^2) V*, and of U|a|U* on those of
+    |a|, both read off the polar SVD (``Analysis.spaces``).  Each is
+    passed as :func:`algebra.is_function_of` passes it; the residuals and
+    the guards (aa* Hermitian, U|a|U* normal) are one stack of norms.
     """
     an = _analysis(a, tol)
-    am = an.matrix
-    cert = is_function_of(am @ dagger(am), dagger(am) @ am, tol=an.tol)
-    pd = an.pd
+    tol, am, pd = an.tol, an.matrix, an.pd
+    w, v, w2 = pd.sigma, pd.v, pd.sigma * pd.sigma
+    groups, gram_groups = an.spaces, _eigenspaces(w2, tol)
+    b = am @ dagger(am)
     mid = pd.u @ pd.pos @ dagger(pd.u)
-    scale = _normal_scale(mid, an.tol)
-    _, v, groups, _ = an.spaces
-    conjugate = _atom_residual(v, _labels(groups), mid)
-    table = tuple((float(ev), float(val.real)) for ev, val in cert.table)
+    resid, values, means = _group_defect(b, w2, v, gram_groups)
+    herm, b_norm, comm, mid_norm, membership, conjugate = _operator_norms(
+        [b - dagger(b), b, mid @ dagger(mid) - dagger(mid) @ mid, mid, resid,
+         _group_defect(mid, w, v, groups)[0]]
+    )
+    _check_hermitian(herm, b_norm, tol)
+    scale = _normal_scale(comm, mid_norm, tol)
+    holds = bool(membership <= tol * (1.0 + b_norm))
     return RelationCertificate(
-        holds=cert.exists,
-        membership_residual=cert.residual,
-        conjugate_holds=conjugate <= an.tol * scale,
-        conjugate_residual=conjugate,
-        gamma_table=table,
-        offending_eigenvalue=cert.worst_eigenvalue,
+        holds=holds,
+        membership_residual=float(membership),
+        conjugate_holds=bool(conjugate <= tol * scale),
+        conjugate_residual=float(conjugate),
+        gamma_table=tuple((float(ev), float(val.real)) for ev, val in zip(means, values)),
+        offending_eigenvalue=None if holds else _worst_group(resid, gram_groups, means),
     )
 
 

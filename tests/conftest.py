@@ -35,6 +35,43 @@ def q_half_8():
     return pk.build(pk.q_oscillator(8, 0.5, 1.0))
 
 
+class LapackCalls:
+    """The calls of ``np.linalg.svd``, ``eigh`` and ``eigvalsh`` since the
+    last ``clear()``: ``calls[name]`` counts the calls, ``mats[name]`` the
+    matrices they factor (a stack counts each of its matrices), and
+    ``inputs`` holds each call's ``(name, array, keyword arguments)``."""
+
+    NAMES = ("svd", "eigh", "eigvalsh")
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.calls = dict.fromkeys(self.NAMES, 0)
+        self.mats = dict.fromkeys(self.NAMES, 0)
+        self.inputs = []
+
+    def counting(self, name, orig):
+        def counted(a, *args, **kwargs):
+            a = np.asarray(a)
+            self.calls[name] += 1
+            self.mats[name] += int(np.prod(a.shape[:-2]))
+            self.inputs.append((name, a, kwargs))
+            return orig(a, *args, **kwargs)
+
+        return counted
+
+
+@pytest.fixture()
+def lapack_calls(monkeypatch):
+    """A :class:`LapackCalls` counting every call polarkit makes (it reads
+    ``np.linalg.<name>`` at call time) for the rest of the test."""
+    counter = LapackCalls()
+    for name in LapackCalls.NAMES:
+        monkeypatch.setattr(np.linalg, name, counter.counting(name, getattr(np.linalg, name)))
+    return counter
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260819)

@@ -30,12 +30,19 @@ from polarkit.algebra import (
     DROP_THRESHOLD,
     MatrixAlgebra,
     SpectralAlgebra,
-    _atom_residual,
+    _block_constant_defect,
     _eigenspaces,
     _projection_basis,
     _refine,
 )
-from polarkit.linalg import DEFAULT_TOL, _operator_norms, as_matrix, dagger, operator_norm
+from polarkit.linalg import (
+    DEFAULT_TOL,
+    _operator_norms,
+    as_matrix,
+    dagger,
+    hermitian_eig,
+    operator_norm,
+)
 from polarkit.tower import _double_closure, _hypotheses
 
 
@@ -155,7 +162,8 @@ def residual(alg, m) -> float:
     product; an atom algebra reads the block-constant defect in v."""
     ms = np.asarray(m, dtype=np.complex128)
     if isinstance(alg, SpectralAlgebra):
-        return _atom_residual(alg.v, alg.labels, ms)
+        rot = dagger(alg.v) @ ms @ alg.v
+        return operator_norm(_block_constant_defect(rot, alg.labels, alg._ranges)[0])
     ms = ms.reshape(-1, alg.dim * alg.dim)
     if alg.dimension:
         flat = alg.basis.reshape(alg.dimension, -1)
@@ -205,7 +213,8 @@ def nonunital_seed(pos, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     """The algebra generated by |a| without adjoining the identity: the
     eigenprojections of |a| away from its kernel, as the rows
     P_i / sqrt(rank P_i)."""
-    w, v, groups, scale = _eigenspaces(pos, tol)
+    w, v = hermitian_eig(pos, tol)
+    groups, scale = _eigenspaces(w, tol), 1.0 + abs(float(w[-1]))
     kept = [idx for idx in groups if abs(float(np.mean(w[idx]))) > tol * scale]
     return MatrixAlgebra(dim=v.shape[0], basis=_projection_basis(v, kept))
 

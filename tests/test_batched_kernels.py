@@ -15,6 +15,17 @@ commutators, the extended algebras of ``theorem22_report`` and the mapped
 levels of the tower theorems) are compared with their reference loops by
 name.
 
+Two routes moved, not only their stacking: the gate reads the
+eigenspaces of a*a and |a| off the polar SVD, and the partial-isometry
+spectra come from ``eigvalsh``.  ``ref_verify_I1`` and
+``ref_partial_isometry_report`` keep the ``eigh`` routes they replaced,
+and the new routes must keep their verdicts, with residuals and gamma
+tables within 1e-12 (1 + ||a||^2) and spectra within 1e-15
+(``assert_near_the_eigh_routes``).  The gate meets that on every fixed
+input here and on every Hypothesis draw whose |a| does not crowd
+(``rounding_scale`` at most 1e-12); on crowded draws it is not checked,
+and ``CROWDED_CASES`` keep four inputs where it fails.
+
 The frame's atom map and powers are read from block norms, and the layer
 products and the top-layer ideal as class residuals, so these bound the
 same quantities in another way.  Against the dense kernels they replaced
@@ -111,14 +122,25 @@ def ref_verify_I1(a, tol=TOL):
     )
 
 
-def ref_partial_isometry_report(u, tol=TOL):
+def eigh_values(h, tol):
+    return ref_hermitian_eig(h, tol)[0]
+
+
+def eigvalsh_values(h, tol):
+    ref_hermitian_eig(h, tol)  # the Hermiticity test alone
+    return np.linalg.eigvalsh((h + dagger(h)) / 2.0)
+
+
+def ref_partial_isometry_report(u, tol=TOL, spectrum=eigh_values):
+    """The five conditions one norm and one spectrum at a time; the spectra
+    by ``eigh`` as they were taken, or by ``spectrum``."""
     um = np.asarray(u, dtype=np.complex128)
     q, p = dagger(um) @ um, um @ dagger(um)
     nu = ref_norm(um)
     s = 1.0 + nu * nu
     residuals = [
         float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
-        for w in (ref_hermitian_eig(q, tol)[0], ref_hermitian_eig(p, tol)[0])
+        for w in (spectrum(q, tol), spectrum(p, tol))
     ]
     residuals += [ref_norm(q @ q - q), ref_norm(p @ p - p)]
     residuals.append(max(
@@ -301,11 +323,18 @@ def ref_sum_form_residual(frame, layers, levels) -> float:
     return worst
 
 
+def ref_operator_norms(m):
+    return np.array([ref_norm(x) for x in m])
+
+
+def loop_partial_isometry_report(u, tol=TOL):
+    """``partial_isometry_report`` one norm and one ``eigvalsh`` at a time."""
+    return ref_partial_isometry_report(u, tol, spectrum=eigvalsh_values)
+
+
 ORACLES = [
-    (algebra, "hermitian_eig", ref_hermitian_eig),
-    (algebra, "_normal_scale", ref_normal_scale),
-    (relation, "_normal_scale", ref_normal_scale),
-    (relation, "partial_isometry_report", ref_partial_isometry_report),
+    (relation, "_operator_norms", ref_operator_norms),
+    (relation, "partial_isometry_report", loop_partial_isometry_report),
     (tower._AtomFrame, "layers", ref_layers),
     (tower._AtomFrame, "span_residuals", ref_span_residual),
     (tower, "_commutator_max", ref_commutator_max),
@@ -414,6 +443,46 @@ def ref_mapped_levels(t, frame):
     return {"delta_lowers_level": lowers, "delta_star_raises_level": raises}
 
 
+def rounding_scale(a) -> float:
+    """n eps ||a|| / gap, gap the least gap between the eigenspaces of |a|:
+    how far rounding alone may move an eigenvector of |a|, by either route."""
+    sigma = pk.polar_decompose(a).sigma
+    gaps = np.diff(sigma)
+    gap = gaps[gaps > TOL * (1.0 + sigma[-1])].min(initial=np.inf)
+    return len(a) * np.finfo(float).eps * sigma[-1] / gap
+
+
+def assert_gate_near_the_eigh_route(a):
+    """``verify_I1`` against the ``eigh`` route it replaced: the same
+    verdicts, and residuals, gamma table and offending eigenvalue within
+    1e-12 (1 + ||a||^2)."""
+    got, old = pk.verify_I1(a), ref_verify_I1(a)
+    near = 1e-12 * (1.0 + pk.operator_norm(a) ** 2)
+    assert (got.holds, got.conjugate_holds) == (old.holds, old.conjugate_holds)
+    assert abs(got.membership_residual - old.membership_residual) <= near
+    assert abs(got.conjugate_residual - old.conjugate_residual) <= near
+    if got.offending_eigenvalue is not None:
+        assert abs(got.offending_eigenvalue - old.offending_eigenvalue) <= near
+    assert len(got.gamma_table) == len(old.gamma_table)
+    np.testing.assert_allclose(got.gamma_table, old.gamma_table, rtol=0.0, atol=near)
+
+
+def assert_spectra_near_the_eigh_route(u):
+    """``partial_isometry_report`` against the ``eigh`` spectra it replaced:
+    the spectra within 1e-15, the other conditions, ||u|| and every verdict
+    to the bit."""
+    got, old = pk.partial_isometry_report(u), ref_partial_isometry_report(u)
+    assert (got.passed, got.norm) == (old.passed, old.norm)
+    for new, ref in zip(got.conditions, old.conditions):
+        assert new.passed == ref.passed, new.name
+        assert abs(new.residual - ref.residual) <= (1e-15 if new.name.startswith("spec_") else 0.0)
+
+
+def assert_near_the_eigh_routes(a):
+    assert_gate_near_the_eigh_route(a)
+    assert_spectra_near_the_eigh_route(pk.polar_decompose(a).u)
+
+
 def bits(x):
     """x with every float written out bit for bit."""
     if isinstance(x, (float, np.floating)):
@@ -487,10 +556,12 @@ def test_batched_kernels_give_the_bits_of_their_loops(a, block):
         for module, name, ref in ORACLES:
             mp.setattr(module, name, ref)
         want = views(a)
-    assert bits(ref_verify_I1(a)) == want["verify_I1"]
-    assert bits(ref_partial_isometry_report(pk.polar_decompose(a).u)) == want[
+    assert bits(loop_partial_isometry_report(pk.polar_decompose(a).u)) == want[
         "partial_isometry_report"
     ]
+    assert_spectra_near_the_eigh_route(pk.polar_decompose(a).u)
+    if rounding_scale(a) <= CROWDED:
+        assert_gate_near_the_eigh_route(a)
     with pytest.MonkeyPatch.context() as mp:
         for module in (tower, relation):
             mp.setattr(module, "_BLOCK", block)
@@ -533,26 +604,57 @@ def test_ladder_views_give_the_bits_of_the_loops(family, n):
             mp.setattr(module, name, ref)
         want = views(a)
     assert views(a) == want
+    assert_near_the_eigh_routes(a)
 
 
-def test_certificates_make_few_svd_calls(monkeypatch):
-    # the calls, not the matrices: with one norm per LAPACK call these two
-    # views made 83 SVD calls on this shift
+ROUTE_CASES = {
+    **{f"zoo-{i}-{spec['kind']}": lambda spec=spec: pk.build(pk.model_spec_from_json(spec))
+       for i, spec in enumerate(zoo_specs())},
+    **{f"haar-{family}-{n}-{seed}": lambda args=(family, n, seed): conjugated(*args)
+       for family in ("osc", "shift") for n in (3, 8, 11) for seed in (0, 1)},
+    **{f"haar-shift-{n}-0": lambda n=n: conjugated("shift", n, 0) for n in (24, 64)},
+    **{f"jordan-{n}": lambda n=n: pk.build(pk.jordan_block(n)) for n in (2, 5, 12, 64)},
+}
+
+# Haar-conjugated q-oscillators whose |a| crowds: 2(1 - 2^-k) are the
+# eigenvalues of a*a, so their least gap halves with each step of n, and
+# rounding_scale(a) exceeds CROWDED from n = 9.  There the two routes
+# differ by more than 1e-12 (1 + ||a||^2), 21 to 2,900 times more on these
+# four, and on the last three a verdict differs too or both fail a relation
+# that holds exactly: each residual measures rounding, not the relation.
+CROWDED = 1e-12
+CROWDED_CASES = [("osc", 16, 0), ("osc", 20, 2), ("osc", 22, 0), ("osc", 24, 0)]
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+def test_the_svd_routes_stay_near_the_eigh_routes(case):
+    assert_near_the_eigh_routes(ROUTE_CASES[case]())
+
+
+@pytest.mark.xfail(strict=True, reason="the gate's residuals measure rounding on a crowded |a|")
+@pytest.mark.parametrize("args", CROWDED_CASES)
+def test_the_gate_misses_the_eigh_route_where_the_spectrum_crowds(args):
+    a = conjugated(*args)
+    assert rounding_scale(a) > CROWDED
+    assert_gate_near_the_eigh_route(a)
+
+
+def test_certificates_make_few_lapack_calls(lapack_calls):
+    # the calls, not the matrices: with one norm per LAPACK call the two
+    # structural views made 83 SVD calls on this shift, and with eigh(|a|)
+    # and eigh(a*a) beside the polar SVD, 27 SVD and 6 eigh calls
     a = pk.build(pk.weighted_shift(np.sqrt(np.arange(1.0, 12))))
-    calls = [0]
-
-    def counting(*args, _orig=np.linalg.svd, **kwargs):
-        calls[0] += 1
-        return _orig(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    pk.verify_I1(a)
+    assert lapack_calls.calls == {"svd": 3, "eigh": 0, "eigvalsh": 0}
+    lapack_calls.clear()
     pk.theorem22_report(a)
     pk.coefficient_algebra(a)
-    assert calls[0] <= 50, calls[0]
+    calls = lapack_calls.calls
+    assert calls["svd"] <= 15 and calls["eigvalsh"] <= 2 and calls["eigh"] == 0, calls
     u = pk.polar_decompose(a).u
-    calls[0] = 0
+    lapack_calls.clear()
     pk.partial_isometry_report(u)
-    assert calls[0] == 1
+    assert lapack_calls.calls == {"svd": 1, "eigh": 0, "eigvalsh": 1}
 
 
 def test_tower_kernels_stay_blocked_at_n_128():

@@ -70,6 +70,32 @@ def test_a_non_finite_gram_is_an_invalid_spec(view, a, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "view",
+    (pk.verify_I1, pk.theorem22_report, pk.coefficient_algebra, pk.graded_model_for,
+     pk.partial_isometry_report, pk.endo_pair),
+)
+def test_a_0_by_0_matrix_is_an_invalid_spec(view):
+    # all but verify_I1 raised "ValueError: zero-size array to reduction
+    # operation maximum", and verify_I1 certified the relation
+    with pytest.raises(pk.InvalidSpec, match="is 0 x 0"):
+        view(np.zeros((0, 0)))
+
+
+def test_the_gate_certifies_a_shift_whose_gram_squared_overflows():
+    # a*a and aa* are finite, but the gate's normality guard formed
+    # (aa*)(aa*)*, of degree 4 in a, and every view raised "LinAlgError:
+    # SVD did not converge"; aa* is Hermitian by construction, and its
+    # Hermitian defect is the guard now
+    a = np.array([[0.0, 1e150], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = pk.verify_I1(a)
+        assert pk.theorem22_report(a).passed and pk.coefficient_algebra(a).passed
+    assert cert.holds and cert.conjugate_holds
+    assert cert.membership_residual == cert.conjugate_residual == 0.0
+
+
 def test_nonunital_seed_excludes_kernel(shift4):
     pos = pk.polar_decompose(shift4).pos
     seed = nonunital_seed(pos)

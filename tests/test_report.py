@@ -193,57 +193,49 @@ def test_run_suite_derives_each_fact_once_per_model(counted_zoo_run):
     assert counts == {**dict.fromkeys(COUNTED, len(specs)), "build_tower": holds}
 
 
-def test_run_suite_takes_the_norm_of_a_once_per_model(monkeypatch):
-    # _suite_polar, theorem22_report and coefficient_algebra took one each;
-    # a model whose a is its own polar part U is left out, since ||U|| is
-    # a norm SVD of the same matrix
-    svd = np.linalg.svd
+def svds_holding(lapack_calls, x) -> list[tuple[bool, bool]]:
+    """``(with vectors, on a stack)`` for each SVD call whose input is x or a
+    stack holding x."""
+    return [
+        (kwargs.get("compute_uv", True), m.ndim > 2)
+        for name, m, kwargs in lapack_calls.inputs
+        if name == "svd" and m.shape[-2:] == x.shape
+        and any(np.array_equal(y, x) for y in m.reshape(-1, *x.shape))
+    ]
+
+
+def test_run_suite_takes_the_norm_of_a_once_per_model(lapack_calls):
+    # ||a|| took a norm SVD of a of its own, beside the polar SVD; it is now
+    # the largest singular value of the polar SVD, so the one SVD of a is
+    # that factorization, with vectors.  A model whose a is its own polar
+    # part U is left out, since U's partial-isometry stack holds it too
     checked = 0
     for spec in zoo_specs():
         a = pk.build(pk.model_spec_from_json(spec))
         if np.array_equal(a, pk.polar_decompose(a).u):
             continue
-        calls = []
-
-        def counting(m, *args, _a=a, **kwargs):
-            m = np.asarray(m)
-            if not kwargs.get("compute_uv", True) and m.shape == _a.shape:
-                calls.append(np.array_equal(m, _a))
-            return svd(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        lapack_calls.clear()
         pk.run_suite(pk.config_from_json({"models": [spec], "suites": list(SUITE_ORDER)}))
-        monkeypatch.setattr(np.linalg, "svd", svd)
-        assert sum(calls) == 1, spec
+        assert svds_holding(lapack_calls, a) == [(True, False)], spec
         checked += 1
     assert checked == 5
 
 
-def test_run_suite_certifies_u_and_takes_its_norm_once_per_model(monkeypatch):
+def test_run_suite_certifies_u_and_takes_its_norm_once_per_model(lapack_calls):
     # _suite_polar and Analysis.pair each took U's partial-isometry
     # certificate, a stack of norms holding U, and Analysis.pair and
     # Analysis.unit_closure each took ||U|| by an SVD of U alone: two of
     # each per model, where one certificate now holds ||U|| for all three
-    svd = np.linalg.svd
     checked = 0
     for spec in zoo_specs():
         a = pk.build(pk.model_spec_from_json(spec))
         u = pk.polar_decompose(a).u
         if np.array_equal(a, u):
             continue
-        calls = []
-
-        def counting(m, *args, _u=u, **kwargs):
-            m = np.asarray(m)
-            if not kwargs.get("compute_uv", True) and m.shape[-2:] == _u.shape:
-                if any(np.array_equal(x, _u) for x in m.reshape(-1, *_u.shape)):
-                    calls.append("alone" if m.ndim == 2 else "stack")
-            return svd(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        lapack_calls.clear()
         pk.run_suite(pk.config_from_json({"models": [spec], "suites": list(SUITE_ORDER)}))
-        monkeypatch.setattr(np.linalg, "svd", svd)
-        assert calls == ["stack"], spec
+        norms = [stacked for vectors, stacked in svds_holding(lapack_calls, u) if not vectors]
+        assert norms == [True], spec
         checked += 1
     assert checked == 5
 
@@ -576,24 +568,18 @@ def test_stacked_graded_suite_matches_its_loops_on_direct_sums(a, seed):
     assert_graded_suite_matches_its_loops(w @ a @ w.conj().T, seed)
 
 
-def test_graded_suite_makes_few_svd_calls(monkeypatch):
+def test_graded_suite_makes_few_svd_calls(lapack_calls):
     # one call for the ring's norms, one for the samples' norms, and one
     # SVD and one norm call for the five sum trials; the per-sample loops
     # made 21 (the ring's stack, one per sample and two per trial)
     spec = pk.q_oscillator(16, 0.5, 1.0)
     an = Analysis(pk.build(spec))
     an.model._gathers
-    calls = [0]
-
-    def counting(*args, _orig=np.linalg.svd, **kwargs):
-        calls[0] += 1
-        return _orig(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    lapack_calls.clear()
     config = pk.SuiteConfig(models=(spec,), suites=("graded",))
     checks = report_module._suite_graded(spec, an, config, np.random.default_rng([0, 3, 4]))
     assert [c["pass"] for c in checks] == [True] * 3
-    assert calls[0] <= 4, calls[0]
+    assert lapack_calls.calls["svd"] <= 4, lapack_calls.calls
 
 
 def test_run_suite_derives_each_power_fact_once(monkeypatch):

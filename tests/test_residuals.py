@@ -626,23 +626,15 @@ def test_tampered_tower_fails_every_check_the_oracle_fails(case, field, shift4, 
     assert failed - oracle <= (ONLY_ON_ATOMS if field == "inf_a_inf" else set())
 
 
-def test_theorem22_takes_a_few_svds_per_power(monkeypatch):
+def test_theorem22_takes_a_few_svds_per_power(lapack_calls):
     # the per-pair path sent 575, 2,175 and 8,447 matrices to SVD here: one
     # joint eigenbasis per power and O(n^2) dense products
     for n in (8, 16, 32):
         an = Analysis(pk.build(pk.weighted_shift(np.sqrt(np.arange(1.0, n)))))
         an.structure  # the tower and U's block form, which the report reads
-        count = [0]
-
-        def counting(a, *args, _orig=np.linalg.svd, **kwargs):
-            a = np.asarray(a)
-            count[0] += int(np.prod(a.shape[:-2]))
-            return _orig(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        lapack_calls.clear()
         assert pk.theorem22_report(an).passed
-        monkeypatch.undo()
-        assert count[0] <= 5 * n, (n, count[0])
+        assert lapack_calls.mats["svd"] <= 5 * n, (n, lapack_calls.mats)
 
 
 def test_raising_checks_name_the_first_offender():

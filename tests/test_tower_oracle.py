@@ -176,55 +176,43 @@ def test_zoo_tower_and_coefficient_algebra_run_no_span_closure(spec):
         assert pk.coefficient_algebra(an).passed
 
 
-def _count_svds(monkeypatch):
-    count = [0]
-
-    def counting(a, *args, _orig=np.linalg.svd, **kwargs):
-        a = np.asarray(a)
-        count[0] += int(np.prod(a.shape[:-2]))
-        return _orig(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return count
-
-
-def test_tower_checks_svd_counts(monkeypatch):
+def test_tower_checks_svd_counts(lapack_calls):
     # counts of SVD'd matrices on q_oscillator(16, 0.5, 1): 5,083 in the
     # hypotheses and 16,271 in verify_tower_theorems with pairwise
     # commutators and span closures; 1,216 in the hypotheses with dense
     # images in the seed's atom basis
     an = Analysis(pk.build(pk.q_oscillator(16, 0.5, 1.0)))
     t = an.tower
-    count = _count_svds(monkeypatch)
+    lapack_calls.clear()
     hypotheses(an.seed, an.pair)
-    assert count[0] <= 10 * 16
-    count[0] = 0
+    assert lapack_calls.mats["svd"] <= 10 * 16
+    lapack_calls.clear()
     assert pk.verify_tower_theorems(t, an.pair).passed
-    assert count[0] <= 1000
+    assert lapack_calls.mats["svd"] <= 1000
 
 
-def test_tower_takes_a_few_svds_per_atom(monkeypatch):
+def test_tower_takes_a_few_svds_per_atom(lapack_calls):
     # the tower that pushed every seed image through U and split atoms per
     # image sent 9,873 matrices to SVD here
     n = 64
     an = Analysis(pk.build(pk.weighted_shift(np.sqrt(np.arange(1.0, n)))))
     an.seed, an.pair
-    count = _count_svds(monkeypatch)
+    lapack_calls.clear()
     assert an.tower.hypotheses.weak_holds
-    assert count[0] <= 10 * n, count[0]
+    assert lapack_calls.mats["svd"] <= 10 * n, lapack_calls.mats
 
 
-def test_isometry_suite_takes_a_few_svds_per_atom(monkeypatch):
+def test_isometry_suite_takes_a_few_svds_per_atom(lapack_calls):
     # the dense power table and its loops over pairs (k, l) sent 15,211
     # matrices to SVD here
     n = 64
     spec = pk.weighted_shift(np.sqrt(np.arange(1.0, n)))
     an = Analysis(pk.build(spec))
     an.pd
-    count = _count_svds(monkeypatch)
+    lapack_calls.clear()
     checks = _suite_isometry(spec, an, pk.SuiteConfig(models=(spec,), suites=("isometry",)), None)
     assert [c["pass"] for c in checks] == [True, True]
-    assert count[0] <= 10 * n, count[0]
+    assert lapack_calls.mats["svd"] <= 10 * n, lapack_calls.mats
 
 
 def test_mix_weights_keep_atoms_apart():
