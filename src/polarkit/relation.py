@@ -32,11 +32,14 @@ is exact up to rounding.
 
 The functions here are views on one :class:`Analysis` per operator and
 accept one in place of the matrix (its own tol then governs), so callers
-that need several views of an operator share every derivation.
+that need several views of an operator share every derivation.  Called on
+a matrix, they share the Analysis this thread built last for the same
+bytes and tol, so views called in turn on one matrix share it as well.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,19 +110,34 @@ _FAILURES = (PolarkitError, np.linalg.LinAlgError)
 def _once(derive):
     """A field of :class:`Analysis`: derived on first read, then cached
     together with the PolarkitError or LinAlgError the derivation may
-    raise."""
+    raise, which every later read raises again with the traceback of the
+    first (so it does not grow from read to read)."""
 
     def get(self):
+        if derive in self._failed:
+            exc, tb = self._failed[derive]
+            raise exc.with_traceback(tb)
         if derive not in self._memo:
             try:
                 self._memo[derive] = derive(self)
             except _FAILURES as exc:
-                self._memo[derive] = exc
-        if isinstance(self._memo[derive], _FAILURES):
-            raise self._memo[derive]
+                self._failed[derive] = exc, exc.__traceback__.tb_next  # below this frame
+                raise
         return self._memo[derive]
 
     return property(get)
+
+
+def _square(a) -> np.ndarray:
+    """a as a square complex matrix (:func:`linalg.as_matrix`), else an
+    :class:`InvalidSpec` naming its shape."""
+    try:
+        return as_matrix(a)
+    except (TypeError, ValueError) as exc:
+        shape = np.shape(np.asarray(a, dtype=object))
+        raise InvalidSpec(
+            f"expected a square complex matrix, got {type(a).__name__} of shape {shape}"
+        ) from exc
 
 
 class Analysis:
@@ -149,11 +167,13 @@ class Analysis:
     closure alone.  ``matrix`` is a read-only copy of a, so the caller's
     array is neither kept nor frozen.  A failed derivation is not repeated
     either: its PolarkitError or LinAlgError is raised again on every later
-    read.
+    read.  An a that is not a square matrix is an :class:`InvalidSpec` too.
+    ``Analysis(a)`` always derives afresh; the views called on a matrix
+    share the last one each thread built (:func:`_analysis`).
     """
 
     def __init__(self, a, tol: float = DEFAULT_TOL):
-        self.matrix = np.array(_finite(as_matrix(a), "the matrix"))
+        self.matrix = np.array(_finite(_square(a), "the matrix"))
         if not self.matrix.size:
             raise InvalidSpec("the matrix is 0 x 0")
         self.matrix.setflags(write=False)
@@ -165,12 +185,13 @@ class Analysis:
                 )
         self.tol = tol
         self._memo: dict = {}
+        self._failed: dict = {}
 
     pd = _once(lambda an: polar_decompose(an.matrix, tol=an.tol))
     norm = _once(lambda an: float(an.pd.sigma[-1]))
     spaces = _once(lambda an: _eigenspaces(an.pd.sigma, an.tol))
     seed = _once(lambda an: _atom_algebra(an.pd.v, an.spaces))
-    certificate = _once(lambda an: verify_I1(an))
+    certificate = _once(lambda an: _gate(an))
     isometry = _once(lambda an: partial_isometry_report(an.pd.u, tol=an.tol))
     pair = _once(lambda an: _checked_pair(an.pd.u, an.isometry))
     closure = _once(lambda an: _double_closure(an.seed, an.pair, an.tol))
@@ -199,8 +220,23 @@ def _graded_model(an: Analysis) -> GradedModel:
     return model
 
 
+_last = threading.local()  # .key, .an: the Analysis this thread built last
+
+
 def _analysis(a, tol: float) -> Analysis:
-    return a if isinstance(a, Analysis) else Analysis(a, tol)
+    """a itself when it is an Analysis; else the Analysis of a at tol, the
+    one this thread built last when tol and a's shape and bytes match (so
+    -0.0 is not 0.0, and an array edited in place is analysed anew), else
+    a new one, which replaces it: one operator is kept per thread, and the
+    last is dropped before the next is built."""
+    if isinstance(a, Analysis):
+        return a
+    m = _square(a)
+    key = (tol, m.shape, m.tobytes())
+    if getattr(_last, "key", None) != key:
+        _last.key = _last.an = None
+        _last.an, _last.key = Analysis(m, tol), key
+    return _last.an
 
 
 def verify_I1(a, tol: float = DEFAULT_TOL) -> RelationCertificate:
@@ -215,7 +251,10 @@ def verify_I1(a, tol: float = DEFAULT_TOL) -> RelationCertificate:
     passed as :func:`algebra.is_function_of` passes it; the residuals and
     the guards (aa* Hermitian, U|a|U* normal) are one stack of norms.
     """
-    an = _analysis(a, tol)
+    return _analysis(a, tol).certificate
+
+
+def _gate(an: Analysis) -> RelationCertificate:
     tol, am, pd = an.tol, an.matrix, an.pd
     w, v, w2 = pd.sigma, pd.v, pd.sigma * pd.sigma
     groups, gram_groups = an.spaces, _eigenspaces(w2, tol)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 import polarkit as pk
+from polarkit import relation
 
 # The property tests draw the same examples on every run, so a verdict
 # near its threshold cannot pass one run and fail the next;
@@ -17,6 +18,18 @@ settings.register_profile("search", derandomize=False)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 REF_WEIGHTS = (1.0, np.sqrt(2.0), np.sqrt(3.0))
+
+
+def empty_slot():
+    """Drop the Analysis this thread keeps for the views called on a bare
+    matrix (``relation._analysis``)."""
+    relation._last.key = relation._last.an = None
+
+
+@pytest.fixture(autouse=True)
+def _empty_slot_first():
+    """Each test starts from an empty slot, so no count depends on test order."""
+    empty_slot()
 
 
 @pytest.fixture(scope="session")

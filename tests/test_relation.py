@@ -1,4 +1,7 @@
+import threading
+import traceback
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from polarkit.linalg import dagger
 from polarkit.relation import Analysis, orbit_structure
 from polarkit.tower import _AtomFrame
 
-from conftest import zoo_specs
+from conftest import REF_WEIGHTS, empty_slot, zoo_specs
 from span_closure import (
     algebras_equal,
     basis_of,
@@ -80,6 +83,27 @@ def test_a_0_by_0_matrix_is_an_invalid_spec(view):
     # operation maximum", and verify_I1 certified the relation
     with pytest.raises(pk.InvalidSpec, match="is 0 x 0"):
         view(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize(
+    "a, got",
+    (
+        (np.zeros((2, 3)), "ndarray of shape (2, 3)"),
+        (np.zeros((2, 2, 2)), "ndarray of shape (2, 2, 2)"),
+        ("abc", "str of shape ()"),
+    ),
+    ids=("2x3", "2x2x2", "str"),
+)
+@pytest.mark.parametrize(
+    "view",
+    (pk.verify_I1, pk.theorem22_report, pk.coefficient_algebra, pk.graded_model_for, Analysis),
+)
+def test_a_malformed_matrix_is_an_invalid_spec(view, a, got):
+    # each raised a bare ValueError: "expected a square matrix" on the
+    # arrays, "complex() arg is a malformed string" on the string
+    with pytest.raises(pk.InvalidSpec) as err:
+        view(a)
+    assert str(err.value) == f"expected a square complex matrix, got {got}"
 
 
 def test_the_gate_certifies_a_shift_whose_gram_squared_overflows():
@@ -481,12 +505,19 @@ def test_views_build_the_tower_only_where_they_read_it(monkeypatch, family):
         pk.graded_model_for: {"build_tower": 0, "closures": 1, "powers": 0},
     }
     for view, want in expected.items():
+        empty_slot()
         counts.update(dict.fromkeys(counts, 0))
         view(a)
         assert counts == want, view.__name__
+    empty_slot()
     counts.update(dict.fromkeys(counts, 0))
     pk.coefficient_algebra(a)
     assert (counts["build_tower"], counts["closures"]) == (1, 1)
+    # the views called after it on the same bytes share its closure and tower
+    counts.update(dict.fromkeys(counts, 0))
+    for view in (pk.graded_model_for, pk.theorem22_report, pk.coefficient_algebra):
+        view(pk.build(spec))
+    assert counts == {"build_tower": 0, "closures": 0, "powers": 0}
 
 
 def _uncertified():
@@ -541,3 +572,94 @@ def test_analysis_keeps_a_private_copy_of_a():
     assert a.flags.writeable and not an.matrix.flags.writeable
     assert np.abs(pd.u @ pd.pos - an.matrix).max() < 1e-12
     assert pk.verify_I1(an) == pk.verify_I1(pk.build(pk.weighted_shift(weights)))
+
+
+# -- the Analysis the views share on a bare matrix ----------------------------
+
+
+def test_the_views_on_one_matrix_share_one_analysis():
+    from test_batched_kernels import views  # which imports this module
+
+    a = pk.build(pk.q_oscillator(8, 0.5, 1.0))
+    model = pk.graded_model_for(a)
+    an = relation._last.an
+    shared = views(a, a)  # the four views on the bare matrix, after graded_model_for
+    assert relation._last.an is an and pk.graded_model_for(a.copy()) is model
+    assert shared == views(a)  # on an Analysis of its own
+
+
+def test_an_array_edited_in_place_is_analysed_anew():
+    a = pk.build(pk.weighted_shift(REF_WEIGHTS))
+    assert pk.verify_I1(a).holds
+    a[...] = pk.build(pk.weighted_shift((1.0, 1.0, 1.0)))
+    assert not pk.verify_I1(a).holds
+
+
+def test_another_tol_or_a_negative_zero_misses_the_slot():
+    a = pk.build(pk.weighted_shift(REF_WEIGHTS))
+    b = a.copy()
+    b[0, 0] = -0.0
+    assert np.array_equal(a, b) and a.tobytes() != b.tobytes()
+    for other in (lambda: pk.graded_model_for(a, tol=1e-8), lambda: pk.graded_model_for(b)):
+        model = pk.graded_model_for(a)
+        assert pk.graded_model_for(a) is model
+        assert other() is not model
+
+
+def test_a_call_on_another_matrix_drops_the_last_analysis(monkeypatch):
+    pk.coefficient_algebra(pk.build(pk.weighted_shift(REF_WEIGHTS)))
+    kept = weakref.ref(relation._last.an)
+    gone = []
+
+    def building(m, name, _orig=relation._finite):  # the first step of Analysis()
+        gone.append(kept() is None)
+        return _orig(m, name)
+
+    monkeypatch.setattr(relation, "_finite", building)
+    pk.verify_I1(pk.build(pk.q_oscillator(4, 0.5, 1.0)))
+    assert gone == [True]  # dropped before the next is built, with no cycle to collect
+
+
+def test_another_thread_keeps_a_slot_of_its_own():
+    a = pk.build(pk.weighted_shift(REF_WEIGHTS))
+    model = pk.graded_model_for(a)
+    out = []
+    worker = threading.Thread(target=lambda: out.append(pk.graded_model_for(a)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert out[0] is not model and pk.graded_model_for(a) is model
+
+
+def test_views_after_the_gate_share_its_derivations(lapack_calls):
+    # on a matrix each, the two views made 15 SVD and 2 eigvalsh calls; the
+    # polar SVD, the gate, U's certificate and the closure are shared now
+    a = pk.build(pk.weighted_shift(np.sqrt(np.arange(1.0, 12))))
+    pk.verify_I1(a)
+    lapack_calls.clear()
+    pk.theorem22_report(a)
+    pk.coefficient_algebra(a)
+    assert lapack_calls.calls == {"svd": 7, "eigh": 0, "eigvalsh": 1}
+
+
+def test_elements_of_two_calls_on_one_matrix_multiply(rng):
+    # each call made a model of its own, and graded_mul raised ModelMismatch
+    a = pk.build(pk.weighted_shift(np.sqrt(np.arange(1.0, 8))))
+    g = pk.random_element(pk.graded_model_for(a), rng, bandwidth=2)
+    h = pk.random_element(pk.graded_model_for(a.copy()), rng, bandwidth=1)
+    product = pk.realize(pk.graded_mul(g, h))
+    assert np.abs(product - pk.realize(g) @ pk.realize(h)).max() < 1e-12
+
+
+@pytest.mark.parametrize("shared", (True, False), ids=("analysis", "matrix"))
+def test_a_cached_failure_keeps_its_traceback_depth(rng, shared):
+    # each read raised the stored error again, its traceback 10, 13, 16,
+    # 19 and then 22 frames deep
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    source = Analysis(a) if shared else a
+    depths = []
+    for _ in range(5):
+        with pytest.raises(pk.HypothesisViolated) as err:
+            pk.graded_model_for(source)
+        depths.append(len(traceback.extract_tb(err.value.__traceback__)))
+    assert depths == depths[:1] * 5, depths
