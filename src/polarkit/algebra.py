@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotHermitian
+from .errors import InvalidSpec, NotHermitian
 from .linalg import (
     DEFAULT_TOL,
     _finite,
@@ -172,7 +172,7 @@ def commutant(a, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     else:
         mats = [as_matrix(g) for g in a]
     if not mats:
-        raise ValueError("commutant needs at least one matrix")
+        raise InvalidSpec("commutant needs at least one matrix")
     mats = [_finite(g, f"matrix {i}") for i, g in enumerate(mats)]
     n = mats[0].shape[0]
     eye = np.eye(n)

@@ -50,8 +50,10 @@ class DimensionTooSmall(PolarkitError):
     """The model is too small to evaluate the requested word faithfully."""
 
 
-class InvalidSpec(PolarkitError):
-    """A model specification is inconsistent or out of the supported range."""
+class InvalidSpec(PolarkitError, ValueError):
+    """Malformed input: a matrix that is not square, numeric or finite, an
+    argument out of its range, or an inconsistent model specification.
+    Also a ``ValueError``, the type Python gives a malformed value."""
 
 
 class ParseError(PolarkitError):

@@ -201,7 +201,7 @@ class GradedModel:
             # an unreadable coefficient is reported once every earlier one passes
             try:
                 deg, cm = _degree(d), as_matrix(c)
-            except (TypeError, ValueError, ModelMismatch) as exc:
+            except (InvalidSpec, ModelMismatch) as exc:
                 unreadable = exc
                 break
             if deg in degrees:
@@ -532,7 +532,7 @@ def _draws(model: GradedModel, rng: np.random.Generator, bandwidth: int, count: 
     one draw, the same stream as ``count`` calls.  The degrees are those
     some element keeps; an element's row of a degree it drops is zero."""
     if bandwidth < 0:
-        raise ValueError(f"bandwidth must be nonnegative, got {bandwidth}")
+        raise InvalidSpec(f"bandwidth must be nonnegative, got {bandwidth}")
     b = min(bandwidth, model.dim - 1)
     alg = model.algebra
     _, mask, _ = model._gathers.gathers(b)
@@ -577,7 +577,7 @@ def check_property_star(
     draws as ``samples`` calls of :func:`random_element`), and the
     coefficient norms are read from their atom values."""
     if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
+        raise InvalidSpec(f"samples must be nonnegative, got {samples}")
     if samples == 0:
         return PropertyStarReport(0, 0.0, 0.0, 0, True)
     if rng is None:
@@ -616,20 +616,17 @@ def sum_norm_inequalities(ds, tol: float = DEFAULT_TOL) -> SumNormReport:
     Margins are reported as (bound side) - (bounded side), so all four
     should come out nonnegative up to round-off.  A matrix that is not
     square, not finite or not the size of the first is an
-    :class:`InvalidSpec` naming it.  This is :func:`_sum_norms` on one
-    trial.
+    :class:`InvalidSpec`, naming it in the last two cases.  This is
+    :func:`_sum_norms` on one trial.
     """
     mats = []
     for i, d in enumerate(ds):
-        try:
-            m = as_matrix(d)
-        except (TypeError, ValueError) as exc:
-            raise InvalidSpec(f"matrix {i} is not a square matrix: {exc}") from exc
+        m = as_matrix(d)
         if mats and m.shape != mats[0].shape:
             raise InvalidSpec(f"matrix {i} has shape {m.shape}, matrix 0 {mats[0].shape}")
         mats.append(_finite(m, f"matrix {i}"))
     if not mats:
-        raise ValueError("need at least one matrix")
+        raise InvalidSpec("need at least one matrix")
     return _sum_norms([np.array(mats)], tol)[0]
 
 
@@ -719,7 +716,7 @@ def norm_estimate(g: GradedElement, kmax: int = 64) -> NormEstimate:
     power of which vanishes.
     """
     if kmax < 1:
-        raise ValueError("kmax must be at least 1")
+        raise InvalidSpec("kmax must be at least 1")
     band = g.bandwidth
     if 4 * kmax * band > BANDWIDTH_CAP:
         raise BandwidthOverflow(

@@ -25,11 +25,19 @@ DEFAULT_TOL = 1e-9
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce input to a square complex128 matrix (no copy when possible)."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
+    """m as a square complex128 matrix (no copy when possible): the one shape
+    check on a matrix from outside, an :class:`InvalidSpec` on anything else."""
+    try:
+        a = np.asarray(m, dtype=np.complex128)
+        if a.ndim == 2 and a.shape[0] == a.shape[1]:
+            return a
+    except (TypeError, ValueError, OverflowError):
+        pass
+    try:
+        shape = np.shape(np.asarray(m, dtype=object))
+    except ValueError:  # arrays of unequal shapes, which numpy cannot hold as objects
+        shape = "unknown"
+    raise InvalidSpec(f"expected a square complex matrix, got {type(m).__name__} of shape {shape}")
 
 
 def _finite(m: np.ndarray, name: str) -> np.ndarray:

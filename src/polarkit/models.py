@@ -87,10 +87,11 @@ def _raising_shift(weights) -> np.ndarray:
 
 
 def build(spec: ModelSpec) -> np.ndarray:
-    """Materialize the model's matrix a; InvalidSpec for an inconsistent
-    spec (a q_oscillator level value lambda_n that overflows, repeats or
-    is negative) or a non-finite weight, q, h, diagonal or matrix entry."""
-    for name in ("weights", "q", "h", "diag") + (("matrix",) if spec.kind == "custom" else ()):
+    """Materialize the model's matrix a; InvalidSpec for an inconsistent spec
+    (a q_oscillator level value lambda_n that overflows, repeats or is
+    negative, a non-square custom matrix) or a non-finite entry."""
+    m = as_matrix(spec.matrix) if spec.kind == "custom" else None
+    for name in ("weights", "q", "h", "diag") + (("matrix",) if m is not None else ()):
         if not np.isfinite(np.asarray(getattr(spec, name), dtype=np.complex128)).all():
             raise InvalidSpec(f"model field {name!r} has a non-finite entry")
     if spec.kind == "weighted_shift" or spec.kind == "jordan_block":
@@ -134,7 +135,6 @@ def build(spec: ModelSpec) -> np.ndarray:
             raise InvalidSpec("normal model needs at least one diagonal entry")
         return np.diag(np.asarray(spec.diag, dtype=np.complex128))
     if spec.kind == "custom":
-        m = as_matrix(spec.matrix)
         if m.shape[0] != spec.dim:
             raise InvalidSpec(f"custom matrix is {m.shape[0]}x{m.shape[0]}, spec says dim {spec.dim}")
         return m

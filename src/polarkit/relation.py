@@ -32,9 +32,11 @@ is exact up to rounding.
 
 The functions here are views on one :class:`Analysis` per operator and
 accept one in place of the matrix (its own tol then governs), so callers
-that need several views of an operator share every derivation.  Called on
-a matrix, they share the Analysis this thread built last for the same
-bytes and tol, so views called in turn on one matrix share it as well.
+that need several views of an operator share every derivation that
+succeeded: a failed derivation raises again on its next read, re-derived
+from the cached steps before it.  Called on a matrix, they share the
+Analysis this thread built last for the same bytes and tol, so views
+called in turn on one matrix share it as well.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import numpy as np
 from .algebra import (
     SpectralAlgebra,
     _atom_algebra,
-    _atom_means,
     _eigenspaces,
     _group_defect,
     _normal_scale,
@@ -104,40 +105,16 @@ class RelationCertificate:
     offending_eigenvalue: float | None = None
 
 
-_FAILURES = (PolarkitError, np.linalg.LinAlgError)
-
-
 def _once(derive):
-    """A field of :class:`Analysis`: derived on first read, then cached
-    together with the PolarkitError or LinAlgError the derivation may
-    raise, which every later read raises again with the traceback of the
-    first (so it does not grow from read to read)."""
+    """A field of :class:`Analysis`, derived on first read and cached once
+    the derivation succeeds: a failed one runs again on its next read."""
 
     def get(self):
-        if derive in self._failed:
-            exc, tb = self._failed[derive]
-            raise exc.with_traceback(tb)
         if derive not in self._memo:
-            try:
-                self._memo[derive] = derive(self)
-            except _FAILURES as exc:
-                self._failed[derive] = exc, exc.__traceback__.tb_next  # below this frame
-                raise
+            self._memo[derive] = derive(self)
         return self._memo[derive]
 
     return property(get)
-
-
-def _square(a) -> np.ndarray:
-    """a as a square complex matrix (:func:`linalg.as_matrix`), else an
-    :class:`InvalidSpec` naming its shape."""
-    try:
-        return as_matrix(a)
-    except (TypeError, ValueError) as exc:
-        shape = np.shape(np.asarray(a, dtype=object))
-        raise InvalidSpec(
-            f"expected a square complex matrix, got {type(a).__name__} of shape {shape}"
-        ) from exc
 
 
 class Analysis:
@@ -165,15 +142,18 @@ class Analysis:
     facts; found on its own otherwise).  Only ``tower`` builds the tower;
     ``frame``, ``model``, ``structure`` and ``unit_closure`` read the
     closure alone.  ``matrix`` is a read-only copy of a, so the caller's
-    array is neither kept nor frozen.  A failed derivation is not repeated
-    either: its PolarkitError or LinAlgError is raised again on every later
-    read.  An a that is not a square matrix is an :class:`InvalidSpec` too.
+    array is neither kept nor frozen.  Only successes are kept: a failed
+    derivation raises again on its next read, re-derived from the cached
+    steps before it.  An a that is not a square matrix (:func:`as_matrix`),
+    or a tol outside (0, inf), is an :class:`InvalidSpec` too.
     ``Analysis(a)`` always derives afresh; the views called on a matrix
     share the last one each thread built (:func:`_analysis`).
     """
 
     def __init__(self, a, tol: float = DEFAULT_TOL):
-        self.matrix = np.array(_finite(_square(a), "the matrix"))
+        if not 0.0 < tol < np.inf:
+            raise InvalidSpec(f"tol must be positive and finite, got {tol!r}")
+        self.matrix = np.array(_finite(as_matrix(a), "the matrix"))
         if not self.matrix.size:
             raise InvalidSpec("the matrix is 0 x 0")
         self.matrix.setflags(write=False)
@@ -185,7 +165,6 @@ class Analysis:
                 )
         self.tol = tol
         self._memo: dict = {}
-        self._failed: dict = {}
 
     pd = _once(lambda an: polar_decompose(an.matrix, tol=an.tol))
     norm = _once(lambda an: float(an.pd.sigma[-1]))
@@ -207,7 +186,7 @@ def _unit_frame(an: Analysis) -> _AtomFrame:
     certified (:func:`tower._unit_classes`); found on its own otherwise."""
     try:
         an.frame  # the seed's closure, once certified
-    except _FAILURES:
+    except (PolarkitError, np.linalg.LinAlgError):
         pair = EndoPair(u=an.pd.u, ambient_dim=len(an.pd.u), norm=an.isometry.norm)
         return _unit_closure(pair, an.tol)
     return _unit_classes(an.closure)
@@ -231,7 +210,7 @@ def _analysis(a, tol: float) -> Analysis:
     last is dropped before the next is built."""
     if isinstance(a, Analysis):
         return a
-    m = _square(a)
+    m = as_matrix(a)
     key = (tol, m.shape, m.tobytes())
     if getattr(_last, "key", None) != key:
         _last.key = _last.an = None
@@ -457,7 +436,8 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     thr = tol * (scale * scale)
 
     cls, eps = frame.classes(an.seed)
-    pos = _atom_means(frame.alg._vh @ an.pd.pos @ frame.alg.v, frame.ranges).real
+    starts, sizes = an.seed._ranges  # |a| on X: its eigenvalue means, gathered by seed class
+    pos = (np.add.reduceat(an.pd.sigma, starts) / sizes)[an.closure[1]]
     means = np.bincount(cls, pos * frame.ranks) / np.bincount(cls, frame.ranks)
     f = frame.class_basis(cls)[np.abs(means) > tol * (1.0 + np.abs(pos).max())]
     f_max = f.max(axis=1, initial=0.0)
@@ -595,7 +575,7 @@ def coefficient_algebra(a, tol: float = DEFAULT_TOL) -> CoefficientAlgebraReport
     tol = an.tol
     cert = _require_relation(an)
     tower, frame = an.tower, an.frame
-    theorems, inf_star = _tower_theorems(tower, an.pair, frame, tol)
+    theorems, inf_star = _tower_theorems(tower, frame, tol)
 
     scale = 1.0 + an.norm
     star_levels = _sum_form_residual(frame, inf_star, tower.n_a_inf_list)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PolarkitError, ZeroElement
+from .errors import ConfigError, ParseError, PolarkitError, ZeroElement
 from .graded import (
     _nilpotent,
     _ring_defect,
@@ -31,7 +31,7 @@ from .graded import (
 from .linalg import DEFAULT_TOL, _operator_norms, operator_norm
 from .models import ModelSpec, build, phi_for
 from .relation import Analysis, coefficient_algebra, theorem22_report
-from .serialize import dumps_canonical, model_spec_to_json
+from .serialize import dumps_canonical, model_spec_from_json, model_spec_to_json
 from .tower import _commuting_projections, _power_isometry
 from .words import GEN, GEN_STAR, evaluate, interior_projection, nf_mul, normal_order
 
@@ -64,9 +64,6 @@ class SuiteConfig:
 
 
 def config_from_json(obj) -> SuiteConfig:
-    from .serialize import model_spec_from_json
-    from .errors import ParseError
-
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     try:

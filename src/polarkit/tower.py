@@ -70,7 +70,7 @@ from .algebra import (
     _refine,
     _value_classes,
 )
-from .errors import HypothesisViolated, ModelMismatch
+from .errors import HypothesisViolated, InvalidSpec, ModelMismatch
 from .isometry import partial_isometry_report
 from .linalg import (
     DEFAULT_TOL,
@@ -879,7 +879,7 @@ def power_isometry_check(v, kmax: int, tol: float = DEFAULT_TOL) -> PowerIsometr
     closure under v (:func:`_power_facts`) against ``tol * (1 + ||v||^2)^2``.
     When that closure is not certified, both fail with its defect."""
     if kmax < 1:
-        raise ValueError("kmax must be at least 1")
+        raise InvalidSpec("kmax must be at least 1")
     return _power_isometry(_unit_closure(_free_pair(v), tol), kmax, tol)
 
 
@@ -922,7 +922,7 @@ def commuting_projection_properties(
     family, all on that closure's atoms, as in :func:`power_isometry_check`.
     """
     if kmax < 1:
-        raise ValueError("kmax must be at least 1")
+        raise InvalidSpec("kmax must be at least 1")
     return _commuting_projections(_unit_closure(_free_pair(v), tol), kmax, tol)
 
 
@@ -1058,12 +1058,10 @@ def verify_tower_theorems(
     frame = t._frame
     if frame is None or frame.alg is not t.inf_a_inf or frame.pair is not pair:
         frame = _AtomFrame(t.inf_a_inf, pair)
-    return _tower_theorems(t, pair, frame, tol)[0]
+    return _tower_theorems(t, frame, tol)[0]
 
 
-def _tower_theorems(
-    t: TowerReport, pair: EndoPair, frame: _AtomFrame, tol: float
-) -> tuple[TheoremReport, list]:
+def _tower_theorems(t: TowerReport, frame: _AtomFrame, tol: float) -> tuple[TheoremReport, list]:
     """:func:`verify_tower_theorems` on the atoms of ``frame``, with the
     coordinates of the star layers of a_inf it reads, so that the sum-form
     checks on the same frame need not recompute them."""

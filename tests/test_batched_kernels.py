@@ -672,7 +672,7 @@ def test_tower_kernels_stay_blocked_at_n_128():
     tracemalloc.start()
     try:
         t = pk.build_tower(an.seed, an.pair)
-        tower._tower_theorems(t, an.pair, t._frame, an.tol)
+        tower._tower_theorems(t, t._frame, an.tol)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

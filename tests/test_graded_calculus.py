@@ -290,7 +290,8 @@ def test_element_errors_name_the_first_bad_degree_in_caller_order():
         model.element({0: h, 1: np.ones((4, 3))})
     with pytest.raises(pk.ModelMismatch, match="^coefficient dimension does not match"):
         model.element({0: np.eye(4), 1: np.eye(3), 2: h})
-    with pytest.raises(ValueError, match="expected a square matrix"):
+    not_square = r"^expected a square complex matrix, got ndarray of shape \(4, 3\)$"
+    with pytest.raises(pk.InvalidSpec, match=not_square):
         model.element({0: np.eye(4), 1: np.ones((4, 3)), 2: h})
 
 

@@ -11,8 +11,15 @@ are no exceptions.
 """
 
 import ast
+import dataclasses
+import os
 import re
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+import polarkit as pk
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "polarkit"
@@ -114,3 +121,112 @@ def test_only_the_algebra_module_names_the_span_type():
         if re.search(r"\bMatrixAlgebra\b", path.read_text())
     }
     assert sorted(naming) == ["__init__.py", "algebra.py"]
+
+
+# -- one shape check for a matrix from outside ------------------------------
+
+
+def _custom(m):
+    return pk.ModelSpec(kind="custom", dim=2, matrix=m)
+
+
+def _model():
+    return pk.graded_model_for(pk.build(pk.weighted_shift((1.0, np.sqrt(2.0)))))
+
+
+# every export that reads a matrix from outside, called with m where that
+# matrix goes (a list of matrices holds one); GradedModel.element too
+TAKES_A_MATRIX = {
+    "GradedModel": lambda m: pk.GradedModel(m, pk.spectral_algebra(np.eye(2))),
+    "GradedModel.element": lambda m: _model().element({0: m}),
+    "bicommutant": lambda m: pk.bicommutant([m]),
+    "build": lambda m: pk.build(_custom(m)),
+    "coefficient_algebra": pk.coefficient_algebra,
+    "commutant": lambda m: pk.commutant([m]),
+    "commuting_projection_properties": lambda m: pk.commuting_projection_properties(m, 2),
+    "custom": pk.custom,
+    "endo_pair": pk.endo_pair,
+    "evaluate": lambda m: pk.evaluate("a", m),
+    "graded_model_for": pk.graded_model_for,
+    "is_function_of": lambda m: pk.is_function_of(m, np.eye(2)),
+    "matrix_to_json": pk.matrix_to_json,
+    "model_spec_to_json": lambda m: pk.model_spec_to_json(_custom(m)),
+    "partial_isometry_report": pk.partial_isometry_report,
+    "polar_decompose": pk.polar_decompose,
+    "power_isometry_check": lambda m: pk.power_isometry_check(m, 2),
+    "spectral_algebra": pk.spectral_algebra,
+    "sum_norm_inequalities": lambda m: pk.sum_norm_inequalities([m]),
+    "theorem22_report": pk.theorem22_report,
+    "verify_I1": pk.verify_I1,
+    "write_matrix": lambda m: pk.write_matrix(os.devnull, m),
+}
+
+# the exports that read no matrix from outside, besides the errors and the
+# record types (dataclasses), which the entry points build
+TAKES_NO_MATRIX = {
+    # primitives on the package's own arrays
+    "dagger", "operator_norm",
+    # constants
+    "DEFAULT_TOL", "KINDS", "NF_ONE",
+    # models by their parameters
+    "jordan_block", "normal", "q_lambda", "q_oscillator", "weighted_shift", "phi_for",
+    # on algebras, pairs, towers and graded elements the entry points built
+    "build_tower", "verify_tower_theorems", "check_property_star", "graded_adjoint",
+    "graded_mul", "norm_estimate", "random_element", "realize",
+    # words and normal forms
+    "deg", "interior_projection", "nf_mul", "normal_order", "parse_word",
+    # JSON, whose matrices are ParseErrors, and suite configs
+    "config_from_json", "dumps_canonical", "matrix_from_json", "model_spec_from_json",
+    "normal_form_from_json", "normal_form_to_json", "read_matrix", "report_to_json",
+    "report_to_text", "run_suite",
+}
+
+
+def test_every_export_is_sorted_by_whether_it_takes_a_matrix():
+    # a new entry point joins one of the two tables, so none skips the guard
+    objects = {name: getattr(pk, name) for name in exported()}
+    records = {
+        name
+        for name, obj in objects.items()
+        if isinstance(obj, type) and (issubclass(obj, Exception) or dataclasses.is_dataclass(obj))
+    }
+    entries = {name for name in TAKES_A_MATRIX if "." not in name}
+    assert not entries & TAKES_NO_MATRIX
+    assert sorted(exported() - records) == sorted(entries | TAKES_NO_MATRIX)
+
+
+@pytest.mark.parametrize(
+    "m",
+    (np.zeros((2, 3)), np.zeros((2, 2, 2)), "abc", [[1, 2], [3]]),
+    ids=("2x3", "2x2x2", "str", "ragged"),
+)
+@pytest.mark.parametrize("name", sorted(TAKES_A_MATRIX))
+def test_a_malformed_matrix_is_an_invalid_spec_at_every_export(name, m):
+    # all but the four relation views and sum_norm_inequalities raised a
+    # bare ValueError on each of these
+    with pytest.raises(pk.InvalidSpec, match="^expected a square complex matrix, got ") as err:
+        TAKES_A_MATRIX[name](m)
+    assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    (
+        (lambda: pk.norm_estimate(pk.random_element(_model(), np.random.default_rng(0), 1), 0),
+         "kmax must be at least 1"),
+        (lambda: pk.power_isometry_check(np.eye(2), 0), "kmax must be at least 1"),
+        (lambda: pk.commuting_projection_properties(np.eye(2), 0), "kmax must be at least 1"),
+        (lambda: pk.random_element(_model(), np.random.default_rng(0), bandwidth=-1),
+         "bandwidth must be nonnegative, got -1"),
+        (lambda: pk.check_property_star(_model(), samples=-3), "samples must be nonnegative, got -3"),
+        (lambda: pk.commutant([]), "commutant needs at least one matrix"),
+        (lambda: pk.sum_norm_inequalities([]), "need at least one matrix"),
+    ),
+    ids=("norm_estimate", "power_isometry_check", "commuting_projection_properties",
+         "bandwidth", "samples", "commutant", "sum_norm_inequalities"),
+)
+def test_an_argument_out_of_range_is_an_invalid_spec(call, message):
+    # each raised a bare ValueError with the same message
+    with pytest.raises(pk.InvalidSpec) as err:
+        call()
+    assert str(err.value) == message

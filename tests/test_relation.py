@@ -1,3 +1,4 @@
+import gc
 import threading
 import traceback
 import warnings
@@ -104,6 +105,19 @@ def test_a_malformed_matrix_is_an_invalid_spec(view, a, got):
     with pytest.raises(pk.InvalidSpec) as err:
         view(a)
     assert str(err.value) == f"expected a square complex matrix, got {got}"
+
+
+@pytest.mark.parametrize("tol", (0.0, -1e-9, np.nan, np.inf), ids=("0", "negative", "nan", "inf"))
+@pytest.mark.parametrize(
+    "view",
+    (pk.verify_I1, pk.theorem22_report, pk.coefficient_algebra, pk.graded_model_for, Analysis),
+)
+def test_a_tol_outside_0_to_inf_is_an_invalid_spec(view, tol):
+    # at tol = inf every residual passed: verify_I1 certified the Jordan
+    # block's relation, and theorem22_report passed on it
+    with pytest.raises(pk.InvalidSpec) as err:
+        view(pk.build(pk.jordan_block(4)), tol=tol)
+    assert str(err.value) == f"tol must be positive and finite, got {tol!r}"
 
 
 def test_the_gate_certifies_a_shift_whose_gram_squared_overflows():
@@ -618,6 +632,21 @@ def test_a_call_on_another_matrix_drops_the_last_analysis(monkeypatch):
     monkeypatch.setattr(relation, "_finite", building)
     pk.verify_I1(pk.build(pk.q_oscillator(4, 0.5, 1.0)))
     assert gone == [True]  # dropped before the next is built, with no cycle to collect
+
+
+def test_a_failed_analysis_dies_with_the_slot_it_leaves(rng):
+    # the failure was cached with its traceback, whose frames held the
+    # Analysis: a cycle that kept it alive until the collector ran
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    gc.disable()
+    try:
+        with pytest.raises(pk.HypothesisViolated):
+            pk.graded_model_for(a)
+        kept = weakref.ref(relation._last.an)
+        pk.verify_I1(pk.build(pk.weighted_shift(REF_WEIGHTS)))
+        assert kept() is None
+    finally:
+        gc.enable()
 
 
 def test_another_thread_keeps_a_slot_of_its_own():

@@ -313,9 +313,9 @@ def test_zoo_report_bytes_are_pinned_at_more_seeds(seed, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
-def test_failed_derivation_is_not_repeated(monkeypatch, rng):
+def test_a_closure_that_fails_certification_is_found_once(monkeypatch, rng):
     # both suites read the graded model, and so the seed's double closure,
-    # which is found once and fails its certification once
+    # which is found once; only its certification, which fails, runs again
     calls = []
 
     def counting(*args, _orig=relation._double_closure, **kwargs):
