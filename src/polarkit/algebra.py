@@ -41,9 +41,9 @@ from .linalg import (
     DEFAULT_TOL,
     _finite,
     _operator_norms,
+    _tolerance,
     as_matrix,
     dagger,
-    eig_groups,
     hermitian_eig,
     operator_norm,
 )
@@ -99,6 +99,11 @@ class SpectralAlgebra:
     def _vh(self) -> np.ndarray:
         return np.ascontiguousarray(dagger(self.v))
 
+    @cached_property
+    def _unitarity(self) -> float:
+        """||v* v - 1||, the unitarity defect of the atom basis."""
+        return operator_norm(self._vh @ self.v - np.eye(self.dim))
+
     @property
     def dimension(self) -> int:
         return len(self._ranges[0])
@@ -110,9 +115,9 @@ class SpectralAlgebra:
 
 
 def _eigenspaces(w: np.ndarray, tol: float) -> list[np.ndarray]:
-    """The one eigenvalue-grouping rule: the ascending eigenvalues w of a
-    Hermitian matrix grouped at ``tol * (1 + |w_max|)``, as index arrays."""
-    return eig_groups(w, tol * (1.0 + (abs(float(w[-1])) if w.size else 0.0)))
+    """Ascending eigenvalues w as index arrays, grouped by :func:`_value_classes`."""
+    starts, sizes = _atom_ranges(_value_classes(w[None, :], tol) if w.size else w)
+    return [np.arange(lo, lo + n) for lo, n in zip(starts.tolist(), sizes.tolist())]
 
 
 def _projection_basis(v: np.ndarray, groups) -> np.ndarray:
@@ -165,6 +170,7 @@ def commutant(a, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     algebra stored by its atoms enters as the rows P_x / sqrt(rank P_x).
     A matrix with a NaN or infinite entry is an :class:`InvalidSpec`.
     """
+    _tolerance(tol)
     if isinstance(a, SpectralAlgebra):
         mats = list(_projection_basis(a.v, a.blocks))
     elif isinstance(a, MatrixAlgebra):
@@ -250,6 +256,7 @@ def is_function_of(b, a, tol: float = DEFAULT_TOL) -> FunctionCertificate:
     rather than by a Vandermonde system in the eigenvalues of a.  A b or
     a with a NaN or infinite entry is an :class:`InvalidSpec`.
     """
+    _tolerance(tol)
     bm = _finite(as_matrix(b), "b")
     scale_b = _normal_scale(*_operator_norms([bm @ dagger(bm) - dagger(bm) @ bm, bm]), tol)
     w, v = hermitian_eig(_finite(as_matrix(a), "a"), tol)
@@ -320,6 +327,6 @@ def _refine(v: np.ndarray, blocks, h: np.ndarray, gap: float) -> list[np.ndarray
         sub = dagger(v[:, idx]) @ h @ v[:, idx]
         w, u = np.linalg.eigh((sub + dagger(sub)) / 2.0)
         v[:, idx] = v[:, idx] @ u
-        for g in eig_groups(w, gap):
-            refined.append(idx[g])
+        cuts = [0, *(np.flatnonzero(np.diff(w) > gap) + 1).tolist(), idx.size]
+        refined += [idx[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     return refined

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import re
 import sys
@@ -33,8 +32,8 @@ from .errors import (
     PolarkitError,
     UnsupportedPhi,
 )
-from .graded import norm_estimate
-from .linalg import DEFAULT_TOL
+from .graded import _u_plus_u_star, norm_estimate
+from .linalg import DEFAULT_TOL, _tolerance
 from .models import build
 from .relation import (
     Analysis,
@@ -61,15 +60,9 @@ CONFIG_ERRORS = (ConfigError, ParseError, InvalidSpec, UnsupportedPhi, Dimension
                  np.linalg.LinAlgError)
 
 
-def _checked_tol(tol: float, source: str) -> float:
-    """tol, when it is positive and finite; a ConfigError naming its
-    source otherwise."""
-    if not 0.0 < tol < math.inf:
-        raise ConfigError(f"{source} must be positive and finite, got {tol!r}")
-    return tol
-
-
-def _default_tol() -> float:
+def _resolve_tol(args) -> float:
+    if args.tol is not None:
+        return args.tol
     raw = os.environ.get("POLARKIT_TOL")
     if raw is None:
         return DEFAULT_TOL
@@ -77,7 +70,7 @@ def _default_tol() -> float:
         tol = float(raw)
     except ValueError as exc:
         raise ConfigError(f"POLARKIT_TOL is not a number: {raw!r}") from exc
-    return _checked_tol(tol, "POLARKIT_TOL")
+    return _tolerance(tol, "POLARKIT_TOL")
 
 
 def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
@@ -93,10 +86,6 @@ def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
             default=None,
             help="model spec: a JSON file path, or an inline JSON object",
         )
-
-
-def _resolve_tol(args) -> float:
-    return args.tol if args.tol is not None else _default_tol()
 
 
 def _load_model_obj(text: str):
@@ -300,8 +289,7 @@ def _cmd_norm_estimate(args) -> int:
     if args.element:
         g = model.element(_element_coefficients(load_json(args.element)), enforce_support=True)
     else:
-        p1 = model.range_projection(1)
-        g = model.element({-1: p1, 1: p1}, enforce_support=True)
+        g = _u_plus_u_star(model)
     est = norm_estimate(g, kmax=args.kmax)
     dense = est.dense_norm
     gap = abs(est.final - dense) / max(dense, 1e-300)
@@ -447,7 +435,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.tol is not None:
-            _checked_tol(args.tol, "--tol")
+            _tolerance(args.tol, "--tol")
         return args.func(args)
     except CONFIG_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")

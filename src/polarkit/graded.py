@@ -76,6 +76,7 @@ from .linalg import (
     DEFAULT_TOL,
     _finite,
     _operator_norms,
+    _tolerance,
     as_matrix,
     dagger,
     operator_norm,
@@ -117,20 +118,20 @@ def _degree(d) -> int:
 
 
 class GradedModel:
-    """A partial isometry with a coefficient algebra, plus power caches.
+    """A partial isometry with a coefficient algebra, plus a power table.
 
     ``algebra`` is the commutative algebra the coefficients live in,
     stored by its atoms (typically the double-closure coefficient algebra
     of a seed, or simply the diagonal algebra for shift models); any other
     algebra, or one whose atom basis v is not unitary (the rule of the
-    tower's commutativity check), is a :class:`ModelMismatch`.  u^k, u*^k
-    and P_k = u^k u*^k are each computed once per k; the cached u*^k and
-    P_k are read-only.
+    tower's commutativity check), is a :class:`ModelMismatch`.  u^k is
+    computed once per k and read-only; u*^k and P_k are formed from it.
     The gathers of delta and delta_* on the atoms of the algebra, which
     products run on, are derived and checked on the first product.
     """
 
     def __init__(self, u, algebra: SpectralAlgebra, tol: float = DEFAULT_TOL):
+        self.tol = _tolerance(tol)
         if not isinstance(algebra, SpectralAlgebra):
             raise ModelMismatch("the coefficient algebra is not stored by its atoms")
         self.pair: EndoPair = u if isinstance(u, EndoPair) else endo_pair(u, tol=tol)
@@ -142,30 +143,20 @@ class GradedModel:
                 f"the coefficient algebra's atom basis is not unitary (defect {defect:.3e})"
             )
         self.algebra = algebra
-        self.tol = tol
         self.dim = self.pair.ambient_dim
-        self._pow: dict[int, np.ndarray] = {0: np.eye(self.dim, dtype=np.complex128)}
-        self._pow_star: dict[int, np.ndarray] = {}
-        self._proj: dict[int, np.ndarray] = {}
+        self._pow: dict[int, np.ndarray] = {0: _frozen(np.eye(self.dim, dtype=np.complex128))}
 
     def power(self, k: int) -> np.ndarray:
         """u^k with memoization (k >= 0); the cache holds u^0 .. u^K and
         grows one product u^j = u^(j-1) u at a time."""
         for j in range(len(self._pow), k + 1):
-            self._pow[j] = self._pow[j - 1] @ self.pair.u
+            self._pow[j] = _frozen(self._pow[j - 1] @ self.pair.u)
         return self._pow[k]
 
-    def _power_star(self, k: int) -> np.ndarray:
-        """u*^k = dagger(u^k) with memoization (k >= 0)."""
-        if k not in self._pow_star:
-            self._pow_star[k] = _frozen(dagger(self.power(k)))
-        return self._pow_star[k]
-
     def range_projection(self, k: int) -> np.ndarray:
-        """P_k = u^k u*^k with memoization."""
-        if k not in self._proj:
-            self._proj[k] = _frozen(self.power(k) @ self._power_star(k))
-        return self._proj[k]
+        """P_k = u^k u*^k, a new array from the cached u^k."""
+        uk = self.power(k)
+        return uk @ dagger(uk)
 
     @cached_property
     def _frame(self) -> _AtomFrame:
@@ -347,7 +338,7 @@ def _realize(model: GradedModel, terms, out: np.ndarray):
         elif d > 0:
             out += c @ model.power(d)
         else:
-            out += model._power_star(-d) @ c
+            out += dagger(model.power(-d)) @ c
 
 
 def _realize_values(model: GradedModel, degrees: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -526,6 +517,13 @@ def random_element(
     return model._lift(degrees, values[0])
 
 
+def _u_plus_u_star(model: GradedModel) -> GradedElement:
+    """U + U*: P_1's mask on the atoms at degrees -1 and 1, none where P_1 = 0."""
+    p1 = model._gathers.gathers(1)[1][1]
+    degrees = np.array([-1, 1] if p1.any() else [], dtype=int)
+    return model._lift(degrees, np.tile(p1 + 0j, (len(degrees), 1)))
+
+
 def _draws(model: GradedModel, rng: np.random.Generator, bandwidth: int, count: int):
     """(degrees, values): the atom values of ``count`` random elements
     (:func:`random_element`) as one (count, degrees, atoms) stack, from
@@ -576,6 +574,7 @@ def check_property_star(
     samples are drawn, realized and normed as one stack each (the same
     draws as ``samples`` calls of :func:`random_element`), and the
     coefficient norms are read from their atom values."""
+    _tolerance(tol)
     if samples < 0:
         raise InvalidSpec(f"samples must be nonnegative, got {samples}")
     if samples == 0:
@@ -619,6 +618,7 @@ def sum_norm_inequalities(ds, tol: float = DEFAULT_TOL) -> SumNormReport:
     :class:`InvalidSpec`, naming it in the last two cases.  This is
     :func:`_sum_norms` on one trial.
     """
+    _tolerance(tol)
     mats = []
     for i, d in enumerate(ds):
         m = as_matrix(d)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .linalg import DEFAULT_TOL, _check_hermitian, _finite, _operator_norms, as_matrix, dagger
+from .linalg import (DEFAULT_TOL, _check_hermitian, _finite, _operator_norms, _tolerance,
+                     as_matrix, dagger)
 
 CONDITIONS = (
     "spec_initial", "spec_final", "idempotent_initial", "idempotent_final", "triple_product"
@@ -68,6 +69,7 @@ def partial_isometry_report(u, tol: float = DEFAULT_TOL) -> PartialIsometryRepor
     (:class:`NotHermitian`).  A u with a NaN or infinite entry, or of
     size 0 x 0, is an :class:`InvalidSpec`.
     """
+    _tolerance(tol)
     um = _finite(as_matrix(u), "u")
     if not um.size:
         raise InvalidSpec("u is 0 x 0")

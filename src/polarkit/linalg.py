@@ -24,6 +24,13 @@ from .errors import InvalidSpec, NotHermitian
 DEFAULT_TOL = 1e-9
 
 
+def _tolerance(tol, name: str = "tol") -> float:
+    """tol if it lies in (0, inf), else an InvalidSpec naming ``name``: the one tol check."""
+    if not 0.0 < tol < np.inf:
+        raise InvalidSpec(f"{name} must be positive and finite, got {tol!r}")
+    return tol
+
+
 def as_matrix(m) -> np.ndarray:
     """m as a square complex128 matrix (no copy when possible): the one shape
     check on a matrix from outside, an :class:`InvalidSpec` on anything else."""
@@ -87,6 +94,7 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL):
     symmetrized before calling LAPACK so the defect cannot leak into the
     eigenvectors.
     """
+    _tolerance(tol)
     a = as_matrix(m)
     _check_hermitian(*_operator_norms([a - dagger(a), a]), tol)
     w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
@@ -99,19 +107,6 @@ def _check_hermitian(defect: float, norm: float, tol: float) -> None:
     scale = 1.0 + norm
     if defect > tol * scale:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}")
-
-
-def eig_groups(w: np.ndarray, gap_tol: float) -> list[np.ndarray]:
-    """Partition ascending eigenvalues into clusters separated by > gap_tol.
-
-    Returns index arrays.  Transitive grouping: a chain of sub-tolerance
-    gaps ends up in one cluster, which is the behaviour we want when
-    deciding whether an operator can tell two eigenvalues apart.
-    """
-    if w.size == 0:
-        return []
-    cuts = [0, *(np.flatnonzero(np.diff(w) > gap_tol) + 1).tolist(), w.size]
-    return [np.arange(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 @dataclass(frozen=True)
@@ -145,6 +140,7 @@ def polar_decompose(a, tol: float = DEFAULT_TOL) -> PolarDecomposition:
     factor does not need a rank decision).  A matrix with a NaN or
     infinite entry is an :class:`InvalidSpec` naming that entry.
     """
+    _tolerance(tol)
     m = _finite(as_matrix(a), "the matrix")
     w, s, vh = np.linalg.svd(m)
     smax = float(s[0]) if s.size else 0.0

@@ -89,7 +89,16 @@ def _raising_shift(weights) -> np.ndarray:
 def build(spec: ModelSpec) -> np.ndarray:
     """Materialize the model's matrix a; InvalidSpec for an inconsistent spec
     (a q_oscillator level value lambda_n that overflows, repeats or is
-    negative, a non-square custom matrix) or a non-finite entry."""
+    negative, a non-square custom matrix), a non-finite entry or a non-numeric field."""
+    try:
+        return _materialize(spec)
+    except InvalidSpec:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSpec(f"model spec is malformed: {exc}") from exc
+
+
+def _materialize(spec: ModelSpec) -> np.ndarray:
     m = as_matrix(spec.matrix) if spec.kind == "custom" else None
     for name in ("weights", "q", "h", "diag") + (("matrix",) if m is not None else ()):
         if not np.isfinite(np.asarray(getattr(spec, name), dtype=np.complex128)).all():

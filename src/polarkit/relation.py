@@ -63,6 +63,7 @@ from .linalg import (
     _check_hermitian,
     _finite,
     _operator_norms,
+    _tolerance,
     as_matrix,
     dagger,
     operator_norm,
@@ -128,18 +129,17 @@ class Analysis:
     ``algebra._eigenspaces``), both read off that SVD, ``seed``
     (C*(1, |a|), the algebra of those groups), ``certificate`` (the
     defining-relation test), ``isometry`` (U's partial-isometry certificate,
-    with ||U||), ``pair`` (U validated by it), ``closure`` (the seed's
-    double closure under U: its frame, which carries its certification
-    defect, and the seed's class of each atom), ``frame`` (that closure's
-    atoms with U in their basis, once certified; else the weak hypotheses
-    fail, a :class:`HypothesisViolated`), ``tower`` (both towers over the
-    seed, built on ``closure``), ``model`` (U over the double closure),
-    ``structure`` (the blocks of B, given the relation) and ``unit_closure``
-    (the frame on the atoms of C*(1)'s double closure under U, which the
-    isometry reports read: a partition of ``closure`` once that is
-    certified, and ``closure``'s own frame where the partition is discrete,
-    so the isometry reports and :func:`theorem22_report` share its power
-    facts; found on its own otherwise).  Only ``tower`` builds the tower;
+    with ||U||), ``pair`` (U validated by it), ``closure`` (the frame on the
+    atoms of the seed's double closure under U, which carries its
+    certification defect), ``frame`` (that frame once certified; else the
+    weak hypotheses fail, a :class:`HypothesisViolated`), ``tower`` (both
+    towers over the seed, built on ``closure``), ``model`` (U over the
+    double closure), ``structure`` (the blocks of B, given the relation)
+    and ``unit_closure`` (the frame on the atoms of C*(1)'s double closure
+    under U, which the isometry reports read: a partition of ``closure``
+    once that is certified, and ``closure`` itself where the partition is
+    discrete, so the isometry reports and :func:`theorem22_report` share
+    its power facts; found on its own otherwise).  Only ``tower`` builds the tower;
     ``frame``, ``model``, ``structure`` and ``unit_closure`` read the
     closure alone.  ``matrix`` is a read-only copy of a, so the caller's
     array is neither kept nor frozen.  Only successes are kept: a failed
@@ -151,8 +151,7 @@ class Analysis:
     """
 
     def __init__(self, a, tol: float = DEFAULT_TOL):
-        if not 0.0 < tol < np.inf:
-            raise InvalidSpec(f"tol must be positive and finite, got {tol!r}")
+        self.tol = _tolerance(tol)
         self.matrix = np.array(_finite(as_matrix(a), "the matrix"))
         if not self.matrix.size:
             raise InvalidSpec("the matrix is 0 x 0")
@@ -163,7 +162,6 @@ class Analysis:
                     "a*a overflows double precision "
                     f"(largest entry {np.abs(self.matrix).max():.3e})"
                 )
-        self.tol = tol
         self._memo: dict = {}
 
     pd = _once(lambda an: polar_decompose(an.matrix, tol=an.tol))
@@ -189,7 +187,7 @@ def _unit_frame(an: Analysis) -> _AtomFrame:
     except (PolarkitError, np.linalg.LinAlgError):
         pair = EndoPair(u=an.pd.u, ambient_dim=len(an.pd.u), norm=an.isometry.norm)
         return _unit_closure(pair, an.tol)
-    return _unit_classes(an.closure)
+    return _unit_classes(an.frame)
 
 
 def _graded_model(an: Analysis) -> GradedModel:
@@ -436,10 +434,9 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     thr = tol * (scale * scale)
 
     cls, eps = frame.classes(an.seed)
-    starts, sizes = an.seed._ranges  # |a| on X: its eigenvalue means, gathered by seed class
-    pos = (np.add.reduceat(an.pd.sigma, starts) / sizes)[an.closure[1]]
-    means = np.bincount(cls, pos * frame.ranks) / np.bincount(cls, frame.ranks)
-    f = frame.class_basis(cls)[np.abs(means) > tol * (1.0 + np.abs(pos).max())]
+    starts, sizes = an.seed._ranges
+    means = np.add.reduceat(an.pd.sigma, starts) / sizes  # |a| on each of the seed's atoms
+    f = frame.class_basis(cls)[np.abs(means) > tol * (1.0 + np.abs(means).max())]
     f_max = f.max(axis=1, initial=0.0)
 
     big = max(1.0, np.sqrt(frame.nu2)) ** n
@@ -480,7 +477,7 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     generators = np.maximum(eps, np.maximum.accumulate(np.concatenate(([0.0], p_ties[:-1]))))
     bounds = [img_ties.max(axis=1, initial=0.0), generators]
     extended = absorb = 0.0
-    level, first = _value_classes(pos[None, :], tol), 0
+    level, first = _value_classes(means[cls][None, :], tol), 0  # |a| on X
     for k in range(1, n + 1 if len(f) else 1):
         after = level
         if k < n and level.max() < frame.size - 1:  # p_k can split a class

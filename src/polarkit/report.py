@@ -21,6 +21,7 @@ from .graded import (
     _nilpotent,
     _ring_defect,
     _sum_norms,
+    _u_plus_u_star,
     check_property_star,
     graded_adjoint,
     graded_mul,
@@ -61,6 +62,11 @@ class SuiteConfig:
             raise ConfigError("kmax must be at least 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for i, spec in enumerate(self.models):  # a spec built by hand is read here first
+            try:
+                model_spec_to_json(spec)
+            except (PolarkitError, TypeError, ValueError, AttributeError) as exc:
+                raise ConfigError(f"model {i} is malformed: {exc}") from exc
 
 
 def config_from_json(obj) -> SuiteConfig:
@@ -229,10 +235,8 @@ def _suite_norm_formula(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng)
     model, skipped = _nilpotent_model(an)
     if model is None:
         return skipped
-    p1 = model.range_projection(1)
     try:
-        g = model.element({-1: p1, 1: p1}, enforce_support=True)
-        est = norm_estimate(g, kmax=config.kmax)
+        est = norm_estimate(_u_plus_u_star(model), kmax=config.kmax)
     except ZeroElement:
         return [_check("estimate_degenerate_zero", "norm.limit_formula", True, 0.0)]
     dense = est.dense_norm

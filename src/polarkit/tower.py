@@ -65,7 +65,6 @@ from .algebra import (
     DROP_THRESHOLD,
     SpectralAlgebra,
     _atom_algebra,
-    _atom_ranges,
     _labels,
     _refine,
     _value_classes,
@@ -83,6 +82,7 @@ from .linalg import (
     _norm_f,
     _push,
     _runs,
+    _tolerance,
     as_matrix,
     dagger,
     operator_norm,
@@ -152,10 +152,8 @@ def _commutativity_defect(algs) -> float:
     """Largest commutator residual over the algebras, each stored by its
     atoms.  Two atoms P_x, P_y multiply to V_x G V_y*, with G the
     unitarity defect v* v - 1 of the basis, so the basis commutes within
-    2 ||G|| (1 + ||G||)."""
-    unique = list({id(alg): alg for alg in algs}.values())
-    eye = np.eye(unique[0].dim)
-    g = operator_norm(np.array([alg._vh @ alg.v - eye for alg in unique]))
+    2 ||G|| (1 + ||G||), ||G|| taken once per algebra."""
+    g = max(alg._unitarity for alg in algs)
     return 2.0 * g * (1.0 + g)
 
 
@@ -174,10 +172,10 @@ def _mix_weights(count: int) -> np.ndarray:
     return _MIX[:count]
 
 
-def _double_closure(a0: SpectralAlgebra, pair: EndoPair, tol: float):
-    """``(frame, seed)``: the frame on X, which carries X's certification
-    defect (:attr:`_AtomFrame.defect`), and the seed's class of each atom
-    of X.
+def _double_closure(a0: SpectralAlgebra, pair: EndoPair, tol: float) -> "_AtomFrame":
+    """The frame on X, which carries X's certification defect
+    (:attr:`_AtomFrame.defect`); the seed's class of each atom of X is
+    ``frame.classes(a0)``.
 
     X starts from the seed's atoms, and each round splits them by two
     images of h = sum_x c_x P_x, with fixed weights c.  Round j = 0, 1, ..
@@ -188,13 +186,13 @@ def _double_closure(a0: SpectralAlgebra, pair: EndoPair, tol: float):
     ``tol * (1 + 2 ||U||^2)``, run until none splits.  A seed not stored
     by its atoms is a :class:`ModelMismatch`.
     """
+    _tolerance(tol)
     if not isinstance(a0, SpectralAlgebra):
         raise ModelMismatch("the seed algebra is not stored by its atoms")
     comm_res = _commutativity_defect([a0])
     if comm_res > tol:
         raise HypothesisViolated(f"seed algebra is not commutative (residual {comm_res:.3e})")
-    v, blocks = a0.v.copy(), a0.blocks
-    seed, nu = _labels(blocks), pair.norm
+    v, blocks, nu = a0.v.copy(), a0.blocks, pair.norm
 
     def mixed():
         return (v * _mix_weights(len(blocks))[_labels(blocks)]) @ dagger(v)
@@ -216,8 +214,7 @@ def _double_closure(a0: SpectralAlgebra, pair: EndoPair, tol: float):
         count, h = len(blocks), mixed()
         for image in (pair.delta(h), pair.delta_star(h)):
             blocks = _refine(v, blocks, image, tol * (1.0 + 2.0 * nu * nu))
-    frame = _AtomFrame(a0 if len(blocks) == len(a0.blocks) else _atom_algebra(v, blocks), pair)
-    return frame, seed[frame.ranges[0]]
+    return _AtomFrame(a0 if len(blocks) == len(a0.blocks) else _atom_algebra(v, blocks), pair)
 
 
 def _weak_violation(residual: float) -> HypothesisViolated:
@@ -230,11 +227,10 @@ def _weak_violation(residual: float) -> HypothesisViolated:
     )
 
 
-def _certified(closure: tuple, tol: float) -> "_AtomFrame":
-    """The frame of ``closure``, a :func:`_double_closure`, once its defect
-    is within ``tol * (1 + ||U||^2)^2``; beyond it every weak hypothesis
-    reads the defect (:func:`_hypotheses`), so it fails them."""
-    frame = closure[0]
+def _certified(frame: "_AtomFrame", tol: float) -> "_AtomFrame":
+    """``frame``, a :func:`_double_closure`, once its defect is within
+    ``tol * (1 + ||U||^2)^2``; beyond it every weak hypothesis reads the
+    defect (:func:`_hypotheses`), so it fails them."""
     if not frame.defect <= tol * frame.scale:
         raise _weak_violation(frame.defect)
     return frame
@@ -351,12 +347,12 @@ def build_tower(a0: SpectralAlgebra, pair: EndoPair, tol: float = DEFAULT_TOL) -
     return _build_tower(a0, pair, tol, _double_closure(a0, pair, tol))
 
 
-def _build_tower(a0: SpectralAlgebra, pair: EndoPair, tol: float, closure: tuple) -> TowerReport:
-    """:func:`build_tower` on ``closure``, the seed's :func:`_double_closure`."""
-    frame, seed = closure
+def _build_tower(a0: SpectralAlgebra, pair: EndoPair, tol: float, frame: _AtomFrame) -> TowerReport:
+    """:func:`build_tower` on ``frame``, the seed's :func:`_double_closure`."""
     hyp = _hypotheses(frame, a0, pair.ambient_dim, tol)
     if not hyp.weak_holds:
         raise _weak_violation(hyp.weak_residual)
+    seed = frame.classes(a0)[0]  # cached by the hypotheses
     algebras = {tuple(range(frame.size)): frame.alg}
     algebras.setdefault(tuple(seed), a0)
 
@@ -446,7 +442,7 @@ class _AtomFrame:
     def __init__(self, alg: SpectralAlgebra, pair: EndoPair):
         self.alg = alg
         self.labels = alg.labels
-        self.ranges = _atom_ranges(alg.labels)
+        self.ranges = alg._ranges
         self.ranks = self.ranges[1].astype(float)
         w = alg._vh @ pair.u @ alg.v
         self.u = {"forward": w, "star": dagger(w)}
@@ -814,11 +810,11 @@ def _unit_closure(pair: EndoPair, tol: float) -> _AtomFrame:
     truncated shifts, which is when this closure is certified."""
     n = pair.ambient_dim
     one = _atom_algebra(np.eye(n, dtype=np.complex128), [np.arange(n)])
-    return _double_closure(one, pair, tol)[0]
+    return _double_closure(one, pair, tol)
 
 
-def _unit_classes(closure: tuple) -> _AtomFrame:
-    """:func:`_unit_closure` read on ``closure``, a certified
+def _unit_classes(frame: _AtomFrame) -> _AtomFrame:
+    """:func:`_unit_closure` read on ``frame``, a certified
     :func:`_double_closure` of a seed with 1: C*(1) lies in the seed, so
     its double closure is the partition of X that P_k = delta^k(1) and
     Q_k = delta_*^k(1), k < depth (:meth:`_AtomFrame.gathers`), generate.
@@ -826,7 +822,6 @@ def _unit_classes(closure: tuple) -> _AtomFrame:
     start and to the end of its chain, depth on a cycle.  A discrete
     partition is X, with X's frame; a coarser one gets a frame on X's
     columns, certified by its own defect."""
-    frame = closure[0]
     _, mask, depth = frame.gathers(1)
     start, end = (mask > 0).reshape(2, depth, -1).sum(axis=1)
     cls = _numbered(start * (depth + 1) + end)
@@ -1055,6 +1050,7 @@ def verify_tower_theorems(
     action on X, and each residual is a coordinate residual plus a bound
     from the ties of the elements it reads.
     """
+    _tolerance(tol)
     frame = t._frame
     if frame is None or frame.alg is not t.inf_a_inf or frame.pair is not pair:
         frame = _AtomFrame(t.inf_a_inf, pair)

@@ -233,5 +233,5 @@ def hypotheses(a0, pair, kmax=None, tol=DEFAULT_TOL):
     """The tower's ``HypothesesReport`` for the seed a0: both hypothesis
     sets up to kmax (default the ambient dimension), read on the atoms of
     its double closure."""
-    frame, _ = _double_closure(a0, pair, tol)
+    frame = _double_closure(a0, pair, tol)
     return _hypotheses(frame, a0, pair.ambient_dim if kmax is None else kmax, tol)

@@ -77,6 +77,16 @@ def test_spectral_algebra_matches_generate(shift4):
     assert alg.dimension == 4  # eigenvalues 1, sqrt2, sqrt3, 0 all distinct
 
 
+def test_atoms_do_not_depend_on_where_the_largest_eigenvalue_sits():
+    # eigenvalues were grouped at tol * (1 + |w_max|), w_max the last one:
+    # h had 3 atoms, and -h and h + 10 (the same algebra) had 2
+    h = np.diag([-10.0, -10.0 + 5e-9, 0.0])
+    for m in (h, -h, h + 10.0 * np.eye(3)):
+        alg = pk.spectral_algebra(m)
+        atoms = [np.flatnonzero(np.abs(alg.v[:, b]).sum(axis=1) > 0.5).tolist() for b in alg.blocks]
+        assert sorted(atoms) == [[0, 1], [2]]
+
+
 def test_commutant_of_diagonal_is_diagonal():
     alg = generate([diag(1, 2, 3)], unital=True)
     com = pk.commutant(alg)

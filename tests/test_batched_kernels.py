@@ -51,10 +51,11 @@ import polarkit.algebra as algebra
 import polarkit.relation as relation
 import polarkit.tower as tower
 from polarkit.errors import NotHermitian
-from polarkit.linalg import dagger, eig_groups
+from polarkit.linalg import dagger
 from polarkit.relation import Analysis
 
 from conftest import empty_slot, zoo_specs
+from test_linalg import ref_groups
 from test_relation import direct_sums
 
 TOL = 1e-9
@@ -102,8 +103,8 @@ def ref_function_certificate(bm, scale_b, spaces, tol):
 
 def ref_eigenspaces(h, tol):
     w, v = ref_hermitian_eig(h, tol)
-    scale = 1.0 + (abs(float(w[-1])) if w.size else 0.0)
-    return w, v, eig_groups(w, tol * scale), scale
+    scale = 1.0 + float(np.abs(w).max(initial=0.0))
+    return w, v, [np.array(g) for g in ref_groups(w, tol * scale)], scale
 
 
 def ref_is_function_of(b, a, tol=TOL):

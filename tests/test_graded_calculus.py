@@ -246,18 +246,14 @@ class _CountingMatmul(np.ndarray):
         return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
 
 
-def test_repeated_range_projection_makes_no_product():
+def test_range_projection_is_formed_from_the_power_table():
+    # P_k had a cache of its own beside u^k; it is formed from u^k now,
+    # and has the bits it had
     model = pk.graded_model_for(_shift(12))
-    first = model.range_projection(3)
-    model._pow = {k: v.view(_CountingMatmul) for k, v in model._pow.items()}
-    _CountingMatmul.calls = 0
-    again = model.range_projection(3)
-    assert _CountingMatmul.calls == 0
-    assert np.array_equal(again, first)
-    assert np.array_equal(first, ref_range_projection(model, 3))
-    # the cache cannot be changed through a returned matrix
+    assert np.array_equal(model.range_projection(3), ref_range_projection(model, 3))
+    # the table cannot be changed through a returned power
     with pytest.raises(ValueError):
-        again[0, 0] = 1.0
+        model.power(3)[0, 0] = 1.0
 
 
 def _e(i, j, n=4):
@@ -319,9 +315,8 @@ def test_norm_estimate_squarings_make_no_dense_product(monkeypatch):
     def counting(m):
         return m.view(_CountingMatmul)
 
-    for cache in (model._pow, model._pow_star, model._proj):
-        for k in list(cache):
-            cache[k] = counting(cache[k])
+    for k in list(model._pow):
+        model._pow[k] = counting(model._pow[k])
     object.__setattr__(model.pair, "u", counting(model.pair.u))
     object.__setattr__(alg, "v", counting(alg.v))
     alg.__dict__["_vh"] = counting(alg._vh)

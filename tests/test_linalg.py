@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarkit as pk
-from polarkit.linalg import dagger, eig_groups, hermitian_eig
+from polarkit.algebra import _eigenspaces
+from polarkit.linalg import dagger, hermitian_eig
 
 from conftest import random_matrix
 
@@ -58,10 +59,27 @@ def test_hermitian_eig_ascending(rng):
     assert np.allclose(v @ np.diag(w) @ v.conj().T, h, atol=1e-9)
 
 
-def test_eig_groups_merges_close_values():
+def ref_groups(w, gap):
+    """The ascending values w in runs whose neighbours lie within gap, as
+    index lists, by a loop."""
+    groups = [[0]] if w.size else []
+    for i in range(1, w.size):
+        if w[i] - w[i - 1] <= gap:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
+def test_eigenspaces_merge_close_values(rng):
+    # the gap scales with the largest |w|, wherever it sits in the spectrum
     w = np.array([0.0, 1.0, 1.0 + 1e-13, 2.0])
-    groups = eig_groups(w, gap_tol=1e-9)
-    assert [len(g) for g in groups] == [1, 2, 1]
+    assert [g.tolist() for g in _eigenspaces(w, 1e-9)] == [[0], [1, 2], [3]]
+    drawn = np.sort(rng.choice([-3.0, -1.0, 0.0, 2.0], 12) + 1e-10 * rng.standard_normal(12))
+    for w in (drawn, np.array([-10.0, -10.0 + 5e-9, 0.0]), np.array([0.0, 10.0 - 5e-9, 10.0]),
+              np.zeros(0)):
+        want = ref_groups(w, 1e-9 * (1.0 + np.abs(w).max(initial=0.0)))
+        assert [g.tolist() for g in _eigenspaces(w, 1e-9)] == want
 
 
 def test_dagger(rng):

@@ -12,6 +12,7 @@ are no exceptions.
 
 import ast
 import dataclasses
+import inspect
 import os
 import re
 from pathlib import Path
@@ -230,3 +231,79 @@ def test_an_argument_out_of_range_is_an_invalid_spec(call, message):
     with pytest.raises(pk.InvalidSpec) as err:
         call()
     assert str(err.value) == message
+
+
+# -- one door for a tolerance ------------------------------------------------
+
+
+def _shift():
+    return pk.build(pk.weighted_shift((1.0, np.sqrt(2.0))))
+
+
+def _u():
+    return pk.polar_decompose(_shift()).u
+
+
+def _tower():
+    seed, pair = pk.spectral_algebra(np.diag([1.0, 2.0, 0.0])), pk.endo_pair(_u())
+    return pk.build_tower(seed, pair), pair
+
+
+# every export that takes a tol, called with that tol and inputs that are
+# valid at the default one
+TAKES_A_TOL = {
+    "GradedModel": lambda tol: pk.GradedModel(_u(), pk.spectral_algebra(np.diag([1.0, 2.0, 0.0])),
+                                              tol=tol),
+    "bicommutant": lambda tol: pk.bicommutant([_shift()], tol=tol),
+    "build_tower": lambda tol: pk.build_tower(pk.spectral_algebra(np.eye(3)), pk.endo_pair(_u()),
+                                              tol=tol),
+    "check_property_star": lambda tol: pk.check_property_star(_model(), samples=2, tol=tol),
+    "coefficient_algebra": lambda tol: pk.coefficient_algebra(_shift(), tol=tol),
+    "commutant": lambda tol: pk.commutant([_shift()], tol=tol),
+    "commuting_projection_properties": lambda tol: pk.commuting_projection_properties(_u(), 2, tol),
+    "endo_pair": lambda tol: pk.endo_pair(_u(), tol=tol),
+    "graded_model_for": lambda tol: pk.graded_model_for(_shift(), tol=tol),
+    "is_function_of": lambda tol: pk.is_function_of(np.eye(2), np.diag([1.0, 2.0]), tol=tol),
+    "partial_isometry_report": lambda tol: pk.partial_isometry_report(_u(), tol=tol),
+    "polar_decompose": lambda tol: pk.polar_decompose(_shift(), tol=tol),
+    "power_isometry_check": lambda tol: pk.power_isometry_check(_u(), 2, tol=tol),
+    "spectral_algebra": lambda tol: pk.spectral_algebra(np.diag([1.0, 2.0]), tol=tol),
+    "sum_norm_inequalities": lambda tol: pk.sum_norm_inequalities([_shift()], tol=tol),
+    "theorem22_report": lambda tol: pk.theorem22_report(_shift(), tol=tol),
+    "verify_I1": lambda tol: pk.verify_I1(_shift(), tol=tol),
+    "verify_tower_theorems": lambda tol: pk.verify_tower_theorems(*_tower(), tol=tol),
+}
+
+
+def _takes_a_tol(obj) -> bool:
+    try:
+        return "tol" in inspect.signature(obj).parameters
+    except (TypeError, ValueError):  # not a callable, or one without a signature
+        return False
+
+
+def test_every_export_that_takes_a_tol_is_in_the_tol_table():
+    # a record type (SuiteConfig) checks its own fields, with a ConfigError
+    objects = {name: getattr(pk, name) for name in exported()}
+    taking = {
+        name for name, obj in objects.items()
+        if _takes_a_tol(obj) and not dataclasses.is_dataclass(obj)
+    }
+    assert sorted(taking) == sorted(TAKES_A_TOL)
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_A_TOL))
+def test_every_export_takes_its_inputs_at_the_default_tol(name):
+    TAKES_A_TOL[name](pk.DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("tol", (0.0, -1e-9, float("nan"), float("inf")), ids=str)
+@pytest.mark.parametrize("name", sorted(TAKES_A_TOL))
+def test_a_tol_outside_zero_to_inf_is_an_invalid_spec_at_every_export(name, tol):
+    # at tol = inf partial_isometry_report, is_function_of, power_isometry_check
+    # and commuting_projection_properties passed np.ones((2, 2)), endo_pair
+    # returned a pair; at tol = nan spectral_algebra had one atom, and a
+    # negative tol was a NotHermitian
+    with pytest.raises(pk.InvalidSpec) as err:
+        TAKES_A_TOL[name](tol)
+    assert str(err.value) == f"tol must be positive and finite, got {tol!r}"

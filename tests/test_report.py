@@ -362,6 +362,34 @@ def test_non_finite_model_is_a_build_precondition():
     assert all(c["pass"] for s in second["suites"] for c in s["checks"])
 
 
+@pytest.mark.parametrize(
+    "spec, refused",
+    (
+        (pk.ModelSpec(kind="weighted_shift", dim=2, weights=("abc",)), True),
+        (pk.ModelSpec(kind="normal", dim=1, diag=(None,)), True),
+        (pk.ModelSpec(kind="jordan_block", dim="4"), False),
+    ),
+    ids=("weights", "diag", "dim"),
+)
+def test_a_malformed_hand_built_spec_never_aborts_the_batch(spec, refused):
+    # run_suite raised from model_spec_to_json (ValueError, AttributeError),
+    # and build raised numpy's ValueError or Python's TypeError; a spec that
+    # cannot be written is refused with the config, as a JSON one is, and
+    # one that cannot be built fails its own suites
+    with pytest.raises(pk.InvalidSpec, match="^model "):
+        pk.build(spec)
+    models = (pk.weighted_shift((1.0, 1.4142135623730951)), spec)
+    if refused:
+        with pytest.raises(pk.ConfigError, match="^model 1 is malformed: "):
+            pk.SuiteConfig(models=models, suites=("polar",))
+        return
+    first, second = pk.run_suite(pk.SuiteConfig(models=models, suites=("polar",)))["models"]
+    assert all(c["pass"] for s in first["suites"] for c in s["checks"])
+    (check,) = second["suites"][0]["checks"]
+    assert check["anchor"] == "models.build"
+    assert check["error"].startswith("InvalidSpec: model spec is malformed: ")
+
+
 def test_negative_level_model_is_a_build_precondition():
     # lambda = 0, 1, -1, 3 built a NaN matrix, and every suite recorded
     # "LinAlgError: SVD did not converge"
@@ -567,6 +595,19 @@ def test_stacked_graded_suite_gives_the_checks_of_its_loops(seed):
 def test_stacked_graded_suite_matches_its_loops_on_direct_sums(a, seed):
     w = _haar_unitary(np.random.default_rng(seed), len(a))
     assert_graded_suite_matches_its_loops(w @ a @ w.conj().T, seed)
+
+
+# The SVD calls of one zoo run_suite, seed 0 and every suite.  Like the
+# line budget, a change that adds a call raises this pin in the same diff
+# and says why in CHANGES.md; one that removes calls may lower it.
+ZOO_SVD_CALLS = 99
+
+
+def test_the_zoo_run_suite_stays_within_its_svd_calls(lapack_calls):
+    config = pk.config_from_json({"models": zoo_specs(), "suites": list(SUITE_ORDER), "seed": 0})
+    lapack_calls.clear()
+    pk.run_suite(config)
+    assert lapack_calls.calls["svd"] <= ZOO_SVD_CALLS, lapack_calls.calls
 
 
 def test_graded_suite_makes_few_svd_calls(lapack_calls):

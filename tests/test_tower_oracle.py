@@ -296,8 +296,8 @@ def ref_double_closure(a0, pair, tol=TOL):
 def assert_same_closure(a0, pair, tol=TOL):
     """The atoms of the closure are those of the oracle's, as subspaces
     with their ranks, and both are certified or neither is."""
-    frame, seed = tower._double_closure(a0, pair, tol)
-    defect = frame.defect
+    frame = tower._double_closure(a0, pair, tol)
+    seed, defect = frame.classes(a0)[0], frame.defect
     ref, ref_seed, ref_defect = ref_double_closure(a0, pair, tol)
     assert frame.size == ref.size
     # overlap[x, y] = ||V_x* V'_y||_F^2 / rank x is 1 exactly when atom x
@@ -401,7 +401,7 @@ def test_closure_takes_log_n_rounds(monkeypatch, family):
 
     pair = _ladder_pair(family, n)
     monkeypatch.setattr(tower, "_mix_weights", counting)
-    frame, _ = tower._double_closure(unit_algebra(n), pair, TOL)
+    frame = tower._double_closure(unit_algebra(n), pair, TOL)
     assert rounds[0] <= 2 * np.log2(n) + 2, rounds[0]
     assert frame.size == n and frame.defect <= TOL * frame.scale
 
@@ -514,7 +514,7 @@ def test_unit_closure_is_found_on_its_own_when_the_seeds_closure_is_uncertified(
     # a generic a: U is unitary and moves the rank-1 atoms of |a| off
     # themselves, so X is not certified, while C*(1) is invariant
     an = Analysis(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-    frame, _ = an.closure
+    frame = an.closure
     assert frame.defect > TOL * frame.scale
     calls = _counted_fallback(monkeypatch)
     unit = assert_unit_closure_matches(an, rule=bits)
@@ -534,11 +534,10 @@ def test_unit_closure_is_found_on_its_own_when_the_pair_fails(monkeypatch):
     assert len(calls) == 1
 
 
-def ref_unit_classes(closure):
+def ref_unit_classes(frame):
     """``tower._unit_classes`` by join rounds: from one class, join with
     the classes gathered through delta and delta_* until none splits,
     classes numbered by first appearance."""
-    frame, _ = closure
     index, mask, depth = frame.gathers(1)
     cls, count = np.zeros(frame.size, dtype=int), 0
     while count < cls.max(initial=0) + 1:
@@ -574,11 +573,10 @@ def chains_and_cycles(seed):
 
 
 def assert_unit_classes_match(a):
-    closure = Analysis(a).closure
-    frame, _ = closure
+    frame = Analysis(a).closure
     if not frame.defect <= TOL * frame.scale:
         return
-    got, want = tower._unit_classes(closure), ref_unit_classes(closure)
+    got, want = tower._unit_classes(frame), ref_unit_classes(frame)
     got_defect, want_defect = got.defect, want.defect
     assert (got is frame) == (want is frame)
     assert np.array_equal(got.alg.labels, want.alg.labels)
