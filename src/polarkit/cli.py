@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedPhi,
 )
 from .graded import _u_plus_u_star, norm_estimate
-from .linalg import DEFAULT_TOL, _tolerance
+from .linalg import DEFAULT_TOL, _count, _tolerance
 from .models import build
 from .relation import (
     Analysis,
@@ -282,8 +282,7 @@ def _element_coefficients(obj) -> dict:
 
 
 def _cmd_norm_estimate(args) -> int:
-    if args.kmax < 1:
-        raise ConfigError(f"--kmax must be at least 1, got {args.kmax}")
+    _count(args.kmax, "--kmax", 1)
     an = _load_analysis(args)
     tol, model = an.tol, graded_model_for(an)
     if args.element:

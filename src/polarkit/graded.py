@@ -74,6 +74,7 @@ from .algebra import SpectralAlgebra, _block_constant_defect
 from .errors import BandwidthOverflow, InvalidSpec, ModelMismatch, SupportViolation, ZeroElement
 from .linalg import (
     DEFAULT_TOL,
+    _count,
     _finite,
     _operator_norms,
     _tolerance,
@@ -529,9 +530,7 @@ def _draws(model: GradedModel, rng: np.random.Generator, bandwidth: int, count: 
     (:func:`random_element`) as one (count, degrees, atoms) stack, from
     one draw, the same stream as ``count`` calls.  The degrees are those
     some element keeps; an element's row of a degree it drops is zero."""
-    if bandwidth < 0:
-        raise InvalidSpec(f"bandwidth must be nonnegative, got {bandwidth}")
-    b = min(bandwidth, model.dim - 1)
+    b = min(_count(bandwidth, "bandwidth", 0), model.dim - 1)
     alg = model.algebra
     _, mask, _ = model._gathers.gathers(b)
     degrees = np.arange(-b, b + 1)
@@ -575,9 +574,7 @@ def check_property_star(
     draws as ``samples`` calls of :func:`random_element`), and the
     coefficient norms are read from their atom values."""
     _tolerance(tol)
-    if samples < 0:
-        raise InvalidSpec(f"samples must be nonnegative, got {samples}")
-    if samples == 0:
+    if _count(samples, "samples", 0) == 0:
         return PropertyStarReport(0, 0.0, 0.0, 0, True)
     if rng is None:
         rng = np.random.default_rng(0)
@@ -715,9 +712,7 @@ def norm_estimate(g: GradedElement, kmax: int = 64) -> NormEstimate:
     and :class:`ModelMismatch` as :func:`graded_mul` does and for a u no
     power of which vanishes.
     """
-    if kmax < 1:
-        raise InvalidSpec("kmax must be at least 1")
-    band = g.bandwidth
+    kmax, band = _count(kmax, "kmax", 1), g.bandwidth
     if 4 * kmax * band > BANDWIDTH_CAP:
         raise BandwidthOverflow(
             f"4*kmax*bandwidth = {4 * kmax * band} exceeds the cap {BANDWIDTH_CAP}"

@@ -15,6 +15,8 @@ gathers, and take no SVD.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +27,23 @@ DEFAULT_TOL = 1e-9
 
 
 def _tolerance(tol, name: str = "tol") -> float:
-    """tol if it lies in (0, inf), else an InvalidSpec naming ``name``: the one tol check."""
-    if not 0.0 < tol < np.inf:
+    """tol if it is a real number in (0, inf), else an InvalidSpec naming
+    ``name``: the one tol check."""
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
         raise InvalidSpec(f"{name} must be positive and finite, got {tol!r}")
     return tol
+
+
+def _count(value, name: str, least: int) -> int:
+    """value as an int (by ``operator.index``) if it is at least ``least``,
+    else an InvalidSpec naming ``name``: the one check of a count."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise InvalidSpec(f"{name} must be at least {least}, got {count}")
+    return count
 
 
 def as_matrix(m) -> np.ndarray:
@@ -160,14 +175,18 @@ def _norm_f(m: np.ndarray) -> np.ndarray:
     return np.sqrt((m.real * m.real + m.imag * m.imag).sum(axis=(-2, -1)))
 
 
-def _norm_bounds(m: np.ndarray) -> np.ndarray:
-    """Bounds on ||m|| for each matrix of a (..., r, c) stack from one
-    product, ||m* m||_F^(1/2): the 4th root of the sum of the 4th powers of
-    m's singular values, at most ||m||_F.  Taken of m / ||m||_F, so that
-    nothing underflows."""
-    scale = _norm_f(m)
-    unit = m / np.where(scale > 0.0, scale, 1.0)[..., None, None]
-    return scale * np.sqrt(_norm_f(dagger(unit) @ unit))
+def _split_norm_bound(m: np.ndarray) -> float:
+    """A bound on ||m|| in O(n^2), between ||m* m||_F^(1/2) and ||m||_F:
+    for Q the span of m's four heaviest rows, Y = m Q and B = m - Y Q*,
+    m m* = Y Y* + B B*, so ||m* m||_F^2 <= ||Y* Y||_F^2 + 2 ||Y* B||_F^2 +
+    ||B||_F^4.  Taken of m / ||m||_F, so that nothing underflows."""
+    scale = float(_norm_f(m))
+    unit = m / (scale or 1.0)
+    q = np.linalg.qr(dagger(unit[np.argsort(np.linalg.norm(unit, axis=1))[-4:]]))[0]
+    y = unit @ q
+    b = unit - y @ dagger(q)
+    fourth = _norm_f(dagger(y) @ y) ** 2 + 2.0 * _norm_f(dagger(y) @ b) ** 2 + _norm_f(b) ** 4
+    return scale * float(fourth) ** 0.25
 
 
 def _block_norms(m: np.ndarray, rows, cols) -> np.ndarray:

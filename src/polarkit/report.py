@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, PolarkitError, ZeroElement
+from .errors import ConfigError, InvalidSpec, ParseError, PolarkitError, ZeroElement
 from .graded import (
     _nilpotent,
     _ring_defect,
@@ -29,7 +29,7 @@ from .graded import (
     random_element,
     realize,
 )
-from .linalg import DEFAULT_TOL, _operator_norms, operator_norm
+from .linalg import DEFAULT_TOL, _count, _operator_norms, _tolerance, operator_norm
 from .models import ModelSpec, build, phi_for
 from .relation import Analysis, coefficient_algebra, theorem22_report
 from .serialize import dumps_canonical, model_spec_from_json, model_spec_to_json
@@ -56,12 +56,10 @@ class SuiteConfig:
             raise ConfigError(f"unknown suite names {bad}; valid: {list(SUITE_ORDER)}")
         if not self.models:
             raise ConfigError("config needs at least one model")
-        if not 0.0 < self.tol < np.inf:
-            raise ConfigError("tol must be positive and finite")
-        if self.kmax < 1:
-            raise ConfigError("kmax must be at least 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        try:
+            _tolerance(self.tol), _count(self.kmax, "kmax", 1), _count(self.seed, "seed", 0)
+        except InvalidSpec as exc:
+            raise ConfigError(str(exc)) from exc
         for i, spec in enumerate(self.models):  # a spec built by hand is read here first
             try:
                 model_spec_to_json(spec)
@@ -75,16 +73,16 @@ def config_from_json(obj) -> SuiteConfig:
     try:
         models = tuple(model_spec_from_json(m) for m in obj["models"])
         suites = tuple(obj["suites"])
-        tol, kmax = float(obj.get("tol", DEFAULT_TOL)), int(obj.get("kmax", 64))
-        seed = int(obj.get("seed", 0))
+        tol = float(obj.get("tol", DEFAULT_TOL))  # the report writes it as a float
     except KeyError as exc:
         raise ConfigError(f"config is missing field {exc.args[0]!r}") from exc
     except ParseError as exc:
         raise ConfigError(str(exc)) from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config field is malformed: {exc}") from exc
-    return SuiteConfig(
-        models=models, suites=suites, tol=tol, kmax=kmax, seed=seed, output=obj.get("output")
+    return SuiteConfig(  # kmax and seed pass SuiteConfig's doors as they are
+        models=models, suites=suites, tol=tol, kmax=obj.get("kmax", 64), seed=obj.get("seed", 0),
+        output=obj.get("output"),
     )
 
 

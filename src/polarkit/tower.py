@@ -69,19 +69,20 @@ from .algebra import (
     _refine,
     _value_classes,
 )
-from .errors import HypothesisViolated, InvalidSpec, ModelMismatch
+from .errors import HypothesisViolated, ModelMismatch
 from .isometry import partial_isometry_report
 from .linalg import (
     DEFAULT_TOL,
     _block_norms,
     _bordered,
+    _count,
     _finite,
     _gather_blocks,
     _gram_defects,
-    _norm_bounds,
     _norm_f,
     _push,
     _runs,
+    _split_norm_bound,
     _tolerance,
     as_matrix,
     dagger,
@@ -425,7 +426,7 @@ def _first_facts(first, block, image, idx) -> tuple:
     for X = D^k* L_k, and Y + Y* for Y = D^k L_k*, the adjoint of L_k D^k*."""
     own, first, block, image = np.arange(len(block)), first[None], block[None], image[None]
     pairs = (_push(dagger(block), own, image, first, idx), _push(block, image, own, dagger(first), idx))
-    return (float(_norm_bounds(first)[0]), *(float(_norm_f(x + dagger(x))[0]) for x in pairs))
+    return (_split_norm_bound(first[0]), *(float(_norm_f(x + dagger(x))[0]) for x in pairs))
 
 
 class _AtomFrame:
@@ -599,7 +600,7 @@ class _AtomFrame:
         formed only when R != 0) and M_k = W M_(k-1) + R L_(k-1), M_1 = 0: L_k, the
         first order, is exact and stays bounded where R only turns the
         basis (L_k = D^k A - A D^k), and ||M_k|| <= m_k = ||W|| m_(k-1) +
-        l_1 l_(k-1), l_k >= ||L_k|| (:func:`linalg._norm_bounds`), so
+        l_1 l_(k-1), l_k >= ||L_k|| (:func:`linalg._split_norm_bound`), so
         tau_k = l_k + m_k.  On a certified frame, the only kind whose p and
         q are read, delta is a partial injection and Q_k = D^k* D^k + F_k +
         G_k: D^k* D^k is block diagonal, F_k = D^k* L_k + L_k* D^k is formed
@@ -873,8 +874,7 @@ def power_isometry_check(v, kmax: int, tol: float = DEFAULT_TOL) -> PowerIsometr
     characterization, for k = 1..kmax, on the atoms of C*(1)'s double
     closure under v (:func:`_power_facts`) against ``tol * (1 + ||v||^2)^2``.
     When that closure is not certified, both fail with its defect."""
-    if kmax < 1:
-        raise InvalidSpec("kmax must be at least 1")
+    kmax = _count(kmax, "kmax", 1)
     return _power_isometry(_unit_closure(_free_pair(v), tol), kmax, tol)
 
 
@@ -916,8 +916,7 @@ def commuting_projection_properties(
     1 <= k <= l, and that {v^k v*^k} is a commuting decreasing projection
     family, all on that closure's atoms, as in :func:`power_isometry_check`.
     """
-    if kmax < 1:
-        raise InvalidSpec("kmax must be at least 1")
+    kmax = _count(kmax, "kmax", 1)
     return _commuting_projections(_unit_closure(_free_pair(v), tol), kmax, tol)
 
 

@@ -36,6 +36,14 @@ dense one by more than 1e-12, so no check passes that failed with the
 dense kernels.  A check that sums several ties can fail where it passed,
 when its dense residual lay within the bounds' looseness (at most about
 1.5) of its threshold.
+
+The powers bound their first order L_k by ``linalg._split_norm_bound``,
+O(n^2) per power; ``ref_first_facts`` keeps the bound ||L_k* L_k||_F^(1/2)
+it replaced, which took one n x n product per power.  Every L_k the
+suites form must have the new bound between that bound and ||L_k||_F,
+and that bound at least ||L_k||, and the verdicts must not move, crowded
+draws included: ``||L_k||_F`` alone moved checks near their threshold
+there (``FIRST_ORDER_FLIPS``).
 """
 
 import dataclasses
@@ -51,7 +59,7 @@ import polarkit.algebra as algebra
 import polarkit.relation as relation
 import polarkit.tower as tower
 from polarkit.errors import NotHermitian
-from polarkit.linalg import dagger
+from polarkit.linalg import _norm_f, _push, dagger
 from polarkit.relation import Analysis
 
 from conftest import empty_slot, zoo_specs
@@ -243,6 +251,18 @@ def ref_frame_powers(frame, depth):
         frame._powers = (images, ties, p, q)
     images, ties, p, q = frame._powers
     return images[:depth], ties[:depth], *(tuple(x[:depth] for x in pq) for pq in (p, q))
+
+
+def ref_first_facts(first, block, image, idx) -> tuple:
+    """``tower._first_facts`` with l_k = ||L_k* L_k||_F^(1/2), the bound it
+    took before ``linalg._split_norm_bound``: one n x n product per power,
+    taken of L_k over its Frobenius norm so that nothing underflows."""
+    own, first, block, image = np.arange(len(block)), first[None], block[None], image[None]
+    pairs = (_push(dagger(block), own, image, first, idx), _push(block, image, own, dagger(first), idx))
+    scale = float(_norm_f(first)[0])
+    unit = first / scale if scale else first
+    return (scale * float(np.sqrt(_norm_f(dagger(unit) @ unit)[0])),
+            *(float(_norm_f(x + dagger(x))[0]) for x in pairs))
 
 
 def ref_span_basis(frame, values, ties):
@@ -852,3 +872,59 @@ def test_class_bases_are_built_once_per_class_array(monkeypatch):
         pk.verify_I1(an), pk.theorem22_report(an), pk.coefficient_algebra(an)
         assert len(built) == len(set(built)) == len(an.frame._bases), (family, n)
         assert all(not basis.flags.writeable for basis in an.frame._bases.values())
+
+
+def first_orders(a):
+    """``(verdicts, oracle verdicts, bounds)``: the ``suite_checks`` verdicts
+    on ``a``, the same with ``ref_first_facts`` patched in, and
+    ``(l_k, ||L_k* L_k||_F^(1/2), ||L_k||, ||L_k||_F)`` for every L_k that
+    the frames' powers form on the way, ||L_k|| by SVD."""
+    bounds = []
+
+    def recording(first, block, image, idx, _orig=tower._first_facts):
+        facts = _orig(first, block, image, idx)
+        bounds.append((facts[0], ref_first_facts(first, block, image, idx)[0], ref_norm(first),
+                       float(_norm_f(first))))
+        return facts
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tower, "_first_facts", ref_first_facts)
+        want = suite_checks(a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tower, "_first_facts", recording)
+        got = suite_checks(a)
+    for new, old, norm, fro in bounds:  # relative: each L_k here is far below LOOSE
+        assert fro * (1.0 + LOOSE) >= new >= old * (1.0 - LOOSE), (fro, new, old)
+        assert old >= norm * (1.0 - LOOSE), (old, norm)
+    verdicts = [{key: check[0] for key, check in checks.items()} for checks in (got, want)]
+    return *verdicts, bounds
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=st.builds(conjugated, st.sampled_from(["osc", "shift"]), st.integers(2, 24),
+                   st.integers(0, 2**16)))
+def test_first_order_bound_keeps_the_verdicts_of_its_oracle(a):
+    # l_k was ||L_k* L_k||_F^(1/2), one n x n product per power; it is that
+    # bound with the part of L_k off its heaviest rows taken at its
+    # Frobenius norm: never below it, never above ||L_k||_F
+    got, want, _ = first_orders(a)
+    assert got == want
+
+
+# Haar-conjugated q-oscillators whose |a| crowds (rounding_scale 4.7e-9),
+# on which ||L_k||_F alone, up to 1.5 times the product bound, failed
+# checks that the product bound passed: tower minimality and
+# top_layer_ideal at seed 0, and minimality and layer_products at seed 6,
+# which passed every check.
+FIRST_ORDER_FLIPS = [("osc", 20, 0), ("osc", 20, 6)]
+FIRST_ORDER_CASES = {
+    **{f"haar-{family}-{n}-{seed}": lambda args=(family, n, seed): conjugated(*args)
+       for family, n, seed in CROWDED_CASES + FIRST_ORDER_FLIPS},
+    "osc-64": lambda: pk.build(pk.q_oscillator(64, 1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_ORDER_CASES))
+def test_first_order_bound_keeps_the_verdicts_where_it_forms(case):
+    got, want, bounds = first_orders(FIRST_ORDER_CASES[case]())
+    assert bounds and got == want

@@ -334,8 +334,8 @@ def test_degrees_are_integers_given_once(model):
 
 
 def test_negative_sizes_are_rejected(model, rng):
-    with pytest.raises(ValueError, match="bandwidth must be nonnegative"):
+    with pytest.raises(ValueError, match="bandwidth must be at least 0"):
         pk.random_element(model, rng, bandwidth=-1)
-    with pytest.raises(ValueError, match="samples must be nonnegative"):
+    with pytest.raises(ValueError, match="samples must be at least 0"):
         pk.check_property_star(model, samples=-3)
     assert list(pk.random_element(model, rng, bandwidth=0).coefficients) == [0]

@@ -6,7 +6,8 @@ every residual of ``theorem22_report`` and every tower, theorem and
 structure residual of ``coefficient_algebra``, each view on a fresh
 matrix as the benchmark's ladder calls it, written by ``float.hex``.  A
 change that claims the same residuals to the bit keeps this file; one
-that moves a residual on purpose rewrites it and says why:
+that moves a residual on purpose rewrites it, which prints each pin that
+changes, and says why:
 
     PYTHONPATH=src python tests/test_ladder_pins.py
 """
@@ -56,7 +57,19 @@ def test_ladder_residuals_keep_their_bits(pins, family, n):
 
 
 def main() -> int:
+    """Rewrite the pins, printing each one that changes: family, rung,
+    view, check, old -> new and new / old."""
+    old = json.loads(PINS.read_text(encoding="utf-8"))
     pins = {fam: {str(n): ladder_residuals(fam, n) for n in RUNGS} for fam in sorted(FAMILIES)}
+    for fam, rungs in pins.items():
+        for n, views in rungs.items():
+            for view, checks in views.items():
+                for check, new in checks.items():
+                    was = old.get(fam, {}).get(n, {}).get(view, {}).get(check)
+                    if was != new:
+                        a, b = (float.fromhex(x) if x else float("nan") for x in (was, new))
+                        ratio = b / a if a else float("inf")
+                        print(f"{fam} {n} {view} {check}: {a!r} -> {b!r} ({ratio:.4f}x)")
     PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 

@@ -214,12 +214,12 @@ def test_a_malformed_matrix_is_an_invalid_spec_at_every_export(name, m):
     "call, message",
     (
         (lambda: pk.norm_estimate(pk.random_element(_model(), np.random.default_rng(0), 1), 0),
-         "kmax must be at least 1"),
-        (lambda: pk.power_isometry_check(np.eye(2), 0), "kmax must be at least 1"),
-        (lambda: pk.commuting_projection_properties(np.eye(2), 0), "kmax must be at least 1"),
+         "kmax must be at least 1, got 0"),
+        (lambda: pk.power_isometry_check(np.eye(2), 0), "kmax must be at least 1, got 0"),
+        (lambda: pk.commuting_projection_properties(np.eye(2), 0), "kmax must be at least 1, got 0"),
         (lambda: pk.random_element(_model(), np.random.default_rng(0), bandwidth=-1),
-         "bandwidth must be nonnegative, got -1"),
-        (lambda: pk.check_property_star(_model(), samples=-3), "samples must be nonnegative, got -3"),
+         "bandwidth must be at least 0, got -1"),
+        (lambda: pk.check_property_star(_model(), samples=-3), "samples must be at least 0, got -3"),
         (lambda: pk.commutant([]), "commutant needs at least one matrix"),
         (lambda: pk.sum_norm_inequalities([]), "need at least one matrix"),
     ),
@@ -275,11 +275,11 @@ TAKES_A_TOL = {
 }
 
 
-def _takes_a_tol(obj) -> bool:
+def _parameters(obj) -> tuple[str, ...]:
     try:
-        return "tol" in inspect.signature(obj).parameters
+        return tuple(inspect.signature(obj).parameters)
     except (TypeError, ValueError):  # not a callable, or one without a signature
-        return False
+        return ()
 
 
 def test_every_export_that_takes_a_tol_is_in_the_tol_table():
@@ -287,7 +287,7 @@ def test_every_export_that_takes_a_tol_is_in_the_tol_table():
     objects = {name: getattr(pk, name) for name in exported()}
     taking = {
         name for name, obj in objects.items()
-        if _takes_a_tol(obj) and not dataclasses.is_dataclass(obj)
+        if "tol" in _parameters(obj) and not dataclasses.is_dataclass(obj)
     }
     assert sorted(taking) == sorted(TAKES_A_TOL)
 
@@ -297,7 +297,8 @@ def test_every_export_takes_its_inputs_at_the_default_tol(name):
     TAKES_A_TOL[name](pk.DEFAULT_TOL)
 
 
-@pytest.mark.parametrize("tol", (0.0, -1e-9, float("nan"), float("inf")), ids=str)
+@pytest.mark.parametrize("tol", (0.0, -1e-9, float("nan"), float("inf"), "1e-9", None, [1e-9]),
+                         ids=str)
 @pytest.mark.parametrize("name", sorted(TAKES_A_TOL))
 def test_a_tol_outside_zero_to_inf_is_an_invalid_spec_at_every_export(name, tol):
     # at tol = inf partial_isometry_report, is_function_of, power_isometry_check
@@ -307,3 +308,70 @@ def test_a_tol_outside_zero_to_inf_is_an_invalid_spec_at_every_export(name, tol)
     with pytest.raises(pk.InvalidSpec) as err:
         TAKES_A_TOL[name](tol)
     assert str(err.value) == f"tol must be positive and finite, got {tol!r}"
+
+
+# -- one door for a count ----------------------------------------------------
+
+COUNTS = {"kmax": 1, "bandwidth": 0, "samples": 0}
+
+# every export that takes a count, as "export:parameter", called with that
+# count and inputs that are valid at its least
+TAKES_A_COUNT = {
+    "check_property_star:bandwidth": lambda k: pk.check_property_star(_model(), 2, bandwidth=k),
+    "check_property_star:samples": lambda k: pk.check_property_star(_model(), samples=k),
+    "commuting_projection_properties:kmax": lambda k: pk.commuting_projection_properties(_u(), k),
+    "norm_estimate:kmax": lambda k: pk.norm_estimate(
+        pk.random_element(_model(), np.random.default_rng(0), 1), kmax=k),
+    "power_isometry_check:kmax": lambda k: pk.power_isometry_check(_u(), k),
+    "random_element:bandwidth": lambda k: pk.random_element(
+        _model(), np.random.default_rng(0), bandwidth=k),
+}
+
+
+def test_every_export_that_takes_a_count_is_in_the_count_table():
+    # a record type (SuiteConfig) checks its own fields, with a ConfigError
+    objects = {name: getattr(pk, name) for name in exported()}
+    taking = {
+        f"{name}:{param}" for name, obj in objects.items() if not dataclasses.is_dataclass(obj)
+        for param in _parameters(obj) if param in COUNTS
+    }
+    assert sorted(taking) == sorted(TAKES_A_COUNT)
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_A_COUNT))
+def test_every_export_takes_its_least_count(name):
+    TAKES_A_COUNT[name](COUNTS[name.split(":")[1]])
+
+
+@pytest.mark.parametrize("value", ("3", 2.5, None, "least - 1"), ids=str)
+@pytest.mark.parametrize("name", sorted(TAKES_A_COUNT))
+def test_a_count_that_is_not_an_integer_from_its_least_is_an_invalid_spec(name, value):
+    # "3", None and a kmax of 2.5 at power_isometry_check were a bare TypeError,
+    # and norm_estimate ran at kmax = 2.5
+    param = name.split(":")[1]
+    if value == "least - 1":
+        value = COUNTS[param] - 1
+    with pytest.raises(pk.InvalidSpec, match=f"^{param} must be "):
+        TAKES_A_COUNT[name](value)
+
+
+@pytest.mark.parametrize(
+    "field, value", (("tol", "x"), ("tol", None), ("kmax", 2.5), ("kmax", "3"), ("seed", None),
+                     ("seed", 1.5)),
+    ids=str,
+)
+def test_suite_config_reads_its_scalars_through_the_doors(field, value):
+    # tol = "x" and seed = None were a bare TypeError, kmax = 2.5 was accepted
+    spec = pk.weighted_shift((1.0, np.sqrt(2.0)))
+    with pytest.raises(pk.ConfigError, match=f"^{field} must be "):
+        pk.SuiteConfig(models=(spec,), suites=("polar",), **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value", (("kmax", 2.5), ("kmax", "3"), ("seed", 1.5), ("seed", "3")), ids=str
+)
+def test_a_json_config_reads_its_counts_through_the_doors(field, value):
+    # config_from_json read them by int(...): a kmax of 2.5 ran at 2, a seed of "3" at 3
+    spec = pk.model_spec_to_json(pk.weighted_shift((1.0, np.sqrt(2.0))))
+    with pytest.raises(pk.ConfigError, match=f"^{field} must be "):
+        pk.config_from_json({"models": [spec], "suites": ["polar"], field: value})

@@ -47,7 +47,7 @@ def test_config_validation():
         small_config(tol=-1.0)
     with pytest.raises(pk.ConfigError):
         small_config(kmax=0)
-    with pytest.raises(pk.ConfigError, match="seed must be non-negative"):
+    with pytest.raises(pk.ConfigError, match="seed must be at least 0"):
         small_config(seed=-1)
     with pytest.raises(pk.ConfigError):
         small_config(models=[])
