@@ -39,6 +39,7 @@ import numpy as np
 from .errors import InvalidSpec, NotHermitian
 from .linalg import (
     DEFAULT_TOL,
+    LIMITS,
     _finite,
     _operator_norms,
     _tolerance,
@@ -47,12 +48,6 @@ from .linalg import (
     hermitian_eig,
     operator_norm,
 )
-
-# Size below which a direction of a spanning set counts as already in its
-# span: a singular value of the set, relative to the largest one when that
-# exceeds 1.
-DROP_THRESHOLD = 1e-10
-
 
 @dataclass(frozen=True)
 class MatrixAlgebra:
@@ -151,7 +146,7 @@ def spectral_algebra(h, tol: float = DEFAULT_TOL) -> SpectralAlgebra:
     """C*(1, h) for Hermitian h, built from eigenprojections.
 
     Conditioned by the eigenvalue gaps instead of a Vandermonde system:
-    eigenvalues closer than ``tol * (1 + ||h||)`` are merged into one
+    eigenvalues closer than the gap rule at ||h|| are merged into one
     atom.  An h with a NaN or infinite entry is an :class:`InvalidSpec`.
     """
     w, v = hermitian_eig(_finite(as_matrix(h), "h"), tol)
@@ -164,7 +159,7 @@ def commutant(a, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     Computed as the null space of the stacked linear map X -> [X, G]: with
     row-major vec, vec(XG - GX) = (kron(I, G^T) - kron(G, I)) vec(X).  The
     null directions are the right singular vectors with singular value at
-    most ``tol * (1 + s_max)``; because no squaring happens, the noise floor
+    most the gap rule at s_max; because no squaring happens, the noise floor
     sits at machine precision, far below any honest tolerance.  The input
     list is closed under adjoints first so the result is a *-algebra.  An
     algebra stored by its atoms enters as the rows P_x / sqrt(rank P_x).
@@ -191,7 +186,7 @@ def commutant(a, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     stacked = np.vstack(blocks)
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     smax = float(s[0]) if s.size else 0.0
-    cut = tol * (1.0 + smax)
+    cut = LIMITS["gap"](tol, smax)
     null = [vh[i] for i in range(vh.shape[0]) if i >= s.size or s[i] <= cut]
     basis = np.array([row.reshape(n, n) for row in null])
     return MatrixAlgebra(dim=n, basis=basis)
@@ -245,12 +240,13 @@ def _block_constant_defect(rot: np.ndarray, labels: np.ndarray, ranges):
 def is_function_of(b, a, tol: float = DEFAULT_TOL) -> FunctionCertificate:
     """Decide whether b = f(a) for some function f on the spectrum of a.
 
-    ``a`` must be Hermitian within tol; ``b`` Hermitian or normal within
-    tol (:class:`NotHermitian` otherwise).  Eigenvalues of a are grouped at
-    ``tol * (1 + ||a||)``; b qualifies when, in the eigenbasis of a, it is
+    ``a`` must be Hermitian, within the operator rule at ||a||, and ``b``
+    normal, its self-commutator within the square rule at ||b||
+    (:class:`NotHermitian` otherwise).  Eigenvalues of a are grouped at
+    the gap rule at ||a||; b qualifies when, in the eigenbasis of a, it is
     block diagonal and scalar on every group.  The residual is the operator
-    norm of the defect from that shape, and membership requires
-    ``residual <= tol * (1 + ||b||)``.
+    norm of the defect from that shape, passed at the operator rule at
+    ||b|| (``linalg.LIMITS``).
 
     This is exactly membership in C*(1, a), but conditioned by b itself
     rather than by a Vandermonde system in the eigenvalues of a.  A b or
@@ -258,12 +254,12 @@ def is_function_of(b, a, tol: float = DEFAULT_TOL) -> FunctionCertificate:
     """
     _tolerance(tol)
     bm = _finite(as_matrix(b), "b")
-    scale_b = _normal_scale(*_operator_norms([bm @ dagger(bm) - dagger(bm) @ bm, bm]), tol)
+    limit = _normal_limit(*_operator_norms([bm @ dagger(bm) - dagger(bm) @ bm, bm]), tol)
     w, v = hermitian_eig(_finite(as_matrix(a), "a"), tol)
     groups = _eigenspaces(w, tol)
     resid, values, means = _group_defect(bm, w, v, groups)
     defect = operator_norm(resid)
-    exists = defect <= tol * scale_b
+    exists = defect <= limit
     table = tuple((float(mean), complex(val)) for mean, val in zip(means, values))
     worst = None if exists else _worst_group(resid, groups, means)
     return FunctionCertificate(exists=exists, residual=defect, table=table, worst_eigenvalue=worst)
@@ -284,21 +280,20 @@ def _worst_group(resid: np.ndarray, groups, means: np.ndarray) -> float:
     return float(means[int(np.argmax(rows))])
 
 
-def _normal_scale(comm: float, norm: float, tol: float) -> float:
-    """1 + ||b|| from b's self-commutator norm and ||b||, once they pass
-    the normality test of :func:`is_function_of`."""
-    scale_b = 1.0 + float(norm)
-    if comm > tol * scale_b * scale_b:
+def _normal_limit(comm: float, norm: float, tol: float) -> float:
+    """The operator rule at ||b|| from b's self-commutator norm and ||b||,
+    once they pass the normality test of :func:`is_function_of`."""
+    if comm > LIMITS["square"](tol, float(norm)):
         raise NotHermitian(f"b is neither Hermitian nor normal (self-commutator {comm:.3e})")
-    return scale_b
+    return LIMITS["operator"](tol, float(norm))
 
 
 def _value_classes(values: np.ndarray, tol: float, *more: np.ndarray) -> np.ndarray:
     """The atoms of the algebra that vectors over X generate: the classes
-    of atoms on which every row takes one value, within
-    ``tol * (1 + max |row|)``.  The rows are those of ``values`` and of
-    ``more``, stacks of vectors over X read in place: their real parts in
-    order, then their imaginary parts (a real row of zeros splits none)."""
+    of atoms on which every row takes one value, within the gap rule at
+    max |row|.  The rows are those of ``values`` and of ``more``, stacks of
+    vectors over X read in place: their real parts in order, then their
+    imaginary parts (a real row of zeros splits none)."""
     stacks = (values, *more)
     parts = [x.real for x in stacks] + [x.imag for x in stacks if np.iscomplexobj(x)]
     cls = np.zeros(values.shape[-1], dtype=int)
@@ -306,7 +301,7 @@ def _value_classes(values: np.ndarray, tol: float, *more: np.ndarray) -> np.ndar
         if cls.max() == cls.size - 1:
             break
         order = np.lexsort((row, cls))
-        gap = tol * (1.0 + np.abs(row).max())
+        gap = LIMITS["gap"](tol, np.abs(row).max())
         ordered, cls_ordered = row[order], cls[order]
         split = (cls_ordered[1:] != cls_ordered[:-1]) | (ordered[1:] - ordered[:-1] > gap)
         cls[order] = np.cumsum(np.concatenate(([0], split)))

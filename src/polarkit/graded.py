@@ -21,8 +21,8 @@ Every term of a product is then a gather through a power of delta or
 delta_* and an elementwise product, and P_d a mask; a term is dropped
 only where its P_d is zero.  The gathers are the frame's
 (``tower._AtomFrame.gathers``, the tower's own frame for a model over a
-double closure), checked once to be 0/1 maps tied to U within
-``tol * (1 + ||U||^2)^2``; a coefficient algebra that is not stored by
+double closure), checked once to be 0/1 maps tied to U within the frame
+rule (``linalg.LIMITS``); a coefficient algebra that is not stored by
 its atoms, or that delta or delta_* does not map into itself, is a
 :class:`ModelMismatch`.  Reading those atom values is also the one
 membership check of a coefficient.
@@ -73,7 +73,10 @@ import numpy as np
 from .algebra import SpectralAlgebra, _block_constant_defect
 from .errors import BandwidthOverflow, InvalidSpec, ModelMismatch, SupportViolation, ZeroElement
 from .linalg import (
+    COEFF_DROP,
     DEFAULT_TOL,
+    LIMITS,
+    ZERO_NORM,
     _count,
     _finite,
     _operator_norms,
@@ -83,11 +86,6 @@ from .linalg import (
     operator_norm,
 )
 from .tower import _BLOCK, EndoPair, _AtomFrame, _commutativity_defect, endo_pair
-
-# Coefficients with norm at or below this (relative to the element's scale)
-# are dropped during multiplication; keeps nilpotent truncation exact
-# without carrying exact-zero bands around.
-COEFF_DROP = 1e-14
 
 # Cap on the coefficient slots a norm estimate may touch:
 # 4 * kmax * bandwidth must stay at or under this.
@@ -169,7 +167,7 @@ class GradedModel:
         """The frame, once delta and delta_* act on its atoms as 0/1 maps."""
         for direction, name in (("forward", "delta"), ("star", "delta_*")):
             defect = self._frame.injection(direction)[2]
-            if not defect <= self.tol * self._frame.scale:
+            if not defect <= LIMITS["frame"](self.tol, self._frame.pair.norm):
                 raise ModelMismatch(
                     f"{name} does not map the coefficient algebra into itself "
                     f"(invariance defect {defect:.3e})"
@@ -185,7 +183,7 @@ class GradedModel:
         (:class:`SupportViolation`), unless ``enforce_support`` projects them
         onto that support first.  The element keeps the atom values the
         membership check read, so its coefficients are their lift, within
-        ``tol * (1 + ||beta_d||)`` of the caller's.
+        the operator rule at ||beta_d|| of the caller's.
         """
         degrees, mats = [], []
         unreadable = None
@@ -224,21 +222,21 @@ class GradedModel:
         """Atom values (k, atoms) of a (k, n, n) stack of coefficients with
         operator norms ``norms``, read from one stacked rotation V* beta V.
 
-        A coefficient whose rotation is further than ``tol * (1 + ||beta||)``
-        from its atom values is not in the coefficient algebra, and is a
-        :class:`ModelMismatch` naming its entry of ``degrees``.
+        A coefficient whose rotation is further than the operator rule at
+        ||beta|| from its atom values is not in the coefficient algebra,
+        and is a :class:`ModelMismatch` naming its entry of ``degrees``.
         """
         alg = self.algebra
         rot = alg._vh @ mats @ alg.v
         defect, values = _block_constant_defect(rot, alg.labels, alg._ranges)
         # the largest atom value is at most ||beta||, so a Frobenius norm
-        # under tol * (1 + that value) clears a coefficient; the operator
-        # norms are taken only for the rest
+        # under the operator rule at that value clears a coefficient; the
+        # operator norms are taken only for the rest
         frobenius = np.linalg.norm(defect, axis=(1, 2))
         peak = np.abs(values).max(axis=1, initial=0.0)
-        rest = np.flatnonzero(~(frobenius <= self.tol * (1.0 + peak)))
+        rest = np.flatnonzero(~(frobenius <= LIMITS["operator"](self.tol, peak)))
         res = _operator_norms(defect[rest])
-        bad = np.flatnonzero(~(res <= self.tol * (1.0 + norms[rest])))
+        bad = np.flatnonzero(~(res <= LIMITS["operator"](self.tol, norms[rest])))
         if bad.size:
             raise ModelMismatch(
                 f"degree-{degrees[rest[bad[0]]]} coefficient is not in the coefficient "
@@ -296,16 +294,16 @@ def _check_support(model: GradedModel, degrees: np.ndarray, mats: np.ndarray, no
     ``norms`` are the stack's degrees and operator norms in order.
 
     A degree whose leaks P c - c and c P - c both have Frobenius norm at
-    most ``tol * (1 + ||c||)`` passes without an SVD: the Frobenius norm
-    bounds the operator norm, so only the degrees this cannot clear go to
-    the exact check, and no verdict changes."""
+    most the operator rule at ||c|| passes without an SVD: the Frobenius
+    norm bounds the operator norm, so only the degrees this cannot clear
+    go to the exact check, and no verdict changes."""
     nonzero = np.flatnonzero(degrees != 0)
     if not nonzero.size:
         return
     cs = mats[nonzero]
     ps = np.array([model.range_projection(abs(d)) for d in degrees[nonzero].tolist()])
     left, right = ps @ cs - cs, cs @ ps - cs
-    limit = model.tol * (1.0 + norms[nonzero])
+    limit = LIMITS["operator"](model.tol, norms[nonzero])
     upper = np.maximum(np.linalg.norm(left, axis=(1, 2)), np.linalg.norm(right, axis=(1, 2)))
     rest = np.flatnonzero(~(upper <= limit))
     if not rest.size:
@@ -569,10 +567,11 @@ def check_property_star(
     rng: np.random.Generator | None = None,
 ) -> PropertyStarReport:
     """Sample random graded elements and test the coefficient bounds
-    ||b|| >= ||beta_0|| and ||b|| >= max_d ||beta_d||, within tol.  The
-    samples are drawn, realized and normed as one stack each (the same
-    draws as ``samples`` calls of :func:`random_element`), and the
-    coefficient norms are read from their atom values."""
+    ||b|| >= ||beta_0|| and ||b|| >= max_d ||beta_d||, within the operator
+    rule at ||b||.  The samples are drawn, realized and normed as one
+    stack each (the same draws as ``samples`` calls of
+    :func:`random_element`), and the coefficient norms are read from their
+    atom values."""
     _tolerance(tol)
     if _count(samples, "samples", 0) == 0:
         return PropertyStarReport(0, 0.0, 0.0, 0, True)
@@ -583,7 +582,7 @@ def check_property_star(
     size = np.abs(values)
     center = nb - size[:, degrees == 0].max(axis=(1, 2), initial=0.0)
     any_margin = nb - size.max(axis=(1, 2), initial=0.0)
-    limit = -tol * (1.0 + nb)
+    limit = -LIMITS["operator"](tol, nb)
     violations = int(np.count_nonzero((center < limit) | (any_margin < limit)))
     return PropertyStarReport(
         samples=samples,
@@ -610,10 +609,10 @@ def sum_norm_inequalities(ds, tol: float = DEFAULT_TOL) -> SumNormReport:
         ||Sum sqrt(d_i d_i*)||^2 >= (1/m) ||Sum d_i d_i*||
 
     Margins are reported as (bound side) - (bounded side), so all four
-    should come out nonnegative up to round-off.  A matrix that is not
-    square, not finite or not the size of the first is an
-    :class:`InvalidSpec`, naming it in the last two cases.  This is
-    :func:`_sum_norms` on one trial.
+    should come out nonnegative up to round-off: each passes down to minus
+    the sum rule at m and max_i ||d_i||.  A matrix that is not square, not
+    finite or not the size of the first is an :class:`InvalidSpec`, naming
+    it in the last two cases.  This is :func:`_sum_norms` on one trial.
     """
     _tolerance(tol)
     mats = []
@@ -661,8 +660,7 @@ def _sum_norms(trials: list, tol: float) -> list[SumNormReport]:
             "abs_sum_vs_left_gram": abs_left**2 - left / m,
             "abs_sum_vs_right_gram": abs_right**2 - right / m,
         }
-        scale = 1.0 + float(top) * float(top)
-        passed = all(v >= -tol * m * scale for v in margins.values())
+        passed = all(v >= -LIMITS["sum"](tol, m, float(top)) for v in margins.values())
         reports.append(SumNormReport(count=m, margins=margins, passed=passed))
     return reports
 
@@ -686,14 +684,14 @@ class NormEstimate:
         return float((4 * k * self.bandwidth + 1) ** (1.0 / (4 * k)) * s_k)
 
     def envelope(self, tol: float) -> tuple[bool, float]:
-        """Whether every bracket holds the dense norm ||b|| within
-        ``tol * (1 + ||b||)``, and the worst overshoot, the largest of 0
+        """Whether every bracket holds the dense norm ||b|| within the
+        operator rule at ||b||, and the worst overshoot, the largest of 0
         and s_k - ||b||, ||b|| - upper_k over the recorded k."""
         dense = self.dense_norm
         worst = 0.0
         for k, s_k in self.estimates:
             worst = max(worst, s_k - dense, dense - self.upper_bound(k, s_k))
-        return worst <= tol * (1.0 + dense), worst
+        return worst <= LIMITS["operator"](tol, dense), worst
 
 
 def norm_estimate(g: GradedElement, kmax: int = 64) -> NormEstimate:
@@ -722,7 +720,7 @@ def norm_estimate(g: GradedElement, kmax: int = 64) -> NormEstimate:
     # test stays, because degrees can cancel on a cycle
     coeff_scale = float(np.abs(values).max(initial=0.0))
     t = operator_norm(realize(g))  # the dense norm, and the scale of g
-    if t <= 1e-14 * coeff_scale or coeff_scale == 0.0:
+    if t <= ZERO_NORM * coeff_scale or coeff_scale == 0.0:
         raise ZeroElement("norm estimate of the zero element is undefined")
     if not _nilpotent(g.model):
         raise ModelMismatch(

@@ -12,9 +12,9 @@ failure lives:
   triple_product      u u* u = u and u* u u* = u*
 
 The residuals are not normalized against each other (u = 2 produces 3, 3,
-12, 12, 6), only the pass thresholds share a scale.  The same conditions
-on every power of u, and the projection lattice of those powers, are read
-on atoms in ``tower`` (``power_isometry_check``).
+12, 12, 6), only the pass thresholds share one rule, the frame rule.  The
+same conditions on every power of u, and the projection lattice of those
+powers, are read on atoms in ``tower`` (``power_isometry_check``).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .linalg import (DEFAULT_TOL, _check_hermitian, _finite, _operator_norms, _tolerance,
-                     as_matrix, dagger)
+from .linalg import (DEFAULT_TOL, LIMITS, _check_hermitian, _finite, _operator_norms,
+                     _tolerance, as_matrix, dagger)
 
 CONDITIONS = (
     "spec_initial", "spec_final", "idempotent_initial", "idempotent_final", "triple_product"
@@ -41,7 +41,7 @@ class ConditionCheck:
 
 @dataclass(frozen=True)
 class PartialIsometryReport:
-    """The five conditions, and ||u||, the scale of their thresholds."""
+    """The five conditions, and ||u||, the norm their threshold reads."""
 
     conditions: tuple[ConditionCheck, ...]
     passed: bool
@@ -59,15 +59,13 @@ class PartialIsometryReport:
 def partial_isometry_report(u, tol: float = DEFAULT_TOL) -> PartialIsometryReport:
     """Evaluate all five characterizations on u.
 
-    Each condition passes when its residual is at most
-    ``tol * (1 + ||u||^2)^2`` (one shared scale, quartic because the
-    idempotency checks are degree four in u, squared by multiplication,
-    which rounds the same under every libm).  Every norm the conditions
-    read is one stack, and both spectra are one stacked ``eigvalsh`` of
-    the symmetrized u*u and uu* (no eigenvectors are read), after the
-    Hermiticity test that :func:`linalg.hermitian_eig` makes
-    (:class:`NotHermitian`).  A u with a NaN or infinite entry, or of
-    size 0 x 0, is an :class:`InvalidSpec`.
+    Each condition passes when its residual is at most the frame rule at
+    ||u|| (``linalg.LIMITS``; quartic because the idempotency checks are
+    degree four in u).  Every norm the conditions read is one stack, and
+    both spectra are one stacked ``eigvalsh`` of the symmetrized u*u and
+    uu* (no eigenvectors are read), after the Hermiticity test that
+    :func:`linalg.hermitian_eig` makes (:class:`NotHermitian`).  A u with
+    a NaN or infinite entry, or of size 0 x 0, is an :class:`InvalidSpec`.
     """
     _tolerance(tol)
     um = _finite(as_matrix(u), "u")
@@ -84,10 +82,10 @@ def partial_isometry_report(u, tol: float = DEFAULT_TOL) -> PartialIsometryRepor
     pair = np.array([q, p])
     w = np.linalg.eigvalsh((pair + dagger(pair)) / 2.0)
     spectra = np.minimum(np.abs(w), np.abs(w - 1.0)).max(axis=1)
-    s = 1.0 + norms[0] * norms[0]
+    limit = LIMITS["frame"](tol, norms[0])
     residuals = (*spectra, norms[5], norms[6], max(norms[7], norms[8]))
     checks = tuple(
-        ConditionCheck(name=name, residual=float(res), passed=bool(res <= tol * (s * s)))
+        ConditionCheck(name=name, residual=float(res), passed=bool(res <= limit))
         for name, res in zip(CONDITIONS, residuals)
     )
     worst = max(c.residual for c in checks)

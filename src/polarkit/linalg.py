@@ -18,6 +18,7 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -25,20 +26,41 @@ from .errors import InvalidSpec, NotHermitian
 
 DEFAULT_TOL = 1e-9
 
+# The threshold policy.  tol is the one threshold a user sets; a check
+# passes its residual at LIMITS[rule](tol, *norms), tol times its rule's
+# scale, squares taken as products, which round alike under every libm.
+# The README's "Thresholds" section names the checks that read each rule.
+LIMITS = MappingProxyType({
+    "cutoff": lambda tol, s: tol * s,  # the singular values of a treated as 0, s = ||a||
+    "gap": lambda tol, x: tol * (1.0 + x),  # the gap that groups values up to x in size
+    "operator": lambda tol, x: tol * (1.0 + x),  # a residual of one operator x
+    "square": lambda tol, x: tol * ((1.0 + x) * (1.0 + x)),  # a residual of degree 2 in x
+    "frame": lambda tol, u: tol * ((1.0 + u * u) * (1.0 + u * u)),  # degree 4 in U
+    "word": lambda tol, a, length: tol * (1.0 + a) ** length,  # a word in a and a*
+    "sum": lambda tol, m, s: tol * m * (1.0 + s * s),  # sums of m matrices, s their top norm
+})
+# Fixed cut-offs, which tol does not scale.
+DROP_THRESHOLD = 1e-10  # a span direction already in the span: a singular value over max(1, s_1)
+COEFF_DROP = 1e-14  # a graded coefficient dropped (over its element's scale squared in products)
+ZERO_NORM = 1e-14  # a graded element is 0: its dense norm over its largest coefficient
+LEVEL_COLLISION = 1e-12  # two q_oscillator levels this close collide
+NORM_GAP = 0.05  # the norm formula's largest gap from the dense norm, relative to it
+
 
 def _tolerance(tol, name: str = "tol") -> float:
-    """tol if it is a real number in (0, inf), else an InvalidSpec naming
-    ``name``: the one tol check."""
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
+    """tol if it is a real number in (0, inf), not a bool, else an
+    InvalidSpec naming ``name``: the one tol check."""
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
         raise InvalidSpec(f"{name} must be positive and finite, got {tol!r}")
     return tol
 
 
 def _count(value, name: str, least: int) -> int:
-    """value as an int (by ``operator.index``) if it is at least ``least``,
-    else an InvalidSpec naming ``name``: the one check of a count."""
+    """value as an int (by ``operator.index``; a bool is refused) if it is
+    at least ``least``, else an InvalidSpec naming ``name``: the one check
+    of a count."""
     try:
-        count = operator.index(value)
+        count = operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
     if count < least:
@@ -105,7 +127,7 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL):
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and ``v`` unitary,
     columns being eigenvectors.  Raises :class:`NotHermitian` when the
-    Hermiticity defect exceeds ``tol * (1 + ||m||)``.  The input is
+    Hermiticity defect exceeds the operator rule at ||m||.  The input is
     symmetrized before calling LAPACK so the defect cannot leak into the
     eigenvectors.
     """
@@ -119,9 +141,8 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL):
 def _check_hermitian(defect: float, norm: float, tol: float) -> None:
     """The Hermiticity test of :func:`hermitian_eig`, on ||m - m*|| and ||m||
     already taken."""
-    scale = 1.0 + norm
-    if defect > tol * scale:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}")
+    if defect > LIMITS["operator"](tol, norm):
+        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e} * {1.0 + norm:.3e}")
 
 
 @dataclass(frozen=True)
@@ -148,8 +169,8 @@ class PolarDecomposition:
 def polar_decompose(a, tol: float = DEFAULT_TOL) -> PolarDecomposition:
     """Polar decomposition a = U |a| with the partial-isometry convention.
 
-    Computed via SVD: a = W diag(s) V*.  Singular values at or below
-    ``tol * max(s)`` are treated as exactly zero, so U annihilates the
+    Computed via SVD: a = W diag(s) V*.  Singular values at or below the
+    cutoff rule at max(s) are treated as exactly zero, so U annihilates the
     corresponding right singular vectors instead of acting unitarily there.
     ``|a| = V diag(s) V*`` keeps the small singular values (the positive
     factor does not need a rank decision).  A matrix with a NaN or
@@ -159,7 +180,7 @@ def polar_decompose(a, tol: float = DEFAULT_TOL) -> PolarDecomposition:
     m = _finite(as_matrix(a), "the matrix")
     w, s, vh = np.linalg.svd(m)
     smax = float(s[0]) if s.size else 0.0
-    cutoff = tol * smax
+    cutoff = LIMITS["cutoff"](tol, smax)
     keep = s > cutoff
     rank = int(np.count_nonzero(keep))
     u = (w[:, keep]) @ vh[keep, :]

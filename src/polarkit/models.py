@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpec, UnsupportedPhi
-from .linalg import as_matrix, dagger
+from .linalg import LEVEL_COLLISION, _count, as_matrix, dagger
 from .words import PhiMap
 
 KINDS = ("weighted_shift", "q_oscillator", "normal", "jordan_block", "custom")
@@ -47,22 +47,33 @@ class ModelSpec:
     matrix: object = None
 
 
+def _malformed(read, *args):
+    """read(*args), a TypeError, ValueError or OverflowError raised as an InvalidSpec."""
+    try:
+        return read(*args)
+    except InvalidSpec:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSpec(f"model spec is malformed: {exc}") from exc
+
+
 def weighted_shift(weights) -> ModelSpec:
-    w = tuple(float(x) for x in weights)
+    w = _malformed(lambda: tuple(float(x) for x in weights))
     return ModelSpec(kind="weighted_shift", dim=len(w) + 1, weights=w)
 
 
 def q_oscillator(dim: int, q: float, h: float) -> ModelSpec:
-    return ModelSpec(kind="q_oscillator", dim=int(dim), q=float(q), h=float(h))
+    return ModelSpec(kind="q_oscillator", dim=_count(dim, "dim", 0), q=_malformed(float, q),
+                     h=_malformed(float, h))
 
 
 def normal(diag) -> ModelSpec:
-    d = tuple(complex(z) for z in diag)
+    d = _malformed(lambda: tuple(complex(z) for z in diag))
     return ModelSpec(kind="normal", dim=len(d), diag=d)
 
 
 def jordan_block(dim: int) -> ModelSpec:
-    return ModelSpec(kind="jordan_block", dim=int(dim))
+    return ModelSpec(kind="jordan_block", dim=_count(dim, "dim", 0))
 
 
 def custom(matrix) -> ModelSpec:
@@ -90,12 +101,7 @@ def build(spec: ModelSpec) -> np.ndarray:
     """Materialize the model's matrix a; InvalidSpec for an inconsistent spec
     (a q_oscillator level value lambda_n that overflows, repeats or is
     negative, a non-square custom matrix), a non-finite entry or a non-numeric field."""
-    try:
-        return _materialize(spec)
-    except InvalidSpec:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidSpec(f"model spec is malformed: {exc}") from exc
+    return _malformed(_materialize, spec)
 
 
 def _materialize(spec: ModelSpec) -> np.ndarray:
@@ -125,7 +131,7 @@ def _materialize(spec: ModelSpec) -> np.ndarray:
             )
         diffs = np.abs(lam[:, None] - lam[None, :])
         np.fill_diagonal(diffs, np.inf)
-        if diffs.min() <= 1e-12:
+        if diffs.min() <= LEVEL_COLLISION:
             i, j = np.unravel_index(int(diffs.argmin()), diffs.shape)
             raise InvalidSpec(
                 f"q_oscillator level values collide: lambda_{i} == lambda_{j} "

@@ -51,7 +51,7 @@ from .algebra import (
     _atom_algebra,
     _eigenspaces,
     _group_defect,
-    _normal_scale,
+    _normal_limit,
     _value_classes,
     _worst_group,
 )
@@ -60,6 +60,7 @@ from .graded import GradedModel
 from .isometry import ConditionCheck, partial_isometry_report
 from .linalg import (
     DEFAULT_TOL,
+    LIMITS,
     _check_hermitian,
     _finite,
     _operator_norms,
@@ -243,12 +244,12 @@ def _gate(an: Analysis) -> RelationCertificate:
          _group_defect(mid, w, v, groups)[0]]
     )
     _check_hermitian(herm, b_norm, tol)
-    scale = _normal_scale(comm, mid_norm, tol)
-    holds = bool(membership <= tol * (1.0 + b_norm))
+    limit = _normal_limit(comm, mid_norm, tol)
+    holds = bool(membership <= LIMITS["operator"](tol, b_norm))
     return RelationCertificate(
         holds=holds,
         membership_residual=float(membership),
-        conjugate_holds=bool(conjugate <= tol * scale),
+        conjugate_holds=bool(conjugate <= limit),
         conjugate_residual=float(conjugate),
         gamma_table=tuple((float(ev), float(val.real)) for ev, val in zip(means, values)),
         offending_eigenvalue=None if holds else _worst_group(resid, gram_groups, means),
@@ -333,7 +334,7 @@ def orbit_structure(frame: _AtomFrame, tol: float = DEFAULT_TOL) -> Structure:
     delta(x); a cycle's holonomy is the product of its blocks around the
     cycle.  The residual adds the defect of delta's atom map from a 0/1
     partial injection, a bound on the norm of U off that block form and the
-    holonomies' unitarity defect; over ``tol * (1 + ||U||^2)^2`` it is a
+    holonomies' unitarity defect; over the frame rule it is a
     :class:`ModelNotGraded`."""
     _, hit, defect = frame.injection("forward")
     images, ties, _, _ = frame.powers(1)
@@ -351,7 +352,7 @@ def orbit_structure(frame: _AtomFrame, tol: float = DEFAULT_TOL) -> Structure:
             orbits.append(orbit)
     w = frame.u["forward"]
     residual = max(defect, float(ties[0]))
-    limit = tol * frame.scale
+    limit = LIMITS["frame"](tol, frame.pair.norm)
     if residual <= limit:
         blocks, unitarity = [], 0.0
         for orbit in orbits:
@@ -393,8 +394,8 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     weak hypothesis set otherwise), then U's block form on its atoms
     (ModelNotGraded otherwise); no tower is built.
     Powers run to k = n, the dimension, by which point the projection chain
-    has stabilized or died.  Each residual is passed at
-    ``tol * (1 + ||a||)^2``.
+    has stabilized or died.  Each residual is passed at the square rule
+    at ||a||.
 
     The checks are read on the atoms X of the double closure (the frame of
     :class:`tower._AtomFrame`), where U is W = D_k + R_k per power: D_k one
@@ -402,7 +403,7 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     the rest.  P_k = U^k U*^k and Q_k = U*^k U^k are atom vectors p_k, q_k
     plus ties; the seed C*(1, |a|) is a partition of X with tie eps, and
     the non-unital seed is spanned by the rows f_c = 1_c / sqrt(rank c) of
-    the seed's classes on which |a| exceeds ``tol * (1 + max |a|)``.  With
+    the seed's classes on which |a| exceeds the gap rule at max |a|.  With
     V = max(1, ||U||)^n >= ||W^k|| and D = V + max tau_k >= ||D_k||, each
     residual is a vector residual plus a bound from the ties:
 
@@ -430,13 +431,12 @@ def theorem22_report(a, tol: float = DEFAULT_TOL) -> Theorem22Report:
     # the powers to depth n before the block form, which reads the first of them
     images, taus, (p, p_ties, _), (q, q_ties, _) = frame.powers(n)
     an.structure  # U's block form, or its ModelNotGraded
-    scale = 1.0 + an.norm
-    thr = tol * (scale * scale)
+    thr = LIMITS["square"](tol, an.norm)
 
     cls, eps = frame.classes(an.seed)
     starts, sizes = an.seed._ranges
     means = np.add.reduceat(an.pd.sigma, starts) / sizes  # |a| on each of the seed's atoms
-    f = frame.class_basis(cls)[np.abs(means) > tol * (1.0 + np.abs(means).max())]
+    f = frame.class_basis(cls)[np.abs(means) > LIMITS["gap"](tol, np.abs(means).max())]
     f_max = f.max(axis=1, initial=0.0)
 
     big = max(1.0, np.sqrt(frame.nu2)) ** n
@@ -574,15 +574,15 @@ def coefficient_algebra(a, tol: float = DEFAULT_TOL) -> CoefficientAlgebraReport
     tower, frame = an.tower, an.frame
     theorems, inf_star = _tower_theorems(tower, frame, tol)
 
-    scale = 1.0 + an.norm
+    limit = LIMITS["operator"](tol, an.norm)
     star_levels = _sum_form_residual(frame, inf_star, tower.n_a_inf_list)
     fwd_stab = tower.stabilization.get("forward_from_star_limit", 0)
     coords = frame.basis_coords(tower.inf_a)  # at depth 0 the one layer, read as it is
     layers = frame.layers(*coords, "forward", fwd_stab) if fwd_stab else [x[None] for x in coords]
     fwd_levels = _sum_form_residual(frame, layers, [None] * fwd_stab + [tower.a_inf_of_inf_a])
     structure = {
-        "sum_form_star_levels": (star_levels <= tol * scale, star_levels),
-        "sum_form_forward_limit": (fwd_levels <= tol * scale, fwd_levels),
+        "sum_form_star_levels": (star_levels <= limit, star_levels),
+        "sum_form_forward_limit": (fwd_levels <= limit, fwd_levels),
     }
     return CoefficientAlgebraReport(
         certificate=cert, tower=tower, theorems=theorems, structure=structure

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import cmath
 import json
-import operator
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ParseError
-from .linalg import as_matrix
+from .linalg import _count, as_matrix
 from .models import ModelSpec
 from .words import NormalForm
 
@@ -136,14 +135,12 @@ def normal_form_from_json(obj) -> NormalForm:
     coefficient that is not a finite number, a finite [re, im] pair or a
     fraction string."""
     try:
-        l, m, raw = operator.index(obj["l"]), operator.index(obj["m"]), obj["p"]
+        l, m, raw = _count(obj["l"], "l", 0), _count(obj["m"], "m", 0), obj["p"]
         if not isinstance(raw, (list, tuple)) or not raw:
             raise ParseError(f"normal form field 'p' must be a non-empty list, got {raw!r}")
         coeffs = tuple(_coeff_from_json(c) for c in raw)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"normal form object is malformed: {exc}") from exc
-    if l < 0 or m < 0:
-        raise ParseError(f"normal form powers must be non-negative, got l={l}, m={m}")
     return NormalForm(l, m, coeffs)
 
 

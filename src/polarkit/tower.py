@@ -62,7 +62,6 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (
-    DROP_THRESHOLD,
     SpectralAlgebra,
     _atom_algebra,
     _labels,
@@ -73,6 +72,8 @@ from .errors import HypothesisViolated, ModelMismatch
 from .isometry import partial_isometry_report
 from .linalg import (
     DEFAULT_TOL,
+    DROP_THRESHOLD,
+    LIMITS,
     _block_norms,
     _bordered,
     _count,
@@ -181,10 +182,10 @@ def _double_closure(a0: SpectralAlgebra, pair: EndoPair, tol: float) -> "_AtomFr
     X starts from the seed's atoms, and each round splits them by two
     images of h = sum_x c_x P_x, with fixed weights c.  Round j = 0, 1, ..
     takes U^(2^j) h U*^(2^j) and U*^(2^j) h U^(2^j), the powers by
-    squaring, grouped at ``tol * (1 + 2 max(1, ||U||)^(2^(j+1)))``, while
-    2^j < n, that scale is finite (it bounds the images' norms) and some
-    atom has rank > 1.  Then rounds of U h U* and U* h U, grouped at
-    ``tol * (1 + 2 ||U||^2)``, run until none splits.  A seed not stored
+    squaring, grouped at the gap rule at 2 max(1, ||U||)^(2^(j+1)), while
+    2^j < n, that bound is finite (it bounds the images' norms) and some
+    atom has rank > 1.  Then rounds of U h U* and U* h U, grouped at the
+    gap rule at 2 ||U||^2, run until none splits.  A seed not stored
     by its atoms is a :class:`ModelMismatch`.
     """
     _tolerance(tol)
@@ -208,13 +209,13 @@ def _double_closure(a0: SpectralAlgebra, pair: EndoPair, tol: float) -> "_AtomFr
             power = power @ power
         h = mixed()
         for image in (power @ h @ dagger(power), dagger(power) @ h @ power):
-            blocks = _refine(v, blocks, image, tol * (1.0 + 2.0 * big))
+            blocks = _refine(v, blocks, image, LIMITS["gap"](tol, 2.0 * big))
         reach, big = 2 * reach, big * big
     count = 0
     while len(blocks) > count and any(idx.size > 1 for idx in blocks):
         count, h = len(blocks), mixed()
         for image in (pair.delta(h), pair.delta_star(h)):
-            blocks = _refine(v, blocks, image, tol * (1.0 + 2.0 * nu * nu))
+            blocks = _refine(v, blocks, image, LIMITS["gap"](tol, 2.0 * nu * nu))
     return _AtomFrame(a0 if len(blocks) == len(a0.blocks) else _atom_algebra(v, blocks), pair)
 
 
@@ -229,10 +230,10 @@ def _weak_violation(residual: float) -> HypothesisViolated:
 
 
 def _certified(frame: "_AtomFrame", tol: float) -> "_AtomFrame":
-    """``frame``, a :func:`_double_closure`, once its defect is within
-    ``tol * (1 + ||U||^2)^2``; beyond it every weak hypothesis reads the
-    defect (:func:`_hypotheses`), so it fails them."""
-    if not frame.defect <= tol * frame.scale:
+    """``frame``, a :func:`_double_closure`, once its defect is within the
+    frame rule; beyond it every weak hypothesis reads the defect
+    (:func:`_hypotheses`), so it fails them."""
+    if not frame.defect <= LIMITS["frame"](tol, frame.pair.norm):
         raise _weak_violation(frame.defect)
     return frame
 
@@ -275,7 +276,7 @@ def _hypotheses(frame: "_AtomFrame", a0: SpectralAlgebra, kmax: int, tol: float)
     residual is the certification defect of X when that fails.  The seed's
     basis is already orthonormal, its class indicators, so delta(A_0) in
     A_0 is its first layer as a member of A_0 (:meth:`_AtomFrame.member`)."""
-    limit, defect = tol * frame.scale, frame.defect
+    limit, defect = LIMITS["frame"](tol, frame.pair.norm), frame.defect
     names = (
         "delta_star_powers_of_1_projections",
         "delta_star_powers_of_1_commute_with_seed",
@@ -379,7 +380,8 @@ def _build_tower(a0: SpectralAlgebra, pair: EndoPair, tol: float, frame: _AtomFr
         pairs = [(lo, hi) for lo, hi in zip(seq, seq[1:]) if lo is not hi]
         worst[name] = max((frame.member(*frame.basis_coords(lo), hi) for lo, hi in pairs),
                           default=0.0)
-    checks = {name: (res <= tol * frame.scale, res) for name, res in worst.items()}
+    limit = LIMITS["frame"](tol, frame.pair.norm)
+    checks = {name: (res <= limit, res) for name, res in worst.items()}
 
     stabs = (stab_an, stab_na, stab_dbl, stab_dbl2)
     names = ("forward", "star", "star_from_forward_limit", "forward_from_star_limit")
@@ -447,10 +449,7 @@ class _AtomFrame:
         self.ranks = self.ranges[1].astype(float)
         w = alg._vh @ pair.u @ alg.v
         self.u = {"forward": w, "star": dagger(w)}
-        nu = pair.norm
-        self.nu2 = nu * nu
-        # the scale of isometry.partial_isometry_report
-        self.scale = (1.0 + self.nu2) * (1.0 + self.nu2)
+        self.nu2 = pair.norm * pair.norm
         self.pair = pair
         self._maps: dict[str, tuple] = {}
         self._classes: dict[int, tuple] = {}
@@ -859,7 +858,7 @@ class PowerIsometryReport:
 
 def _power_isometry(frame: _AtomFrame, kmax: int, tol: float):
     """:func:`power_isometry_check` on the closure ``frame``."""
-    limit, defect = tol * frame.scale, frame.defect
+    limit, defect = LIMITS["frame"](tol, frame.pair.norm), frame.defect
     if not defect <= limit:
         return PowerIsometryReport(kmax, False, False, defect, defect)
     facts = _power_facts(frame, kmax)
@@ -872,7 +871,7 @@ def _power_isometry(frame: _AtomFrame, kmax: int, tol: float):
 def power_isometry_check(v, kmax: int, tol: float = DEFAULT_TOL) -> PowerIsometryReport:
     """Check powers-are-partial-isometries against the projection-family
     characterization, for k = 1..kmax, on the atoms of C*(1)'s double
-    closure under v (:func:`_power_facts`) against ``tol * (1 + ||v||^2)^2``.
+    closure under v (:func:`_power_facts`) against the frame rule at ||v||.
     When that closure is not certified, both fail with its defect."""
     kmax = _count(kmax, "kmax", 1)
     return _power_isometry(_unit_closure(_free_pair(v), tol), kmax, tol)
@@ -889,7 +888,7 @@ class CommutingProjectionReport:
 
 def _commuting_projections(frame: _AtomFrame, kmax: int, tol: float):
     """:func:`commuting_projection_properties` on the closure ``frame``."""
-    limit, defect = tol * frame.scale, frame.defect
+    limit, defect = LIMITS["frame"](tol, frame.pair.norm), frame.defect
     if not defect <= limit:
         raise HypothesisViolated(f"C*(1)'s double closure under v is not certified ({defect:.3e})")
     facts = _power_facts(frame, kmax)
@@ -1064,7 +1063,7 @@ def _tower_theorems(t: TowerReport, frame: _AtomFrame, tol: float) -> tuple[Theo
 
     def record(name: str, residual: float):
         residual = float(residual)
-        checks[name] = (residual <= tol * frame.scale, residual)
+        checks[name] = (residual <= LIMITS["frame"](tol, frame.pair.norm), residual)
 
     big = t.inf_a_inf
     maps = {d: frame.atom_map(d) for d in ("forward", "star")}

@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionTooSmall, ParseError
-from .linalg import as_matrix, dagger
+from .linalg import _count, as_matrix, dagger
 
 GEN = "a"
 GEN_STAR = "a*"
@@ -354,10 +354,8 @@ def interior_projection(dim: int, length: int) -> np.ndarray:
 
     A word of length L applied to e_j with j <= dim - 1 - L never sees
     the defective top basis vector, so symbolic and numeric evaluation
-    agree on the range of this projection.
+    agree on the range of this projection.  Both arguments are counts
+    from 0 (:class:`InvalidSpec` otherwise).
     """
-    p = np.zeros((dim, dim), dtype=np.complex128)
-    keep = max(dim - length, 0)
-    for i in range(keep):
-        p[i, i] = 1.0
-    return p
+    dim, length = _count(dim, "dim", 0), _count(length, "length", 0)
+    return np.diag((np.arange(dim) < dim - length).astype(np.complex128))

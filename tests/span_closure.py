@@ -27,7 +27,6 @@ the atoms of its double closure, as ``build_tower`` reads it.
 import numpy as np
 
 from polarkit.algebra import (
-    DROP_THRESHOLD,
     MatrixAlgebra,
     SpectralAlgebra,
     _block_constant_defect,
@@ -37,6 +36,7 @@ from polarkit.algebra import (
 )
 from polarkit.linalg import (
     DEFAULT_TOL,
+    DROP_THRESHOLD,
     _operator_norms,
     as_matrix,
     dagger,

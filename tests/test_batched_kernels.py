@@ -59,7 +59,7 @@ import polarkit.algebra as algebra
 import polarkit.relation as relation
 import polarkit.tower as tower
 from polarkit.errors import NotHermitian
-from polarkit.linalg import _norm_f, _push, dagger
+from polarkit.linalg import DROP_THRESHOLD, LIMITS, _norm_f, _push, dagger
 from polarkit.relation import Analysis
 
 from conftest import empty_slot, zoo_specs
@@ -268,7 +268,7 @@ def ref_first_facts(first, block, image, idx) -> tuple:
 def ref_span_basis(frame, values, ties):
     root = np.sqrt(frame.ranks)
     left, s, vh = np.linalg.svd(values * root, full_matrices=False)
-    keep = s > algebra.DROP_THRESHOLD * max(1.0, float(s[0]))
+    keep = s > DROP_THRESHOLD * max(1.0, float(s[0]))
     coef = dagger(left[:, keep]) / s[keep][:, None]
     return vh[keep] / root, np.abs(coef) @ ties
 
@@ -412,10 +412,11 @@ def assert_seed_inside_seed_within_its_span_oracle(an):
     frame, hyp = an.frame, an.tower.hypotheses
     ref = ref_seed_inside_seed(frame, an.seed, an.matrix.shape[0])
     got = hyp.details["delta_of_seed_inside_seed"]
-    assert got <= ref + 1e-12 * frame.scale, (got, ref)
+    assert got <= ref + LIMITS["frame"](1e-12, frame.pair.norm), (got, ref)
     strong = ("delta_star_powers_of_1_projections", "delta_star_of_1_commutes_with_seed")
     ref_strong = max(ref, *(hyp.details[name] for name in strong))
-    assert hyp.strong_holds == (ref_strong <= an.tol * frame.scale), (got, ref)
+    limit = LIMITS["frame"](an.tol, frame.pair.norm)
+    assert hyp.strong_holds == (ref_strong <= limit), (got, ref)
 
 
 def ref_layers_commute(t, frame):
@@ -785,7 +786,7 @@ def test_block_kernels_keep_the_verdicts_and_stay_above_their_dense_oracles(a):
     n = len(a)
     for frame in frames(an):
         dense = tower._AtomFrame(frame.alg, frame.pair)
-        limit = TOL * frame.scale
+        limit = LIMITS["frame"](TOL, frame.pair.norm)
         defects = []
         for direction in ("forward", "star"):
             (t, ties, inter), (t0, ties0, inter0) = (
@@ -810,7 +811,7 @@ def test_block_kernels_keep_the_verdicts_and_stay_above_their_dense_oracles(a):
         t = an.tower
     except pk.PolarkitError:
         return
-    frame, limit = an.frame, TOL * an.frame.scale
+    frame, limit = an.frame, LIMITS["frame"](TOL, an.frame.pair.norm)
     seed = frame.basis_coords(t.a0)
     layers = [frame.layers(*frame.basis_coords(t.a_inf), "star", len(t.n_a_inf_list)),
               frame.layers(*seed, "star", max(len(t.na_list), len(t.an_list)))]

@@ -48,6 +48,25 @@ def test_polar_decompose_json(shift_file, capsys):
     assert np.allclose(np.diag(pos).real, [1.0, np.sqrt(2.0), np.sqrt(3.0), 0.0])
 
 
+def _rank_deficient_custom():
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    a[:, 0] = 0.0
+    return pk.model_spec_to_json(pk.custom(a))
+
+
+@pytest.mark.parametrize("tol", (pk.DEFAULT_TOL, 1e-15), ids=str)
+@pytest.mark.parametrize("spec", zoo_specs() + [_rank_deficient_custom()],
+                         ids=lambda spec: spec["kind"])
+def test_polar_decompose_exits_with_the_polar_suites_verdict(spec, tol, capsys):
+    # the command wrote its own rule and skipped the positive-part check;
+    # both now read report._polar_checks (at 1e-15 the custom matrix fails)
+    config = pk.SuiteConfig(models=(pk.model_spec_from_json(spec),), suites=("polar",), tol=tol)
+    verdict = pk.run_suite(config)["all_pass"]
+    code = main(["polar-decompose", "--model", json.dumps(spec), "--tol", str(tol)])
+    assert code == (0 if verdict else 1)
+
+
 def test_verify_relation_exit_codes(shift_file, jordan_file, capsys):
     assert main(["verify-relation", "--in", shift_file]) == 0
     assert main(["verify-relation", "--in", jordan_file]) == 1

@@ -164,3 +164,33 @@ def test_validate_model_q_oscillator():
 
 def test_validate_model_negative_control():
     assert not pk.verify_I1(pk.build(pk.jordan_block(3))).holds
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    (
+        # q_oscillator(3.5, 0.5, 1) was 3 x 3, jordan_block(2.5) 2 x 2 and
+        # q_oscillator("4", ...) 4 x 4; a bool was read as the dim 1 or 0
+        (lambda: pk.q_oscillator(3.5, 0.5, 1.0), "dim must be an integer, got 3.5"),
+        (lambda: pk.q_oscillator("4", 0.5, 1.0), "dim must be an integer, got '4'"),
+        (lambda: pk.jordan_block(2.5), "dim must be an integer, got 2.5"),
+        (lambda: pk.jordan_block(True), "dim must be an integer, got True"),
+        (lambda: pk.jordan_block(-3), "dim must be at least 0, got -3"),
+        # each of these was a bare ValueError
+        (lambda: pk.jordan_block("x"), "dim must be an integer, got 'x'"),
+        (lambda: pk.weighted_shift([1, "a"]), "model spec is malformed: could not convert "),
+        (lambda: pk.q_oscillator(4, "q", 1.0), "model spec is malformed: could not convert "),
+        (lambda: pk.normal(["x"]), "model spec is malformed: complex() arg is a malformed "),
+    ),
+    ids=("osc_float_dim", "osc_str_dim", "jordan_float_dim", "jordan_bool_dim",
+         "jordan_negative_dim", "jordan_str_dim", "shift_str_weight", "osc_str_q", "normal_str"),
+)
+def test_a_model_field_that_is_not_a_number_is_an_invalid_spec(make, message):
+    with pytest.raises(pk.InvalidSpec) as err:
+        make()
+    assert str(err.value).startswith(message)
+
+
+def test_integral_dims_of_any_integer_type_build():
+    assert pk.build(pk.q_oscillator(np.int64(4), 0.5, 1.0)).shape == (4, 4)
+    assert pk.build(pk.jordan_block(np.int32(3))).shape == (3, 3)

@@ -297,14 +297,15 @@ def test_every_export_takes_its_inputs_at_the_default_tol(name):
     TAKES_A_TOL[name](pk.DEFAULT_TOL)
 
 
-@pytest.mark.parametrize("tol", (0.0, -1e-9, float("nan"), float("inf"), "1e-9", None, [1e-9]),
-                         ids=str)
+@pytest.mark.parametrize(
+    "tol", (0.0, -1e-9, float("nan"), float("inf"), "1e-9", None, [1e-9], True), ids=str
+)
 @pytest.mark.parametrize("name", sorted(TAKES_A_TOL))
 def test_a_tol_outside_zero_to_inf_is_an_invalid_spec_at_every_export(name, tol):
     # at tol = inf partial_isometry_report, is_function_of, power_isometry_check
     # and commuting_projection_properties passed np.ones((2, 2)), endo_pair
     # returned a pair; at tol = nan spectral_algebra had one atom, and a
-    # negative tol was a NotHermitian
+    # negative tol was a NotHermitian; tol = True ran at tol 1
     with pytest.raises(pk.InvalidSpec) as err:
         TAKES_A_TOL[name](tol)
     assert str(err.value) == f"tol must be positive and finite, got {tol!r}"
@@ -343,11 +344,11 @@ def test_every_export_takes_its_least_count(name):
     TAKES_A_COUNT[name](COUNTS[name.split(":")[1]])
 
 
-@pytest.mark.parametrize("value", ("3", 2.5, None, "least - 1"), ids=str)
+@pytest.mark.parametrize("value", ("3", 2.5, None, "least - 1", True, False), ids=str)
 @pytest.mark.parametrize("name", sorted(TAKES_A_COUNT))
 def test_a_count_that_is_not_an_integer_from_its_least_is_an_invalid_spec(name, value):
     # "3", None and a kmax of 2.5 at power_isometry_check were a bare TypeError,
-    # and norm_estimate ran at kmax = 2.5
+    # norm_estimate ran at kmax = 2.5, and a bool was read as the count 1 or 0
     param = name.split(":")[1]
     if value == "least - 1":
         value = COUNTS[param] - 1
@@ -356,22 +357,26 @@ def test_a_count_that_is_not_an_integer_from_its_least_is_an_invalid_spec(name, 
 
 
 @pytest.mark.parametrize(
-    "field, value", (("tol", "x"), ("tol", None), ("kmax", 2.5), ("kmax", "3"), ("seed", None),
-                     ("seed", 1.5)),
+    "field, value", (("tol", "x"), ("tol", None), ("tol", True), ("kmax", 2.5), ("kmax", "3"),
+                     ("kmax", True), ("seed", None), ("seed", 1.5), ("seed", False)),
     ids=str,
 )
 def test_suite_config_reads_its_scalars_through_the_doors(field, value):
-    # tol = "x" and seed = None were a bare TypeError, kmax = 2.5 was accepted
+    # tol = "x" and seed = None were a bare TypeError, kmax = 2.5 and the
+    # bools were accepted
     spec = pk.weighted_shift((1.0, np.sqrt(2.0)))
     with pytest.raises(pk.ConfigError, match=f"^{field} must be "):
         pk.SuiteConfig(models=(spec,), suites=("polar",), **{field: value})
 
 
 @pytest.mark.parametrize(
-    "field, value", (("kmax", 2.5), ("kmax", "3"), ("seed", 1.5), ("seed", "3")), ids=str
+    "field, value",
+    (("kmax", 2.5), ("kmax", "3"), ("kmax", True), ("seed", 1.5), ("seed", "3"), ("seed", False)),
+    ids=str,
 )
 def test_a_json_config_reads_its_counts_through_the_doors(field, value):
-    # config_from_json read them by int(...): a kmax of 2.5 ran at 2, a seed of "3" at 3
+    # config_from_json read them by int(...): a kmax of 2.5 ran at 2, a seed of "3" at 3;
+    # then "kmax": true ran at kmax 1 and the report wrote the bools back
     spec = pk.model_spec_to_json(pk.weighted_shift((1.0, np.sqrt(2.0))))
     with pytest.raises(pk.ConfigError, match=f"^{field} must be "):
         pk.config_from_json({"models": [spec], "suites": ["polar"], field: value})

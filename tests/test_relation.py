@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import polarkit as pk
 import polarkit.relation as relation
 import polarkit.tower as tower
-from polarkit.linalg import dagger
+from polarkit.linalg import LIMITS, dagger
 from polarkit.relation import Analysis, orbit_structure
 from polarkit.tower import _AtomFrame
 
@@ -564,7 +564,7 @@ def test_uncertified_closure_raises_what_the_tower_raised(name, relation_message
     # the same types and messages as when every view read the tower
     a = _uncertified()[name]
     an = Analysis(a)
-    assert not an.closure.defect <= an.tol * an.closure.scale
+    assert not an.closure.defect <= LIMITS["frame"](an.tol, an.closure.pair.norm)
     for view in (pk.theorem22_report, pk.coefficient_algebra):
         with pytest.raises(pk.RelationViolated) as err:
             view(a)

@@ -104,8 +104,11 @@ def test_exact_coefficient_must_be_a_fraction():
         {"l": 0, "m": 0, "p": [[1.0, float("nan")]]},
         {"l": -1, "m": 0, "p": [1]},
         {"l": 0, "m": -2, "p": [1]},
+        {"l": True, "m": 0, "p": [1.0]},
+        {"l": 1, "m": False, "p": [1.0]},
     ],
-    ids=["null", "number_p", "bad_pair", "string_l", "nan", "nan_pair", "negative_l", "negative_m"],
+    ids=["null", "number_p", "bad_pair", "string_l", "nan", "nan_pair", "negative_l", "negative_m",
+         "bool_l", "bool_m"],
 )
 def test_malformed_normal_form_is_a_parse_error(obj):
     with pytest.raises(pk.ParseError):

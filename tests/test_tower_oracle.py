@@ -26,7 +26,7 @@ import polarkit.relation as relation
 import polarkit.tower as tower
 from polarkit.algebra import _atom_algebra, _labels, _refine
 from polarkit.relation import Analysis
-from polarkit.linalg import _block_norms, dagger
+from polarkit.linalg import LIMITS, _block_norms, dagger
 from polarkit.report import _suite_isometry
 
 from conftest import zoo_specs
@@ -308,7 +308,7 @@ def assert_same_closure(a0, pair, tol=TOL):
     np.testing.assert_allclose(overlap[np.arange(frame.size), match], 1.0, rtol=0.0, atol=1e-6)
     assert np.array_equal(frame.ranks, ref.ranks[match])
     assert np.array_equal(seed, ref_seed[match])
-    limit = tol * frame.scale
+    limit = LIMITS["frame"](tol, frame.pair.norm)
     assert (defect <= limit) == (ref_defect <= limit), (defect, ref_defect)
 
 
@@ -403,7 +403,7 @@ def test_closure_takes_log_n_rounds(monkeypatch, family):
     monkeypatch.setattr(tower, "_mix_weights", counting)
     frame = tower._double_closure(unit_algebra(n), pair, TOL)
     assert rounds[0] <= 2 * np.log2(n) + 2, rounds[0]
-    assert frame.size == n and frame.defect <= TOL * frame.scale
+    assert frame.size == n and frame.defect <= LIMITS["frame"](TOL, frame.pair.norm)
 
 
 def _isometry_reports(closure, n):
@@ -442,7 +442,8 @@ def assert_unit_closure_matches(an, rule):
             continue
         for key, value in vars(ref).items():
             if isinstance(value, float):
-                assert rule(vars(mine)[key], value, want.scale), (key, vars(mine)[key], value)
+                scale = LIMITS["frame"](1.0, want.pair.norm)
+                assert rule(vars(mine)[key], value, scale), (key, vars(mine)[key], value)
             else:
                 assert vars(mine)[key] == value, key
     return got
@@ -496,7 +497,7 @@ def _conjugated(a, rng):
 def test_unit_closure_off_the_zoo_matches_its_oracle(make):
     an = Analysis(make(np.random.default_rng(2027)))
     frame = assert_unit_closure_matches(an, rule=close)
-    assert frame.defect <= TOL * frame.scale
+    assert frame.defect <= LIMITS["frame"](TOL, frame.pair.norm)
 
 
 def _counted_fallback(monkeypatch):
@@ -515,10 +516,11 @@ def test_unit_closure_is_found_on_its_own_when_the_seeds_closure_is_uncertified(
     # themselves, so X is not certified, while C*(1) is invariant
     an = Analysis(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
     frame = an.closure
-    assert frame.defect > TOL * frame.scale
+    assert frame.defect > LIMITS["frame"](TOL, frame.pair.norm)
     calls = _counted_fallback(monkeypatch)
     unit = assert_unit_closure_matches(an, rule=bits)
-    assert len(calls) == 1 and unit.size == 1 and unit.defect <= TOL * unit.scale
+    assert len(calls) == 1 and unit.size == 1
+    assert unit.defect <= LIMITS["frame"](TOL, unit.pair.norm)
 
 
 def test_unit_closure_is_found_on_its_own_when_the_pair_fails(monkeypatch):
@@ -574,7 +576,7 @@ def chains_and_cycles(seed):
 
 def assert_unit_classes_match(a):
     frame = Analysis(a).closure
-    if not frame.defect <= TOL * frame.scale:
+    if not frame.defect <= LIMITS["frame"](TOL, frame.pair.norm):
         return
     got, want = tower._unit_classes(frame), ref_unit_classes(frame)
     got_defect, want_defect = got.defect, want.defect

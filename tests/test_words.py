@@ -95,6 +95,34 @@ def test_interior_projection_shape():
     assert np.allclose(np.diag(p), [1, 1, 1, 1, 0, 0])
 
 
+def ref_interior_projection(dim, length):
+    p = np.zeros((dim, dim), dtype=np.complex128)
+    for i in range(max(dim - length, 0)):
+        p[i, i] = 1.0
+    return p
+
+
+def test_interior_projection_matches_the_loop():
+    for dim in range(7):
+        for length in range(9):
+            got = pk.interior_projection(dim, length)
+            assert got.dtype == np.complex128
+            assert np.array_equal(got, ref_interior_projection(dim, length)), (dim, length)
+
+
+@pytest.mark.parametrize(
+    "dim, length, message",
+    ((4, 1.5, "length must be an integer, got 1.5"), (-1, 2, "dim must be at least 0, got -1"),
+     (4, -2, "length must be at least 0, got -2"), (True, 0, "dim must be an integer, got True")),
+    ids=("float_length", "negative_dim", "negative_length", "bool_dim"),
+)
+def test_interior_projection_reads_counts(dim, length, message):
+    # (4, 1.5) was a TypeError, (-1, 2) a ValueError and (4, -2) an IndexError
+    with pytest.raises(pk.InvalidSpec) as err:
+        pk.interior_projection(dim, length)
+    assert str(err.value) == message
+
+
 def test_nf_mul_matches_concatenation():
     w1 = pk.parse_word("a a*")
     w2 = pk.parse_word("a* a a")
