@@ -25,7 +25,8 @@ double closure), checked once to be 0/1 maps tied to U within the frame
 rule (``linalg.LIMITS``); a coefficient algebra that is not stored by
 its atoms, or that delta or delta_* does not map into itself, is a
 :class:`ModelMismatch`.  Reading those atom values is also the one
-membership check of a coefficient.
+membership check of a coefficient.  Realization runs on them too, as
+V A + (V B)* over the model's one table of V* u^k (:func:`_realize_values`).
 
 An element is its certified (degrees, atom values), fixed when it is
 built.  There are four constructors: ``random_element`` draws the values
@@ -35,19 +36,17 @@ the degrees; and ``element`` reads them in its membership check, before
 its support check, which clears a degree by a Frobenius bound and takes
 an SVD only for the degrees that bound cannot clear; it keeps those
 values, not the caller's matrices.  The dense coefficients are a
-read-only view V diag(v) V* of the values, formed on first read, and
-``realize`` reads it; the product, adjoint and coefficient-norm paths
-never do, and the norm estimate reads it once, realizing g for its dense
-zero test.  Nothing stored beside the values can go stale.  A
+read-only view V diag(v) V* of the values, formed on first read, for
+code that reads the dense map; no product, adjoint, norm or
+realization does.  Nothing stored beside the values can go stale.  A
 coefficient has norm max |v|, so ``GradedElement.coefficient_norm``
 reads its norms without an SVD.
 
 Draws, products, realizations and the sum estimates also run on stacks
 of elements, atom values shaped (..., degrees, atoms) over one degree
 set, as the graded suite of ``run_suite`` samples them;
-``random_element``, ``graded_mul`` and ``sum_norm_inequalities`` are
-these with one item, while ``realize`` assembles one element from its
-coefficients view.
+``random_element``, ``graded_mul``, ``realize`` and
+``sum_norm_inequalities`` are these with one item.
 
 The degree-0 coefficient functional N_0 is the whole point: the norm of b
 is recovered from coefficients alone through
@@ -123,8 +122,8 @@ class GradedModel:
     stored by its atoms (typically the double-closure coefficient algebra
     of a seed, or simply the diagonal algebra for shift models); any other
     algebra, or one whose atom basis v is not unitary (the rule of the
-    tower's commutativity check), is a :class:`ModelMismatch`.  u^k is
-    computed once per k and read-only; u*^k and P_k are formed from it.
+    tower's commutativity check), is a :class:`ModelMismatch`.  It keeps
+    one read-only table T_k = V* u^k; u^k = V T_k and P_k are formed from it.
     The gathers of delta and delta_* on the atoms of the algebra, which
     products run on, are derived and checked on the first product.
     """
@@ -137,23 +136,30 @@ class GradedModel:
         if algebra.dim != self.pair.ambient_dim:
             raise ModelMismatch("coefficient algebra dimension does not match u")
         defect = _commutativity_defect([algebra])
-        if not defect <= tol:
+        if not defect <= LIMITS["relative"](tol):
             raise ModelMismatch(
                 f"the coefficient algebra's atom basis is not unitary (defect {defect:.3e})"
             )
         self.algebra = algebra
         self.dim = self.pair.ambient_dim
-        self._pow: dict[int, np.ndarray] = {0: _frozen(np.eye(self.dim, dtype=np.complex128))}
+        self._table = _frozen(algebra._vh[None].copy())
+
+    def _powers(self, k: int) -> np.ndarray:
+        """T_0 .. T_k, T_j = V* u^j, a read-only (k + 1, n, n) view of the
+        table, which grows one product T_j = T_(j-1) u at a time."""
+        if k >= len(self._table):
+            rows = [self._table[-1]]
+            for _ in range(len(self._table), k + 1):
+                rows.append(rows[-1] @ self.pair.u)
+            self._table = _frozen(np.concatenate([self._table, rows[1:]]))
+        return self._table[: k + 1]
 
     def power(self, k: int) -> np.ndarray:
-        """u^k with memoization (k >= 0); the cache holds u^0 .. u^K and
-        grows one product u^j = u^(j-1) u at a time."""
-        for j in range(len(self._pow), k + 1):
-            self._pow[j] = _frozen(self._pow[j - 1] @ self.pair.u)
-        return self._pow[k]
+        """u^k = V T_k (k >= 0), a new read-only array."""
+        return _frozen(self.algebra.v @ self._powers(k)[k])
 
     def range_projection(self, k: int) -> np.ndarray:
-        """P_k = u^k u*^k, a new array from the cached u^k."""
+        """P_k = u^k u*^k, a new array."""
         uk = self.power(k)
         return uk @ dagger(uk)
 
@@ -320,37 +326,35 @@ def _check_support(model: GradedModel, degrees: np.ndarray, mats: np.ndarray, no
 
 
 def realize(g: GradedElement) -> np.ndarray:
-    """Assemble the dense matrix Sum u*^|d| beta_d + beta_0 + beta_d u^d;
-    the element was certified when it was built."""
-    out = np.zeros((g.model.dim, g.model.dim), dtype=np.complex128)
-    _realize(g.model, g.coefficients.items(), out)
-    return out
-
-
-def _realize(model: GradedModel, terms, out: np.ndarray):
-    """Add Sum u*^|d| beta_d + beta_0 + beta_d u^d into ``out`` for the
-    pairs (d, beta_d) of ``terms``, each beta_d a (..., n, n) stack shaped
-    like ``out``: one product per degree, the degrees added in order."""
-    for d, c in terms:
-        if d == 0:
-            out += c
-        elif d > 0:
-            out += c @ model.power(d)
-        else:
-            out += dagger(model.power(-d)) @ c
+    """The dense matrix Sum u*^|d| beta_d + beta_0 + beta_d u^d, from the
+    element's certified atom values (:func:`_realize_values`)."""
+    return _realize_values(g.model, g._atoms[0], g._atoms[1][None])[0]
 
 
 def _realize_values(model: GradedModel, degrees: np.ndarray, values: np.ndarray) -> np.ndarray:
     """realize of every element (degrees, values[i]) of a (items, degrees,
-    atoms) stack: its coefficients lifted and multiplied per degree, for
-    blocks of items holding at most ``_BLOCK`` coefficient entries (or one
-    item)."""
-    n = model.dim
-    out = np.zeros((len(values), n, n), dtype=np.complex128)
-    step = max(1, _BLOCK // max(1, len(degrees) * n * n))
+    atoms) stack.  With T_k = V* u^k (the model's table), beta_d u^d =
+    V diag(v_d) T_d and u*^|d| beta_d = (V diag(conj v_d) T_|d|)*, so an
+    element is V A + (V B)* for A and B the sums over d >= 0 and d < 0 of
+    those scaled rows of the table: two dense products at any bandwidth,
+    and no coefficient.  A row of A or B is one product of its values on
+    the powers 0 .. max |d| with its rows of the table, per item, so an
+    item of a stack comes out as the element alone does; items go in
+    blocks of at most ``_BLOCK`` accumulator entries (or one item)."""
+    n, alg = model.dim, model.algebra
+    top = int(np.abs(degrees).max(initial=0))
+    # row k of side 0 holds v_k, row k of side 1 conj v_-k
+    grid = np.zeros((len(values), 2, top + 1, alg.dimension), dtype=np.complex128)
+    down = degrees < 0
+    grid[:, down.astype(int), np.abs(degrees)] = np.where(down[:, None], values.conj(), values)
+    scales = grid.transpose(0, 1, 3, 2)[:, :, alg.labels, None]  # (items, 2, n, 1, top + 1)
+    rows = model._powers(top).transpose(1, 0, 2)  # row i of T_0 .. T_top
+    out = np.empty((len(values), n, n), dtype=np.complex128)
+    step = max(1, _BLOCK // (2 * n * n))
     for i in range(0, len(values), step):
-        mats = model._coefficients(values[i : i + step])
-        _realize(model, zip(degrees.tolist(), mats.swapaxes(0, 1)), out[i : i + step])
+        a, b = (scales[i : i + step] @ rows)[..., 0, :].swapaxes(0, 1)
+        np.matmul(alg.v, a, out=out[i : i + step])
+        out[i : i + step] += dagger(alg.v @ b)
     return out
 
 

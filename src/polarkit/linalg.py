@@ -38,6 +38,7 @@ LIMITS = MappingProxyType({
     "frame": lambda tol, u: tol * ((1.0 + u * u) * (1.0 + u * u)),  # degree 4 in U
     "word": lambda tol, a, length: tol * (1.0 + a) ** length,  # a word in a and a*
     "sum": lambda tol, m, s: tol * m * (1.0 + s * s),  # sums of m matrices, s their top norm
+    "relative": lambda tol: tol,  # a residual already relative to its scale
 })
 # Fixed cut-offs, which tol does not scale.
 DROP_THRESHOLD = 1e-10  # a span direction already in the span: a singular value over max(1, s_1)

@@ -202,7 +202,7 @@ def _suite_graded(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> li
         return skipped
     bandwidth = min(3, model.dim - 1)
     worst = _ring_defect(model, rng, 10, bandwidth)
-    checks = [_check("ring_consistency", "graded.product", worst <= tol, worst)]
+    checks = [_check("ring_consistency", "graded.product", worst <= LIMITS["relative"](tol), worst)]
     star = check_property_star(model, samples=10, tol=tol, bandwidth=bandwidth, rng=rng)
     checks.append(
         _check(

@@ -192,7 +192,7 @@ def _double_closure(a0: SpectralAlgebra, pair: EndoPair, tol: float) -> "_AtomFr
     if not isinstance(a0, SpectralAlgebra):
         raise ModelMismatch("the seed algebra is not stored by its atoms")
     comm_res = _commutativity_defect([a0])
-    if comm_res > tol:
+    if comm_res > LIMITS["relative"](tol):
         raise HypothesisViolated(f"seed algebra is not commutative (residual {comm_res:.3e})")
     v, blocks, nu = a0.v.copy(), a0.blocks, pair.norm
 

@@ -10,6 +10,7 @@ import pytest
 import polarkit as pk
 from polarkit import cli
 from polarkit.cli import main
+from polarkit.isometry import CONDITIONS
 from polarkit.relation import orbit_structure
 
 from conftest import zoo_specs
@@ -55,7 +56,7 @@ def _rank_deficient_custom():
     return pk.model_spec_to_json(pk.custom(a))
 
 
-@pytest.mark.parametrize("tol", (pk.DEFAULT_TOL, 1e-15), ids=str)
+@pytest.mark.parametrize("tol", (pk.DEFAULT_TOL, 1e-15, 1e-17), ids=str)
 @pytest.mark.parametrize("spec", zoo_specs() + [_rank_deficient_custom()],
                          ids=lambda spec: spec["kind"])
 def test_polar_decompose_exits_with_the_polar_suites_verdict(spec, tol, capsys):
@@ -65,6 +66,22 @@ def test_polar_decompose_exits_with_the_polar_suites_verdict(spec, tol, capsys):
     verdict = pk.run_suite(config)["all_pass"]
     code = main(["polar-decompose", "--model", json.dumps(spec), "--tol", str(tol)])
     assert code == (0 if verdict else 1)
+
+
+def test_polar_decompose_reports_the_conditions_below_rounding(capsys):
+    # at tol 1e-17 u*u and uu* are Hermitian only to 9.6e-17; the
+    # conditions are reported, and fail, instead of a NotHermitian
+    spec = _rank_deficient_custom()
+    assert main(["polar-decompose", "--model", json.dumps(spec), "--tol", "1e-17"]) == 1
+    out = capsys.readouterr().out
+    assert "check failed" not in out and "POLAR CHECK FAILED" in out
+    assert all(f"[FAIL] {name} " in out or f"[PASS] {name} " in out for name in CONDITIONS)
+    config = pk.SuiteConfig(models=(pk.model_spec_from_json(spec),), suites=("polar",), tol=1e-17)
+    checks = pk.run_suite(config)["models"][0]["suites"][0]["checks"]
+    assert [c["name"] for c in checks] == [
+        "factor_residual", "isometry_conditions", "conditions_consistent", "positive_part"
+    ]
+    assert not any("error" in c for c in checks)
 
 
 def test_verify_relation_exit_codes(shift_file, jordan_file, capsys):

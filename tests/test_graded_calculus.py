@@ -35,18 +35,22 @@ def ref_norm(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+def ref_power(model, k):
+    return np.linalg.matrix_power(model.pair.u, k)
+
+
 def ref_range_projection(model, k):
-    uk = model.power(k)
+    uk = ref_power(model, k)
     return uk @ dagger(uk)
 
 
 def ref_delta_k(model, m, k):
-    uk = model.power(k)
+    uk = ref_power(model, k)
     return uk @ m @ dagger(uk)
 
 
 def ref_delta_star_k(model, m, k):
-    uk = model.power(k)
+    uk = ref_power(model, k)
     return dagger(uk) @ m @ uk
 
 
@@ -246,14 +250,21 @@ class _CountingMatmul(np.ndarray):
         return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
 
 
-def test_range_projection_is_formed_from_the_power_table():
-    # P_k had a cache of its own beside u^k; it is formed from u^k now,
-    # and has the bits it had
-    model = pk.graded_model_for(_shift(12))
-    assert np.array_equal(model.range_projection(3), ref_range_projection(model, 3))
-    # the table cannot be changed through a returned power
-    with pytest.raises(ValueError):
-        model.power(3)[0, 0] = 1.0
+@pytest.mark.parametrize("name", ["shift12", "haar_shift8", "q_oscillator32"])
+def test_range_projection_is_formed_from_the_power_table(name):
+    # the table holds T_k = V* u^k, so u^k is V T_k and P_k = u^k u*^k
+    # is formed from it, within round-off of numpy's matrix powers
+    model = MODELS[name]()
+    for k in (0, 1, 3):
+        uk = ref_power(model, k)
+        assert np.array_equal(model.power(k), model.algebra.v @ model._powers(k)[k])
+        assert ref_norm(model.power(k) - uk) <= 1e-12 * (1.0 + ref_norm(uk))
+        p = ref_range_projection(model, k)
+        assert ref_norm(model.range_projection(k) - p) <= 1e-12
+    # neither the table nor a returned power can be changed
+    for m in (model.power(3), model._powers(3)):
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
 
 
 def _e(i, j, n=4):
@@ -315,8 +326,7 @@ def test_norm_estimate_squarings_make_no_dense_product(monkeypatch):
     def counting(m):
         return m.view(_CountingMatmul)
 
-    for k in list(model._pow):
-        model._pow[k] = counting(model._pow[k])
+    model._table = counting(model._table)
     object.__setattr__(model.pair, "u", counting(model.pair.u))
     object.__setattr__(alg, "v", counting(alg.v))
     alg.__dict__["_vh"] = counting(alg._vh)
@@ -333,7 +343,8 @@ def test_norm_estimate_squarings_make_no_dense_product(monkeypatch):
     _CountingMatmul.calls = 0
     est = pk.norm_estimate(g, kmax=64)
     # the dense realization for the zero test takes products with the
-    # powers of u, then the squarings run on the carried atom values only
+    # table and the atom basis, then the squarings run on the carried
+    # atom values only
     assert len(dense) == 1 and dense[0] >= 1
     assert _CountingMatmul.calls == 0
     assert est.estimates == want.estimates
@@ -561,7 +572,9 @@ CARRYING_MODELS = _carrying_models()
 
 
 def ref_realize(g):
-    """Sum u*^|d| beta_d + beta_0 + beta_d u^d with numpy's matrix powers."""
+    """Sum u*^|d| beta_d + beta_0 + beta_d u^d, each coefficient lifted to
+    its dense matrix and multiplied by numpy's matrix power of u: one
+    product per degree."""
     u = g.model.pair.u
     out = np.zeros_like(u)
     for d, c in g.coefficients.items():
@@ -582,6 +595,70 @@ def _assert_certified(g):
         assert abs(g.coefficient_norm(degrees[i]) - norm) <= 1e-12 * (1.0 + norm)
     dense = ref_realize(g)
     assert ref_norm(pk.realize(g) - dense) <= 1e-12 * (1.0 + ref_norm(dense))
+
+
+@pytest.mark.parametrize("band", (0, 1, 3))
+def test_realize_matches_the_per_degree_lift(model, band):
+    # single elements and stacks, over both sides of the degrees, one side
+    # only, and none: A or B, or both, are then empty sums
+    degrees, values = graded._draws(model, np.random.default_rng([17, band]), band, 4)
+    sides = (degrees == degrees, degrees >= 0, degrees > 0, degrees <= 0, degrees < 0)
+    for keep in sides:
+        kept, stack = degrees[keep], values[:, keep]
+        dense = graded._realize_values(model, kept, stack)
+        assert dense.shape == (len(stack), model.dim, model.dim)
+        for item, got in zip(stack, dense):
+            g = model._lift(kept, item)
+            want = ref_realize(g)
+            bound = 1e-12 * (1.0 + ref_norm(want))
+            assert ref_norm(pk.realize(g) - want) <= bound
+            assert ref_norm(got - want) <= bound
+    g = pk.random_element(model, np.random.default_rng([18, band]), bandwidth=band)
+    want = ref_realize(g)
+    assert ref_norm(pk.realize(g) - want) <= 1e-12 * (1.0 + ref_norm(want))
+
+
+def test_realize_takes_the_same_products_at_any_bandwidth():
+    # the per-degree lift took the lift and one product per nonzero degree,
+    # 3 at bandwidth 1 and 11 at bandwidth 5; the table's rows take one
+    # call for A and B, then V A and V B are the two dense products
+    model = pk.graded_model_for(_shift(64))
+    rng = np.random.default_rng(19)
+    elements = [pk.random_element(model, rng, bandwidth=b) for b in (1, 5)]
+    wants = [ref_realize(g) for g in elements]
+    pk.realize(elements[1])  # the table grows to T_5 before the count
+
+    def counting(m):
+        return m.view(_CountingMatmul)
+
+    alg = model.algebra
+    model._table = counting(model._table)
+    object.__setattr__(model.pair, "u", counting(model.pair.u))
+    object.__setattr__(alg, "v", counting(alg.v))
+    alg.__dict__["_vh"] = counting(alg._vh)
+    counts = []
+    for g, want in zip(elements, wants):
+        _CountingMatmul.calls = 0
+        got = pk.realize(g)
+        counts.append(_CountingMatmul.calls)
+        assert ref_norm(got - want) <= 1e-12 * (1.0 + ref_norm(want))
+    assert counts == [3, 3]
+
+
+def test_realizing_a_stack_forms_no_coefficient():
+    # the per-degree lift traced a 10.3 MB peak on these 20 elements; the
+    # rows of A and B take a block of items at a time, so the peak is the
+    # 5.2 MB output and about one item's products
+    model = pk.graded_model_for(_shift(128))
+    degrees, values = graded._draws(model, np.random.default_rng(16), 3, 20)
+    graded._realize_values(model, degrees, values)
+    tracemalloc.start()
+    try:
+        graded._realize_values(model, degrees, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
 
 
 @settings(max_examples=40, deadline=None)
@@ -638,11 +715,11 @@ def test_only_a_read_of_the_coefficients_lifts_them(monkeypatch):
     assert h.bandwidth == 3
     assert h.coefficient_norm(1) <= h.coefficient_norm()
     assert lifts == []
-    # the estimate lifts its input once, for the dense zero test
+    # the estimate's dense zero test realizes its input from the values
     pk.norm_estimate(h, kmax=8)
-    assert lifts == [h._atoms[1].shape]
+    assert lifts == []
     assert list(h.coefficients) == h._atoms[0].tolist()
-    assert len(lifts) == 1
+    assert lifts == [h._atoms[1].shape]
     first = g1.coefficients
     assert g1.coefficients is first
     assert lifts[1:] == [g1._atoms[1].shape]

@@ -33,6 +33,21 @@ def test_conditions_fail_together_for_scaled_isometry(shift4):
     assert rep.worst > 1.0
 
 
+def test_conditions_are_reported_at_a_tol_below_rounding():
+    # u*u and uu* are Hermitian by construction, to 9.6e-17 here: below
+    # that tol the five conditions are reported, failing, not refused
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    a[:, 0] = 0.0
+    u = pk.polar_decompose(a).u
+    rep = pk.partial_isometry_report(u, tol=1e-17)
+    assert tuple(c.name for c in rep.conditions) == CONDITION_NAMES
+    assert not rep.passed
+    default = pk.partial_isometry_report(u)
+    assert default.passed
+    assert [c.residual for c in rep.conditions] == [c.residual for c in default.conditions]
+
+
 def test_unitary_is_partial_isometry(rng):
     q, _ = np.linalg.qr(random_matrix(rng, 5))
     rep = pk.partial_isometry_report(q)
