@@ -42,11 +42,12 @@ realization does.  Nothing stored beside the values can go stale.  A
 coefficient has norm max |v|, so ``GradedElement.coefficient_norm``
 reads its norms without an SVD.
 
-Draws, products, realizations and the sum estimates also run on stacks
-of elements, atom values shaped (..., degrees, atoms) over one degree
-set, as the graded suite of ``run_suite`` samples them;
-``random_element``, ``graded_mul``, ``realize`` and
-``sum_norm_inequalities`` are these with one item.
+Draws, products and realizations also run on stacks of elements, atom
+values shaped (..., degrees, atoms) over one degree set;
+``random_element``, ``graded_mul`` and ``realize`` are these with one
+item.  The graded suite of ``run_suite`` draws one stack of factors and
+reads its ring check, coefficient bounds and sum estimates off their
+atom values and one call of dense norms (:func:`_ring_defect`).
 
 The degree-0 coefficient functional N_0 is the whole point: the norm of b
 is recovered from coefficients alone through
@@ -209,7 +210,7 @@ class GradedModel:
             if not np.isfinite(cm).all():
                 unreadable = ModelMismatch(f"degree-{deg} coefficient has a non-finite entry")
                 break
-            if d != 0 and enforce_support:
+            if deg != 0 and enforce_support:
                 p = self.range_projection(abs(deg))
                 cm = p @ cm @ p
             degrees.append(deg)
@@ -547,20 +548,40 @@ def _draws(model: GradedModel, rng: np.random.Generator, bandwidth: int, count: 
     return degrees[kept], values
 
 
-def _ring_defect(model: GradedModel, rng: np.random.Generator, pairs: int, bandwidth: int):
-    """The largest ||realize(g1 g2) - realize(g1) realize(g2)|| /
-    ((1 + ||realize(g1)||) (1 + ||realize(g2)||)) over ``pairs`` random
-    pairs (g1, g2), the same draws as 2 * ``pairs`` calls of
-    :func:`random_element`.  The pairs are drawn, multiplied and realized
-    as stacks, and the three norms of every pair taken in one call."""
+def _ring_defect(model: GradedModel, rng: np.random.Generator, pairs: int, bandwidth: int, tol):
+    """The graded suite on one draw of ``pairs`` random pairs (g1, g2), the
+    same draws as 2 * ``pairs`` calls of :func:`random_element`, drawn,
+    multiplied and realized as stacks, with the three norms of every pair
+    taken in one call: the largest ||realize(g1 g2) - realize(g1)
+    realize(g2)|| / ((1 + ||realize(g1)||) (1 + ||realize(g2)||)), then
+    the coefficient bounds and sum estimates of the factors, read from
+    their atom values and those norms."""
     degrees, values = _draws(model, rng, bandwidth, 2 * pairs)
     factors = _realize_values(model, degrees, values).reshape(pairs, 2, model.dim, model.dim)
     r1, r2 = factors[:, 0], factors[:, 1]
-    values = values.reshape(pairs, 2, *values.shape[1:])
-    product = _product(model._gathers, (degrees, values[:, 0]), (degrees, values[:, 1]))
+    pair = values.reshape(pairs, 2, *values.shape[1:])
+    product = _product(model._gathers, (degrees, pair[:, 0]), (degrees, pair[:, 1]))
     defect = _realize_values(model, *product) - r1 @ r2
     n1, n2, defect = _operator_norms(np.stack([r1, r2, defect], axis=1)).T
-    return float((defect / ((1.0 + n1) * (1.0 + n2))).max())
+    worst = float((defect / ((1.0 + n1) * (1.0 + n2))).max())
+    norms = np.stack([n1, n2], axis=1).ravel()  # factor 2i + j is pair i's g_(j+1)
+    star = _star_report(degrees, values, norms, tol)
+    return worst, star, _sum_bounds(model, degrees, values, norms, tol)
+
+
+def _star_report(degrees, values, norms, tol: float) -> PropertyStarReport:
+    """The coefficient bounds ||b|| >= ||beta_0|| and ||b|| >= max_d
+    ||beta_d||, within the operator rule at ||b||, of each element of a
+    (items, degrees, atoms) stack of atom values whose dense norms ||b||
+    are ``norms``; a coefficient's norm is its largest atom value."""
+    size = np.abs(values)
+    center = norms - size[:, degrees == 0].max(axis=(1, 2), initial=0.0)
+    any_margin = norms - size.max(axis=(1, 2), initial=0.0)
+    limit = -LIMITS["operator"](tol, norms)
+    violations = int(np.count_nonzero((center < limit) | (any_margin < limit)))
+    return PropertyStarReport(
+        len(norms), float(center.min()), float(any_margin.min()), violations, violations == 0
+    )
 
 
 def check_property_star(
@@ -582,19 +603,8 @@ def check_property_star(
     if rng is None:
         rng = np.random.default_rng(0)
     degrees, values = _draws(model, rng, bandwidth, samples)
-    nb = _operator_norms(_realize_values(model, degrees, values))
-    size = np.abs(values)
-    center = nb - size[:, degrees == 0].max(axis=(1, 2), initial=0.0)
-    any_margin = nb - size.max(axis=(1, 2), initial=0.0)
-    limit = -LIMITS["operator"](tol, nb)
-    violations = int(np.count_nonzero((center < limit) | (any_margin < limit)))
-    return PropertyStarReport(
-        samples=samples,
-        worst_margin_center=float(center.min()),
-        worst_margin_any=float(any_margin.min()),
-        violations=violations,
-        passed=violations == 0,
-    )
+    norms = _operator_norms(_realize_values(model, degrees, values))
+    return _star_report(degrees, values, norms, tol)
 
 
 @dataclass(frozen=True)
@@ -616,7 +626,8 @@ def sum_norm_inequalities(ds, tol: float = DEFAULT_TOL) -> SumNormReport:
     should come out nonnegative up to round-off: each passes down to minus
     the sum rule at m and max_i ||d_i||.  A matrix that is not square, not
     finite or not the size of the first is an :class:`InvalidSpec`, naming
-    it in the last two cases.  This is :func:`_sum_norms` on one trial.
+    it in the last two cases.  The dense form of the graded suite's check
+    (:func:`_sum_bounds`), with the same margins and verdict.
     """
     _tolerance(tol)
     mats = []
@@ -627,44 +638,49 @@ def sum_norm_inequalities(ds, tol: float = DEFAULT_TOL) -> SumNormReport:
         mats.append(_finite(m, f"matrix {i}"))
     if not mats:
         raise InvalidSpec("need at least one matrix")
-    return _sum_norms([np.array(mats)], tol)[0]
-
-
-def _sum_norms(trials: list, tol: float) -> list[SumNormReport]:
-    """:func:`sum_norm_inequalities` of each trial, an (m, n, n) stack of
-    finite matrices.  Both absolute values of every matrix of every trial
-    come from one batched SVD, and the trials' five sums are normed in
-    one more; each sum adds its trial's matrices in order."""
-    counts = np.array([len(t) for t in trials])
-    stack = np.concatenate(trials)
-    # d = W diag(s) V*, so |d| = V diag(s) V* and |d*| = W diag(s) W*
+    stack = np.array(mats)
+    # d = W diag(s) V*, so |d*| = W diag(s) W* and |d| = V diag(s) V*
     w, s, vh = np.linalg.svd(stack)
-    parts = (
-        lambda: stack,
-        lambda: stack @ dagger(stack),
-        lambda: dagger(stack) @ stack,
-        lambda: (dagger(vh) * s[:, None, :]) @ vh,
-        lambda: (w * s[:, None, :]) @ dagger(w),
-    )
-    starts = np.cumsum(counts) - counts
-    sums = np.zeros((len(trials), len(parts)) + stack.shape[1:], dtype=np.complex128)
-    for p, part in enumerate(parts):
-        mats = part()
-        for j in range(counts.max()):
-            on = np.flatnonzero(counts > j)
-            sums[on, p] += mats[starts[on] + j]
+    grams = stack @ dagger(stack), dagger(stack) @ stack
+    roots = (w * s[:, None, :]) @ dagger(w), (dagger(vh) * s[:, None, :]) @ vh
+    sums = np.array([stack, *grams, *roots]).sum(axis=1)
+    top = np.array([s.max(initial=0.0)])  # the largest singular value, 0 for 0 x 0 matrices
+    return _sum_reports(len(mats), top, _operator_norms(sums)[None], tol)[0]
+
+
+def _sum_bounds(model: GradedModel, degrees, values, norms, tol: float) -> list[SumNormReport]:
+    """:func:`sum_norm_inequalities` of the homogeneous parts b_d of each
+    element b of a (items, degrees, atoms) stack of atom values, m =
+    len(degrees) parts, with ||Sum b_d|| = ||b|| read from ``norms``.
+
+    For d >= 0, b_d = beta_d u^d has b_d b_d* = |v_d|^2, b_d* b_d =
+    delta_*^d(|v_d|^2) and |b_d| = delta_*^d(|v_d|), a gather through the
+    frame's row depth + d; for d < 0 the two sides swap.  Every other sum
+    is then a coefficient, whose norm is its largest atom value, and
+    ||b_d|| is max |v_d|."""
+    index, mask, depth = model._gathers.gathers(int(np.abs(degrees).max(initial=0)))
+    size = np.abs(values)
+    rows = depth + np.abs(degrees)
+    pulled = size[:, np.arange(len(degrees))[:, None], index[rows]] * mask[rows]
+    sides = np.where((degrees >= 0)[:, None], [size, pulled], [pulled, size])  # |b_d*|, |b_d|
+    sums = np.concatenate([sides * sides, sides]).sum(axis=2).max(axis=2, initial=0.0)
+    stats = np.column_stack([norms, *sums])
+    return _sum_reports(len(degrees), size.max(axis=(1, 2), initial=0.0), stats, tol)
+
+
+def _sum_reports(m: int, tops: np.ndarray, stats: np.ndarray, tol: float) -> list[SumNormReport]:
+    """The sum estimates for m parts d from each row of ``stats``, ||Sum d||,
+    ||Sum d d*||, ||Sum d* d||, ||Sum |d*||| and ||Sum |d|||, and the parts'
+    largest norm in ``tops``."""
     reports = []
-    for m, norms, top in zip(
-        counts.tolist(), _operator_norms(sums), np.maximum.reduceat(s[:, 0], starts)
-    ):
-        total, right, left, abs_left, abs_right = map(float, norms)
+    for top, (total, right, left, abs_right, abs_left) in zip(tops.tolist(), stats.tolist()):
         margins = {
             "square_vs_right_gram": m * right - total**2,
             "square_vs_left_gram": m * left - total**2,
             "abs_sum_vs_left_gram": abs_left**2 - left / m,
             "abs_sum_vs_right_gram": abs_right**2 - right / m,
         }
-        passed = all(v >= -LIMITS["sum"](tol, m, float(top)) for v in margins.values())
+        passed = all(v >= -LIMITS["sum"](tol, m, top) for v in margins.values())
         reports.append(SumNormReport(count=m, margins=margins, passed=passed))
     return reports
 

@@ -20,9 +20,7 @@ from .errors import ConfigError, InvalidSpec, ParseError, PolarkitError, ZeroEle
 from .graded import (
     _nilpotent,
     _ring_defect,
-    _sum_norms,
     _u_plus_u_star,
-    check_property_star,
     graded_adjoint,
     graded_mul,
     norm_estimate,
@@ -200,31 +198,14 @@ def _suite_graded(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> li
     model, skipped = _nilpotent_model(an)
     if model is None:
         return skipped
-    bandwidth = min(3, model.dim - 1)
-    worst = _ring_defect(model, rng, 10, bandwidth)
-    checks = [_check("ring_consistency", "graded.product", worst <= LIMITS["relative"](tol), worst)]
-    star = check_property_star(model, samples=10, tol=tol, bandwidth=bandwidth, rng=rng)
-    checks.append(
-        _check(
-            "coefficient_bounds",
-            "graded.norm_filtration",
-            star.passed,
-            max(0.0, -min(star.worst_margin_center, star.worst_margin_any)),
-        )
-    )
-    trials = []
-    for _ in range(5):
-        x = rng.standard_normal((int(rng.integers(1, 6)), 2, model.dim, model.dim))
-        trials.append(x[:, 0] + 1j * x[:, 1])
-    worst_margin = 0.0
-    ok = True
-    for rep in _sum_norms(trials, tol):
-        ok = ok and rep.passed
-        worst_margin = min(worst_margin, min(rep.margins.values()))
-    checks.append(
-        _check("sum_inequalities", "graded.sum_bounds", ok, max(0.0, -worst_margin))
-    )
-    return checks
+    worst, star, sums = _ring_defect(model, rng, 10, min(3, model.dim - 1), tol)
+    bounds = max(0.0, -min(star.worst_margin_center, star.worst_margin_any))
+    margin = max(0.0, -min(min(rep.margins.values()) for rep in sums))
+    return [
+        _check("ring_consistency", "graded.product", worst <= LIMITS["relative"](tol), worst),
+        _check("coefficient_bounds", "graded.norm_filtration", star.passed, bounds),
+        _check("sum_inequalities", "graded.sum_bounds", all(rep.passed for rep in sums), margin),
+    ]
 
 
 def _suite_norm_formula(spec: ModelSpec, an: Analysis, config: SuiteConfig, rng) -> list[dict]:

@@ -190,6 +190,13 @@ def test_sum_norm_inequalities_rejects_an_infinite_entry(rng):
         pk.sum_norm_inequalities(ds)
 
 
+def test_sum_norm_inequalities_of_empty_matrices_are_zero():
+    # an IndexError from reading the largest singular value of a 0 x 0 matrix
+    rep = pk.sum_norm_inequalities([np.zeros((0, 0)), np.zeros((0, 0))])
+    assert rep.passed and rep.count == 2
+    assert set(rep.margins.values()) == {0.0}
+
+
 def test_sum_norm_inequalities_rejects_mixed_sizes(rng):
     # numpy raised its "inhomogeneous shape" ValueError
     ds = [random_matrix(rng, 3), random_matrix(rng, 3), random_matrix(rng, 4)]

@@ -23,12 +23,14 @@ from hypothesis import strategies as st
 import polarkit as pk
 import polarkit.graded as graded
 from polarkit.graded import COEFF_DROP
-from polarkit.linalg import dagger
+from polarkit.linalg import LIMITS, _operator_norms, dagger
 from polarkit.relation import Analysis
 from polarkit.report import SUITE_ORDER
 
 from conftest import zoo_specs
 from span_closure import basis_of
+from test_relation import _haar_unitary
+from test_report import _conjugated_chains
 
 
 def ref_norm(m) -> float:
@@ -965,3 +967,81 @@ def test_a_stack_of_products_counts_its_items_in_its_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 3 << 19, peak
+
+
+# -- the graded suite's sum estimates on atom values --------------------------
+
+
+SUM_MODELS = {
+    **MODELS,
+    **{
+        f"conjugated_chain{i}": (lambda a=a: pk.graded_model_for(a))
+        for i, a in enumerate(_conjugated_chains())
+    },
+}
+
+
+def _homogeneous_parts(model, degrees, values):
+    """The realized b_d of one element's (degrees, atom values)."""
+    return [
+        pk.realize(model._lift(degrees[j : j + 1], values[j : j + 1]))
+        for j in range(len(degrees))
+    ]
+
+
+def _sum_draws(model, seed=36, items=6):
+    """A stack of random elements with the dense norms of their realizations."""
+    degrees, values = graded._draws(model, np.random.default_rng(seed), 3, items)
+    norms = _operator_norms(graded._realize_values(model, degrees, values))
+    return degrees, values, norms
+
+
+@pytest.mark.parametrize("name", list(SUM_MODELS))
+def test_sum_bounds_on_atoms_match_the_dense_estimates(name):
+    # b_d b_d*, b_d* b_d and |b_d| read as gathers of |v_d|, against
+    # sum_norm_inequalities on the realized homogeneous parts
+    model = SUM_MODELS[name]()
+    degrees, values, norms = _sum_draws(model)
+    reports = graded._sum_bounds(model, degrees, values, norms, model.tol)
+    assert len(reports) == len(values)
+    for item, rep in zip(values, reports):
+        want = pk.sum_norm_inequalities(_homogeneous_parts(model, degrees, item), model.tol)
+        assert (rep.count, rep.passed) == (want.count, want.passed) == (len(degrees), True)
+        assert rep.margins.keys() == want.margins.keys()
+        for key, margin in want.margins.items():
+            assert abs(rep.margins[key] - margin) <= 1e-12 * (1.0 + abs(margin)), key
+
+
+@pytest.mark.parametrize("name", ["shift12", "q_oscillator8", "haar_shift8"])
+def test_sum_bounds_fail_on_a_norm_over_the_gram_bound(name):
+    # ||b||^2 <= m ||(b b*)_0||: a norm 10^3 thresholds above its square
+    # root fails that estimate, and only for the element given it
+    model = MODELS[name]()
+    degrees, values, norms = _sum_draws(model)
+    reports = graded._sum_bounds(model, degrees, values, norms, model.tol)
+    m = len(degrees)
+    gram = reports[2].margins["square_vs_right_gram"] + norms[2] ** 2  # m ||(b b*)_0||
+    limit = LIMITS["sum"](model.tol, m, float(np.abs(values[2]).max()))
+    bad = norms.copy()
+    bad[2] = np.sqrt(gram) + 1e3 * limit
+    broken = graded._sum_bounds(model, degrees, values, bad, model.tol)
+    assert [rep.passed for rep in broken] == [i != 2 for i in range(len(values))]
+    assert broken[2].margins["square_vs_right_gram"] < -1e3 * limit
+
+
+def test_a_decimal_string_degree_zero_is_not_projected(monkeypatch):
+    # "0" names degree 0, which enforce_support leaves as it is: the
+    # projection onto P_0 moved the kept values of a conjugated model
+    w = _haar_unitary(np.random.default_rng(8), 8)
+    model = pk.graded_model_for(w @ pk.build(pk.q_oscillator(8, 0.5, 1.0)) @ dagger(w))
+    c = pk.random_element(model, np.random.default_rng(3), bandwidth=0).coefficients[0]
+    calls = []
+    project = pk.GradedModel.range_projection
+    monkeypatch.setattr(
+        pk.GradedModel, "range_projection", lambda self, k: calls.append(k) or project(self, k)
+    )
+    by_string = model.element({"0": c}, enforce_support=True)
+    by_int = model.element({0: c}, enforce_support=True)
+    assert calls == []
+    for got, want in zip(by_string._atoms, by_int._atoms):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -32,9 +32,12 @@ ALLOWED = {
     "write_matrix",
     # reads back what normal-order --report json writes
     "normal_form_from_json",
-    # one trial of the sum estimates; the graded suite runs its trials
-    # stacked, through graded._sum_norms
+    # the sum estimates on any matrices, by dense SVDs; the graded suite
+    # reads them on its factors' atom values, through graded._sum_bounds
     "sum_norm_inequalities",
+    # the coefficient bounds on samples of their own; the graded suite
+    # reads them on its ring check's factors, through graded._star_report
+    "check_property_star",
     # membership in C*(1, a) for any Hermitian a; verify_I1 reads the
     # eigenspaces of a*a off the polar SVD of a instead
     "is_function_of",

@@ -15,7 +15,7 @@ import polarkit as pk
 import polarkit.relation as relation
 import polarkit.report as report_module
 import polarkit.tower as tower
-from polarkit.linalg import _operator_norms, dagger
+from polarkit.graded import _draws
 from polarkit.relation import Analysis
 from polarkit.report import SUITE_ORDER
 from polarkit.words import NormalForm
@@ -299,8 +299,8 @@ def test_zoo_report_is_the_golden_file_byte_for_byte(counted_zoo_run):
 @pytest.mark.parametrize(
     "seed, digest",
     (
-        (1, "25937be5a930b1624d669405decf60bc801422cf3076e4978c1e8f60bb55b208"),
-        (2027, "b969791b213b619327e92b6b74cea429263abca18eb50bc41f6fe7a0e1f6f728"),
+        (1, "a29b9f303849b5bcd6cdfda9b8bd520c9a7b6d90da5538b8bacf451cbb4d0696"),
+        (2027, "b52867df892d2d10156758a6fd570e730e209ab393258afb3d2882c8880388e4"),
     ),
     ids=("seed1", "seed2027"),  # so that a new digest keeps the test's name
 )
@@ -473,80 +473,50 @@ def test_linalg_error_is_a_suite_precondition(monkeypatch):
 # -- the graded suite's stacks against its per-sample loops ------------------
 
 
-def ref_check_property_star(model, samples, tol, bandwidth, rng):
-    """check_property_star one sample at a time: each element drawn,
-    realized and normed on its own."""
+def ref_suite_graded(an, tol, rng):
+    """The graded suite as a loop over its one draw: ten products of two
+    elements, each realized and normed on its own, then each factor's
+    coefficient bounds at the norm the ring check took and its sum
+    estimates by sum_norm_inequalities on its realized homogeneous parts."""
+    model, skipped = report_module._nilpotent_model(an)
+    if model is None:
+        return skipped
+    bandwidth = min(3, model.dim - 1)
+    factors, ring = [], []
+    for _ in range(10):
+        g1 = pk.random_element(model, rng, bandwidth=bandwidth)
+        g2 = pk.random_element(model, rng, bandwidth=bandwidth)
+        r1, r2 = pk.realize(g1), pk.realize(g2)
+        ring += [r1, r2, pk.realize(pk.graded_mul(g1, g2)) - r1 @ r2]
+        factors += [g1, g2]
+    n1, n2, defect = np.array([pk.operator_norm(m) for m in ring]).reshape(-1, 3).T
+    worst = float((defect / ((1.0 + n1) * (1.0 + n2))).max())
+    checks = [report_module._check("ring_consistency", "graded.product", worst <= tol, worst)]
     worst_center = worst_any = np.inf
-    violations = 0
-    for _ in range(samples):
-        g = pk.random_element(model, rng, bandwidth=bandwidth)
-        nb = pk.operator_norm(pk.realize(g))
+    violations, worst_margin, ok = 0, 0.0, True
+    for g, nb in zip(factors, np.stack([n1, n2], axis=1).ravel()):
         center = nb - g.coefficient_norm(0)
         any_margin = nb - g.coefficient_norm()
         worst_center = min(worst_center, center)
         worst_any = min(worst_any, any_margin)
         if center < -tol * (1.0 + nb) or any_margin < -tol * (1.0 + nb):
             violations += 1
-    return worst_center, worst_any, violations
-
-
-def ref_sum_trial(ds, tol):
-    """One trial of the sum estimates with its own two SVD calls and its
-    sums taken over the trial's axis: (margins, passed)."""
-    m = len(ds)
-    stack = np.array(ds)
-    w, s, vh = np.linalg.svd(stack)
-    root_left = (dagger(vh) * s[:, None, :]) @ vh
-    root_right = (w * s[:, None, :]) @ dagger(w)
-    sums = np.array([stack, stack @ dagger(stack), dagger(stack) @ stack, root_left, root_right])
-    total, right, left, abs_left, abs_right = map(float, _operator_norms(sums.sum(axis=1)))
-    margins = {
-        "square_vs_right_gram": m * right - total**2,
-        "square_vs_left_gram": m * left - total**2,
-        "abs_sum_vs_left_gram": abs_left**2 - left / m,
-        "abs_sum_vs_right_gram": abs_right**2 - right / m,
-    }
-    norm = float(s[:, 0].max())
-    passed = all(v >= -tol * m * (1.0 + norm * norm) for v in margins.values())
-    return margins, passed
-
-
-def ref_suite_graded(an, tol, rng):
-    """The graded suite as a loop over its samples: ten products of two
-    elements, then ref_check_property_star, then five sum trials."""
-    model, skipped = report_module._nilpotent_model(an)
-    if model is None:
-        return skipped
-    bandwidth = min(3, model.dim - 1)
-    ring = []
-    for _ in range(10):
-        g1 = pk.random_element(model, rng, bandwidth=bandwidth)
-        g2 = pk.random_element(model, rng, bandwidth=bandwidth)
-        r1, r2 = pk.realize(g1), pk.realize(g2)
-        ring += [r1, r2, pk.realize(pk.graded_mul(g1, g2)) - r1 @ r2]
-    n1, n2, defect = np.array([pk.operator_norm(m) for m in ring]).reshape(-1, 3).T
-    worst = float((defect / ((1.0 + n1) * (1.0 + n2))).max())
-    checks = [report_module._check("ring_consistency", "graded.product", worst <= tol, worst)]
-    center, any_margin, violations = ref_check_property_star(model, 10, tol, bandwidth, rng)
+        degrees, values = g._atoms
+        parts = [
+            pk.realize(model._lift(degrees[j : j + 1], values[j : j + 1]))
+            for j in range(len(degrees))
+        ]
+        rep = pk.sum_norm_inequalities(parts, tol)
+        ok = ok and rep.passed
+        worst_margin = min(worst_margin, min(rep.margins.values()))
     checks.append(
         report_module._check(
             "coefficient_bounds",
             "graded.norm_filtration",
             violations == 0,
-            max(0.0, -min(center, any_margin)),
+            max(0.0, -min(worst_center, worst_any)),
         )
     )
-    worst_margin, ok = 0.0, True
-    for _ in range(5):
-        m = int(rng.integers(1, 6))
-        ds = [
-            rng.standard_normal((model.dim, model.dim))
-            + 1j * rng.standard_normal((model.dim, model.dim))
-            for _ in range(m)
-        ]
-        margins, passed = ref_sum_trial(ds, tol)
-        ok = ok and passed
-        worst_margin = min(worst_margin, min(margins.values()))
     checks.append(
         report_module._check("sum_inequalities", "graded.sum_bounds", ok, max(0.0, -worst_margin))
     )
@@ -563,7 +533,11 @@ def assert_graded_suite_matches_its_loops(a, seed):
     config = pk.SuiteConfig(models=(spec,), suites=("graded",), seed=seed)
     got = report_module._suite_graded(spec, an, config, np.random.default_rng([seed, 0, 4]))
     want = ref_suite_graded(an, config.tol, np.random.default_rng([seed, 0, 4]))
-    assert _hex(got) == _hex(want)
+    # the sum estimates on atom values against the dense ones, to rounding
+    assert _hex(got[:2]) == _hex(want[:2])
+    assert [(c["name"], c["pass"]) for c in got] == [(c["name"], c["pass"]) for c in want]
+    if len(got) == 3:
+        assert got[2]["residual"] == pytest.approx(want[2]["residual"], rel=1e-12, abs=1e-12)
     return got
 
 
@@ -600,7 +574,7 @@ def test_stacked_graded_suite_matches_its_loops_on_direct_sums(a, seed):
 # The SVD calls of one zoo run_suite, seed 0 and every suite.  Like the
 # line budget, a change that adds a call raises this pin in the same diff
 # and says why in CHANGES.md; one that removes calls may lower it.
-ZOO_SVD_CALLS = 99
+ZOO_SVD_CALLS = 81
 
 
 def test_the_zoo_run_suite_stays_within_its_svd_calls(lapack_calls):
@@ -611,9 +585,9 @@ def test_the_zoo_run_suite_stays_within_its_svd_calls(lapack_calls):
 
 
 def test_graded_suite_makes_few_svd_calls(lapack_calls):
-    # one call for the ring's norms, one for the samples' norms, and one
-    # SVD and one norm call for the five sum trials; the per-sample loops
-    # made 21 (the ring's stack, one per sample and two per trial)
+    # one call for the ring's norms, which the coefficient bounds and the
+    # sum estimates read too; the per-sample loops made 21, and the suite
+    # made 4 when it drew its own samples and Gaussian sum trials
     spec = pk.q_oscillator(16, 0.5, 1.0)
     an = Analysis(pk.build(spec))
     an.model._gathers
@@ -621,7 +595,19 @@ def test_graded_suite_makes_few_svd_calls(lapack_calls):
     config = pk.SuiteConfig(models=(spec,), suites=("graded",))
     checks = report_module._suite_graded(spec, an, config, np.random.default_rng([0, 3, 4]))
     assert [c["pass"] for c in checks] == [True] * 3
-    assert lapack_calls.calls["svd"] <= 4, lapack_calls.calls
+    assert lapack_calls.calls["svd"] <= 1, lapack_calls.calls
+
+
+def test_graded_suite_draws_its_factors_once():
+    # ten pairs are all the suite draws: no samples of its own for the
+    # coefficient bounds, and no Gaussian trials for the sum estimates
+    spec = pk.q_oscillator(8, 0.5, 1.0)
+    an = Analysis(pk.build(spec))
+    config = pk.SuiteConfig(models=(spec,), suites=("graded",))
+    rng, ref = np.random.default_rng([0, 3, 4]), np.random.default_rng([0, 3, 4])
+    report_module._suite_graded(spec, an, config, rng)
+    _draws(an.model, ref, min(3, an.model.dim - 1), 20)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_run_suite_derives_each_power_fact_once(monkeypatch):
