@@ -16,7 +16,6 @@ from .algebra import (
     spectral_algebra,
 )
 from .errors import (
-    BandwidthOverflow,
     ConfigError,
     DimensionTooSmall,
     HypothesisViolated,

@@ -38,10 +38,6 @@ class ZeroElement(PolarkitError):
     """Norm estimation was asked for an element that realizes to zero."""
 
 
-class BandwidthOverflow(PolarkitError):
-    """Repeated graded squaring would exceed the bandwidth cap."""
-
-
 class UnsupportedPhi(PolarkitError):
     """Symbolic rewriting was requested for a non-affine substitution map."""
 

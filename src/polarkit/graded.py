@@ -55,9 +55,13 @@ is recovered from coefficients alone through
     ||b|| = lim_k || N_0[ (b b*)^{2k} ] ||^{1/4k}
 
 with the bracketing s_k <= ||b|| <= (4kn+1)^{1/4k} s_k for bandwidth n,
-when U is nilpotent.  ``norm_estimate`` implements this with repeated
-graded squaring on atom values and pre-scaling, reading ||N_0|| as the
-largest atom value.
+when U is nilpotent.  Then every orbit of delta on X is a chain, on which
+U is W (x) 1 in a basis carried along it, W the 0/1 matrix of delta read
+from the gathers, so b is faithfully H = Sum_{d >= 0} diag(beta_d) W^d +
+Sum_{d < 0} W*^|d| diag(beta_d) on the atoms, and N_0 is its diagonal
+(W^d has none for d != 0 on a chain; on a cycle neither holds).
+``norm_estimate`` squares H H* with matrix products and reads ||N_0|| as
+the largest diagonal entry.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .algebra import SpectralAlgebra, _block_constant_defect
-from .errors import BandwidthOverflow, InvalidSpec, ModelMismatch, SupportViolation, ZeroElement
+from .errors import InvalidSpec, ModelMismatch, SupportViolation, ZeroElement
 from .linalg import (
     COEFF_DROP,
     DEFAULT_TOL,
@@ -86,11 +90,6 @@ from .linalg import (
     operator_norm,
 )
 from .tower import _BLOCK, EndoPair, _AtomFrame, _commutativity_defect, endo_pair
-
-# Cap on the coefficient slots a norm estimate may touch:
-# 4 * kmax * bandwidth must stay at or under this.
-BANDWIDTH_CAP = 4096
-
 
 def _frozen(m: np.ndarray) -> np.ndarray:
     """m, made read-only: a cached matrix the caller cannot change."""
@@ -383,12 +382,11 @@ def graded_mul(g1: GradedElement, g2: GradedElement) -> GradedElement:
     return g1.model._lift(*_product(g1.model._gathers, g1._atoms, g2._atoms))
 
 
-def _product(frame: _AtomFrame, left, right, degree: int | None = None):
-    """The graded product of two (degrees, atom values) pairs, or with
-    ``degree`` only its degree-``degree`` coefficient.  The values may be
-    stacks shaped (..., degrees, atoms), the same stack on both sides
-    over one degree set each; item i of the result is the product of the
-    items i.
+def _product(frame: _AtomFrame, left, right):
+    """The graded product of two (degrees, atom values) pairs.  The values
+    may be stacks shaped (..., degrees, atoms), the same stack on both
+    sides over one degree set each; item i of the result is the product of
+    the items i.
 
     The term at degrees (m, n) lands in degree m + n; by the push-through
     identities its atom values are
@@ -402,7 +400,7 @@ def _product(frame: _AtomFrame, left, right, degree: int | None = None):
     that is beta and gamma each gathered through one power of delta or
     delta_* (:func:`_term_rows`), times a mask, times the mask of
     P_|m+n|.  Terms whose P_|m+n| is zero (|m + n| at least the least k
-    with P_k = 0, when U is nilpotent) or not asked for are never formed.
+    with P_k = 0, when U is nilpotent) are never formed.
 
     The terms are laid out with the left degrees as rows, in the order of
     ``left``, and the degrees m + n as columns; a slot whose right degree
@@ -441,8 +439,7 @@ def _product(frame: _AtomFrame, left, right, degree: int | None = None):
         index = (index[read, None, :] + np.arange(0, size, atoms)[:, None]).reshape(len(read), size)
         mask = np.tile(mask[read], items)
         depth = span + 1
-    first, last = (-top, top) if degree is None else (max(-top, degree), min(top, degree))
-    acc = np.zeros((max(0, last - first + 1), size), dtype=np.complex128)
+    acc = np.zeros((2 * top + 1, size), dtype=np.complex128)
     if len(ldeg) and len(rdeg):
         # slot[n + reach] is the row of right degree n, or the row of zeros
         reach = top + lmax + rmax
@@ -456,8 +453,8 @@ def _product(frame: _AtomFrame, left, right, degree: int | None = None):
         rows = max(1, int(np.sqrt(_BLOCK // size)))
         for r in range(0, len(ldeg), rows):
             m = ldeg[r : r + rows, None]
-            lo = max(first, int(m.min()) + rlo)
-            hi = min(last, int(m.max()) + rhi)
+            lo = max(-top, int(m.min()) + rlo)
+            hi = min(top, int(m.max()) + rhi)
             d = np.arange(lo, hi + 1)
             j = slot[d - m + reach]
             on_beta, on_gamma, under = _term_rows(m, rdeg0[j], depth)
@@ -468,7 +465,7 @@ def _product(frame: _AtomFrame, left, right, degree: int | None = None):
                 terms = lflat.take(index[on_beta[:, s]] + at)
                 terms *= rflat.take(index[on_gamma[:, s]] + (j[:, s] * size)[..., None])
                 terms *= mask[under[:, s]] * mask[np.abs(d[s])]
-                block = slice(lo - first + c, lo - first + c + terms.shape[1])
+                block = slice(lo + top + c, lo + top + c + terms.shape[1])
                 terms[0] += acc[block]
                 acc[block] = terms.sum(axis=0)
     keep = np.abs(acc).reshape(len(acc), items, atoms).max(axis=2) > COEFF_DROP * scale * scale
@@ -478,7 +475,7 @@ def _product(frame: _AtomFrame, left, right, degree: int | None = None):
         values = values.reshape(len(kept), items, atoms)
         values[~keep[kept]] = 0.0
         values = values.swapaxes(0, 1)
-    return kept + first, values.reshape(lead + (len(kept), atoms))
+    return kept - top, values.reshape(lead + (len(kept), atoms))
 
 
 def _term_rows(m: np.ndarray, n: np.ndarray, depth: int):
@@ -690,8 +687,9 @@ class NormEstimate:
     """Norm estimates s_k = ||N_0[(b b*)^{2k}]||^{1/4k} at k = 1, 2, 4, ...
 
     Each recorded k brackets the true norm:
-    s_k <= ||b|| <= (4 k n + 1)^{1/4k} s_k with n the bandwidth.
-    ``dense_norm`` is ||b||, also the scale b's coefficients were divided by.
+    s_k <= ||b|| <= (4 k n + 1)^{1/4k} s_k with n the bandwidth; N_0 is
+    the diagonal of b's matrix on the atoms.  ``dense_norm`` is ||b||,
+    also the scale that matrix was divided by.
     """
 
     estimates: tuple[tuple[int, float], ...]
@@ -717,24 +715,17 @@ class NormEstimate:
 def norm_estimate(g: GradedElement, kmax: int = 64) -> NormEstimate:
     """Estimate ||realize(g)|| from coefficients alone.
 
-    Forms c = g g* in graded form, squares it repeatedly (so the available
-    exponents are powers of two), and records s_k at k = 1, 2, 4, ... up
-    to kmax.  The element is pre-scaled by its dense norm ||realize(g)||,
-    the one the zero test takes, kept as ``dense_norm``, so the squared
-    coefficients stay O(1); the 1/4k-th root restores the scale exactly.
-    Every squaring runs on g's atom values, and ||N_0|| is the largest
-    degree-0 value.
-    Raises :class:`ZeroElement` for the zero element,
-    :class:`BandwidthOverflow` when 4 * kmax * bandwidth exceeds
-    ``BANDWIDTH_CAP``,
-    and :class:`ModelMismatch` as :func:`graded_mul` does and for a u no
+    Forms c = h h* for h the matrix on the atoms (:func:`_chain_matrix`)
+    of g / t, t = ||realize(g)|| (the zero test's norm, kept as
+    ``dense_norm``, so the squares stay O(1)), squares c once per recorded
+    k = 1, 2, 4, ... up to kmax, the last time forming only its diagonal,
+    and records s_k = t ||N_0||^{1/4k}, N_0 the diagonal: one |X| x |X|
+    product per k, whatever the bandwidth.
+    Raises :class:`ZeroElement` for the zero element, and
+    :class:`ModelMismatch` as :func:`graded_mul` does and for a u no
     power of which vanishes.
     """
-    kmax, band = _count(kmax, "kmax", 1), g.bandwidth
-    if 4 * kmax * band > BANDWIDTH_CAP:
-        raise BandwidthOverflow(
-            f"4*kmax*bandwidth = {4 * kmax * band} exceeds the cap {BANDWIDTH_CAP}"
-        )
+    kmax = _count(kmax, "kmax", 1)
     degrees, values = g._atoms
     # a coefficient in A has the norm of its largest atom value; the dense
     # test stays, because degrees can cancel on a cycle
@@ -747,24 +738,35 @@ def norm_estimate(g: GradedElement, kmax: int = 64) -> NormEstimate:
             "u is not nilpotent (no power of it vanishes on the atoms), so the "
             "degree-0 functional does not give the norm"
         )
-    gathers = g.model._gathers
-    h = (degrees, values / t)
-    power = _product(gathers, h, (-degrees, h[1].conj()))
+    h = _chain_matrix(g.model._gathers, degrees, values / t)
+    c = h @ dagger(h)
     estimates = []
     k = 1
     while True:
-        # (h h*)^{2k}; the last square is read only at degree 0
-        power = _product(gathers, power, power, degree=0 if 2 * k > kmax else None)
-        center = power[1][power[0] == 0]
-        s = t * float(np.abs(center).max(initial=0.0)) ** (1.0 / (4 * k))
-        estimates.append((k, float(s)))
-        if 2 * k > kmax:
+        last = 2 * k > kmax
+        # N_0[(h h*)^{2k}] is the diagonal of c^2, the last square's only part
+        center = (c * c.T).sum(axis=1) if last else (c := c @ c).diagonal()
+        estimates.append((k, t * float(np.abs(center).max()) ** (1.0 / (4 * k))))
+        if last:
             break
         k *= 2
     return NormEstimate(
-        estimates=tuple(estimates),
-        final=estimates[-1][1],
-        bandwidth=band,
-        dense_norm=t,
+        estimates=tuple(estimates), final=estimates[-1][1], bandwidth=g.bandwidth, dense_norm=t
     )
 
+
+def _chain_matrix(frame: _AtomFrame, degrees: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The |X| x |X| matrix H = Sum_{d >= 0} diag(v_d) W^d + Sum_{d < 0}
+    W*^|d| diag(v_d) of an element's (degrees, atom values), with W the 0/1
+    matrix of delta on the atoms, W[delta(x), x] = 1: entry (y, x) of W^d
+    is 1 where row d of the frame's gathers reads x at y and its mask P_d
+    is 1.  Each atom value outside its P_|d| is dropped, as u^d = P_d u^d
+    and u*^|d| = u*^|d| P_|d| drop it."""
+    index, mask, _ = frame.gathers(int(np.abs(degrees).max(initial=0)))
+    rows = np.abs(degrees)
+    d, y = np.nonzero(mask[rows])
+    x = index[rows[d], y]
+    up = degrees[d] >= 0
+    h = np.zeros((values.shape[1], values.shape[1]), dtype=np.complex128)
+    h[np.where(up, y, x), np.where(up, x, y)] = values[d, y]
+    return h

@@ -150,6 +150,16 @@ def test_norm_estimate_unit_shift(capsys):
     assert obj["dense_norm"] == pytest.approx(2.0 * np.cos(np.pi / 5.0))
 
 
+def test_norm_estimate_takes_a_large_kmax(capsys):
+    # u is nilpotent, so no product degree passes n - 1 = 3 whatever kmax
+    # is; 4 * kmax * bandwidth = 8192 was refused with exit code 1
+    argv = ["norm-estimate", "--model", '{"kind": "weighted_shift", "weights": [1, 1, 1]}']
+    assert main([*argv, "--kmax", "2048", "--report", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert [e["k"] for e in obj["estimates"]] == [2**i for i in range(12)]
+    assert obj["relative_gap"] <= 0.05
+
+
 @pytest.mark.parametrize("halved", (False, True), ids=("as_is", "upper_bounds_halved"))
 def test_norm_estimate_verdict_is_the_suites_envelope_check(halved, monkeypatch, capsys):
     spec = zoo_specs()[2]

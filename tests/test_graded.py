@@ -291,13 +291,6 @@ def test_norm_estimate_of_degrees_that_cancel_is_a_zero_element():
         pk.norm_estimate(g)
 
 
-def test_norm_estimate_bandwidth_cap(model, rng):
-    g = pk.random_element(model, rng, bandwidth=3)
-    assert g.bandwidth == 3  # 4 * 512 * 3 = 6,144 slots, over the cap of 4,096
-    with pytest.raises(pk.BandwidthOverflow):
-        pk.norm_estimate(g, kmax=512)
-
-
 def test_transport_between_permuted_copies(rng):
     a = pk.build(pk.q_oscillator(6, 0.5, 1.0))
     model_a = pk.graded_model_for(a)

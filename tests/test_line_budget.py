@@ -5,7 +5,7 @@ diff and says why in CHANGES.md; one that removes lines may lower it."""
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "polarkit"
-BUDGET = 4894
+BUDGET = 4891
 
 
 def test_the_package_stays_within_its_line_budget():

@@ -77,6 +77,25 @@ def test_every_exported_name_has_a_caller():
     assert sorted(exported() - references()[0]) == sorted(ALLOWED)
 
 
+def test_every_exported_error_is_raised():
+    # an exported error no code path raises names a refusal that is gone;
+    # only the base class, which callers catch, is never raised itself
+    raised = {
+        node.exc.func.id
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+    }
+    errors = {
+        name for name in exported()
+        if isinstance(getattr(pk, name), type) and issubclass(getattr(pk, name), Exception)
+    }
+    assert sorted(errors - raised) == ["PolarkitError"]
+    assert "BandwidthOverflow" not in exported()
+
+
 def defined() -> tuple[set[str], set[str]]:
     """(the functions and classes, the methods and properties) the package
     defines, dunder methods left out."""
