@@ -23,10 +23,17 @@ per input polynomial.  An a cancels a pending a* only when q != 0; for
 q = 0 the inverse does not exist, mixed forms are left as is, and
 ell^j is the constant h for every j >= 1.
 
-Everything symbolic here is representation independent.  ``evaluate``
-maps a word or normal form into a concrete matrix model; for truncated
-models the relation fails at the top basis vector, so symbolic and
-numeric agree only on the interior columns (see interior_projection).
+Everything symbolic here is representation independent, and two
+functions realize it.  ``evaluate`` maps a word or normal form into any
+matrix model by dense products.  ``shift_values`` takes the weighted
+shift a = diag(w, 1), which is what ``models.build`` makes of a
+q_oscillator: there an item of degree d maps e_c to a multiple of
+e_{c-d}, one generalized diagonal, and a stack of items is walked
+letter by letter in O(n) per letter, each value equal to evaluate's
+entry bit for bit.  For truncated models the relation fails at the top
+basis vector, so symbolic and numeric agree only on the interior
+columns (see interior_projection).  deg, evaluate and shift_values read
+only the letters "a" and "a*" (ParseError otherwise), as normal_order does.
 
 The rewriting keeps whatever scalar type it is fed.  Passing Fraction
 values for q and h (and integer polynomial inputs) makes every identity
@@ -41,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionTooSmall, ParseError
+from .errors import DimensionTooSmall, InvalidSpec, ParseError
 from .linalg import _count, as_matrix, dagger
 
 GEN = "a"
@@ -58,15 +65,25 @@ def parse_word(text: str) -> tuple:
     return tuple(letters)
 
 
+def _letters(word) -> tuple:
+    """word as a tuple of letters, a string parsed; a ParseError on a
+    letter other than "a" and "a*"."""
+    if isinstance(word, str):
+        return parse_word(word)
+    word = tuple(word)
+    for letter in word:
+        if letter not in (GEN, GEN_STAR):
+            raise ParseError(f"unknown letter {letter!r}")
+    return word
+
+
 def deg(word) -> int:
     """Signed letter count: each a contributes +1, each a* contributes -1.
 
     Defined on the free semigroup of words, not on operators; two words
     representing the same matrix may have different degrees.
     """
-    if isinstance(word, str):
-        word = parse_word(word)
-    return sum(1 if w == GEN else -1 for w in word)
+    return sum(1 if w == GEN else -1 for w in _letters(word))
 
 
 def _coefficient(name: str, value, exact: bool):
@@ -166,7 +183,8 @@ def poly_compose_affine(p: tuple, q, h) -> tuple:
 class NormalForm:
     """The canonical shape a^{*l} p(a*a) a^m of a word.
 
-    ``p`` is a coefficient tuple in ascending powers of x = a*a.  The
+    ``p`` is a non-empty coefficient tuple in ascending powers of x = a*a,
+    and l and m are counts from 0 (:class:`InvalidSpec` otherwise).  The
     degree m - l matches the degree of every word that normalizes to
     this form; that identity is exact by construction.
     """
@@ -176,7 +194,12 @@ class NormalForm:
     p: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _trim(tuple(self.p)))
+        object.__setattr__(self, "l", _count(self.l, "l", 0))
+        object.__setattr__(self, "m", _count(self.m, "m", 0))
+        p = tuple(self.p)
+        if not p:
+            raise InvalidSpec("p must have at least one coefficient")
+        object.__setattr__(self, "p", _trim(p))
 
     @property
     def degree(self) -> int:
@@ -327,8 +350,6 @@ def evaluate(item, model) -> np.ndarray:
     """
     a = _as_model_matrix(model)
     n = a.shape[0]
-    if isinstance(item, str):
-        item = parse_word(item)
     if isinstance(item, NormalForm):
         length = item.word_length
         if n < length + 1:
@@ -340,6 +361,7 @@ def evaluate(item, model) -> np.ndarray:
         for _ in range(item.m):
             out = out @ a
         return out
+    item = _letters(item)
     length = len(item)
     if n < length + 1:
         raise DimensionTooSmall(f"dim {n} < word length {length} + 1")
@@ -359,3 +381,60 @@ def interior_projection(dim: int, length: int) -> np.ndarray:
     """
     dim, length = _count(dim, "dim", 0), _count(length, "length", 0)
     return np.diag((np.arange(dim) < dim - length).astype(np.complex128))
+
+
+def shift_values(items, w) -> np.ndarray:
+    """The values of a stack of words, or of normal forms, on the weighted
+    shift a = diag(w, 1): row i holds item i's values v, and its matrix M
+    has M[r, r + d] = v[r], d its degree, and no other nonzero entry.
+
+    Each letter position (of a word), Horner step in x = a*a (whose
+    diagonal is conj(w) w after x_0 = 0) and a* (left) or a (right) factor
+    (of a form) is one product over the whole (items, n) array, in
+    ``evaluate``'s order, with shorter items padded by exact unit factors
+    and shorter polynomials by leading zero coefficients: each value
+    equals ``evaluate``'s dense entry bit for bit, in O(n) per letter.  A
+    letter other than "a" and "a*" is a ParseError; a stack that mixes
+    words and forms, an InvalidSpec.
+    """
+    w = np.asarray(w)
+    n = len(w) + 1
+    forms = [isinstance(item, NormalForm) for item in items]
+    # Step t multiplies values[i, r] by the factor that right-multiplying by a
+    # (code 0) or a* (code 1) puts on the entry in column cols[i, t] + r, or
+    # by an exact 1 (code 2), which pads a shorter item.
+    if not all(forms):
+        if any(forms):
+            raise InvalidSpec("shift_values takes words or normal forms, not both")
+        words = [_letters(word) for word in items]
+        codes = np.full((len(words), max(map(len, words), default=0)), 2)
+        for i, word in enumerate(words):
+            codes[i, :len(word)] = [0 if letter == GEN else 1 for letter in word]
+        steps = np.array([1, -1, 0])[codes]
+        # row r of the product so far holds its entry in column r + (prefix degree)
+        cols = np.cumsum(steps, axis=1) - steps
+        values = np.ones((len(words), n), dtype=np.complex128)
+    else:
+        top = max((len(nf.p) for nf in items), default=1)
+        coeffs = np.zeros((len(items), top), dtype=np.complex128)
+        for i, nf in enumerate(items):
+            coeffs[i, top - len(nf.p):] = [complex(c) for c in reversed(nf.p)]
+        l, m = np.array([[nf.l, nf.m] for nf in items], dtype=int).reshape(-1, 2).T
+        x = np.concatenate([[0], w.conj() * w])  # the diagonal of a*a
+        # row r of a*^l p(x) a^m reads x at k = r - l; a k < 0 meets a factor 0 first
+        xk = x[np.maximum(np.arange(n) - l[:, None], 0)]
+        values = np.repeat(coeffs[:, :1], n, axis=1)
+        for c in coeffs.T[1:]:
+            values = values * xk + c[:, None]
+        j = np.arange(max(l.max(initial=0), m.max(initial=0)))
+        # a* @ P puts conj(w_{k+j}) on the core entry k = r - l, P @ a puts w_{k+j}
+        codes = np.concatenate([np.where(j < l[:, None], 1, 2), np.where(j < m[:, None], 0, 2)], 1)
+        cols = np.concatenate([j + 1 - l[:, None], j - l[:, None]], 1)
+    pad = cols.shape[1] + 1  # past either end of the matrix, every factor is 0
+    table = np.zeros((3, n + 2 * pad), dtype=np.result_type(w, np.complex128))
+    table[0, pad:pad + n - 1] = w  # a: e_{k+1} -> w_k e_k
+    table[1, pad + 1:pad + n] = w.conj()  # a*: e_{k-1} -> conj(w_{k-1}) e_k
+    table[2] = 1
+    for code, col in zip(codes.T, cols.T):
+        values *= table[code[:, None], col[:, None] + pad + np.arange(n)]
+    return values

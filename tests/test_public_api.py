@@ -41,6 +41,11 @@ ALLOWED = {
     # membership in C*(1, a) for any Hermitian a; verify_I1 reads the
     # eigenspaces of a*a off the polar SVD of a instead
     "is_function_of",
+    # a word or normal form as a dense matrix, and the columns where a
+    # truncated model is faithful; the words suite reads its q_oscillator
+    # words as one diagonal each, through words.shift_values
+    "evaluate",
+    "interior_projection",
 }
 
 
@@ -335,11 +340,13 @@ def test_a_tol_outside_zero_to_inf_is_an_invalid_spec_at_every_export(name, tol)
 
 # -- one door for a count ----------------------------------------------------
 
-COUNTS = {"kmax": 1, "bandwidth": 0, "samples": 0}
+COUNTS = {"kmax": 1, "bandwidth": 0, "samples": 0, "l": 0, "m": 0}
 
 # every export that takes a count, as "export:parameter", called with that
 # count and inputs that are valid at its least
 TAKES_A_COUNT = {
+    "NormalForm:l": lambda k: pk.NormalForm(k, 0, (1,)),
+    "NormalForm:m": lambda k: pk.NormalForm(0, k, (1,)),
     "check_property_star:bandwidth": lambda k: pk.check_property_star(_model(), 2, bandwidth=k),
     "check_property_star:samples": lambda k: pk.check_property_star(_model(), samples=k),
     "commuting_projection_properties:kmax": lambda k: pk.commuting_projection_properties(_u(), k),
@@ -352,12 +359,15 @@ TAKES_A_COUNT = {
 
 
 def test_every_export_that_takes_a_count_is_in_the_count_table():
-    # a record type (SuiteConfig) checks its own fields, with a ConfigError
+    # of the record types, only NormalForm reads counts, its l and m, through
+    # the door: SuiteConfig checks its own fields, with a ConfigError, and the
+    # reports are results.  A function's m is a matrix.
     objects = {name: getattr(pk, name) for name in exported()}
     taking = {
         f"{name}:{param}" for name, obj in objects.items() if not dataclasses.is_dataclass(obj)
-        for param in _parameters(obj) if param in COUNTS
+        for param in _parameters(obj) if param in ("kmax", "bandwidth", "samples")
     }
+    taking |= {f"NormalForm:{f.name}" for f in dataclasses.fields(pk.NormalForm) if f.name in COUNTS}
     assert sorted(taking) == sorted(TAKES_A_COUNT)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from functools import cached_property
@@ -16,9 +17,10 @@ import polarkit.relation as relation
 import polarkit.report as report_module
 import polarkit.tower as tower
 from polarkit.graded import _draws
+from polarkit.linalg import LIMITS, _operator_norms
 from polarkit.relation import Analysis
 from polarkit.report import SUITE_ORDER
-from polarkit.words import NormalForm
+from polarkit.words import NormalForm, evaluate, interior_projection, nf_mul, normal_order
 
 from conftest import zoo_specs
 from test_relation import _haar_unitary, direct_sums
@@ -574,7 +576,7 @@ def test_stacked_graded_suite_matches_its_loops_on_direct_sums(a, seed):
 # The SVD calls of one zoo run_suite, seed 0 and every suite.  Like the
 # line budget, a change that adds a call raises this pin in the same diff
 # and says why in CHANGES.md; one that removes calls may lower it.
-ZOO_SVD_CALLS = 81
+ZOO_SVD_CALLS = 78
 
 
 def test_the_zoo_run_suite_stays_within_its_svd_calls(lapack_calls):
@@ -709,3 +711,85 @@ def test_words_suite_fails_a_perturbed_normal_form(monkeypatch):
 
     monkeypatch.setattr(report_module, "normal_order", perturbed)
     assert not _words_check()["pass"]
+
+
+def ref_suite_words(spec, an, config, rng):
+    """The words suite by dense products and one SVD of its defects: each
+    word and its normal form by evaluate, their defect restricted to the
+    interior columns, and its operator norm."""
+    if spec.kind != "q_oscillator":
+        return []
+    a, phi, n = an.matrix, pk.phi_for(spec), spec.dim
+    defects, limits = [], []
+    for _ in range(40):
+        w = report_module._random_word(rng)
+        if len(w) + 1 > n:
+            continue
+        nf = normal_order(w, phi)
+        defects.append((evaluate(w, a) - evaluate(nf, a)) @ interior_projection(n, len(w)))
+        limits.append(LIMITS["word"](config.tol, an.norm, len(w)))
+    norms = _operator_norms(defects)
+    worst, ok = float(norms.max(initial=0.0)), bool((norms <= np.array(limits)).all())
+    checks = [report_module._check("interior_agreement", "words.normal_order", ok, worst)]
+    exact = True
+    for _ in range(20):
+        n1 = normal_order(report_module._random_word(rng), phi)
+        n2 = normal_order(report_module._random_word(rng), phi)
+        prod = nf_mul(n1, n2, phi)
+        exact = exact and (prod.degree == n1.degree + n2.degree)
+    checks.append(report_module._check("degree_additivity", "words.degree", exact,
+                                       0.0 if exact else 1.0))
+    return checks
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2027))
+def test_words_suite_matches_its_dense_reference_on_the_zoo(seed):
+    config = pk.config_from_json({"models": zoo_specs(), "suites": list(SUITE_ORDER), "seed": seed})
+    si = SUITE_ORDER.index("words")
+    report = pk.run_suite(config)
+    checked = 0
+    for mi, spec in enumerate(config.models):
+        got = report["models"][mi]["suites"][si]["checks"]
+        rng = np.random.default_rng([seed, mi, si])
+        ref = ref_suite_words(spec, Analysis(pk.build(spec)), config, rng)
+        assert got == ref, (mi, got, ref)
+        checked += bool(ref)
+    assert checked == 3  # the zoo's three oscillators
+
+
+@pytest.mark.parametrize("qh", ((24, 1.0, 100.0), (64, 1.0, 1.0), (24, 2.0, 0.4)), ids=str)
+def test_words_suite_matches_its_dense_reference_bit_for_bit(qh):
+    spec = pk.q_oscillator(*qh)
+    an = Analysis(pk.build(spec))
+    config = pk.SuiteConfig(models=(spec,), suites=("words",))
+    for mi in range(4):
+        key = [config.seed, mi, 0]
+        got = report_module._suite_words(spec, an, config, np.random.default_rng(key))
+        assert got == ref_suite_words(spec, an, config, np.random.default_rng(key)), mi
+
+
+def test_words_suite_takes_no_svd(lapack_calls):
+    spec = pk.q_oscillator(16, 0.5, 1.0)
+    an = Analysis(pk.build(spec))
+    an.norm
+    lapack_calls.clear()
+    config = pk.SuiteConfig(models=(spec,), suites=("words",))
+    checks = report_module._suite_words(spec, an, config, np.random.default_rng([0, 0, 0]))
+    assert [c["pass"] for c in checks] == [True, True]
+    assert sum(lapack_calls.calls.values()) == 0, lapack_calls.calls
+
+
+def test_words_suite_stays_small_at_n_256():
+    # its dense products and SVD traced 82 MB here
+    spec = pk.q_oscillator(256, 1.0, 1.0)
+    an = Analysis(pk.build(spec))
+    an.norm
+    config = pk.SuiteConfig(models=(spec,), suites=("words",))
+    tracemalloc.start()
+    try:
+        checks = report_module._suite_words(spec, an, config, np.random.default_rng([0, 0, 0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c["pass"] for c in checks] == [True, True]
+    assert peak < 8 * 2**20, peak

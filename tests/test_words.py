@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polarkit as pk
-from polarkit.words import GEN, GEN_STAR
+from polarkit.models import q_lambda
+from polarkit.words import GEN, GEN_STAR, shift_values
 
 PHI_HALF = pk.PhiMap.affine_exact("1/2", "1")
 PHI_FLOAT = pk.PhiMap.affine(0.5, 1.0)
@@ -164,3 +165,101 @@ def test_normal_order_agrees_with_matrices(w):
     p_int = pk.interior_projection(16, len(w))
     gap = pk.operator_norm((pk.evaluate(w, a) - pk.evaluate(nf, a)) @ p_int)
     assert gap <= 1e-8
+
+
+# -- one letter check ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "read", (pk.deg, lambda w: pk.evaluate(w, pk.build(pk.q_oscillator(6, 0.5, 1.0))),
+             lambda w: shift_values([w], np.ones(5))),
+    ids=("deg", "evaluate", "shift_values"),
+)
+@pytest.mark.parametrize("word", (("a", "b"), ("a", "zz"), ("x",), ["a*", None]), ids=str)
+def test_every_word_reader_refuses_an_unknown_letter(read, word):
+    # evaluate read ("a", "b") as a a*, and deg(("a", "zz")) was 0
+    with pytest.raises(pk.ParseError, match="^unknown letter "):
+        read(word)
+
+
+def test_shift_values_takes_words_or_forms_not_both():
+    with pytest.raises(pk.InvalidSpec):
+        shift_values([("a",), pk.NF_ONE], np.ones(3))
+
+
+# -- the door of NormalForm ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "l, m, p, message",
+    ((-1, 0, (1,), "l must be at least 0, got -1"), (1.5, 0, (1,), "l must be an integer, got 1.5"),
+     (0, True, (1,), "m must be an integer, got True"), (0, -2, (1,), "m must be at least 0, got -2"),
+     (0, 0, (), "p must have at least one coefficient")),
+    ids=("negative_l", "float_l", "bool_m", "negative_m", "empty_p"),
+)
+def test_normal_form_reads_counts_and_a_polynomial(l, m, p, message):
+    # NormalForm(-1, 0, (1,)) evaluated as the identity, (1.5, 0, (1,)) was a
+    # TypeError in evaluate and (0, 0, ()) an IndexError there
+    with pytest.raises(pk.InvalidSpec) as err:
+        pk.NormalForm(l, m, p)
+    assert str(err.value) == message
+
+
+def test_normal_form_keeps_its_counts_as_ints():
+    nf = pk.NormalForm(np.int64(2), np.int8(1), [0, 1, 0])
+    assert (nf.l, nf.m, nf.p) == (2, 1, (0, 1)) and type(nf.l) is type(nf.m) is int
+
+
+# -- words on the shift ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("q, h", ((0.5, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 100.0), (2.0, 0.4)))
+@pytest.mark.parametrize("n", (2, 3, 16, 40))
+def test_a_q_oscillator_is_the_weighted_shift_of_its_levels(q, h, n):
+    # shift_values' premise: a = diag(w, 1) with w_j = sqrt(lambda_{j+1}), exactly
+    lam = q_lambda(n, q, h)
+    assert np.array_equal(pk.build(pk.q_oscillator(n, q, h)), np.diag(np.sqrt(lam[1:]), 1))
+
+
+@st.composite
+def shift_items(draw):
+    """A q_oscillator model whose levels are distinct, and either words of up to
+    n - 1 letters or normal forms, from normal_order or from nf_mul of the
+    forms of two halves of such a word."""
+    q = draw(st.sampled_from((0.5, 1.0, 2.0)))
+    n = draw(st.integers(2, 40 if q == 0.5 else 64))  # q = 1/2 levels collide from n = 41
+    spec = pk.q_oscillator(n, q, 1.0)
+    letters = st.lists(st.sampled_from([GEN, GEN_STAR]), max_size=n - 1).map(tuple)
+    words = draw(st.lists(letters, min_size=1, max_size=6))
+    phi = pk.phi_for(spec)
+    kind = draw(st.sampled_from(("word", "normal_order", "nf_mul")))
+    if kind == "word":
+        return spec, words
+    if kind == "normal_order":
+        return spec, [pk.normal_order(w, phi) for w in words]
+    cuts = [draw(st.integers(0, len(w))) for w in words]
+    return spec, [pk.nf_mul(pk.normal_order(w[:c], phi), pk.normal_order(w[c:], phi), phi)
+                  for w, c in zip(words, cuts)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=shift_items())
+def test_shift_values_are_the_dense_entries_bit_for_bit(case):
+    spec, items = case
+    a = pk.build(spec)
+    n = spec.dim
+    values = shift_values(items, np.diagonal(a, 1))
+    assert values.shape == (len(items), n)
+    for item, v in zip(items, values):
+        form = isinstance(item, pk.NormalForm)
+        assume(not form or item.word_length < n)
+        with np.errstate(all="ignore"):
+            dense = pk.evaluate(item, a)
+        assume(np.isfinite(dense).all())  # past 2^1024 a dense product reads inf * 0
+        d = item.degree if form else pk.deg(item)
+        rows = np.arange(n)
+        on = (0 <= rows + d) & (rows + d < n)
+        assert np.array_equal(v[on], dense[rows[on], rows[on] + d])
+        assert not v[~on].any()
+        dense[rows[on], rows[on] + d] = 0
+        assert not dense.any()
